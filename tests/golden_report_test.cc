@@ -1,10 +1,11 @@
 // Golden-report regression corpus.
 //
-// A small OS x protocol x load matrix of consolidation runs (plus one capacity search)
-// is rendered to report JSON and compared field-exactly against the canonical files in
-// tests/golden/. Only run.wall_ms — the one nondeterministic field in any report — is
-// neutralized before comparison. Any change to simulation behavior, report field order,
-// or number formatting shows up as a diff here.
+// A small OS x protocol x load matrix of consolidation runs (plus one capacity search
+// and one case per interactive experiment preset) is rendered to report JSON and
+// compared field-exactly against the canonical files in tests/golden/. Only run.wall_ms
+// — the one nondeterministic field in any report — is neutralized before comparison.
+// Any change to simulation behavior, report field order, or number formatting shows up
+// as a diff here.
 //
 // To re-bless after an intentional change: tools/regen_golden.sh (or run this binary
 // with TCS_REGEN_GOLDEN=1).
@@ -22,7 +23,9 @@
 
 #include "src/core/admission.h"
 #include "src/core/checkpoint.h"
+#include "src/core/experiments.h"
 #include "src/core/report.h"
+#include "src/obs/attribution.h"
 #include "src/session/os_profile.h"
 
 namespace tcs {
@@ -136,7 +139,51 @@ OsProfile LinuxLbx() {
   return profile;
 }
 
-// The corpus: OS x protocol x users, plus one full capacity search.
+// The `tcsctl blame` grid cell: an end-to-end run with its own attribution engine.
+std::string BlamedEndToEnd(const OsProfile& profile, const EndToEndOptions& opt,
+                           bool decompose_network) {
+  AttributionConfig attr_cfg;
+  attr_cfg.decompose_network = decompose_network;
+  LatencyAttribution attribution(attr_cfg);
+  ObsConfig obs;
+  obs.attribution = &attribution;
+  return ToJson(RunEndToEndLatency(profile, opt, &obs));
+}
+
+// Every objective on, starvation included; an empty out_dir writes no bundle files.
+SloSpec AllObjectives(const char* name) {
+  SloSpec slo;
+  slo.max_worst_p99_ms = 150.0;
+  slo.max_starved_fraction = 0.0;
+  slo.min_availability = 0.99;
+  slo.max_link_backlog_bytes = 64 * 1024;
+  slo.name = name;
+  return slo;
+}
+
+std::string WanCell(bool degrade) {
+  WanOptions opt;
+  opt.profile = WanProfileByName("satellite");
+  opt.degrade = degrade;
+  opt.users = 3;
+  opt.duration = Duration::Seconds(5);
+  SloSpec slo = AllObjectives(degrade ? "wan_on" : "wan_off");
+  ObsConfig obs;
+  obs.slo = &slo;
+  return ToJson(RunWanPoint(OsProfile::Tse(), opt, &obs));
+}
+
+std::string WhatIfCell(WhatIfAdjustment::Component component) {
+  WhatIfOptions opt;
+  opt.wan.profile = WanProfileByName("lte");
+  opt.wan.duration = Duration::Seconds(5);
+  opt.adjust.component = component;
+  opt.adjust.speedup = 2.0;
+  return ToJson(RunWhatIf(OsProfile::Tse(), opt));
+}
+
+// The corpus: OS x protocol x users, plus one full capacity search, then one case per
+// experiment preset (append only: a case's position is part of its test name).
 const GoldenCase kCases[] = {
     {"consolidation_tse_rdp_u1", [] { return Consolidation(OsProfile::Tse(), 1); }},
     {"consolidation_tse_rdp_u3", [] { return Consolidation(OsProfile::Tse(), 3); }},
@@ -152,6 +199,62 @@ const GoldenCase kCases[] = {
        opt.behavior.duration = Duration::Seconds(5);
        return ToJson(RunServerCapacity(OsProfile::Tse(), opt));
      }},
+    {"typing_tse_rdp_sinks5",
+     [] { return ToJson(RunTypingUnderLoad(OsProfile::Tse(), 5, Duration::Seconds(5))); }},
+    {"sizing_tse_u4",
+     [] { return ToJson(RunServerSizing(OsProfile::Tse(), 4, {}, Duration::Seconds(5))); }},
+    {"e2e_tse_winterm_bg4_sinks5",
+     [] {
+       EndToEndOptions opt;
+       opt.sinks = 5;
+       opt.background_mbps = 4.0;
+       opt.client = ThinClientConfig::WinTerm();
+       opt.duration = Duration::Seconds(5);
+       return ToJson(RunEndToEndLatency(OsProfile::Tse(), opt));
+     }},
+    {"e2e_linux_loss2_blame",
+     [] {
+       EndToEndOptions opt;
+       opt.duration = Duration::Seconds(5);
+       opt.faults.link.loss_rate = 0.02;
+       return BlamedEndToEnd(OsProfile::LinuxX(), opt, false);
+     }},
+    {"e2e_tse_lte_blame",
+     [] {
+       EndToEndOptions opt;
+       opt.duration = Duration::Seconds(5);
+       WanProfile lte = WanProfileByName("lte");
+       opt.faults.link.wan.extra_delay = lte.extra_delay;
+       opt.faults.link.wan.jitter = lte.jitter;
+       opt.faults.link.wan.down_rate = lte.down_rate;
+       opt.faults.link.wan.up_rate = lte.up_rate;
+       opt.faults.link.wan.queue_bytes = lte.queue_bytes;
+       opt.faults.link.wan.ge_p_good_to_bad = lte.ge_p_good_to_bad;
+       opt.faults.link.wan.ge_p_bad_to_good = lte.ge_p_bad_to_good;
+       opt.faults.link.wan.ge_loss_good = lte.ge_loss_good;
+       opt.faults.link.wan.ge_loss_bad = lte.ge_loss_bad;
+       opt.faults.seed = opt.seed ^ 0xFA017u;
+       return BlamedEndToEnd(OsProfile::Tse(), opt, true);
+     }},
+    {"chaos_tse_slo",
+     [] {
+       ChaosOptions opt;
+       opt.loss_rate = 0.02;
+       opt.flap_every = Duration::Millis(2000);
+       opt.flap_duration = Duration::Millis(50);
+       opt.disk_stall_rate = 0.01;
+       opt.disconnect_every = Duration::Millis(3000);
+       opt.sinks = 2;
+       opt.duration = Duration::Seconds(5);
+       SloSpec slo = AllObjectives("chaos");
+       ObsConfig obs;
+       obs.slo = &slo;
+       return ToJson(RunChaosPoint(OsProfile::Tse(), opt, &obs));
+     }},
+    {"wan_tse_satellite_off", [] { return WanCell(false); }},
+    {"wan_tse_satellite_on", [] { return WanCell(true); }},
+    {"whatif_tse_lte_link2", [] { return WhatIfCell(WhatIfAdjustment::Component::kLink); }},
+    {"whatif_tse_lte_cpu2", [] { return WhatIfCell(WhatIfAdjustment::Component::kCpu); }},
 };
 
 class GoldenReportTest : public ::testing::TestWithParam<size_t> {};
