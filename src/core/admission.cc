@@ -84,9 +84,10 @@ bool Admits(AdmissionPolicy policy, const AdmissionConfig& admission,
   return false;
 }
 
-CapacityResult RunServerCapacity(const OsProfile& profile,
-                                 const CapacityOptions& options_in,
-                                 const ObsConfig* obs) {
+CapacityResult run_support::SearchCapacity(const OsProfile& profile,
+                                           const CapacityOptions& options_in,
+                                           const ObsConfig* obs,
+                                           const ProbeRunner& run_probe) {
   CapacityOptions options = Validated(options_in);
 
   // One evaluation per candidate N, shared between both policies' searches. Every
@@ -119,7 +120,7 @@ CapacityResult RunServerCapacity(const OsProfile& profile,
         probe_slo.name += "_u" + std::to_string(users);
         probe_obs.slo = &probe_slo;
       }
-      it = memo.emplace(users, RunConsolidation(profile, copt, &probe_obs)).first;
+      it = memo.emplace(users, run_probe(copt, &probe_obs)).first;
     }
     return it->second;
   };
@@ -153,6 +154,14 @@ CapacityResult RunServerCapacity(const OsProfile& profile,
     result.probes.push_back(std::move(probe));
   }
   return result;
+}
+
+CapacityResult RunServerCapacity(const OsProfile& profile, const CapacityOptions& options,
+                                 const ObsConfig* obs) {
+  return SearchCapacity(profile, options, obs,
+                        [&](const ConsolidationOptions& copt, const ObsConfig* probe_obs) {
+                          return RunConsolidation(profile, copt, probe_obs);
+                        });
 }
 
 }  // namespace tcs

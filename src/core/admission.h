@@ -48,8 +48,8 @@ struct ConsolidationOptions {
   Duration burst_cpu = Duration::Zero();
   Duration burst_period = Duration::Seconds(5);
   int sinks = 0;  // server-wide batch load, as in RunTypingUnderLoad
-  // Optional WAN shaping on the shared access link, wired exactly as RunWanPoint wires
-  // it (fault RNG seeded from `seed ^ 0xFA017`, degradation armed after the 2 s warm-up
+  // Optional WAN shaping on the shared access link, the wiring RunWanPoint uses too
+  // (fault RNG seeded from `seed ^ 0xFA017`, degradation armed after the 2 s warm-up
   // with the pressure ladder calibrated to the bottleneck queue). The default all-empty
   // profile injects nothing and leaves the run byte-identical to a LAN run.
   WanProfile wan;

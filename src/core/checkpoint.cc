@@ -1,16 +1,21 @@
 #include "src/core/checkpoint.h"
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/core/run_support.h"
+#include "src/core/scenario.h"
 #include "src/metrics/latency.h"
+#include "src/net/traffic_gen.h"
 #include "src/session/server.h"
 #include "src/sim/periodic.h"
 #include "src/util/config_error.h"
+#include "src/workload/animation.h"
 #include "src/workload/typist.h"
 
 namespace tcs {
@@ -57,37 +62,97 @@ struct StallTap {
   TimePoint last;
 };
 
-bool WanActive(const WanProfile& p) {
-  return p.extra_delay > Duration::Zero() || p.jitter > Duration::Zero() ||
-         p.down_rate.bps() > 0 || p.up_rate.bps() > 0 || p.queue_bytes.count() > 0 ||
-         p.ge_p_good_to_bad > 0.0 || p.ge_loss_good > 0.0 || p.ge_loss_bad > 0.0;
-}
+// Client runs stop typing, then run this much longer so in-flight updates land.
+constexpr Duration kDrain = Duration::Seconds(1);
 
-// Mirrors RunWanPoint's WAN wiring onto a consolidation config. Gated so the default
-// (no WAN, no degradation) path leaves the config untouched and the run byte-identical
-// to what RunConsolidation always produced.
-void ApplyWanKnobs(ServerConfig& cfg, const ConsolidationOptions& o) {
-  if (!WanActive(o.wan) && !o.degrade) {
+// Puts ConsolidationOptions' WAN profile and degradation ladder on the config. Gated so
+// the default (no WAN, no degradation) path leaves the config untouched.
+void ApplyWan(ServerConfig& cfg, const ConsolidationOptions& o) {
+  if (!o.wan.Any() && !o.degrade) {
     return;
   }
   cfg.faults.seed = o.seed ^ 0xFA017u;
-  cfg.faults.link.wan.extra_delay = o.wan.extra_delay;
-  cfg.faults.link.wan.jitter = o.wan.jitter;
-  cfg.faults.link.wan.down_rate = o.wan.down_rate;
-  cfg.faults.link.wan.up_rate = o.wan.up_rate;
-  cfg.faults.link.wan.queue_bytes = o.wan.queue_bytes;
-  cfg.faults.link.wan.ge_p_good_to_bad = o.wan.ge_p_good_to_bad;
-  cfg.faults.link.wan.ge_p_bad_to_good = o.wan.ge_p_bad_to_good;
-  cfg.faults.link.wan.ge_loss_good = o.wan.ge_loss_good;
-  cfg.faults.link.wan.ge_loss_bad = o.wan.ge_loss_bad;
+  cfg.faults.link.wan = o.wan;
   cfg.degradation.enabled = o.degrade;
   // Arm the controller only once the warm-up (login storm, first desktop paint) is
   // over, so its ledger records WAN congestion rather than setup transients.
   cfg.degradation.start_delay = Duration::Seconds(2);
   if (o.wan.queue_bytes.count() > 0) {
+    // Calibrate the pressure ladder to the bottleneck queue: a backlog pinned at the
+    // drop-tail bound (bufferbloat saturation) engages the deepest level, and each
+    // quarter of the queue engages one more step.
     cfg.degradation.level_step = Bytes::Of(std::max<int64_t>(
         Bytes::KiB(8).count(), o.wan.queue_bytes.count() / 4));
   }
+}
+
+// What-if virtual hardware. Gated on != 1.0 so stock runs keep their exact bytes (no
+// float math touches the configs on the default path).
+void ApplyVirtualHardware(ServerConfig& cfg, const Scenario& sc) {
+  if (sc.cpu_speed != 1.0) {
+    cfg.cpu.speed *= sc.cpu_speed;
+  }
+  if (sc.disk_speedup != 1.0) {
+    const double k = sc.disk_speedup;
+    auto faster = [k](Duration d) {
+      return Duration::Micros(std::llround(static_cast<double>(d.ToMicros()) / k));
+    };
+    cfg.disk.positioning_mean = faster(cfg.disk.positioning_mean);
+    cfg.disk.positioning_stddev = faster(cfg.disk.positioning_stddev);
+    cfg.disk.positioning_min = faster(cfg.disk.positioning_min);
+    cfg.disk.transfer_rate = BitsPerSecond::Of(
+        std::llround(static_cast<double>(cfg.disk.transfer_rate.bps()) * k));
+  }
+}
+
+void OnPaint(PaintRecord& p, const KeystrokeLatency& lat, const Scenario& sc) {
+  p.input_ms.Add(lat.input_net.ToMillisF());
+  p.server_ms.Add(lat.server.ToMillisF());
+  p.display_ms.Add(lat.display_net.ToMillisF());
+  p.client_ms.Add(lat.client.ToMillisF());
+  p.latency.Record(lat.total());
+  if (lat.total() > sc.threshold) {
+    ++p.perceptible;
+  }
+  if (sc.starve_after) {
+    TimePoint painted = lat.keystroke_at + lat.total();
+    TimePoint from = std::max(lat.keystroke_at + *sc.starve_after, p.counted_through);
+    if (painted > from) {
+      p.starved += painted - from;
+    }
+    if (painted > p.counted_through) {
+      p.counted_through = painted;
+    }
+    p.pending = false;
+  }
+}
+
+// The background media session: a light login playing unique-frame video into the
+// downlink — the pressure source the degradation ladder sacrifices first.
+std::unique_ptr<Animation> StartBackgroundMedia(Simulator& sim, Server& server,
+                                                const ConsolidationOptions& options) {
+  Session& media = server.Login(/*light_session=*/true);
+  server.SetBackground(media, true);
+  AnimationConfig ac;
+  ac.id = 0x8AC6;
+  // ~4.7 Mbps of media: heavier than every WAN profile's downlink, so without
+  // degradation the drop-tail queue sits pinned at its bound.
+  ac.width = 512;
+  ac.height = 384;
+  ac.frame_period = Duration::Millis(100);  // 10 fps media
+  // Every frame unique over the run so the bitmap cache cannot absorb the stream.
+  ac.frame_count = static_cast<int>(options.duration / ac.frame_period) + 64;
+  ac.compression_ratio = 0.3;
+  auto media_stream = std::make_unique<Animation>(sim, media.protocol(), ac);
+  media_stream->set_frame_gate([&server] {
+    DegradationController* d = server.degradation();
+    if (d == nullptr) {
+      return true;
+    }
+    return !d->BackgroundPaused() && !d->ShouldDropAnimationFrame();
+  });
+  media_stream->Start(options.start_delay);
+  return media_stream;
 }
 
 }  // namespace
@@ -105,49 +170,78 @@ const char* CheckpointSectionName(uint32_t tag) {
 struct ConsolidationRun::Impl {
   struct UserRuntime {
     Session* session = nullptr;
-    std::unique_ptr<StallTap> tap;
+    std::unique_ptr<StallTap> tap;  // runs without a client
+    const LatencyRecorder* latency = nullptr;  // the live p99 source: tap or paint record
     std::unique_ptr<Typist> typist;
     std::unique_ptr<PeriodicTask> burst_task;
   };
 
   OsProfile profile;
   ConsolidationOptions options;
+  Scenario scenario;
   const ObsConfig* obs = nullptr;
   WallClock::time_point t0;
   Simulator sim;
   ServerConfig cfg;
+  ScenarioOutcome outcome;
   std::unique_ptr<SloRuntime> slo;
+  std::unique_ptr<LatencyAttribution> local_attribution;
   std::unique_ptr<Server> server;
   std::unique_ptr<SamplerScope> sampler;
   std::vector<UserRuntime> runtimes;
+  std::unique_ptr<PoissonTrafficGenerator> background_load;
+  std::unique_ptr<Animation> background_media;
   bool finished = false;
 };
 
 ConsolidationRun::ConsolidationRun(const OsProfile& profile,
-                                   const ConsolidationOptions& options_in,
+                                   const ConsolidationOptions& options,
                                    const ObsConfig* obs)
+    : ConsolidationRun(profile, options, Scenario{}, obs) {}
+
+ConsolidationRun::ConsolidationRun(const OsProfile& profile,
+                                   const ConsolidationOptions& options_in,
+                                   const Scenario& scenario, const ObsConfig* obs)
     : impl_(std::make_unique<Impl>()) {
   Impl& im = *impl_;
   im.profile = profile;
   im.options = Validated(options_in);
+  im.scenario = scenario;
   im.obs = obs;
   im.t0 = WallClock::now();
   const ConsolidationOptions& options = im.options;
+  const Scenario& sc = im.scenario;
   ServerConfig& cfg = im.cfg;
   cfg.seed = options.seed;
   cfg.cpu.processors = options.processors;
   cfg.ram = options.ram;
   cfg.eviction = options.eviction;
-  ApplyWanKnobs(cfg, options);
+  cfg.faults = sc.faults;
+  ApplyWan(cfg, options);
+  ApplyVirtualHardware(cfg, sc);
   ApplyObs(cfg, obs);
   im.slo = std::make_unique<SloRuntime>(im.sim, obs);
   im.slo->ApplyTo(cfg);
+  if (sc.local_attribution && cfg.attribution == nullptr) {
+    AttributionConfig attr_cfg;
+    attr_cfg.tracer = obs != nullptr ? obs->tracer : nullptr;
+    attr_cfg.recorder = cfg.recorder;
+    im.local_attribution = std::make_unique<LatencyAttribution>(attr_cfg);
+    cfg.attribution = im.local_attribution.get();
+    if (im.slo->active()) {
+      im.slo->watchdog()->SetAttribution(cfg.attribution);
+    }
+  }
   AttachSimHook(im.sim, obs);
   im.server = std::make_unique<Server>(im.sim, im.profile, cfg);
   im.sampler = std::make_unique<SamplerScope>(im.sim, obs);
   Server& server = *im.server;
   Simulator& sim = im.sim;
   server.StartDaemons();
+  if (sc.client) {
+    server.AttachClient(*sc.client);
+    im.outcome.paints.resize(static_cast<size_t>(options.users));
+  }
 
   im.runtimes.reserve(static_cast<size_t>(options.users));
   // Login + instrument first: session setup traffic and text-segment sharing happen in
@@ -155,12 +249,31 @@ ConsolidationRun::ConsolidationRun(const OsProfile& profile,
   for (int u = 0; u < options.users; ++u) {
     Impl::UserRuntime rt;
     rt.session = &server.Login();
-    rt.tap = std::make_unique<StallTap>(options.keystroke_period);
-    StallTap* tap = rt.tap.get();
-    rt.session->set_on_display_update([tap](TimePoint t) { tap->OnUpdate(t); });
     Session* s = rt.session;
-    rt.typist = std::make_unique<Typist>(sim, [&server, s] { server.Keystroke(*s); },
-                                         options.keystroke_period);
+    std::function<void()> keystroke = [&server, s] { server.Keystroke(*s); };
+    if (sc.client) {
+      PaintRecord* paint = &im.outcome.paints[static_cast<size_t>(u)];
+      paint->counted_through = TimePoint::Zero() + options.start_delay;
+      rt.latency = &paint->latency;
+      s->set_on_frame_painted(
+          [paint, &sc](const KeystrokeLatency& lat) { OnPaint(*paint, lat, sc); });
+      if (sc.starve_after) {
+        keystroke = [&server, &sim, s, paint] {
+          if (!paint->pending) {
+            paint->pending = true;
+            paint->pending_since = sim.Now();
+          }
+          server.Keystroke(*s);
+        };
+      }
+    } else {
+      rt.tap = std::make_unique<StallTap>(options.keystroke_period);
+      StallTap* tap = rt.tap.get();
+      s->set_on_display_update([tap](TimePoint t) { tap->OnUpdate(t); });
+      rt.latency = &tap->samples;
+    }
+    rt.typist =
+        std::make_unique<Typist>(sim, std::move(keystroke), options.keystroke_period);
     rt.typist->Start(options.start_delay +
                      Duration::Micros(options.stagger.ToMicros() * u));
     if (options.burst_cpu > Duration::Zero()) {
@@ -175,29 +288,50 @@ ConsolidationRun::ConsolidationRun(const OsProfile& profile,
     im.runtimes.push_back(std::move(rt));
   }
   server.StartSinks(options.sinks);
+  if (sc.background_mbps > 0.0) {
+    im.background_load = std::make_unique<PoissonTrafficGenerator>(
+        sim, Rng(options.seed ^ 0xB06), server.link(),
+        BitsPerSecond::MbpsF(sc.background_mbps), Bytes::Of(1500));
+    im.background_load->Start();
+  }
+  if (sc.background_session) {
+    im.background_media = StartBackgroundMedia(sim, server, options);
+  }
 
   if (im.slo->active()) {
+    SloWatchdog& watchdog = *im.slo->watchdog();
     // Live p99 is over samples seen so far (a user who hasn't produced two updates yet
-    // contributes nothing live); total starvation is a whole-run objective and only
-    // scored by FinishRun, so warm-up can't trip it.
+    // contributes nothing live).
     std::vector<Impl::UserRuntime>* runtimes = &im.runtimes;
-    im.slo->watchdog()->SetWorstP99Source([runtimes] {
+    watchdog.SetWorstP99Source([runtimes] {
       double worst = 0.0;
       for (const Impl::UserRuntime& rt : *runtimes) {
-        worst = std::max(worst, rt.tap->samples.PercentileMs(0.99));
+        worst = std::max(worst, rt.latency->PercentileMs(0.99));
       }
       return worst;
     });
-    im.slo->watchdog()->SetStarvationSource([runtimes] {
-      int starved = 0;
-      for (const Impl::UserRuntime& rt : *runtimes) {
-        if (rt.tap->stalls.updates() < 2) {
-          ++starved;
+    if (!sc.client) {
+      // Total starvation is a whole-run objective and only scored by FinishRun, so
+      // warm-up can't trip it.
+      watchdog.SetStarvationSource([runtimes] {
+        int starved = 0;
+        for (const Impl::UserRuntime& rt : *runtimes) {
+          starved += rt.tap->stalls.updates() < 2 ? 1 : 0;
         }
-      }
-      return static_cast<double>(starved) / static_cast<double>(runtimes->size());
-    });
-    im.slo->watchdog()->SetLinkBacklogSource([&server, &sim] {
+        return static_cast<double>(starved) / static_cast<double>(runtimes->size());
+      });
+    } else if (sc.starve_after) {
+      // Users whose oldest unanswered keystroke is older than the horizon right now.
+      std::vector<PaintRecord>* paints = &im.outcome.paints;
+      watchdog.SetStarvationSource([paints, &sim, after = *sc.starve_after] {
+        int starved = 0;
+        for (const PaintRecord& p : *paints) {
+          starved += p.pending && sim.Now() - p.pending_since > after ? 1 : 0;
+        }
+        return static_cast<double>(starved) / static_cast<double>(paints->size());
+      });
+    }
+    watchdog.SetLinkBacklogSource([&server, &sim] {
       return server.link().BacklogBytesAt(sim.Now()).count();
     });
     im.slo->Start();
@@ -226,8 +360,23 @@ int64_t ConsolidationRun::SloViolatedAtUs() const {
   return impl_->slo->active() ? impl_->slo->watchdog()->violated_at_us() : -1;
 }
 
+const ScenarioOutcome& ConsolidationRun::outcome() const { return impl_->outcome; }
+
+namespace {
+
+// Paint records, background generators, and the drain are not serialized yet.
+void RequireNoClient(const Scenario& sc) {
+  if (sc.client) {
+    throw SnapshotError("driver.client", "runs with a client device attached do not "
+                                         "snapshot");
+  }
+}
+
+}  // namespace
+
 std::vector<uint8_t> ConsolidationRun::Snapshot() const {
   const Impl& im = *impl_;
+  RequireNoClient(im.scenario);
   SnapshotWriter w;
   SaveKernel(w, im.sim);
   im.server->SaveTo(w);
@@ -256,6 +405,7 @@ std::vector<uint8_t> ConsolidationRun::Snapshot() const {
 
 void ConsolidationRun::Restore(const std::vector<uint8_t>& blob) {
   Impl& im = *impl_;
+  RequireNoClient(im.scenario);
   SnapshotReader r(blob);
   KernelState ks = LoadKernel(r);
   EventRearm plan;
@@ -313,8 +463,52 @@ ConsolidationResult ConsolidationRun::Finish() {
   }
   im.finished = true;
   const ConsolidationOptions& options = im.options;
+  const Scenario& sc = im.scenario;
   Server& server = *im.server;
   Duration total = options.start_delay + options.duration;
+  for (Impl::UserRuntime& rt : im.runtimes) {
+    rt.typist->Stop();
+    if (rt.burst_task != nullptr) {
+      rt.burst_task->Stop();
+    }
+  }
+  ScenarioOutcome& out = im.outcome;
+  if (sc.client) {
+    if (im.background_load != nullptr) {
+      im.background_load->Stop();
+    }
+    if (im.background_media != nullptr) {
+      im.background_media->Stop();
+    }
+    im.sim.RunFor(kDrain);  // retransmissions and in-flight updates land
+    out.faults = server.CollectFaultStats(total + kDrain);
+    if (im.background_media != nullptr) {
+      out.background_frames_drawn = im.background_media->frames_drawn();
+    }
+    double starved_sum = 0.0;
+    if (sc.starve_after) {
+      // Close each user's final paint gap at the post-drain horizon: a still-pending
+      // echo is starved from pending_since + starve_after (or wherever accounting
+      // already reached) to the end of the run.
+      TimePoint horizon = im.sim.Now();
+      Duration active = horizon - (TimePoint::Zero() + options.start_delay);
+      for (PaintRecord& p : out.paints) {
+        if (p.pending) {
+          TimePoint from = std::max(p.pending_since + *sc.starve_after, p.counted_through);
+          if (horizon > from) {
+            p.starved += horizon - from;
+          }
+        }
+        p.starved_fraction =
+            active > Duration::Zero() ? std::min(1.0, p.starved / active) : 0.0;
+        starved_sum += p.starved_fraction;
+      }
+    }
+    // The link's own availability (outage-driven; 1.0 for pure WAN pathology) scaled
+    // by the fraction of user time frames actually flowed.
+    out.availability = out.faults.availability *
+                       (1.0 - starved_sum / static_cast<double>(options.users));
+  }
 
   ConsolidationResult result;
   result.os_name = im.profile.name;
@@ -332,9 +526,8 @@ ConsolidationResult ConsolidationRun::Finish() {
   Bytes link_total = server.link().bytes_carried();
   double stall_sum = 0.0;
   for (Impl::UserRuntime& rt : im.runtimes) {
-    rt.typist->Stop();
-    if (rt.burst_task != nullptr) {
-      rt.burst_task->Stop();
+    if (rt.tap == nullptr) {
+      continue;
     }
     UserStallStats us;
     const StallTap& tap = *rt.tap;
@@ -359,8 +552,10 @@ ConsolidationResult ConsolidationRun::Finish() {
     result.per_user.push_back(std::move(us));
   }
   result.avg_stall_ms = stall_sum / static_cast<double>(options.users);
-  CollectBlame(result.blame, im.obs);
-  im.slo->Finish(result.slo);
+  if (im.cfg.attribution != nullptr) {
+    result.blame = im.cfg.attribution->Collect();
+  }
+  im.slo->Finish(result.slo, out.availability);
   FinishRun(result.run, im.sim, im.t0);
   return result;
 }
@@ -376,80 +571,32 @@ ConsolidationResult ResumeConsolidation(const OsProfile& profile,
 }
 
 CapacityResult RunServerCapacityCheckpointed(const OsProfile& profile,
-                                             const CapacityOptions& options_in,
+                                             const CapacityOptions& options,
                                              CapacityCheckpointCache& cache,
                                              const ObsConfig* obs) {
-  CapacityOptions options = Validated(options_in);
-
-  // Same memoized-probe frame as RunServerCapacity (one evaluation per candidate N,
-  // shared between both policies), but each candidate's prefix — login storm and daemon
+  // RunServerCapacity's search, but each candidate's prefix — login storm and daemon
   // warm-up, up to 1 ms before the first typist keystroke — is snapshotted on first
   // evaluation and forked from on every later one. The prefix point precedes the first
   // minted interaction, so a fork's fresh attribution engine is exactly the cold run's.
-  std::map<int, ConsolidationResult> memo;
-  auto evaluate = [&](int users) -> const ConsolidationResult& {
-    auto it = memo.find(users);
-    if (it == memo.end()) {
-      ConsolidationOptions copt = options.behavior;
-      copt.users = users;
-      AttributionConfig probe_attr;
-      probe_attr.tracer = obs != nullptr ? obs->tracer : nullptr;
-      LatencyAttribution probe_blame(probe_attr);
-      ObsConfig probe_obs;
-      probe_obs.tracer = probe_attr.tracer;
-      probe_obs.attribution = &probe_blame;
-      SloSpec probe_slo;
-      if (obs != nullptr && obs->slo != nullptr && obs->slo->Any()) {
-        probe_slo = *obs->slo;
-        probe_slo.name += "_u" + std::to_string(users);
-        probe_obs.slo = &probe_slo;
-      }
-      ConsolidationRun run(profile, copt, &probe_obs);
-      Duration prefix = copt.start_delay - Duration::Millis(1);
-      if (prefix > Duration::Zero()) {
-        auto cached = cache.prefix.find(users);
-        if (cached == cache.prefix.end()) {
-          ++cache.misses;
-          run.RunUntil(TimePoint::Zero() + prefix);
-          cache.prefix.emplace(users, run.Snapshot());
-        } else {
-          ++cache.hits;
-          run.Restore(cached->second);
+  return SearchCapacity(
+      profile, options, obs,
+      [&](const ConsolidationOptions& copt, const ObsConfig* probe_obs) {
+        ConsolidationRun run(profile, copt, probe_obs);
+        Duration prefix = copt.start_delay - Duration::Millis(1);
+        if (prefix > Duration::Zero()) {
+          auto cached = cache.prefix.find(copt.users);
+          if (cached == cache.prefix.end()) {
+            ++cache.misses;
+            run.RunUntil(TimePoint::Zero() + prefix);
+            cache.prefix.emplace(copt.users, run.Snapshot());
+          } else {
+            ++cache.hits;
+            run.Restore(cached->second);
+          }
         }
-      }
-      run.RunToEnd();
-      it = memo.emplace(users, run.Finish()).first;
-    }
-    return it->second;
-  };
-  auto max_admitted = [&](AdmissionPolicy policy) {
-    int lo = 0;  // invariant: lo == 0 or lo admitted; everything above hi rejected
-    int hi = options.max_users;
-    while (lo < hi) {
-      int mid = lo + (hi - lo + 1) / 2;
-      if (Admits(policy, options.admission, evaluate(mid))) {
-        lo = mid;
-      } else {
-        hi = mid - 1;
-      }
-    }
-    return lo;
-  };
-
-  CapacityResult result;
-  result.os_name = profile.name;
-  result.protocol = ProtocolName(profile.protocol_kind);
-  result.latency_sized_users = max_admitted(AdmissionPolicy::kLatency);
-  result.utilization_sized_users = max_admitted(AdmissionPolicy::kUtilization);
-  result.utilization_over_admits =
-      result.utilization_sized_users > result.latency_sized_users;
-  for (auto& [users, probe] : memo) {
-    result.run.events_executed += probe.run.events_executed;
-    result.run.pending_events += probe.run.pending_events;
-    result.run.wall_ms += probe.run.wall_ms;
-    result.probes.push_back(std::move(probe));
-  }
-  return result;
+        run.RunToEnd();
+        return run.Finish();
+      });
 }
 
 }  // namespace tcs

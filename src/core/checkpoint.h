@@ -1,7 +1,13 @@
-// Deterministic checkpoint/restore for consolidation runs (fork-from-snapshot).
+// The interactive-run driver, with deterministic checkpoint/restore (fork-from-snapshot).
 //
-// A ConsolidationRun is RunConsolidation opened up: the same construction sequence,
-// workload wiring, and result collection, but with the clock in the caller's hands.
+// ConsolidationRun is the only code that builds a Server for an interactive run. It
+// validates the options, wires observability and the SLO watchdog, logs the users in,
+// starts their typists, bursts, and sinks, and collects the result — with the clock in
+// the caller's hands. RunConsolidation and RunTypingUnderLoad drive it directly; the
+// sizing, end-to-end, chaos, and WAN runners (src/core/experiments.cc) are presets that
+// add a Scenario (src/core/scenario.h: client device, fault plan, background load,
+// starvation horizon, what-if hardware) and map its per-user records onto their results.
+//
 // Between RunUntil steps the caller can Snapshot() the full dynamic state — kernel
 // event queue, scheduler, pager, protocol encoders, reliable channel, flow ledgers,
 // degradation controller, every RNG stream, and the per-user instrumentation (stall
@@ -10,7 +16,8 @@
 // shape. A restored run is sample-for-sample identical to the run that would have been:
 // same stall samples to the microsecond, same report fields (modulo wall_ms), same
 // trace events. That equivalence is what the differential test harness
-// (tests/core_checkpoint_diff_test.cc) locks down.
+// (tests/core_checkpoint_diff_test.cc) locks down. Runs with a client device attached
+// (the end-to-end, chaos, and WAN presets) do not snapshot yet.
 //
 // Restore is rebuild-then-overwrite: construction replays the exact original sequence
 // (so all closures, topology, and construction-derived state exist), then the snapshot
@@ -46,6 +53,8 @@ namespace tcs {
 
 class Server;
 class Simulator;
+struct Scenario;
+struct ScenarioOutcome;
 
 // The driver's own top-level snapshot section (per-user taps/typists/bursts plus the
 // SLO watchdog and gauge sampler). Kernel state is tag 1 (SaveKernel); the server's
@@ -64,6 +73,11 @@ class ConsolidationRun {
   // watchdog. Throws ConfigError on bad options. `obs` must outlive the run.
   ConsolidationRun(const OsProfile& profile, const ConsolidationOptions& options,
                    const ObsConfig* obs = nullptr);
+  // The same sequence with a preset's scenario content (src/core/scenario.h): client
+  // attached before the logins, per-user paint records instead of stall taps, background
+  // load after the sinks, and the local attribution engine when `obs` carries none.
+  ConsolidationRun(const OsProfile& profile, const ConsolidationOptions& options,
+                   const Scenario& scenario, const ObsConfig* obs);
   ~ConsolidationRun();
 
   ConsolidationRun(const ConsolidationRun&) = delete;
@@ -83,7 +97,8 @@ class ConsolidationRun {
   bool SloViolated() const;
   int64_t SloViolatedAtUs() const;
 
-  // Serializes the full dynamic state. Callable at any point before Finish().
+  // Serializes the full dynamic state. Callable at any point before Finish(). Throws
+  // SnapshotError on a run with a client device attached.
   std::vector<uint8_t> Snapshot() const;
 
   // Overwrites this run's dynamic state from `blob`. `this` must be freshly
@@ -92,8 +107,12 @@ class ConsolidationRun {
   // Throws SnapshotError on corruption, topology drift, or shape mismatch.
   void Restore(const std::vector<uint8_t>& blob);
 
-  // Collects the ConsolidationResult. Call exactly once, after reaching end_time().
+  // Collects the ConsolidationResult. Call exactly once, after reaching end_time(). With
+  // a client attached, typing stops and one more simulated second runs first.
   ConsolidationResult Finish();
+
+  // Paint records, fault ledger, and availability for the presets; final after Finish().
+  const ScenarioOutcome& outcome() const;
 
  private:
   struct Impl;

@@ -9,7 +9,9 @@
 #include "src/util/percentile_sketch.h"
 
 #include "src/core/admission.h"
+#include "src/core/checkpoint.h"
 #include "src/core/run_support.h"
+#include "src/core/scenario.h"
 
 #include "src/cpu/nt_scheduler.h"
 #include "src/metrics/latency.h"
@@ -504,211 +506,100 @@ Bytes SessionSetupBytes(ProtocolKind kind) {
   return harness.protocol->session_setup_bytes();
 }
 
-SizingPoint RunServerSizing(const OsProfile& profile, int users, SizingBehavior behavior,
-                            Duration duration, uint64_t seed, const ObsConfig* obs) {
-  WallClock::time_point t0 = WallClock::now();
-  Simulator sim;
-  ServerConfig cfg;
-  cfg.seed = seed;
-  ApplyObs(cfg, obs);
-  AttachSimHook(sim, obs);
-  Server server(sim, profile, cfg);
-  SamplerScope sampler(sim, obs);
-  server.StartDaemons();
-
-  struct UserRuntime {
-    Session* session;
-    std::unique_ptr<StallDetector> stalls;
-    std::unique_ptr<Typist> typist;
-    Thread* burst_thread;
-    std::unique_ptr<PeriodicTask> burst_task;
-  };
-  std::vector<UserRuntime> runtimes;
-  runtimes.reserve(static_cast<size_t>(users));
-  for (int u = 0; u < users; ++u) {
-    UserRuntime rt;
-    rt.session = &server.Login();
-    rt.stalls = std::make_unique<StallDetector>(behavior.keystroke_period);
-    StallDetector* det = rt.stalls.get();
-    rt.session->set_on_display_update([det](TimePoint t) { det->OnUpdate(t); });
-    Session* s = rt.session;
-    rt.typist = std::make_unique<Typist>(sim, [&server, s] { server.Keystroke(*s); },
-                                         behavior.keystroke_period);
-    rt.typist->Start(Duration::Millis(13 * u));  // staggered phases
-    rt.burst_thread = server.cpu().CreateThread("app-burst", ThreadClass::kBatch,
-                                                profile.sink_priority);
-    Thread* bt = rt.burst_thread;
-    Duration burst = behavior.burst_cpu;
-    rt.burst_task = std::make_unique<PeriodicTask>(
-        sim, behavior.burst_period,
-        [&server, bt, burst] { server.cpu().PostWork(*bt, burst); });
-    rt.burst_task->Start(Duration::Millis((199 * u) % 5000));
-    runtimes.push_back(std::move(rt));
-  }
-
-  sim.RunUntil(TimePoint::Zero() + duration);
+SizingPoint RunServerSizing(const OsProfile& profile, int users, Duration duration,
+                            uint64_t seed, const ObsConfig* obs) {
+  ConsolidationOptions copt;
+  copt.users = users;
+  copt.duration = duration;
+  copt.seed = seed;
+  copt.keystroke_period = Duration::Millis(200);
+  copt.start_delay = Duration::Zero();
+  copt.burst_cpu = Duration::Millis(300);
+  ConsolidationResult r = RunConsolidation(profile, copt, obs);
 
   SizingPoint point;
-  point.os_name = profile.name;
+  point.os_name = r.os_name;
   point.users = users;
-  point.cpu_utilization = server.cpu().busy_time() / duration;
+  point.cpu_utilization = r.cpu_utilization;
   double total = 0.0;
-  double worst = 0.0;
-  for (UserRuntime& rt : runtimes) {
-    rt.typist->Stop();
-    rt.burst_task->Stop();
-    double stall = rt.stalls->updates() < 2 ? duration.ToMillisF()
-                                            : rt.stalls->AverageStallAllGaps().ToMillisF();
+  for (const UserStallStats& u : r.per_user) {
+    // A user who never saw two updates scores the whole run.
+    double stall = u.updates < 2 ? duration.ToMillisF() : u.avg_stall_ms;
     total += stall;
-    worst = std::max(worst, stall);
+    point.worst_stall_ms = std::max(point.worst_stall_ms, stall);
   }
-  point.avg_stall_ms = users > 0 ? total / static_cast<double>(users) : 0.0;
-  point.worst_stall_ms = worst;
-  CollectBlame(point.blame, obs);
-  FinishRun(point.run, sim, t0);
+  point.avg_stall_ms = total / static_cast<double>(users);
+  point.blame = std::move(r.blame);
+  point.run = r.run;
   return point;
 }
 
+namespace {
+
+// The single-typist shape the end-to-end and chaos presets share: one user typing at
+// 20 Hz from 2 s (past session setup and warm-up) on a desktop-PC client by default.
+ConsolidationOptions OneTypist(int sinks, Duration duration, uint64_t seed) {
+  ConsolidationOptions copt;
+  copt.duration = duration;
+  copt.seed = seed;
+  copt.start_delay = Duration::Seconds(2);
+  copt.sinks = sinks;
+  return copt;
+}
+
+}  // namespace
+
 EndToEndResult RunEndToEndLatency(const OsProfile& profile, const EndToEndOptions& options,
                                   const ObsConfig* obs) {
-  WallClock::time_point t0 = WallClock::now();
-  Simulator sim;
-  ServerConfig cfg;
-  cfg.seed = options.seed;
-  cfg.faults = options.faults;
-  ApplyObs(cfg, obs);
-  SloRuntime slo(sim, obs);
-  slo.ApplyTo(cfg);
-  AttachSimHook(sim, obs);
-  Server server(sim, profile, cfg);
-  SamplerScope sampler(sim, obs);
-  server.StartDaemons();
-  server.AttachClient(options.client);
-  Session& session = server.Login();
-  server.StartSinks(options.sinks);
-
-  std::unique_ptr<PoissonTrafficGenerator> background;
-  if (options.background_mbps > 0.0) {
-    background = std::make_unique<PoissonTrafficGenerator>(
-        sim, Rng(options.seed ^ 0xB06), server.link(),
-        BitsPerSecond::MbpsF(options.background_mbps), Bytes::Of(1500));
-    background->Start();
-  }
-
-  RunningStats input_ms;
-  RunningStats server_ms;
-  RunningStats display_ms;
-  RunningStats client_ms;
-  RunningStats total_ms;
-  LatencyRecorder slo_latency;  // exact-microsecond stream for the live p99 objective
-  bool slo_active = slo.active();
-  session.set_on_frame_painted([&](const KeystrokeLatency& lat) {
-    input_ms.Add(lat.input_net.ToMillisF());
-    server_ms.Add(lat.server.ToMillisF());
-    display_ms.Add(lat.display_net.ToMillisF());
-    client_ms.Add(lat.client.ToMillisF());
-    total_ms.Add(lat.total().ToMillisF());
-    if (slo_active) {
-      slo_latency.Record(lat.total());
-    }
-  });
-  if (slo.active()) {
-    slo.watchdog()->SetWorstP99Source([&slo_latency] {
-      return slo_latency.PercentileMs(0.99);
-    });
-    slo.watchdog()->SetLinkBacklogSource([&server, &sim] {
-      return server.link().BacklogBytesAt(sim.Now()).count();
-    });
-    slo.Start();
-  }
-
-  Typist typist(sim, [&server, &session] { server.Keystroke(session); });
-  typist.Start(Duration::Seconds(2));  // past session setup and warm-up
-  sim.RunUntil(TimePoint::Zero() + Duration::Seconds(2) + options.duration);
-  typist.Stop();
-  if (background) {
-    background->Stop();
-  }
-  sim.RunFor(Duration::Seconds(1));  // drain in-flight updates
+  Scenario sc;
+  sc.client = options.client;
+  sc.faults = options.faults;
+  sc.background_mbps = options.background_mbps;
+  ConsolidationRun run(profile, OneTypist(options.sinks, options.duration, options.seed),
+                       sc, obs);
+  run.RunToEnd();
+  ConsolidationResult r = run.Finish();
+  const PaintRecord& user = run.outcome().paints.front();
 
   EndToEndResult result;
   result.os_name = profile.name;
   result.client_name = options.client.name;
-  result.input_net_ms = input_ms.mean();
-  result.server_ms = server_ms.mean();
-  result.display_net_ms = display_ms.mean();
-  result.client_ms = client_ms.mean();
-  result.total_ms = total_ms.mean();
-  result.updates = total_ms.count();
-  result.faults =
-      server.CollectFaultStats(Duration::Seconds(2) + options.duration + Duration::Seconds(1));
-  CollectBlame(result.blame, obs);
-  slo.Finish(result.slo, result.faults.availability);
-  FinishRun(result.run, sim, t0);
+  result.input_net_ms = user.input_ms.mean();
+  result.server_ms = user.server_ms.mean();
+  result.display_net_ms = user.display_ms.mean();
+  result.client_ms = user.client_ms.mean();
+  result.total_ms = user.latency.raw().mean();
+  result.updates = user.latency.count();
+  result.faults = run.outcome().faults;
+  result.blame = std::move(r.blame);
+  result.slo = std::move(r.slo);
+  result.run = r.run;
   return result;
 }
 
 ChaosPoint RunChaosPoint(const OsProfile& profile, const ChaosOptions& options,
                          const ObsConfig* obs) {
-  WallClock::time_point t0 = WallClock::now();
-  Simulator sim;
-  ServerConfig cfg;
-  cfg.seed = options.seed;
-  cfg.faults.seed = options.seed ^ 0xFA017u;
-  cfg.faults.link.loss_rate = options.loss_rate;
+  Scenario sc;
+  sc.client = ThinClientConfig::DesktopPc();
+  sc.faults.seed = options.seed ^ 0xFA017u;
+  sc.faults.link.loss_rate = options.loss_rate;
   if (options.flap_every > Duration::Zero() && options.flap_duration > Duration::Zero()) {
-    cfg.faults.link.flap_every = options.flap_every;
-    cfg.faults.link.flap_duration = options.flap_duration;
+    sc.faults.link.flap_every = options.flap_every;
+    sc.faults.link.flap_duration = options.flap_duration;
   }
-  cfg.faults.disk.stall_rate = options.disk_stall_rate;
-  cfg.faults.session.disconnect_every = options.disconnect_every;
-  ApplyObs(cfg, obs);
-  SloRuntime slo(sim, obs);
-  slo.ApplyTo(cfg);
-  // Chaos points always attribute (a local engine unless the caller supplied one): the
-  // blame block is how a loss sweep shows retransmit time moving into the network stage.
-  AttributionConfig attr_cfg;
-  attr_cfg.tracer = obs != nullptr ? obs->tracer : nullptr;
-  attr_cfg.recorder = cfg.recorder;
-  LatencyAttribution local_attribution(attr_cfg);
-  LatencyAttribution* attribution =
-      cfg.attribution != nullptr ? cfg.attribution : &local_attribution;
-  cfg.attribution = attribution;
-  if (slo.active()) {
-    slo.watchdog()->SetAttribution(attribution);
-  }
-  AttachSimHook(sim, obs);
-  Server server(sim, profile, cfg);
-  SamplerScope sampler(sim, obs);
-  server.StartDaemons();
-  server.AttachClient(ThinClientConfig::DesktopPc());
-  Session& session = server.Login();
-  server.StartSinks(options.sinks);
+  sc.faults.disk.stall_rate = options.disk_stall_rate;
+  sc.faults.session.disconnect_every = options.disconnect_every;
+  sc.threshold = options.threshold;
+  // Chaos points always attribute: the blame block is how a loss sweep shows retransmit
+  // time moving into the network stage.
+  sc.local_attribution = true;
+  ConsolidationRun run(profile, OneTypist(options.sinks, options.duration, options.seed),
+                       sc, obs);
+  run.RunToEnd();
+  ConsolidationResult r = run.Finish();
+  const PaintRecord& user = run.outcome().paints.front();
+  const LatencyRecorder& latency = user.latency;
 
-  LatencyRecorder latency;
-  int64_t perceptible = 0;
-  Duration threshold = options.threshold;
-  session.set_on_frame_painted([&](const KeystrokeLatency& lat) {
-    latency.Record(lat.total());
-    if (lat.total() > threshold) {
-      ++perceptible;
-    }
-  });
-  if (slo.active()) {
-    slo.watchdog()->SetWorstP99Source([&latency] { return latency.PercentileMs(0.99); });
-    slo.watchdog()->SetLinkBacklogSource([&server, &sim] {
-      return server.link().BacklogBytesAt(sim.Now()).count();
-    });
-    slo.Start();
-  }
-
-  Typist typist(sim, [&server, &session] { server.Keystroke(session); });
-  typist.Start(Duration::Seconds(2));  // past session setup and warm-up
-  sim.RunUntil(TimePoint::Zero() + Duration::Seconds(2) + options.duration);
-  typist.Stop();
-  sim.RunFor(Duration::Seconds(1));  // drain retransmissions and in-flight updates
-
-  Duration total_run = Duration::Seconds(2) + options.duration + Duration::Seconds(1);
   ChaosPoint point;
   point.os_name = profile.name;
   point.loss_rate = options.loss_rate;
@@ -720,19 +611,20 @@ ChaosPoint RunChaosPoint(const OsProfile& profile, const ChaosOptions& options,
     point.p99_ms = latency.PercentileMs(0.99);
     point.mean_ms = static_cast<double>(latency.Mean().ToMicros()) / 1000.0;
     point.perceptible_fraction =
-        static_cast<double>(perceptible) / static_cast<double>(latency.count());
+        static_cast<double>(user.perceptible) / static_cast<double>(latency.count());
   }
-  point.crosses_threshold = point.p99_ms > threshold.ToMillisF();
-  point.faults = server.CollectFaultStats(total_run);
+  point.crosses_threshold = point.p99_ms > options.threshold.ToMillisF();
+  point.faults = run.outcome().faults;
+  Server& server = run.server();
   point.link_frames_sent = server.link().frames_sent();
   point.link_frames_delivered = server.link().frames_delivered();
   point.link_frames_lost = server.link().frames_lost();
   point.retransmissions = server.reliable() != nullptr
                               ? static_cast<int64_t>(server.reliable()->retransmissions())
                               : 0;
-  point.blame = attribution->Collect();
-  slo.Finish(point.slo, point.faults.availability);
-  FinishRun(point.run, sim, t0);
+  point.blame = std::move(r.blame);
+  point.slo = std::move(r.slo);
+  point.run = r.run;
   return point;
 }
 
@@ -803,195 +695,31 @@ std::vector<std::string> WanProfileNames() {
 
 WanPoint RunWanPoint(const OsProfile& profile, const WanOptions& options,
                      const ObsConfig* obs) {
-  WallClock::time_point t0 = WallClock::now();
-  Simulator sim;
-  ServerConfig cfg;
-  cfg.seed = options.seed;
-  cfg.faults.seed = options.seed ^ 0xFA017u;
-  // An all-empty profile injects nothing: LinkFaultPlan.Any() stays false, no injector or
-  // reliable channel is constructed, and the run is byte-identical to a LAN run.
-  cfg.faults.link.wan.extra_delay = options.profile.extra_delay;
-  cfg.faults.link.wan.jitter = options.profile.jitter;
-  cfg.faults.link.wan.down_rate = options.profile.down_rate;
-  cfg.faults.link.wan.up_rate = options.profile.up_rate;
-  cfg.faults.link.wan.queue_bytes = options.profile.queue_bytes;
-  cfg.faults.link.wan.ge_p_good_to_bad = options.profile.ge_p_good_to_bad;
-  cfg.faults.link.wan.ge_p_bad_to_good = options.profile.ge_p_bad_to_good;
-  cfg.faults.link.wan.ge_loss_good = options.profile.ge_loss_good;
-  cfg.faults.link.wan.ge_loss_bad = options.profile.ge_loss_bad;
-  cfg.degradation.enabled = options.degrade;
-  // Arm the controller only once the warm-up (login storm, first desktop paint) is over,
-  // so its ledger records WAN congestion rather than setup transients.
-  cfg.degradation.start_delay = Duration::Seconds(2);
-  if (options.profile.queue_bytes.count() > 0) {
-    // Calibrate the pressure ladder to the bottleneck queue: a backlog pinned at the
-    // drop-tail bound (bufferbloat saturation) engages the deepest level, and each
-    // quarter of the queue engages one more step.
-    cfg.degradation.level_step = Bytes::Of(
-        std::max<int64_t>(Bytes::KiB(8).count(), options.profile.queue_bytes.count() / 4));
-  }
-  // Virtual hardware for the what-if achieved arm. Gated on != 1.0 so stock cells keep
-  // their exact bytes (no float math touches the configs on the default path).
-  if (options.cpu_speed != 1.0) {
-    cfg.cpu.speed *= options.cpu_speed;
-  }
-  if (options.disk_speedup != 1.0) {
-    const double k = options.disk_speedup;
-    auto faster = [k](Duration d) {
-      return Duration::Micros(
-          std::llround(static_cast<double>(d.ToMicros()) / k));
-    };
-    cfg.disk.positioning_mean = faster(cfg.disk.positioning_mean);
-    cfg.disk.positioning_stddev = faster(cfg.disk.positioning_stddev);
-    cfg.disk.positioning_min = faster(cfg.disk.positioning_min);
-    cfg.disk.transfer_rate = BitsPerSecond::Of(
-        std::llround(static_cast<double>(cfg.disk.transfer_rate.bps()) * k));
-  }
-  ApplyObs(cfg, obs);
-  SloRuntime slo(sim, obs);
-  slo.ApplyTo(cfg);
+  ConsolidationOptions copt;
+  copt.users = options.users;
+  copt.duration = options.duration;
+  copt.seed = options.seed;
+  copt.keystroke_period = options.think_time;
+  copt.start_delay = Duration::Seconds(2);  // past session setup and warm-up
+  copt.stagger = Duration::Millis(7);
+  // An all-empty profile injects nothing: no injector or reliable channel is
+  // constructed, and the run is byte-identical to a LAN run.
+  copt.wan = options.profile;
+  copt.degrade = options.degrade;
+  Scenario sc;
+  sc.client = ThinClientConfig::DesktopPc();
+  sc.background_session = options.background_session;
+  sc.threshold = options.threshold;
+  sc.starve_after = options.starve_after;
   // WAN points always attribute: the blame table is how degradation shows its work
   // (coalesce holds land in sched-wait, network pathology in the net stages).
-  AttributionConfig attr_cfg;
-  attr_cfg.tracer = obs != nullptr ? obs->tracer : nullptr;
-  attr_cfg.recorder = cfg.recorder;
-  LatencyAttribution local_attribution(attr_cfg);
-  LatencyAttribution* attribution =
-      cfg.attribution != nullptr ? cfg.attribution : &local_attribution;
-  cfg.attribution = attribution;
-  if (slo.active()) {
-    slo.watchdog()->SetAttribution(attribution);
-  }
-  AttachSimHook(sim, obs);
-  Server server(sim, profile, cfg);
-  SamplerScope sampler(sim, obs);
-  server.StartDaemons();
-  server.AttachClient(ThinClientConfig::DesktopPc());
-
-  const Duration start_delay = Duration::Seconds(2);  // past session setup and warm-up
-  // A user counts as starved while some keystroke echo has been pending for longer than
-  // starve_after: per painted batch the window [keystroke + starve_after, painted],
-  // unioned via counted_through so overlapping batches are not double-billed. This
-  // catches both total paint droughts and sustained bufferbloat lag (echoes flowing, but
-  // every one of them seconds old).
-  struct WanUser {
-    Session* session = nullptr;
-    std::unique_ptr<Typist> typist;
-    LatencyRecorder latency;
-    TimePoint counted_through;       // starved time accounted up to here
-    bool pending = false;            // a keystroke awaiting its echo
-    TimePoint pending_since;
-    Duration starved = Duration::Zero();
-    int64_t perceptible = 0;
-  };
-  std::vector<WanUser> users(static_cast<size_t>(options.users));
-  for (size_t u = 0; u < users.size(); ++u) {
-    WanUser& wu = users[u];
-    wu.session = &server.Login();
-    wu.counted_through = TimePoint::Zero() + start_delay;
-    Duration starve_after = options.starve_after;
-    WanUser* wp = &wu;
-    wu.session->set_on_frame_painted(
-        [wp, starve_after, threshold = options.threshold](const KeystrokeLatency& lat) {
-          wp->latency.Record(lat.total());
-          if (lat.total() > threshold) {
-            ++wp->perceptible;
-          }
-          TimePoint painted = lat.keystroke_at + lat.total();
-          TimePoint from = std::max(lat.keystroke_at + starve_after, wp->counted_through);
-          if (painted > from) {
-            wp->starved += painted - from;
-          }
-          if (painted > wp->counted_through) {
-            wp->counted_through = painted;
-          }
-          wp->pending = false;
-        });
-    Session* s = wu.session;
-    wu.typist = std::make_unique<Typist>(sim,
-                                         [&server, &sim, s, wp] {
-                                           if (!wp->pending) {
-                                             wp->pending = true;
-                                             wp->pending_since = sim.Now();
-                                           }
-                                           server.Keystroke(*s);
-                                         },
-                                         options.think_time);
-    wu.typist->Start(start_delay + Duration::Millis(7) * static_cast<int64_t>(u));
-  }
-
-  // The background media session: a light login playing unique-frame video into the
-  // narrow downlink — the pressure source the degradation ladder sacrifices first.
-  Session* background_session = nullptr;
-  std::unique_ptr<Animation> background;
-  if (options.background_session) {
-    background_session = &server.Login(/*light_session=*/true);
-    server.SetBackground(*background_session, true);
-    AnimationConfig ac;
-    ac.id = 0x8AC6;
-    // ~4.7 Mbps of media: heavier than every profile's downlink, so without degradation
-    // the drop-tail queue sits pinned at its bound and interactive echoes tail-drop too.
-    ac.width = 512;
-    ac.height = 384;
-    ac.frame_period = Duration::Millis(100);  // 10 fps media
-    // Every frame unique over the run so the bitmap cache cannot absorb the stream.
-    ac.frame_count = static_cast<int>(options.duration / ac.frame_period) + 64;
-    ac.compression_ratio = 0.3;
-    background = std::make_unique<Animation>(sim, background_session->protocol(), ac);
-    background->set_frame_gate([&server] {
-      DegradationController* d = server.degradation();
-      if (d == nullptr) {
-        return true;
-      }
-      if (d->BackgroundPaused()) {
-        return false;
-      }
-      return !d->ShouldDropAnimationFrame();
-    });
-    background->Start(start_delay);
-  }
-
-  if (slo.active()) {
-    slo.watchdog()->SetWorstP99Source([&users] {
-      double worst = 0.0;
-      for (const WanUser& wu : users) {
-        worst = std::max(worst, wu.latency.PercentileMs(0.99));
-      }
-      return worst;
-    });
-    slo.watchdog()->SetStarvationSource([&users, &sim, starve_after =
-                                             options.starve_after] {
-      // Live view: fraction of users with an echo pending beyond the starvation
-      // threshold right now.
-      int starved = 0;
-      for (const WanUser& wu : users) {
-        if (wu.pending && sim.Now() - wu.pending_since > starve_after) {
-          ++starved;
-        }
-      }
-      return users.empty() ? 0.0
-                           : static_cast<double>(starved) /
-                                 static_cast<double>(users.size());
-    });
-    slo.watchdog()->SetLinkBacklogSource([&server, &sim] {
-      return server.link().BacklogBytesAt(sim.Now()).count();
-    });
-    slo.Start();
-  }
-
-  sim.RunUntil(TimePoint::Zero() + start_delay + options.duration);
-  for (WanUser& wu : users) {
-    wu.typist->Stop();
-  }
-  if (background != nullptr) {
-    background->Stop();
-  }
-  sim.RunFor(Duration::Seconds(1));  // drain retransmissions and in-flight updates
-
-  // Close each user's final paint gap at the post-drain horizon.
-  TimePoint horizon = sim.Now();
-  Duration active = horizon - (TimePoint::Zero() + start_delay);
-  Duration total_run = start_delay + options.duration + Duration::Seconds(1);
+  sc.local_attribution = true;
+  sc.cpu_speed = options.cpu_speed;
+  sc.disk_speedup = options.disk_speedup;
+  ConsolidationRun run(profile, copt, sc, obs);
+  run.RunToEnd();
+  ConsolidationResult r = run.Finish();
+  const ScenarioOutcome& out = run.outcome();
 
   WanPoint point;
   point.os_name = profile.name;
@@ -999,58 +727,36 @@ WanPoint RunWanPoint(const OsProfile& profile, const WanOptions& options,
   point.degrade = options.degrade;
   point.users = options.users;
   double mean_us_sum = 0.0;
-  double worst_starved = 0.0;
-  double starved_sum = 0.0;
   int64_t perceptible = 0;
-  for (WanUser& wu : users) {
-    // Close a still-pending echo at the horizon: starved from pending_since +
-    // starve_after (or wherever accounting already reached) to the end of the run.
-    if (wu.pending) {
-      TimePoint from =
-          std::max(wu.pending_since + options.starve_after, wu.counted_through);
-      if (horizon > from) {
-        wu.starved += horizon - from;
-      }
-    }
-    double starved_frac =
-        active > Duration::Zero() ? std::min(1.0, wu.starved / active) : 0.0;
-    worst_starved = std::max(worst_starved, starved_frac);
-    starved_sum += starved_frac;
-    point.worst_p99_ms = std::max(point.worst_p99_ms, wu.latency.PercentileMs(0.99));
-    point.updates += wu.latency.count();
-    perceptible += wu.perceptible;
+  for (const PaintRecord& user : out.paints) {
+    point.worst_starved_fraction =
+        std::max(point.worst_starved_fraction, user.starved_fraction);
+    point.worst_p99_ms = std::max(point.worst_p99_ms, user.latency.PercentileMs(0.99));
+    point.updates += user.latency.count();
+    perceptible += user.perceptible;
     // Count-weighted aggregate mean from the exact per-user microsecond accumulators.
-    mean_us_sum += static_cast<double>(wu.latency.Mean().ToMicros()) *
-                   static_cast<double>(wu.latency.count());
+    mean_us_sum += static_cast<double>(user.latency.Mean().ToMicros()) *
+                   static_cast<double>(user.latency.count());
   }
-  point.mean_ms =
-      point.updates > 0 ? mean_us_sum / static_cast<double>(point.updates) / 1000.0 : 0.0;
-  point.perceptible_fraction =
-      point.updates > 0
-          ? static_cast<double>(perceptible) / static_cast<double>(point.updates)
-          : 0.0;
-  point.worst_starved_fraction = worst_starved;
-  point.faults = server.CollectFaultStats(total_run);
-  double mean_starved =
-      users.empty() ? 0.0 : starved_sum / static_cast<double>(users.size());
-  // Effective availability: the link's own availability (outage-driven; 1.0 for pure WAN
-  // pathology) scaled by the fraction of user time frames actually flowed.
-  double link_avail = point.faults.active ? point.faults.availability : 1.0;
-  point.availability = link_avail * (1.0 - mean_starved);
-  if (DegradationController* d = server.degradation()) {
+  if (point.updates > 0) {
+    point.mean_ms = mean_us_sum / static_cast<double>(point.updates) / 1000.0;
+    point.perceptible_fraction =
+        static_cast<double>(perceptible) / static_cast<double>(point.updates);
+  }
+  point.faults = out.faults;
+  point.availability = out.availability;
+  if (DegradationController* d = run.server().degradation()) {
     for (const DegradationTransition& tr : d->transitions()) {
       point.degradation_peak_level = std::max(point.degradation_peak_level, tr.to);
     }
     point.degradation_transitions = static_cast<int64_t>(d->transitions().size());
-    point.degraded_seconds = d->DegradedTimeThrough(horizon).ToSecondsF();
+    point.degraded_seconds = d->DegradedTimeThrough(run.sim().Now()).ToSecondsF();
     point.animation_frames_skipped = d->animation_frames_dropped();
   }
-  if (background != nullptr) {
-    point.background_frames_drawn = background->frames_drawn();
-  }
-  point.blame = attribution->Collect();
-  slo.Finish(point.slo, point.availability);
-  FinishRun(point.run, sim, t0);
+  point.background_frames_drawn = out.background_frames_drawn;
+  point.blame = std::move(r.blame);
+  point.slo = std::move(r.slo);
+  point.run = r.run;
   return point;
 }
 

@@ -215,16 +215,10 @@ Bytes SessionSetupBytes(ProtocolKind kind);
 //
 // The question the paper says deployers need answered — and the one it criticizes vendor
 // sizing white papers for answering with utilization alone, "uniformly ignoring the
-// issue of user-perceived latency". RunServerSizing simulates N concurrent users (each
-// typing at a human cadence plus a periodic application burst) and reports BOTH criteria
-// so the two capacity answers can be compared.
-
-struct SizingBehavior {
-  Duration keystroke_period = Duration::Millis(200);  // ~5 chars/s typing
-  // A periodic compute burst per user (spreadsheet recalc, page render, ...).
-  Duration burst_cpu = Duration::Millis(300);
-  Duration burst_period = Duration::Seconds(5);
-};
+// issue of user-perceived latency". RunServerSizing simulates N concurrent users, each
+// typing at ~5 chars/s (200 ms cadence, phases 13 ms apart) plus a 300 ms compute burst
+// every 5 s (spreadsheet recalc, page render, ...), and reports BOTH criteria so the two
+// capacity answers can be compared.
 
 struct SizingPoint {
   std::string os_name;
@@ -240,7 +234,6 @@ struct SizingPoint {
 };
 
 SizingPoint RunServerSizing(const OsProfile& profile, int users,
-                            SizingBehavior behavior = {},
                             Duration duration = Duration::Seconds(30), uint64_t seed = 1,
                             const ObsConfig* obs = nullptr);
 
@@ -346,17 +339,11 @@ ChaosPoint RunChaosPoint(const OsProfile& profile, const ChaosOptions& options,
 // backpressure-driven DegradationController either off (baseline) or on, and reports
 // worst-user latency, availability, and starvation so the two arms can be compared.
 
-struct WanProfile {
+// A named WAN pathology: the session-link plan (extra delay, jitter, asymmetric rates,
+// bufferbloat queue, Gilbert–Elliott burst loss; src/fault/fault_plan.h) plus the name
+// reports print. One assignment puts a profile on a FaultPlan's link.
+struct WanProfile : WanLinkPlan {
   std::string name;
-  Duration extra_delay = Duration::Zero();  // extra one-way transit (≈ RTT/2)
-  Duration jitter = Duration::Zero();       // uniform per-frame jitter on top
-  BitsPerSecond down_rate = BitsPerSecond();  // 0 = keep the LAN rate
-  BitsPerSecond up_rate = BitsPerSecond();
-  Bytes queue_bytes = Bytes::Zero();        // bufferbloat drop-tail bound (0 = unbounded)
-  double ge_p_good_to_bad = 0.0;            // Gilbert–Elliott burst loss chain
-  double ge_p_bad_to_good = 0.0;
-  double ge_loss_good = 0.0;
-  double ge_loss_bad = 0.0;
 };
 
 // Named profiles: "dsl", "lte", "satellite", "congested-office".

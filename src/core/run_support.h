@@ -10,10 +10,12 @@
 #define TCS_SRC_CORE_RUN_SUPPORT_H_
 
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
 
+#include "src/core/admission.h"
 #include "src/core/experiments.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/slo.h"
@@ -127,6 +129,17 @@ class SloRuntime {
   FlightRecorder* recorder_ = nullptr;
   std::unique_ptr<SloWatchdog> watchdog_;
 };
+
+// Runs one capacity candidate: the probe's options and ObsConfig in, its result out.
+using ProbeRunner =
+    std::function<ConsolidationResult(const ConsolidationOptions&, const ObsConfig*)>;
+
+// The capacity search both RunServerCapacity and RunServerCapacityCheckpointed run:
+// validates `options`, memoizes one `run_probe` per candidate N (each with its own
+// attribution engine and an SLO name suffixed with N), shares the memo between both
+// policies' bisections, and sums the probes' run accounting.
+CapacityResult SearchCapacity(const OsProfile& profile, const CapacityOptions& options,
+                              const ObsConfig* obs, const ProbeRunner& run_probe);
 
 // Fills `blame` from the run's attribution engine, if one was attached.
 inline void CollectBlame(AttributionResult& blame, const ObsConfig* obs) {

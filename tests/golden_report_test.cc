@@ -202,7 +202,7 @@ const GoldenCase kCases[] = {
     {"typing_tse_rdp_sinks5",
      [] { return ToJson(RunTypingUnderLoad(OsProfile::Tse(), 5, Duration::Seconds(5))); }},
     {"sizing_tse_u4",
-     [] { return ToJson(RunServerSizing(OsProfile::Tse(), 4, {}, Duration::Seconds(5))); }},
+     [] { return ToJson(RunServerSizing(OsProfile::Tse(), 4, Duration::Seconds(5))); }},
     {"e2e_tse_winterm_bg4_sinks5",
      [] {
        EndToEndOptions opt;
@@ -223,16 +223,7 @@ const GoldenCase kCases[] = {
      [] {
        EndToEndOptions opt;
        opt.duration = Duration::Seconds(5);
-       WanProfile lte = WanProfileByName("lte");
-       opt.faults.link.wan.extra_delay = lte.extra_delay;
-       opt.faults.link.wan.jitter = lte.jitter;
-       opt.faults.link.wan.down_rate = lte.down_rate;
-       opt.faults.link.wan.up_rate = lte.up_rate;
-       opt.faults.link.wan.queue_bytes = lte.queue_bytes;
-       opt.faults.link.wan.ge_p_good_to_bad = lte.ge_p_good_to_bad;
-       opt.faults.link.wan.ge_p_bad_to_good = lte.ge_p_bad_to_good;
-       opt.faults.link.wan.ge_loss_good = lte.ge_loss_good;
-       opt.faults.link.wan.ge_loss_bad = lte.ge_loss_bad;
+       opt.faults.link.wan = WanProfileByName("lte");
        opt.faults.seed = opt.seed ^ 0xFA017u;
        return BlamedEndToEnd(OsProfile::Tse(), opt, true);
      }},

@@ -178,8 +178,44 @@ bool ParseProtocol(const std::string& word, ProtocolKind* kind) {
   return true;
 }
 
+uint64_t Seed(FlagSet& flags) { return static_cast<uint64_t>(flags.GetInt("seed", 1)); }
+
 void Emit(const TextTable& table, bool csv) {
   std::printf("%s", csv ? table.RenderCsv().c_str() : table.Render().c_str());
+}
+
+bool WriteFile(const std::string& path, const std::string& contents);
+
+// --report-out for the sweeps: {"experiment":...,"points":[<each point's report>]}.
+// True when no report was asked for or it was written.
+template <typename Point>
+bool WritePointsReport(FlagSet& flags, const char* experiment,
+                       const std::vector<Point>& points) {
+  std::string path = flags.GetString("report-out", "");
+  if (path.empty()) {
+    return true;
+  }
+  std::string report = std::string("{\"experiment\":\"") + experiment + "\",\"points\":[";
+  for (size_t i = 0; i < points.size(); ++i) {
+    report += (i > 0 ? "," : "") + ToJson(points[i]);
+  }
+  return WriteFile(path, report + "]}\n");
+}
+
+// One sweep cell's SLO verdict: prints "SLO violated <where>: <objective>" and the
+// bundle paths when the cell violated; returns whether it did.
+template <typename... Args>
+bool PrintViolation(const SloReport& slo, const char* where, Args... args) {
+  if (!slo.active || slo.passed) {
+    return false;
+  }
+  std::printf("SLO violated ");
+  std::printf(where, args...);
+  std::printf(": %s\n", slo.violating_objective.c_str());
+  for (const std::string& path : slo.postmortems) {
+    std::printf("  postmortem: %s\n", path.c_str());
+  }
+  return true;
 }
 
 int CmdIdle(FlagSet& flags) {
@@ -208,7 +244,7 @@ int CmdTyping(FlagSet& flags) {
   }
   TypingUnderLoadResult r = RunTypingUnderLoad(
       profile, static_cast<int>(flags.GetInt("sinks", 0)),
-      Duration::Seconds(flags.GetInt("seconds", 60)), 1,
+      Duration::Seconds(flags.GetInt("seconds", 60)), Seed(flags),
       static_cast<int>(flags.GetInt("cpus", 1)));
   std::printf("%s, %d sinks: avg stall %.1f ms, max %.1f ms, jitter %.1f ms, %lld "
               "updates\n",
@@ -226,7 +262,7 @@ int CmdPaging(FlagSet& flags) {
                                                    : EvictionPolicy::kGlobalLru;
   PagingLatencyResult r =
       RunPagingLatency(profile, flags.GetBool("full-demand", true),
-                       static_cast<int>(flags.GetInt("runs", 10)), 1, policy);
+                       static_cast<int>(flags.GetInt("runs", 10)), Seed(flags), policy);
   std::printf("%s (%s demand, %s): min %.0f ms, avg %.0f ms, max %.0f ms over %d runs\n",
               r.os_name.c_str(), r.full_demand ? ">=100%" : "<100%",
               policy == EvictionPolicy::kGlobalLru ? "global LRU" : "interactive-protect",
@@ -295,7 +331,9 @@ int CmdSizing(FlagSet& flags) {
   if (!ParseOs(flags.GetString("os", "tse"), &profile)) {
     return 2;
   }
-  SizingPoint p = RunServerSizing(profile, static_cast<int>(flags.GetInt("users", 10)));
+  SizingPoint p = RunServerSizing(profile, static_cast<int>(flags.GetInt("users", 10)),
+                                  Duration::Seconds(flags.GetInt("seconds", 30)),
+                                  Seed(flags));
   std::printf("%s, %d users: CPU %.1f%%, avg stall %.1f ms, worst user %.1f ms\n",
               p.os_name.c_str(), p.users, p.cpu_utilization * 100.0, p.avg_stall_ms,
               p.worst_stall_ms);
@@ -321,6 +359,8 @@ int CmdE2e(FlagSet& flags) {
     std::fprintf(stderr, "unknown --client '%s' (pc|winterm|handheld)\n", client.c_str());
     return 2;
   }
+  opt.duration = Duration::Seconds(flags.GetInt("seconds", 30));
+  opt.seed = Seed(flags);
   EndToEndResult r = RunEndToEndLatency(profile, opt);
   std::printf("%s on %s: input %.2f + server %.2f + display %.2f + client %.2f = %.2f ms "
               "(%lld updates)\n",
@@ -390,7 +430,7 @@ int CmdSweep(FlagSet& flags) {
   }
 
   Duration seconds = Duration::Seconds(flags.GetInt("seconds", 30));
-  uint64_t base_seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  uint64_t base_seed = Seed(flags);
   int jobs = static_cast<int>(flags.GetInt("jobs", 0));
   int load_count = static_cast<int>(loads.size());
   int configs = static_cast<int>(profiles.size()) * load_count;
@@ -443,7 +483,7 @@ int CmdSweep(FlagSet& flags) {
   } else if (experiment == "sizing") {
     auto results = sweep.Map(configs, [&](int i) {
       return RunServerSizing(profiles[static_cast<size_t>(i / load_count)],
-                             loads[static_cast<size_t>(i % load_count)], {}, seconds,
+                             loads[static_cast<size_t>(i % load_count)], seconds,
                              SweepSeed(base_seed, static_cast<uint64_t>(i)));
     });
     for (const SizingPoint& p : results) {
@@ -486,16 +526,7 @@ int CmdSweep(FlagSet& flags) {
   if (base_slo.Any()) {
     int violated = 0;
     for (size_t i = 0; i < slo_reports.size(); ++i) {
-      const SloReport& slo = slo_reports[i];
-      if (!slo.active || slo.passed) {
-        continue;
-      }
-      ++violated;
-      std::printf("SLO violated at config %zu: %s\n", i,
-                  slo.violating_objective.c_str());
-      for (const std::string& path : slo.postmortems) {
-        std::printf("  postmortem: %s\n", path.c_str());
-      }
+      violated += PrintViolation(slo_reports[i], "at config %zu", i);
     }
     std::printf("SLO: %d of %d configs violated\n", violated, configs);
   }
@@ -516,8 +547,6 @@ bool ParseDoubleList(const std::string& value, const char* flag,
   }
   return true;
 }
-
-bool WriteFile(const std::string& path, const std::string& contents);
 
 // The shared --slo-* flags as an SloSpec; a spec with no flags set checks nothing
 // (Any() is false), so commands only pay for the watchdog when asked.
@@ -580,7 +609,7 @@ int CmdChaos(FlagSet& flags) {
   Duration threshold = Duration::Millis(flags.GetInt("threshold-ms", 150));
   Duration seconds = Duration::Seconds(flags.GetInt("seconds", 30));
   int sinks = static_cast<int>(flags.GetInt("sinks", 0));
-  uint64_t base_seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  uint64_t base_seed = Seed(flags);
   int jobs = static_cast<int>(flags.GetInt("jobs", 0));
   int flap_count = static_cast<int>(flap_ms.size());
   int configs = static_cast<int>(losses.size()) * flap_count;
@@ -658,34 +687,15 @@ int CmdChaos(FlagSet& flags) {
   }
   if (base_slo.Any()) {
     int violated = 0;
-    for (size_t i = 0; i < points.size(); ++i) {
-      const ChaosPoint& p = points[i];
-      if (!p.slo.active || p.slo.passed) {
-        continue;
-      }
-      ++violated;
-      std::printf("SLO violated at loss %.1f%% / flap %.0f ms: %s\n", p.loss_rate * 100.0,
-                  p.flap_ms, p.slo.violating_objective.c_str());
-      for (const std::string& path : p.slo.postmortems) {
-        std::printf("  postmortem: %s\n", path.c_str());
-      }
+    for (const ChaosPoint& p : points) {
+      violated += PrintViolation(p.slo, "at loss %.1f%% / flap %.0f ms",
+                                 p.loss_rate * 100.0, p.flap_ms);
     }
     std::printf("SLO: %d of %d cells violated\n", violated, configs);
   }
 
-  std::string report_path = flags.GetString("report-out", "");
-  if (!report_path.empty()) {
-    std::string report = "{\"experiment\":\"chaos_sweep\",\"points\":[";
-    for (size_t i = 0; i < points.size(); ++i) {
-      if (i > 0) {
-        report += ',';
-      }
-      report += ToJson(points[i]);
-    }
-    report += "]}\n";
-    if (!WriteFile(report_path, report)) {
-      return 1;
-    }
+  if (!WritePointsReport(flags, "chaos_sweep", points)) {
+    return 1;
   }
   // stderr, so stdout stays byte-identical for any --jobs value.
   std::fprintf(stderr, "%d chaos points over %d workers\n", configs, sweep.workers());
@@ -716,7 +726,7 @@ int CmdWan(FlagSet& flags) {
   Duration threshold = Duration::Millis(flags.GetInt("threshold-ms", 150));
   Duration starve_after = Duration::Millis(flags.GetInt("starve-after-ms", 1000));
   int users = static_cast<int>(flags.GetInt("users", 3));
-  uint64_t base_seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  uint64_t base_seed = Seed(flags);
   int jobs = static_cast<int>(flags.GetInt("jobs", 0));
   int configs = static_cast<int>(wan_profiles.size()) * 2;
 
@@ -801,32 +811,14 @@ int CmdWan(FlagSet& flags) {
   if (base_slo.Any()) {
     int violated = 0;
     for (const WanPoint& p : points) {
-      if (!p.slo.active || p.slo.passed) {
-        continue;
-      }
-      ++violated;
-      std::printf("SLO violated on %s (degrade %s): %s\n", p.profile.c_str(),
-                  p.degrade ? "on" : "off", p.slo.violating_objective.c_str());
-      for (const std::string& path : p.slo.postmortems) {
-        std::printf("  postmortem: %s\n", path.c_str());
-      }
+      violated += PrintViolation(p.slo, "on %s (degrade %s)", p.profile.c_str(),
+                                 p.degrade ? "on" : "off");
     }
     std::printf("SLO: %d of %d cells violated\n", violated, configs);
   }
 
-  std::string report_path = flags.GetString("report-out", "");
-  if (!report_path.empty()) {
-    std::string report = "{\"experiment\":\"wan_sweep\",\"points\":[";
-    for (size_t i = 0; i < points.size(); ++i) {
-      if (i > 0) {
-        report += ',';
-      }
-      report += ToJson(points[i]);
-    }
-    report += "]}\n";
-    if (!WriteFile(report_path, report)) {
-      return 1;
-    }
+  if (!WritePointsReport(flags, "wan_sweep", points)) {
+    return 1;
   }
   // stderr, so stdout stays byte-identical for any --jobs value.
   std::fprintf(stderr, "%d wan points over %d workers\n", configs, sweep.workers());
@@ -888,7 +880,7 @@ int CmdWhatIf(FlagSet& flags) {
   wan_opt.degrade = flags.GetBool("degrade");
   wan_opt.users = static_cast<int>(flags.GetInt("users", 3));
   wan_opt.duration = Duration::Seconds(flags.GetInt("seconds", 30));
-  wan_opt.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  wan_opt.seed = Seed(flags);
   int jobs = static_cast<int>(flags.GetInt("jobs", 0));
 
   // Every cell shares the same WAN options and seed, so every baseline arm is the SAME
@@ -997,33 +989,37 @@ const StageSummary* DominantStage(const AttributionResult& blame) {
   return best;
 }
 
-int CmdBlame(FlagSet& flags) {
-  // An --os entry is `name` or `name:protocol`; the suffix overrides the profile's
-  // display protocol, so the same OS pipeline can be compared across encodings
-  // (e.g. linux vs linux:lbx).
-  struct BlameConfig {
-    OsProfile profile;
-    std::string os_word;
-    std::string proto_word;
-  };
-  std::vector<BlameConfig> base;
-  for (const std::string& token :
-       SplitList(flags.GetString("os", "tse,linux,linux:lbx"))) {
-    BlameConfig cfg;
+// One `--os` list entry of blame/capacity: `name` or `name:protocol`. The suffix
+// overrides the profile's display protocol, so the same OS pipeline can be compared
+// across encodings (e.g. linux vs linux:lbx).
+struct OsConfig {
+  OsProfile profile;
+  std::string os_word;
+  std::string proto_word;
+};
+
+bool ParseOsConfigs(const std::string& list, std::vector<OsConfig>* out) {
+  for (const std::string& token : SplitList(list)) {
+    OsConfig cfg;
     size_t colon = token.find(':');
     cfg.os_word = token.substr(0, colon);
     if (!ParseOs(cfg.os_word, &cfg.profile)) {
-      return 2;
+      return false;
     }
-    if (colon != std::string::npos) {
-      ProtocolKind kind;
-      if (!ParseProtocol(token.substr(colon + 1), &kind)) {
-        return 2;
-      }
-      cfg.profile.protocol_kind = kind;
+    if (colon != std::string::npos &&
+        !ParseProtocol(token.substr(colon + 1), &cfg.profile.protocol_kind)) {
+      return false;
     }
     cfg.proto_word = ProtocolWord(cfg.profile.protocol_kind);
-    base.push_back(std::move(cfg));
+    out->push_back(std::move(cfg));
+  }
+  return true;
+}
+
+int CmdBlame(FlagSet& flags) {
+  std::vector<OsConfig> base;
+  if (!ParseOsConfigs(flags.GetString("os", "tse,linux,linux:lbx"), &base)) {
+    return 2;
   }
   std::vector<int> sink_list;
   if (!ParseIntList(flags.GetString("sinks", "0,5"), "sinks", &sink_list)) {
@@ -1052,7 +1048,7 @@ int CmdBlame(FlagSet& flags) {
   double background_mbps = flags.GetDouble("background-mbps", 0.0);
   double loss = flags.GetDouble("loss", 0.0);
   int flap = static_cast<int>(flags.GetInt("flap-ms", 0));
-  uint64_t base_seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  uint64_t base_seed = Seed(flags);
   int jobs = static_cast<int>(flags.GetInt("jobs", 0));
   int sink_count = static_cast<int>(sink_list.size());
   int configs = static_cast<int>(base.size()) * sink_count;
@@ -1061,7 +1057,7 @@ int CmdBlame(FlagSet& flags) {
   // attribution engine: output is byte-identical for any --jobs value.
   ParallelSweep sweep(jobs);
   auto results = sweep.Map(configs, [&](int i) {
-    const BlameConfig& cfg = base[static_cast<size_t>(i / sink_count)];
+    const OsConfig& cfg = base[static_cast<size_t>(i / sink_count)];
     EndToEndOptions opt;
     opt.sinks = sink_list[static_cast<size_t>(i % sink_count)];
     opt.background_mbps = background_mbps;
@@ -1075,15 +1071,7 @@ int CmdBlame(FlagSet& flags) {
       opt.faults.link.flap_duration = Duration::Millis(flap);
     }
     if (!wan_name.empty()) {
-      opt.faults.link.wan.extra_delay = wan.extra_delay;
-      opt.faults.link.wan.jitter = wan.jitter;
-      opt.faults.link.wan.down_rate = wan.down_rate;
-      opt.faults.link.wan.up_rate = wan.up_rate;
-      opt.faults.link.wan.queue_bytes = wan.queue_bytes;
-      opt.faults.link.wan.ge_p_good_to_bad = wan.ge_p_good_to_bad;
-      opt.faults.link.wan.ge_p_bad_to_good = wan.ge_p_bad_to_good;
-      opt.faults.link.wan.ge_loss_good = wan.ge_loss_good;
-      opt.faults.link.wan.ge_loss_bad = wan.ge_loss_bad;
+      opt.faults.link.wan = wan;
       opt.faults.seed = opt.seed ^ 0xFA017u;
     }
     AttributionConfig attr_cfg;
@@ -1097,7 +1085,7 @@ int CmdBlame(FlagSet& flags) {
   TextTable table({"os", "protocol", "sinks", "stage", "share", "p50 (ms)", "p99 (ms)",
                    "max (ms)"});
   for (int i = 0; i < configs; ++i) {
-    const BlameConfig& cfg = base[static_cast<size_t>(i / sink_count)];
+    const OsConfig& cfg = base[static_cast<size_t>(i / sink_count)];
     int sinks = sink_list[static_cast<size_t>(i % sink_count)];
     for (const StageSummary& s : results[static_cast<size_t>(i)].blame.stages) {
       if (s.total_us == 0) {
@@ -1120,7 +1108,7 @@ int CmdBlame(FlagSet& flags) {
                          "p99 (ms)", "max (ms)"});
     int64_t net_mismatches = 0;
     for (int i = 0; i < configs; ++i) {
-      const BlameConfig& cfg = base[static_cast<size_t>(i / sink_count)];
+      const OsConfig& cfg = base[static_cast<size_t>(i / sink_count)];
       int sinks = sink_list[static_cast<size_t>(i % sink_count)];
       const AttributionResult& blame = results[static_cast<size_t>(i)].blame;
       net_mismatches += blame.net_mismatches;
@@ -1146,7 +1134,7 @@ int CmdBlame(FlagSet& flags) {
   int64_t threshold_us = threshold.ToMicros();
   int first = -1;
   for (int i = 0; i < configs; ++i) {
-    const BlameConfig& cfg = base[static_cast<size_t>(i / sink_count)];
+    const OsConfig& cfg = base[static_cast<size_t>(i / sink_count)];
     const AttributionResult& blame = results[static_cast<size_t>(i)].blame;
     const StageSummary* top = DominantStage(blame);
     bool over = blame.p99_total_us > threshold_us;
@@ -1162,7 +1150,7 @@ int CmdBlame(FlagSet& flags) {
     }
   }
   if (first >= 0) {
-    const BlameConfig& cfg = base[static_cast<size_t>(first / sink_count)];
+    const OsConfig& cfg = base[static_cast<size_t>(first / sink_count)];
     const AttributionResult& blame = results[static_cast<size_t>(first)].blame;
     const StageSummary* top = DominantStage(blame);
     std::printf("p99 first crosses %lld ms at %s/%s with %d sinks — blame %s\n",
@@ -1184,7 +1172,7 @@ int CmdBlame(FlagSet& flags) {
       if (i > 0) {
         report += ',';
       }
-      const BlameConfig& cfg = base[static_cast<size_t>(i / sink_count)];
+      const OsConfig& cfg = base[static_cast<size_t>(i / sink_count)];
       report += "{\"os\":\"" + cfg.os_word + "\",\"protocol\":\"" + cfg.proto_word +
                 "\",\"sinks\":" +
                 std::to_string(sink_list[static_cast<size_t>(i % sink_count)]) +
@@ -1211,29 +1199,9 @@ const ConsolidationResult* FindProbe(const CapacityResult& r, int users) {
 }
 
 int CmdCapacity(FlagSet& flags) {
-  // An --os entry is `name` or `name:protocol`, as in `blame`.
-  struct CapacityConfig {
-    OsProfile profile;
-    std::string os_word;
-    std::string proto_word;
-  };
-  std::vector<CapacityConfig> base;
-  for (const std::string& token : SplitList(flags.GetString("os", "tse,linux"))) {
-    CapacityConfig cfg;
-    size_t colon = token.find(':');
-    cfg.os_word = token.substr(0, colon);
-    if (!ParseOs(cfg.os_word, &cfg.profile)) {
-      return 2;
-    }
-    if (colon != std::string::npos) {
-      ProtocolKind kind;
-      if (!ParseProtocol(token.substr(colon + 1), &kind)) {
-        return 2;
-      }
-      cfg.profile.protocol_kind = kind;
-    }
-    cfg.proto_word = ProtocolWord(cfg.profile.protocol_kind);
-    base.push_back(std::move(cfg));
+  std::vector<OsConfig> base;
+  if (!ParseOsConfigs(flags.GetString("os", "tse,linux"), &base)) {
+    return 2;
   }
   if (base.empty()) {
     std::fprintf(stderr, "capacity needs at least one --os entry\n");
@@ -1251,7 +1219,7 @@ int CmdCapacity(FlagSet& flags) {
   proto_options.behavior.burst_period =
       Duration::Millis(flags.GetInt("burst-every-ms", 5000));
   proto_options.behavior.ram = Bytes::MiB(flags.GetInt("ram-mib", 64));
-  uint64_t base_seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  uint64_t base_seed = Seed(flags);
   int jobs = static_cast<int>(flags.GetInt("jobs", 0));
   int configs = static_cast<int>(base.size());
 
@@ -1284,7 +1252,7 @@ int CmdCapacity(FlagSet& flags) {
   TextTable table({"os", "protocol", "latency-sized", "util-sized", "over-admits",
                    "p99 @ util (ms)", "CPU @ util", "resident @ latency"});
   for (int i = 0; i < configs; ++i) {
-    const CapacityConfig& cfg = base[static_cast<size_t>(i)];
+    const OsConfig& cfg = base[static_cast<size_t>(i)];
     const CapacityResult& r = results[static_cast<size_t>(i)];
     const ConsolidationResult* at_util = FindProbe(r, r.utilization_sized_users);
     const ConsolidationResult* at_latency = FindProbe(r, r.latency_sized_users);
@@ -1301,7 +1269,7 @@ int CmdCapacity(FlagSet& flags) {
   }
   Emit(table, flags.GetBool("csv"));
   for (int i = 0; i < configs; ++i) {
-    const CapacityConfig& cfg = base[static_cast<size_t>(i)];
+    const OsConfig& cfg = base[static_cast<size_t>(i)];
     const CapacityResult& r = results[static_cast<size_t>(i)];
     if (!r.utilization_over_admits) {
       continue;
@@ -1320,35 +1288,17 @@ int CmdCapacity(FlagSet& flags) {
     int violated = 0;
     for (int i = 0; i < configs; ++i) {
       for (const ConsolidationResult& probe : results[static_cast<size_t>(i)].probes) {
-        if (!probe.slo.active || probe.slo.passed) {
-          continue;
-        }
-        ++violated;
-        std::printf("SLO violated at %s/%s with %d users: %s\n",
-                    base[static_cast<size_t>(i)].os_word.c_str(),
-                    base[static_cast<size_t>(i)].proto_word.c_str(), probe.users,
-                    probe.slo.violating_objective.c_str());
-        for (const std::string& path : probe.slo.postmortems) {
-          std::printf("  postmortem: %s\n", path.c_str());
-        }
+        violated += PrintViolation(probe.slo, "at %s/%s with %d users",
+                                   base[static_cast<size_t>(i)].os_word.c_str(),
+                                   base[static_cast<size_t>(i)].proto_word.c_str(),
+                                   probe.users);
       }
     }
     std::printf("SLO: %d probes violated\n", violated);
   }
 
-  std::string report_path = flags.GetString("report-out", "");
-  if (!report_path.empty()) {
-    std::string report = "{\"experiment\":\"capacity_sweep\",\"points\":[";
-    for (size_t i = 0; i < results.size(); ++i) {
-      if (i > 0) {
-        report += ',';
-      }
-      report += ToJson(results[i]);
-    }
-    report += "]}\n";
-    if (!WriteFile(report_path, report)) {
-      return 1;
-    }
+  if (!WritePointsReport(flags, "capacity_sweep", results)) {
+    return 1;
   }
   // stderr, so stdout stays byte-identical for any --jobs value.
   std::fprintf(stderr, "%d capacity configs over %d workers\n", configs, sweep.workers());
@@ -1478,7 +1428,7 @@ int CmdPostmortem(FlagSet& flags) {
   ObsConfig obs;
   obs.slo = &spec;
 
-  uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  uint64_t seed = Seed(flags);
   Duration seconds = Duration::Seconds(flags.GetInt("seconds", 30));
   SloReport slo;
   if (experiment == "typing") {
@@ -1657,7 +1607,7 @@ int CmdTrace(FlagSet& flags) {
     obs.attribution = attribution.get();
   }
 
-  uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  uint64_t seed = Seed(flags);
   Duration seconds = Duration::Seconds(flags.GetInt("seconds", 30));
   std::string report;
   if (experiment == "typing") {
@@ -1698,7 +1648,7 @@ int CmdTrace(FlagSet& flags) {
       return 2;
     }
     SizingPoint r = RunServerSizing(profile, static_cast<int>(flags.GetInt("users", 10)),
-                                    {}, seconds, seed, &obs);
+                                    seconds, seed, &obs);
     report = ToJson(r);
   } else if (experiment == "traffic") {
     ProtocolKind kind;
