@@ -1,12 +1,9 @@
 // The interactive-run driver, with deterministic checkpoint/restore (fork-from-snapshot).
 //
-// ConsolidationRun is the only code that builds a Server for an interactive run. It
-// validates the options, wires observability and the SLO watchdog, logs the users in,
-// starts their typists, bursts, and sinks, and collects the result — with the clock in
-// the caller's hands. RunConsolidation and RunTypingUnderLoad drive it directly; the
-// sizing, end-to-end, chaos, and WAN runners (src/core/experiments.cc) are presets that
-// add a Scenario (src/core/scenario.h: client device, fault plan, background load,
-// starvation horizon, what-if hardware) and map its per-user records onto their results.
+// ConsolidationRun is the only code that builds a Server for an interactive run.
+// RunConsolidation and RunTypingUnderLoad drive it directly; the sizing, end-to-end,
+// chaos, and WAN runners in experiments.cc are presets that add a Scenario
+// (scenario.h). The clock is in the caller's hands.
 //
 // Between RunUntil steps the caller can Snapshot() the full dynamic state — kernel
 // event queue, scheduler, pager, protocol encoders, reliable channel, flow ledgers,
@@ -17,7 +14,7 @@
 // same stall samples to the microsecond, same report fields (modulo wall_ms), same
 // trace events. That equivalence is what the differential test harness
 // (tests/core_checkpoint_diff_test.cc) locks down. Runs with a client device attached
-// (the end-to-end, chaos, and WAN presets) do not snapshot yet.
+// do not snapshot yet.
 //
 // Restore is rebuild-then-overwrite: construction replays the exact original sequence
 // (so all closures, topology, and construction-derived state exist), then the snapshot
@@ -73,9 +70,7 @@ class ConsolidationRun {
   // watchdog. Throws ConfigError on bad options. `obs` must outlive the run.
   ConsolidationRun(const OsProfile& profile, const ConsolidationOptions& options,
                    const ObsConfig* obs = nullptr);
-  // The same sequence with a preset's scenario content (src/core/scenario.h): client
-  // attached before the logins, per-user paint records instead of stall taps, background
-  // load after the sinks, and the local attribution engine when `obs` carries none.
+  // The same sequence plus a preset's scenario content (src/core/scenario.h).
   ConsolidationRun(const OsProfile& profile, const ConsolidationOptions& options,
                    const Scenario& scenario, const ObsConfig* obs);
   ~ConsolidationRun();

@@ -28,7 +28,6 @@
 #include "src/workload/animation.h"
 #include "src/workload/app_script.h"
 #include "src/workload/memory_hog.h"
-#include "src/workload/typist.h"
 #include "src/workload/webpage.h"
 
 namespace tcs {
@@ -325,7 +324,9 @@ PagingLatencyResult RunPagingLatency(const OsProfile& profile, bool full_demand,
   result.min_ms = latency_ms.min();
   result.avg_ms = latency_ms.mean();
   result.max_ms = latency_ms.max();
-  CollectBlame(result.blame, obs);
+  if (obs != nullptr && obs->attribution != nullptr) {
+    result.blame = obs->attribution->Collect();
+  }
   return result;
 }
 
@@ -537,7 +538,7 @@ SizingPoint RunServerSizing(const OsProfile& profile, int users, Duration durati
 namespace {
 
 // The single-typist shape the end-to-end and chaos presets share: one user typing at
-// 20 Hz from 2 s (past session setup and warm-up) on a desktop-PC client by default.
+// 20 Hz from 2 s, past session setup and warm-up.
 ConsolidationOptions OneTypist(int sinks, Duration duration, uint64_t seed) {
   ConsolidationOptions copt;
   copt.duration = duration;
@@ -634,53 +635,34 @@ ChaosPoint RunChaosPoint(const OsProfile& profile, const ChaosOptions& options,
 WanProfile WanProfileByName(const std::string& name) {
   WanProfile p;
   p.name = name;
+  WanLinkPlan& plan = p;
   if (name == "dsl") {
     // Consumer ADSL tail: asymmetric, modest RTT, rare short bursts, and the classic
     // oversized modem buffer — ~780 ms of bufferbloat at line rate when pinned.
-    p.extra_delay = Duration::Millis(20);
-    p.jitter = Duration::Millis(5);
-    p.down_rate = BitsPerSecond::Mbps(4);
-    p.up_rate = BitsPerSecond::Kbps(512);
-    p.queue_bytes = Bytes::KiB(384);
-    p.ge_p_good_to_bad = 0.002;
-    p.ge_p_bad_to_good = 0.2;
-    p.ge_loss_good = 0.0005;
-    p.ge_loss_bad = 0.08;
+    plan = {.extra_delay = Duration::Millis(20), .jitter = Duration::Millis(5),
+            .down_rate = BitsPerSecond::Mbps(4), .up_rate = BitsPerSecond::Kbps(512),
+            .queue_bytes = Bytes::KiB(384), .ge_p_good_to_bad = 0.002,
+            .ge_p_bad_to_good = 0.2, .ge_loss_good = 0.0005, .ge_loss_bad = 0.08};
   } else if (name == "lte") {
     // Cellular: decent rates but jittery, bursty loss at cell-edge, and notoriously deep
     // eNB buffers — over a second of bufferbloat when the downlink saturates.
-    p.extra_delay = Duration::Millis(35);
-    p.jitter = Duration::Millis(15);
-    p.down_rate = BitsPerSecond::Mbps(6);
-    p.up_rate = BitsPerSecond::Mbps(2);
-    p.queue_bytes = Bytes::KiB(768);
-    p.ge_p_good_to_bad = 0.005;
-    p.ge_p_bad_to_good = 0.15;
-    p.ge_loss_good = 0.001;
-    p.ge_loss_bad = 0.15;
+    plan = {.extra_delay = Duration::Millis(35), .jitter = Duration::Millis(15),
+            .down_rate = BitsPerSecond::Mbps(6), .up_rate = BitsPerSecond::Mbps(2),
+            .queue_bytes = Bytes::KiB(768), .ge_p_good_to_bad = 0.005,
+            .ge_p_bad_to_good = 0.15, .ge_loss_good = 0.001, .ge_loss_bad = 0.15};
   } else if (name == "satellite") {
     // GEO hop: enormous fixed delay, narrow uplink, long queues, weather-fade bursts.
-    p.extra_delay = Duration::Millis(280);
-    p.jitter = Duration::Millis(30);
-    p.down_rate = BitsPerSecond::Mbps(3);
-    p.up_rate = BitsPerSecond::Kbps(768);
-    p.queue_bytes = Bytes::KiB(192);
-    p.ge_p_good_to_bad = 0.002;
-    p.ge_p_bad_to_good = 0.25;
-    p.ge_loss_good = 0.0005;
-    p.ge_loss_bad = 0.05;
+    plan = {.extra_delay = Duration::Millis(280), .jitter = Duration::Millis(30),
+            .down_rate = BitsPerSecond::Mbps(3), .up_rate = BitsPerSecond::Kbps(768),
+            .queue_bytes = Bytes::KiB(192), .ge_p_good_to_bad = 0.002,
+            .ge_p_bad_to_good = 0.25, .ge_loss_good = 0.0005, .ge_loss_bad = 0.05};
   } else if (name == "congested-office") {
     // An oversubscribed branch-office uplink: symmetric but starved for capacity, a
     // shallow router queue that tail-drops readily, and contention-driven loss bursts.
-    p.extra_delay = Duration::Millis(5);
-    p.jitter = Duration::Millis(10);
-    p.down_rate = BitsPerSecond::Mbps(2);
-    p.up_rate = BitsPerSecond::Mbps(2);
-    p.queue_bytes = Bytes::KiB(48);
-    p.ge_p_good_to_bad = 0.004;
-    p.ge_p_bad_to_good = 0.3;
-    p.ge_loss_good = 0.002;
-    p.ge_loss_bad = 0.12;
+    plan = {.extra_delay = Duration::Millis(5), .jitter = Duration::Millis(10),
+            .down_rate = BitsPerSecond::Mbps(2), .up_rate = BitsPerSecond::Mbps(2),
+            .queue_bytes = Bytes::KiB(48), .ge_p_good_to_bad = 0.004,
+            .ge_p_bad_to_good = 0.3, .ge_loss_good = 0.002, .ge_loss_bad = 0.12};
   } else {
     throw ConfigError("WanProfile", "unknown WAN profile: " + name +
                                         " (expected dsl, lte, satellite, or"

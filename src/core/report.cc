@@ -1,10 +1,25 @@
 #include "src/core/report.h"
 
+#include <vector>
+
 #include "src/util/json.h"
 
 namespace tcs {
 
 namespace {
+
+// "[a,b,...]" from each item's rendering.
+template <typename T, typename Render>
+std::string JsonArray(const std::vector<T>& items, Render render) {
+  std::string out = "[";
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (i > 0) {
+      out += ',';
+    }
+    out += render(items[i]);
+  }
+  return out + ']';
+}
 
 std::string RunJson(const RunStats& run) {
   JsonObject o;
@@ -33,6 +48,31 @@ std::string FaultsJson(const FaultStats& f) {
   return o.Finish();
 }
 
+std::string StageJson(const StageSummary& s) {
+  JsonObject o;
+  o.Str("stage", s.stage);
+  o.Int("total_us", s.total_us);
+  o.Double("share", s.share);
+  o.Int("p50_us", s.p50_us);
+  o.Int("p99_us", s.p99_us);
+  o.Int("max_us", s.max_us);
+  return o.Finish();
+}
+
+// The blocks every experiment report ends with: blame and slo when the run carried
+// them, then the run accounting.
+std::string FinishReport(JsonObject& o, const AttributionResult& blame,
+                         const SloReport& slo, const RunStats& run) {
+  if (blame.active) {
+    o.Raw("blame", ToJson(blame));
+  }
+  if (slo.active) {
+    o.Raw("slo", ToJson(slo));
+  }
+  o.Raw("run", RunJson(run));
+  return o.Finish();
+}
+
 }  // namespace
 
 std::string ToJson(const AttributionResult& r) {
@@ -46,43 +86,11 @@ std::string ToJson(const AttributionResult& r) {
   o.Int("p99_total_us", r.p99_total_us);
   o.Int("max_total_us", r.max_total_us);
   o.Str("top_stage", r.top_stage);
-  std::string stages = "[";
-  for (size_t i = 0; i < r.stages.size(); ++i) {
-    const StageSummary& s = r.stages[i];
-    JsonObject so;
-    so.Str("stage", s.stage);
-    so.Int("total_us", s.total_us);
-    so.Double("share", s.share);
-    so.Int("p50_us", s.p50_us);
-    so.Int("p99_us", s.p99_us);
-    so.Int("max_us", s.max_us);
-    if (i > 0) {
-      stages += ',';
-    }
-    stages += so.Finish();
-  }
-  stages += ']';
-  o.Raw("stages", stages);
+  o.Raw("stages", JsonArray(r.stages, StageJson));
   // Display-net decomposition: present only when the run aggregated sub-stage samples
   // (AttributionConfig.decompose_network), so legacy reports keep their exact bytes.
   if (!r.net_stages.empty()) {
-    std::string net = "[";
-    for (size_t i = 0; i < r.net_stages.size(); ++i) {
-      const StageSummary& s = r.net_stages[i];
-      JsonObject so;
-      so.Str("stage", s.stage);
-      so.Int("total_us", s.total_us);
-      so.Double("share", s.share);
-      so.Int("p50_us", s.p50_us);
-      so.Int("p99_us", s.p99_us);
-      so.Int("max_us", s.max_us);
-      if (i > 0) {
-        net += ',';
-      }
-      net += so.Finish();
-    }
-    net += ']';
-    o.Raw("network", net);
+    o.Raw("network", JsonArray(r.net_stages, StageJson));
     o.Int("net_mismatches", r.net_mismatches);
   }
   return o.Finish();
@@ -97,14 +105,7 @@ std::string ToJson(const TypingUnderLoadResult& r) {
   o.Double("max_stall_ms", r.max_stall_ms);
   o.Double("jitter_ms", r.jitter_ms);
   o.Int("updates", r.updates);
-  if (r.blame.active) {
-    o.Raw("blame", ToJson(r.blame));
-  }
-  if (r.slo.active) {
-    o.Raw("slo", ToJson(r.slo));
-  }
-  o.Raw("run", RunJson(r.run));
-  return o.Finish();
+  return FinishReport(o, r.blame, r.slo, r.run);
 }
 
 std::string ToJson(const PagingLatencyResult& r) {
@@ -116,11 +117,7 @@ std::string ToJson(const PagingLatencyResult& r) {
   o.Double("min_ms", r.min_ms);
   o.Double("avg_ms", r.avg_ms);
   o.Double("max_ms", r.max_ms);
-  if (r.blame.active) {
-    o.Raw("blame", ToJson(r.blame));
-  }
-  o.Raw("run", RunJson(r.run));
-  return o.Finish();
+  return FinishReport(o, r.blame, SloReport{}, r.run);
 }
 
 std::string ToJson(const EndToEndResult& r) {
@@ -139,14 +136,7 @@ std::string ToJson(const EndToEndResult& r) {
   if (r.faults.active) {
     o.Raw("faults", FaultsJson(r.faults));
   }
-  if (r.blame.active) {
-    o.Raw("blame", ToJson(r.blame));
-  }
-  if (r.slo.active) {
-    o.Raw("slo", ToJson(r.slo));
-  }
-  o.Raw("run", RunJson(r.run));
-  return o.Finish();
+  return FinishReport(o, r.blame, r.slo, r.run);
 }
 
 std::string ToJson(const SizingPoint& r) {
@@ -157,11 +147,7 @@ std::string ToJson(const SizingPoint& r) {
   o.Double("cpu_utilization", r.cpu_utilization);
   o.Double("avg_stall_ms", r.avg_stall_ms);
   o.Double("worst_stall_ms", r.worst_stall_ms);
-  if (r.blame.active) {
-    o.Raw("blame", ToJson(r.blame));
-  }
-  o.Raw("run", RunJson(r.run));
-  return o.Finish();
+  return FinishReport(o, r.blame, SloReport{}, r.run);
 }
 
 std::string ToJson(const ConsolidationResult& r) {
@@ -181,33 +167,19 @@ std::string ToJson(const ConsolidationResult& r) {
   o.Double("avg_stall_ms", r.avg_stall_ms);
   o.Double("worst_stall_ms", r.worst_stall_ms);
   o.Double("worst_p99_stall_ms", r.worst_p99_stall_ms);
-  std::string users = "[";
-  for (size_t i = 0; i < r.per_user.size(); ++i) {
-    const UserStallStats& u = r.per_user[i];
-    JsonObject uo;
-    uo.Int("updates", u.updates);
-    uo.Double("avg_stall_ms", u.avg_stall_ms);
-    uo.Double("max_stall_ms", u.max_stall_ms);
-    uo.Double("jitter_ms", u.jitter_ms);
-    uo.Double("p50_stall_ms", u.p50_stall_ms);
-    uo.Double("p99_stall_ms", u.p99_stall_ms);
-    uo.Int("wire_bytes", u.wire_bytes.count());
-    uo.Double("link_share", u.link_share);
-    if (i > 0) {
-      users += ',';
-    }
-    users += uo.Finish();
-  }
-  users += ']';
-  o.Raw("per_user", users);
-  if (r.blame.active) {
-    o.Raw("blame", ToJson(r.blame));
-  }
-  if (r.slo.active) {
-    o.Raw("slo", ToJson(r.slo));
-  }
-  o.Raw("run", RunJson(r.run));
-  return o.Finish();
+  o.Raw("per_user", JsonArray(r.per_user, [](const UserStallStats& u) {
+          JsonObject uo;
+          uo.Int("updates", u.updates);
+          uo.Double("avg_stall_ms", u.avg_stall_ms);
+          uo.Double("max_stall_ms", u.max_stall_ms);
+          uo.Double("jitter_ms", u.jitter_ms);
+          uo.Double("p50_stall_ms", u.p50_stall_ms);
+          uo.Double("p99_stall_ms", u.p99_stall_ms);
+          uo.Int("wire_bytes", u.wire_bytes.count());
+          uo.Double("link_share", u.link_share);
+          return uo.Finish();
+        }));
+  return FinishReport(o, r.blame, r.slo, r.run);
 }
 
 std::string ToJson(const CapacityResult& r) {
@@ -218,15 +190,8 @@ std::string ToJson(const CapacityResult& r) {
   o.Int("utilization_sized_users", r.utilization_sized_users);
   o.Int("latency_sized_users", r.latency_sized_users);
   o.Bool("utilization_over_admits", r.utilization_over_admits);
-  std::string probes = "[";
-  for (size_t i = 0; i < r.probes.size(); ++i) {
-    if (i > 0) {
-      probes += ',';
-    }
-    probes += ToJson(r.probes[i]);
-  }
-  probes += ']';
-  o.Raw("probes", probes);
+  o.Raw("probes",
+        JsonArray(r.probes, [](const ConsolidationResult& p) { return ToJson(p); }));
   o.Raw("run", RunJson(r.run));
   return o.Finish();
 }
@@ -265,14 +230,7 @@ std::string ToJson(const ChaosPoint& r) {
   o.Int("link_frames_lost", r.link_frames_lost);
   o.Int("retransmissions", r.retransmissions);
   o.Raw("faults", FaultsJson(r.faults));
-  if (r.blame.active) {
-    o.Raw("blame", ToJson(r.blame));
-  }
-  if (r.slo.active) {
-    o.Raw("slo", ToJson(r.slo));
-  }
-  o.Raw("run", RunJson(r.run));
-  return o.Finish();
+  return FinishReport(o, r.blame, r.slo, r.run);
 }
 
 std::string ToJson(const WanPoint& r) {
@@ -294,14 +252,7 @@ std::string ToJson(const WanPoint& r) {
   o.Int("animation_frames_skipped", r.animation_frames_skipped);
   o.Int("background_frames_drawn", r.background_frames_drawn);
   o.Raw("faults", FaultsJson(r.faults));
-  if (r.blame.active) {
-    o.Raw("blame", ToJson(r.blame));
-  }
-  if (r.slo.active) {
-    o.Raw("slo", ToJson(r.slo));
-  }
-  o.Raw("run", RunJson(r.run));
-  return o.Finish();
+  return FinishReport(o, r.blame, r.slo, r.run);
 }
 
 std::string WhatIfBlockJson(const WhatIfResult& r) {

@@ -1,10 +1,11 @@
 // Shared plumbing for experiment runners.
 //
 // Every runner in src/core follows the same frame: stamp a wall clock, wire the
-// optional ObsConfig (tracer, metrics sampler, attribution engine) through the stack,
-// run the simulation, then collect kernel counters and blame. These helpers are that
-// frame, factored out so experiments.cc and admission.cc share one copy. Internal to
-// src/core — not part of the library surface.
+// optional ObsConfig (tracer, metrics sampler, attribution engine, SLO watchdog)
+// through the stack, run the simulation, then collect kernel counters and blame. These
+// helpers are that frame, shared by the interactive driver (checkpoint.cc), the
+// capacity search (admission.cc), and the paging and protocol-only runners
+// (experiments.cc). Internal to src/core — not part of the library surface.
 
 #ifndef TCS_SRC_CORE_RUN_SUPPORT_H_
 #define TCS_SRC_CORE_RUN_SUPPORT_H_
@@ -118,7 +119,7 @@ class SloRuntime {
   }
 
   // Settles the run's SLO verdict into `out` (no-op when inactive).
-  void Finish(SloReport& out, double availability = 1.0) {
+  void Finish(SloReport& out, double availability) {
     if (watchdog_ != nullptr) {
       out = watchdog_->FinishRun(availability);
     }
@@ -140,13 +141,6 @@ using ProbeRunner =
 // policies' bisections, and sums the probes' run accounting.
 CapacityResult SearchCapacity(const OsProfile& profile, const CapacityOptions& options,
                               const ObsConfig* obs, const ProbeRunner& run_probe);
-
-// Fills `blame` from the run's attribution engine, if one was attached.
-inline void CollectBlame(AttributionResult& blame, const ObsConfig* obs) {
-  if (obs != nullptr && obs->attribution != nullptr) {
-    blame = obs->attribution->Collect();
-  }
-}
 
 }  // namespace run_support
 }  // namespace tcs

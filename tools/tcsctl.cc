@@ -4,13 +4,14 @@
 //
 // Commands:
 //   idle     --os=tse|linux|ntws [--seconds=N]           idle-state profile (Figs 1-2)
-//   typing   --os=... [--sinks=N --seconds=N --cpus=N]   stall vs load (Fig 3)
-//   paging   --os=... [--full-demand --runs=N --protect] keystroke-after-hog (§5.2)
+//   typing   --os=... [--sinks=N --seconds=N --cpus=N --seed=N]  stall vs load (Fig 3)
+//   paging   --os=... [--full-demand --runs=N --protect --seed=N]  keystroke-after-hog
+//            (§5.2)
 //   traffic  --protocol=rdp|x|lbx|slim|vnc [--steps=N]   app-workload bytes (§6.1.2)
 //   webpage  [--no-banner --no-marquee --seconds=N]      Figure 4 page over RDP
 //   gif      --protocol=... [--frames=N --seconds=N --loop-aware]  Figures 5/7
 //   rtt      [--mbps=X --seconds=N]                      Figures 8-9 probe
-//   sizing   --os=... --users=N                          utilization vs latency sizing
+//   sizing   --os=... --users=N [--seconds=N --seed=N]   utilization vs latency sizing
 //   capacity [--os=tse,linux,linux:lbx --max-users=N --seconds=N --sinks=N
 //            --burst-ms=N --burst-every-ms=N --ram-mib=N --max-util=0.85
 //            --max-p99-ms=100 --jobs=N --seed=N --report-out=capacity.json]
@@ -23,7 +24,8 @@
 //            in the pager, per-user typing plus periodic application bursts. Reports
 //            both answers side by side and flags configurations where utilization
 //            sizing over-admits. Output is byte-identical for any --jobs value.
-//   e2e      --os=... [--sinks=N --background-mbps=X --client=pc|winterm|handheld]
+//   e2e      --os=... [--sinks=N --background-mbps=X --client=pc|winterm|handheld
+//            --seconds=N --seed=N]
 //   sweep    --experiment=typing|sizing|e2e [--os=tse,linux,... --sinks=L --users=L
 //            --seconds=N --jobs=N --seed=N]              parallel config-matrix sweep
 //   chaos    --os=... [--loss=0,0.01,0.05 --flap-ms=0,50 --flap-every-ms=2000
@@ -202,6 +204,23 @@ bool WritePointsReport(FlagSet& flags, const char* experiment,
   return WriteFile(path, report + "]}\n");
 }
 
+// One sweep cell's observability: its own copy of the --slo-* spec under a
+// deterministic bundle name, or no ObsConfig at all when no objective was asked for.
+class CellSlo {
+ public:
+  CellSlo(const SloSpec& base, std::string name) : spec_(base) {
+    spec_.name = std::move(name);
+    obs_.slo = &spec_;
+  }
+  CellSlo(const CellSlo&) = delete;
+  CellSlo& operator=(const CellSlo&) = delete;
+  const ObsConfig* obs() const { return spec_.Any() ? &obs_ : nullptr; }
+
+ private:
+  SloSpec spec_;
+  ObsConfig obs_;
+};
+
 // One sweep cell's SLO verdict: prints "SLO violated <where>: <objective>" and the
 // bundle paths when the cell violated; returns whether it did.
 template <typename... Args>
@@ -256,6 +275,11 @@ int CmdTyping(FlagSet& flags) {
 int CmdPaging(FlagSet& flags) {
   OsProfile profile;
   if (!ParseOs(flags.GetString("os", "linux"), &profile)) {
+    return 2;
+  }
+  if (flags.Has("seconds")) {
+    std::fprintf(stderr, "paging takes no --seconds: every trial types one key after "
+                         "~30 s of hog think time (--runs sets the trial count)\n");
     return 2;
   }
   EvictionPolicy policy = flags.GetBool("protect") ? EvictionPolicy::kInteractiveProtect
@@ -340,27 +364,33 @@ int CmdSizing(FlagSet& flags) {
   return 0;
 }
 
-int CmdE2e(FlagSet& flags) {
-  OsProfile profile;
-  if (!ParseOs(flags.GetString("os", "tse"), &profile)) {
-    return 2;
-  }
-  EndToEndOptions opt;
-  opt.sinks = static_cast<int>(flags.GetInt("sinks", 0));
-  opt.background_mbps = flags.GetDouble("background-mbps", 0.0);
+// The end-to-end run the `e2e`, `postmortem e2e` and `trace e2e` flags describe.
+bool EndToEndFromFlags(FlagSet& flags, EndToEndOptions* opt) {
+  opt->sinks = static_cast<int>(flags.GetInt("sinks", 0));
+  opt->background_mbps = flags.GetDouble("background-mbps", 0.0);
+  opt->duration = Duration::Seconds(flags.GetInt("seconds", 30));
+  opt->seed = Seed(flags);
+  opt->faults.link.loss_rate = flags.GetDouble("loss", 0.0);
   std::string client = flags.GetString("client", "pc");
   if (client == "pc") {
-    opt.client = ThinClientConfig::DesktopPc();
+    opt->client = ThinClientConfig::DesktopPc();
   } else if (client == "winterm") {
-    opt.client = ThinClientConfig::WinTerm();
+    opt->client = ThinClientConfig::WinTerm();
   } else if (client == "handheld") {
-    opt.client = ThinClientConfig::Handheld();
+    opt->client = ThinClientConfig::Handheld();
   } else {
     std::fprintf(stderr, "unknown --client '%s' (pc|winterm|handheld)\n", client.c_str());
+    return false;
+  }
+  return true;
+}
+
+int CmdE2e(FlagSet& flags) {
+  OsProfile profile;
+  EndToEndOptions opt;
+  if (!ParseOs(flags.GetString("os", "tse"), &profile) || !EndToEndFromFlags(flags, &opt)) {
     return 2;
   }
-  opt.duration = Duration::Seconds(flags.GetInt("seconds", 30));
-  opt.seed = Seed(flags);
   EndToEndResult r = RunEndToEndLatency(profile, opt);
   std::printf("%s on %s: input %.2f + server %.2f + display %.2f + client %.2f = %.2f ms "
               "(%lld updates)\n",
@@ -460,18 +490,11 @@ int CmdSweep(FlagSet& flags) {
   std::vector<SloReport> slo_reports;  // config order; empty unless --slo-* given
   if (experiment == "typing") {
     auto results = sweep.Map(configs, [&](int i) {
-      if (!base_slo.Any()) {
-        return RunTypingUnderLoad(profiles[static_cast<size_t>(i / load_count)],
-                                  loads[static_cast<size_t>(i % load_count)], seconds,
-                                  SweepSeed(base_seed, static_cast<uint64_t>(i)));
-      }
-      SloSpec cfg_slo = base_slo;
-      cfg_slo.name = "sweep_typing_cfg" + std::to_string(i);
-      ObsConfig obs;
-      obs.slo = &cfg_slo;
+      CellSlo cell(base_slo, "sweep_typing_cfg" + std::to_string(i));
       return RunTypingUnderLoad(profiles[static_cast<size_t>(i / load_count)],
                                 loads[static_cast<size_t>(i % load_count)], seconds,
-                                SweepSeed(base_seed, static_cast<uint64_t>(i)), 1, &obs);
+                                SweepSeed(base_seed, static_cast<uint64_t>(i)), 1,
+                                cell.obs());
     });
     for (TypingUnderLoadResult& r : results) {
       rows.push_back({r.os_name, TextTable::Num(r.sinks),
@@ -500,14 +523,9 @@ int CmdSweep(FlagSet& flags) {
       opt.background_mbps = background_mbps;
       opt.duration = seconds;
       opt.seed = SweepSeed(base_seed, static_cast<uint64_t>(i));
-      if (!base_slo.Any()) {
-        return RunEndToEndLatency(profiles[static_cast<size_t>(i / load_count)], opt);
-      }
-      SloSpec cfg_slo = base_slo;
-      cfg_slo.name = "sweep_e2e_cfg" + std::to_string(i);
-      ObsConfig obs;
-      obs.slo = &cfg_slo;
-      return RunEndToEndLatency(profiles[static_cast<size_t>(i / load_count)], opt, &obs);
+      CellSlo cell(base_slo, "sweep_e2e_cfg" + std::to_string(i));
+      return RunEndToEndLatency(profiles[static_cast<size_t>(i / load_count)], opt,
+                                cell.obs());
     });
     for (size_t i = 0; i < results.size(); ++i) {
       EndToEndResult& r = results[i];
@@ -579,6 +597,19 @@ void PrintSloReport(const SloReport& slo, const char* label) {
   }
 }
 
+// The chaos point the shared flags describe, before the loss rate and flap length.
+ChaosOptions ChaosFromFlags(FlagSet& flags) {
+  ChaosOptions opt;
+  opt.flap_every = Duration::Millis(flags.GetInt("flap-every-ms", 2000));
+  opt.disk_stall_rate = flags.GetDouble("disk-stall", 0.0);
+  opt.disconnect_every = Duration::Millis(flags.GetInt("disconnect-ms", 0));
+  opt.sinks = static_cast<int>(flags.GetInt("sinks", 0));
+  opt.duration = Duration::Seconds(flags.GetInt("seconds", 30));
+  opt.seed = Seed(flags);
+  opt.threshold = Duration::Millis(flags.GetInt("threshold-ms", 150));
+  return opt;
+}
+
 int CmdChaos(FlagSet& flags) {
   OsProfile profile;
   if (!ParseOs(flags.GetString("os", "tse"), &profile)) {
@@ -603,13 +634,8 @@ int CmdChaos(FlagSet& flags) {
     }
   }
 
-  Duration flap_every = Duration::Millis(flags.GetInt("flap-every-ms", 2000));
-  double disk_stall = flags.GetDouble("disk-stall", 0.0);
-  Duration disconnect_every = Duration::Millis(flags.GetInt("disconnect-ms", 0));
-  Duration threshold = Duration::Millis(flags.GetInt("threshold-ms", 150));
-  Duration seconds = Duration::Seconds(flags.GetInt("seconds", 30));
-  int sinks = static_cast<int>(flags.GetInt("sinks", 0));
-  uint64_t base_seed = Seed(flags);
+  const ChaosOptions base = ChaosFromFlags(flags);
+  const Duration threshold = base.threshold;
   int jobs = static_cast<int>(flags.GetInt("jobs", 0));
   int flap_count = static_cast<int>(flap_ms.size());
   int configs = static_cast<int>(losses.size()) * flap_count;
@@ -621,28 +647,16 @@ int CmdChaos(FlagSet& flags) {
   SloSpec base_slo = SloSpecFromFlags(flags);
   ParallelSweep sweep(jobs);
   auto points = sweep.Map(configs, [&](int i) {
-    ChaosOptions opt;
+    ChaosOptions opt = base;
     opt.loss_rate = losses[static_cast<size_t>(i / flap_count)];
     int flap = flap_ms[static_cast<size_t>(i % flap_count)];
     if (flap > 0) {
-      opt.flap_every = flap_every;
       opt.flap_duration = Duration::Millis(flap);
     }
-    opt.disk_stall_rate = disk_stall;
-    opt.disconnect_every = disconnect_every;
-    opt.sinks = sinks;
-    opt.duration = seconds;
-    opt.seed = SweepSeed(base_seed, static_cast<uint64_t>(i));
-    opt.threshold = threshold;
-    if (!base_slo.Any()) {
-      return RunChaosPoint(profile, opt);
-    }
-    SloSpec cell_slo = base_slo;
-    cell_slo.name =
-        "chaos_cell" + std::to_string(i) + "_seed" + std::to_string(opt.seed);
-    ObsConfig obs;
-    obs.slo = &cell_slo;
-    return RunChaosPoint(profile, opt, &obs);
+    opt.seed = SweepSeed(base.seed, static_cast<uint64_t>(i));
+    CellSlo cell(base_slo,
+                 "chaos_cell" + std::to_string(i) + "_seed" + std::to_string(opt.seed));
+    return RunChaosPoint(profile, opt, cell.obs());
   });
 
   TextTable table({"loss", "flap (ms)", "p50 (ms)", "p99 (ms)", "mean (ms)",
@@ -714,12 +728,7 @@ int CmdWan(FlagSet& flags) {
   // Resolve every profile up front so a typo fails fast instead of mid-sweep.
   std::vector<WanProfile> wan_profiles;
   for (const std::string& name : names) {
-    try {
-      wan_profiles.push_back(WanProfileByName(name));
-    } catch (const ConfigError& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 2;
-    }
+    wan_profiles.push_back(WanProfileByName(name));
   }
 
   Duration seconds = Duration::Seconds(flags.GetInt("seconds", 30));
@@ -745,14 +754,8 @@ int CmdWan(FlagSet& flags) {
     opt.seed = SweepSeed(base_seed, static_cast<uint64_t>(p));
     opt.threshold = threshold;
     opt.starve_after = starve_after;
-    if (!base_slo.Any()) {
-      return RunWanPoint(profile, opt);
-    }
-    SloSpec cell_slo = base_slo;
-    cell_slo.name = "wan_" + std::to_string(i) + "_seed" + std::to_string(opt.seed);
-    ObsConfig obs;
-    obs.slo = &cell_slo;
-    return RunWanPoint(profile, opt, &obs);
+    CellSlo cell(base_slo, "wan_" + std::to_string(i) + "_seed" + std::to_string(opt.seed));
+    return RunWanPoint(profile, opt, cell.obs());
   });
 
   TextTable table({"profile", "degrade", "worst p99 (ms)", "mean (ms)", "> threshold",
@@ -849,13 +852,7 @@ int CmdWhatIf(FlagSet& flags) {
     return 2;
   }
   std::string profile_name = flags.GetString("profile", "lte");
-  WanProfile wan;
-  try {
-    wan = WanProfileByName(profile_name);
-  } catch (const ConfigError& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
+  WanProfile wan = WanProfileByName(profile_name);
   std::string component_word = flags.GetString("component", "all");
   std::vector<std::string> words =
       component_word == "all" ? std::vector<std::string>{"link", "cpu", "disk", "rtt"}
@@ -1033,15 +1030,7 @@ int CmdBlame(FlagSet& flags) {
   // With --profile the whole grid runs behind that WAN pathology and the display-net
   // stage is decomposed into its five sub-stages (second table below).
   std::string wan_name = flags.GetString("profile", "");
-  WanProfile wan;
-  if (!wan_name.empty()) {
-    try {
-      wan = WanProfileByName(wan_name);
-    } catch (const ConfigError& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 2;
-    }
-  }
+  WanProfile wan = wan_name.empty() ? WanProfile{} : WanProfileByName(wan_name);
 
   Duration seconds = Duration::Seconds(flags.GetInt("seconds", 30));
   Duration threshold = Duration::Millis(flags.GetInt("threshold-ms", 100));
@@ -1234,15 +1223,9 @@ int CmdCapacity(FlagSet& flags) {
     results = sweep.Map(configs, [&](int i) {
       CapacityOptions options = proto_options;
       options.behavior.seed = SweepSeed(base_seed, static_cast<uint64_t>(i));
-      if (!base_slo.Any()) {
-        return RunServerCapacity(base[static_cast<size_t>(i)].profile, options);
-      }
-      SloSpec cfg_slo = base_slo;
-      cfg_slo.name = "capacity_" + base[static_cast<size_t>(i)].os_word + "_" +
-                     base[static_cast<size_t>(i)].proto_word;
-      ObsConfig obs;
-      obs.slo = &cfg_slo;
-      return RunServerCapacity(base[static_cast<size_t>(i)].profile, options, &obs);
+      const OsConfig& cfg = base[static_cast<size_t>(i)];
+      CellSlo cell(base_slo, "capacity_" + cfg.os_word + "_" + cfg.proto_word);
+      return RunServerCapacity(cfg.profile, options, cell.obs());
     });
   } catch (const ConfigError& e) {
     std::fprintf(stderr, "bad capacity configuration — %s\n", e.what());
@@ -1440,31 +1423,20 @@ int CmdPostmortem(FlagSet& flags) {
     slo = std::move(r.slo);
   } else if (experiment == "e2e") {
     EndToEndOptions opt;
-    opt.sinks = static_cast<int>(flags.GetInt("sinks", 0));
-    opt.background_mbps = flags.GetDouble("background-mbps", 0.0);
-    opt.duration = seconds;
-    opt.seed = seed;
-    if (flags.GetDouble("loss", 0.0) > 0.0) {
-      opt.faults.link.loss_rate = flags.GetDouble("loss", 0.0);
+    if (!EndToEndFromFlags(flags, &opt)) {
+      return 2;
     }
     EndToEndResult r = RunEndToEndLatency(profile, opt, &obs);
     std::printf("e2e on %s: total %.2f ms over %lld updates\n", r.os_name.c_str(),
                 r.total_ms, static_cast<long long>(r.updates));
     slo = std::move(r.slo);
   } else if (experiment == "chaos") {
-    ChaosOptions opt;
+    ChaosOptions opt = ChaosFromFlags(flags);
     opt.loss_rate = flags.GetDouble("loss", 0.05);
     int flap = static_cast<int>(flags.GetInt("flap-ms", 0));
     if (flap > 0) {
-      opt.flap_every = Duration::Millis(flags.GetInt("flap-every-ms", 2000));
       opt.flap_duration = Duration::Millis(flap);
     }
-    opt.disk_stall_rate = flags.GetDouble("disk-stall", 0.0);
-    opt.disconnect_every = Duration::Millis(flags.GetInt("disconnect-ms", 0));
-    opt.sinks = static_cast<int>(flags.GetInt("sinks", 0));
-    opt.duration = seconds;
-    opt.seed = seed;
-    opt.threshold = Duration::Millis(flags.GetInt("threshold-ms", 150));
     ChaosPoint r = RunChaosPoint(profile, opt, &obs);
     std::printf("chaos on %s (loss %.1f%%, flap %.0f ms): p50 %.2f ms, p99 %.2f ms, "
                 "availability %.3f\n",
@@ -1600,6 +1572,11 @@ int CmdTrace(FlagSet& flags) {
   std::unique_ptr<LatencyAttribution> attribution;
   bool server_experiment = experiment == "typing" || experiment == "paging" ||
                            experiment == "e2e" || experiment == "sizing";
+  OsProfile profile;
+  if (server_experiment &&
+      !ParseOs(flags.GetString("os", experiment == "paging" ? "linux" : "tse"), &profile)) {
+    return 2;
+  }
   if (server_experiment) {
     AttributionConfig attr_cfg;
     attr_cfg.tracer = &tracer;
@@ -1611,19 +1588,11 @@ int CmdTrace(FlagSet& flags) {
   Duration seconds = Duration::Seconds(flags.GetInt("seconds", 30));
   std::string report;
   if (experiment == "typing") {
-    OsProfile profile;
-    if (!ParseOs(flags.GetString("os", "tse"), &profile)) {
-      return 2;
-    }
     TypingUnderLoadResult r = RunTypingUnderLoad(
         profile, static_cast<int>(flags.GetInt("sinks", 2)), seconds, seed,
         static_cast<int>(flags.GetInt("cpus", 1)), &obs);
     report = ToJson(r);
   } else if (experiment == "paging") {
-    OsProfile profile;
-    if (!ParseOs(flags.GetString("os", "linux"), &profile)) {
-      return 2;
-    }
     EvictionPolicy policy = flags.GetBool("protect") ? EvictionPolicy::kInteractiveProtect
                                                      : EvictionPolicy::kGlobalLru;
     PagingLatencyResult r =
@@ -1631,22 +1600,13 @@ int CmdTrace(FlagSet& flags) {
                          static_cast<int>(flags.GetInt("runs", 3)), seed, policy, &obs);
     report = ToJson(r);
   } else if (experiment == "e2e") {
-    OsProfile profile;
-    if (!ParseOs(flags.GetString("os", "tse"), &profile)) {
+    EndToEndOptions opt;
+    if (!EndToEndFromFlags(flags, &opt)) {
       return 2;
     }
-    EndToEndOptions opt;
-    opt.sinks = static_cast<int>(flags.GetInt("sinks", 0));
-    opt.background_mbps = flags.GetDouble("background-mbps", 0.0);
-    opt.duration = seconds;
-    opt.seed = seed;
     EndToEndResult r = RunEndToEndLatency(profile, opt, &obs);
     report = ToJson(r);
   } else if (experiment == "sizing") {
-    OsProfile profile;
-    if (!ParseOs(flags.GetString("os", "tse"), &profile)) {
-      return 2;
-    }
     SizingPoint r = RunServerSizing(profile, static_cast<int>(flags.GetInt("users", 10)),
                                     seconds, seed, &obs);
     report = ToJson(r);
@@ -1840,5 +1800,10 @@ int Run(int argc, char** argv) {
 }  // namespace tcs
 
 int main(int argc, char** argv) {
-  return tcs::Run(argc, argv);
+  try {
+    return tcs::Run(argc, argv);
+  } catch (const tcs::ConfigError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 }
