@@ -155,6 +155,14 @@ std::unique_ptr<Animation> StartBackgroundMedia(Simulator& sim, Server& server,
   return media_stream;
 }
 
+// Paint records, background generators, and the drain are not serialized yet.
+void RequireNoClient(const Scenario& sc) {
+  if (sc.client) {
+    throw SnapshotError("driver.client",
+                        "runs with a client device attached do not snapshot");
+  }
+}
+
 }  // namespace
 
 const char* CheckpointSectionName(uint32_t tag) {
@@ -316,7 +324,9 @@ ConsolidationRun::ConsolidationRun(const OsProfile& profile,
       watchdog.SetStarvationSource([runtimes] {
         int starved = 0;
         for (const Impl::UserRuntime& rt : *runtimes) {
-          starved += rt.tap->stalls.updates() < 2 ? 1 : 0;
+          if (rt.tap->stalls.updates() < 2) {
+            ++starved;
+          }
         }
         return static_cast<double>(starved) / static_cast<double>(runtimes->size());
       });
@@ -326,7 +336,9 @@ ConsolidationRun::ConsolidationRun(const OsProfile& profile,
       watchdog.SetStarvationSource([paints, &sim, after = *sc.starve_after] {
         int starved = 0;
         for (const PaintRecord& p : *paints) {
-          starved += p.pending && sim.Now() - p.pending_since > after ? 1 : 0;
+          if (p.pending && sim.Now() - p.pending_since > after) {
+            ++starved;
+          }
         }
         return static_cast<double>(starved) / static_cast<double>(paints->size());
       });
@@ -361,18 +373,6 @@ int64_t ConsolidationRun::SloViolatedAtUs() const {
 }
 
 const ScenarioOutcome& ConsolidationRun::outcome() const { return impl_->outcome; }
-
-namespace {
-
-// Paint records, background generators, and the drain are not serialized yet.
-void RequireNoClient(const Scenario& sc) {
-  if (sc.client) {
-    throw SnapshotError("driver.client", "runs with a client device attached do not "
-                                         "snapshot");
-  }
-}
-
-}  // namespace
 
 std::vector<uint8_t> ConsolidationRun::Snapshot() const {
   const Impl& im = *impl_;

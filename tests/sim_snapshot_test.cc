@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/core/checkpoint.h"
+#include "src/core/scenario.h"
 #include "src/obs/slo.h"
 #include "src/session/os_profile.h"
 #include "src/session/server.h"
@@ -295,6 +296,14 @@ TEST(SnapshotRoundTrip, TopologyMismatchFailsLoudly) {
     ObsConfig obs;
     obs.slo = &spec;  // snapshot has no watchdog section
     ConsolidationRun target(OsProfile::Tse(), options, &obs);
+    EXPECT_THROW(target.Restore(blob), SnapshotError);
+  }
+  {
+    // Paint records are not serialized: a run with a client device refuses both ways.
+    Scenario scenario;
+    scenario.client = ThinClientConfig::DesktopPc();
+    ConsolidationRun target(OsProfile::Tse(), options, scenario, nullptr);
+    EXPECT_THROW(target.Snapshot(), SnapshotError);
     EXPECT_THROW(target.Restore(blob), SnapshotError);
   }
 }

@@ -25,7 +25,7 @@
 //            both answers side by side and flags configurations where utilization
 //            sizing over-admits. Output is byte-identical for any --jobs value.
 //   e2e      --os=... [--sinks=N --background-mbps=X --client=pc|winterm|handheld
-//            --seconds=N --seed=N]
+//            --loss=X --seconds=N --seed=N]
 //   sweep    --experiment=typing|sizing|e2e [--os=tse,linux,... --sinks=L --users=L
 //            --seconds=N --jobs=N --seed=N]              parallel config-matrix sweep
 //   chaos    --os=... [--loss=0,0.01,0.05 --flap-ms=0,50 --flap-every-ms=2000
