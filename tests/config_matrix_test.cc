@@ -66,13 +66,18 @@ struct OsCase {
   OsProfile (*make)();
 };
 
+// gtest would otherwise print the case as raw bytes, pointers included, so the
+// listed test names would change with every process's load address. With the
+// default numeric suffix, ctest's discovery then names each case by profile
+// (".../tse").
+void PrintTo(const OsCase& c, std::ostream* os) { *os << c.name; }
+
 class OsMatrix : public ::testing::TestWithParam<OsCase> {};
 INSTANTIATE_TEST_SUITE_P(
     AllProfiles, OsMatrix,
     ::testing::Values(OsCase{"tse", &OsProfile::Tse}, OsCase{"linux", &OsProfile::LinuxX},
                       OsCase{"ntws", &OsProfile::NtWorkstation},
-                      OsCase{"svr4", &OsProfile::LinuxSvr4}),
-    [](const ::testing::TestParamInfo<OsCase>& info) { return info.param.name; });
+                      OsCase{"svr4", &OsProfile::LinuxSvr4}));
 
 TEST_P(OsMatrix, ProfileIsWellFormed) {
   OsProfile p = GetParam().make();
