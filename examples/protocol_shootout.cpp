@@ -5,11 +5,8 @@
 #include <cstdio>
 #include <memory>
 
-#include "src/proto/lbx_protocol.h"
-#include "src/proto/slim_protocol.h"
+#include "src/proto/protocol_factory.h"
 #include "src/proto/vnc_protocol.h"
-#include "src/proto/rdp_protocol.h"
-#include "src/proto/x_protocol.h"
 #include "src/session/os_profile.h"  // ProtocolKind
 #include "src/util/table.h"
 #include "src/workload/animation.h"
@@ -33,27 +30,8 @@ ShootoutResult RunOne(tcs::ProtocolKind kind) {
   MessageSender input(link, HeaderModel::TcpIp());
   ProtoTap tap(Duration::Seconds(1));
 
-  std::unique_ptr<DisplayProtocol> protocol;
-  switch (kind) {
-    case ProtocolKind::kRdp:
-      protocol = std::make_unique<RdpProtocol>(sim, display, input, &tap, Rng(11));
-      break;
-    case ProtocolKind::kX:
-      protocol = std::make_unique<XProtocol>(sim, display, input, &tap, Rng(11));
-      break;
-    case ProtocolKind::kLbx:
-      protocol = std::make_unique<LbxProtocol>(sim, display, input, &tap, Rng(11));
-      break;
-    case ProtocolKind::kSlim:
-      protocol = std::make_unique<SlimProtocol>(sim, display, input, &tap, Rng(11));
-      break;
-    case ProtocolKind::kVnc: {
-      auto vnc = std::make_unique<VncProtocol>(sim, display, input, &tap, Rng(11));
-      vnc->StartClientPull();
-      protocol = std::move(vnc);
-      break;
-    }
-  }
+  std::unique_ptr<DisplayProtocol> protocol =
+      MakeProtocol(kind, sim, display, input, &tap, Rng(11));
 
   // The custom workload: a spreadsheet-like editing session with a stock ticker in the
   // corner — the "modern user interface" trend the paper worries about.

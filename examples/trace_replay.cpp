@@ -15,40 +15,12 @@
 #include <sstream>
 
 #include "src/client/thin_client.h"
-#include "src/proto/lbx_protocol.h"
-#include "src/proto/rdp_protocol.h"
-#include "src/proto/slim_protocol.h"
+#include "src/proto/protocol_factory.h"
 #include "src/proto/vnc_protocol.h"
-#include "src/proto/x_protocol.h"
 #include "src/util/table.h"
 #include "src/workload/script_io.h"
 
 namespace {
-
-std::unique_ptr<tcs::DisplayProtocol> MakeProtocol(tcs::ProtocolKind kind,
-                                                   tcs::Simulator& sim, tcs::Link& link,
-                                                   tcs::MessageSender& display,
-                                                   tcs::MessageSender& input,
-                                                   tcs::ProtoTap* tap) {
-  using namespace tcs;
-  (void)link;
-  switch (kind) {
-    case ProtocolKind::kRdp:
-      return std::make_unique<RdpProtocol>(sim, display, input, tap, Rng(3));
-    case ProtocolKind::kX:
-      return std::make_unique<XProtocol>(sim, display, input, tap, Rng(3));
-    case ProtocolKind::kLbx:
-      return std::make_unique<LbxProtocol>(sim, display, input, tap, Rng(3));
-    case ProtocolKind::kSlim:
-      return std::make_unique<SlimProtocol>(sim, display, input, tap, Rng(3));
-    case ProtocolKind::kVnc: {
-      auto vnc = std::make_unique<VncProtocol>(sim, display, input, tap, Rng(3));
-      vnc->StartClientPull();
-      return vnc;
-    }
-  }
-  return nullptr;
-}
 
 bool ParseKind(const char* word, tcs::ProtocolKind* kind) {
   using namespace tcs;
@@ -76,7 +48,7 @@ void ReplayOver(const tcs::AppScript& script, tcs::ProtocolKind kind,
   MessageSender display(link, HeaderModel::TcpIp());
   MessageSender input(link, HeaderModel::TcpIp());
   ProtoTap tap(Duration::Seconds(1));
-  auto protocol = MakeProtocol(kind, sim, link, display, input, &tap);
+  auto protocol = MakeProtocol(kind, sim, display, input, &tap, Rng(3));
   script.Replay(sim, *protocol);
   sim.RunUntil(TimePoint::Zero() + script.TotalDuration());
   if (auto* vnc = dynamic_cast<VncProtocol*>(protocol.get())) {

@@ -17,11 +17,7 @@
 #include "src/metrics/latency.h"
 #include "src/net/ping.h"
 #include "src/net/traffic_gen.h"
-#include "src/proto/lbx_protocol.h"
-#include "src/proto/slim_protocol.h"
-#include "src/proto/vnc_protocol.h"
-#include "src/proto/rdp_protocol.h"
-#include "src/proto/x_protocol.h"
+#include "src/proto/protocol_factory.h"
 #include "src/session/server.h"
 #include "src/util/config_error.h"
 #include "src/util/stats.h"
@@ -39,38 +35,12 @@ using namespace run_support;  // WallClock, FinishRun, ApplyObs, SamplerScope, .
 // A protocol-only harness: link, channel senders, tap, and one protocol instance.
 // Experiments that exercise only the network resource use this instead of a full Server.
 struct ProtocolHarness {
-  ProtocolHarness(ProtocolKind kind, uint64_t seed, Duration tap_bucket,
-                  CachePolicy cache_policy = CachePolicy::kLru,
-                  LinkConfig link_config = {})
-      : link(sim, link_config),
+  ProtocolHarness(ProtocolKind kind, uint64_t seed, Duration tap_bucket, RdpConfig rdp = {})
+      : link(sim),
         display(link, HeaderModel::TcpIp()),
         input(link, HeaderModel::TcpIp()),
-        tap(tap_bucket) {
-    Rng rng(seed);
-    switch (kind) {
-      case ProtocolKind::kRdp: {
-        RdpConfig cfg;
-        cfg.cache.policy = cache_policy;
-        protocol = std::make_unique<RdpProtocol>(sim, display, input, &tap, rng, cfg);
-        break;
-      }
-      case ProtocolKind::kX:
-        protocol = std::make_unique<XProtocol>(sim, display, input, &tap, rng);
-        break;
-      case ProtocolKind::kLbx:
-        protocol = std::make_unique<LbxProtocol>(sim, display, input, &tap, rng);
-        break;
-      case ProtocolKind::kSlim:
-        protocol = std::make_unique<SlimProtocol>(sim, display, input, &tap, rng);
-        break;
-      case ProtocolKind::kVnc: {
-        auto vnc = std::make_unique<VncProtocol>(sim, display, input, &tap, rng);
-        vnc->StartClientPull();
-        protocol = std::move(vnc);
-        break;
-      }
-    }
-  }
+        tap(tap_bucket),
+        protocol(MakeProtocol(kind, sim, display, input, &tap, Rng(seed), rdp)) {}
 
   const BitmapCache* cache() const {
     auto* rdp = dynamic_cast<const RdpProtocol*>(protocol.get());
@@ -394,7 +364,8 @@ AnimationLoadResult RunWebPageLoad(ProtocolKind kind, bool banner, bool marquee,
 AnimationLoadResult RunGifAnimation(ProtocolKind kind, const GifAnimationOptions& options,
                                     const ObsConfig* obs) {
   WallClock::time_point t0 = WallClock::now();
-  ProtocolHarness harness(kind, options.seed, options.bucket, options.cache_policy);
+  ProtocolHarness harness(kind, options.seed, options.bucket,
+                          {.cache = {.policy = options.cache_policy}});
   harness.ApplyObs(obs);
   AttachSimHook(harness.sim, obs);
   SamplerScope sampler(harness.sim, obs);

@@ -8,11 +8,7 @@
 
 #include "src/obs/flight_recorder.h"
 #include "src/util/config_error.h"
-#include "src/proto/lbx_protocol.h"
-#include "src/proto/slim_protocol.h"
-#include "src/proto/vnc_protocol.h"
-#include "src/proto/rdp_protocol.h"
-#include "src/proto/x_protocol.h"
+#include "src/proto/protocol_factory.h"
 #include "src/workload/sink.h"
 
 namespace tcs {
@@ -37,27 +33,6 @@ PagerConfig MakePagerConfig(const OsProfile& profile, const ServerConfig& cfg) {
   pc.policy = cfg.eviction;
   pc.throttle_delay = cfg.pager_throttle;
   return pc;
-}
-
-std::unique_ptr<DisplayProtocol> MakeProtocol(ProtocolKind kind, Simulator& sim,
-                                              MessageSender& display, MessageSender& input,
-                                              ProtoTap* tap, Rng rng) {
-  switch (kind) {
-    case ProtocolKind::kRdp:
-      return std::make_unique<RdpProtocol>(sim, display, input, tap, rng);
-    case ProtocolKind::kX:
-      return std::make_unique<XProtocol>(sim, display, input, tap, rng);
-    case ProtocolKind::kLbx:
-      return std::make_unique<LbxProtocol>(sim, display, input, tap, rng);
-    case ProtocolKind::kSlim:
-      return std::make_unique<SlimProtocol>(sim, display, input, tap, rng);
-    case ProtocolKind::kVnc: {
-      auto vnc = std::make_unique<VncProtocol>(sim, display, input, tap, rng);
-      vnc->StartClientPull();
-      return vnc;
-    }
-  }
-  return nullptr;
 }
 
 FrameTransport& PickTransport(std::unique_ptr<ReliableChannel>& reliable, Link& link) {

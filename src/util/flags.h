@@ -1,8 +1,8 @@
 // Minimal typed command-line flag parser for the tools and harnesses.
 //
 // Supports `--name=value`, `--name value`, bare boolean `--name`, and positional
-// arguments. Unknown flags are errors (surfaced via error()); typed getters validate and
-// report, so a tool can parse everything and then check error() once.
+// arguments. A tool reads what it uses through the getters below and then calls Check()
+// once: the flags it accepts are exactly the ones some getter asked for.
 
 #ifndef TCS_SRC_UTIL_FLAGS_H_
 #define TCS_SRC_UTIL_FLAGS_H_
@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -17,17 +18,14 @@ namespace tcs {
 
 class FlagSet {
  public:
-  // Parses argv[1..). `known` lists every accepted flag name (without the leading
-  // dashes); anything else is an error.
-  FlagSet(int argc, const char* const* argv, std::vector<std::string> known);
+  // Parses argv[1..).
+  FlagSet(int argc, const char* const* argv);
 
   bool ok() const { return error_.empty(); }
   const std::string& error() const { return error_; }
 
   // Positional (non-flag) arguments, in order.
   const std::vector<std::string>& positional() const { return positional_; }
-
-  bool Has(const std::string& name) const { return values_.contains(name); }
 
   // Typed getters: return `fallback` when the flag is absent; set error() when present
   // but malformed.
@@ -37,10 +35,14 @@ class FlagSet {
   // A bare `--name` or `--name=true|false`.
   bool GetBool(const std::string& name, bool fallback = false);
 
- private:
-  void SetError(const std::string& message);
+  // Records a value the caller cannot use; error() keeps the first error recorded.
+  void Fail(const std::string& message);
+  // After every read: false on any error so far and on a flag that no getter asked for.
+  bool Check();
 
+ private:
   std::map<std::string, std::string> values_;
+  std::set<std::string> read_;
   std::vector<std::string> positional_;
   std::string error_;
 };

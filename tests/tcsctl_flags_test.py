@@ -1,18 +1,24 @@
 #!/usr/bin/env python3
-"""The single-run tcsctl commands honor --seconds and --seed.
+"""tcsctl takes exactly the flags each command reads, and only well-formed values.
 
 Usage: tcsctl_flags_test.py PATH_TO_TCSCTL
 
-e2e, sizing, typing and paging used to accept both flags through the global flag list
-and then run their fixed defaults (30 s or 60 s, seed 1). Each check below pairs a
+Accepted: e2e, sizing, typing and paging honor --seconds and --seed. Each check pairs a
 default run with a flagged one whose output must differ; the configurations are ones
-whose model actually draws on the seed (Poisson background load, a saturated TSE,
-the paging hog's demand margin).
+whose model actually draws on the seed (Poisson background load, a saturated TSE, the
+paging hog's demand margin).
+
+Rejected: a flag the command does not read, or a value it cannot parse, exits 2 before
+anything runs, with nothing on stdout and the offending flag named on stderr. Every
+command has a case, and trace, postmortem and sweep are checked per experiment: a flag
+counts as read only where the run uses it.
 """
 
+import os
 import re
 import subprocess
 import sys
+import tempfile
 
 
 def run(*args, expect_rc=0):
@@ -20,7 +26,11 @@ def run(*args, expect_rc=0):
     if proc.returncode != expect_rc:
         sys.exit(f"tcsctl {' '.join(args)} exited {proc.returncode}, expected {expect_rc}"
                  f"\n{proc.stderr}")
-    return proc.stdout
+    return proc
+
+
+def stdout(*args):
+    return run(*args).stdout
 
 
 def updates(output):
@@ -35,29 +45,88 @@ def differ(what, a, b):
         sys.exit(f"{what}: both runs printed {a!r}")
 
 
+def rejected(*args, names):
+    proc = run(*args, expect_rc=2)
+    if proc.stdout:
+        sys.exit(f"tcsctl {' '.join(args)} printed {proc.stdout!r} before refusing")
+    for name in names:
+        if name not in proc.stderr:
+            sys.exit(f"tcsctl {' '.join(args)}: stderr does not name {name}: "
+                     f"{proc.stderr!r}")
+
+
 TCSCTL = sys.argv[1]
 
 # --seconds: 3 s of 20 Hz typing is ~60 updates, the 30 s default ~600.
-if updates(run("e2e", "--os=tse", "--seconds=3")) >= 100:
+if updates(stdout("e2e", "--os=tse", "--seconds=3")) >= 100:
     sys.exit("e2e ignored --seconds")
-if updates(run("typing", "--os=tse", "--sinks=0", "--seconds=3")) >= 100:
+if updates(stdout("typing", "--os=tse", "--sinks=0", "--seconds=3")) >= 100:
     sys.exit("typing ignored --seconds")
-differ("sizing --seconds", run("sizing", "--os=tse", "--users=4", "--seconds=3"),
-       run("sizing", "--os=tse", "--users=4", "--seconds=6"))
+differ("sizing --seconds", stdout("sizing", "--os=tse", "--users=4", "--seconds=3"),
+       stdout("sizing", "--os=tse", "--users=4", "--seconds=6"))
 
 # --seed.
 e2e = ("e2e", "--os=tse", "--background-mbps=4", "--seconds=3")
-differ("e2e --seed", run(*e2e, "--seed=1"), run(*e2e, "--seed=9"))
+differ("e2e --seed", stdout(*e2e, "--seed=1"), stdout(*e2e, "--seed=9"))
 sizing = ("sizing", "--os=tse", "--users=12", "--seconds=3")
-differ("sizing --seed", run(*sizing, "--seed=1"), run(*sizing, "--seed=9"))
+differ("sizing --seed", stdout(*sizing, "--seed=1"), stdout(*sizing, "--seed=9"))
 paging = ("paging", "--os=linux", "--runs=2")
-differ("paging --seed", run(*paging, "--seed=1"), run(*paging, "--seed=9"))
+differ("paging --seed", stdout(*paging, "--seed=1"), stdout(*paging, "--seed=9"))
 # The typing model draws nothing from its seed at these settings; check it is accepted
 # and that the default stays seed 1.
 typing = ("typing", "--os=tse", "--sinks=2", "--seconds=3")
-if run(*typing, "--seed=1") != run(*typing):
+if stdout(*typing, "--seed=1") != stdout(*typing):
     sys.exit("typing's default seed is no longer 1")
 
-# paging has no duration to set: the flag is refused instead of silently ignored.
-run("paging", "--os=linux", "--runs=1", "--seconds=5", expect_rc=2)
-print("single-run commands honor --seconds and --seed")
+# Malformed values fail instead of falling back to the default.
+rejected("typing", "--os=tse", "--sinks=abc", "--seconds=2", names=["--sinks"])
+rejected("rtt", "--mbps=fast", names=["--mbps"])
+rejected("idle", "--csv=maybe", names=["--csv"])
+rejected("typing", "--os=beos", names=["--os"])
+rejected("sweep", "--sinks=0,five", names=["--sinks"])
+
+# For every command, a flag it does not read (most are flags other commands take).
+with tempfile.TemporaryDirectory() as tmp:
+    trace_file = os.path.join(tmp, "session.trace")
+    with open(trace_file, "w") as f:
+        f.write("script demo\nstep 10\nkey press 30\nkey release 30\n")
+    stdout("replay", trace_file)  # the file itself is fine
+    rejected("replay", trace_file, "--seed=3", names=["--seed"])
+
+rejected("idle", "--sinks=2", names=["--sinks"])
+# Three flags typing does not read; the message names the first in name order.
+rejected("typing", "--os=tse", "--profile=satellite", "--loss=0.5", "--degrade=1",
+         names=["--degrade"])
+rejected("paging", "--os=linux", "--runs=1", "--seconds=5", names=["--seconds"])
+rejected("traffic", "--seed=2", names=["--seed"])
+rejected("webpage", "--protocol=x", names=["--protocol"])
+rejected("gif", "--seed=2", names=["--seed"])
+rejected("rtt", "--os=tse", names=["--os"])
+rejected("sizing", "--sinks=2", names=["--sinks"])
+rejected("e2e", "--csv", names=["--csv"])
+rejected("capacity", "--users=4", names=["--users"])
+rejected("chaos", "--users=3", names=["--users"])
+rejected("wan", "--sinks=2", names=["--sinks"])
+rejected("whatif", "--slo-p99-ms=50", names=["--slo-p99-ms"])
+rejected("blame", "--slo-p99-ms=50", names=["--slo-p99-ms"])
+rejected("paper", "table_paging", "--os=tse", names=["--os"])
+rejected("help", "--os=tse", names=["--os"])
+
+# Per experiment: sweep, trace and postmortem accept only what that experiment reads.
+rejected("sweep", "--experiment=sizing", "--sinks=5", names=["--sinks"])
+rejected("sweep", "--experiment=typing", "--users=5", names=["--users"])
+rejected("sweep", "--experiment=sizing", "--slo-p99-ms=5", names=["--slo-p99-ms"])
+rejected("trace", "typing", "--protect", names=["--protect"])
+rejected("trace", "paging", "--seconds=5", names=["--seconds"])
+rejected("trace", "gif", "--sinks=2", names=["--sinks"])
+rejected("postmortem", "typing", "--rewind-ms=5", names=["--rewind-ms"])
+rejected("postmortem", "chaos", "--users=3", names=["--users"])
+# A postmortem prints no perception-threshold figures, so --threshold-ms changes nothing.
+rejected("postmortem", "chaos", "--threshold-ms=5", names=["--threshold-ms"])
+rejected("postmortem", "consolidation", "--checkpoint-every-ms=100",
+         names=["--checkpoint-every-ms"])
+
+# Unknown names.
+rejected("paper", "nope", names=["'nope'", "table_paging"])
+rejected("bogus", names=["'bogus'"])
+print("tcsctl honors the flags each command reads and refuses the rest")

@@ -2,7 +2,7 @@
 # Re-bless (or verify) the golden corpus: the report JSON in tests/golden/ and the
 # paper artifacts' stdout in tests/golden/paper/.
 #
-# Default mode builds golden_report_test and the paper artifacts and reruns both with
+# Default mode builds golden_report_test and tcsctl and reruns the corpus tests with
 # TCS_REGEN_GOLDEN=1, which makes each case rewrite its golden file instead of comparing
 # against it. Run this after an intentional change to simulation behavior or report
 # formatting, then review the diff under tests/golden/ before committing.
@@ -24,7 +24,7 @@ fi
 
 BUILD_DIR="${BUILD_DIR:-build}"
 cmake -B "$BUILD_DIR" -S . >/dev/null
-cmake --build "$BUILD_DIR" -j >/dev/null
+cmake --build "$BUILD_DIR" --target golden_report_test tcsctl -j >/dev/null
 
 mkdir -p tests/golden
 # This also runs the GoldenReportGuard tests, which have no regen path: the
@@ -33,13 +33,14 @@ mkdir -p tests/golden
 # both a plain regen and --check. There is deliberately nothing to re-bless for it.
 TCS_REGEN_GOLDEN=1 "$BUILD_DIR/tests/golden_report_test"
 TCS_REGEN_GOLDEN=1 ctest --test-dir "$BUILD_DIR" -R '^paper_' -j "$(nproc)" --output-on-failure
+goldens=(tests/golden/*.json tests/golden/paper/*.txt)
 
 if [[ "$CHECK" == 1 ]]; then
   # Compare each regenerated file against HEAD with wall_ms zeroed on both sides
   # (same normalization golden_report_test applies): wall time is nondeterministic
   # by contract and must not fail the check.
   drifted=0
-  for f in tests/golden/*.json tests/golden/paper/*.txt; do
+  for f in "${goldens[@]}"; do
     if ! diff -u \
         <(git show "HEAD:$f" | sed -E 's/"wall_ms":[-+0-9.eE]+/"wall_ms":0/g') \
         <(sed -E 's/"wall_ms":[-+0-9.eE]+/"wall_ms":0/g' "$f") \
@@ -54,8 +55,8 @@ if [[ "$CHECK" == 1 ]]; then
     echo "If the change is intentional, commit the regenerated files." >&2
     exit 1
   fi
-  echo "golden corpus is in sync ($(ls tests/golden/*.json tests/golden/paper/*.txt | wc -l) files)."
+  echo "golden corpus is in sync (${#goldens[@]} files)."
 else
-  echo "Regenerated $(ls tests/golden/*.json tests/golden/paper/*.txt | wc -l) golden files:"
+  echo "Regenerated ${#goldens[@]} golden files:"
   git -c core.pager=cat diff --stat -- tests/golden || true
 fi
