@@ -11,7 +11,6 @@
 #include "src/cpu/cpu.h"
 #include "src/cpu/nt_scheduler.h"
 #include "src/obs/attribution.h"
-#include "src/obs/critical_path.h"
 #include "src/obs/trace.h"
 #include "src/proto/bitmap_cache.h"
 #include "src/session/server.h"
@@ -272,40 +271,6 @@ void BM_FlightRecorderOverhead(benchmark::State& state) {
                          benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_FlightRecorderOverhead)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-// Critical-path extraction cost per committed interaction: Build() + longest-path
-// extraction over the record corpus of one attributed, client-attached loaded-server
-// second (graph assembly, tiling asserts, topological relaxation). The corpus is built
-// once outside the timed loop; the loop prices the profiler itself, which runs
-// per-record in RunWhatIf's prediction arm and in tcsctl's graph dumps.
-void BM_CriticalPathExtraction(benchmark::State& state) {
-  Simulator sim;
-  AttributionConfig attr_cfg;
-  attr_cfg.keep_records = true;
-  LatencyAttribution attribution(attr_cfg);
-  ServerConfig cfg;
-  cfg.attribution = &attribution;
-  Server server(sim, OsProfile::Tse(), cfg);
-  server.StartDaemons();
-  server.AttachClient(ThinClientConfig::DesktopPc());
-  Session& session = server.Login();
-  server.StartSinks(10);
-  Typist typist(sim, [&] { server.Keystroke(session); });
-  typist.Start();
-  sim.RunUntil(TimePoint::Zero() + Duration::Seconds(1));
-  const auto& records = attribution.records();
-  for (auto _ : state) {
-    int64_t sum = 0;
-    for (const InteractionRecord& rec : records) {
-      CriticalPathGraph g = CriticalPathGraph::Build(rec);
-      sum += CriticalPathGraph::SegmentSumUs(g.ExtractCriticalPath());
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(records.size()));
-}
-BENCHMARK(BM_CriticalPathExtraction);
 
 // Capacity bisection, cold vs checkpointed. Every bisection probe replays the same
 // staggered-login prefix (the 1 s start_delay before the first keystroke); the

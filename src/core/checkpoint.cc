@@ -105,18 +105,23 @@ void ApplyVirtualHardware(ServerConfig& cfg, const Scenario& sc) {
   }
 }
 
-void OnPaint(PaintRecord& p, const KeystrokeLatency& lat, const Scenario& sc) {
-  p.input_ms.Add(lat.input_net.ToMillisF());
-  p.server_ms.Add(lat.server.ToMillisF());
-  p.display_ms.Add(lat.display_net.ToMillisF());
-  p.client_ms.Add(lat.client.ToMillisF());
-  p.latency.Record(lat.total());
-  if (lat.total() > sc.threshold) {
+void OnPaint(PaintRecord& p, const InteractionRecord& rec, const Scenario& sc) {
+  auto leg_ms = [](int64_t from_us, int64_t to_us) {
+    return Duration::Micros(to_us - from_us).ToMillisF();
+  };
+  p.input_ms.Add(leg_ms(rec.sent_us, rec.arrived_us));
+  p.server_ms.Add(leg_ms(rec.arrived_us, rec.emitted_us));
+  p.display_ms.Add(leg_ms(rec.emitted_us, rec.delivered_us));
+  p.client_ms.Add(leg_ms(rec.delivered_us, rec.painted_us));
+  const Duration total = Duration::Micros(rec.total_us());
+  p.latency.Record(total);
+  if (total > sc.threshold) {
     ++p.perceptible;
   }
   if (sc.starve_after) {
-    TimePoint painted = lat.keystroke_at + lat.total();
-    TimePoint from = std::max(lat.keystroke_at + *sc.starve_after, p.counted_through);
+    TimePoint sent = TimePoint::FromMicros(rec.sent_us);
+    TimePoint painted = TimePoint::FromMicros(rec.painted_us);
+    TimePoint from = std::max(sent + *sc.starve_after, p.counted_through);
     if (painted > from) {
       p.starved += painted - from;
     }
@@ -264,7 +269,7 @@ ConsolidationRun::ConsolidationRun(const OsProfile& profile,
       paint->counted_through = TimePoint::Zero() + options.start_delay;
       rt.latency = &paint->latency;
       s->set_on_frame_painted(
-          [paint, &sc](const KeystrokeLatency& lat) { OnPaint(*paint, lat, sc); });
+          [paint, &sc](const InteractionRecord& rec) { OnPaint(*paint, rec, sc); });
       if (sc.starve_after) {
         keystroke = [&server, &sim, s, paint] {
           if (!paint->pending) {

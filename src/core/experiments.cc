@@ -726,8 +726,8 @@ WhatIfResult RunWhatIf(const OsProfile& profile, const WhatIfOptions& options,
   result.rtt_delta_us = options.adjust.rtt_delta_us;
 
   // Baseline arm: the caller's observability plus a record-retaining attribution engine —
-  // the critical-path model needs every InteractionRecord, and the report's blame table
-  // the display-net decomposition sub-stages.
+  // the prediction needs every InteractionRecord, and the report's blame table the
+  // display-net decomposition sub-stages.
   ObsConfig baseline_obs = obs != nullptr ? *obs : ObsConfig{};
   AttributionConfig attr_cfg;
   attr_cfg.tracer = baseline_obs.tracer;
@@ -738,18 +738,15 @@ WhatIfResult RunWhatIf(const OsProfile& profile, const WhatIfOptions& options,
   baseline_obs.attribution = &attribution;
   result.baseline = RunWanPoint(profile, options.wan, &baseline_obs);
 
-  // Predicted arm: replay every baseline record's critical path under the virtual
-  // speedup. Building the graph re-checks the tentpole invariant (segment sum equals
-  // end-to-end) on the way; the p99 estimator is the attribution engine's nearest-rank,
-  // so predicted and achieved percentiles are directly comparable.
+  // Predicted arm: rescale every baseline record's stages under the virtual speedup. The
+  // p99 estimator is the attribution engine's nearest-rank, so predicted and achieved
+  // percentiles are directly comparable.
   PercentileSketch<int64_t> predicted;
   for (const InteractionRecord& rec : attribution.records()) {
-    CriticalPathGraph graph = CriticalPathGraph::Build(rec);
-    if (CriticalPathGraph::SegmentSumUs(graph.ExtractCriticalPath()) != rec.total_us()) {
-      ++result.critical_path_mismatches;
-    }
     predicted.Add(PredictAdjustedTotalUs(rec, options.adjust));
   }
+  result.critical_path_mismatches =
+      attribution.accounting_mismatches() + attribution.net_mismatches();
   result.interactions = static_cast<int64_t>(attribution.records().size());
   result.baseline_p99_us = result.baseline.blame.p99_total_us;
   result.predicted_p99_us = predicted.empty() ? 0 : predicted.NearestRank(0.99);

@@ -16,7 +16,7 @@
 #include "src/cpu/idle_profiler.h"
 #include "src/fault/fault_plan.h"
 #include "src/mem/pager.h"
-#include "src/obs/critical_path.h"
+#include "src/obs/attribution.h"
 #include "src/obs/metrics.h"
 #include "src/obs/slo.h"
 #include "src/proto/bitmap_cache.h"
@@ -414,12 +414,12 @@ WanPoint RunWanPoint(const OsProfile& profile, const WanOptions& options,
 // "Would a faster link actually help?" One what-if cell runs a WAN point twice: a
 // baseline with per-interaction records retained, and an *achieved* arm re-simulated
 // with one component virtually sped up (link rate x k, CPU x k, disk x k, or RTT - d).
-// The baseline records also feed the critical-path profiler's PredictAdjustedTotalUs,
-// which rescales each interaction's affected critical-path segments in isolation. The
-// report pairs the *predicted* p99 delta against the *achieved* one — the gap between
-// them is exactly the second-order effects (queue drain, fewer RTOs, different
-// batching) the analytical model cannot see. Both arms are deterministic, so every
-// field except run.wall_ms is byte-identical across reruns and sweep worker counts.
+// The baseline records also feed PredictAdjustedTotalUs (src/obs/attribution.h), which
+// rescales each interaction's affected stages in isolation. The report pairs the
+// *predicted* p99 delta against the *achieved* one — the gap between them is exactly
+// the second-order effects (queue drain, fewer RTOs, different batching) the analytical
+// model cannot see. Both arms are deterministic, so every field except run.wall_ms is
+// byte-identical across reruns and sweep worker counts.
 
 struct WhatIfOptions {
   WanOptions wan;           // the baseline cell (profile, users, duration, seed)
@@ -435,12 +435,12 @@ struct WhatIfResult {
   int64_t interactions = 0;          // committed baseline interactions
   // Nearest-rank p99 end-to-end micros (same estimator as AttributionResult).
   int64_t baseline_p99_us = 0;
-  int64_t predicted_p99_us = 0;      // critical-path model over baseline records
+  int64_t predicted_p99_us = 0;      // stage rescaling over baseline records
   int64_t achieved_p99_us = 0;       // re-simulated with the adjustment applied
   int64_t predicted_delta_us = 0;    // baseline - predicted (positive = improvement)
   int64_t achieved_delta_us = 0;     // baseline - achieved
-  // Baseline records whose critical-path segment sum failed to equal the end-to-end
-  // latency (the tentpole invariant; always 0).
+  // Baseline records whose stages do not tile [sent, painted]: the engine's accounting
+  // plus network mismatches (a stage sum off the total, or a negative stage; always 0).
   int64_t critical_path_mismatches = 0;
   WanPoint baseline;                 // baseline cell, blame includes net decomposition
   WanPoint adjusted;                 // the achieved arm

@@ -25,8 +25,9 @@ std::string ToJson(const PagingLatencyResult& r);
 std::string ToJson(const EndToEndResult& r);
 std::string ToJson(const ChaosPoint& r);
 std::string ToJson(const WanPoint& r);
-// The what-if report: the `whatif` block pairs the critical-path-predicted p99 delta
-// with the re-simulated (achieved) one, followed by both arms' full WanPoint reports.
+// The what-if report: the `whatif` block pairs the predicted p99 delta (the baseline
+// records' stages rescaled) with the re-simulated (achieved) one, followed by both arms'
+// full WanPoint reports.
 std::string ToJson(const WhatIfResult& r);
 // Just the `whatif` block (no arms, no RunStats): fully deterministic, so sweep drivers
 // can assemble reports that cmp(1) clean across reruns and worker counts.

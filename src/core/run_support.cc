@@ -36,8 +36,8 @@ std::unique_ptr<PeriodicSampler> StartSampler(Simulator& sim, const ObsConfig* o
   if (obs == nullptr || obs->metrics == nullptr) {
     return nullptr;
   }
-  auto sampler = std::make_unique<PeriodicSampler>(sim, *obs->metrics,
-                                                   obs->sample_period, obs->tracer);
+  auto sampler =
+      std::make_unique<PeriodicSampler>(sim, *obs->metrics, kSamplePeriod, obs->tracer);
   sampler->Start();
   return sampler;
 }

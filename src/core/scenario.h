@@ -45,7 +45,8 @@ struct Scenario {
 
 // One user's painted keystrokes (client runs only).
 struct PaintRecord {
-  // Mean legs of the keystroke's latency, milliseconds (KeystrokeLatency).
+  // Mean legs of the keystroke's latency, milliseconds: sent -> arrived -> emitted ->
+  // delivered -> painted on its InteractionRecord.
   RunningStats input_ms;
   RunningStats server_ms;
   RunningStats display_ms;

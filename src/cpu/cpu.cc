@@ -165,7 +165,7 @@ void Cpu::AccountSegment(Processor& proc, TimePoint end) {
                     proc.segment_switch_cost.ToMicros());
     }
     if (recorder_ != nullptr) {
-      recorder_->Span(FlightComponent::kCpu, "seg", proc.segment_start, end, 0,
+      recorder_->Span(TraceCategory::kCpu, "seg", proc.segment_start, end, 0,
                       static_cast<int64_t>(t.id()), t.sched_priority);
     }
   }
@@ -182,7 +182,7 @@ void Cpu::Preempt(Processor& proc) {
                      static_cast<int64_t>(t.id()));
   }
   if (recorder_ != nullptr) {
-    recorder_->Instant(FlightComponent::kSched, "preempt", sim_.Now(), 0,
+    recorder_->Instant(TraceCategory::kSched, "preempt", sim_.Now(), 0,
                        static_cast<int64_t>(t.id()));
   }
   proc.running = nullptr;

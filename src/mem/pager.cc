@@ -168,7 +168,7 @@ void Pager::CompleteOp(uint64_t id) {
                     sim_.Now(), "pages", op.count, "io_pages", op.io_pages);
     }
     if (recorder_ != nullptr) {
-      recorder_->Span(FlightComponent::kMem, "page-in", op.access_start, sim_.Now(), 0,
+      recorder_->Span(TraceCategory::kMem, "page-in", op.access_start, sim_.Now(), 0,
                       op.count, op.io_pages);
     }
   }
@@ -331,7 +331,7 @@ void Pager::Access(AddressSpace& as, uint64_t vpn, bool write, InlineCallback do
     // Flight records are batched per access, not per page: the Tracer keeps the
     // per-fault instants, the always-on ring carries one "faults" record per faulting
     // access (count + address space) so steady-state fault storms don't dominate it.
-    recorder_->Instant(FlightComponent::kMem, "faults", sim_.Now(), 0, 1,
+    recorder_->Instant(TraceCategory::kMem, "faults", sim_.Now(), 0, 1,
                        static_cast<int64_t>(as.id()));
   }
   if (!faulted) {
@@ -426,7 +426,7 @@ void Pager::AccessRange(AddressSpace& as, uint64_t first, size_t count, bool wri
   }
   if (faulted_pages > 0 && recorder_ != nullptr) {
     // One batched flight record per faulting access (see Access above).
-    recorder_->Instant(FlightComponent::kMem, "faults", sim_.Now(), 0, faulted_pages,
+    recorder_->Instant(TraceCategory::kMem, "faults", sim_.Now(), 0, faulted_pages,
                        static_cast<int64_t>(as.id()));
   }
   if (runs.empty() && joins.empty()) {

@@ -102,7 +102,7 @@ bool Link::TransmitFrame(Bytes frame_bytes, TimePoint* delivery) {
                          frame_bytes.count(), "backlog", backlog.count());
       }
       if (recorder_ != nullptr) {
-        recorder_->Instant(FlightComponent::kNet, "frame-dropped", now, 0,
+        recorder_->Instant(TraceCategory::kNet, "frame-dropped", now, 0,
                            frame_bytes.count(), backlog.count());
       }
       return false;
@@ -145,7 +145,7 @@ bool Link::TransmitFrame(Bytes frame_bytes, TimePoint* delivery) {
                   (start - now).ToMicros());
   }
   if (recorder_ != nullptr) {
-    recorder_->Span(FlightComponent::kNet, ok ? "frame" : "frame-lost", start,
+    recorder_->Span(TraceCategory::kNet, ok ? "frame" : "frame-lost", start,
                     busy_until_, 0, frame_bytes.count(), (start - now).ToMicros());
   }
   *delivery = busy_until_ + config_.propagation;

@@ -58,7 +58,7 @@ void ReliableChannel::Send(Bytes wire_bytes, InlineCallback delivered,
                        "in_flight", static_cast<int64_t>(records_.size()));
     }
     if (recorder_ != nullptr) {
-      recorder_->Instant(FlightComponent::kNet, "frame-shed", sim_.Now(), 0,
+      recorder_->Instant(TraceCategory::kNet, "frame-shed", sim_.Now(), 0,
                          static_cast<int64_t>(records_.size()), wire_bytes.count());
     }
     return;
@@ -97,7 +97,7 @@ void ReliableChannel::Transmit(uint64_t seq) {
                        static_cast<int64_t>(seq), "attempt", rec.attempts);
     }
     if (recorder_ != nullptr) {
-      recorder_->Instant(FlightComponent::kNet, "retransmit", sim_.Now(), 0,
+      recorder_->Instant(TraceCategory::kNet, "retransmit", sim_.Now(), 0,
                          static_cast<int64_t>(seq), rec.attempts);
     }
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 #include "src/obs/flight_recorder.h"
 
@@ -10,6 +11,11 @@ namespace tcs {
 namespace {
 
 constexpr int Idx(AttrStage stage) { return static_cast<int>(stage); }
+constexpr int Idx(NetSubStage stage) { return static_cast<int>(stage); }
+
+bool AnyNegative(const int64_t* values, int n) {
+  return std::any_of(values, values + n, [](int64_t v) { return v < 0; });
+}
 
 // Nearest-rank percentile over the sketch's sorted samples: the reported value is always
 // an observed sample, so it is an integer and invariant under worker count.
@@ -90,14 +96,17 @@ LatencyAttribution::LatencyAttribution(AttributionConfig config) : config_(confi
 
 void LatencyAttribution::Commit(const InteractionRecord& rec) {
   // The exact-accounting invariant: stages are telescoping timestamp differences, so
-  // they must reproduce the end-to-end latency to the microsecond.
+  // they must reproduce the end-to-end latency to the microsecond. A negative stage
+  // would let the sum balance while the stages no longer tile [sent, painted] in order,
+  // so it counts as a mismatch too.
   assert(rec.StageSum() == rec.total_us());
-  if (rec.StageSum() != rec.total_us()) {
+  if (rec.StageSum() != rec.total_us() || AnyNegative(rec.stage_us, kAttrStageCount)) {
     ++mismatches_;
   }
   // The display-net decomposition telescopes the same way within its stage.
-  assert(rec.NetSum() == rec.stage_us[static_cast<int>(AttrStage::kDisplayNet)]);
-  if (rec.NetSum() != rec.stage_us[static_cast<int>(AttrStage::kDisplayNet)]) {
+  assert(rec.NetSum() == rec.stage_us[Idx(AttrStage::kDisplayNet)]);
+  if (rec.NetSum() != rec.stage_us[Idx(AttrStage::kDisplayNet)] ||
+      AnyNegative(rec.net_us, kNetSubStageCount)) {
     ++net_mismatches_;
   }
   ++committed_;
@@ -118,7 +127,7 @@ void LatencyAttribution::Commit(const InteractionRecord& rec) {
     records_.Append(arena_, rec);
   }
   if (config_.recorder != nullptr) {
-    config_.recorder->Span(FlightComponent::kBlame, "interaction",
+    config_.recorder->Span(TraceCategory::kBlame, "interaction",
                            TimePoint::FromMicros(rec.sent_us),
                            TimePoint::FromMicros(rec.painted_us), rec.id, rec.total_us(),
                            rec.batch);
@@ -239,6 +248,65 @@ AttributionResult LatencyAttribution::Collect() const {
     }
   }
   return result;
+}
+
+const char* WhatIfComponentName(WhatIfAdjustment::Component component) {
+  switch (component) {
+    case WhatIfAdjustment::Component::kLink:
+      return "link";
+    case WhatIfAdjustment::Component::kCpu:
+      return "cpu";
+    case WhatIfAdjustment::Component::kDisk:
+      return "disk";
+    case WhatIfAdjustment::Component::kRtt:
+      return "rtt";
+  }
+  return "?";
+}
+
+int64_t PredictAdjustedTotalUs(const InteractionRecord& rec,
+                               const WhatIfAdjustment& adj) {
+  auto rescaled = [&](int64_t affected_us) {
+    assert(adj.speedup > 0.0);
+    return static_cast<int64_t>(
+        std::llround(static_cast<double>(affected_us) / adj.speedup));
+  };
+  int64_t total = rec.total_us();
+  switch (adj.component) {
+    case WhatIfAdjustment::Component::kLink: {
+      // A faster link shrinks everything billed at the wire's rate on the display leg:
+      // the bufferbloat queue ahead of the update, the retransmitted frames it waits
+      // behind, and its own serialization. Propagation and jitter are delay, not rate.
+      const int64_t affected = rec.net_us[Idx(NetSubStage::kQueueing)] +
+                               rec.net_us[Idx(NetSubStage::kRetransmitWait)] +
+                               rec.net_us[Idx(NetSubStage::kSerialization)];
+      total += rescaled(affected) - affected;
+      break;
+    }
+    case WhatIfAdjustment::Component::kCpu: {
+      // Faster CPU shrinks exact service time (application hops + protocol encode).
+      // Run-queue wait is left unscaled: it depends on *other* threads' service times,
+      // a second-order effect the prediction deliberately excludes (see header).
+      const int64_t affected = rec.stage_us[Idx(AttrStage::kCpuService)] +
+                               rec.stage_us[Idx(AttrStage::kProtoEncode)];
+      total += rescaled(affected) - affected;
+      break;
+    }
+    case WhatIfAdjustment::Component::kDisk: {
+      const int64_t affected = rec.stage_us[Idx(AttrStage::kMemStall)];
+      total += rescaled(affected) - affected;
+      break;
+    }
+    case WhatIfAdjustment::Component::kRtt: {
+      // RTT reduction splits across the two one-way legs; each leg clamps at zero.
+      const int64_t down_half = adj.rtt_delta_us / 2;
+      const int64_t up_half = adj.rtt_delta_us - down_half;
+      total -= std::min(down_half, rec.net_us[Idx(NetSubStage::kPropagation)]);
+      total -= std::min(up_half, rec.stage_us[Idx(AttrStage::kInputNet)]);
+      break;
+    }
+  }
+  return total;
 }
 
 }  // namespace tcs

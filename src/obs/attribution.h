@@ -25,8 +25,17 @@
 //
 // Accounting invariant: every stage is a difference of pipeline timestamps that
 // telescope, so sum(stage micros) == end-to-end micros *exactly* for every committed
-// interaction. Debug builds assert it per commit; `accounting_mismatches()` exposes it to
-// tests in every build type.
+// interaction, and no stage is negative, so the stages tile [sent, painted] in order.
+// Debug builds assert the sum per commit; `accounting_mismatches()` counts records that
+// break either half in every build type.
+//
+// What-if prediction: PredictAdjustedTotalUs() rescales one record's stages under a
+// virtual speedup of a single component (link rate x k, CPU x k, disk x k, RTT - d) and
+// returns the predicted end-to-end total. RunWhatIf (core/experiments) compares this
+// prediction against an actual re-simulation. Limits: the prediction rescales the
+// affected stages in isolation — it cannot see second-order effects (shorter
+// serialization drains queues faster, fewer RTO expiries, different batching), which is
+// exactly the gap the achieved-vs-predicted report quantifies.
 //
 // Null-sink contract (same as the Tracer): layers hold a `LatencyAttribution*` defaulting
 // to nullptr, and a disabled engine costs one branch per would-be record and zero
@@ -83,9 +92,12 @@ inline constexpr int kNetSubStageCount = 5;
 
 const char* NetSubStageName(NetSubStage stage);
 
-// Everything known about one committed interaction (one pipeline pass; `batch` > 1 when
-// repeats coalesced into it). Timestamps are virtual micros; the id and stamps are the
-// only identity — no pointers, no wall clock — so records serialize deterministically.
+// Everything known about one interaction (one pipeline pass; `batch` > 1 when repeats
+// coalesced into it): the one decomposition of a keystroke's latency. The server fills
+// it on every pass and hands it to Session::set_on_frame_painted; an attached engine
+// also commits it. Timestamps are virtual micros; the id (0 without an engine) and
+// stamps are the only identity — no pointers, no wall clock — so records serialize
+// deterministically.
 struct InteractionRecord {
   static constexpr int kMaxHops = 8;
 
@@ -232,6 +244,29 @@ class LatencyAttribution {
   TraceTrack proto_track_;
   TraceTrack client_track_;
 };
+
+// A counterfactual: virtually speed up one component and ask what the interaction's
+// end-to-end total would have been.
+struct WhatIfAdjustment {
+  enum class Component { kLink, kCpu, kDisk, kRtt };
+  Component component = Component::kLink;
+  // For kLink/kCpu/kDisk: the speedup factor k (> 0); affected segments scale by 1/k.
+  double speedup = 2.0;
+  // For kRtt: total round-trip reduction in microseconds, split evenly across the two
+  // one-way legs and clamped so neither goes negative.
+  int64_t rtt_delta_us = 0;
+};
+
+const char* WhatIfComponentName(WhatIfAdjustment::Component component);
+
+// Predicted end-to-end total under the adjustment:
+//   kLink  scales bufferbloat queueing + retransmit wait + serialization (display leg),
+//   kCpu   scales cpu-service + proto-encode,
+//   kDisk  scales mem-stall,
+//   kRtt   subtracts delta/2 from display-leg propagation and delta/2 from input-net,
+//          each clamped at zero.
+// Integer microseconds, deterministic (llround of one IEEE-754 division per record).
+int64_t PredictAdjustedTotalUs(const InteractionRecord& rec, const WhatIfAdjustment& adj);
 
 }  // namespace tcs
 

@@ -1,34 +1,9 @@
 #include "src/obs/flight_recorder.h"
 
-#include <cstdio>
 #include <sstream>
 #include <unordered_map>
 
 namespace tcs {
-
-const char* FlightComponentName(FlightComponent c) {
-  switch (c) {
-    case FlightComponent::kSim:
-      return "sim";
-    case FlightComponent::kCpu:
-      return "cpu";
-    case FlightComponent::kSched:
-      return "sched";
-    case FlightComponent::kMem:
-      return "mem";
-    case FlightComponent::kNet:
-      return "net";
-    case FlightComponent::kProto:
-      return "proto";
-    case FlightComponent::kSession:
-      return "session";
-    case FlightComponent::kFault:
-      return "fault";
-    case FlightComponent::kBlame:
-      return "blame";
-  }
-  return "?";
-}
 
 FlightRecorder::FlightRecorder(FlightRecorderConfig config) : config_(config) {
   // Round the capacity up to a power of two so Append can mask instead of divide,
@@ -61,22 +36,11 @@ void FlightRecorder::Freeze(TimePoint now) {
 
 namespace {
 
-// JSON string escaping matching Tracer::WriteJson's (names are literals/interned
-// strings, but stay safe on quotes, backslashes, and control characters).
-void AppendEscaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    char c = *s;
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
+// Track ids and category names follow TraceCategory's bit order, one track per bit.
+constexpr int kCategoryCount = std::bit_width(kAllTraceCategories);
+
+const char* CategoryName(int32_t bit) {
+  return TraceCategoryName(static_cast<TraceCategory>(1u << bit));
 }
 
 }  // namespace
@@ -84,16 +48,16 @@ void AppendEscaped(std::string& out, const char* s) {
 void FlightRecorder::WriteWindowJson(std::ostream& out) const {
   std::string line;
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  // Metadata first: the one "flight" process, then a track per component in enum order,
-  // so pids/tids are fixed regardless of which components recorded anything.
+  // Metadata first: the one "flight" process, then a track per category in bit order,
+  // so pids/tids are fixed regardless of which categories recorded anything.
   out << "\n{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":1,\"tid\":0,"
          "\"args\":{\"name\":\"flight\"}}";
-  for (int c = 0; c < kFlightComponentCount; ++c) {
+  for (int c = 0; c < kCategoryCount; ++c) {
     line.clear();
     line += ",\n{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":";
     line += std::to_string(c + 1);
     line += ",\"args\":{\"name\":\"";
-    AppendEscaped(line, FlightComponentName(static_cast<FlightComponent>(c)));
+    line += CategoryName(c);
     line += "\"}}";
     out << line;
   }
@@ -122,11 +86,11 @@ void FlightRecorder::WriteWindowJson(std::ostream& out) const {
         break;
     }
     line += "\",\"name\":\"";
-    AppendEscaped(line, r.name);
+    AppendJsonEscaped(line, r.name);
     line += "\",\"cat\":\"";
-    line += FlightComponentName(static_cast<FlightComponent>(r.component));
+    line += CategoryName(r.category);
     line += "\",\"pid\":1,\"tid\":";
-    line += std::to_string(r.component + 1);
+    line += std::to_string(r.category + 1);
     line += ",\"ts\":";
     line += std::to_string(r.ts_us);
     switch (static_cast<FlightKind>(r.kind)) {
@@ -161,9 +125,9 @@ void FlightRecorder::WriteWindowJson(std::ostream& out) const {
         line += ",\n{\"ph\":\"";
         line.push_back(ph);
         line += "\",\"name\":\"interaction\",\"cat\":\"";
-        line += FlightComponentName(static_cast<FlightComponent>(r.component));
+        line += CategoryName(r.category);
         line += "\",\"pid\":1,\"tid\":";
-        line += std::to_string(r.component + 1);
+        line += std::to_string(r.category + 1);
         line += ",\"ts\":";
         line += std::to_string(r.ts_us);
         line += ",\"id\":";

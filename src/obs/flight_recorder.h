@@ -4,7 +4,7 @@
 // rendering; sweeps therefore run trace-off and a stall found by a 512-point chaos grid
 // used to be unexplainable without a full re-run. The FlightRecorder is the other point
 // in the design space: every component continuously appends fixed-size POD records
-// (timestamp, duration, name literal, component, flow id, two integer args) into a
+// (timestamp, duration, name literal, category, flow id, two integer args) into a
 // bounded ring backed by one contiguous arena block allocated at construction.
 // Appending is a mask and a handful of stores — no JSON, no per-record allocation, no
 // branches beyond the null-pointer gate at each call site — so it is cheap enough to
@@ -15,9 +15,9 @@
 // `window` of virtual time are copied out of the ring (first freeze wins, so the bundle
 // shows the *first* violation's history, not the run's tail). WindowJson() renders the
 // frozen window as a Chrome/Perfetto trace-event JSON document — one process ("flight"),
-// one track per component, span/instant/counter events plus flow arrows grouped by the
-// records' interaction ids — in the same dialect as Tracer::WriteJson, so existing trace
-// validation and viewers work unchanged.
+// one track per TraceCategory, span/instant/counter events plus flow arrows grouped by
+// the records' interaction ids — in the same dialect as Tracer::WriteJson, so existing
+// trace validation and viewers work unchanged.
 //
 // Determinism contract: records carry only virtual-time stamps, name literals, and
 // integer args; the ring's contents and the rendered window are byte-identical across
@@ -26,31 +26,17 @@
 #ifndef TCS_SRC_OBS_FLIGHT_RECORDER_H_
 #define TCS_SRC_OBS_FLIGHT_RECORDER_H_
 
+#include <bit>
 #include <cstdint>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "src/obs/arena.h"
+#include "src/obs/trace.h"
 #include "src/sim/time.h"
 
 namespace tcs {
-
-enum class FlightComponent : int32_t {
-  kSim = 0,
-  kCpu,
-  kSched,
-  kMem,
-  kNet,
-  kProto,
-  kSession,
-  kFault,
-  kBlame,
-};
-
-inline constexpr int kFlightComponentCount = 9;
-
-const char* FlightComponentName(FlightComponent c);
 
 enum class FlightKind : int32_t { kSpan = 0, kInstant, kCounter };
 
@@ -62,7 +48,7 @@ struct alignas(64) FlightRecord {
   int64_t ts_us = 0;
   int64_t dur_us = 0;      // spans only; 0 otherwise
   const char* name = nullptr;
-  int32_t component = 0;   // FlightComponent
+  int32_t category = 0;    // bit index of the record's TraceCategory
   int32_t kind = 0;        // FlightKind
   uint64_t flow_id = 0;    // interaction id; 0 = not part of a flow
   int64_t arg1 = 0;
@@ -85,18 +71,18 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  void Span(FlightComponent c, const char* name, TimePoint start, TimePoint end,
+  void Span(TraceCategory c, const char* name, TimePoint start, TimePoint end,
             uint64_t flow_id = 0, int64_t arg1 = 0, int64_t arg2 = 0) {
     Append(start.ToMicros(), (end - start).ToMicros(), name, c, FlightKind::kSpan,
            flow_id, arg1, arg2);
   }
 
-  void Instant(FlightComponent c, const char* name, TimePoint t, uint64_t flow_id = 0,
+  void Instant(TraceCategory c, const char* name, TimePoint t, uint64_t flow_id = 0,
                int64_t arg1 = 0, int64_t arg2 = 0) {
     Append(t.ToMicros(), 0, name, c, FlightKind::kInstant, flow_id, arg1, arg2);
   }
 
-  void Counter(FlightComponent c, const char* name, TimePoint t, int64_t value) {
+  void Counter(TraceCategory c, const char* name, TimePoint t, int64_t value) {
     Append(t.ToMicros(), 0, name, c, FlightKind::kCounter, 0, value, 0);
   }
 
@@ -104,17 +90,6 @@ class FlightRecorder {
   uint64_t records_seen() const { return head_; }
   size_t capacity() const { return capacity_; }
   Duration window() const { return config_.window; }
-
-  // Visits the live ring's records oldest-append-first (the last min(seen, capacity)
-  // appends). Read-only and allocation-free; the critical-path assembler uses it to
-  // correlate an interaction's flow-id records with its stage intervals.
-  template <typename Fn>
-  void ForEachRecord(Fn&& fn) const {
-    const uint64_t start = head_ > capacity_ ? head_ - capacity_ : 0;
-    for (uint64_t i = start; i < head_; ++i) {
-      fn(ring_[static_cast<size_t>(i) & (capacity_ - 1)]);
-    }
-  }
 
   // Copies the ring records with ts >= now - window, oldest append first, into the
   // frozen window. The first freeze wins: later calls are no-ops so the bundle keeps
@@ -132,7 +107,7 @@ class FlightRecorder {
  private:
   static constexpr size_t kMinCapacity = 1024;
 
-  void Append(int64_t ts_us, int64_t dur_us, const char* name, FlightComponent c,
+  void Append(int64_t ts_us, int64_t dur_us, const char* name, TraceCategory c,
               FlightKind kind, uint64_t flow_id, int64_t arg1, int64_t arg2) {
     // capacity_ is a power of two and the ring is one contiguous block, so the wrap
     // is a mask and the store a single indexed write — this runs on every CPU
@@ -141,7 +116,7 @@ class FlightRecorder {
     r.ts_us = ts_us;
     r.dur_us = dur_us;
     r.name = name;
-    r.component = static_cast<int32_t>(c);
+    r.category = std::countr_zero(static_cast<uint32_t>(c));
     r.kind = static_cast<int32_t>(kind);
     r.flow_id = flow_id;
     r.arg1 = arg1;

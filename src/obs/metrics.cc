@@ -5,16 +5,6 @@
 
 namespace tcs {
 
-MetricsCounter* MetricsRegistry::AddCounter(const std::string& name) {
-  counters_.push_back(std::make_unique<MetricsCounter>(name));
-  return counters_.back().get();
-}
-
-RunningStats* MetricsRegistry::AddHistogram(const std::string& name) {
-  histograms_.emplace_back(name, std::make_unique<RunningStats>());
-  return histograms_.back().second.get();
-}
-
 void MetricsRegistry::AddGauge(const std::string& name, std::function<double()> poll) {
   gauges_.push_back(Gauge{name, std::move(poll)});
 }
@@ -32,35 +22,6 @@ void AppendValue(std::string& out, double v) {
 }
 
 }  // namespace
-
-void MetricsRegistry::WriteCountersCsv(std::ostream& out) const {
-  out << "metric,value\n";
-  std::string line;
-  for (const auto& c : counters_) {
-    line.clear();
-    line += c->name();
-    line += ",";
-    line += std::to_string(c->value());
-    line += "\n";
-    out << line;
-  }
-  for (const auto& [name, stats] : histograms_) {
-    line.clear();
-    line += name;
-    line += "_mean,";
-    AppendValue(line, stats->mean());
-    line += "\n";
-    line += name;
-    line += "_max,";
-    AppendValue(line, stats->max());
-    line += "\n";
-    line += name;
-    line += "_count,";
-    line += std::to_string(stats->count());
-    line += "\n";
-    out << line;
-  }
-}
 
 PeriodicSampler::PeriodicSampler(Simulator& sim, MetricsRegistry& registry,
                                  Duration period, Tracer* tracer)

@@ -1,10 +1,10 @@
 // Named metrics (the observability layer's aggregate side).
 //
-// A MetricsRegistry holds counters (monotonic int64 totals), gauges (poll functions over
-// live model state: run-queue depth, resident pages, link backlog, cache hit rate), and
-// histograms (RunningStats streams). A PeriodicSampler snapshots every gauge into a
-// util::TimeSeries on a virtual-time cadence and, when a Tracer is attached, mirrors each
-// sample as a Chrome counter event so the gauges render as counter tracks in Perfetto.
+// A MetricsRegistry holds gauges (poll functions over live model state: run-queue depth,
+// resident pages, link backlog, cache hit rate). A PeriodicSampler snapshots every gauge
+// into a util::TimeSeries on a virtual-time cadence and, when a Tracer is attached,
+// mirrors each sample as a Chrome counter event so the gauges render as counter tracks
+// in Perfetto.
 //
 // Registration order is the export order, so CSV/JSON output is deterministic.
 
@@ -22,25 +22,12 @@
 #include "src/obs/trace.h"
 #include "src/sim/periodic.h"
 #include "src/sim/simulator.h"
-#include "src/util/stats.h"
 #include "src/util/time_series.h"
 
 namespace tcs {
 
 class FlightRecorder;
 struct SloSpec;
-
-class MetricsCounter {
- public:
-  explicit MetricsCounter(std::string name) : name_(std::move(name)) {}
-  void Inc(int64_t delta = 1) { value_ += delta; }
-  int64_t value() const { return value_; }
-  const std::string& name() const { return name_; }
-
- private:
-  std::string name_;
-  int64_t value_ = 0;
-};
 
 class MetricsRegistry {
  public:
@@ -53,30 +40,17 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  // Pointers stay valid for the registry's lifetime.
-  MetricsCounter* AddCounter(const std::string& name);
-  RunningStats* AddHistogram(const std::string& name);
-
   // `poll` reads live model state; it runs only when a PeriodicSampler fires.
   void AddGauge(const std::string& name, std::function<double()> poll);
 
-  const std::vector<std::unique_ptr<MetricsCounter>>& counters() const {
-    return counters_;
-  }
   const std::vector<Gauge>& gauges() const { return gauges_; }
-  const std::vector<std::pair<std::string, std::unique_ptr<RunningStats>>>& histograms()
-      const {
-    return histograms_;
-  }
-
-  // One "name,value" row per counter, then per histogram mean/max. Deterministic order.
-  void WriteCountersCsv(std::ostream& out) const;
 
  private:
-  std::vector<std::unique_ptr<MetricsCounter>> counters_;
   std::vector<Gauge> gauges_;
-  std::vector<std::pair<std::string, std::unique_ptr<RunningStats>>> histograms_;
 };
+
+// The gauge-sampling cadence of every observed experiment.
+inline constexpr Duration kSamplePeriod = Duration::Millis(100);
 
 // Samples every registered gauge each `period` of virtual time.
 class PeriodicSampler {
@@ -132,9 +106,9 @@ class PeriodicSampler {
   int64_t samples_taken_ = 0;
 };
 
-// Everything an experiment needs to run observed: a tracer and/or metrics registry plus
-// the gauge-sampling cadence. Experiments that receive a non-null ObsConfig wire the
-// tracer through every layer and run a PeriodicSampler for the registry's gauges.
+// Everything an experiment needs to run observed: a tracer and/or metrics registry.
+// Experiments that receive a non-null ObsConfig wire the tracer through every layer and
+// run a PeriodicSampler for the registry's gauges every kSamplePeriod.
 struct ObsConfig {
   Tracer* tracer = nullptr;
   MetricsRegistry* metrics = nullptr;
@@ -149,7 +123,6 @@ struct ObsConfig {
   // attach a run-local FlightRecorder so violating runs still yield a full postmortem
   // bundle even with tracing off.
   const SloSpec* slo = nullptr;
-  Duration sample_period = Duration::Millis(100);
   // When non-null, the experiment renders its PeriodicSampler's gauge series (CSV) here
   // before the sampler goes out of scope, so callers can persist it.
   std::string* sampler_csv = nullptr;

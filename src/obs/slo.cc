@@ -68,7 +68,7 @@ void SloWatchdog::Check() {
   if (recorder_ != nullptr) {
     // The kernel's dispatch depth rides the watchdog cadence instead of a per-event
     // hook, so a healthy run pays nothing on the hot path for it.
-    recorder_->Counter(FlightComponent::kSim, "pending_events", now,
+    recorder_->Counter(TraceCategory::kSim, "pending_events", now,
                        static_cast<int64_t>(sim_.pending_events()));
   }
   if (spec_.max_link_backlog_bytes > 0 && backlog_bytes_) {
@@ -99,7 +99,7 @@ void SloWatchdog::Violate(const char* objective, double limit, double observed) 
   violating_limit_ = limit;
   violating_observed_ = observed;
   if (recorder_ != nullptr) {
-    recorder_->Instant(FlightComponent::kFault, "slo-violation", sim_.Now(), 0,
+    recorder_->Instant(TraceCategory::kFault, "slo-violation", sim_.Now(), 0,
                        static_cast<int64_t>(observed), static_cast<int64_t>(limit));
     recorder_->Freeze(sim_.Now());
   }

@@ -118,10 +118,7 @@ void Tracer::FlowEnd(TraceCategory cat, const char* name, TraceTrack track, Time
   Push(Event{'f', cat, name, track, t.ToMicros(), 0, nullptr, 0, nullptr, 0, 0.0, id});
 }
 
-namespace {
-
-// JSON string escaping for names that may carry user-ish text (thread names, track names).
-void AppendEscaped(std::string& out, const char* s) {
+void AppendJsonEscaped(std::string& out, const char* s) {
   for (; *s != '\0'; ++s) {
     char c = *s;
     if (c == '"' || c == '\\') {
@@ -136,6 +133,8 @@ void AppendEscaped(std::string& out, const char* s) {
     }
   }
 }
+
+namespace {
 
 void AppendDouble(std::string& out, double v) {
   // Integral values print without a fraction so counters of counts stay tidy; the %.9g
@@ -165,7 +164,7 @@ void Tracer::WriteJson(std::ostream& out) const {
     line += "\n{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":";
     line += std::to_string(i + 1);
     line += ",\"tid\":0,\"args\":{\"name\":\"";
-    AppendEscaped(line, processes_[i].c_str());
+    AppendJsonEscaped(line, processes_[i].c_str());
     line += "\"}}";
     out << line;
   }
@@ -176,7 +175,7 @@ void Tracer::WriteJson(std::ostream& out) const {
     line += ",\"tid\":";
     line += std::to_string(t.tid);
     line += ",\"args\":{\"name\":\"";
-    AppendEscaped(line, t.name.c_str());
+    AppendJsonEscaped(line, t.name.c_str());
     line += "\"}}";
     out << line;
   }
@@ -189,7 +188,7 @@ void Tracer::WriteJson(std::ostream& out) const {
     line += "\n{\"ph\":\"";
     line.push_back(e.ph);
     line += "\",\"name\":\"";
-    AppendEscaped(line, e.name);
+    AppendJsonEscaped(line, e.name);
     line += "\",\"cat\":\"";
     line += TraceCategoryName(e.cat);
     line += "\",\"pid\":";
@@ -219,12 +218,12 @@ void Tracer::WriteJson(std::ostream& out) const {
       line += "}";
     } else if (e.key1 != nullptr) {
       line += ",\"args\":{\"";
-      AppendEscaped(line, e.key1);
+      AppendJsonEscaped(line, e.key1);
       line += "\":";
       line += std::to_string(e.val1);
       if (e.key2 != nullptr) {
         line += ",\"";
-        AppendEscaped(line, e.key2);
+        AppendJsonEscaped(line, e.key2);
         line += "\":";
         line += std::to_string(e.val2);
       }

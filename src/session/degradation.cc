@@ -114,7 +114,7 @@ void DegradationController::MoveTo(int new_level, int64_t pressure) {
                      "from", old_level, "to", new_level);
   }
   if (recorder_ != nullptr) {
-    recorder_->Instant(FlightComponent::kSession,
+    recorder_->Instant(TraceCategory::kSession,
                        new_level > old_level ? "degrade" : "recover", now, 0, old_level,
                        new_level);
   }

@@ -154,12 +154,12 @@ Server::Server(Simulator& sim, OsProfile profile, ServerConfig config)
       });
     }
   }
+  if (profile_.keystroke_pipeline.size() >
+      static_cast<size_t>(InteractionRecord::kMaxHops)) {
+    throw ConfigError("OsProfile.keystroke_pipeline",
+                      "an interaction record holds at most 8 pipeline hops");
+  }
   if (config_.attribution != nullptr) {
-    if (profile_.keystroke_pipeline.size() >
-        static_cast<size_t>(InteractionRecord::kMaxHops)) {
-      throw ConfigError("OsProfile.keystroke_pipeline",
-                        "latency attribution supports at most 8 pipeline hops");
-    }
     if (Tracer* tr = config_.attribution->tracer()) {
       for (const PipelineHop& hop : profile_.keystroke_pipeline) {
         hop_trace_names_.push_back(tr->Intern(hop.name));
@@ -392,21 +392,19 @@ void Server::Keystroke(Session& session) {
     transit +=
         link_fault_->InputDelayPenalty(sent_at, Duration::Millis(200), &retransmit);
   }
+  // With an engine, mint the interaction id at injection time; it and the retry split
+  // ride the arrival event (the capture still fits the callback's inline buffer).
+  // Without one both stay zero and the input-net stage keeps the retry time.
+  uint64_t id = 0;
+  int64_t retransmit_us = 0;
   if (config_.attribution != nullptr) {
-    // Mint the interaction id at injection time; it and the retry split ride the arrival
-    // event. The fatter capture still fits the callback's inline buffer, so the enabled
-    // path allocates nothing here either.
-    uint64_t id = config_.attribution->MintInteraction();
-    int64_t retransmit_us = retransmit.ToMicros();
-    EventId ev = sim_.Schedule(transit, [this, &session, sent_at, id, retransmit_us] {
-      OnKeystrokeArrived(session, sent_at, id, retransmit_us);
-    });
-    pending_arrivals_.Note(sim_, {ev, session.id_, sent_at, id, retransmit_us});
-  } else {
-    EventId ev = sim_.Schedule(
-        transit, [this, &session, sent_at] { OnKeystrokeArrived(session, sent_at, 0, 0); });
-    pending_arrivals_.Note(sim_, {ev, session.id_, sent_at, 0, 0});
+    id = config_.attribution->MintInteraction();
+    retransmit_us = retransmit.ToMicros();
   }
+  EventId ev = sim_.Schedule(transit, [this, &session, sent_at, id, retransmit_us] {
+    OnKeystrokeArrived(session, sent_at, id, retransmit_us);
+  });
+  pending_arrivals_.Note(sim_, {ev, session.id_, sent_at, id, retransmit_us});
 }
 
 void Server::OnKeystrokeArrived(Session& session, TimePoint sent_at,
@@ -416,27 +414,23 @@ void Server::OnKeystrokeArrived(Session& session, TimePoint sent_at,
                          sent_at, sim_.Now());
   }
   if (config_.recorder != nullptr) {
-    config_.recorder->Span(FlightComponent::kSession, "input-net", sent_at, sim_.Now(),
+    config_.recorder->Span(TraceCategory::kSession, "input-net", sent_at, sim_.Now(),
                            interaction_id, static_cast<int64_t>(session.id_),
                            retransmit_us);
   }
   if (session.pending_keystrokes_ == 0) {
-    session.oldest_pending_sent_ = sent_at;
-    session.oldest_pending_arrived_ = sim_.Now();
-    if (config_.attribution != nullptr) {
-      // A batch is attributed to its oldest keystroke; later coalesced repeats keep
-      // their minted ids but fold into this record's batch count.
-      InteractionRecord& rec = session.pending_attr_;
-      rec = InteractionRecord{};
-      rec.id = interaction_id;
-      rec.sent_us = sent_at.ToMicros();
-      rec.arrived_us = sim_.Now().ToMicros();
-      rec.stage_us[Idx(AttrStage::kRetransmit)] = retransmit_us;
-      // Queueing + serialization + propagation + any outage hold: everything of the
-      // input leg that is not retry time.
-      rec.stage_us[Idx(AttrStage::kInputNet)] =
-          (rec.arrived_us - rec.sent_us) - retransmit_us;
-    }
+    // A batch is attributed to its oldest keystroke; later coalesced repeats keep their
+    // minted ids but fold into this record's batch count.
+    InteractionRecord& rec = session.pending_attr_;
+    rec = InteractionRecord{};
+    rec.id = interaction_id;
+    rec.sent_us = sent_at.ToMicros();
+    rec.arrived_us = sim_.Now().ToMicros();
+    rec.stage_us[Idx(AttrStage::kRetransmit)] = retransmit_us;
+    // Queueing + serialization + propagation + any outage hold: everything of the input
+    // leg that is not retry time.
+    rec.stage_us[Idx(AttrStage::kInputNet)] =
+        (rec.arrived_us - rec.sent_us) - retransmit_us;
   }
   ++session.pending_keystrokes_;
   if (!session.pipeline_busy_) {
@@ -450,33 +444,27 @@ void Server::StartPipelinePass(Session& session) {
   int batch = session.pending_keystrokes_;
   session.pending_keystrokes_ = 0;
   assert(batch > 0);
-  // Freeze this batch's latency attribution before new keystrokes overwrite it.
-  session.current_batch_sent_ = session.oldest_pending_sent_;
-  session.current_batch_arrived_ = session.oldest_pending_arrived_;
-  const bool held = session.hold_pending_;
-  const int64_t hold_started_us = session.hold_started_us_;
-  session.hold_pending_ = false;
-  if (config_.attribution != nullptr) {
-    session.current_attr_ = session.pending_attr_;
-    InteractionRecord& rec = session.current_attr_;
-    rec.batch = batch;
-    rec.pass_start_us = sim_.Now().ToMicros();
-    // Time the batch's oldest keystroke sat behind the previous pipeline pass. When the
-    // DegradationController held the pipeline between passes, the tail of that wait
-    // (from the hold's start, clipped to the keystroke's own arrival) is the
-    // controller's doing, not the scheduler's: bill it to the degradation-hold stage so
-    // degraded runs don't masquerade as scheduler contention. Both stages remain
-    // telescoping timestamp differences, so the stage-sum invariant is untouched.
-    int64_t wait = rec.pass_start_us - rec.arrived_us;
-    int64_t hold_billed = 0;
-    if (held) {
-      hold_billed = std::max<int64_t>(
-          0, rec.pass_start_us - std::max(rec.arrived_us, hold_started_us));
-      hold_billed = std::min(hold_billed, wait);
-    }
-    rec.stage_us[Idx(AttrStage::kSchedWait)] += wait - hold_billed;
-    rec.stage_us[Idx(AttrStage::kDegradationHold)] += hold_billed;
+  // Freeze this batch's record before new keystrokes overwrite the pending one.
+  session.current_attr_ = session.pending_attr_;
+  InteractionRecord& rec = session.current_attr_;
+  rec.batch = batch;
+  rec.pass_start_us = sim_.Now().ToMicros();
+  // Time the batch's oldest keystroke sat behind the previous pipeline pass. When the
+  // DegradationController held the pipeline between passes, the tail of that wait (from
+  // the hold's start, clipped to the keystroke's own arrival) is the controller's doing,
+  // not the scheduler's: bill it to the degradation-hold stage so degraded runs don't
+  // masquerade as scheduler contention. Both stages remain telescoping timestamp
+  // differences, so the stage-sum invariant is untouched.
+  int64_t wait = rec.pass_start_us - rec.arrived_us;
+  int64_t hold_billed = 0;
+  if (session.hold_pending_) {
+    hold_billed = std::max<int64_t>(
+        0, rec.pass_start_us - std::max(rec.arrived_us, session.hold_started_us_));
+    hold_billed = std::min(hold_billed, wait);
   }
+  session.hold_pending_ = false;
+  rec.stage_us[Idx(AttrStage::kSchedWait)] += wait - hold_billed;
+  rec.stage_us[Idx(AttrStage::kDegradationHold)] += hold_billed;
   // The editor cannot echo until the keystroke path's working set is resident (§5.2):
   // page in anything a streaming job evicted, then run the hops. The fraction of the
   // working set a particular keystroke touches varies (profile-calibrated).
@@ -485,21 +473,21 @@ void Server::StartPipelinePass(Session& session) {
   auto pages = static_cast<size_t>(
       frac * static_cast<double>(profile_.editor_working_set_pages));
   pages = std::max<size_t>(1, pages);
-  pager_.AccessRange(*session.working_set_, 0, pages, /*write=*/false,
-                     [this, &session, batch, gen] {
-                       if (session.generation_ != gen) {
-                         return;  // the session restarted cold while we paged in
-                       }
-                       if (config_.attribution != nullptr) {
-                         InteractionRecord& rec = session.current_attr_;
-                         rec.mem_done_us = sim_.Now().ToMicros();
-                         rec.stage_us[Idx(AttrStage::kMemStall)] =
-                             rec.mem_done_us - rec.pass_start_us;
-                       }
-                       RunHop(session, 0, batch, gen);
-                     },
-                     ResumeKey::Make(kResumeServerPageInDone, session.id_,
-                                     static_cast<uint64_t>(batch), gen));
+  pager_.AccessRange(
+      *session.working_set_, 0, pages, /*write=*/false,
+      [this, &session, batch, gen] { OnWorkingSetResident(session, batch, gen); },
+      ResumeKey::Make(kResumeServerPageInDone, session.id_, static_cast<uint64_t>(batch),
+                      gen));
+}
+
+void Server::OnWorkingSetResident(Session& session, int batch, uint64_t gen) {
+  if (session.generation_ != gen) {
+    return;  // the session restarted cold while we paged in
+  }
+  InteractionRecord& rec = session.current_attr_;
+  rec.mem_done_us = sim_.Now().ToMicros();
+  rec.stage_us[Idx(AttrStage::kMemStall)] = rec.mem_done_us - rec.pass_start_us;
+  RunHop(session, 0, batch, gen);
 }
 
 void Server::RunHop(Session& session, size_t hop, int batch, uint64_t gen) {
@@ -511,41 +499,38 @@ void Server::RunHop(Session& session, size_t hop, int batch, uint64_t gen) {
     work += Duration::Micros(50) * (batch - 1);
   }
   WakeReason reason = hop == 0 ? WakeReason::kInputEvent : WakeReason::kOther;
-  if (config_.attribution != nullptr) {
-    InteractionRecord& rec = session.current_attr_;
-    rec.hop_start_us[hop] = sim_.Now().ToMicros();
-    // The hop's exact CPU bill at this machine's speed; the completion callback splits
-    // the hop's elapsed time into this service and run-queue wait.
-    rec.hop_service_us[hop] = cpu_.ScaledCost(work).ToMicros();
-    rec.hop_encode[hop] = spec.encode;
-    rec.hop_name[hop] = hop < hop_trace_names_.size() ? hop_trace_names_[hop] : nullptr;
-    rec.hop_count = static_cast<int>(hop) + 1;
-  }
+  InteractionRecord& rec = session.current_attr_;
+  rec.hop_start_us[hop] = sim_.Now().ToMicros();
+  // The hop's exact CPU bill at this machine's speed; OnHopDone splits the hop's elapsed
+  // time into this service and run-queue wait.
+  rec.hop_service_us[hop] = cpu_.ScaledCost(work).ToMicros();
+  rec.hop_encode[hop] = spec.encode;
+  rec.hop_name[hop] = hop < hop_trace_names_.size() ? hop_trace_names_[hop] : nullptr;
+  rec.hop_count = static_cast<int>(hop) + 1;
   cpu_.PostWork(
       *session.pipeline_[hop], work,
-      [this, &session, hop, batch, gen] {
-        if (session.generation_ != gen) {
-          return;  // abandoned by a cold restart
-        }
-        if (config_.attribution != nullptr) {
-          InteractionRecord& rec = session.current_attr_;
-          rec.hop_end_us[hop] = sim_.Now().ToMicros();
-          int64_t elapsed = rec.hop_end_us[hop] - rec.hop_start_us[hop];
-          int64_t service = std::min(rec.hop_service_us[hop], elapsed);
-          rec.hop_service_us[hop] = service;
-          rec.stage_us[rec.hop_encode[hop] ? Idx(AttrStage::kProtoEncode)
-                                           : Idx(AttrStage::kCpuService)] += service;
-          rec.stage_us[Idx(AttrStage::kSchedWait)] += elapsed - service;
-        }
-        if (hop + 1 < session.pipeline_.size()) {
-          RunHop(session, hop + 1, batch, gen);
-        } else {
-          CompletePipeline(session, batch);
-        }
-      },
-      reason,
+      [this, &session, hop, batch, gen] { OnHopDone(session, hop, batch, gen); }, reason,
       ResumeKey::Make(kResumeServerRenderDone, session.id_, hop,
                       static_cast<uint64_t>(batch), gen));
+}
+
+void Server::OnHopDone(Session& session, size_t hop, int batch, uint64_t gen) {
+  if (session.generation_ != gen) {
+    return;  // abandoned by a cold restart
+  }
+  InteractionRecord& rec = session.current_attr_;
+  rec.hop_end_us[hop] = sim_.Now().ToMicros();
+  int64_t elapsed = rec.hop_end_us[hop] - rec.hop_start_us[hop];
+  int64_t service = std::min(rec.hop_service_us[hop], elapsed);
+  rec.hop_service_us[hop] = service;
+  rec.stage_us[rec.hop_encode[hop] ? Idx(AttrStage::kProtoEncode)
+                                   : Idx(AttrStage::kCpuService)] += service;
+  rec.stage_us[Idx(AttrStage::kSchedWait)] += elapsed - service;
+  if (hop + 1 < session.pipeline_.size()) {
+    RunHop(session, hop + 1, batch, gen);
+  } else {
+    CompletePipeline(session, batch);
+  }
 }
 
 void Server::CompletePipeline(Session& session, int batch) {
@@ -564,7 +549,7 @@ void Server::CompletePipeline(Session& session, int batch) {
   // stay distinct.
   int64_t backlog_us = 0;
   int64_t retrans_wait_us = 0;
-  if (config_.attribution != nullptr && client_ != nullptr) {
+  if (client_ != nullptr) {
     TimePoint now = sim_.Now();
     if (link_.busy_until() > now) {
       backlog_us = (link_.busy_until() - now).ToMicros();
@@ -584,67 +569,59 @@ void Server::CompletePipeline(Session& session, int batch) {
     decode = client_->DecodeDelay(profile_.protocol_kind, session.update_payload_);
   }
   TimePoint painted = delivered + decode;
+  // The display leg is already determined here (the frames are on the link, the decode
+  // bill is a pure function of the payload), so the record is final at emission and the
+  // invariant can be checked synchronously.
+  InteractionRecord& rec = session.current_attr_;
+  rec.emitted_us = emitted.ToMicros();
+  rec.delivered_us = delivered.ToMicros();
+  rec.painted_us = painted.ToMicros();
+  rec.stage_us[Idx(AttrStage::kDisplayNet)] = rec.delivered_us - rec.emitted_us;
+  rec.stage_us[Idx(AttrStage::kClientDecode)] = rec.painted_us - rec.delivered_us;
+  if (client_ != nullptr) {
+    // Decompose display-net against the same arithmetic that produced `delivered`:
+    //   delivered = max(emitted, busy_until) + propagation + last_wan_extra
+    // Queueing is the pre-flush backlog minus its retransmit share; serialization is
+    // this update's own wire occupancy (post-flush horizon minus emitted minus backlog);
+    // jitter is the WAN draw above the profile's fixed extra delay; and propagation is
+    // the exact residual (LAN propagation + WAN extra_delay), so the five sub-stages
+    // telescope to the display-net stage by construction.
+    int64_t wire_done_us = link_.busy_until().ToMicros();
+    int64_t queue_us = backlog_us - retrans_wait_us;
+    int64_t serialize_us =
+        std::max<int64_t>(0, wire_done_us - (rec.emitted_us + backlog_us));
+    int64_t jitter_us = link_.last_wan_jitter().ToMicros();
+    rec.net_us[Idx(NetSubStage::kQueueing)] = queue_us;
+    rec.net_us[Idx(NetSubStage::kRetransmitWait)] = retrans_wait_us;
+    rec.net_us[Idx(NetSubStage::kSerialization)] = serialize_us;
+    rec.net_us[Idx(NetSubStage::kJitter)] = jitter_us;
+    rec.net_us[Idx(NetSubStage::kPropagation)] =
+        rec.stage_us[Idx(AttrStage::kDisplayNet)] - queue_us - retrans_wait_us -
+        serialize_us - jitter_us;
+  }
   if (config_.attribution != nullptr) {
-    // Commit at emission: the display leg is already determined (the frames are on the
-    // link, the decode bill is a pure function of the payload), so the record is final
-    // here and the invariant can be checked synchronously.
-    InteractionRecord& rec = session.current_attr_;
-    rec.emitted_us = emitted.ToMicros();
-    rec.delivered_us = delivered.ToMicros();
-    rec.painted_us = painted.ToMicros();
-    rec.stage_us[Idx(AttrStage::kDisplayNet)] = rec.delivered_us - rec.emitted_us;
-    rec.stage_us[Idx(AttrStage::kClientDecode)] = rec.painted_us - rec.delivered_us;
-    if (client_ != nullptr) {
-      // Decompose display-net against the same arithmetic that produced `delivered`:
-      //   delivered = max(emitted, busy_until) + propagation + last_wan_extra
-      // Queueing is the pre-flush backlog minus its retransmit share; serialization is
-      // this update's own wire occupancy (post-flush horizon minus emitted minus
-      // backlog); jitter is the WAN draw above the profile's fixed extra delay; and
-      // propagation is the exact residual (LAN propagation + WAN extra_delay), so the
-      // five sub-stages telescope to the display-net stage by construction.
-      int64_t wire_done_us = link_.busy_until().ToMicros();
-      int64_t queue_us = backlog_us - retrans_wait_us;
-      int64_t serialize_us =
-          std::max<int64_t>(0, wire_done_us - (rec.emitted_us + backlog_us));
-      int64_t jitter_us = link_.last_wan_jitter().ToMicros();
-      rec.net_us[Idx(NetSubStage::kQueueing)] = queue_us;
-      rec.net_us[Idx(NetSubStage::kRetransmitWait)] = retrans_wait_us;
-      rec.net_us[Idx(NetSubStage::kSerialization)] = serialize_us;
-      rec.net_us[Idx(NetSubStage::kJitter)] = jitter_us;
-      rec.net_us[Idx(NetSubStage::kPropagation)] =
-          rec.stage_us[Idx(AttrStage::kDisplayNet)] - queue_us - retrans_wait_us -
-          serialize_us - jitter_us;
-    }
     config_.attribution->Commit(rec);
   }
+  const TimePoint arrived = TimePoint::FromMicros(rec.arrived_us);
   if (config_.tracer != nullptr) {
     config_.tracer->Span(TraceCategory::kSession, "keystroke-batch", session.trace_track_,
-                         session.current_batch_arrived_, emitted, "batch",
-                         static_cast<int64_t>(batch));
+                         arrived, emitted, "batch", static_cast<int64_t>(batch));
   }
   if (config_.recorder != nullptr) {
-    uint64_t flow = config_.attribution != nullptr ? session.current_attr_.id : 0;
-    config_.recorder->Span(FlightComponent::kSession, "keystroke-batch",
-                           session.current_batch_arrived_, emitted, flow,
-                           static_cast<int64_t>(batch),
+    config_.recorder->Span(TraceCategory::kSession, "keystroke-batch", arrived, emitted,
+                           rec.id, static_cast<int64_t>(batch),
                            static_cast<int64_t>(session.id_));
   }
   if (session.on_display_update_) {
     session.on_display_update_(emitted);
   }
   if (session.on_frame_painted_) {
-    KeystrokeLatency lat;
-    lat.keystroke_at = session.current_batch_sent_;
-    lat.input_net = session.current_batch_arrived_ - session.current_batch_sent_;
-    lat.server = emitted - session.current_batch_arrived_;
     if (client_ != nullptr) {
-      lat.display_net = delivered - emitted;
-      lat.client = decode;
       auto cb = session.on_frame_painted_;
-      EventId ev = sim_.At(painted, [cb, lat] { cb(lat); });
-      pending_paints_.Note(sim_, {ev, session.id_, lat});
+      EventId ev = sim_.At(painted, [cb, rec] { cb(rec); });
+      pending_paints_.Note(sim_, {ev, session.id_, rec});
     } else {
-      session.on_frame_painted_(lat);
+      session.on_frame_painted_(rec);
     }
   }
   if (session.pending_keystrokes_ > 0) {
@@ -659,23 +636,25 @@ void Server::CompletePipeline(Session& session, int batch) {
       session.hold_pending_ = true;
       session.hold_started_us_ = sim_.Now().ToMicros();
       uint64_t gen = session.generation_;
-      Session* sp = &session;
-      EventId ev = sim_.Schedule(hold, [this, sp, gen] {
-        if (sp->generation_ != gen || sp->logged_out_) {
-          return;  // restarted cold or logged out during the hold
-        }
-        if (sp->pending_keystrokes_ > 0) {
-          StartPipelinePass(*sp);
-        } else {
-          sp->hold_pending_ = false;
-          sp->pipeline_busy_ = false;
-        }
-      });
-      pending_holds_.Note(sim_, {ev, sp->id_, gen});
+      EventId ev =
+          sim_.Schedule(hold, [this, &session, gen] { OnHoldExpired(session, gen); });
+      pending_holds_.Note(sim_, {ev, session.id_, gen});
     } else {
       StartPipelinePass(session);
     }
   } else {
+    session.pipeline_busy_ = false;
+  }
+}
+
+void Server::OnHoldExpired(Session& session, uint64_t gen) {
+  if (session.generation_ != gen || session.logged_out_) {
+    return;  // restarted cold or logged out during the hold
+  }
+  if (session.pending_keystrokes_ > 0) {
+    StartPipelinePass(session);
+  } else {
+    session.hold_pending_ = false;
     session.pipeline_busy_ = false;
   }
 }
@@ -787,16 +766,19 @@ void Server::FireDaemonCrash() {
                             config_.tracer->Intern("crash:" + rt.spec.name), fault_track_,
                             sim_.Now());
   }
-  EventId ev = sim_.Schedule(config_.faults.session.daemon_restart_after, [this, idx] {
-    DaemonRuntime& rtp = daemons_[idx];
-    if (rtp.task->IsRunning()) {
-      return;
-    }
-    rtp.task->Start(rtp.spec.phase);
-    // Restart storm: the reborn daemon immediately replays one episode of work.
-    PostDaemonEpisode(idx);
-  });
+  EventId ev = sim_.Schedule(config_.faults.session.daemon_restart_after,
+                             [this, idx] { RestartDaemon(idx); });
   pending_daemon_restarts_.Note(sim_, {ev, static_cast<uint32_t>(idx)});
+}
+
+void Server::RestartDaemon(size_t daemon_idx) {
+  DaemonRuntime& rt = daemons_[daemon_idx];
+  if (rt.task->IsRunning()) {
+    return;
+  }
+  rt.task->Start(rt.spec.phase);
+  // Restart storm: the reborn daemon immediately replays one episode of work.
+  PostDaemonEpisode(daemon_idx);
 }
 
 FaultStats Server::CollectFaultStats(Duration run_duration) {
@@ -923,24 +905,6 @@ void LoadAttr(SnapshotReader& r, InteractionRecord& rec,
   }
 }
 
-void SaveLatency(SnapshotWriter& w, const KeystrokeLatency& lat) {
-  w.Time(lat.keystroke_at);
-  w.Dur(lat.input_net);
-  w.Dur(lat.server);
-  w.Dur(lat.display_net);
-  w.Dur(lat.client);
-}
-
-KeystrokeLatency LoadLatency(SnapshotReader& r) {
-  KeystrokeLatency lat;
-  lat.keystroke_at = r.Time();
-  lat.input_net = r.Dur();
-  lat.server = r.Dur();
-  lat.display_net = r.Dur();
-  lat.client = r.Dur();
-  return lat;
-}
-
 // Serializes one pending-record list: the live (still-pending) entries only, each as
 // (seq, when) followed by the record's replay scalars. Non-destructive: stale records
 // are skipped, not erased.
@@ -1041,17 +1005,7 @@ void Server::RegisterRestorers(EventRearm& plan) {
         Session* sp = &SessionById(key.arg(0));
         int batch = static_cast<int>(key.arg(1));
         uint64_t gen = key.arg(2);
-        return [this, sp, batch, gen] {
-          if (sp->generation_ != gen) {
-            return;  // the session restarted cold while we paged in
-          }
-          if (config_.attribution != nullptr) {
-            InteractionRecord& rec = sp->current_attr_;
-            rec.mem_done_us = sim_.Now().ToMicros();
-            rec.stage_us[Idx(AttrStage::kMemStall)] = rec.mem_done_us - rec.pass_start_us;
-          }
-          RunHop(*sp, 0, batch, gen);
-        };
+        return [this, sp, batch, gen] { OnWorkingSetResident(*sp, batch, gen); };
       });
   plan.RegisterRestorer(
       kResumeServerRenderDone, [this](const ResumeKey& key) -> EventRearm::Thunk {
@@ -1065,26 +1019,7 @@ void Server::RegisterRestorers(EventRearm& plan) {
         if (hop >= sp->pipeline_.size()) {
           throw SnapshotError("server.sessions", "hop key past the pipeline's end");
         }
-        return [this, sp, hop, batch, gen] {
-          if (sp->generation_ != gen) {
-            return;  // abandoned by a cold restart
-          }
-          if (config_.attribution != nullptr) {
-            InteractionRecord& rec = sp->current_attr_;
-            rec.hop_end_us[hop] = sim_.Now().ToMicros();
-            int64_t elapsed = rec.hop_end_us[hop] - rec.hop_start_us[hop];
-            int64_t service = std::min(rec.hop_service_us[hop], elapsed);
-            rec.hop_service_us[hop] = service;
-            rec.stage_us[rec.hop_encode[hop] ? Idx(AttrStage::kProtoEncode)
-                                             : Idx(AttrStage::kCpuService)] += service;
-            rec.stage_us[Idx(AttrStage::kSchedWait)] += elapsed - service;
-          }
-          if (hop + 1 < sp->pipeline_.size()) {
-            RunHop(*sp, hop + 1, batch, gen);
-          } else {
-            CompletePipeline(*sp, batch);
-          }
-        };
+        return [this, sp, hop, batch, gen] { OnHopDone(*sp, hop, batch, gen); };
       });
 }
 
@@ -1170,10 +1105,6 @@ void Server::SaveTo(SnapshotWriter& w) const {
     w.Bool(s.pipeline_busy_);
     w.Bool(s.hold_pending_);
     w.I64(s.hold_started_us_);
-    w.Time(s.oldest_pending_sent_);
-    w.Time(s.oldest_pending_arrived_);
-    w.Time(s.current_batch_sent_);
-    w.Time(s.current_batch_arrived_);
     SaveAttr(w, s.pending_attr_);
     SaveAttr(w, s.current_attr_);
     s.display_sender_->SaveTo(w);
@@ -1206,7 +1137,7 @@ void Server::SaveTo(SnapshotWriter& w) const {
   });
   SavePendingList(w, sim_, pending_paints_.items, [&w](const PendingPaint& p) {
     w.U64(p.session);
-    SaveLatency(w, p.lat);
+    SaveAttr(w, p.rec);
   });
   SavePendingList(w, sim_, pending_holds_.items, [&w](const PendingHold& p) {
     w.U64(p.session);
@@ -1327,10 +1258,6 @@ void Server::LoadFrom(SnapshotReader& r, EventRearm& plan) {
     s.pipeline_busy_ = r.Bool();
     s.hold_pending_ = r.Bool();
     s.hold_started_us_ = r.I64();
-    s.oldest_pending_sent_ = r.Time();
-    s.oldest_pending_arrived_ = r.Time();
-    s.current_batch_sent_ = r.Time();
-    s.current_batch_arrived_ = r.Time();
     LoadAttr(r, s.pending_attr_, hop_trace_names_);
     LoadAttr(r, s.current_attr_, hop_trace_names_);
     s.display_sender_->LoadFrom(r);
@@ -1399,15 +1326,16 @@ void Server::LoadFrom(SnapshotReader& r, EventRearm& plan) {
       uint64_t seq = r.U64();
       TimePoint when = r.Time();
       uint64_t session = r.U64();
-      KeystrokeLatency lat = LoadLatency(r);
+      InteractionRecord rec;
+      LoadAttr(r, rec, hop_trace_names_);
       Session* sp = &SessionById(session);
       if (!sp->on_frame_painted_) {
         throw SnapshotError("server.pending",
                             "pending paint for a session with no painted callback");
       }
-      items.push_back({EventId(), session, lat});
+      items.push_back({EventId(), session, rec});
       plan.Schedule("server.frame-painted", seq, when,
-                    [cb = sp->on_frame_painted_, lat] { cb(lat); }, &items.back().ev);
+                    [cb = sp->on_frame_painted_, rec] { cb(rec); }, &items.back().ev);
     }
   }
   {
@@ -1422,18 +1350,7 @@ void Server::LoadFrom(SnapshotReader& r, EventRearm& plan) {
       Session* sp = &SessionById(session);
       items.push_back({EventId(), session, gen});
       plan.Schedule("server.coalesce-hold", seq, when,
-                    [this, sp, gen] {
-                      if (sp->generation_ != gen || sp->logged_out_) {
-                        return;
-                      }
-                      if (sp->pending_keystrokes_ > 0) {
-                        StartPipelinePass(*sp);
-                      } else {
-                        sp->hold_pending_ = false;
-                        sp->pipeline_busy_ = false;
-                      }
-                    },
-                    &items.back().ev);
+                    [this, sp, gen] { OnHoldExpired(*sp, gen); }, &items.back().ev);
     }
   }
   {
@@ -1461,18 +1378,9 @@ void Server::LoadFrom(SnapshotReader& r, EventRearm& plan) {
       if (daemon >= daemons_.size()) {
         throw SnapshotError("server.pending", "daemon restart names an unknown daemon");
       }
-      size_t idx = daemon;
       items.push_back({EventId(), daemon});
       plan.Schedule("server.daemon-restart", seq, when,
-                    [this, idx] {
-                      DaemonRuntime& rtp = daemons_[idx];
-                      if (rtp.task->IsRunning()) {
-                        return;
-                      }
-                      rtp.task->Start(rtp.spec.phase);
-                      PostDaemonEpisode(idx);
-                    },
-                    &items.back().ev);
+                    [this, daemon] { RestartDaemon(daemon); }, &items.back().ev);
     }
   }
   disconnect_timer_ = EventId();

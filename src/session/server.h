@@ -80,10 +80,9 @@ struct ServerConfig {
   // pages, link backlog, bitmap-cache hit rate) are registered at construction.
   Tracer* tracer = nullptr;
   MetricsRegistry* metrics = nullptr;
-  // Per-interaction latency attribution (optional, non-owning). When set, every
-  // keystroke is minted an interaction id at injection time and the pipeline commits an
-  // exact per-stage breakdown (sum of stage micros == end-to-end micros) on completion.
-  // Null costs one branch per stage boundary and zero allocations.
+  // Per-interaction latency attribution (optional, non-owning). The pipeline fills each
+  // pass's InteractionRecord either way; when set, every keystroke is also minted an
+  // interaction id at injection time and each finished record is committed to it.
   LatencyAttribution* attribution = nullptr;
   // Always-on flight recorder (optional, non-owning). When set, the CPU, pager, link,
   // reliable channel, and session pipeline continuously append compact records into its
@@ -94,17 +93,6 @@ struct ServerConfig {
   // controller, schedules no polls, and leaves every pipeline byte-identical to a build
   // without the degradation layer.
   DegradationConfig degradation;
-};
-
-// Where one keystroke's end-to-end latency went (requires an attached client device for
-// the display_net/client legs — see Server::AttachClient).
-struct KeystrokeLatency {
-  TimePoint keystroke_at;             // when the user's machine sent it
-  Duration input_net = Duration::Zero();    // transit to the server
-  Duration server = Duration::Zero();       // queueing + pipeline work + paging
-  Duration display_net = Duration::Zero();  // update emission to last-bit delivery
-  Duration client = Duration::Zero();       // decode + blit on the user's machine
-  Duration total() const { return input_net + server + display_net + client; }
 };
 
 // One logged-in user: the login's processes (and their memory), the editor GUI thread,
@@ -144,9 +132,9 @@ class Session {
     on_display_update_ = std::move(fn);
   }
 
-  // Invoked when the update is actually on the user's glass, with the full breakdown.
-  // The display_net and client legs are zero unless a client device is attached.
-  void set_on_frame_painted(std::function<void(const KeystrokeLatency&)> fn) {
+  // Invoked when the update is actually on the user's glass, with the pass's record. The
+  // display-net and client-decode legs are zero unless a client device is attached.
+  void set_on_frame_painted(std::function<void(const InteractionRecord&)> fn) {
     on_frame_painted_ = std::move(fn);
   }
 
@@ -184,18 +172,12 @@ class Session {
   // hold_started_us_ to the degradation-hold stage instead of sched-wait.
   bool hold_pending_ = false;
   int64_t hold_started_us_ = 0;
-  // Oldest keystroke in the pending set / in the in-flight batch, for attribution.
-  TimePoint oldest_pending_sent_;
-  TimePoint oldest_pending_arrived_;
-  TimePoint current_batch_sent_;
-  TimePoint current_batch_arrived_;
-  // Latency-attribution records (meaningful only when the server has an attribution
-  // engine): the pending record tracks the oldest un-batched keystroke, the current one
-  // the in-flight pipeline pass. Plain structs — no allocation either way.
+  // The pending record tracks the oldest un-batched keystroke, the current one the
+  // in-flight pipeline pass. Plain structs — no allocation either way.
   InteractionRecord pending_attr_;
   InteractionRecord current_attr_;
   std::function<void(TimePoint)> on_display_update_;
-  std::function<void(const KeystrokeLatency&)> on_frame_painted_;
+  std::function<void(const InteractionRecord&)> on_frame_painted_;
 };
 
 class Server {
@@ -307,8 +289,15 @@ class Server {
   void OnKeystrokeArrived(Session& session, TimePoint sent_at, uint64_t interaction_id,
                           int64_t retransmit_us);
   void StartPipelinePass(Session& session);
+  // The pipeline's continuations, shared by the live schedule and the snapshot
+  // restorers: the working set is resident, a hop's CPU work finished, a coalesce hold
+  // ran out, a crashed daemon comes back.
+  void OnWorkingSetResident(Session& session, int batch, uint64_t gen);
   void RunHop(Session& session, size_t hop, int batch, uint64_t gen);
+  void OnHopDone(Session& session, size_t hop, int batch, uint64_t gen);
   void CompletePipeline(Session& session, int batch);
+  void OnHoldExpired(Session& session, uint64_t gen);
+  void RestartDaemon(size_t daemon_idx);
   // Transit time of a small input message through the link right now (queue + wire).
   Duration InputTransitDelay() const;
   // Bitmap payload scale pushed into protocols at `level` (1.0 below kHardCache).
@@ -354,7 +343,7 @@ class Server {
   // One FlowLedger per session, packed one cache line apiece in login order, so the
   // per-user accounting sweep at the end of a consolidation run walks a flat array.
   FlowLedgerTable flow_ledgers_;
-  // Interned pipeline-hop names for attribution trace spans (empty unless the
+  // Interned pipeline-hop names for the records' trace spans (empty unless the
   // attribution engine carries a tracer).
   std::vector<const char*> hop_trace_names_;
 
@@ -412,7 +401,7 @@ class Server {
   struct PendingPaint {
     EventId ev;
     uint64_t session = 0;
-    KeystrokeLatency lat;
+    InteractionRecord rec;
   };
   // A degradation coalesce hold keeping the pipeline busy between passes.
   struct PendingHold {

@@ -33,12 +33,21 @@ FlagSet::FlagSet(int argc, const char* const* argv) {
     }
     values_[name] = *value;
   }
+  positional_read_.assign(positional_.size(), false);
 }
 
 void FlagSet::Fail(const std::string& message) {
   if (error_.empty()) {
     error_ = message;
   }
+}
+
+std::string FlagSet::Positional(size_t i) {
+  if (i >= positional_.size()) {
+    return "";
+  }
+  positional_read_[i] = true;
+  return positional_[i];
 }
 
 std::string FlagSet::GetString(const std::string& name, const std::string& fallback) {
@@ -97,6 +106,11 @@ bool FlagSet::Check() {
   for (const auto& [name, value] : values_) {
     if (!read_.contains(name)) {
       Fail("unknown flag --" + name);
+    }
+  }
+  for (size_t i = 0; i < positional_.size(); ++i) {
+    if (!positional_read_[i]) {
+      Fail("unexpected argument '" + positional_[i] + "'");
     }
   }
   return ok();

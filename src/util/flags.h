@@ -2,7 +2,8 @@
 //
 // Supports `--name=value`, `--name value`, bare boolean `--name`, and positional
 // arguments. A tool reads what it uses through the getters below and then calls Check()
-// once: the flags it accepts are exactly the ones some getter asked for.
+// once: the flags and positional arguments it accepts are exactly the ones some getter
+// asked for.
 
 #ifndef TCS_SRC_UTIL_FLAGS_H_
 #define TCS_SRC_UTIL_FLAGS_H_
@@ -24,8 +25,8 @@ class FlagSet {
   bool ok() const { return error_.empty(); }
   const std::string& error() const { return error_; }
 
-  // Positional (non-flag) arguments, in order.
-  const std::vector<std::string>& positional() const { return positional_; }
+  // Positional (non-flag) argument `i`, or "" when there are fewer.
+  std::string Positional(size_t i);
 
   // Typed getters: return `fallback` when the flag is absent; set error() when present
   // but malformed.
@@ -37,13 +38,15 @@ class FlagSet {
 
   // Records a value the caller cannot use; error() keeps the first error recorded.
   void Fail(const std::string& message);
-  // After every read: false on any error so far and on a flag that no getter asked for.
+  // After every read: false on any error so far, on a flag that no getter asked for,
+  // and on a positional argument no getter asked for.
   bool Check();
 
  private:
   std::map<std::string, std::string> values_;
   std::set<std::string> read_;
   std::vector<std::string> positional_;
+  std::vector<bool> positional_read_;
   std::string error_;
 };
 

@@ -9,7 +9,7 @@
 
 #include "src/core/experiments.h"
 #include "src/core/report.h"
-#include "src/obs/critical_path.h"
+#include "src/obs/attribution.h"
 #include "src/session/os_profile.h"
 
 namespace tcs {

@@ -48,7 +48,7 @@ TEST(Svr4SchedulerTest, InteractiveWakePreemptsBatch) {
 
 // Evans et al.'s result: keystroke handling latency remains constant and small even as
 // load grows — the property the paper laments is missing from both TSE and Linux.
-TEST(Svr4SchedulerTest, KeystrokeLatencyFlatUnderLoad) {
+TEST(Svr4SchedulerTest, KeystrokeHandlingFlatUnderLoad) {
   auto run_with_sinks = [](int sinks) {
     Simulator sim;
     Cpu cpu(sim, std::make_unique<Svr4InteractiveScheduler>(), NoSwitchCost());

@@ -134,7 +134,7 @@ TEST(FaultInjectionTest, XSessionRestartsColdOnReconnect) {
 
   // The session must still work after the restart: a keystroke pages back in and paints.
   bool painted = false;
-  session.set_on_frame_painted([&](const KeystrokeLatency&) { painted = true; });
+  session.set_on_frame_painted([&](const InteractionRecord&) { painted = true; });
   sim.RunFor(Duration::Seconds(2));  // let the session-setup resend drain
   server.Keystroke(session);
   sim.RunFor(Duration::Seconds(5));

@@ -1,11 +1,11 @@
-// Property suite for the causal critical-path profiler: the extracted path's segment
-// sum equals the end-to-end latency to the microsecond for every interaction across
-// seeds and WAN profiles; the display-net decomposition sums to the network total; the
-// rendered graphs are byte-identical across reruns and sweep worker counts; degradation
-// coalesce holds are billed to their own stage (not sched-wait); and the WAN
-// backpressure gauges register on faulted runs.
+// Property suite for the per-interaction latency decomposition: every record's stages
+// sum to the end-to-end latency to the microsecond, none is negative, and the
+// display-net sub-stages sum to their stage, for every interaction across seeds and WAN
+// profiles; the blame block and the records are byte-identical across reruns and sweep
+// worker counts; degradation coalesce holds are billed to their own stage (not
+// sched-wait); and the WAN backpressure gauges register on faulted runs.
 
-#include "src/obs/critical_path.h"
+#include "src/obs/attribution.h"
 
 #include <string>
 #include <vector>
@@ -15,7 +15,7 @@
 #include "src/client/thin_client.h"
 #include "src/core/experiments.h"
 #include "src/core/parallel_sweep.h"
-#include "src/obs/flight_recorder.h"
+#include "src/core/report.h"
 #include "src/obs/metrics.h"
 #include "src/session/os_profile.h"
 #include "src/session/server.h"
@@ -33,8 +33,7 @@ struct CellResult {
 };
 
 CellResult RunCell(const std::string& profile_name, uint64_t seed, int users,
-                   Duration duration, bool degrade = false,
-                   FlightRecorder* recorder = nullptr, bool background = true,
+                   Duration duration, bool background = true,
                    Duration think_time = Duration::Millis(200)) {
   WanOptions opt;
   if (!profile_name.empty()) {
@@ -43,17 +42,14 @@ CellResult RunCell(const std::string& profile_name, uint64_t seed, int users,
   opt.users = users;
   opt.duration = duration;
   opt.seed = seed;
-  opt.degrade = degrade;
   opt.background_session = background;
   opt.think_time = think_time;
   AttributionConfig cfg;
   cfg.keep_records = true;
   cfg.decompose_network = true;
-  cfg.recorder = recorder;
   LatencyAttribution attribution(cfg);
   ObsConfig obs;
   obs.attribution = &attribution;
-  obs.recorder = recorder;
   CellResult r;
   r.point = RunWanPoint(OsProfile::Tse(), opt, &obs);
   for (const InteractionRecord& rec : attribution.records()) {
@@ -62,28 +58,22 @@ CellResult RunCell(const std::string& profile_name, uint64_t seed, int users,
   return r;
 }
 
-// The tentpole invariant, per record: stages telescope to the end-to-end total, the
-// display-net decomposition telescopes to the display-net stage, and the extracted
-// critical path's segment sum equals the end-to-end latency exactly.
+// The invariant, per record: stages telescope to the end-to-end total, the display-net
+// decomposition telescopes to the display-net stage, and no stage or sub-stage is
+// negative, so the stages tile [sent, painted] in order.
 void CheckRecord(const InteractionRecord& rec) {
   ASSERT_EQ(rec.StageSum(), rec.total_us()) << "interaction " << rec.id;
   ASSERT_EQ(rec.NetSum(), rec.stage_us[Idx(AttrStage::kDisplayNet)])
       << "interaction " << rec.id;
-  for (int s = 0; s < kNetSubStageCount; ++s) {
-    ASSERT_GE(rec.net_us[s], 0) << "net sub-stage " << s;
+  for (int s = 0; s < kAttrStageCount; ++s) {
+    ASSERT_GE(rec.stage_us[s], 0) << AttrStageName(static_cast<AttrStage>(s));
   }
-  CriticalPathGraph g = CriticalPathGraph::Build(rec);
-  ASSERT_EQ(g.end_to_end_us(), rec.total_us());
-  ASSERT_EQ(g.edges().size(), g.nodes().size() - 1);  // serially-dependent chain
-  std::vector<CriticalPathSegment> path = g.ExtractCriticalPath();
-  ASSERT_EQ(CriticalPathGraph::SegmentSumUs(path), rec.total_us())
-      << "interaction " << rec.id;
-  for (const CriticalPathSegment& seg : path) {
-    ASSERT_GT(seg.duration_us, 0);  // zero-width intervals are elided
+  for (int s = 0; s < kNetSubStageCount; ++s) {
+    ASSERT_GE(rec.net_us[s], 0) << NetSubStageName(static_cast<NetSubStage>(s));
   }
 }
 
-TEST(CriticalPathTest, SegmentSumEqualsEndToEndAcrossSeedsAndProfiles) {
+TEST(AttributionPropertyTest, StageSumEqualsEndToEndAcrossSeedsAndProfiles) {
   const std::string profiles[] = {"", "dsl", "lte", "satellite"};
   for (const std::string& profile : profiles) {
     for (uint64_t seed = 1; seed <= 10; ++seed) {
@@ -102,8 +92,8 @@ TEST(CriticalPathTest, SegmentSumEqualsEndToEndAcrossSeedsAndProfiles) {
 }
 
 // The acceptance bar: a 64-user consolidated run under each WAN profile, every
-// interaction's critical path exact.
-TEST(CriticalPathTest, SixtyFourUserConsolidatedRunStaysExact) {
+// interaction's decomposition exact.
+TEST(AttributionPropertyTest, SixtyFourUserConsolidatedRunStaysExact) {
   for (const std::string& profile : WanProfileNames()) {
     SCOPED_TRACE(profile);
     // 64 interactive users share ONE WAN link and one 64 MiB server in this model, so
@@ -113,7 +103,6 @@ TEST(CriticalPathTest, SixtyFourUserConsolidatedRunStaysExact) {
     // over a 4 Mbps link alone take ~3 minutes) and commits hundreds of real
     // interactions per profile, each of which must be exact.
     CellResult cell = RunCell(profile, /*seed=*/7, /*users=*/64, Duration::Seconds(600),
-                              /*degrade=*/false, /*recorder=*/nullptr,
                               /*background=*/false, /*think_time=*/Duration::Seconds(2));
     ASSERT_GT(cell.records.size(), 64u);  // every user echoed at least once
     EXPECT_EQ(cell.point.blame.accounting_mismatches, 0);
@@ -126,7 +115,7 @@ TEST(CriticalPathTest, SixtyFourUserConsolidatedRunStaysExact) {
 
 // Collect()'s aggregate view obeys the same telescoping: the five net sub-stage totals
 // sum to the display-net stage total, and shares sum to 1 over nonzero stages.
-TEST(CriticalPathTest, CollectedDecompositionSumsToNetworkTotal) {
+TEST(AttributionPropertyTest, CollectedDecompositionSumsToNetworkTotal) {
   CellResult cell = RunCell("lte", /*seed=*/3, /*users=*/2, Duration::Seconds(4));
   const AttributionResult& blame = cell.point.blame;
   ASSERT_EQ(blame.net_stages.size(), static_cast<size_t>(kNetSubStageCount));
@@ -145,17 +134,23 @@ TEST(CriticalPathTest, CollectedDecompositionSumsToNetworkTotal) {
   EXPECT_EQ(blame.net_mismatches, 0);
 }
 
-// Determinism contract: the concatenated graph JSON of every interaction is
+// Determinism contract: each cell's blame JSON and every record's stages are
 // byte-identical across reruns and across sweep worker counts.
-TEST(CriticalPathTest, GraphJsonByteIdenticalAcrossRerunsAndWorkers) {
+TEST(AttributionPropertyTest, BlameAndStagesByteIdenticalAcrossRerunsAndWorkers) {
   auto render = [](int workers) {
     ParallelSweep sweep(workers);
     auto parts = sweep.Map(2, [&](int i) {
       CellResult cell = RunCell(i == 0 ? "lte" : "dsl", /*seed=*/5, /*users=*/2,
                                 Duration::Seconds(2));
-      std::string out;
+      std::string out = ToJson(cell.point.blame) + '\n';
       for (const InteractionRecord& rec : cell.records) {
-        out += CriticalPathGraph::Build(rec).ToJson();
+        out += std::to_string(rec.id) + ":" + std::to_string(rec.batch);
+        for (int64_t us : rec.stage_us) {
+          out += " " + std::to_string(us);
+        }
+        for (int64_t us : rec.net_us) {
+          out += " " + std::to_string(us);
+        }
         out += '\n';
       }
       return out;
@@ -168,36 +163,11 @@ TEST(CriticalPathTest, GraphJsonByteIdenticalAcrossRerunsAndWorkers) {
   EXPECT_EQ(one, render(4));  // worker count
 }
 
-// With a flight recorder attached, the graph annotates nodes with overlapping flow-id
-// records; at minimum the commit's own blame span (sent -> painted) overlaps every
-// non-empty node.
-TEST(CriticalPathTest, FlightRecorderRecordsCorrelateByFlowId) {
-  FlightRecorder recorder;
-  CellResult cell = RunCell("lte", /*seed=*/2, /*users=*/2, Duration::Seconds(2),
-                            /*degrade=*/false, &recorder);
-  ASSERT_FALSE(cell.records.empty());
-  const InteractionRecord& rec = cell.records.back();  // freshest: still in the ring
-  CriticalPathGraph annotated = CriticalPathGraph::Build(rec, &recorder);
-  int64_t total = 0;
-  for (const CriticalPathNode& node : annotated.nodes()) {
-    total += node.flight_records;
-    if (node.duration_us() > 0) {
-      EXPECT_GE(node.flight_records, 1) << node.component << "/" << node.stage;
-    }
-  }
-  EXPECT_GT(total, 0);
-  // Without the recorder the same record yields zero annotations.
-  CriticalPathGraph bare = CriticalPathGraph::Build(rec);
-  for (const CriticalPathNode& node : bare.nodes()) {
-    EXPECT_EQ(node.flight_records, 0);
-  }
-}
-
 // Regression: a degradation coalesce hold is billed to the degradation-hold stage, not
 // sched-wait — degraded runs must not masquerade as scheduler contention. A one-byte
 // level step with the login backlog still draining forces an immediate upshift, so the
 // second keystroke's batch is held for the full coalesce window.
-TEST(CriticalPathTest, CoalesceHoldBillsDegradationHoldNotSchedWait) {
+TEST(AttributionPropertyTest, CoalesceHoldBillsDegradationHoldNotSchedWait) {
   Simulator sim;
   ServerConfig cfg;
   cfg.degradation.enabled = true;
@@ -228,19 +198,12 @@ TEST(CriticalPathTest, CoalesceHoldBillsDegradationHoldNotSchedWait) {
   EXPECT_GE(hold.max_us, 30'000);
   EXPECT_LE(hold.max_us, cfg.degradation.coalesce_hold.ToMicros());
 
-  // The held interaction's graph carries the hold as its own node and still tiles.
-  bool saw_hold_node = false;
+  // The held interaction carries the hold as its own stage and still tiles.
+  bool saw_hold = false;
   for (const InteractionRecord& rec : attribution.records()) {
-    ASSERT_EQ(rec.StageSum(), rec.total_us());
-    CriticalPathGraph g = CriticalPathGraph::Build(rec);
-    ASSERT_EQ(CriticalPathGraph::SegmentSumUs(g.ExtractCriticalPath()), rec.total_us());
+    CheckRecord(rec);
     if (rec.stage_us[Idx(AttrStage::kDegradationHold)] > 0) {
-      for (const CriticalPathNode& node : g.nodes()) {
-        if (std::string(node.stage) == "degradation-hold") {
-          saw_hold_node = node.duration_us() ==
-                          rec.stage_us[Idx(AttrStage::kDegradationHold)];
-        }
-      }
+      saw_hold = true;
       // The hold must come out of the wait, not inflate it: sched-wait and the hold are
       // disjoint intervals of [arrived, pass_start].
       EXPECT_LE(rec.stage_us[Idx(AttrStage::kSchedWait)] +
@@ -248,12 +211,12 @@ TEST(CriticalPathTest, CoalesceHoldBillsDegradationHoldNotSchedWait) {
                 rec.total_us());
     }
   }
-  EXPECT_TRUE(saw_hold_node);
+  EXPECT_TRUE(saw_hold);
 }
 
 // The WAN backpressure gauges register on faulted runs (and only there, so fault-free
 // metric output keeps its exact bytes).
-TEST(CriticalPathTest, WanBackpressureGaugesRegisterOnFaultedRuns) {
+TEST(AttributionPropertyTest, WanBackpressureGaugesRegisterOnFaultedRuns) {
   auto gauge_names = [](const ServerConfig& cfg, MetricsRegistry& registry) {
     Simulator sim;
     Server server(sim, OsProfile::Tse(), cfg);

@@ -86,7 +86,8 @@ TEST(AttributionTest, MintedCoversCommittedKeystrokes) {
 }
 
 // Attribution is an observer: attaching an engine must not move a single simulated
-// event or change any measured latency.
+// event or change any measured latency. The four legs come from the same record the
+// engine commits, so each must match exactly.
 TEST(AttributionTest, ObserverDoesNotPerturbTheRun) {
   EndToEndOptions opt;
   opt.sinks = 2;
@@ -96,6 +97,12 @@ TEST(AttributionTest, ObserverDoesNotPerturbTheRun) {
   ObsConfig obs;
   obs.attribution = &attribution;
   EndToEndResult observed = RunEndToEndLatency(OsProfile::Tse(), opt, &obs);
+  EXPECT_GT(bare.server_ms, 0.0);
+  EXPECT_GT(bare.display_net_ms, 0.0);
+  EXPECT_EQ(bare.input_net_ms, observed.input_net_ms);
+  EXPECT_EQ(bare.server_ms, observed.server_ms);
+  EXPECT_EQ(bare.display_net_ms, observed.display_net_ms);
+  EXPECT_EQ(bare.client_ms, observed.client_ms);
   EXPECT_EQ(bare.total_ms, observed.total_ms);
   EXPECT_EQ(bare.updates, observed.updates);
   EXPECT_EQ(bare.run.events_executed, observed.run.events_executed);

@@ -29,7 +29,7 @@ TEST(FlightRecorderTest, RecordsSeenIsMonotonicPastCapacity) {
   cfg.window = Duration::Seconds(10);
   FlightRecorder recorder(cfg);
   for (int i = 0; i < 3000; ++i) {
-    recorder.Instant(FlightComponent::kSim, "tick", Us(i));
+    recorder.Instant(TraceCategory::kSim, "tick", Us(i));
   }
   EXPECT_EQ(recorder.records_seen(), 3000u);
   recorder.Freeze(Us(3000));
@@ -43,9 +43,9 @@ TEST(FlightRecorderTest, FreezeKeepsOnlyTheConfiguredWindow) {
   FlightRecorderConfig cfg;
   cfg.window = Duration::Millis(1);  // keep the last 1000 us
   FlightRecorder recorder(cfg);
-  recorder.Instant(FlightComponent::kNet, "old", Us(100));
-  recorder.Instant(FlightComponent::kNet, "edge", Us(2000));  // exactly at the horizon
-  recorder.Instant(FlightComponent::kNet, "new", Us(2500));
+  recorder.Instant(TraceCategory::kNet, "old", Us(100));
+  recorder.Instant(TraceCategory::kNet, "edge", Us(2000));  // exactly at the horizon
+  recorder.Instant(TraceCategory::kNet, "new", Us(2500));
   recorder.Freeze(Us(3000));
   ASSERT_EQ(recorder.frozen_window().size(), 2u);
   EXPECT_STREQ(recorder.frozen_window()[0].name, "edge");
@@ -55,12 +55,12 @@ TEST(FlightRecorderTest, FreezeKeepsOnlyTheConfiguredWindow) {
 
 TEST(FlightRecorderTest, FirstFreezeWins) {
   FlightRecorder recorder;
-  recorder.Instant(FlightComponent::kFault, "first", Us(10));
+  recorder.Instant(TraceCategory::kFault, "first", Us(10));
   recorder.Freeze(Us(20));
   ASSERT_TRUE(recorder.frozen());
   ASSERT_EQ(recorder.frozen_window().size(), 1u);
   // Later records and later freezes must not disturb the first violation's window.
-  recorder.Instant(FlightComponent::kFault, "second", Us(30));
+  recorder.Instant(TraceCategory::kFault, "second", Us(30));
   recorder.Freeze(Us(40));
   EXPECT_EQ(recorder.frozen_at().ToMicros(), 20);
   ASSERT_EQ(recorder.frozen_window().size(), 1u);
@@ -69,9 +69,9 @@ TEST(FlightRecorderTest, FirstFreezeWins) {
 
 TEST(FlightRecorderTest, SpanInstantCounterFieldsSurviveTheRing) {
   FlightRecorder recorder;
-  recorder.Span(FlightComponent::kCpu, "seg", Us(100), Us(250), 7, 42, 43);
-  recorder.Instant(FlightComponent::kMem, "fault", Us(300), 0, 5);
-  recorder.Counter(FlightComponent::kSim, "pending_events", Us(400), 12);
+  recorder.Span(TraceCategory::kCpu, "seg", Us(100), Us(250), 7, 42, 43);
+  recorder.Instant(TraceCategory::kMem, "fault", Us(300), 0, 5);
+  recorder.Counter(TraceCategory::kSim, "pending_events", Us(400), 12);
   recorder.Freeze(Us(500));
   ASSERT_EQ(recorder.frozen_window().size(), 3u);
   const FlightRecord& span = recorder.frozen_window()[0];
@@ -92,7 +92,7 @@ TEST(FlightRecorderTest, SpanInstantCounterFieldsSurviveTheRing) {
 
 TEST(FlightRecorderTest, WindowJsonWithoutFreezeIsMetadataOnly) {
   FlightRecorder recorder;
-  recorder.Instant(FlightComponent::kSim, "tick", Us(1));
+  recorder.Instant(TraceCategory::kSim, "tick", Us(1));
   std::string json = recorder.WindowJson();
   // Process + nine component tracks, but no event records until Freeze selects them.
   EXPECT_NE(json.find("\"process_name\""), std::string::npos);
@@ -103,10 +103,10 @@ TEST(FlightRecorderTest, WindowJsonWithoutFreezeIsMetadataOnly) {
 TEST(FlightRecorderTest, WindowJsonIsByteIdenticalAcrossIdenticalRuns) {
   auto drive = [](FlightRecorder& recorder) {
     for (int i = 0; i < 50; ++i) {
-      recorder.Span(FlightComponent::kSession, "keystroke-batch", Us(i * 100),
+      recorder.Span(TraceCategory::kSession, "keystroke-batch", Us(i * 100),
                     Us(i * 100 + 40), static_cast<uint64_t>(i % 5 + 1), i, i * 2);
-      recorder.Instant(FlightComponent::kMem, "fault", Us(i * 100 + 10));
-      recorder.Counter(FlightComponent::kNet, "backlog", Us(i * 100 + 20), i * 7);
+      recorder.Instant(TraceCategory::kMem, "fault", Us(i * 100 + 10));
+      recorder.Counter(TraceCategory::kNet, "backlog", Us(i * 100 + 20), i * 7);
     }
     recorder.Freeze(Us(5000));
   };
@@ -124,7 +124,7 @@ TEST(FlightRecorderTest, WindowJsonIsByteIdenticalAcrossIdenticalRuns) {
 
 TEST(FlightRecorderTest, SingleOccurrenceFlowIdEmitsNoArrow) {
   FlightRecorder recorder;
-  recorder.Span(FlightComponent::kBlame, "interaction", Us(0), Us(10), 99);
+  recorder.Span(TraceCategory::kBlame, "interaction", Us(0), Us(10), 99);
   recorder.Freeze(Us(100));
   std::string json = recorder.WindowJson();
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);

@@ -11,35 +11,6 @@
 namespace tcs {
 namespace {
 
-TEST(MetricsRegistryTest, CountersAccumulateAndKeepRegistrationOrder) {
-  MetricsRegistry registry;
-  MetricsCounter* faults = registry.AddCounter("page_faults");
-  MetricsCounter* frames = registry.AddCounter("frames_sent");
-  faults->Inc();
-  faults->Inc(3);
-  frames->Inc(10);
-  ASSERT_EQ(registry.counters().size(), 2u);
-  EXPECT_EQ(registry.counters()[0]->name(), "page_faults");
-  EXPECT_EQ(registry.counters()[0]->value(), 4);
-  EXPECT_EQ(registry.counters()[1]->value(), 10);
-}
-
-TEST(MetricsRegistryTest, CountersCsvListsCountersThenHistograms) {
-  MetricsRegistry registry;
-  registry.AddCounter("events")->Inc(7);
-  RunningStats* lat = registry.AddHistogram("latency_ms");
-  lat->Add(10.0);
-  lat->Add(30.0);
-  std::ostringstream out;
-  registry.WriteCountersCsv(out);
-  EXPECT_EQ(out.str(),
-            "metric,value\n"
-            "events,7\n"
-            "latency_ms_mean,20\n"
-            "latency_ms_max,30\n"
-            "latency_ms_count,2\n");
-}
-
 TEST(PeriodicSamplerTest, SamplesEveryPeriodOfVirtualTime) {
   Simulator sim;
   MetricsRegistry registry;

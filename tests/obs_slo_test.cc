@@ -159,7 +159,7 @@ TEST(SloWatchdogTest, ViolationSnapshotsGaugesAndWritesBundle) {
     SloWatchdog watchdog(sim, spec, &recorder, &metrics, nullptr);
     watchdog.SetWorstP99Source(
         [&sim] { return sim.Now().ToMicros() >= 500'000 ? 99.0 : 1.0; });
-    recorder.Instant(FlightComponent::kSession, "keystroke", TimePoint::FromMicros(1));
+    recorder.Instant(TraceCategory::kSession, "keystroke", TimePoint::FromMicros(1));
     watchdog.Start();
     sim.RunUntil(TimePoint::FromMicros(1'000'000));
     return watchdog.FinishRun();

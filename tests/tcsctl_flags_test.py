@@ -8,10 +8,11 @@ default run with a flagged one whose output must differ; the configurations are 
 whose model actually draws on the seed (Poisson background load, a saturated TSE, the
 paging hog's demand margin).
 
-Rejected: a flag the command does not read, or a value it cannot parse, exits 2 before
-anything runs, with nothing on stdout and the offending flag named on stderr. Every
-command has a case, and trace, postmortem and sweep are checked per experiment: a flag
-counts as read only where the run uses it.
+Rejected: a flag the command does not read, a value it cannot parse, or a positional
+argument it does not read exits 2 before anything runs, with nothing on stdout and the
+offending flag or argument named on stderr. Every command has a case of each, and
+trace, postmortem and sweep are checked per experiment: a flag counts as read only where
+the run uses it.
 """
 
 import os
@@ -92,6 +93,7 @@ with tempfile.TemporaryDirectory() as tmp:
         f.write("script demo\nstep 10\nkey press 30\nkey release 30\n")
     stdout("replay", trace_file)  # the file itself is fine
     rejected("replay", trace_file, "--seed=3", names=["--seed"])
+    rejected("replay", trace_file, "extra", names=["'extra'"])
 
 rejected("idle", "--sinks=2", names=["--sinks"])
 # Three flags typing does not read; the message names the first in name order.
@@ -126,7 +128,27 @@ rejected("postmortem", "chaos", "--threshold-ms=5", names=["--threshold-ms"])
 rejected("postmortem", "consolidation", "--checkpoint-every-ms=100",
          names=["--checkpoint-every-ms"])
 
+# For every command, a positional argument it does not read.
+rejected("idle", "extra", names=["'extra'"])
+rejected("typing", "--seconds=1", "extra", names=["'extra'"])
+rejected("paging", "extra", names=["'extra'"])
+rejected("traffic", "extra", names=["'extra'"])
+rejected("webpage", "extra", names=["'extra'"])
+rejected("gif", "extra", names=["'extra'"])
+rejected("rtt", "oops", names=["'oops'"])
+rejected("sizing", "extra", names=["'extra'"])
+rejected("sweep", "extra", names=["'extra'"])
+rejected("capacity", "extra", names=["'extra'"])
+rejected("chaos", "extra", names=["'extra'"])
+rejected("wan", "extra", names=["'extra'"])
+rejected("whatif", "extra", names=["'extra'"])
+rejected("blame", "extra", names=["'extra'"])
+rejected("postmortem", "typing", "extra", names=["'extra'"])
+rejected("trace", "typing", "extra", names=["'extra'"])
+rejected("paper", "fig8_rtt", "extra", names=["'extra'"])
+rejected("help", "extra", names=["'extra'"])
+
 # Unknown names.
 rejected("paper", "nope", names=["'nope'", "table_paging"])
 rejected("bogus", names=["'bogus'"])
-print("tcsctl honors the flags each command reads and refuses the rest")
+print("tcsctl honors the flags and arguments each command reads and refuses the rest")

@@ -29,11 +29,19 @@ TEST(FlagSetTest, BareBooleanFlag) {
 TEST(FlagSetTest, PositionalArguments) {
   FlagSet f = Make({"replay", "trace.txt", "--protocol=x"});
   ASSERT_TRUE(f.ok());
-  ASSERT_EQ(f.positional().size(), 2u);
-  EXPECT_EQ(f.positional()[0], "replay");
-  EXPECT_EQ(f.positional()[1], "trace.txt");
+  EXPECT_EQ(f.Positional(0), "replay");
+  EXPECT_EQ(f.Positional(1), "trace.txt");
+  EXPECT_EQ(f.Positional(2), "");
   EXPECT_EQ(f.GetString("protocol"), "x");
   EXPECT_TRUE(f.Check()) << f.error();
+}
+
+TEST(FlagSetTest, UnreadPositionalArgumentIsError) {
+  FlagSet f = Make({"rtt", "oops", "extra"});
+  EXPECT_EQ(f.Positional(0), "rtt");
+  EXPECT_TRUE(f.ok());  // like flags, only Check() knows what was read
+  EXPECT_FALSE(f.Check());
+  EXPECT_EQ(f.error(), "unexpected argument 'oops'");
 }
 
 TEST(FlagSetTest, UnknownFlagIsError) {

@@ -90,11 +90,6 @@ ProtocolKind ParseProtocol(FlagSet& flags, const std::string& word) {
   return ProtocolKind::kRdp;
 }
 
-// Positional argument `i` (0 is the command), or "" when there are fewer.
-std::string Arg(const FlagSet& flags, size_t i) {
-  return i < flags.positional().size() ? flags.positional()[i] : "";
-}
-
 uint64_t Seed(FlagSet& flags) { return static_cast<uint64_t>(flags.GetInt("seed", 1)); }
 
 void Emit(const TextTable& table, bool csv) {
@@ -788,8 +783,8 @@ WhatIfAdjustment::Component ParseComponent(FlagSet& flags, const std::string& wo
 }
 
 // Counterfactual what-if analysis: for each component, runs the WAN cell twice — a
-// baseline whose per-interaction critical paths feed the analytic prediction (virtually
-// speed up that one component), and an achieved arm re-simulated with the speedup
+// baseline whose per-interaction stages feed the analytic prediction (virtually speed
+// up that one component), and an achieved arm re-simulated with the speedup
 // applied to the hardware model. The gap between predicted and achieved p99 deltas is
 // the second-order effects (queue drain, fewer RTOs, different batching) the model
 // cannot see. The report carries no wall-clock field, so CI can cmp(1) two runs.
@@ -1315,7 +1310,7 @@ int RunConsolidationRewind(const OsProfile& profile, const ConsolidationOptions&
 // and <dir>/<name>.postmortem.json, deterministically named and byte-identical across
 // reruns. Consolidation also takes --rewind-ms (see RunConsolidationRewind).
 Runner Postmortem(FlagSet& flags) {
-  std::string experiment = Arg(flags, 1);
+  std::string experiment = flags.Positional(1);
   if (experiment == "typing_under_load") {
     experiment = "typing";
   } else if (experiment == "end_to_end" || experiment == "end_to_end_latency") {
@@ -1465,7 +1460,7 @@ Experiment<std::string> AsJson(Experiment<Result> run) {
 // gauge series as CSV, and the experiment's JSON report. The trace is byte-identical for
 // a given seed.
 Runner Trace(FlagSet& flags) {
-  std::string experiment = Arg(flags, 1);
+  std::string experiment = flags.Positional(1);
   // Long-form aliases so docs can use the descriptive names.
   if (experiment == "typing_under_load") {
     experiment = "typing";
@@ -1552,7 +1547,7 @@ Runner Trace(FlagSet& flags) {
 // Replays a recorded interaction trace (src/workload/script_io.h) through the
 // protocol-only harness the traffic experiments use.
 Runner Replay(FlagSet& flags) {
-  std::string path = Arg(flags, 1);
+  std::string path = flags.Positional(1);
   ProtocolKind kind = ParseProtocol(flags, flags.GetString("protocol", "rdp"));
   std::ifstream in(path);
   std::stringstream buffer;
@@ -1595,7 +1590,7 @@ Runner Replay(FlagSet& flags) {
 }
 
 Runner Paper(FlagSet& flags) {
-  std::string artifact = Arg(flags, 1);
+  std::string artifact = flags.Positional(1);
   return [=] { return RunPaper(artifact); };
 }
 
@@ -1706,7 +1701,7 @@ void PrintHelp(FILE* out) {
 
 int Main(int argc, char** argv) {
   FlagSet flags(argc, argv);
-  std::string name = Arg(flags, 0);
+  std::string name = flags.Positional(0);
   for (const Command& c : kCommands) {
     if (name == c.name) {
       Runner run = c.read(flags);
