@@ -1,6 +1,7 @@
 // Micro-benchmarks of the framework's hot primitives (google-benchmark): event queue
 // throughput, scheduler decision cost, LZ codec speed, bitmap cache operations, pager
-// touch cost, and the full end-to-end cost of simulating one second of a loaded server.
+// touch cost, the full end-to-end cost of simulating one second of a loaded server, and
+// one §5.2 paging trial.
 
 #include <benchmark/benchmark.h>
 
@@ -271,6 +272,26 @@ void BM_FlightRecorderOverhead(benchmark::State& state) {
                          benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_FlightRecorderOverhead)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// One §5.2 paging trial: a full-demand memory hog streams for 30+ s of virtual time,
+// then one keystroke is timed (RunPagingLatency(profile, true, 1, 1), the trial behind
+// the paging table). Arg 0 is Linux, 1 is TSE. `wall_ms` is host time per trial and
+// `events` the kernel events it dispatched; the hog's resident hits between faults
+// cost no events of their own.
+void BM_PagingTrial(benchmark::State& state) {
+  OsProfile profile = state.range(0) == 0 ? OsProfile::LinuxX() : OsProfile::Tse();
+  double wall_ms = 0.0;
+  double events = 0.0;
+  for (auto _ : state) {
+    PagingLatencyResult result = RunPagingLatency(profile, true, 1, 1);
+    benchmark::DoNotOptimize(result.avg_ms);
+    wall_ms += result.run.wall_ms;
+    events += static_cast<double>(result.run.events_executed);
+  }
+  state.counters["wall_ms"] = benchmark::Counter(wall_ms, benchmark::Counter::kAvgIterations);
+  state.counters["events"] = benchmark::Counter(events, benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_PagingTrial)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Capacity bisection, cold vs checkpointed. Every bisection probe replays the same
 // staggered-login prefix (the 1 s start_delay before the first keystroke); the

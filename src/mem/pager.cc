@@ -376,6 +376,15 @@ void Pager::Access(AddressSpace& as, uint64_t vpn, bool write, InlineCallback do
   }
 }
 
+bool Pager::TryHit(AddressSpace& as, uint64_t vpn, bool write) {
+  if (!as.IsResident(vpn) ||
+      (!in_flight_.empty() && in_flight_.count(FramesKey::Of(as, vpn)) != 0)) {
+    return false;
+  }
+  MakeResident(as, vpn, write);
+  return true;
+}
+
 void Pager::AccessRange(AddressSpace& as, uint64_t first, size_t count, bool write,
                         InlineCallback done, ResumeKey done_key) {
   assert(count > 0);

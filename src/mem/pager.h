@@ -93,6 +93,11 @@ class Pager {
   void Access(AddressSpace& as, uint64_t vpn, bool write, InlineCallback done,
               ResumeKey done_key = {});
 
+  // Access's hit bookkeeping (hit count, recency, dirty bit) with no completion event,
+  // for callers that continue at the touch instant themselves. Returns false and
+  // changes nothing if the page is not resident or its page-in is still on the disk.
+  bool TryHit(AddressSpace& as, uint64_t vpn, bool write);
+
   // Touches [first, first+count). Previously-evicted pages are clustered into
   // up-to-`cluster_pages` contiguous disk reads issued back to back; `done` fires when
   // the last read completes (immediately if nothing needs I/O).

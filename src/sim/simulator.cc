@@ -1,5 +1,6 @@
 #include "src/sim/simulator.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -14,8 +15,16 @@ uint64_t Simulator::Run() {
   return RunUntil(TimePoint::Infinite());
 }
 
+TimePoint Simulator::Horizon() const {
+  if (stop_requested_) {
+    return now_;
+  }
+  return queue_.empty() ? deadline_ : std::min(queue_.NextTime(), deadline_);
+}
+
 uint64_t Simulator::RunUntil(TimePoint deadline) {
   stop_requested_ = false;
+  deadline_ = deadline;
   uint64_t executed = 0;
   while (!queue_.empty() && !stop_requested_) {
     if (queue_.NextTime() > deadline) {
@@ -34,6 +43,7 @@ uint64_t Simulator::RunUntil(TimePoint deadline) {
   if (deadline != TimePoint::Infinite() && now_ < deadline && !stop_requested_) {
     now_ = deadline;
   }
+  deadline_ = now_;
   return executed;
 }
 

@@ -46,6 +46,13 @@ class Simulator {
   // Runs for `span` more virtual time.
   uint64_t RunFor(Duration span) { return RunUntil(now_ + span); }
 
+  // The earliest virtual time at which another event can run: the next pending event's
+  // time, capped at the running RunUntil's deadline (events at the deadline still run).
+  // Now() outside a run and once a stop is requested. State changes an event makes for
+  // instants strictly before the horizon are invisible to every other component and to
+  // the run's caller, so the event may apply them itself instead of scheduling them.
+  TimePoint Horizon() const;
+
   // Callable from within an event callback to halt the run loop after the current event.
   void RequestStop() { stop_requested_ = true; }
 
@@ -80,6 +87,7 @@ class Simulator {
   void RestoreReset(TimePoint now, uint64_t events_executed) {
     queue_.Clear();
     now_ = now;
+    deadline_ = now;
     events_executed_ = events_executed;
     stop_requested_ = false;
   }
@@ -94,6 +102,7 @@ class Simulator {
 
  private:
   TimePoint now_ = TimePoint::Zero();
+  TimePoint deadline_ = TimePoint::Zero();  // the running RunUntil's; Now() between runs
   EventQueue queue_;
   bool stop_requested_ = false;
   uint64_t events_executed_ = 0;

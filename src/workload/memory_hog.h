@@ -20,6 +20,10 @@ struct MemoryHogConfig {
   bool writes = true;
 };
 
+// Throws tcs::ConfigError on an empty region or a non-positive touch time. Returns the
+// config.
+MemoryHogConfig Validated(MemoryHogConfig config);
+
 class MemoryHog {
  public:
   MemoryHog(Simulator& sim, Pager& pager, MemoryHogConfig config = {});
@@ -27,7 +31,8 @@ class MemoryHog {
   MemoryHog(const MemoryHog&) = delete;
   MemoryHog& operator=(const MemoryHog&) = delete;
 
-  // Begins streaming; wraps around the region indefinitely until Stop().
+  // Begins streaming; wraps around the region indefinitely until Stop(). A restart
+  // resumes the stopped chain if its next touch is still pending.
   void Start();
   void Stop();
 
@@ -36,6 +41,7 @@ class MemoryHog {
 
  private:
   void TouchNext();
+  void OnTouched();
 
   Simulator& sim_;
   Pager& pager_;
@@ -44,6 +50,8 @@ class MemoryHog {
   uint64_t next_vpn_ = 0;
   int64_t pages_touched_ = 0;
   bool running_ = false;
+  // A touch or its completion is pending; cleared when TouchNext finds the hog stopped.
+  bool chained_ = false;
 };
 
 }  // namespace tcs

@@ -13,6 +13,7 @@
 #include "src/net/link.h"
 #include "src/session/server.h"
 #include "src/util/config_error.h"
+#include "src/workload/memory_hog.h"
 
 namespace tcs {
 namespace {
@@ -83,6 +84,29 @@ TEST(ConfigValidationTest, DiskRejectsZeroPageSize) {
   cfg.page_size = Bytes::Zero();
   Simulator sim;
   EXPECT_EQ(Catch([&] { Disk disk(sim, Rng(1), cfg); }).field(), "DiskConfig.page_size");
+}
+
+TEST(ConfigValidationTest, MemoryHogRejectsEmptyRegion) {
+  Simulator sim;
+  Disk disk(sim, Rng(1));
+  Pager pager(sim, disk);
+  MemoryHogConfig cfg;
+  cfg.region_pages = 0;
+  EXPECT_EQ(Catch([&] { MemoryHog hog(sim, pager, cfg); }).field(),
+            "MemoryHogConfig.region_pages");
+}
+
+TEST(ConfigValidationTest, MemoryHogRejectsNonPositiveTouchTime) {
+  Simulator sim;
+  Disk disk(sim, Rng(1));
+  Pager pager(sim, disk);
+  MemoryHogConfig cfg;
+  cfg.touch_cpu = Duration::Zero();
+  EXPECT_EQ(Catch([&] { MemoryHog hog(sim, pager, cfg); }).field(),
+            "MemoryHogConfig.touch_cpu");
+  cfg.touch_cpu = Duration::Micros(-5);
+  EXPECT_EQ(Catch([&] { MemoryHog hog(sim, pager, cfg); }).field(),
+            "MemoryHogConfig.touch_cpu");
 }
 
 TEST(ConfigValidationTest, SchedulersRejectZeroQuantum) {

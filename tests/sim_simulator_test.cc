@@ -91,6 +91,72 @@ TEST(SimulatorTest, CountsExecutedEvents) {
   EXPECT_EQ(sim.events_executed(), 7u);
 }
 
+TEST(SimulatorTest, HorizonIsTheNextPendingEvent) {
+  Simulator sim;
+  TimePoint seen;
+  sim.Schedule(Duration::Millis(1), [&] { seen = sim.Horizon(); });
+  sim.Schedule(Duration::Millis(3), [] {});
+  sim.RunUntil(TimePoint::FromMicros(10000));
+  EXPECT_EQ(seen, TimePoint::FromMicros(3000));
+}
+
+TEST(SimulatorTest, HorizonWithNothingPendingIsTheDeadline) {
+  Simulator sim;
+  TimePoint seen;
+  sim.Schedule(Duration::Millis(1), [&] { seen = sim.Horizon(); });
+  sim.Schedule(Duration::Millis(30), [] {});
+  sim.RunUntil(TimePoint::FromMicros(10000));
+  EXPECT_EQ(seen, TimePoint::FromMicros(10000));
+}
+
+TEST(SimulatorTest, HorizonIgnoresCancelledEvents) {
+  Simulator sim;
+  TimePoint seen;
+  EventId gone = sim.Schedule(Duration::Millis(2), [] {});
+  sim.Schedule(Duration::Millis(1), [&] { seen = sim.Horizon(); });
+  sim.Schedule(Duration::Millis(4), [] {});
+  sim.Cancel(gone);
+  sim.RunUntil(TimePoint::FromMicros(10000));
+  EXPECT_EQ(seen, TimePoint::FromMicros(4000));
+}
+
+TEST(SimulatorTest, HorizonIsNowWhenAnEventIsPendingNow) {
+  Simulator sim;
+  TimePoint seen;
+  sim.Schedule(Duration::Millis(1), [&] {
+    sim.Schedule(Duration::Zero(), [] {});
+    seen = sim.Horizon();
+  });
+  sim.RunUntil(TimePoint::FromMicros(10000));
+  EXPECT_EQ(seen, TimePoint::FromMicros(1000));
+}
+
+TEST(SimulatorTest, HorizonIsNowOnceAStopIsRequested) {
+  Simulator sim;
+  TimePoint seen;
+  sim.Schedule(Duration::Millis(1), [&] {
+    sim.RequestStop();
+    seen = sim.Horizon();
+  });
+  sim.Schedule(Duration::Millis(3), [] {});
+  sim.Run();
+  EXPECT_EQ(seen, TimePoint::FromMicros(1000));
+}
+
+TEST(SimulatorTest, HorizonOfRunOnAnEmptyQueue) {
+  Simulator sim;
+  TimePoint seen;
+  sim.Schedule(Duration::Millis(1), [&] { seen = sim.Horizon(); });
+  sim.Run();
+  // Run() has no deadline: with nothing else pending the horizon is unbounded...
+  EXPECT_EQ(seen, TimePoint::Infinite());
+  // ...but only while it runs. Between runs, and after Run() on an empty queue, the
+  // caller observes the state now.
+  EXPECT_EQ(sim.Horizon(), sim.Now());
+  EXPECT_EQ(sim.Run(), 0u);
+  EXPECT_EQ(sim.Horizon(), TimePoint::FromMicros(1000));
+}
+
 TEST(PeriodicTaskTest, FiresAtFixedPeriod) {
   Simulator sim;
   std::vector<int64_t> fire_times;

@@ -71,9 +71,36 @@ TEST(MemoryHogTest, StreamsAndWraps) {
   hog.Start();
   sim.RunUntil(TimePoint::Zero() + Duration::Millis(10));
   hog.Stop();
-  // 100 us per zero-fill touch: ~100 touches in 10 ms, so it wrapped the 32-page region.
-  EXPECT_GT(hog.pages_touched(), 64);
+  // One touch per 100 us at t = 0, 100 us, ..., 10 ms inclusive: the touch due at the
+  // deadline runs, the one after it does not. It wrapped the 32-page region three times.
+  EXPECT_EQ(hog.pages_touched(), 101);
   EXPECT_EQ(hog.address_space()->resident_pages(), 32u);
+}
+
+// Touches by 2 ms of a 50 us hog over a resident 32-page region, stopped at 1,010 us and
+// restarted at `restart_us`.
+int64_t TouchesWithRestartAt(int64_t restart_us) {
+  Simulator sim;
+  Disk disk(sim, Rng(1));
+  Pager pager(sim, disk, PagerConfig{.total_frames = 64});
+  MemoryHogConfig cfg;
+  cfg.region_pages = 32;
+  cfg.touch_cpu = Duration::Micros(50);
+  MemoryHog hog(sim, pager, cfg);
+  hog.Start();
+  sim.At(TimePoint::FromMicros(1010), [&] { hog.Stop(); });
+  sim.At(TimePoint::FromMicros(restart_us), [&] { hog.Start(); });
+  sim.RunUntil(TimePoint::Zero() + Duration::Millis(2));
+  return hog.pages_touched();
+}
+
+// A restart resumes the stopped chain while its next touch is pending, so one chain of
+// touches runs, not two; once that touch has lapsed, Start() begins a new chain.
+TEST(MemoryHogTest, RestartResumesAPendingChainOrStartsANewOne) {
+  // 21 touches at 0..1000 us, then the pending 1050 us touch continues to 2000 us.
+  EXPECT_EQ(TouchesWithRestartAt(1020), 41);
+  // The 1050 us touch finds the hog stopped; the new chain touches at 1100..2000 us.
+  EXPECT_EQ(TouchesWithRestartAt(1100), 40);
 }
 
 TEST(MemoryHogTest, EvictsOlderPagesWhenRegionExceedsMemory) {
