@@ -5,16 +5,19 @@
 // compared field-exactly against the canonical files in tests/golden/. Only run.wall_ms
 // — the one nondeterministic field in any report — is neutralized before comparison.
 // Any change to simulation behavior, report field order, or number formatting shows up
-// as a diff here.
+// as a diff here. Two SLO postmortem bundles (frozen trace window + forensic summary)
+// are compared byte for byte against tests/golden/postmortem/.
 //
 // To re-bless after an intentional change: tools/regen_golden.sh (or run this binary
 // with TCS_REGEN_GOLDEN=1).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <regex>
 #include <sstream>
@@ -281,6 +284,94 @@ TEST_P(GoldenReportTest, ReportMatchesGoldenFieldForField) {
   EXPECT_EQ(StripWall(actual), StripWall(buffer.str()))
       << "report drifted from " << path
       << " — if the change is intentional, re-bless with tools/regen_golden.sh";
+}
+
+// Postmortem bundles: the frozen flight-recorder window (<name>.trace.json) and the
+// forensic summary (<name>.postmortem.json) of two violating runs, compared byte for
+// byte with tests/golden/postmortem/. Neither file carries wall time or a path.
+struct BundleCase {
+  const char* name;  // the SLO name, so both the bundle stem and the golden stem
+  void (*run)(const SloSpec& slo);
+};
+
+// No real run keeps its worst p99 under 1 ms, so both cases violate.
+const BundleCase kBundles[] = {
+    // PostmortemDeterminismTest's chaos cell: a 5% lossy link, so the window holds
+    // retransmissions and the bundle a blame digest (chaos points always attribute).
+    {"chaos_tse_loss5",
+     [](const SloSpec& slo) {
+       ChaosOptions opt;
+       opt.loss_rate = 0.05;
+       opt.duration = Duration::Seconds(5);
+       opt.seed = 7;
+       ObsConfig obs;
+       obs.slo = &slo;
+       RunChaosPoint(OsProfile::Tse(), opt, &obs);
+     }},
+    // Three consolidated users with compute bursts and an attribution engine, so the
+    // window carries blame spans and flow arrows across sessions.
+    {"consolidation_tse_u3",
+     [](const SloSpec& slo) {
+       ConsolidationOptions opt;
+       opt.users = 3;
+       opt.duration = Duration::Seconds(5);
+       opt.seed = 1;
+       opt.burst_cpu = Duration::Millis(200);
+       LatencyAttribution attribution;
+       ObsConfig obs;
+       obs.slo = &slo;
+       obs.attribution = &attribution;
+       RunConsolidation(OsProfile::Tse(), opt, &obs);
+     }},
+};
+
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+class PostmortemGoldenTest : public ::testing::TestWithParam<size_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Bundles, PostmortemGoldenTest,
+                         ::testing::Range<size_t>(0, std::size(kBundles)),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return std::string(kBundles[info.param].name);
+                         });
+
+TEST_P(PostmortemGoldenTest, BundleMatchesGoldenByteForByte) {
+  const BundleCase& c = kBundles[GetParam()];
+  std::filesystem::path out_dir =
+      std::filesystem::temp_directory_path() /
+      ("tcs_golden_pm_" + std::string(c.name) + "_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(out_dir);
+  SloSpec slo;
+  slo.max_worst_p99_ms = 1.0;
+  slo.name = c.name;
+  slo.out_dir = out_dir.string();
+  c.run(slo);
+
+  for (const char* suffix : {".trace.json", ".postmortem.json"}) {
+    std::string file = std::string(c.name) + suffix;
+    std::string actual = ReadAll((out_dir / file).string());
+    ASSERT_FALSE(actual.empty()) << "the run wrote no " << file;
+    std::string path = std::string(TCS_GOLDEN_DIR) + "/postmortem/" + file;
+    if (std::getenv("TCS_REGEN_GOLDEN") != nullptr) {
+      std::filesystem::create_directories(std::string(TCS_GOLDEN_DIR) + "/postmortem");
+      std::ofstream out(path, std::ios::binary);
+      ASSERT_TRUE(out) << "cannot write " << path;
+      out << actual;
+      continue;
+    }
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in) << "missing golden file " << path
+                    << " — run tools/regen_golden.sh to create it";
+    EXPECT_TRUE(actual == ReadAll(path))
+        << file << " drifted from " << path
+        << " — if the change is intentional, re-bless with tools/regen_golden.sh";
+  }
+  std::filesystem::remove_all(out_dir);
 }
 
 // Regression for the guard itself: a brand-new top-level block must be a *named*

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Re-bless (or verify) the golden corpus: the report JSON in tests/golden/ and the
-# paper artifacts' stdout in tests/golden/paper/.
+# Re-bless (or verify) the golden corpus: the report JSON in tests/golden/, the SLO
+# postmortem bundles in tests/golden/postmortem/, and the paper artifacts' stdout in
+# tests/golden/paper/.
 #
 # Default mode builds golden_report_test and tcsctl and reruns the corpus tests with
 # TCS_REGEN_GOLDEN=1, which makes each case rewrite its golden file instead of comparing
@@ -33,7 +34,7 @@ mkdir -p tests/golden
 # both a plain regen and --check. There is deliberately nothing to re-bless for it.
 TCS_REGEN_GOLDEN=1 "$BUILD_DIR/tests/golden_report_test"
 TCS_REGEN_GOLDEN=1 ctest --test-dir "$BUILD_DIR" -R '^paper_' -j "$(nproc)" --output-on-failure
-goldens=(tests/golden/*.json tests/golden/paper/*.txt)
+goldens=(tests/golden/*.json tests/golden/postmortem/*.json tests/golden/paper/*.txt)
 
 if [[ "$CHECK" == 1 ]]; then
   # Compare each regenerated file against HEAD with wall_ms zeroed on both sides
