@@ -1,7 +1,9 @@
 #include "src/obs/attribution.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -281,6 +283,110 @@ TEST(AttributionTest, FlowEventsLinkOneInteractionAcrossTracks) {
     EXPECT_GE(phases.size(), 3u) << "flow " << id;
     EXPECT_GE(tracks_by_flow[id].size(), 4u) << "flow " << id;
   }
+}
+
+// The pre-sketch reference: copy, sort, nearest-rank scan.
+int64_t ReferenceNearestRank(std::vector<int64_t> samples, double q) {
+  std::sort(samples.begin(), samples.end());
+  auto n = static_cast<int64_t>(samples.size());
+  auto rank = static_cast<int64_t>(q * static_cast<double>(n) + 0.999999999);
+  rank = std::clamp<int64_t>(rank, 1, n);
+  return samples[static_cast<size_t>(rank - 1)];
+}
+
+// A record whose stages sum to its total and whose display-net sub-stages sum to that
+// stage. Even stages draw from a narrow range, so their samples repeat; degradation-hold
+// is nonzero in a quarter of the records, so its summary appears.
+InteractionRecord SyntheticRecord(std::mt19937_64& gen, uint64_t id) {
+  std::uniform_int_distribution<int64_t> narrow(0, 40);
+  std::uniform_int_distribution<int64_t> wide(0, 200'000);
+  InteractionRecord rec;
+  rec.id = id;
+  rec.batch = 1 + static_cast<int>(id % 3);
+  for (int s = 0; s < kAttrStageCount; ++s) {
+    rec.stage_us[s] = s % 2 == 0 ? narrow(gen) : wide(gen);
+  }
+  if (id % 4 != 0) {
+    rec.stage_us[static_cast<int>(AttrStage::kDegradationHold)] = 0;
+  }
+  int64_t remaining = rec.stage_us[static_cast<int>(AttrStage::kDisplayNet)];
+  for (int s = 0; s + 1 < kNetSubStageCount; ++s) {
+    rec.net_us[s] = std::uniform_int_distribution<int64_t>(0, remaining)(gen);
+    remaining -= rec.net_us[s];
+  }
+  rec.net_us[kNetSubStageCount - 1] = remaining;
+  rec.sent_us = static_cast<int64_t>(id) * 1000;
+  rec.painted_us = rec.sent_us + rec.StageSum();
+  return rec;
+}
+
+void ExpectSummaryMatches(const StageSummary& summary, const std::vector<int64_t>& samples) {
+  SCOPED_TRACE(summary.stage);
+  EXPECT_EQ(summary.p50_us, ReferenceNearestRank(samples, 0.50));
+  EXPECT_EQ(summary.p99_us, ReferenceNearestRank(samples, 0.99));
+  EXPECT_EQ(summary.max_us, *std::max_element(samples.begin(), samples.end()));
+}
+
+// Every p50, p99 and max in `r` against sort-and-scan over the first `n` records.
+void ExpectNearestRankReference(const AttributionResult& r,
+                                const std::vector<InteractionRecord>& records, size_t n) {
+  std::vector<int64_t> totals;
+  for (size_t i = 0; i < n; ++i) {
+    totals.push_back(records[i].total_us());
+  }
+  EXPECT_EQ(r.p50_total_us, ReferenceNearestRank(totals, 0.50));
+  EXPECT_EQ(r.p99_total_us, ReferenceNearestRank(totals, 0.99));
+  EXPECT_EQ(r.max_total_us, *std::max_element(totals.begin(), totals.end()));
+  ASSERT_EQ(r.stages.size(), static_cast<size_t>(kAttrStageCount));
+  for (int s = 0; s < kAttrStageCount; ++s) {
+    std::vector<int64_t> samples;
+    for (size_t i = 0; i < n; ++i) {
+      samples.push_back(records[i].stage_us[s]);
+    }
+    ExpectSummaryMatches(r.stages[static_cast<size_t>(s)], samples);
+  }
+  ASSERT_EQ(r.net_stages.size(), static_cast<size_t>(kNetSubStageCount));
+  for (int s = 0; s < kNetSubStageCount; ++s) {
+    std::vector<int64_t> samples;
+    for (size_t i = 0; i < n; ++i) {
+      samples.push_back(records[i].net_us[s]);
+    }
+    ExpectSummaryMatches(r.net_stages[static_cast<size_t>(s)], samples);
+  }
+}
+
+// Collect() between commits must not change what a later Collect() reports: the final
+// result equals a fresh engine's over the same records, and both answers are exact
+// nearest-rank percentiles of the records committed so far.
+TEST(AttributionTest, CollectBetweenCommitsMatchesAFreshEngineAndSortAndScan) {
+  std::mt19937_64 gen(2024);
+  std::vector<InteractionRecord> records;
+  for (uint64_t id = 1; id <= 600; ++id) {
+    records.push_back(SyntheticRecord(gen, id));
+  }
+  AttributionConfig cfg;
+  cfg.decompose_network = true;
+  LatencyAttribution live(cfg);
+  const size_t mid = 250;
+  for (size_t i = 0; i < mid; ++i) {
+    live.Commit(records[i]);
+  }
+  AttributionResult first = live.Collect();
+  EXPECT_EQ(first.interactions, static_cast<int64_t>(mid));
+  ExpectNearestRankReference(first, records, mid);
+  for (size_t i = mid; i < records.size(); ++i) {
+    live.Commit(records[i]);
+  }
+  AttributionResult last = live.Collect();
+
+  LatencyAttribution fresh(cfg);
+  for (const InteractionRecord& rec : records) {
+    fresh.Commit(rec);
+  }
+  EXPECT_EQ(ToJson(last), ToJson(fresh.Collect()));
+  EXPECT_EQ(last.accounting_mismatches, 0);
+  EXPECT_EQ(last.net_mismatches, 0);
+  ExpectNearestRankReference(last, records, records.size());
 }
 
 }  // namespace
