@@ -40,7 +40,7 @@ void MessageSender::SendMessage(Bytes payload, InlineCallback delivered,
     Bytes wire = chunk + headers_.WirePerPacket();
     remaining -= chunk;
     bool last = i + 1 == packets;
-    link_.Send(wire, last ? std::move(delivered) : nullptr, nullptr,
+    link_.Send(wire, last ? std::move(delivered) : nullptr,
                last ? delivered_key : ResumeKey{});
   }
 }

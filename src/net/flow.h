@@ -12,136 +12,98 @@
 // multi-user consolidation engine be a strict generalization of the single-session
 // experiments (the N=1 differential test).
 //
-// Counters live out-of-line in a FlowLedger — one cache line of plain integers — rather
-// than in the SessionFlow object. The send path bumps sends/wire_bytes directly and
-// hands the transport a pointer to the delivered slot (the FrameTransport tally
-// contract), so a send allocates nothing and captures nothing. A consolidation run packs
-// its sessions' ledgers contiguously in a FlowLedgerTable, one line per session, so the
-// end-of-run accounting sweep over 512 sessions reads a flat array instead of chasing
-// 512 heap objects.
+// A send's delivery action is one callback: count the delivery on this flow, then run
+// the caller's callback if there is one. It captures a single pointer, so it stays in
+// the event queue's inline buffer, and the transport schedules it as the delivery event
+// itself (a lost frame's event is the transport's no-op instead).
 
 #ifndef TCS_SRC_NET_FLOW_H_
 #define TCS_SRC_NET_FLOW_H_
 
 #include <cstdint>
-#include <memory>
-#include <vector>
+#include <utility>
 
 #include "src/net/link.h"
 
 namespace tcs {
 
-// One session's share of the wire, as plain integers on a single cache line. `delivered`
-// is bumped by the transport at delivery time via the tally pointer, so its address must
-// stay stable while sends are in flight — which is why FlowLedgerTable never relocates a
-// ledger once handed out.
-struct alignas(64) FlowLedger {
-  int64_t sends = 0;
-  int64_t delivered = 0;
-  int64_t wire_bytes = 0;
-};
-
-// A stable-address, cache-contiguous pool of FlowLedgers indexed by acquisition order
-// (the consolidation engine acquires one per session id, in login order). Storage grows
-// in chunks; existing ledgers never move.
-class FlowLedgerTable {
- public:
-  FlowLedgerTable() = default;
-  FlowLedgerTable(const FlowLedgerTable&) = delete;
-  FlowLedgerTable& operator=(const FlowLedgerTable&) = delete;
-
-  // Returns a zeroed ledger with a stable address; index = acquisition count so far.
-  FlowLedger& Acquire() {
-    size_t chunk = size_ / kChunkSize;
-    if (chunk == chunks_.size()) {
-      chunks_.push_back(std::make_unique<FlowLedger[]>(kChunkSize));
-    }
-    return chunks_[chunk][size_++ % kChunkSize];
-  }
-
-  FlowLedger& operator[](size_t i) { return chunks_[i / kChunkSize][i % kChunkSize]; }
-  const FlowLedger& operator[](size_t i) const {
-    return chunks_[i / kChunkSize][i % kChunkSize];
-  }
-  size_t size() const { return size_; }
-
- private:
-  static constexpr size_t kChunkSize = 64;  // 4 KiB of ledgers per chunk
-  std::vector<std::unique_ptr<FlowLedger[]>> chunks_;
-  size_t size_ = 0;
-};
-
 class SessionFlow : public FrameTransport {
  public:
-  // Standalone flow owning a private ledger (single-session experiments, tests).
-  explicit SessionFlow(FrameTransport& shared) : shared_(shared), ledger_(&owned_) {}
-
-  // Flow accounting into an externally pooled ledger (the consolidation engine's
-  // FlowLedgerTable). `ledger` must outlive the flow and any in-flight sends.
-  SessionFlow(FrameTransport& shared, FlowLedger& ledger)
-      : shared_(shared), ledger_(&ledger) {}
+  explicit SessionFlow(FrameTransport& shared) : shared_(shared) {}
 
   SessionFlow(const SessionFlow&) = delete;
   SessionFlow& operator=(const SessionFlow&) = delete;
 
   // Checkpoint identity stamped on sends whose caller provided no key of their own —
   // which is every ordinary protocol message (their only delivery action is this flow's
-  // ledger bump). The owner keys it so the registered restorer knows which ledger to
-  // bump; the Server uses the session id. Unset, tally-only sends are unsnapshotable
-  // while in flight (the transport fails SaveTo loudly).
+  // DeliveryCounter). The owner keys it so the registered restorer knows which flow to
+  // count on; the Server uses the session id. Unset, such sends are unsnapshotable while
+  // in flight (the transport fails SaveTo loudly).
   void set_delivered_key(ResumeKey key) { default_key_ = key; }
 
+  // The delivery action of a send without a caller callback. Copyable, so a restorer
+  // can rebuild it for a send still in flight at a checkpoint.
+  auto DeliveryCounter() {
+    return [count = &delivered_] { ++*count; };
+  }
+
   // `delivered_key`'s restorer must reproduce the full delivery action as seen at the
-  // transport the event lives in — including this flow's ledger bump (the session layer
-  // keys sends with the session id, so its restorer knows which ledger to bump).
+  // transport the event lives in — this flow's count, then the caller's callback.
   void Send(Bytes wire_bytes, InlineCallback delivered = nullptr,
-            int64_t* delivered_tally = nullptr, ResumeKey delivered_key = {}) override {
+            ResumeKey delivered_key = {}) override {
     if (delivered_key.empty()) {
       delivered_key = default_key_;
     }
-    ++ledger_->sends;
-    ledger_->wire_bytes += wire_bytes.count();
-    if (delivered_tally == nullptr) {
-      // The hot path: no caller tally, so the session's delivered slot rides the
-      // transport's tally contract directly — no closure, no allocation.
-      shared_.Send(wire_bytes, std::move(delivered), &ledger_->delivered, delivered_key);
-    } else {
-      // A caller-supplied tally stacks on top of ours (rare; keeps the decorator a
-      // faithful FrameTransport).
-      shared_.Send(wire_bytes,
-                   [outer = delivered_tally, cb = std::move(delivered)]() mutable {
-                     ++*outer;
-                     if (cb) {
-                       cb();
-                     }
-                   },
-                   &ledger_->delivered, delivered_key);
+    ++sends_;
+    wire_bytes_ += wire_bytes.count();
+    if (!delivered) {
+      shared_.Send(wire_bytes, DeliveryCounter(), delivered_key);
+      return;
     }
+    shared_.Send(wire_bytes,
+                 [count = DeliveryCounter(), cb = std::move(delivered)]() mutable {
+                   count();
+                   cb();
+                 },
+                 delivered_key);
   }
 
   const LinkConfig& config() const override { return shared_.config(); }
 
   // Sends this session pushed onto the shared medium (a send may fragment into several
   // wire frames; fragmentation happens below, in the Link).
-  int64_t sends() const { return ledger_->sends; }
+  int64_t sends() const { return sends_; }
   // Sends whose last bit reached the far end.
-  int64_t delivered() const { return ledger_->delivered; }
+  int64_t delivered() const { return delivered_; }
   // Wire bytes this session offered (payload + headers + any retransmissions the
   // reliable layer adds are accounted where they are generated, not here).
-  Bytes wire_bytes() const { return Bytes::Of(ledger_->wire_bytes); }
+  Bytes wire_bytes() const { return Bytes::Of(wire_bytes_); }
 
   // This session's share of `total`: its offered wire bytes over the total carried.
   double ShareOf(Bytes total) const {
-    return total.count() > 0 ? static_cast<double>(ledger_->wire_bytes) /
-                                   static_cast<double>(total.count())
-                             : 0.0;
+    return total.count() > 0
+               ? static_cast<double>(wire_bytes_) / static_cast<double>(total.count())
+               : 0.0;
+  }
+
+  // Checkpoint/restore: the three counters. The delivery key is construction config.
+  void SaveTo(SnapshotWriter& w) const {
+    w.I64(sends_);
+    w.I64(delivered_);
+    w.I64(wire_bytes_);
+  }
+  void LoadFrom(SnapshotReader& r) {
+    sends_ = r.I64();
+    delivered_ = r.I64();
+    wire_bytes_ = r.I64();
   }
 
  private:
   FrameTransport& shared_;
-  FlowLedger* ledger_;
-  FlowLedger owned_;
   ResumeKey default_key_;
+  int64_t sends_ = 0;
+  int64_t delivered_ = 0;
+  int64_t wire_bytes_ = 0;
 };
 
 }  // namespace tcs

@@ -189,43 +189,18 @@ Link::FateHandle Link::SendEx(Bytes wire_bytes, InlineFunction<void(bool)> done,
   return handle;
 }
 
-void Link::Send(Bytes wire_bytes, InlineCallback delivered, int64_t* delivered_tally,
-                ResumeKey delivered_key) {
+void Link::Send(Bytes wire_bytes, InlineCallback delivered, ResumeKey delivered_key) {
   TimePoint delivery = TimePoint::Zero();
   bool all_ok = TransmitAll(wire_bytes, &delivery);
-  // A send that wants any delivery notification schedules exactly one event at the
+  if (!delivered) {
+    return;  // nothing scheduled, nothing to track
+  }
+  // A send that wants a delivery notification schedules exactly one event at the
   // delivery time — even when the frame was lost (the event is then a no-op). Lost and
   // delivered frames thus execute identical event schedules, which keeps the
   // events_executed counter (and the golden corpus that records it) fate-independent.
-  //
-  // The common consolidation path is tally-only: the delivery event captures a pointer
-  // and a bool and stays inside the event queue's inline buffer. A bare callback on a
-  // healthy link passes through unwrapped — it already IS the event callback type.
-  EventId ev;
-  if (delivered) {
-    if (delivered_tally != nullptr) {
-      ev = sim_.At(delivery,
-                   [tally = delivered_tally, ok = all_ok,
-                    cb = std::move(delivered)]() mutable {
-                     if (ok) {
-                       ++*tally;
-                       cb();
-                     }
-                   });
-    } else if (all_ok) {
-      ev = sim_.At(delivery, std::move(delivered));
-    } else {
-      ev = sim_.At(delivery, [] {});
-    }
-  } else if (delivered_tally != nullptr) {
-    ev = sim_.At(delivery, [tally = delivered_tally, ok = all_ok] {
-      if (ok) {
-        ++*tally;
-      }
-    });
-  } else {
-    return;  // nothing scheduled, nothing to track
-  }
+  // A delivered frame's callback is the event itself, unwrapped.
+  EventId ev = all_ok ? sim_.At(delivery, std::move(delivered)) : sim_.At(delivery, [] {});
   // Track the pending event as a record (no callback wrapping, so the hot path pays one
   // vector push). Stale records are swept once the list outgrows its amortized bound.
   if (deliveries_.size() >= prune_deliveries_at_) {

@@ -62,16 +62,12 @@ class FrameTransport {
 
   // Queues a frame of `wire_bytes`; `delivered` (optional) fires when the last bit
   // arrives at the far end (for reliable transports: in order, after any recovery).
-  // `delivered_tally` (optional) is incremented at that same moment, just before the
-  // callback — the allocation-free way for per-session ledgers to count deliveries
-  // without wrapping every send in a closure. The pointee must outlive the delivery.
   // `delivered_key` is the delivery action's checkpoint identity: its registered
-  // restorer must reproduce the whole action (any tally bump, then the callback). A
-  // send wanting notification that is still in flight at snapshot time must carry one
-  // or SaveTo fails loudly; key-less sends are fine as long as they land before any
-  // checkpoint is taken.
+  // restorer must reproduce the whole action. A send wanting notification that is
+  // still in flight at snapshot time must carry one or SaveTo fails loudly; key-less
+  // sends are fine as long as they land before any checkpoint is taken.
   virtual void Send(Bytes wire_bytes, InlineCallback delivered = nullptr,
-                    int64_t* delivered_tally = nullptr, ResumeKey delivered_key = {}) = 0;
+                    ResumeKey delivered_key = {}) = 0;
 
   // The underlying link's configuration (MTU, rate) for segmentation arithmetic.
   virtual const LinkConfig& config() const = 0;
@@ -88,9 +84,8 @@ class Link : public FrameTransport {
   // last bit arrives at the far end. Sends larger than mtu+framing are fragmented into
   // multiple frames (each queued separately); `delivered` fires when the last fragment
   // lands, and only if every fragment survived any attached fault injector.
-  // `delivered_tally` is bumped at delivery under the same condition (see FrameTransport).
   void Send(Bytes wire_bytes, InlineCallback delivered = nullptr,
-            int64_t* delivered_tally = nullptr, ResumeKey delivered_key = {}) override;
+            ResumeKey delivered_key = {}) override;
 
   // What a fate-reporting send scheduled: the pending fate event (invalid when no `done`
   // was supplied) and the fate itself. The caller owns tracking the event for

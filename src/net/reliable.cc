@@ -47,7 +47,7 @@ Duration ReliableChannel::CurrentRtoBase() const {
 }
 
 void ReliableChannel::Send(Bytes wire_bytes, InlineCallback delivered,
-                           int64_t* delivered_tally, ResumeKey delivered_key) {
+                           ResumeKey delivered_key) {
   if (config_.window_frames > 0 &&
       static_cast<int64_t>(records_.size()) >= config_.window_frames) {
     // Window full: shed at the door. The frame gets no sequence number and its callback
@@ -67,7 +67,6 @@ void ReliableChannel::Send(Bytes wire_bytes, InlineCallback delivered,
   Record& rec = records_[seq];
   rec.bytes = wire_bytes;
   rec.delivered = std::move(delivered);
-  rec.delivered_tally = delivered_tally;
   rec.delivered_key = delivered_key;
   rec.rto = CurrentRtoBase();
   ++frames_sent_;
@@ -206,9 +205,6 @@ void ReliableChannel::ReleaseInOrder() {
     if (!rec.released) {
       rec.released = true;
       ++frames_delivered_;
-      if (rec.delivered_tally != nullptr) {
-        ++*rec.delivered_tally;
-      }
       if (rec.delivered) {
         auto cb = std::move(rec.delivered);
         cb();
@@ -271,8 +267,7 @@ void ReliableChannel::SaveTo(SnapshotWriter& w) const {
   for (const auto& [seq, rec] : records_) {
     w.U64(seq);
     w.I64(rec.bytes.count());
-    bool wants_release = !rec.released &&
-                         (static_cast<bool>(rec.delivered) || rec.delivered_tally != nullptr);
+    bool wants_release = !rec.released && static_cast<bool>(rec.delivered);
     if (wants_release && rec.delivered_key.empty()) {
       throw SnapshotError("reliable.record",
                           "in-flight frame wants a delivery notification but carries no "
@@ -330,11 +325,7 @@ void ReliableChannel::LoadFrom(SnapshotReader& r, EventRearm& plan) {
     rec.arrived = r.Bool();
     rec.released = r.Bool();
     if (wants_release) {
-      // The live run split the release action into a tally bump and a callback; the
-      // rebuilt action is one thunk doing both (the restorer contract), invoked at the
-      // same in-order release point, so external effects are identical.
-      rec.delivered = [thunk = plan.Build(rec.delivered_key)] { thunk(); };
-      rec.delivered_tally = nullptr;
+      rec.delivered = plan.Build(rec.delivered_key);
     }
     if (r.Bool()) {
       uint64_t ev_seq = r.U64();

@@ -59,11 +59,11 @@ class ReliableChannel : public FrameTransport {
   ReliableChannel& operator=(const ReliableChannel&) = delete;
 
   // Queues `wire_bytes` for reliable in-order delivery; `delivered` fires once the frame
-  // (and every frame sent before it) has arrived at the far end. `delivered_tally` is
-  // bumped at that same in-order release (abandoned frames bump nothing).
-  // `delivered_key` is the release action's checkpoint identity (see FrameTransport).
+  // (and every frame sent before it) has arrived at the far end; an abandoned frame's
+  // never fires. `delivered_key` is the release action's checkpoint identity (see
+  // FrameTransport).
   void Send(Bytes wire_bytes, InlineCallback delivered = nullptr,
-            int64_t* delivered_tally = nullptr, ResumeKey delivered_key = {}) override;
+            ResumeKey delivered_key = {}) override;
 
   const LinkConfig& config() const override { return link_.config(); }
 
@@ -117,7 +117,6 @@ class ReliableChannel : public FrameTransport {
   struct Record {
     Bytes bytes = Bytes::Zero();
     InlineCallback delivered;
-    int64_t* delivered_tally = nullptr;
     ResumeKey delivered_key;
     int attempts = 0;
     Duration rto = Duration::Zero();

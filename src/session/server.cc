@@ -290,9 +290,8 @@ Session& Server::Login(bool light_session) {
 
   // The session's own protocol pipeline: a flow-accounting tap on the one shared
   // transport, its message senders, and a fresh encoder + caches.
-  s.flow_ = std::make_unique<SessionFlow>(PickTransport(reliable_, link_),
-                                          flow_ledgers_.Acquire());
-  // Ordinary protocol messages' only delivery action is this flow's ledger bump; key
+  s.flow_ = std::make_unique<SessionFlow>(PickTransport(reliable_, link_));
+  // Ordinary protocol messages' only delivery action is this flow's delivery count; key
   // them with the session id so in-flight sends restore through kResumeFlowDelivered.
   s.flow_->set_delivered_key(ResumeKey::Make(kResumeFlowDelivered, s.id_));
   s.display_sender_ = std::make_unique<MessageSender>(*s.flow_, HeaderModel::TcpIp());
@@ -989,13 +988,7 @@ void Server::RegisterRestorers(EventRearm& plan) {
         if (key.n != 1) {
           throw SnapshotError("server.flows", "flow-delivered key wants one argument");
         }
-        uint64_t id = key.arg(0);
-        if (id == 0 || id > flow_ledgers_.size()) {
-          throw SnapshotError("server.flows",
-                              "flow-delivered key names an unknown session");
-        }
-        int64_t* tally = &flow_ledgers_[static_cast<size_t>(id) - 1].delivered;
-        return [tally] { ++*tally; };
+        return SessionById(key.arg(0)).flow_->DeliveryCounter();
       });
   plan.RegisterRestorer(
       kResumeServerPageInDone, [this](const ResumeKey& key) -> EventRearm::Thunk {
@@ -1114,12 +1107,9 @@ void Server::SaveTo(SnapshotWriter& w) const {
   w.EndSection();
 
   w.BeginSection(Tag(ServerSection::kFlows));
-  w.U64(flow_ledgers_.size());
-  for (size_t i = 0; i < flow_ledgers_.size(); ++i) {
-    const FlowLedger& ledger = flow_ledgers_[i];
-    w.I64(ledger.sends);
-    w.I64(ledger.delivered);
-    w.I64(ledger.wire_bytes);
+  w.U64(sessions_.size());
+  for (const auto& s : sessions_) {
+    s->flow_->SaveTo(w);
   }
   w.EndSection();
 
@@ -1267,14 +1257,11 @@ void Server::LoadFrom(SnapshotReader& r, EventRearm& plan) {
   r.LeaveSection();
 
   r.EnterSection(Tag(ServerSection::kFlows));
-  if (r.U64() != flow_ledgers_.size()) {
-    throw SnapshotError("server.flows", "flow-ledger count differs from the snapshot");
+  if (r.U64() != sessions_.size()) {
+    throw SnapshotError("server.flows", "flow count differs from the snapshot");
   }
-  for (size_t i = 0; i < flow_ledgers_.size(); ++i) {
-    FlowLedger& ledger = flow_ledgers_[i];
-    ledger.sends = r.I64();
-    ledger.delivered = r.I64();
-    ledger.wire_bytes = r.I64();
+  for (const auto& s : sessions_) {
+    s->flow_->LoadFrom(r);
   }
   r.LeaveSection();
 

@@ -46,7 +46,7 @@ enum class ServerSection : uint32_t {
   kTap = 0x5308,          // protocol traffic time series
   kDaemons = 0x5309,      // periodic-task firing identities
   kSessions = 0x530A,     // per-session pipeline + protocol encoder state
-  kFlows = 0x530B,        // per-session flow-ledger rows
+  kFlows = 0x530B,        // per-session flow counters, in login order
   kPending = 0x530C,      // the server's own pending continuation events
 };
 
@@ -340,9 +340,6 @@ class Server {
   };
   std::vector<DaemonRuntime> daemons_;
   std::vector<std::unique_ptr<Session>> sessions_;
-  // One FlowLedger per session, packed one cache line apiece in login order, so the
-  // per-user accounting sweep at the end of a consolidation run walks a flat array.
-  FlowLedgerTable flow_ledgers_;
   // Interned pipeline-hop names for the records' trace spans (empty unless the
   // attribution engine carries a tracer).
   std::vector<const char*> hop_trace_names_;

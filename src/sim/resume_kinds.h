@@ -20,9 +20,9 @@ enum ResumeKind : uint32_t {
   kResumePagerChain = 1,
 
   // --- Net (src/net/flow.h) ---
-  // args: [session id]. A session flow's tally-only pending delivery: bump the
-  // session's FlowLedger.delivered slot (ordinary protocol messages carry no other
-  // delivery action, so this one restorer covers every in-flight session send).
+  // args: [session id]. A session flow's pending delivery: count it on the session's
+  // flow (ordinary protocol messages carry no other delivery action, so this one
+  // restorer covers every in-flight session send).
   kResumeFlowDelivered = 8,
 
   // --- Server pipeline (src/session/server.cc) ---
