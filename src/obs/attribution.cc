@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "src/obs/flight_recorder.h"
+#include "src/util/percentile_sketch.h"
 
 namespace tcs {
 
@@ -17,13 +18,21 @@ bool AnyNegative(const int64_t* values, int n) {
   return std::any_of(values, values + n, [](int64_t v) { return v < 0; });
 }
 
-// Nearest-rank percentile over the sketch's sorted samples: the reported value is always
-// an observed sample, so it is an integer and invariant under worker count.
-int64_t NearestRank(const PercentileSketch<int64_t>& sketch, double q) {
-  if (sketch.empty()) {
-    return 0;
+// Nearest-rank p50, p99 and max of one sample column, from a transient sorted copy.
+// Every reported value is an observed sample, so it is an integer and invariant under
+// worker count; an empty column reports zeros.
+struct Ranks {
+  int64_t p50 = 0;
+  int64_t p99 = 0;
+  int64_t max = 0;
+};
+
+Ranks RanksOf(const ArenaColumn<int64_t>& column) {
+  PercentileSketch<int64_t> sorted;
+  for (int64_t sample : column) {
+    sorted.Add(sample);
   }
-  return sketch.NearestRank(q);
+  return Ranks{sorted.NearestRank(0.50), sorted.NearestRank(0.99), sorted.Max()};
 }
 
 }  // namespace
@@ -170,22 +179,6 @@ void LatencyAttribution::EmitTrace(const InteractionRecord& rec) {
   tr->FlowEnd(kCat, "interaction", client_track_, at(rec.painted_us), rec.id);
 }
 
-void LatencyAttribution::RefreshSketches() const {
-  for (; total_consumed_ < total_samples_.size(); ++total_consumed_) {
-    total_sorted_.Add(total_samples_[total_consumed_]);
-  }
-  for (int s = 0; s < kAttrStageCount; ++s) {
-    for (; stage_consumed_[s] < stage_samples_[s].size(); ++stage_consumed_[s]) {
-      stage_sorted_[s].Add(stage_samples_[s][stage_consumed_[s]]);
-    }
-  }
-  for (int s = 0; s < kNetSubStageCount; ++s) {
-    for (; net_consumed_[s] < net_samples_[s].size(); ++net_consumed_[s]) {
-      net_sorted_[s].Add(net_samples_[s][net_consumed_[s]]);
-    }
-  }
-}
-
 AttributionResult LatencyAttribution::Collect() const {
   AttributionResult result;
   result.active = true;
@@ -197,10 +190,10 @@ AttributionResult LatencyAttribution::Collect() const {
   for (int s = 0; s < kAttrStageCount; ++s) {
     stage_grand_total += stage_total_us_[s];
   }
-  RefreshSketches();
-  result.p50_total_us = NearestRank(total_sorted_, 0.50);
-  result.p99_total_us = NearestRank(total_sorted_, 0.99);
-  result.max_total_us = total_sorted_.empty() ? 0 : total_sorted_.Max();
+  Ranks total = RanksOf(total_samples_);
+  result.p50_total_us = total.p50;
+  result.p99_total_us = total.p99;
+  result.max_total_us = total.max;
   result.total_us = total_us_sum_;
   int64_t top_p99 = -1;
   for (int s = 0; s < kAttrStageCount; ++s) {
@@ -213,10 +206,10 @@ AttributionResult LatencyAttribution::Collect() const {
     sum.stage = AttrStageName(static_cast<AttrStage>(s));
     sum.count = committed_;
     sum.total_us = stage_total_us_[s];
-    const PercentileSketch<int64_t>& stage_sorted = stage_sorted_[s];
-    sum.p50_us = NearestRank(stage_sorted, 0.50);
-    sum.p99_us = NearestRank(stage_sorted, 0.99);
-    sum.max_us = stage_sorted.empty() ? 0 : stage_sorted.Max();
+    Ranks ranks = RanksOf(stage_samples_[s]);
+    sum.p50_us = ranks.p50;
+    sum.p99_us = ranks.p99;
+    sum.max_us = ranks.max;
     sum.share = stage_grand_total > 0 ? static_cast<double>(sum.total_us) /
                                             static_cast<double>(stage_grand_total)
                                       : 0.0;
@@ -237,10 +230,10 @@ AttributionResult LatencyAttribution::Collect() const {
       sum.stage = NetSubStageName(static_cast<NetSubStage>(s));
       sum.count = committed_;
       sum.total_us = net_total_us_[s];
-      const PercentileSketch<int64_t>& net_sorted = net_sorted_[s];
-      sum.p50_us = NearestRank(net_sorted, 0.50);
-      sum.p99_us = NearestRank(net_sorted, 0.99);
-      sum.max_us = net_sorted.empty() ? 0 : net_sorted.Max();
+      Ranks ranks = RanksOf(net_samples_[s]);
+      sum.p50_us = ranks.p50;
+      sum.p99_us = ranks.p99;
+      sum.max_us = ranks.max;
       sum.share = net_grand_total > 0 ? static_cast<double>(sum.total_us) /
                                             static_cast<double>(net_grand_total)
                                       : 0.0;

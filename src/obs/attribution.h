@@ -53,7 +53,6 @@
 #include "src/obs/arena.h"
 #include "src/obs/trace.h"
 #include "src/sim/time.h"
-#include "src/util/percentile_sketch.h"
 
 namespace tcs {
 
@@ -210,8 +209,6 @@ class LatencyAttribution {
 
  private:
   void EmitTrace(const InteractionRecord& rec);
-  // Feeds samples appended since the last Collect() into the sorted sketches.
-  void RefreshSketches() const;
 
   AttributionConfig config_;
   uint64_t minted_ = 0;
@@ -223,20 +220,13 @@ class LatencyAttribution {
   int64_t stage_total_us_[kAttrStageCount] = {};
   int64_t net_total_us_[kNetSubStageCount] = {};
   // All per-commit storage bump-allocates from the arena: no element-wise growth copies
-  // on the Commit path, teardown frees a handful of blocks.
+  // on the Commit path, teardown frees a handful of blocks. Collect() sorts transient
+  // copies of the columns; it runs once or twice per run.
   BumpArena arena_;
   ArenaColumn<int64_t> stage_samples_[kAttrStageCount];
   ArenaColumn<int64_t> net_samples_[kNetSubStageCount];  // decompose_network only
   ArenaColumn<int64_t> total_samples_;
   ArenaColumn<InteractionRecord> records_;
-  // Incrementally maintained sorted views over the columns; Collect() merges only the
-  // delta since the previous query instead of copy+sorting every stream.
-  mutable PercentileSketch<int64_t> stage_sorted_[kAttrStageCount];
-  mutable PercentileSketch<int64_t> net_sorted_[kNetSubStageCount];
-  mutable PercentileSketch<int64_t> total_sorted_;
-  mutable size_t stage_consumed_[kAttrStageCount] = {};
-  mutable size_t net_consumed_[kNetSubStageCount] = {};
-  mutable size_t total_consumed_ = 0;
   // Blame tracks, registered at construction (registration order == construction order).
   TraceTrack net_track_;
   TraceTrack cpu_track_;
