@@ -36,34 +36,24 @@ void FlightRecorder::Freeze(TimePoint now) {
 
 namespace {
 
-// Track ids and category names follow TraceCategory's bit order, one track per bit.
-constexpr int kCategoryCount = std::bit_width(kAllTraceCategories);
-
-const char* CategoryName(int32_t bit) {
-  return TraceCategoryName(static_cast<TraceCategory>(1u << bit));
-}
+// A record stores its category as the TraceCategory's bit index.
+TraceCategory CategoryOf(int32_t bit) { return static_cast<TraceCategory>(1u << bit); }
 
 }  // namespace
 
 void FlightRecorder::WriteWindowJson(std::ostream& out) const {
-  std::string line;
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  // Metadata first: the one "flight" process, then a track per category in bit order,
-  // so pids/tids are fixed regardless of which categories recorded anything.
-  out << "\n{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":1,\"tid\":0,"
-         "\"args\":{\"name\":\"flight\"}}";
+  // Replay the window into a Tracer and let it write the JSON: one "flight" process
+  // with a track per category in bit order (so tids are fixed regardless of which
+  // categories recorded anything), records in append order, and flow arrows for ids
+  // seen more than once. Counting each id's occurrences first tells the replay which
+  // record is an id's first (FlowBegin) and last (FlowEnd); lookups only, so the output
+  // order stays the window's.
+  Tracer tracer;
+  constexpr int kCategoryCount = std::bit_width(kAllTraceCategories);
+  TraceTrack tracks[kCategoryCount];
   for (int c = 0; c < kCategoryCount; ++c) {
-    line.clear();
-    line += ",\n{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":";
-    line += std::to_string(c + 1);
-    line += ",\"args\":{\"name\":\"";
-    line += CategoryName(c);
-    line += "\"}}";
-    out << line;
+    tracks[c] = tracer.RegisterTrack("flight", TraceCategoryName(CategoryOf(c)));
   }
-  // Flow arrows need begin/step/end phases: count each id's occurrences first so the
-  // emission pass knows which record is an id's first ('s') and last ('f'). Lookups
-  // only — output order stays the window's append order, so bytes are deterministic.
   std::unordered_map<uint64_t, uint64_t> flow_total;
   for (const FlightRecord& r : window_) {
     if (r.flow_id != 0) {
@@ -72,75 +62,34 @@ void FlightRecorder::WriteWindowJson(std::ostream& out) const {
   }
   std::unordered_map<uint64_t, uint64_t> flow_seen;
   for (const FlightRecord& r : window_) {
-    line.clear();
-    line += ",\n{\"ph\":\"";
+    TraceCategory cat = CategoryOf(r.category);
+    TraceTrack track = tracks[r.category];
+    TimePoint ts = TimePoint::FromMicros(r.ts_us);
     switch (static_cast<FlightKind>(r.kind)) {
       case FlightKind::kSpan:
-        line += 'X';
+        tracer.Span(cat, r.name, track, ts, ts + Duration::Micros(r.dur_us), "arg1",
+                    r.arg1, "arg2", r.arg2);
         break;
       case FlightKind::kInstant:
-        line += 'i';
+        tracer.Instant(cat, r.name, track, ts, "arg1", r.arg1, "arg2", r.arg2);
         break;
       case FlightKind::kCounter:
-        line += 'C';
+        tracer.Counter(cat, r.name, track, ts, static_cast<double>(r.arg1));
         break;
     }
-    line += "\",\"name\":\"";
-    AppendJsonEscaped(line, r.name);
-    line += "\",\"cat\":\"";
-    line += CategoryName(r.category);
-    line += "\",\"pid\":1,\"tid\":";
-    line += std::to_string(r.category + 1);
-    line += ",\"ts\":";
-    line += std::to_string(r.ts_us);
-    switch (static_cast<FlightKind>(r.kind)) {
-      case FlightKind::kSpan:
-        line += ",\"dur\":";
-        line += std::to_string(r.dur_us);
-        line += ",\"args\":{\"arg1\":";
-        line += std::to_string(r.arg1);
-        line += ",\"arg2\":";
-        line += std::to_string(r.arg2);
-        line += "}";
-        break;
-      case FlightKind::kInstant:
-        line += ",\"s\":\"t\",\"args\":{\"arg1\":";
-        line += std::to_string(r.arg1);
-        line += ",\"arg2\":";
-        line += std::to_string(r.arg2);
-        line += "}";
-        break;
-      case FlightKind::kCounter:
-        line += ",\"args\":{\"value\":";
-        line += std::to_string(r.arg1);
-        line += "}";
-        break;
+    if (r.flow_id == 0 || flow_total[r.flow_id] < 2) {
+      continue;
     }
-    line += "}";
-    if (r.flow_id != 0) {
-      uint64_t seen = flow_seen[r.flow_id]++;
-      uint64_t total = flow_total[r.flow_id];
-      char ph = seen == 0 ? 's' : (seen + 1 == total ? 'f' : 't');
-      if (total > 1) {
-        line += ",\n{\"ph\":\"";
-        line.push_back(ph);
-        line += "\",\"name\":\"interaction\",\"cat\":\"";
-        line += CategoryName(r.category);
-        line += "\",\"pid\":1,\"tid\":";
-        line += std::to_string(r.category + 1);
-        line += ",\"ts\":";
-        line += std::to_string(r.ts_us);
-        line += ",\"id\":";
-        line += std::to_string(r.flow_id);
-        if (ph == 'f') {
-          line += ",\"bp\":\"e\"";
-        }
-        line += "}";
-      }
+    uint64_t seen = flow_seen[r.flow_id]++;
+    if (seen == 0) {
+      tracer.FlowBegin(cat, "interaction", track, ts, r.flow_id);
+    } else if (seen + 1 == flow_total[r.flow_id]) {
+      tracer.FlowEnd(cat, "interaction", track, ts, r.flow_id);
+    } else {
+      tracer.FlowStep(cat, "interaction", track, ts, r.flow_id);
     }
-    out << line;
   }
-  out << "\n]}\n";
+  tracer.WriteJson(out);
 }
 
 std::string FlightRecorder::WindowJson() const {

@@ -13,11 +13,11 @@
 //
 // When an SloWatchdog detects a violation it calls Freeze(now): the records of the last
 // `window` of virtual time are copied out of the ring (first freeze wins, so the bundle
-// shows the *first* violation's history, not the run's tail). WindowJson() renders the
-// frozen window as a Chrome/Perfetto trace-event JSON document — one process ("flight"),
-// one track per TraceCategory, span/instant/counter events plus flow arrows grouped by
-// the records' interaction ids — in the same dialect as Tracer::WriteJson, so existing
-// trace validation and viewers work unchanged.
+// shows the *first* violation's history, not the run's tail). WriteWindowJson() replays
+// the frozen window into a Tracer — one process ("flight"), one track per TraceCategory,
+// span/instant/counter events plus flow arrows grouped by the records' interaction ids
+// — and writes it with Tracer::WriteJson, so trace validation and viewers see one
+// dialect.
 //
 // Determinism contract: records carry only virtual-time stamps, name literals, and
 // integer args; the ring's contents and the rendered window are byte-identical across
@@ -99,8 +99,8 @@ class FlightRecorder {
   TimePoint frozen_at() const { return TimePoint::FromMicros(frozen_at_us_); }
   const std::vector<FlightRecord>& frozen_window() const { return window_; }
 
-  // Renders the frozen window as Chrome trace-event JSON (metadata only when Freeze
-  // was never called or kept nothing). Deterministic byte-for-byte.
+  // Writes the frozen window as Chrome trace-event JSON through a Tracer (metadata only
+  // when Freeze was never called or kept nothing). Deterministic byte-for-byte.
   void WriteWindowJson(std::ostream& out) const;
   std::string WindowJson() const;
 

@@ -118,6 +118,10 @@ void Tracer::FlowEnd(TraceCategory cat, const char* name, TraceTrack track, Time
   Push(Event{'f', cat, name, track, t.ToMicros(), 0, nullptr, 0, nullptr, 0, 0.0, id});
 }
 
+namespace {
+
+// Appends `s` to `out` escaped for a JSON string (quotes, backslashes and control
+// characters).
 void AppendJsonEscaped(std::string& out, const char* s) {
   for (; *s != '\0'; ++s) {
     char c = *s;
@@ -133,8 +137,6 @@ void AppendJsonEscaped(std::string& out, const char* s) {
     }
   }
 }
-
-namespace {
 
 void AppendDouble(std::string& out, double v) {
   // Integral values print without a fraction so counters of counts stay tidy; the %.9g

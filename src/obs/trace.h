@@ -45,10 +45,6 @@ inline constexpr uint32_t kAllTraceCategories = 0x1ff;
 
 const char* TraceCategoryName(TraceCategory cat);
 
-// Appends `s` to `out` escaped for a JSON string (quotes, backslashes and control
-// characters). Both sinks render names through it.
-void AppendJsonEscaped(std::string& out, const char* s);
-
 // A Chrome-trace track: `pid` groups related tracks into one named process section,
 // `tid` is the row within it.
 struct TraceTrack {
