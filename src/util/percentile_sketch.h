@@ -1,17 +1,16 @@
-// Incremental exact-percentile sketch.
+// Incremental exact-percentile sketch: the model's one percentile type.
 //
-// Percentile consumers in the model interleave appends with queries: the capacity search
-// reads p50/p99 stall latencies between probe rounds, attribution collects stage
-// percentiles per report, and the latency recorder answers Percentile() mid-run. The
-// classic store-then-sort approach pays a full O(n log n) re-sort at every query once a
-// single sample has arrived since the last one.
+// Percentile consumers in the model interleave appends with queries: the SLO watchdog
+// polls each user's latency recorder for its p99 every check period while the run keeps
+// recording. The classic store-then-sort approach pays a full O(n log n) re-sort at every
+// query once a single sample has arrived since the last one.
 //
-// This sketch keeps the samples in two parts: a sorted main run and an unsorted pending
-// delta. Appends are O(1) pushes into the delta. A query compacts: sort the (small)
-// delta, then std::inplace_merge it into the main run — O(k log k + n) for k pending
-// samples instead of O(n log n) over everything. Results are EXACT (every sample is
-// retained; nothing is approximated) — the differential tests in util_stats_test compare
-// it against the naive sort-and-scan on random streams.
+// This sketch keeps every sample in one vector whose prefix is sorted. Appends are O(1)
+// pushes onto the unsorted tail. A query compacts: sort the (small) tail, then
+// std::inplace_merge it into the prefix — O(k log k + n) for k new samples instead of
+// O(n log n) over everything. Results are EXACT (every sample is retained; nothing is
+// approximated) — the differential tests in util_percentile_sketch_test compare it
+// against the naive sort-and-scan on random streams.
 
 #ifndef TCS_SRC_UTIL_PERCENTILE_SKETCH_H_
 #define TCS_SRC_UTIL_PERCENTILE_SKETCH_H_
@@ -26,16 +25,10 @@ namespace tcs {
 template <typename T>
 class PercentileSketch {
  public:
-  void Add(T x) { pending_.push_back(x); }
+  void Add(T x) { samples_.push_back(x); }
 
-  size_t size() const { return sorted_.size() + pending_.size(); }
-  bool empty() const { return size() == 0; }
-
-  // Fully sorted view of every sample added so far (compacts first).
-  const std::vector<T>& sorted() const {
-    Compact();
-    return sorted_;
-  }
+  size_t size() const { return samples_.size(); }
+  bool empty() const { return samples_.empty(); }
 
   // Exact nearest-rank percentile: the sample at rank ceil(q * n), clamped to [1, n].
   // The result is always an actually observed value. With no samples every query below
@@ -46,25 +39,10 @@ class PercentileSketch {
       return T{};
     }
     Compact();
-    auto n = static_cast<int64_t>(sorted_.size());
+    auto n = static_cast<int64_t>(samples_.size());
     auto rank = static_cast<int64_t>(q * static_cast<double>(n) + 0.999999999);
     rank = std::clamp<int64_t>(rank, 1, n);
-    return sorted_[static_cast<size_t>(rank - 1)];
-  }
-
-  // Linear interpolation between the two ranks straddling q (SampleSet semantics).
-  double Interpolated(double q) const {
-    if (empty()) {
-      return 0.0;
-    }
-    Compact();
-    q = std::clamp(q, 0.0, 1.0);
-    double rank = q * static_cast<double>(sorted_.size() - 1);
-    auto lo = static_cast<size_t>(rank);
-    size_t hi = std::min(lo + 1, sorted_.size() - 1);
-    double frac = rank - static_cast<double>(lo);
-    return static_cast<double>(sorted_[lo]) * (1.0 - frac) +
-           static_cast<double>(sorted_[hi]) * frac;
+    return samples_[static_cast<size_t>(rank - 1)];
   }
 
   T Min() const {
@@ -72,32 +50,29 @@ class PercentileSketch {
       return T{};
     }
     Compact();
-    return sorted_.front();
+    return samples_.front();
   }
   T Max() const {
     if (empty()) {
       return T{};
     }
     Compact();
-    return sorted_.back();
+    return samples_.back();
   }
 
  private:
   void Compact() const {
-    if (pending_.empty()) {
+    if (sorted_ == samples_.size()) {
       return;
     }
-    std::sort(pending_.begin(), pending_.end());
-    size_t main_size = sorted_.size();
-    sorted_.insert(sorted_.end(), pending_.begin(), pending_.end());
-    std::inplace_merge(sorted_.begin(),
-                       sorted_.begin() + static_cast<ptrdiff_t>(main_size),
-                       sorted_.end());
-    pending_.clear();
+    auto tail = samples_.begin() + static_cast<ptrdiff_t>(sorted_);
+    std::sort(tail, samples_.end());
+    std::inplace_merge(samples_.begin(), tail, samples_.end());
+    sorted_ = samples_.size();
   }
 
-  mutable std::vector<T> sorted_;   // invariant: ascending
-  mutable std::vector<T> pending_;  // appended since the last compaction
+  mutable std::vector<T> samples_;  // [0, sorted_) ascending; the tail is unsorted
+  mutable size_t sorted_ = 0;
 };
 
 }  // namespace tcs

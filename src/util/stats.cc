@@ -1,7 +1,6 @@
 #include "src/util/stats.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace tcs {
@@ -43,85 +42,6 @@ void RunningStats::Reset() {
 
 double RunningStats::stddev() const {
   return std::sqrt(variance());
-}
-
-Histogram::Histogram(double lo, double hi, size_t bins)
-    : lo_(lo), hi_(hi), bin_width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
-  assert(hi > lo);
-  assert(bins > 0);
-}
-
-void Histogram::Add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  auto i = static_cast<size_t>((x - lo_) / bin_width_);
-  if (i >= counts_.size()) {  // float edge case at hi_
-    i = counts_.size() - 1;
-  }
-  ++counts_[i];
-}
-
-double Histogram::bin_lo(size_t i) const {
-  return lo_ + bin_width_ * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(size_t i) const {
-  return lo_ + bin_width_ * static_cast<double>(i + 1);
-}
-
-double Histogram::Percentile(double q) const {
-  if (total_ == 0) {
-    return lo_;
-  }
-  q = std::clamp(q, 0.0, 1.0);
-  double target = q * static_cast<double>(total_);
-  double cum = static_cast<double>(underflow_);
-  if (cum >= target) {
-    return lo_;
-  }
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target && counts_[i] > 0) {
-      double frac = (target - cum) / static_cast<double>(counts_[i]);
-      return bin_lo(i) + frac * bin_width_;
-    }
-    cum = next;
-  }
-  return hi_;
-}
-
-void SampleSet::Add(double x) {
-  sketch_.Add(x);
-  sum_ += x;
-}
-
-double SampleSet::Percentile(double q) const {
-  assert(!sketch_.empty());
-  return sketch_.Interpolated(q);
-}
-
-double SampleSet::Mean() const {
-  if (sketch_.empty()) {
-    return 0.0;
-  }
-  return sum_ / static_cast<double>(sketch_.size());
-}
-
-double SampleSet::Min() const {
-  assert(!sketch_.empty());
-  return sketch_.Min();
-}
-
-double SampleSet::Max() const {
-  assert(!sketch_.empty());
-  return sketch_.Max();
 }
 
 }  // namespace tcs

@@ -1,14 +1,10 @@
-// Streaming statistics and fixed-bin histograms.
+// Streaming statistics.
 
 #ifndef TCS_SRC_UTIL_STATS_H_
 #define TCS_SRC_UTIL_STATS_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <vector>
-
-#include "src/util/percentile_sketch.h"
 
 namespace tcs {
 
@@ -55,53 +51,6 @@ class RunningStats {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-// Histogram over [lo, hi) with uniform bins, plus underflow/overflow counters. Supports
-// exact-bin queries and interpolated percentiles.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t bins);
-
-  void Add(double x);
-
-  size_t bin_count() const { return counts_.size(); }
-  int64_t bin(size_t i) const { return counts_[i]; }
-  double bin_lo(size_t i) const;
-  double bin_hi(size_t i) const;
-  int64_t underflow() const { return underflow_; }
-  int64_t overflow() const { return overflow_; }
-  int64_t total() const { return total_; }
-
-  // Linear-interpolated value at quantile q in [0,1]. Clamps to [lo, hi].
-  double Percentile(double q) const;
-
- private:
-  double lo_;
-  double hi_;
-  double bin_width_;
-  std::vector<int64_t> counts_;
-  int64_t underflow_ = 0;
-  int64_t overflow_ = 0;
-  int64_t total_ = 0;
-};
-
-// Exact percentile estimator that stores all samples. Fine for per-experiment sample
-// counts (thousands); use Histogram for unbounded streams. Queries interleaved with
-// Add() pay an incremental merge of the new samples, not a full re-sort.
-class SampleSet {
- public:
-  void Add(double x);
-  size_t size() const { return sketch_.size(); }
-  bool empty() const { return sketch_.empty(); }
-  double Percentile(double q) const;  // q in [0,1]; linear interpolation between ranks.
-  double Mean() const;
-  double Min() const;
-  double Max() const;
-
- private:
-  PercentileSketch<double> sketch_;
-  double sum_ = 0.0;
 };
 
 }  // namespace tcs

@@ -5,13 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <vector>
 
 #include "src/metrics/latency.h"
 #include "src/util/percentile_sketch.h"
-#include "src/util/stats.h"
 
 namespace tcs {
 namespace {
@@ -23,16 +23,6 @@ int64_t ReferenceNearestRank(std::vector<int64_t> samples, double q) {
   auto rank = static_cast<int64_t>(q * static_cast<double>(n) + 0.999999999);
   rank = std::clamp<int64_t>(rank, 1, n);
   return samples[static_cast<size_t>(rank - 1)];
-}
-
-double ReferenceInterpolated(std::vector<double> samples, double q) {
-  std::sort(samples.begin(), samples.end());
-  q = std::clamp(q, 0.0, 1.0);
-  double rank = q * static_cast<double>(samples.size() - 1);
-  auto lo = static_cast<size_t>(rank);
-  size_t hi = std::min(lo + 1, samples.size() - 1);
-  double frac = rank - static_cast<double>(lo);
-  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
 }
 
 constexpr double kQuantiles[] = {0.0, 0.01, 0.25, 0.50, 0.75, 0.90, 0.99, 1.0};
@@ -62,27 +52,6 @@ TEST(PercentileSketchTest, MatchesSortAndScanAcrossSeeds) {
       ASSERT_EQ(sketch.Max(), *std::max_element(reference.begin(), reference.end()));
     }
     ASSERT_EQ(sketch.size(), reference.size());
-  }
-}
-
-TEST(PercentileSketchTest, InterpolatedMatchesSampleSetReference) {
-  for (uint64_t seed = 100; seed < 110; ++seed) {
-    std::mt19937_64 gen(seed);
-    std::uniform_real_distribution<double> value(0.0, 500.0);
-
-    PercentileSketch<double> sketch;
-    std::vector<double> reference;
-    for (int i = 0; i < 500; ++i) {
-      double v = value(gen);
-      sketch.Add(v);
-      reference.push_back(v);
-      if (i % 37 == 0) {
-        for (double q : kQuantiles) {
-          ASSERT_DOUBLE_EQ(sketch.Interpolated(q), ReferenceInterpolated(reference, q))
-              << "seed " << seed << " i " << i << " q " << q;
-        }
-      }
-    }
   }
 }
 
@@ -160,7 +129,6 @@ TEST(PercentileSketchTest, EmptyQueriesReturnSentinel) {
   EXPECT_TRUE(sketch.empty());
   EXPECT_EQ(sketch.NearestRank(0.5), 0);
   EXPECT_EQ(sketch.NearestRank(0.99), 0);
-  EXPECT_DOUBLE_EQ(sketch.Interpolated(0.5), 0.0);
   EXPECT_EQ(sketch.Min(), 0);
   EXPECT_EQ(sketch.Max(), 0);
   // Still consistent after the first real sample.
@@ -169,7 +137,6 @@ TEST(PercentileSketchTest, EmptyQueriesReturnSentinel) {
 
   PercentileSketch<double> dsketch;
   EXPECT_DOUBLE_EQ(dsketch.NearestRank(0.99), 0.0);
-  EXPECT_DOUBLE_EQ(dsketch.Interpolated(0.99), 0.0);
 }
 
 TEST(LatencyRecorderSketchTest, EmptyRecorderAnswersZeroEverywhere) {
@@ -182,26 +149,6 @@ TEST(LatencyRecorderSketchTest, EmptyRecorderAnswersZeroEverywhere) {
   EXPECT_EQ(rec.Jitter(), Duration::Zero());
   EXPECT_DOUBLE_EQ(rec.PerceptibleFraction(), 0.0);
   EXPECT_TRUE(rec.samples_us().empty());
-}
-
-TEST(SampleSetSketchTest, DifferentialAgainstSortAndScan) {
-  for (uint64_t seed = 42; seed < 52; ++seed) {
-    std::mt19937_64 gen(seed);
-    std::uniform_real_distribution<double> value(-100.0, 100.0);
-
-    SampleSet set;
-    std::vector<double> reference;
-    for (int i = 0; i < 300; ++i) {
-      double v = value(gen);
-      set.Add(v);
-      reference.push_back(v);
-      if (i % 23 == 0) {
-        ASSERT_DOUBLE_EQ(set.Percentile(0.5), ReferenceInterpolated(reference, 0.5));
-        ASSERT_DOUBLE_EQ(set.Min(), *std::min_element(reference.begin(), reference.end()));
-        ASSERT_DOUBLE_EQ(set.Max(), *std::max_element(reference.begin(), reference.end()));
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -65,56 +65,5 @@ TEST(RunningStatsTest, MergeWithEmptySides) {
   EXPECT_DOUBLE_EQ(c.mean(), 5.0);
 }
 
-TEST(HistogramTest, BinsAndBounds) {
-  Histogram h(0.0, 100.0, 10);
-  h.Add(5.0);    // bin 0
-  h.Add(15.0);   // bin 1
-  h.Add(95.0);   // bin 9
-  h.Add(-1.0);   // underflow
-  h.Add(100.0);  // overflow (hi is exclusive)
-  EXPECT_EQ(h.bin(0), 1);
-  EXPECT_EQ(h.bin(1), 1);
-  EXPECT_EQ(h.bin(9), 1);
-  EXPECT_EQ(h.underflow(), 1);
-  EXPECT_EQ(h.overflow(), 1);
-  EXPECT_EQ(h.total(), 5);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 10.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(1), 20.0);
-}
-
-TEST(HistogramTest, PercentileInterpolates) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) {
-    h.Add(static_cast<double>(i) + 0.5);
-  }
-  EXPECT_NEAR(h.Percentile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.Percentile(0.9), 90.0, 1.5);
-  EXPECT_NEAR(h.Percentile(0.0), 0.0, 1.5);
-}
-
-TEST(SampleSetTest, ExactPercentiles) {
-  SampleSet s;
-  for (int i = 1; i <= 100; ++i) {
-    s.Add(static_cast<double>(i));
-  }
-  EXPECT_DOUBLE_EQ(s.Percentile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(1.0), 100.0);
-  EXPECT_NEAR(s.Percentile(0.5), 50.5, 1e-9);
-  EXPECT_DOUBLE_EQ(s.Mean(), 50.5);
-  EXPECT_DOUBLE_EQ(s.Min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.Max(), 100.0);
-}
-
-TEST(SampleSetTest, UnsortedInsertionOrder) {
-  SampleSet s;
-  s.Add(9.0);
-  s.Add(1.0);
-  s.Add(5.0);
-  EXPECT_DOUBLE_EQ(s.Min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.Max(), 9.0);
-  s.Add(0.5);  // add after a sorted read
-  EXPECT_DOUBLE_EQ(s.Min(), 0.5);
-}
-
 }  // namespace
 }  // namespace tcs
