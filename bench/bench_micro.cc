@@ -8,7 +8,6 @@
 #include <memory>
 
 #include "src/core/admission.h"
-#include "src/core/checkpoint.h"
 #include "src/cpu/cpu.h"
 #include "src/cpu/nt_scheduler.h"
 #include "src/obs/attribution.h"
@@ -293,19 +292,10 @@ void BM_PagingTrial(benchmark::State& state) {
 }
 BENCHMARK(BM_PagingTrial)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// Capacity bisection, cold vs checkpointed. Every bisection probe replays the same
-// staggered-login prefix (the 1 s start_delay before the first keystroke); the
-// checkpointed search snapshots each probe at start_delay − 1 ms and forks later
-// invocations' probes from the cached blob, paying the warm-up once per N instead of
-// once per probe per search. The cache persists across iterations here, so the
-// steady-state number is the all-hits path the repeated-sweep callers see.
-// Args = {measured-window ms, wan}. The saving is the warm-up prefix's share of total
-// event work minus the ~1 ms restore floor (deserializing a ~110 KB blob), so the two
-// shapes bracket the honest answer: on a LAN the login storm is a handful of events
-// and forking is a wash-to-slight-loss; under a satellite WAN with bursty daemons and
-// a long staggered warm-up, the prefix carries real retransmit/timer event density and
-// forking wins. Equivalence — identical admitted-N and per-probe reports — holds in
-// both, locked down by core_checkpoint_diff_test.
+// One capacity bisection up to 8 users, every probe a full consolidation run from a
+// cold start. Args = {measured-window ms, wan}: a LAN with a 1 s staggered login, or a
+// satellite WAN with bursty daemons and a 10 s warm-up full of retransmit and timer
+// events.
 CapacityOptions BenchCapacity(int64_t duration_ms, bool wan) {
   CapacityOptions o;
   o.max_users = 8;
@@ -328,19 +318,6 @@ void BM_CapacitySearchCold(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CapacitySearchCold)
-    ->Unit(benchmark::kMillisecond)
-    ->Args({2000, 0})
-    ->Args({500, 0})
-    ->Args({500, 1});
-
-void BM_CapacitySearchCheckpointed(benchmark::State& state) {
-  CapacityCheckpointCache cache;  // persists across iterations: steady state = all hits
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RunServerCapacityCheckpointed(
-        OsProfile::Tse(), BenchCapacity(state.range(0), state.range(1) != 0), cache));
-  }
-}
-BENCHMARK(BM_CapacitySearchCheckpointed)
     ->Unit(benchmark::kMillisecond)
     ->Args({2000, 0})
     ->Args({500, 0})

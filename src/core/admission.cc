@@ -84,10 +84,8 @@ bool Admits(AdmissionPolicy policy, const AdmissionConfig& admission,
   return false;
 }
 
-CapacityResult run_support::SearchCapacity(const OsProfile& profile,
-                                           const CapacityOptions& options_in,
-                                           const ObsConfig* obs,
-                                           const ProbeRunner& run_probe) {
+CapacityResult RunServerCapacity(const OsProfile& profile, const CapacityOptions& options_in,
+                                 const ObsConfig* obs) {
   CapacityOptions options = Validated(options_in);
 
   // One evaluation per candidate N, shared between both policies' searches. Every
@@ -120,7 +118,7 @@ CapacityResult run_support::SearchCapacity(const OsProfile& profile,
         probe_slo.name += "_u" + std::to_string(users);
         probe_obs.slo = &probe_slo;
       }
-      it = memo.emplace(users, run_probe(copt, &probe_obs)).first;
+      it = memo.emplace(users, RunConsolidation(profile, copt, &probe_obs)).first;
     }
     return it->second;
   };
@@ -154,14 +152,6 @@ CapacityResult run_support::SearchCapacity(const OsProfile& profile,
     result.probes.push_back(std::move(probe));
   }
   return result;
-}
-
-CapacityResult RunServerCapacity(const OsProfile& profile, const CapacityOptions& options,
-                                 const ObsConfig* obs) {
-  return SearchCapacity(profile, options, obs,
-                        [&](const ConsolidationOptions& copt, const ObsConfig* probe_obs) {
-                          return RunConsolidation(profile, copt, probe_obs);
-                        });
 }
 
 }  // namespace tcs

@@ -565,43 +565,4 @@ ConsolidationResult ConsolidationRun::Finish() {
   return result;
 }
 
-ConsolidationResult ResumeConsolidation(const OsProfile& profile,
-                                        const ConsolidationOptions& options,
-                                        const ObsConfig* obs,
-                                        const std::vector<uint8_t>& blob) {
-  ConsolidationRun run(profile, options, obs);
-  run.Restore(blob);
-  run.RunToEnd();
-  return run.Finish();
-}
-
-CapacityResult RunServerCapacityCheckpointed(const OsProfile& profile,
-                                             const CapacityOptions& options,
-                                             CapacityCheckpointCache& cache,
-                                             const ObsConfig* obs) {
-  // RunServerCapacity's search, but each candidate's prefix — login storm and daemon
-  // warm-up, up to 1 ms before the first typist keystroke — is snapshotted on first
-  // evaluation and forked from on every later one. The prefix point precedes the first
-  // minted interaction, so a fork's fresh attribution engine is exactly the cold run's.
-  return SearchCapacity(
-      profile, options, obs,
-      [&](const ConsolidationOptions& copt, const ObsConfig* probe_obs) {
-        ConsolidationRun run(profile, copt, probe_obs);
-        Duration prefix = copt.start_delay - Duration::Millis(1);
-        if (prefix > Duration::Zero()) {
-          auto cached = cache.prefix.find(copt.users);
-          if (cached == cache.prefix.end()) {
-            ++cache.misses;
-            run.RunUntil(TimePoint::Zero() + prefix);
-            cache.prefix.emplace(copt.users, run.Snapshot());
-          } else {
-            ++cache.hits;
-            run.Restore(cached->second);
-          }
-        }
-        run.RunToEnd();
-        return run.Finish();
-      });
-}
-
 }  // namespace tcs

@@ -6,7 +6,7 @@
 // (scenario.h). The clock is in the caller's hands.
 //
 // Between RunUntil steps the caller can Snapshot() the full dynamic state — kernel
-// event queue, scheduler, pager, protocol encoders, reliable channel, flow ledgers,
+// event queue, scheduler, pager, protocol encoders, reliable channel, flow counters,
 // degradation controller, every RNG stream, and the per-user instrumentation (stall
 // taps, typists, burst tasks, SLO watchdog, gauge sampler) — into a framed, versioned,
 // CRC-guarded blob, and later Restore() it into a freshly constructed run of the same
@@ -23,22 +23,16 @@
 // queue against the snapshot's manifest. Construction-time events are dropped wholesale
 // by ResetKernel; nothing from the replayed construction survives into the resumed run.
 //
-// Two consumers ride on top:
-//   * RunServerCapacityCheckpointed — the capacity bisection with per-candidate prefix
-//     snapshots (taken just before the first keystroke mints an interaction) reused
-//     across invocations via a caller-owned cache. A cache hit forks from the snapshot
-//     instead of re-simulating login storm and daemon warm-up; results are identical to
-//     RunServerCapacity by the differential guarantee.
-//   * `tcsctl postmortem consolidation --rewind-ms=N` — a checkpoint ring during the
-//     monitored run; on the first SLO violation the newest checkpoint at least N virtual
-//     milliseconds before the violation is forked with a tracer attached, replaying the
-//     approach to the violation that the original (trace-off) run could not record.
+// One consumer rides on top: `tcsctl postmortem consolidation --rewind-ms=N` keeps a
+// checkpoint ring during the monitored run; on the first SLO violation the newest
+// checkpoint at least N virtual milliseconds before the violation is forked with a
+// tracer attached, replaying the approach to the violation that the original
+// (trace-off) run could not record.
 
 #ifndef TCS_SRC_CORE_CHECKPOINT_H_
 #define TCS_SRC_CORE_CHECKPOINT_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -113,34 +107,6 @@ class ConsolidationRun {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-// Constructs a fresh run of `blob`'s shape, restores, runs to the end, and collects.
-ConsolidationResult ResumeConsolidation(const OsProfile& profile,
-                                        const ConsolidationOptions& options,
-                                        const ObsConfig* obs,
-                                        const std::vector<uint8_t>& blob);
-
-// Per-candidate prefix snapshots for the capacity search, keyed by user count. The
-// cache is caller-owned so it can outlive one search and amortize login-storm warm-up
-// across repeated invocations (sweeps, benchmark repetitions). Entries are only valid
-// for the exact (profile, options.behavior, obs shape) they were built from — reuse
-// across different configurations fails restore loudly via the snapshot's topology
-// checks rather than silently diverging.
-struct CapacityCheckpointCache {
-  std::map<int, std::vector<uint8_t>> prefix;
-  int64_t hits = 0;
-  int64_t misses = 0;
-};
-
-// RunServerCapacity with fork-from-snapshot probes: each candidate N's prefix (login
-// storm + daemon warm-up, up to 1 ms before the first typist keystroke) is snapshotted
-// on first evaluation and forked on every later one. Within a single cold search each
-// candidate is evaluated once either way — the speedup comes from reusing `cache`
-// across invocations. Results are identical to RunServerCapacity (modulo wall_ms).
-CapacityResult RunServerCapacityCheckpointed(const OsProfile& profile,
-                                             const CapacityOptions& options,
-                                             CapacityCheckpointCache& cache,
-                                             const ObsConfig* obs = nullptr);
 
 }  // namespace tcs
 

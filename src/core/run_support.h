@@ -11,7 +11,6 @@
 #define TCS_SRC_CORE_RUN_SUPPORT_H_
 
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -130,17 +129,6 @@ class SloRuntime {
   FlightRecorder* recorder_ = nullptr;
   std::unique_ptr<SloWatchdog> watchdog_;
 };
-
-// Runs one capacity candidate: the probe's options and ObsConfig in, its result out.
-using ProbeRunner =
-    std::function<ConsolidationResult(const ConsolidationOptions&, const ObsConfig*)>;
-
-// The capacity search both RunServerCapacity and RunServerCapacityCheckpointed run:
-// validates `options`, memoizes one `run_probe` per candidate N (each with its own
-// attribution engine and an SLO name suffixed with N), shares the memo between both
-// policies' bisections, and sums the probes' run accounting.
-CapacityResult SearchCapacity(const OsProfile& profile, const CapacityOptions& options,
-                              const ObsConfig* obs, const ProbeRunner& run_probe);
 
 }  // namespace run_support
 }  // namespace tcs

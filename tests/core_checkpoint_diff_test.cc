@@ -8,11 +8,6 @@
 // cold working set), mid-retransmit steady state, mid-degradation-upshift (controller
 // just armed), and deep steady state under WAN pathology — with LAN/dsl/lte/satellite
 // link conditions and ten seeds.
-//
-// The capacity-bisection equivalence test locks down the other consumer: the
-// checkpointed capacity search must return the same answer as the cold one, on cache
-// misses (snapshot taken, run continues cold) and on cache hits (probe forked from the
-// previous invocation's prefix snapshot) alike.
 
 #include "src/core/checkpoint.h"
 
@@ -244,52 +239,6 @@ TEST(CheckpointDifferential, RewoundReplayReproducesTheViolationInstant) {
   replay.RunToEnd();
   EXPECT_TRUE(replay.SloViolated());
   EXPECT_EQ(replay.SloViolatedAtUs(), violated_at_us);
-}
-
-// ---------------------------------------------------------------------------
-// Capacity bisection equivalence.
-
-CapacityOptions SmallCapacity() {
-  CapacityOptions o;
-  o.max_users = 6;
-  o.behavior.duration = Duration::Millis(2500);
-  o.behavior.seed = 11;
-  o.behavior.ram = Bytes::MiB(48);
-  return o;
-}
-
-void ExpectCapacityEqual(const CapacityResult& a, const CapacityResult& b) {
-  EXPECT_EQ(a.os_name, b.os_name);
-  EXPECT_EQ(a.protocol, b.protocol);
-  EXPECT_EQ(a.utilization_sized_users, b.utilization_sized_users);
-  EXPECT_EQ(a.latency_sized_users, b.latency_sized_users);
-  EXPECT_EQ(a.utilization_over_admits, b.utilization_over_admits);
-  ASSERT_EQ(a.probes.size(), b.probes.size());
-  for (size_t i = 0; i < a.probes.size(); ++i) {
-    SCOPED_TRACE("probe " + std::to_string(i));
-    ExpectResultsEqual(a.probes[i], b.probes[i]);
-  }
-  EXPECT_EQ(a.run.events_executed, b.run.events_executed);
-  EXPECT_EQ(a.run.pending_events, b.run.pending_events);
-}
-
-TEST(CheckpointDifferential, CapacitySearchEquivalence) {
-  CapacityOptions options = SmallCapacity();
-  CapacityResult cold = RunServerCapacity(OsProfile::Tse(), options);
-
-  CapacityCheckpointCache cache;
-  CapacityResult first = RunServerCapacityCheckpointed(OsProfile::Tse(), options, cache);
-  EXPECT_EQ(cache.hits, 0);
-  EXPECT_GT(cache.misses, 0);
-  ExpectCapacityEqual(cold, first);
-
-  // Second invocation forks every probe from the cached prefix snapshots.
-  int64_t misses_before = cache.misses;
-  CapacityResult second =
-      RunServerCapacityCheckpointed(OsProfile::Tse(), options, cache);
-  EXPECT_EQ(cache.misses, misses_before);
-  EXPECT_EQ(cache.hits, misses_before);
-  ExpectCapacityEqual(cold, second);
 }
 
 }  // namespace
