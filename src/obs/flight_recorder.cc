@@ -1,11 +1,25 @@
 #include "src/obs/flight_recorder.h"
 
+#include <limits>
 #include <sstream>
 #include <unordered_map>
 
+#include "src/util/config_error.h"
+
 namespace tcs {
 
-FlightRecorder::FlightRecorder(FlightRecorderConfig config) : config_(config) {
+FlightRecorderConfig Validated(FlightRecorderConfig config) {
+  // The largest power of two whose ring still fits in size_t bytes.
+  constexpr size_t kMaxCapacity =
+      std::bit_floor(std::numeric_limits<size_t>::max() / sizeof(FlightRecord));
+  if (config.capacity > kMaxCapacity) {
+    throw ConfigError("FlightRecorderConfig.capacity",
+                      "the ring's size in bytes would overflow size_t");
+  }
+  return config;
+}
+
+FlightRecorder::FlightRecorder(FlightRecorderConfig config) : config_(Validated(config)) {
   // Round the capacity up to a power of two so Append can mask instead of divide,
   // then back the whole ring with a single contiguous arena block (the arena sizes
   // its chunk to the request, so this is exactly one allocation).

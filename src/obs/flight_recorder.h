@@ -64,6 +64,10 @@ struct FlightRecorderConfig {
   Duration window = Duration::Millis(500);
 };
 
+// Throws tcs::ConfigError on a capacity whose power-of-two rounding or ring size in
+// bytes would overflow size_t. Returns the config.
+FlightRecorderConfig Validated(FlightRecorderConfig config);
+
 class FlightRecorder {
  public:
   explicit FlightRecorder(FlightRecorderConfig config = {});

@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "src/util/config_error.h"
 #include "src/util/json.h"
 
 namespace tcs {
@@ -52,10 +53,17 @@ std::string ToJson(const SloReport& r) {
   return o.Finish();
 }
 
+SloSpec Validated(SloSpec spec) {
+  if (!(spec.check_period > Duration::Zero())) {
+    throw ConfigError("SloSpec.check_period", "live-check period must be positive");
+  }
+  return spec;
+}
+
 SloWatchdog::SloWatchdog(Simulator& sim, SloSpec spec, FlightRecorder* recorder,
                          MetricsRegistry* metrics, LatencyAttribution* attribution)
     : sim_(sim),
-      spec_(std::move(spec)),
+      spec_(Validated(std::move(spec))),
       recorder_(recorder),
       metrics_(metrics),
       attribution_(attribution),

@@ -58,6 +58,11 @@ struct SloSpec {
   }
 };
 
+// Throws tcs::ConfigError on a non-positive check_period (zero would re-run the live
+// checks at one instant forever; negative would schedule them in the past). Returns the
+// spec.
+SloSpec Validated(SloSpec spec);
+
 struct SloObjectiveResult {
   std::string objective;
   double limit = 0.0;

@@ -11,6 +11,8 @@
 #include "src/mem/disk.h"
 #include "src/net/endpoint.h"
 #include "src/net/link.h"
+#include "src/obs/flight_recorder.h"
+#include "src/obs/slo.h"
 #include "src/session/server.h"
 #include "src/util/config_error.h"
 #include "src/workload/memory_hog.h"
@@ -107,6 +109,29 @@ TEST(ConfigValidationTest, MemoryHogRejectsNonPositiveTouchTime) {
   cfg.touch_cpu = Duration::Micros(-5);
   EXPECT_EQ(Catch([&] { MemoryHog hog(sim, pager, cfg); }).field(),
             "MemoryHogConfig.touch_cpu");
+}
+
+TEST(ConfigValidationTest, SloWatchdogRejectsNonPositiveCheckPeriod) {
+  // Zero re-ran the live checks at one instant forever; negative scheduled them in the
+  // past.
+  Simulator sim;
+  FlightRecorder recorder;
+  for (Duration period : {Duration::Zero(), Duration::Millis(-100)}) {
+    SloSpec spec;
+    spec.max_worst_p99_ms = 100.0;
+    spec.check_period = period;
+    EXPECT_EQ(Catch([&] { SloWatchdog watchdog(sim, spec, &recorder, nullptr, nullptr); })
+                  .field(),
+              "SloSpec.check_period");
+  }
+}
+
+TEST(ConfigValidationTest, FlightRecorderRejectsCapacityBeyondSizeT) {
+  // Rounding this up to a power of two used to wrap to zero and spin forever.
+  FlightRecorderConfig cfg;
+  cfg.capacity = (size_t{1} << 63) + 1;
+  EXPECT_EQ(Catch([&] { FlightRecorder recorder(cfg); }).field(),
+            "FlightRecorderConfig.capacity");
 }
 
 TEST(ConfigValidationTest, SchedulersRejectZeroQuantum) {
