@@ -84,8 +84,8 @@ bool Admits(AdmissionPolicy policy, const AdmissionConfig& admission,
   return false;
 }
 
-CapacityResult RunServerCapacity(const OsProfile& profile, const CapacityOptions& options_in,
-                                 const ObsConfig* obs) {
+CapacityResult RunServerCapacity(const OsProfile& profile,
+                                 const CapacityOptions& options_in, const ObsConfig* obs) {
   CapacityOptions options = Validated(options_in);
 
   // One evaluation per candidate N, shared between both policies' searches. Every

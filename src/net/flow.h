@@ -13,9 +13,9 @@
 // experiments (the N=1 differential test).
 //
 // A send's delivery action is one callback: count the delivery on this flow, then run
-// the caller's callback if there is one. It captures a single pointer, so it stays in
-// the event queue's inline buffer, and the transport schedules it as the delivery event
-// itself (a lost frame's event is the transport's no-op instead).
+// the caller's callback if there is one. Without one it captures a single pointer, so
+// it stays in the event queue's inline buffer; the transport schedules it as the
+// delivery event itself (a lost frame's event is the transport's no-op instead).
 
 #ifndef TCS_SRC_NET_FLOW_H_
 #define TCS_SRC_NET_FLOW_H_

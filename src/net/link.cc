@@ -200,7 +200,8 @@ void Link::Send(Bytes wire_bytes, InlineCallback delivered, ResumeKey delivered_
   // delivered frames thus execute identical event schedules, which keeps the
   // events_executed counter (and the golden corpus that records it) fate-independent.
   // A delivered frame's callback is the event itself, unwrapped.
-  EventId ev = all_ok ? sim_.At(delivery, std::move(delivered)) : sim_.At(delivery, [] {});
+  EventId ev =
+      all_ok ? sim_.At(delivery, std::move(delivered)) : sim_.At(delivery, [] {});
   // Track the pending event as a record (no callback wrapping, so the hot path pays one
   // vector push). Stale records are swept once the list outgrows its amortized bound.
   if (deliveries_.size() >= prune_deliveries_at_) {

@@ -91,13 +91,14 @@ void FlightRecorder::WriteWindowJson(std::ostream& out) const {
         tracer.Counter(cat, r.name, track, ts, static_cast<double>(r.arg1));
         break;
     }
-    if (r.flow_id == 0 || flow_total[r.flow_id] < 2) {
+    uint64_t total = r.flow_id != 0 ? flow_total[r.flow_id] : 0;
+    if (total < 2) {
       continue;
     }
     uint64_t seen = flow_seen[r.flow_id]++;
     if (seen == 0) {
       tracer.FlowBegin(cat, "interaction", track, ts, r.flow_id);
-    } else if (seen + 1 == flow_total[r.flow_id]) {
+    } else if (seen + 1 == total) {
       tracer.FlowEnd(cat, "interaction", track, ts, r.flow_id);
     } else {
       tracer.FlowStep(cat, "interaction", track, ts, r.flow_id);

@@ -14,10 +14,10 @@
 // When an SloWatchdog detects a violation it calls Freeze(now): the records of the last
 // `window` of virtual time are copied out of the ring (first freeze wins, so the bundle
 // shows the *first* violation's history, not the run's tail). WriteWindowJson() replays
-// the frozen window into a Tracer — one process ("flight"), one track per TraceCategory,
-// span/instant/counter events plus flow arrows grouped by the records' interaction ids
-// — and writes it with Tracer::WriteJson, so trace validation and viewers see one
-// dialect.
+// the frozen window into a Tracer — one process ("flight"), one track per
+// TraceCategory, span/instant/counter events plus flow arrows grouped by the records'
+// interaction ids — and writes it with Tracer::WriteJson, so trace validation and
+// viewers see one dialect.
 //
 // Determinism contract: records carry only virtual-time stamps, name literals, and
 // integer args; the ring's contents and the rendered window are byte-identical across
