@@ -2,14 +2,16 @@
 //
 // A violation's forensic bundle (frozen Perfetto window + postmortem JSON) derives
 // every byte from virtual time and the spec, so rerunning the same configuration —
-// serially or under any ParallelSweep worker count — must reproduce it exactly. These
-// tests run violating experiments twice (and across --jobs 1 vs 4) and byte-compare
-// the bundles, and pin down when the report JSON carries an "slo" block.
+// serially, under any ParallelSweep worker count, or with a tracer attached — must
+// reproduce it exactly. These tests run violating experiments twice (and across --jobs
+// 1 vs 4) and byte-compare the bundles, and pin down when the report JSON carries an
+// "slo" block.
 
 #include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -21,6 +23,7 @@
 #include "src/core/experiments.h"
 #include "src/core/parallel_sweep.h"
 #include "src/core/report.h"
+#include "src/obs/trace.h"
 #include "src/session/os_profile.h"
 
 namespace tcs {
@@ -154,6 +157,62 @@ TEST(PostmortemDeterminismTest, ConsolidationBundleIsByteIdenticalAcrossReruns) 
             ReadFile(dir_b.path + "/cons.trace.json"));
   EXPECT_EQ(ReadFile(dir_a.path + "/cons.postmortem.json"),
             ReadFile(dir_b.path + "/cons.postmortem.json"));
+}
+
+// Rewind re-runs a violating experiment with a tracer attached, so a traced rerun must
+// replay the monitored run exactly: the same violation instant, the same bundle bytes,
+// and the same report.
+template <typename Result>
+void ExpectTracedRerunReplays(const char* tag,
+                              const std::function<Result(const ObsConfig*)>& run) {
+  SCOPED_TRACE(tag);
+  TempDir dir_plain(tag);
+  TempDir dir_traced((std::string(tag) + "_traced").c_str());
+  SloSpec plain_spec = TightSlo("cell", dir_plain.path);
+  ObsConfig plain_obs;
+  plain_obs.slo = &plain_spec;
+  Result plain = run(&plain_obs);
+
+  SloSpec traced_spec = TightSlo("cell", dir_traced.path);
+  Tracer tracer;
+  ObsConfig traced_obs;
+  traced_obs.slo = &traced_spec;
+  traced_obs.tracer = &tracer;
+  Result traced = run(&traced_obs);
+
+  ASSERT_TRUE(plain.slo.active);
+  ASSERT_FALSE(plain.slo.passed);
+  EXPECT_GT(tracer.event_count(), 0u);
+  EXPECT_EQ(plain.slo.violated_at_us, traced.slo.violated_at_us);
+  ASSERT_EQ(plain.slo.postmortems.size(), 2u);
+  for (const char* suffix : {"/cell.trace.json", "/cell.postmortem.json"}) {
+    EXPECT_EQ(ReadFile(dir_plain.path + suffix), ReadFile(dir_traced.path + suffix))
+        << suffix;
+  }
+  EXPECT_EQ(Normalize(ToJson(plain), dir_plain.path),
+            Normalize(ToJson(traced), dir_traced.path));
+}
+
+TEST(PostmortemDeterminismTest, TracedRerunReplaysTheRunExactly) {
+  ExpectTracedRerunReplays<TypingUnderLoadResult>("typing", [](const ObsConfig* obs) {
+    return RunTypingUnderLoad(OsProfile::Tse(), 2, Duration::Seconds(5), 1, 1, obs);
+  });
+  ExpectTracedRerunReplays<EndToEndResult>("e2e", [](const ObsConfig* obs) {
+    EndToEndOptions opt;
+    opt.sinks = 2;
+    opt.duration = Duration::Seconds(5);
+    return RunEndToEndLatency(OsProfile::Tse(), opt, obs);
+  });
+  ExpectTracedRerunReplays<ChaosPoint>("chaos", [](const ObsConfig* obs) {
+    return RunChaosPoint(OsProfile::Tse(), LossyChaos(), obs);
+  });
+  ExpectTracedRerunReplays<ConsolidationResult>("consolidation", [](const ObsConfig* obs) {
+    ConsolidationOptions opt;
+    opt.users = 3;
+    opt.duration = Duration::Seconds(4);
+    opt.ram = Bytes::MiB(48);
+    return RunConsolidation(OsProfile::Tse(), opt, obs);
+  });
 }
 
 TEST(SloReportBlockTest, ReportJsonCarriesSloBlockOnlyWhenActive) {
