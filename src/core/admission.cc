@@ -66,8 +66,7 @@ ConsolidationResult RunConsolidation(const OsProfile& profile,
                                      const ConsolidationOptions& options,
                                      const ObsConfig* obs) {
   // The construction sequence, workload wiring, and result collection all live in
-  // ConsolidationRun (src/core/checkpoint.cc) so the cold path and the checkpointed
-  // path are one code path — the differential resume-vs-cold guarantee is structural.
+  // ConsolidationRun (src/core/checkpoint.cc), the one driver of interactive runs.
   ConsolidationRun run(profile, options, obs);
   run.RunToEnd();
   return run.Finish();

@@ -40,21 +40,6 @@ struct StallTap {
     last = t;
   }
 
-  // Checkpoint/restore: both accumulators plus the gap edge. `period_us` is
-  // construction config.
-  void SaveTo(SnapshotWriter& w) const {
-    stalls.SaveTo(w);
-    samples.SaveTo(w);
-    w.Bool(have_last);
-    w.Time(last);
-  }
-  void LoadFrom(SnapshotReader& r) {
-    stalls.LoadFrom(r);
-    samples.LoadFrom(r);
-    have_last = r.Bool();
-    last = r.Time();
-  }
-
   StallDetector stalls;
   LatencyRecorder samples;
   int64_t period_us;
@@ -160,25 +145,7 @@ std::unique_ptr<Animation> StartBackgroundMedia(Simulator& sim, Server& server,
   return media_stream;
 }
 
-// Paint records, background generators, and the drain are not serialized yet.
-void RequireNoClient(const Scenario& sc) {
-  if (sc.client) {
-    throw SnapshotError("driver.client",
-                        "runs with a client device attached do not snapshot");
-  }
-}
-
 }  // namespace
-
-const char* CheckpointSectionName(uint32_t tag) {
-  if (tag == 1) {
-    return "kernel";
-  }
-  if (tag == kCheckpointDriverSection) {
-    return "driver";
-  }
-  return ServerSectionName(tag);
-}
 
 struct ConsolidationRun::Impl {
   struct UserRuntime {
@@ -369,97 +336,7 @@ Simulator& ConsolidationRun::sim() { return impl_->sim; }
 const Simulator& ConsolidationRun::sim() const { return impl_->sim; }
 Server& ConsolidationRun::server() { return *impl_->server; }
 
-bool ConsolidationRun::SloViolated() const {
-  return impl_->slo->active() && impl_->slo->watchdog()->violated();
-}
-
-int64_t ConsolidationRun::SloViolatedAtUs() const {
-  return impl_->slo->active() ? impl_->slo->watchdog()->violated_at_us() : -1;
-}
-
 const ScenarioOutcome& ConsolidationRun::outcome() const { return impl_->outcome; }
-
-std::vector<uint8_t> ConsolidationRun::Snapshot() const {
-  const Impl& im = *impl_;
-  RequireNoClient(im.scenario);
-  SnapshotWriter w;
-  SaveKernel(w, im.sim);
-  im.server->SaveTo(w);
-  w.BeginSection(kCheckpointDriverSection);
-  w.U64(im.runtimes.size());
-  for (const Impl::UserRuntime& rt : im.runtimes) {
-    rt.tap->SaveTo(w);
-    rt.typist->SaveTo(w, im.sim);
-    w.Bool(rt.burst_task != nullptr);
-    if (rt.burst_task != nullptr) {
-      rt.burst_task->SaveTo(w, im.sim);
-    }
-  }
-  w.Bool(im.slo->active());
-  if (im.slo->active()) {
-    im.slo->watchdog()->SaveTo(w);
-  }
-  PeriodicSampler* sampler = im.sampler->sampler();
-  w.Bool(sampler != nullptr);
-  if (sampler != nullptr) {
-    sampler->SaveTo(w, im.sim);
-  }
-  w.EndSection();
-  return w.Finish();
-}
-
-void ConsolidationRun::Restore(const std::vector<uint8_t>& blob) {
-  Impl& im = *impl_;
-  RequireNoClient(im.scenario);
-  SnapshotReader r(blob);
-  KernelState ks = LoadKernel(r);
-  EventRearm plan;
-  im.server->RegisterRestorers(plan);
-  // Drop every construction-time event; the plan re-inserts the snapshot's pending set
-  // with the original (time, sequence) pairs.
-  ResetKernel(im.sim, ks);
-  im.server->LoadFrom(r, plan);
-  r.EnterSection(kCheckpointDriverSection);
-  uint64_t users = r.U64();
-  if (users != im.runtimes.size()) {
-    throw SnapshotError("driver.users",
-                        "user count mismatch: snapshot has " + std::to_string(users) +
-                            ", this run has " + std::to_string(im.runtimes.size()));
-  }
-  for (Impl::UserRuntime& rt : im.runtimes) {
-    rt.tap->LoadFrom(r);
-    rt.typist->LoadFrom(r, plan);
-    bool had_burst = r.Bool();
-    if (had_burst != (rt.burst_task != nullptr)) {
-      throw SnapshotError("driver.burst",
-                          "burst task presence mismatch (snapshot from a run with "
-                          "different burst options)");
-    }
-    if (rt.burst_task != nullptr) {
-      rt.burst_task->LoadFrom(r, plan, "driver.burst");
-    }
-  }
-  bool had_slo = r.Bool();
-  if (had_slo != im.slo->active()) {
-    throw SnapshotError("driver.slo", "SLO watchdog presence mismatch");
-  }
-  if (had_slo) {
-    im.slo->watchdog()->LoadFrom(r, plan);
-  }
-  bool had_sampler = r.Bool();
-  PeriodicSampler* sampler = im.sampler->sampler();
-  if (had_sampler != (sampler != nullptr)) {
-    throw SnapshotError("driver.sampler", "gauge sampler presence mismatch");
-  }
-  if (had_sampler) {
-    sampler->LoadFrom(r, plan);
-  }
-  r.LeaveSection();
-  if (!r.AtEnd()) {
-    throw SnapshotError("snapshot.trailing", "bytes remain after the driver section");
-  }
-  plan.Commit(im.sim, ks.manifest, ks.next_seq);
-}
 
 ConsolidationResult ConsolidationRun::Finish() {
   Impl& im = *impl_;

@@ -59,11 +59,9 @@ class Cpu {
   Thread* CreateThread(std::string name, ThreadClass cls, int base_priority);
 
   // Queues `cost` of CPU demand on `t` (scaled by config.speed); wakes `t` if blocked.
-  // `on_complete` (may be null) runs when the burst has been fully executed. `key` is the
-  // completion's checkpoint identity; callers that pass a non-null `on_complete` must
-  // supply one or the run cannot be snapshotted while the item is outstanding.
+  // `on_complete` (may be null) runs when the burst has been fully executed.
   void PostWork(Thread& t, Duration cost, std::function<void()> on_complete = nullptr,
-                WakeReason reason = WakeReason::kOther, ResumeKey key = {});
+                WakeReason reason = WakeReason::kOther);
 
   void AddSegmentObserver(SegmentObserver obs) { observers_.push_back(std::move(obs)); }
 
@@ -95,19 +93,6 @@ class Cpu {
   // time into exact service vs. run-queue wait.
   Duration ScaledCost(Duration cost) const { return ScaleCost(cost); }
 
-  // Checkpoint/restore. SaveTo serializes every thread's dynamic state (work queue with
-  // completion keys, scheduler scratch, accounting), per-processor segment state, the
-  // scheduler's ready queues, and the in-flight deferred-completion events. LoadFrom
-  // verifies the rebuilt thread topology (id, name, class, base priority) against the
-  // snapshot, overwrites dynamic state, and re-arms segment-end and completion events
-  // through `plan` — completion callbacks are rebuilt from their ResumeKeys, so all
-  // restorers must be registered before LoadFrom runs.
-  void SaveTo(SnapshotWriter& w) const;
-  void LoadFrom(SnapshotReader& r, EventRearm& plan);
-
-  // Thread lookup by stable id; throws SnapshotError on an unknown id.
-  Thread* ThreadById(uint64_t id) const;
-
  private:
   struct Processor {
     int index = 0;
@@ -116,14 +101,6 @@ class Cpu {
     TimePoint segment_start;
     Duration segment_switch_cost = Duration::Zero();
     Duration segment_planned_work = Duration::Zero();
-  };
-
-  // A completion callback handed to the simulator as a zero-delay event, tracked so a
-  // snapshot can name it. Records are appended in schedule order and zero-delay events
-  // fire in schedule order, so the front record always belongs to the next firing.
-  struct DeferredCompletion {
-    EventId id;
-    ResumeKey key;
   };
 
   void Wake(Thread& t, WakeReason reason);
@@ -151,7 +128,6 @@ class Cpu {
 
   Duration busy_time_ = Duration::Zero();
   uint64_t next_thread_id_ = 1;
-  std::vector<DeferredCompletion> deferred_;
 };
 
 }  // namespace tcs

@@ -49,20 +49,4 @@ bool LinuxScheduler::ShouldPreempt(const Thread& /*running*/, const Thread& /*wo
   return false;
 }
 
-void LinuxScheduler::SaveQueues(SnapshotWriter& w) const {
-  w.U64(queue_.size());
-  for (const Thread* t : queue_) {
-    w.U64(t->id());
-  }
-}
-
-void LinuxScheduler::LoadQueues(SnapshotReader& r,
-                                const std::function<Thread*(uint64_t)>& thread_by_id) {
-  queue_.clear();
-  uint64_t n = r.U64();
-  for (uint64_t i = 0; i < n; ++i) {
-    queue_.push_back(thread_by_id(r.U64()));
-  }
-}
-
 }  // namespace tcs

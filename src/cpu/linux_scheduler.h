@@ -34,9 +34,6 @@ class LinuxScheduler final : public Scheduler {
   bool ShouldPreempt(const Thread& running, const Thread& woken) const override;
   size_t ReadyCount() const override { return queue_.size(); }
   std::string name() const override { return "linux"; }
-  void SaveQueues(SnapshotWriter& w) const override;
-  void LoadQueues(SnapshotReader& r,
-                  const std::function<Thread*(uint64_t)>& thread_by_id) override;
 
  private:
   LinuxSchedulerConfig config_;

@@ -95,26 +95,4 @@ bool NtScheduler::ShouldPreempt(const Thread& running, const Thread& woken) cons
   return woken.sched_priority > running.sched_priority;
 }
 
-void NtScheduler::SaveQueues(SnapshotWriter& w) const {
-  for (const auto& q : queues_) {
-    w.U64(q.size());
-    for (const Thread* t : q) {
-      w.U64(t->id());
-    }
-  }
-}
-
-void NtScheduler::LoadQueues(SnapshotReader& r,
-                             const std::function<Thread*(uint64_t)>& thread_by_id) {
-  ready_count_ = 0;
-  for (auto& q : queues_) {
-    q.clear();
-    uint64_t n = r.U64();
-    for (uint64_t i = 0; i < n; ++i) {
-      q.push_back(thread_by_id(r.U64()));
-      ++ready_count_;
-    }
-  }
-}
-
 }  // namespace tcs

@@ -49,9 +49,6 @@ class NtScheduler final : public Scheduler {
   bool ShouldPreempt(const Thread& running, const Thread& woken) const override;
   size_t ReadyCount() const override { return ready_count_; }
   std::string name() const override { return "nt"; }
-  void SaveQueues(SnapshotWriter& w) const override;
-  void LoadQueues(SnapshotReader& r,
-                  const std::function<Thread*(uint64_t)>& thread_by_id) override;
 
   const NtSchedulerConfig& config() const { return config_; }
 

@@ -8,12 +8,10 @@
 #define TCS_SRC_CPU_SCHEDULER_H_
 
 #include <cstddef>
-#include <functional>
 #include <string>
 
 #include "src/cpu/thread.h"
 #include "src/obs/trace.h"
-#include "src/sim/snapshot.h"
 #include "src/sim/time.h"
 
 namespace tcs {
@@ -21,14 +19,6 @@ namespace tcs {
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
-
-  // Checkpoint/restore: ready-queue membership and order, saved as thread ids. The
-  // per-thread scratch (sched_priority, boost_quanta, interactivity) is serialized with
-  // the threads themselves by the Cpu. LoadQueues resolves ids through `thread_by_id`,
-  // which throws SnapshotError on an id the rebuilt Cpu does not know.
-  virtual void SaveQueues(SnapshotWriter& w) const = 0;
-  virtual void LoadQueues(SnapshotReader& r,
-                          const std::function<Thread*(uint64_t)>& thread_by_id) = 0;
 
   // Observability: when set, implementations emit their policy decisions (priority
   // boosts, band promotions/demotions) as sched-category events on `track`. Null by

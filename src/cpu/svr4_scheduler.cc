@@ -78,29 +78,4 @@ bool Svr4InteractiveScheduler::ShouldPreempt(const Thread& running,
   return IsInteractive(woken) && !IsInteractive(running);
 }
 
-void Svr4InteractiveScheduler::SaveQueues(SnapshotWriter& w) const {
-  w.U64(ia_.size());
-  for (const Thread* t : ia_) {
-    w.U64(t->id());
-  }
-  w.U64(ts_.size());
-  for (const Thread* t : ts_) {
-    w.U64(t->id());
-  }
-}
-
-void Svr4InteractiveScheduler::LoadQueues(
-    SnapshotReader& r, const std::function<Thread*(uint64_t)>& thread_by_id) {
-  ia_.clear();
-  ts_.clear();
-  uint64_t n = r.U64();
-  for (uint64_t i = 0; i < n; ++i) {
-    ia_.push_back(thread_by_id(r.U64()));
-  }
-  n = r.U64();
-  for (uint64_t i = 0; i < n; ++i) {
-    ts_.push_back(thread_by_id(r.U64()));
-  }
-}
-
 }  // namespace tcs

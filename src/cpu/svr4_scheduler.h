@@ -38,9 +38,6 @@ class Svr4InteractiveScheduler final : public Scheduler {
   bool ShouldPreempt(const Thread& running, const Thread& woken) const override;
   size_t ReadyCount() const override { return ia_.size() + ts_.size(); }
   std::string name() const override { return "svr4-ia"; }
-  void SaveQueues(SnapshotWriter& w) const override;
-  void LoadQueues(SnapshotReader& r,
-                  const std::function<Thread*(uint64_t)>& thread_by_id) override;
 
   // Exposed for the memory-throttling ablation: whether the scheduler currently considers
   // `t` interactive (and therefore protected).

@@ -12,7 +12,6 @@
 #include <functional>
 #include <string>
 
-#include "src/sim/snapshot.h"
 #include "src/sim/time.h"
 
 namespace tcs {
@@ -30,14 +29,10 @@ enum class WakeReason { kInputEvent, kIoComplete, kOther };
 
 // A unit of CPU demand. When the thread has accumulated `cost` of CPU time on this item,
 // `on_complete` fires (in simulation context; it may post more work, send messages, etc.).
-// `key` is the checkpointable identity of `on_complete`: a work item whose completion
-// callback is non-null must carry a ResumeKey, or snapshotting a run with that item still
-// queued fails loudly (closures cannot be serialized).
 struct WorkItem {
   Duration cost;
   std::function<void()> on_complete;
   WakeReason wake_reason = WakeReason::kOther;
-  ResumeKey key;
 };
 
 class Thread {
@@ -59,10 +54,6 @@ class Thread {
   void PushWork(WorkItem item) { work_.push_back(std::move(item)); }
   void PopWork() { work_.pop_front(); }
   size_t QueuedWork() const { return work_.size(); }
-  // Checkpoint/restore: the full queue for serialization, and a reset hook so restore can
-  // replace reconstruction-time work with the snapshot's.
-  const std::deque<WorkItem>& work_items() const { return work_; }
-  void ClearWork() { work_.clear(); }
 
   // CPU time still owed to the current work item.
   Duration remaining() const { return remaining_; }
@@ -85,10 +76,8 @@ class Thread {
   // --- Lifetime / accounting ---
   Duration cpu_time() const { return cpu_time_; }
   void AccountCpu(Duration d) { cpu_time_ += d; }
-  void set_cpu_time(Duration d) { cpu_time_ = d; }
   int64_t dispatch_count() const { return dispatch_count_; }
   void CountDispatch() { ++dispatch_count_; }
-  void set_dispatch_count(int64_t n) { dispatch_count_ = n; }
   TimePoint last_ready_at() const { return last_ready_at_; }
   void set_last_ready_at(TimePoint t) { last_ready_at_ = t; }
   TimePoint last_blocked_at() const { return last_blocked_at_; }

@@ -13,14 +13,12 @@
 #ifndef TCS_SRC_FAULT_FAULT_INJECTOR_H_
 #define TCS_SRC_FAULT_FAULT_INJECTOR_H_
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "src/fault/fault_plan.h"
 #include "src/obs/trace.h"
 #include "src/sim/random.h"
-#include "src/sim/snapshot.h"
 
 namespace tcs {
 
@@ -76,67 +74,7 @@ class LinkFaultInjector {
   // Observability: each outage window becomes a fault-category span when generated.
   void SetTracer(Tracer* tracer);
 
-  // Checkpoint/restore: all four stream positions, the Gilbert–Elliott chain state, the
-  // generated flap windows (and generation horizon), and the fault counters. The plan
-  // itself is construction config and is not serialized.
-  void SaveTo(SnapshotWriter& w) const {
-    SaveRng(w, rng_);
-    SaveRng(w, input_rng_);
-    SaveRng(w, wan_rng_);
-    SaveRng(w, wan_input_rng_);
-    w.Bool(ge_bad_);
-    w.U64(generated_.size());
-    for (const OutageWindow& win : generated_) {
-      w.Time(win.from);
-      w.Time(win.until);
-    }
-    w.Time(flap_cursor_);
-    w.I64(frames_lost_);
-    w.I64(frames_corrupted_);
-    w.I64(outage_drops_);
-    w.I64(input_frames_lost_);
-    w.I64(burst_losses_);
-    w.I64(ge_steps_);
-    w.I64(ge_bad_steps_);
-  }
-  void LoadFrom(SnapshotReader& r) {
-    LoadRng(r, rng_);
-    LoadRng(r, input_rng_);
-    LoadRng(r, wan_rng_);
-    LoadRng(r, wan_input_rng_);
-    ge_bad_ = r.Bool();
-    generated_.clear();
-    uint64_t n = r.U64();
-    for (uint64_t i = 0; i < n; ++i) {
-      OutageWindow win;
-      win.from = r.Time();
-      win.until = r.Time();
-      generated_.push_back(win);
-    }
-    flap_cursor_ = r.Time();
-    frames_lost_ = r.I64();
-    frames_corrupted_ = r.I64();
-    outage_drops_ = r.I64();
-    input_frames_lost_ = r.I64();
-    burst_losses_ = r.I64();
-    ge_steps_ = r.I64();
-    ge_bad_steps_ = r.I64();
-  }
-
  private:
-  static void SaveRng(SnapshotWriter& w, const Rng& rng) {
-    for (uint64_t word : rng.state()) {
-      w.U64(word);
-    }
-  }
-  static void LoadRng(SnapshotReader& r, Rng& rng) {
-    std::array<uint64_t, 4> state;
-    for (uint64_t& word : state) {
-      word = r.U64();
-    }
-    rng.set_state(state);
-  }
-
   // Extends generated flap windows until they cover virtual time `horizon`.
   void GenerateFlapsThrough(TimePoint horizon);
   // True if [start, end) overlaps any window in `windows` (sorted, non-overlapping).
@@ -183,28 +121,6 @@ class DiskFaultInjector {
   double StallRate() const {
     return requests_ > 0 ? static_cast<double>(stalls_) / static_cast<double>(requests_)
                          : 0.0;
-  }
-
-  // Checkpoint/restore: stream position and counters (the plan is construction config).
-  void SaveTo(SnapshotWriter& w) const {
-    for (uint64_t word : rng_.state()) {
-      w.U64(word);
-    }
-    w.I64(requests_);
-    w.I64(stalls_);
-    w.I64(io_errors_);
-    w.Dur(total_stall_);
-  }
-  void LoadFrom(SnapshotReader& r) {
-    std::array<uint64_t, 4> state;
-    for (uint64_t& word : state) {
-      word = r.U64();
-    }
-    rng_.set_state(state);
-    requests_ = r.I64();
-    stalls_ = r.I64();
-    io_errors_ = r.I64();
-    total_stall_ = r.Dur();
   }
 
  private:

@@ -18,8 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "src/sim/snapshot.h"
-
 namespace tcs {
 
 class AddressSpace {
@@ -52,26 +50,9 @@ class AddressSpace {
   // access to that range will pay.
   size_t MissingIn(uint64_t first, size_t count) const;
 
-  // Checkpoint/restore: the packed page array and resident count. Identity (id, name,
-  // interactive) is written by SaveTo and verified by the Pager before LoadFrom, which
-  // only overwrites dynamic state.
-  void SaveTo(SnapshotWriter& w) const {
-    w.U64(id_);
-    w.Str(name_);
-    w.Bool(interactive_);
-    w.U64(resident_count_);
-    w.U64(pages_.size());
-    for (uint32_t e : pages_) {
-      w.U32(e);
-    }
-  }
-  void LoadFrom(SnapshotReader& r) {
-    resident_count_ = r.U64();
-    pages_.assign(r.U64(), kNever);
-    for (uint32_t& e : pages_) {
-      e = r.U32();
-    }
-  }
+  // The packed page entries indexed by vpn (encoding below), frame slots included, so
+  // tests can compare two spaces entry for entry.
+  const std::vector<uint32_t>& page_entries() const { return pages_; }
 
  private:
   friend class Pager;

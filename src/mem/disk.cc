@@ -1,7 +1,6 @@
 #include "src/mem/disk.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <utility>
 
@@ -53,7 +52,7 @@ void Disk::SetTracer(Tracer* tracer) {
   }
 }
 
-void Disk::Enqueue(const char* op, int pages, InlineCallback done, ResumeKey key) {
+void Disk::Enqueue(const char* op, int pages, InlineCallback done) {
   Duration service = ServiceTime(pages);
   if (fault_ != nullptr) {
     // Stalls and retried I/O errors lengthen this request's occupancy of the device,
@@ -68,85 +67,20 @@ void Disk::Enqueue(const char* op, int pages, InlineCallback done, ResumeKey key
                   static_cast<int64_t>(pages), "queue_us", (start - sim_.Now()).ToMicros());
   }
   if (done) {
-    pending_.push_back(PendingIo{EventId(), key});
-    pending_.back().ev =
-        sim_.At(busy_until_, [this, fn = std::move(done)]() mutable {
-          assert(!pending_.empty());
-          pending_.erase(pending_.begin());
-          fn();
-        });
+    sim_.At(busy_until_, std::move(done));
   }
 }
 
-void Disk::Read(int pages, InlineCallback done, ResumeKey key) {
+void Disk::Read(int pages, InlineCallback done) {
   ++reads_;
   pages_read_ += pages;
-  Enqueue("disk-read", pages, std::move(done), key);
+  Enqueue("disk-read", pages, std::move(done));
 }
 
-void Disk::Write(int pages, InlineCallback done, ResumeKey key) {
+void Disk::Write(int pages, InlineCallback done) {
   ++writes_;
   pages_written_ += pages;
-  Enqueue("disk-write", pages, std::move(done), key);
-}
-
-void Disk::SaveTo(SnapshotWriter& w) const {
-  for (uint64_t word : rng_.state()) {
-    w.U64(word);
-  }
-  w.Time(busy_until_);
-  w.I64(reads_);
-  w.I64(writes_);
-  w.I64(pages_read_);
-  w.I64(pages_written_);
-  w.Dur(total_busy_);
-  w.U64(pending_.size());
-  for (const PendingIo& io : pending_) {
-    uint64_t seq = 0;
-    TimePoint when;
-    if (!sim_.PendingInfo(io.ev, &seq, &when)) {
-      throw SnapshotError("disk.pending", "completion record is stale");
-    }
-    if (io.key.empty()) {
-      throw SnapshotError("disk.pending",
-                          "outstanding I/O completion has no ResumeKey; attach one at the "
-                          "Read/Write site to make this workload checkpointable");
-    }
-    w.U64(seq);
-    w.Time(when);
-    io.key.SaveTo(w);
-  }
-}
-
-void Disk::LoadFrom(SnapshotReader& r, EventRearm& plan) {
-  std::array<uint64_t, 4> state;
-  for (uint64_t& word : state) {
-    word = r.U64();
-  }
-  rng_.set_state(state);
-  busy_until_ = r.Time();
-  reads_ = r.I64();
-  writes_ = r.I64();
-  pages_read_ = r.I64();
-  pages_written_ = r.I64();
-  total_busy_ = r.Dur();
-  pending_.clear();
-  uint64_t n = r.U64();
-  pending_.reserve(n);  // EventId out-pointers below must stay stable
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t seq = r.U64();
-    TimePoint when = r.Time();
-    ResumeKey key = ResumeKey::LoadFrom(r);
-    pending_.push_back(PendingIo{EventId(), key});
-    plan.Schedule(
-        "disk", seq, when,
-        [this, thunk = plan.Build(key)] {
-          assert(!pending_.empty());
-          pending_.erase(pending_.begin());
-          thunk();
-        },
-        &pending_.back().ev);
-  }
+  Enqueue("disk-write", pages, std::move(done));
 }
 
 }  // namespace tcs

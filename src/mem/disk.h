@@ -9,13 +9,11 @@
 #define TCS_SRC_MEM_DISK_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/fault/fault_injector.h"
 #include "src/obs/trace.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
-#include "src/sim/snapshot.h"
 #include "src/sim/units.h"
 
 namespace tcs {
@@ -43,13 +41,11 @@ class Disk {
   Disk& operator=(const Disk&) = delete;
 
   // Enqueues a read of `pages` contiguous pages; `done` fires when the transfer completes.
-  // `key` is the completion's checkpoint identity: a request whose completion is still
-  // outstanding at snapshot time must carry one or SaveTo fails loudly.
-  void Read(int pages, InlineCallback done, ResumeKey key = {});
+  void Read(int pages, InlineCallback done);
 
   // Enqueues a write of `pages` pages; `done` (optional) fires at completion. Used for
   // dirty-page eviction, which is typically fire-and-forget but still occupies the queue.
-  void Write(int pages, InlineCallback done = nullptr, ResumeKey key = {});
+  void Write(int pages, InlineCallback done = nullptr);
 
   // Time at which the device drains everything currently queued.
   TimePoint busy_until() const { return busy_until_; }
@@ -70,23 +66,9 @@ class Disk {
   void SetFaultInjector(DiskFaultInjector* injector) { fault_ = injector; }
   DiskFaultInjector* fault_injector() const { return fault_; }
 
-  // Checkpoint/restore: RNG position, queue horizon, accounting, and every outstanding
-  // completion as (seq, when, ResumeKey). LoadFrom re-arms completions through `plan`,
-  // rebuilding callbacks from their keys via the registered-restorer table.
-  void SaveTo(SnapshotWriter& w) const;
-  void LoadFrom(SnapshotReader& r, EventRearm& plan);
-
  private:
-  // An outstanding completion event. Requests complete in issue order (busy_until_ is
-  // monotonic and same-time events fire in schedule order), so the front record always
-  // belongs to the next completion.
-  struct PendingIo {
-    EventId ev;
-    ResumeKey key;
-  };
-
   Duration ServiceTime(int pages);
-  void Enqueue(const char* op, int pages, InlineCallback done, ResumeKey key);
+  void Enqueue(const char* op, int pages, InlineCallback done);
 
   Simulator& sim_;
   Rng rng_;
@@ -100,7 +82,6 @@ class Disk {
   int64_t pages_read_ = 0;
   int64_t pages_written_ = 0;
   Duration total_busy_ = Duration::Zero();
-  std::vector<PendingIo> pending_;
 };
 
 }  // namespace tcs

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/obs/flight_recorder.h"
-#include "src/sim/resume_kinds.h"
 
 namespace tcs {
 
@@ -141,11 +140,9 @@ void Pager::ReleaseAddressSpace(AddressSpace* as) {
   assert(false && "address space not owned by this pager");
 }
 
-uint64_t Pager::CreateOp(InlineCallback done, ResumeKey done_key) {
+uint64_t Pager::CreateOp(InlineCallback done) {
   uint64_t id = next_op_id_++;
-  PagerOp& op = ops_[id];
-  op.done = std::move(done);
-  op.done_key = done_key;
+  ops_[id].done = std::move(done);
   return id;
 }
 
@@ -180,8 +177,7 @@ void Pager::CompleteOp(uint64_t id) {
 void Pager::IssueRead(uint64_t id) {
   PagerOp& op = ops_.at(id);
   assert(op.next_run < op.runs.size());
-  disk_.Read(op.runs[op.next_run], [this, id] { OnChainStep(id); },
-             ResumeKey::Make(kResumePagerChain, id));
+  disk_.Read(op.runs[op.next_run], [this, id] { OnChainStep(id); });
 }
 
 void Pager::OnChainStep(uint64_t id) {
@@ -218,35 +214,11 @@ void Pager::ChainComplete(uint64_t id) {
 }
 
 void Pager::ScheduleOpFire(uint64_t id, Duration delay) {
-  fires_.push_back(PendingOpEvent{EventId(), id});
-  fires_.back().ev = sim_.Schedule(delay, [this, id] { OnOpFire(id); });
-}
-
-void Pager::OnOpFire(uint64_t id) {
-  for (auto it = fires_.begin(); it != fires_.end(); ++it) {
-    if (it->op == id) {
-      fires_.erase(it);
-      break;
-    }
-  }
-  OpSignal(id);
+  sim_.Schedule(delay, [this, id] { OpSignal(id); });
 }
 
 void Pager::ScheduleIssue(uint64_t id, Duration delay) {
-  issues_.push_back(PendingOpEvent{EventId(), id});
-  issues_.back().ev = sim_.Schedule(delay, [this, id] { OnIssueFire(id); });
-}
-
-void Pager::OnIssueFire(uint64_t id) {
-  for (auto it = issues_.begin(); it != issues_.end(); ++it) {
-    if (it->op == id) {
-      issues_.erase(it);
-      break;
-    }
-  }
-  PagerOp& op = ops_.at(id);
-  op.throttled = false;
-  IssueRead(id);
+  sim_.Schedule(delay, [this, id] { IssueRead(id); });
 }
 
 void Pager::TouchLru(AddressSpace& as, uint64_t vpn) {
@@ -322,8 +294,7 @@ Duration Pager::ThrottleFor(const AddressSpace& as) const {
   return Duration::Zero();
 }
 
-void Pager::Access(AddressSpace& as, uint64_t vpn, bool write, InlineCallback done,
-                   ResumeKey done_key) {
+void Pager::Access(AddressSpace& as, uint64_t vpn, bool write, InlineCallback done) {
   Duration throttle = ThrottleFor(as);
   bool needs_disk = as.WasEvicted(vpn);
   bool faulted = MakeResident(as, vpn, write);
@@ -342,7 +313,7 @@ void Pager::Access(AddressSpace& as, uint64_t vpn, bool write, InlineCallback do
       if (fit != in_flight_.end()) {
         ++coalesced_waits_;
         if (done) {
-          uint64_t id = CreateOp(std::move(done), done_key);
+          uint64_t id = CreateOp(std::move(done));
           ops_.at(id).remaining = 1;
           ops_.at(fit->second).waiter_ops.push_back(id);
         }
@@ -355,13 +326,13 @@ void Pager::Access(AddressSpace& as, uint64_t vpn, bool write, InlineCallback do
     // zero-fill faults — it slows any allocation by a non-interactive process).
     Duration delay = faulted ? throttle : Duration::Zero();
     if (done) {
-      uint64_t id = CreateOp(std::move(done), done_key);
+      uint64_t id = CreateOp(std::move(done));
       ops_.at(id).remaining = 1;
       ScheduleOpFire(id, delay);
     }
     return;
   }
-  uint64_t id = CreateOp(std::move(done), done_key);
+  uint64_t id = CreateOp(std::move(done));
   PagerOp& op = ops_.at(id);
   op.remaining = 1;
   op.runs.assign(1, 1);
@@ -371,7 +342,6 @@ void Pager::Access(AddressSpace& as, uint64_t vpn, bool write, InlineCallback do
     IssueRead(id);
   } else {
     // Throttled faulter: delay the I/O issue itself, slowing the process's fault rate.
-    op.throttled = true;
     ScheduleIssue(id, throttle);
   }
 }
@@ -386,7 +356,7 @@ bool Pager::TryHit(AddressSpace& as, uint64_t vpn, bool write) {
 }
 
 void Pager::AccessRange(AddressSpace& as, uint64_t first, size_t count, bool write,
-                        InlineCallback done, ResumeKey done_key) {
+                        InlineCallback done) {
   assert(count > 0);
   TimePoint access_start = sim_.Now();
   Duration throttle = ThrottleFor(as);
@@ -444,14 +414,14 @@ void Pager::AccessRange(AddressSpace& as, uint64_t first, size_t count, bool wri
                     "pages", static_cast<int64_t>(count), "io_pages", int64_t{0});
     }
     if (done) {
-      uint64_t id = CreateOp(std::move(done), done_key);
+      uint64_t id = CreateOp(std::move(done));
       ops_.at(id).remaining = 1;
       ScheduleOpFire(id, Duration::Zero());
     }
     return;
   }
   // The access completes when its own read chain AND every joined in-flight read land.
-  uint64_t id = CreateOp(std::move(done), done_key);
+  uint64_t id = CreateOp(std::move(done));
   PagerOp& op = ops_.at(id);
   op.remaining = joins.size() + (runs.empty() ? 0u : 1u);
   if (tracer_ != nullptr || recorder_ != nullptr) {
@@ -478,7 +448,6 @@ void Pager::AccessRange(AddressSpace& as, uint64_t first, size_t count, bool wri
   if (throttle.IsZero()) {
     IssueRead(id);
   } else {
-    op.throttled = true;
     ScheduleIssue(id, throttle);
   }
 }
@@ -508,240 +477,6 @@ void Pager::Prefault(AddressSpace& as, uint64_t first, size_t count) {
       --hits_;
     }
   }
-}
-
-void Pager::RegisterRestorers(EventRearm& plan) {
-  plan.RegisterRestorer(kResumePagerChain, [this](const ResumeKey& key) {
-    uint64_t id = key.arg(0);
-    return [this, id] { OnChainStep(id); };
-  });
-}
-
-void Pager::SaveTo(SnapshotWriter& w) const {
-  // Address spaces, in creation order (identity + page tables).
-  w.U64(spaces_.size());
-  for (const auto& sp : spaces_) {
-    sp->SaveTo(w);
-  }
-  // Frame slab and recency/free lists. Frame owners are recorded by address-space id
-  // (0 = free slot).
-  w.U64(frames_.size());
-  for (const Frame& f : frames_) {
-    w.U64(f.as != nullptr ? f.as->id() : 0);
-    w.U64(f.vpn);
-    w.U32(f.prev);
-    w.U32(f.next);
-  }
-  w.U32(lru_head_);
-  w.U32(lru_tail_);
-  w.U32(free_head_);
-  w.U64(frames_used_);
-  // Shared segments, sorted by key for a deterministic encoding.
-  std::vector<std::pair<std::string, const SharedEntry*>> shared;
-  shared.reserve(shared_.size());
-  for (const auto& [key, entry] : shared_) {
-    shared.emplace_back(key, &entry);
-  }
-  std::sort(shared.begin(), shared.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  w.U64(shared.size());
-  for (const auto& [key, entry] : shared) {
-    w.Str(key);
-    w.U64(entry->space->id());
-    w.I64(entry->refs);
-  }
-  // In-flight page-in coverage and the op table.
-  w.U64(in_flight_.size());
-  for (const auto& [key, op_id] : in_flight_) {
-    w.U64(key);
-    w.U64(op_id);
-  }
-  w.U64(ops_.size());
-  for (const auto& [id, op] : ops_) {
-    if (op.done && op.done_key.empty()) {
-      throw SnapshotError("pager.op",
-                          "incomplete page access has a completion callback but no "
-                          "ResumeKey; attach one at the Access/AccessRange site");
-    }
-    w.U64(id);
-    w.U64(op.remaining);
-    w.Bool(static_cast<bool>(op.done));
-    op.done_key.SaveTo(w);
-    w.U64(op.runs.size());
-    for (int run : op.runs) {
-      w.I64(run);
-    }
-    w.U64(op.next_run);
-    w.U64(op.keys.size());
-    for (uint64_t key : op.keys) {
-      w.U64(key);
-    }
-    w.Bool(op.throttled);
-    w.U64(op.waiter_ops.size());
-    for (uint64_t wo : op.waiter_ops) {
-      w.U64(wo);
-    }
-    w.Bool(op.traced);
-    w.Time(op.access_start);
-    w.I64(op.count);
-    w.I64(op.io_pages);
-  }
-  w.U64(next_op_id_);
-  // Pending pager-internal events.
-  for (const std::vector<PendingOpEvent>* list : {&fires_, &issues_}) {
-    w.U64(list->size());
-    for (const PendingOpEvent& pe : *list) {
-      uint64_t seq = 0;
-      TimePoint when;
-      if (!sim_.PendingInfo(pe.ev, &seq, &when)) {
-        throw SnapshotError("pager.pending", "pending op-event record is stale");
-      }
-      w.U64(seq);
-      w.Time(when);
-      w.U64(pe.op);
-    }
-  }
-  // Counters.
-  w.I64(faults_);
-  w.I64(hits_);
-  w.I64(evictions_);
-  w.I64(dirty_writebacks_);
-  w.I64(protected_skips_);
-  w.I64(shared_attaches_);
-  w.I64(coalesced_waits_);
-  w.U64(next_as_id_);
-}
-
-void Pager::LoadFrom(SnapshotReader& r, EventRearm& plan) {
-  uint64_t n_spaces = r.U64();
-  if (n_spaces != spaces_.size()) {
-    throw SnapshotError("pager.spaces",
-                        "snapshot has " + std::to_string(n_spaces) +
-                            " address spaces but the rebuilt pager has " +
-                            std::to_string(spaces_.size()) +
-                            " (checkpointing across address-space creation/teardown "
-                            "requires matching reconstruction)");
-  }
-  std::map<uint64_t, AddressSpace*> by_id;
-  for (auto& sp : spaces_) {
-    uint64_t id = r.U64();
-    std::string name = r.Str();
-    bool interactive = r.Bool();
-    if (id != sp->id() || name != sp->name() || interactive != sp->interactive()) {
-      throw SnapshotError("pager.space." + name,
-                          "address-space topology drift: snapshot space (id " +
-                              std::to_string(id) + ", \"" + name +
-                              "\") does not match rebuilt space (id " +
-                              std::to_string(sp->id()) + ", \"" + sp->name() + "\")");
-    }
-    sp->LoadFrom(r);
-    by_id[sp->id()] = sp.get();
-  }
-  frames_.assign(r.U64(), Frame{});
-  for (Frame& f : frames_) {
-    uint64_t as_id = r.U64();
-    if (as_id != 0) {
-      auto it = by_id.find(as_id);
-      if (it == by_id.end()) {
-        throw SnapshotError("pager.frames", "frame references unknown address space id " +
-                                                std::to_string(as_id));
-      }
-      f.as = it->second;
-    }
-    f.vpn = r.U64();
-    f.prev = r.U32();
-    f.next = r.U32();
-  }
-  lru_head_ = r.U32();
-  lru_tail_ = r.U32();
-  free_head_ = r.U32();
-  frames_used_ = r.U64();
-  uint64_t n_shared = r.U64();
-  if (n_shared != shared_.size()) {
-    throw SnapshotError("pager.shared",
-                        "snapshot has " + std::to_string(n_shared) +
-                            " shared segments but the rebuilt pager has " +
-                            std::to_string(shared_.size()));
-  }
-  for (uint64_t i = 0; i < n_shared; ++i) {
-    std::string key = r.Str();
-    uint64_t space_id = r.U64();
-    int refs = static_cast<int>(r.I64());
-    auto it = shared_.find(key);
-    if (it == shared_.end() || it->second.space->id() != space_id) {
-      throw SnapshotError("pager.shared." + key,
-                          "shared-segment topology drift: rebuilt pager has no matching "
-                          "segment");
-    }
-    it->second.refs = refs;
-  }
-  in_flight_.clear();
-  uint64_t n_in_flight = r.U64();
-  for (uint64_t i = 0; i < n_in_flight; ++i) {
-    uint64_t key = r.U64();
-    in_flight_[key] = r.U64();
-  }
-  ops_.clear();
-  uint64_t n_ops = r.U64();
-  for (uint64_t i = 0; i < n_ops; ++i) {
-    uint64_t id = r.U64();
-    PagerOp& op = ops_[id];
-    op.remaining = r.U64();
-    bool has_done = r.Bool();
-    op.done_key = ResumeKey::LoadFrom(r);
-    if (has_done) {
-      op.done = plan.Build(op.done_key);
-    }
-    op.runs.assign(r.U64(), 0);
-    for (int& run : op.runs) {
-      run = static_cast<int>(r.I64());
-    }
-    op.next_run = r.U64();
-    op.keys.assign(r.U64(), 0);
-    for (uint64_t& key : op.keys) {
-      key = r.U64();
-    }
-    op.throttled = r.Bool();
-    op.waiter_ops.assign(r.U64(), 0);
-    for (uint64_t& wo : op.waiter_ops) {
-      wo = r.U64();
-    }
-    op.traced = r.Bool();
-    op.access_start = r.Time();
-    op.count = r.I64();
-    op.io_pages = r.I64();
-  }
-  next_op_id_ = r.U64();
-  fires_.clear();
-  issues_.clear();
-  for (int which = 0; which < 2; ++which) {
-    std::vector<PendingOpEvent>& list = which == 0 ? fires_ : issues_;
-    uint64_t n = r.U64();
-    list.reserve(n);  // EventId out-pointers below must stay stable
-    for (uint64_t i = 0; i < n; ++i) {
-      uint64_t seq = r.U64();
-      TimePoint when = r.Time();
-      uint64_t op_id = r.U64();
-      list.push_back(PendingOpEvent{EventId(), op_id});
-      if (which == 0) {
-        plan.Schedule(
-            "pager.fire", seq, when, [this, op_id] { OnOpFire(op_id); },
-            &list.back().ev);
-      } else {
-        plan.Schedule(
-            "pager.issue", seq, when, [this, op_id] { OnIssueFire(op_id); },
-            &list.back().ev);
-      }
-    }
-  }
-  faults_ = r.I64();
-  hits_ = r.I64();
-  evictions_ = r.I64();
-  dirty_writebacks_ = r.I64();
-  protected_skips_ = r.I64();
-  shared_attaches_ = r.I64();
-  coalesced_waits_ = r.I64();
-  next_as_id_ = r.U64();
 }
 
 }  // namespace tcs

@@ -34,7 +34,6 @@
 #include "src/obs/trace.h"
 #include "src/sim/inline_callback.h"
 #include "src/sim/simulator.h"
-#include "src/sim/snapshot.h"
 
 namespace tcs {
 
@@ -88,10 +87,7 @@ class Pager {
   //  * never touched: zero-fill fault — a frame is reclaimed but no I/O happens;
   //  * previously evicted: a frame is reclaimed and the page is read back from disk;
   //    `done` fires when the read completes.
-  // `done_key` is the completion's checkpoint identity; callers that pass a non-null
-  // `done` must supply one or the run cannot be snapshotted while the access is pending.
-  void Access(AddressSpace& as, uint64_t vpn, bool write, InlineCallback done,
-              ResumeKey done_key = {});
+  void Access(AddressSpace& as, uint64_t vpn, bool write, InlineCallback done);
 
   // Access's hit bookkeeping (hit count, recency, dirty bit) with no completion event,
   // for callers that continue at the touch instant themselves. Returns false and
@@ -102,7 +98,7 @@ class Pager {
   // up-to-`cluster_pages` contiguous disk reads issued back to back; `done` fires when
   // the last read completes (immediately if nothing needs I/O).
   void AccessRange(AddressSpace& as, uint64_t first, size_t count, bool write,
-                   InlineCallback done, ResumeKey done_key = {});
+                   InlineCallback done);
 
   // Test/setup utility: marks [first, first+count) as swapped out (previously resident,
   // now on disk) without simulating the history that put it there.
@@ -139,17 +135,6 @@ class Pager {
   // spans. One branch when null.
   void SetFlightRecorder(FlightRecorder* recorder) { recorder_ = recorder; }
 
-  // Checkpoint/restore. The pager's asynchronous machinery is reified as data — every
-  // incomplete Access/AccessRange is a PagerOp record (fan-in count, remaining run
-  // chain, covered in-flight keys, completion ResumeKey), so SaveTo serializes the frame
-  // slab, recency list, address spaces, shared-segment refcounts, and the full op table,
-  // and LoadFrom re-arms the pending issue/fire events. Chain-step disk completions
-  // restore through the registered-restorer table: call RegisterRestorers before any
-  // LoadFrom.
-  void RegisterRestorers(EventRearm& plan);
-  void SaveTo(SnapshotWriter& w) const;
-  void LoadFrom(SnapshotReader& r, EventRearm& plan);
-
  private:
   struct FramesKey {
     static uint64_t Of(const AddressSpace& as, uint64_t vpn) {
@@ -165,9 +150,9 @@ class Pager {
     uint32_t prev = kNilFrame;
     uint32_t next = kNilFrame;
   };
-  // One incomplete Access/AccessRange, reified so a snapshot can serialize it. The op
-  // completes (trace span + `done`) when `remaining` signals arrive: one from its own
-  // clustered-read chain (if it has one) plus one from every in-flight read it joined.
+  // One incomplete Access/AccessRange. The op completes (trace span + `done`) when
+  // `remaining` signals arrive: one from its own clustered-read chain (if it has one)
+  // plus one from every in-flight read it joined.
   // Pages covered by an op's own reads are already marked resident (MakeResident is
   // synchronous bookkeeping), so a second session touching a shared page mid-read joins
   // the owning op's waiter list and stalls until the same disk completion — one I/O,
@@ -175,13 +160,11 @@ class Pager {
   struct PagerOp {
     size_t remaining = 0;
     InlineCallback done;  // may be null
-    ResumeKey done_key;
     // Own I/O chain (empty when the op only joins others' reads). runs[next_run] is the
-    // clustered read currently on the disk (or about to be issued when `throttled`).
+    // clustered read currently on the disk (or about to be issued after a throttle).
     std::vector<int> runs;
     size_t next_run = 0;
     std::vector<uint64_t> keys;  // in_flight_ entries this op's chain covers
-    bool throttled = false;      // chain issue delayed; a pending issue event exists
     // Ops that joined this op's in-flight reads; signaled when the chain lands.
     std::vector<uint64_t> waiter_ops;
     // Page-in trace-span state (the span closes at completion).
@@ -190,13 +173,6 @@ class Pager {
     int64_t count = 0;
     int64_t io_pages = 0;
   };
-  // A pending pager-internal event re-armed on restore: either an op-fire (zero-delay or
-  // throttled completion signal) or a throttled chain issue.
-  struct PendingOpEvent {
-    EventId ev;
-    uint64_t op = 0;
-  };
-
   // Marks the page resident, evicting as necessary. Returns true if the page had to be
   // faulted (was not resident).
   bool MakeResident(AddressSpace& as, uint64_t vpn, bool write);
@@ -213,7 +189,7 @@ class Pager {
   void DropFramesOf(AddressSpace& as);
 
   // Op machinery.
-  uint64_t CreateOp(InlineCallback done, ResumeKey done_key);
+  uint64_t CreateOp(InlineCallback done);
   // One completion signal for `id`; completes the op at zero outstanding.
   void OpSignal(uint64_t id);
   void CompleteOp(uint64_t id);
@@ -223,11 +199,10 @@ class Pager {
   void OnChainStep(uint64_t id);
   // The op's whole chain landed: release its in-flight entries, signal joiners, then it.
   void ChainComplete(uint64_t id);
-  // Deferred signals/issues, tracked so snapshots can re-arm them.
+  // One completion signal for `id` after `delay`.
   void ScheduleOpFire(uint64_t id, Duration delay);
-  void OnOpFire(uint64_t id);
+  // Issues the op's current run on the disk after `delay` (a throttled faulter).
   void ScheduleIssue(uint64_t id, Duration delay);
-  void OnIssueFire(uint64_t id);
 
   Simulator& sim_;
   Disk& disk_;
@@ -241,13 +216,11 @@ class Pager {
   uint32_t lru_tail_ = kNilFrame;  // most recently used
   uint32_t free_head_ = kNilFrame;
   size_t frames_used_ = 0;
-  // Ordered maps: teardown and serialization iterate these, and restore rebuilds them,
-  // so iteration order must be a function of contents alone.
+  // Ordered maps: teardown iterates these, so iteration order must be a function of
+  // contents alone.
   std::map<uint64_t, uint64_t> in_flight_;  // FramesKey -> owning op id
   std::map<uint64_t, PagerOp> ops_;
   uint64_t next_op_id_ = 1;
-  std::vector<PendingOpEvent> fires_;
-  std::vector<PendingOpEvent> issues_;
 
   struct SharedEntry {
     AddressSpace* space;

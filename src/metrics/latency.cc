@@ -108,49 +108,4 @@ Duration StallDetector::Jitter() const {
   return Duration::Micros(static_cast<int64_t>(all_gaps_ms_.stddev() * 1e3));
 }
 
-namespace {
-
-void SaveStats(SnapshotWriter& w, const RunningStats& s) {
-  RunningStats::State st = s.state();
-  w.I64(st.count);
-  w.F64(st.mean);
-  w.F64(st.m2);
-  w.F64(st.sum);
-  w.F64(st.min);
-  w.F64(st.max);
-}
-
-void LoadStats(SnapshotReader& r, RunningStats& s) {
-  RunningStats::State st;
-  st.count = r.I64();
-  st.mean = r.F64();
-  st.m2 = r.F64();
-  st.sum = r.F64();
-  st.min = r.F64();
-  st.max = r.F64();
-  s.set_state(st);
-}
-
-}  // namespace
-
-void StallDetector::SaveTo(SnapshotWriter& w) const {
-  w.Dur(expected_period_);
-  w.Bool(have_last_);
-  w.Time(last_);
-  w.I64(updates_);
-  w.I64(stall_count_);
-  SaveStats(w, stall_ms_);
-  SaveStats(w, all_gaps_ms_);
-}
-
-void StallDetector::LoadFrom(SnapshotReader& r) {
-  expected_period_ = r.Dur();
-  have_last_ = r.Bool();
-  last_ = r.Time();
-  updates_ = r.I64();
-  stall_count_ = r.I64();
-  LoadStats(r, stall_ms_);
-  LoadStats(r, all_gaps_ms_);
-}
-
 }  // namespace tcs

@@ -14,7 +14,6 @@
 
 #include <vector>
 
-#include "src/sim/snapshot.h"
 #include "src/sim/time.h"
 #include "src/util/percentile_sketch.h"
 #include "src/util/stats.h"
@@ -55,24 +54,6 @@ class LatencyRecorder {
   const RunningStats& raw() const { return stats_; }
   const std::vector<int64_t>& samples_us() const { return samples_us_; }
 
-  // Checkpoint/restore. The recorder is a pure function of its Record() stream, so the
-  // snapshot is just the microsecond samples in arrival order and LoadFrom replays them —
-  // every derived accumulator (sketch, Welford stats, perception counters) lands on
-  // bit-identical state without serializing internals.
-  void SaveTo(SnapshotWriter& w) const {
-    w.U64(samples_us_.size());
-    for (int64_t us : samples_us_) {
-      w.I64(us);
-    }
-  }
-  void LoadFrom(SnapshotReader& r) {
-    *this = LatencyRecorder();
-    uint64_t n = r.U64();
-    for (uint64_t i = 0; i < n; ++i) {
-      Record(Duration::Micros(r.I64()));
-    }
-  }
-
  private:
   RunningStats stats_;  // milliseconds, for raw() consumers (means/extremes only)
   // Microsecond samples in arrival order (samples_us() contract) plus the incremental
@@ -103,10 +84,6 @@ class StallDetector {
   // Average over *all* gaps (stall length zero when on time) — what Figure 3 plots.
   Duration AverageStallAllGaps() const;
   Duration Jitter() const;
-
-  // Checkpoint/restore: field-wise accumulator state.
-  void SaveTo(SnapshotWriter& w) const;
-  void LoadFrom(SnapshotReader& r);
 
  private:
   Duration expected_period_;

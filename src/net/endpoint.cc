@@ -22,8 +22,7 @@ int64_t MessageSender::PacketsFor(Bytes payload) const {
   return (payload.count() + max_payload.count() - 1) / max_payload.count();
 }
 
-void MessageSender::SendMessage(Bytes payload, InlineCallback delivered,
-                                ResumeKey delivered_key) {
+void MessageSender::SendMessage(Bytes payload, InlineCallback delivered) {
   int64_t packets = PacketsFor(payload);
   ++messages_sent_;
   packets_sent_ += packets;
@@ -40,8 +39,7 @@ void MessageSender::SendMessage(Bytes payload, InlineCallback delivered,
     Bytes wire = chunk + headers_.WirePerPacket();
     remaining -= chunk;
     bool last = i + 1 == packets;
-    link_.Send(wire, last ? std::move(delivered) : nullptr,
-               last ? delivered_key : ResumeKey{});
+    link_.Send(wire, last ? std::move(delivered) : nullptr);
   }
 }
 

@@ -23,25 +23,7 @@ class MessageSender {
 
   // Sends a protocol message of `payload` bytes. It is segmented into as many frames as
   // the MTU requires; `delivered` (optional) fires when the last frame arrives.
-  // `delivered_key` rides on the last frame — it is that delivery's checkpoint identity
-  // (see FrameTransport::Send).
-  void SendMessage(Bytes payload, InlineCallback delivered = nullptr,
-                   ResumeKey delivered_key = {});
-
-  // Checkpoint/restore: the segmentation counters (the transport underneath serializes
-  // its own state).
-  void SaveTo(SnapshotWriter& w) const {
-    w.I64(messages_sent_);
-    w.I64(packets_sent_);
-    w.I64(payload_bytes_.count());
-    w.I64(counted_bytes_.count());
-  }
-  void LoadFrom(SnapshotReader& r) {
-    messages_sent_ = r.I64();
-    packets_sent_ = r.I64();
-    payload_bytes_ = Bytes::Of(r.I64());
-    counted_bytes_ = Bytes::Of(r.I64());
-  }
+  void SendMessage(Bytes payload, InlineCallback delivered = nullptr);
 
   int64_t messages_sent() const { return messages_sent_; }
   int64_t packets_sent() const { return packets_sent_; }

@@ -34,38 +34,17 @@ class SessionFlow : public FrameTransport {
   SessionFlow(const SessionFlow&) = delete;
   SessionFlow& operator=(const SessionFlow&) = delete;
 
-  // Checkpoint identity stamped on sends whose caller provided no key of their own —
-  // which is every ordinary protocol message (their only delivery action is this flow's
-  // DeliveryCounter). The owner keys it so the registered restorer knows which flow to
-  // count on; the Server uses the session id. Unset, such sends are unsnapshotable while
-  // in flight (the transport fails SaveTo loudly).
-  void set_delivered_key(ResumeKey key) { default_key_ = key; }
-
-  // The delivery action of a send without a caller callback. Copyable, so a restorer
-  // can rebuild it for a send still in flight at a checkpoint.
-  auto DeliveryCounter() {
-    return [count = &delivered_] { ++*count; };
-  }
-
-  // `delivered_key`'s restorer must reproduce the full delivery action as seen at the
-  // transport the event lives in — this flow's count, then the caller's callback.
-  void Send(Bytes wire_bytes, InlineCallback delivered = nullptr,
-            ResumeKey delivered_key = {}) override {
-    if (delivered_key.empty()) {
-      delivered_key = default_key_;
-    }
+  void Send(Bytes wire_bytes, InlineCallback delivered = nullptr) override {
     ++sends_;
     wire_bytes_ += wire_bytes.count();
     if (!delivered) {
-      shared_.Send(wire_bytes, DeliveryCounter(), delivered_key);
+      shared_.Send(wire_bytes, [count = &delivered_] { ++*count; });
       return;
     }
-    shared_.Send(wire_bytes,
-                 [count = DeliveryCounter(), cb = std::move(delivered)]() mutable {
-                   count();
-                   cb();
-                 },
-                 delivered_key);
+    shared_.Send(wire_bytes, [count = &delivered_, cb = std::move(delivered)]() mutable {
+      ++*count;
+      cb();
+    });
   }
 
   const LinkConfig& config() const override { return shared_.config(); }
@@ -86,21 +65,8 @@ class SessionFlow : public FrameTransport {
                : 0.0;
   }
 
-  // Checkpoint/restore: the three counters. The delivery key is construction config.
-  void SaveTo(SnapshotWriter& w) const {
-    w.I64(sends_);
-    w.I64(delivered_);
-    w.I64(wire_bytes_);
-  }
-  void LoadFrom(SnapshotReader& r) {
-    sends_ = r.I64();
-    delivered_ = r.I64();
-    wire_bytes_ = r.I64();
-  }
-
  private:
   FrameTransport& shared_;
-  ResumeKey default_key_;
   int64_t sends_ = 0;
   int64_t delivered_ = 0;
   int64_t wire_bytes_ = 0;

@@ -1,7 +1,6 @@
 #include "src/net/link.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <cmath>
 #include <utility>
@@ -175,160 +174,32 @@ bool Link::TransmitAll(Bytes wire_bytes, TimePoint* delivery) {
   return all_ok;
 }
 
-Link::FateHandle Link::SendEx(Bytes wire_bytes, InlineFunction<void(bool)> done,
-                              bool retransmit) {
+void Link::SendEx(Bytes wire_bytes, InlineFunction<void(bool)> done, bool retransmit) {
   sending_retransmit_ = retransmit;
   TimePoint delivery = TimePoint::Zero();
   bool all_ok = TransmitAll(wire_bytes, &delivery);
   sending_retransmit_ = false;
-  FateHandle handle{EventId(), all_ok};
   if (done) {
-    handle.ev =
-        sim_.At(delivery, [cb = std::move(done), all_ok]() mutable { cb(all_ok); });
+    sim_.At(delivery, [cb = std::move(done), all_ok]() mutable { cb(all_ok); });
   }
-  return handle;
 }
 
-void Link::Send(Bytes wire_bytes, InlineCallback delivered, ResumeKey delivered_key) {
+void Link::Send(Bytes wire_bytes, InlineCallback delivered) {
   TimePoint delivery = TimePoint::Zero();
   bool all_ok = TransmitAll(wire_bytes, &delivery);
   if (!delivered) {
-    return;  // nothing scheduled, nothing to track
+    return;
   }
   // A send that wants a delivery notification schedules exactly one event at the
   // delivery time — even when the frame was lost (the event is then a no-op). Lost and
   // delivered frames thus execute identical event schedules, which keeps the
   // events_executed counter (and the golden corpus that records it) fate-independent.
   // A delivered frame's callback is the event itself, unwrapped.
-  EventId ev =
-      all_ok ? sim_.At(delivery, std::move(delivered)) : sim_.At(delivery, [] {});
-  // Track the pending event as a record (no callback wrapping, so the hot path pays one
-  // vector push). Stale records are swept once the list outgrows its amortized bound.
-  if (deliveries_.size() >= prune_deliveries_at_) {
-    deliveries_.erase(std::remove_if(deliveries_.begin(), deliveries_.end(),
-                                     [this](const PendingDelivery& d) {
-                                       return !sim_.IsPending(d.ev);
-                                     }),
-                      deliveries_.end());
-    prune_deliveries_at_ = std::max<size_t>(64, deliveries_.size() * 2);
+  if (all_ok) {
+    sim_.At(delivery, std::move(delivered));
+  } else {
+    sim_.At(delivery, [] {});
   }
-  deliveries_.push_back(PendingDelivery{ev, all_ok, delivered_key});
-}
-
-void Link::SaveTo(SnapshotWriter& w) const {
-  for (uint64_t word : rng_.state()) {
-    w.U64(word);
-  }
-  w.Time(busy_until_);
-  w.I64(frames_sent_);
-  w.I64(frames_delivered_);
-  w.I64(frames_lost_);
-  w.I64(collisions_);
-  w.I64(bytes_carried_.count());
-  RunningStats::State qs = queue_delay_.state();
-  w.I64(qs.count);
-  w.F64(qs.mean);
-  w.F64(qs.m2);
-  w.F64(qs.sum);
-  w.F64(qs.min);
-  w.F64(qs.max);
-  w.Dur(backoff_total_);
-  load_.SaveTo(w);
-  w.F64(recent_utilization_);
-  w.Time(last_send_);
-  w.Dur(last_wan_extra_);
-  w.Dur(last_wan_jitter_);
-  w.I64(wan_queue_drops_);
-  w.Bool(wire_ledger_enabled_);
-  w.U64(wire_slots_.size());
-  for (const WireSlot& slot : wire_slots_) {
-    w.I64(slot.start_us);
-    w.I64(slot.end_us);
-    w.Bool(slot.retransmit);
-  }
-  // Pending deliveries: only records whose event is still in the queue. A delivered
-  // frame's action must be rebuildable from its key; a lost frame's event is a no-op
-  // and restores as one.
-  uint64_t live = 0;
-  for (const PendingDelivery& d : deliveries_) {
-    if (sim_.IsPending(d.ev)) {
-      ++live;
-    }
-  }
-  w.U64(live);
-  for (const PendingDelivery& d : deliveries_) {
-    uint64_t seq = 0;
-    TimePoint when;
-    if (!sim_.PendingInfo(d.ev, &seq, &when)) {
-      continue;
-    }
-    if (d.ok && d.key.empty()) {
-      throw SnapshotError("link.delivery",
-                          "in-flight frame wants a delivery notification but carries no "
-                          "ResumeKey; attach one at the Send site to make this workload "
-                          "checkpointable");
-    }
-    w.U64(seq);
-    w.Time(when);
-    w.Bool(d.ok);
-    d.key.SaveTo(w);
-  }
-}
-
-void Link::LoadFrom(SnapshotReader& r, EventRearm& plan) {
-  std::array<uint64_t, 4> state;
-  for (uint64_t& word : state) {
-    word = r.U64();
-  }
-  rng_.set_state(state);
-  busy_until_ = r.Time();
-  frames_sent_ = r.I64();
-  frames_delivered_ = r.I64();
-  frames_lost_ = r.I64();
-  collisions_ = r.I64();
-  bytes_carried_ = Bytes::Of(r.I64());
-  RunningStats::State qs;
-  qs.count = r.I64();
-  qs.mean = r.F64();
-  qs.m2 = r.F64();
-  qs.sum = r.F64();
-  qs.min = r.F64();
-  qs.max = r.F64();
-  queue_delay_.set_state(qs);
-  backoff_total_ = r.Dur();
-  load_.LoadFrom(r);
-  recent_utilization_ = r.F64();
-  last_send_ = r.Time();
-  last_wan_extra_ = r.Dur();
-  last_wan_jitter_ = r.Dur();
-  wan_queue_drops_ = r.I64();
-  wire_ledger_enabled_ = r.Bool();
-  wire_slots_.clear();
-  uint64_t slots = r.U64();
-  for (uint64_t i = 0; i < slots; ++i) {
-    WireSlot slot;
-    slot.start_us = r.I64();
-    slot.end_us = r.I64();
-    slot.retransmit = r.Bool();
-    wire_slots_.push_back(slot);
-  }
-  deliveries_.clear();
-  uint64_t n = r.U64();
-  deliveries_.reserve(n);  // EventId out-pointers below must stay stable
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t seq = r.U64();
-    TimePoint when = r.Time();
-    bool ok = r.Bool();
-    ResumeKey key = ResumeKey::LoadFrom(r);
-    deliveries_.push_back(PendingDelivery{EventId(), ok, key});
-    if (ok) {
-      plan.Schedule("link.delivery", seq, when,
-                    [thunk = plan.Build(key)] { thunk(); }, &deliveries_.back().ev);
-    } else {
-      plan.Schedule("link.delivery", seq, when, [] {}, &deliveries_.back().ev);
-    }
-  }
-  prune_deliveries_at_ = std::max<size_t>(64, deliveries_.size() * 2);
 }
 
 int64_t Link::PendingRetransmitWireUs(TimePoint now) {

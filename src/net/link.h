@@ -16,14 +16,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <vector>
 
 #include "src/fault/fault_injector.h"
 #include "src/obs/trace.h"
 #include "src/sim/inline_callback.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
-#include "src/sim/snapshot.h"
 #include "src/sim/units.h"
 #include "src/util/stats.h"
 #include "src/util/time_series.h"
@@ -62,12 +60,7 @@ class FrameTransport {
 
   // Queues a frame of `wire_bytes`; `delivered` (optional) fires when the last bit
   // arrives at the far end (for reliable transports: in order, after any recovery).
-  // `delivered_key` is the delivery action's checkpoint identity: its registered
-  // restorer must reproduce the whole action. A send wanting notification that is
-  // still in flight at snapshot time must carry one or SaveTo fails loudly; key-less
-  // sends are fine as long as they land before any checkpoint is taken.
-  virtual void Send(Bytes wire_bytes, InlineCallback delivered = nullptr,
-                    ResumeKey delivered_key = {}) = 0;
+  virtual void Send(Bytes wire_bytes, InlineCallback delivered = nullptr) = 0;
 
   // The underlying link's configuration (MTU, rate) for segmentation arithmetic.
   virtual const LinkConfig& config() const = 0;
@@ -84,24 +77,15 @@ class Link : public FrameTransport {
   // last bit arrives at the far end. Sends larger than mtu+framing are fragmented into
   // multiple frames (each queued separately); `delivered` fires when the last fragment
   // lands, and only if every fragment survived any attached fault injector.
-  void Send(Bytes wire_bytes, InlineCallback delivered = nullptr,
-            ResumeKey delivered_key = {}) override;
-
-  // What a fate-reporting send scheduled: the pending fate event (invalid when no `done`
-  // was supplied) and the fate itself. The caller owns tracking the event for
-  // checkpointing — it knows what `done` captured; the link does not.
-  struct FateHandle {
-    EventId ev;
-    bool ok = false;
-  };
+  void Send(Bytes wire_bytes, InlineCallback delivered = nullptr) override;
 
   // Fate-reporting send: `done` (optional) always fires at the would-be delivery time,
   // with ok=false when the frame (any fragment) was lost/corrupted/in an outage.
   // Reliable transports use this as their loss-detection oracle. `retransmit` marks the
   // send as a retransmission for the wire ledger (blame decomposition only; it does not
   // change transmission behaviour in any way).
-  FateHandle SendEx(Bytes wire_bytes, InlineFunction<void(bool ok)> done,
-                    bool retransmit = false);
+  void SendEx(Bytes wire_bytes, InlineFunction<void(bool ok)> done,
+              bool retransmit = false);
 
   const LinkConfig& config() const override { return config_; }
   int64_t frames_sent() const { return frames_sent_; }
@@ -178,24 +162,7 @@ class Link : public FrameTransport {
   // Flight recorder: each frame becomes a compact net record (bytes + queue delay).
   void SetFlightRecorder(FlightRecorder* recorder) { recorder_ = recorder; }
 
-  // Checkpoint/restore: RNG position, wire horizon, counters, load series, wire ledger,
-  // and every pending delivery event as (seq, when, ok, ResumeKey). Delivery events are
-  // tracked as records and pruned lazily (IsPending) so the send hot path never wraps
-  // its callback. LoadFrom re-arms surviving deliveries: a lost frame's event restores
-  // as the same no-op the live run scheduled; a delivered frame's action is rebuilt from
-  // its ResumeKey via the registered-restorer table.
-  void SaveTo(SnapshotWriter& w) const;
-  void LoadFrom(SnapshotReader& r, EventRearm& plan);
-
  private:
-  // One pending delivery-notification event (see Send). `ok` is the frame's fate, fixed
-  // at send time; `key` rebuilds the delivery action on restore.
-  struct PendingDelivery {
-    EventId ev;
-    bool ok = false;
-    ResumeKey key;
-  };
-
   // Extra delay from CSMA/CD contention for a frame starting at `start`.
   Duration ContentionDelay(TimePoint start);
   // Queues one MTU-bounded frame; returns whether it will arrive and sets `delivery` to
@@ -239,10 +206,6 @@ class Link : public FrameTransport {
   // Set by SendEx for the duration of the TransmitAll it triggers, so TransmitFrame can
   // tag the resulting wire slots.
   bool sending_retransmit_ = false;
-  // Pending delivery notifications; stale (already-fired) records are pruned lazily at
-  // the next Send once the list outgrows prune_deliveries_at_, and at SaveTo.
-  std::vector<PendingDelivery> deliveries_;
-  size_t prune_deliveries_at_ = 64;
 };
 
 }  // namespace tcs

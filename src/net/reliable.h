@@ -20,12 +20,10 @@
 
 #include <cstdint>
 #include <map>
-#include <vector>
 
 #include "src/net/link.h"
 #include "src/obs/trace.h"
 #include "src/sim/simulator.h"
-#include "src/sim/snapshot.h"
 #include "src/sim/units.h"
 
 namespace tcs {
@@ -60,10 +58,8 @@ class ReliableChannel : public FrameTransport {
 
   // Queues `wire_bytes` for reliable in-order delivery; `delivered` fires once the frame
   // (and every frame sent before it) has arrived at the far end; an abandoned frame's
-  // never fires. `delivered_key` is the release action's checkpoint identity (see
-  // FrameTransport).
-  void Send(Bytes wire_bytes, InlineCallback delivered = nullptr,
-            ResumeKey delivered_key = {}) override;
+  // never fires.
+  void Send(Bytes wire_bytes, InlineCallback delivered = nullptr) override;
 
   const LinkConfig& config() const override { return link_.config(); }
 
@@ -105,19 +101,10 @@ class ReliableChannel : public FrameTransport {
   // Flight recorder: each retransmission becomes a compact net instant (seq + attempt).
   void SetFlightRecorder(FlightRecorder* recorder) { recorder_ = recorder; }
 
-  // Checkpoint/restore: the full retransmit window (per-frame attempt counts, RTOs,
-  // sender/receiver flags), SRTT, sequence cursors, counters, and every pending event —
-  // RTO timers, in-flight fate reports, and returning ACKs. The channel re-arms its own
-  // events on restore (their captured state is all serializable scalars); only the
-  // caller-supplied release actions go through the registered-restorer table.
-  void SaveTo(SnapshotWriter& w) const;
-  void LoadFrom(SnapshotReader& r, EventRearm& plan);
-
  private:
   struct Record {
     Bytes bytes = Bytes::Zero();
     InlineCallback delivered;
-    ResumeKey delivered_key;
     int attempts = 0;
     Duration rto = Duration::Zero();
     TimePoint sent_at = TimePoint::Zero();  // most recent transmission time
@@ -127,17 +114,6 @@ class ReliableChannel : public FrameTransport {
     bool arrived = false;   // receiver side: frame present, may await in-order release
     bool released = false;  // receiver side: delivery callback fired
   };
-  // A pending fate report (the would-be-arrival event Link::SendEx scheduled) or a
-  // returning ACK. Everything the live event captured is right here, so restore re-arms
-  // it without a restorer-table round trip. Stale records (event already fired, or
-  // superseded by a retransmission) are pruned lazily against IsPending.
-  struct PendingFate {
-    EventId ev;
-    uint64_t seq = 0;
-    TimePoint sent_at = TimePoint::Zero();
-    bool flag = false;  // fate events: ok; ACK events: was_clean_sample
-  };
-
   void Transmit(uint64_t seq);
   void OnOutcome(uint64_t seq, TimePoint sent_at, bool ok);
   void OnTimeout(uint64_t seq);
@@ -145,9 +121,6 @@ class ReliableChannel : public FrameTransport {
   void ReleaseInOrder();
   void MaybeErase(uint64_t seq);
   Duration CurrentRtoBase() const;
-  // Amortized sweep of already-fired records once `list` outgrows `bound`.
-  void PruneStale(std::vector<PendingFate>& list, size_t& bound);
-  void SavePendingList(SnapshotWriter& w, const std::vector<PendingFate>& list) const;
 
   Simulator& sim_;
   Link& link_;
@@ -156,10 +129,6 @@ class ReliableChannel : public FrameTransport {
   FlightRecorder* recorder_ = nullptr;
   TraceTrack trace_track_;
   std::map<uint64_t, Record> records_;
-  std::vector<PendingFate> fates_;
-  std::vector<PendingFate> acks_;
-  size_t prune_fates_at_ = 64;
-  size_t prune_acks_at_ = 64;
   uint64_t next_seq_ = 0;
   uint64_t next_release_ = 0;  // lowest seq not yet released to its callback
   Duration srtt_ = Duration::Zero();

@@ -69,31 +69,6 @@ class PeriodicSampler {
   // "time_s,<gauge names...>" header then one row per sample interval (bucket means).
   void WriteCsv(std::ostream& out) const;
 
-  // Checkpoint/restore: the sampled series, sample count, and the pending firing. The
-  // gauge poll callbacks are reconstruction config; the series count must match the
-  // rebuilt registry's gauge count (it is construction-derived, so a mismatch means the
-  // snapshot came from a differently configured run).
-  void SaveTo(SnapshotWriter& w, const Simulator& sim) const {
-    w.U64(series_.size());
-    for (const auto& s : series_) {
-      s->SaveTo(w);
-    }
-    w.I64(samples_taken_);
-    task_.SaveTo(w, sim);
-  }
-  void LoadFrom(SnapshotReader& r, EventRearm& plan) {
-    uint64_t n = r.U64();
-    if (n != series_.size()) {
-      throw SnapshotError("sampler.series",
-                          "gauge count mismatch (snapshot from a different obs config)");
-    }
-    for (auto& s : series_) {
-      s->LoadFrom(r);
-    }
-    samples_taken_ = r.I64();
-    task_.LoadFrom(r, plan, "metrics.sampler");
-  }
-
  private:
   void Sample();
 

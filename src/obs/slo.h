@@ -120,43 +120,6 @@ class SloWatchdog {
   int64_t violated_at_us() const { return violated_at_us_; }
   const SloSpec& spec() const { return spec_; }
 
-  // Checkpoint/restore: the violation ledger, live-check peaks, frozen gauges, and the
-  // pending periodic check. The spec, data sources, and bundle sinks are reconstruction
-  // config. The attached FlightRecorder's ring is deliberately NOT serialized: a resumed
-  // run's postmortem window covers only post-resume records — which is exactly what a
-  // rewound replay wants (the approach to the violation, re-observed).
-  void SaveTo(SnapshotWriter& w) const {
-    w.Bool(violated_);
-    w.I64(violated_at_us_);
-    w.Str(violating_objective_);
-    w.F64(violating_limit_);
-    w.F64(violating_observed_);
-    w.I64(peak_backlog_bytes_);
-    w.U64(frozen_gauges_.size());
-    for (const auto& [name, value] : frozen_gauges_) {
-      w.Str(name);
-      w.F64(value);
-    }
-    task_.SaveTo(w, sim_);
-  }
-  void LoadFrom(SnapshotReader& r, EventRearm& plan) {
-    violated_ = r.Bool();
-    violated_at_us_ = r.I64();
-    violating_objective_ = r.Str();
-    violating_limit_ = r.F64();
-    violating_observed_ = r.F64();
-    peak_backlog_bytes_ = r.I64();
-    frozen_gauges_.clear();
-    uint64_t n = r.U64();
-    frozen_gauges_.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      std::string name = r.Str();
-      double value = r.F64();
-      frozen_gauges_.emplace_back(std::move(name), value);
-    }
-    task_.LoadFrom(r, plan, "slo.watchdog");
-  }
-
  private:
   void Check();
   void Violate(const char* objective, double limit, double observed);

@@ -7,8 +7,8 @@
 // runs and across ParallelSweep worker counts.
 //
 // Hot layers hold a `Tracer*` that defaults to nullptr; a disabled tracer therefore costs
-// exactly one branch per would-be event and zero allocations. Category filtering happens
-// inside the tracer, so call sites never test more than the pointer.
+// exactly one branch per would-be event and zero allocations. Category and time filtering
+// happen inside the tracer, so call sites never test more than the pointer.
 //
 // Determinism contract: event payloads may contain only virtual-time stamps and model
 // state — never wall-clock readings, addresses, or iteration order of unordered
@@ -54,6 +54,9 @@ struct TraceTrack {
 
 struct TracerConfig {
   uint32_t categories = kAllTraceCategories;
+  // Events stamped before `from` are dropped (a span is stamped by its start); tracks
+  // still register. A rewind sets it to keep only the lead-up to an SLO violation.
+  TimePoint from = TimePoint::Zero();
 };
 
 class Tracer {
@@ -139,9 +142,10 @@ class Tracer {
     std::string name;
   };
 
-  // The category filter lives here so call sites only ever test the tracer pointer.
+  // The category and time filters live here so call sites only ever test the tracer
+  // pointer.
   void Push(const Event& e) {
-    if (Enabled(e.cat)) {
+    if (Enabled(e.cat) && e.ts_us >= config_.from.ToMicros()) {
       events_.push_back(e);
     }
   }

@@ -1,9 +1,7 @@
 #include "src/proto/bitmap_cache.h"
 
-#include <algorithm>
 #include <bit>
 #include <cassert>
-#include <vector>
 
 namespace tcs {
 
@@ -95,63 +93,6 @@ double BitmapCache::CumulativeHitRatio() const {
     return 0.0;
   }
   return static_cast<double>(hits_) / static_cast<double>(n);
-}
-
-void BitmapCache::SaveTo(SnapshotWriter& w) const {
-  w.U64(lru_.size());
-  for (const Entry& e : lru_) {
-    w.U64(e.hash);
-    w.I64(e.size.count());
-  }
-  w.U64(insertion_order_.size());
-  for (uint64_t h : insertion_order_) {
-    w.U64(h);
-  }
-  std::vector<uint64_t> ghosts(ghosts_.begin(), ghosts_.end());
-  std::sort(ghosts.begin(), ghosts.end());
-  w.U64(ghosts.size());
-  for (uint64_t h : ghosts) {
-    w.U64(h);
-  }
-  w.I64(used_.count());
-  w.I64(hits_);
-  w.I64(misses_);
-  w.I64(evictions_);
-  w.I64(refetches_);
-  w.U32(recent_miss_window_);
-  w.Bool(loop_mode_);
-}
-
-void BitmapCache::LoadFrom(SnapshotReader& r) {
-  lru_.clear();
-  index_.clear();
-  insertion_order_.clear();
-  insertion_index_.clear();
-  ghosts_.clear();
-  uint64_t entries = r.U64();
-  for (uint64_t i = 0; i < entries; ++i) {
-    uint64_t hash = r.U64();
-    Bytes size = Bytes::Of(r.I64());
-    lru_.push_back(Entry{hash, size});
-    index_[hash] = std::prev(lru_.end());
-  }
-  uint64_t inserted = r.U64();
-  for (uint64_t i = 0; i < inserted; ++i) {
-    uint64_t hash = r.U64();
-    insertion_order_.push_back(hash);
-    insertion_index_[hash] = std::prev(insertion_order_.end());
-  }
-  uint64_t ghosts = r.U64();
-  for (uint64_t i = 0; i < ghosts; ++i) {
-    ghosts_.insert(r.U64());
-  }
-  used_ = Bytes::Of(r.I64());
-  hits_ = r.I64();
-  misses_ = r.I64();
-  evictions_ = r.I64();
-  refetches_ = r.I64();
-  recent_miss_window_ = r.U32();
-  loop_mode_ = r.Bool();
 }
 
 }  // namespace tcs

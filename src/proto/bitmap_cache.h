@@ -19,7 +19,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "src/sim/snapshot.h"
 #include "src/sim/units.h"
 
 namespace tcs {
@@ -62,12 +61,6 @@ class BitmapCache {
   // Cumulative hit ratio since construction — the Perfmon counter Figure 6 plots.
   double CumulativeHitRatio() const;
   bool InLoopMode() const { return loop_mode_; }
-
-  // Checkpoint/restore: recency and insertion orders are serialized as ordered lists
-  // (and the hash indexes rebuilt on load); the ghost set, whose iteration order never
-  // affects behaviour, is serialized sorted so equal caches produce equal bytes.
-  void SaveTo(SnapshotWriter& w) const;
-  void LoadFrom(SnapshotReader& r);
 
  private:
   struct Entry {

@@ -19,7 +19,6 @@
 #include "src/proto/draw.h"
 #include "src/proto/prototap.h"
 #include "src/sim/simulator.h"
-#include "src/sim/snapshot.h"
 
 namespace tcs {
 
@@ -85,20 +84,6 @@ class DisplayProtocol {
     degraded_payload_scale_ = payload_scale;
   }
   int degradation_level() const { return degradation_level_; }
-
-  // Checkpoint/restore: every protocol's dynamic encoder state (batching buffers, RNG
-  // positions, caches, pending flush events). Implementations override, call the base
-  // (degradation levers), and append their own state; the hooks/sinks themselves are
-  // reconstruction config.
-  virtual void SaveTo(SnapshotWriter& w) const {
-    w.I64(degradation_level_);
-    w.F64(degraded_payload_scale_);
-  }
-  virtual void LoadFrom(SnapshotReader& r, EventRearm& plan) {
-    (void)plan;
-    degradation_level_ = static_cast<int>(r.I64());
-    degraded_payload_scale_ = r.F64();
-  }
 
  protected:
   double degraded_payload_scale() const { return degraded_payload_scale_; }

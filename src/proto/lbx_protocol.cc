@@ -1,7 +1,5 @@
 #include "src/proto/lbx_protocol.h"
 
-#include <algorithm>
-
 #include "src/util/lz.h"
 
 namespace tcs {
@@ -87,40 +85,6 @@ void LbxProtocol::Flush() {
     EmitCompressed(Channel::kDisplay, stream_class, coalesce_buffer_);
     coalesce_buffer_.clear();
   }
-}
-
-void LbxProtocol::SaveTo(SnapshotWriter& w) const {
-  XProtocol::SaveTo(w);
-  w.Blob(coalesce_buffer_.data(), coalesce_buffer_.size());
-  w.Blob(prev_event_.data(), prev_event_.size());
-  std::vector<uint8_t> classes;
-  classes.reserve(dict_.size());
-  for (const auto& [cls, history] : dict_) {
-    classes.push_back(cls);
-  }
-  std::sort(classes.begin(), classes.end());
-  w.U64(classes.size());
-  for (uint8_t cls : classes) {
-    const std::vector<uint8_t>& history = dict_.at(cls);
-    w.U8(cls);
-    w.Blob(history.data(), history.size());
-  }
-  w.I64(bytes_in_);
-  w.I64(bytes_out_);
-}
-
-void LbxProtocol::LoadFrom(SnapshotReader& r, EventRearm& plan) {
-  XProtocol::LoadFrom(r, plan);
-  coalesce_buffer_ = r.Blob();
-  prev_event_ = r.Blob();
-  dict_.clear();
-  uint64_t classes = r.U64();
-  for (uint64_t i = 0; i < classes; ++i) {
-    uint8_t cls = r.U8();
-    dict_[cls] = r.Blob();
-  }
-  bytes_in_ = r.I64();
-  bytes_out_ = r.I64();
 }
 
 }  // namespace tcs

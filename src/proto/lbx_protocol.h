@@ -48,11 +48,6 @@ class LbxProtocol final : public XProtocol {
 
   void Flush() override;
 
-  // Checkpoint/restore: the X layer's state plus the proxy's coalesce buffer, per-class
-  // compression dictionaries (serialized sorted by class), and byte counters.
-  void SaveTo(SnapshotWriter& w) const override;
-  void LoadFrom(SnapshotReader& r, EventRearm& plan) override;
-
  protected:
   void OnRequest(std::vector<uint8_t> request) override;
   void OnEvent(std::vector<uint8_t> event) override;

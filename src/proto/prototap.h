@@ -11,7 +11,6 @@
 #include <cstdint>
 
 #include "src/proto/draw.h"
-#include "src/sim/snapshot.h"
 #include "src/sim/time.h"
 #include "src/sim/units.h"
 #include "src/util/time_series.h"
@@ -42,16 +41,6 @@ class ProtoTap {
   // Mean carried load over [0, end] on the given channel.
   BitsPerSecond MeanLoad(Channel channel, Duration window) const;
 
-  // Checkpoint/restore: both channels' counters and series.
-  void SaveTo(SnapshotWriter& w) const {
-    SaveSide(w, display_);
-    SaveSide(w, input_);
-  }
-  void LoadFrom(SnapshotReader& r) {
-    LoadSide(r, display_);
-    LoadSide(r, input_);
-  }
-
  private:
   struct SideStats {
     explicit SideStats(Duration bucket) : series(bucket) {}
@@ -66,19 +55,6 @@ class ProtoTap {
   }
   SideStats& Side(Channel channel) {
     return channel == Channel::kDisplay ? display_ : input_;
-  }
-
-  static void SaveSide(SnapshotWriter& w, const SideStats& s) {
-    w.I64(s.messages);
-    w.I64(s.payload.count());
-    w.I64(s.counted.count());
-    s.series.SaveTo(w);
-  }
-  static void LoadSide(SnapshotReader& r, SideStats& s) {
-    s.messages = r.I64();
-    s.payload = Bytes::Of(r.I64());
-    s.counted = Bytes::Of(r.I64());
-    s.series.LoadFrom(r);
   }
 
   SideStats display_;

@@ -1,7 +1,6 @@
 #include "src/proto/rdp_protocol.h"
 
 #include <algorithm>
-#include <array>
 #include <vector>
 
 namespace tcs {
@@ -143,57 +142,6 @@ void RdpProtocol::OnSessionReconnect() {
   pending_input_events_ = 0;
   cache_.InvalidateAll();
   glyphs_seen_.clear();
-}
-
-void RdpProtocol::SaveTo(SnapshotWriter& w) const {
-  DisplayProtocol::SaveTo(w);
-  for (uint64_t word : rng_.state()) {
-    w.U64(word);
-  }
-  cache_.SaveTo(w);
-  std::vector<int> glyphs(glyphs_seen_.begin(), glyphs_seen_.end());
-  std::sort(glyphs.begin(), glyphs.end());
-  w.U64(glyphs.size());
-  for (int g : glyphs) {
-    w.I64(g);
-  }
-  w.I64(pdu_pending_.count());
-  w.I64(pending_input_events_);
-  uint64_t seq = 0;
-  TimePoint when;
-  bool flush_pending =
-      input_flush_event_.IsValid() && sim().PendingInfo(input_flush_event_, &seq, &when);
-  w.Bool(flush_pending);
-  if (flush_pending) {
-    w.U64(seq);
-    w.Time(when);
-  }
-  w.I64(orders_encoded_);
-}
-
-void RdpProtocol::LoadFrom(SnapshotReader& r, EventRearm& plan) {
-  DisplayProtocol::LoadFrom(r, plan);
-  std::array<uint64_t, 4> state;
-  for (uint64_t& word : state) {
-    word = r.U64();
-  }
-  rng_.set_state(state);
-  cache_.LoadFrom(r);
-  glyphs_seen_.clear();
-  uint64_t glyphs = r.U64();
-  for (uint64_t i = 0; i < glyphs; ++i) {
-    glyphs_seen_.insert(static_cast<int>(r.I64()));
-  }
-  pdu_pending_ = Bytes::Of(r.I64());
-  pending_input_events_ = static_cast<int>(r.I64());
-  input_flush_event_ = EventId();
-  if (r.Bool()) {
-    uint64_t seq = r.U64();
-    TimePoint when = r.Time();
-    plan.Schedule("rdp.input_flush", seq, when, [this] { FlushInputBatch(); },
-                  &input_flush_event_);
-  }
-  orders_encoded_ = r.I64();
 }
 
 }  // namespace tcs

@@ -62,11 +62,6 @@ class RdpProtocol final : public DisplayProtocol {
   BitmapCache& bitmap_cache() { return cache_; }
   int64_t orders_encoded() const { return orders_encoded_; }
 
-  // Checkpoint/restore: RNG position, bitmap/glyph caches, the assembling PDU, and the
-  // pending input-batch flush event (re-armed with its original time and sequence).
-  void SaveTo(SnapshotWriter& w) const override;
-  void LoadFrom(SnapshotReader& r, EventRearm& plan) override;
-
  private:
   // The order encoder proper; SubmitDraw/SubmitDrawBatch are thin dispatch shims over it.
   void EncodeDraw(const DrawCommand& cmd);

@@ -39,25 +39,6 @@ class SlimProtocol final : public DisplayProtocol {
 
   int64_t commands_encoded() const { return commands_encoded_; }
 
-  // Checkpoint/restore: SLIM is stateless on the wire; only the RNG position and the
-  // command counter persist.
-  void SaveTo(SnapshotWriter& w) const override {
-    DisplayProtocol::SaveTo(w);
-    for (uint64_t word : rng_.state()) {
-      w.U64(word);
-    }
-    w.I64(commands_encoded_);
-  }
-  void LoadFrom(SnapshotReader& r, EventRearm& plan) override {
-    DisplayProtocol::LoadFrom(r, plan);
-    std::array<uint64_t, 4> state;
-    for (uint64_t& word : state) {
-      word = r.U64();
-    }
-    rng_.set_state(state);
-    commands_encoded_ = r.I64();
-  }
-
  private:
   // The command encoder proper; SubmitDraw/SubmitDrawBatch are thin dispatch shims.
   void EncodeDraw(const DrawCommand& cmd);

@@ -50,31 +50,6 @@ class VncProtocol final : public DisplayProtocol {
 
   int64_t updates_sent() const { return updates_sent_; }
 
-  // Checkpoint/restore: RNG position, accumulated damage, and the pull loop's pending
-  // firing.
-  void SaveTo(SnapshotWriter& w) const override {
-    DisplayProtocol::SaveTo(w);
-    for (uint64_t word : rng_.state()) {
-      w.U64(word);
-    }
-    w.I64(dirty_raw_.count());
-    w.I64(dirty_rects_);
-    w.I64(updates_sent_);
-    pull_task_.SaveTo(w, sim());
-  }
-  void LoadFrom(SnapshotReader& r, EventRearm& plan) override {
-    DisplayProtocol::LoadFrom(r, plan);
-    std::array<uint64_t, 4> state;
-    for (uint64_t& word : state) {
-      word = r.U64();
-    }
-    rng_.set_state(state);
-    dirty_raw_ = Bytes::Of(r.I64());
-    dirty_rects_ = static_cast<int>(r.I64());
-    updates_sent_ = r.I64();
-    pull_task_.LoadFrom(r, plan, "vnc.pull");
-  }
-
  private:
   // The damage accumulator proper; SubmitDraw/SubmitDrawBatch are thin dispatch shims.
   void EncodeDraw(const DrawCommand& cmd);

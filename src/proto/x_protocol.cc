@@ -1,7 +1,6 @@
 #include "src/proto/x_protocol.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 
 namespace tcs {
@@ -194,59 +193,6 @@ void XProtocol::FlushDisplayBuffer() {
 
 void XProtocol::Flush() {
   FlushDisplayBuffer();
-}
-
-void XProtocol::SaveTo(SnapshotWriter& w) const {
-  DisplayProtocol::SaveTo(w);
-  for (uint64_t word : rng_.state()) {
-    w.U64(word);
-  }
-  w.Blob(xlib_buffer_.data(), xlib_buffer_.size());
-  // unordered_map: serialize sorted by opcode so equal state gives equal bytes.
-  std::vector<uint8_t> opcodes;
-  opcodes.reserve(request_templates_.size());
-  for (const auto& [op, tmpl] : request_templates_) {
-    opcodes.push_back(op);
-  }
-  std::sort(opcodes.begin(), opcodes.end());
-  w.U64(opcodes.size());
-  for (uint8_t op : opcodes) {
-    const std::vector<uint8_t>& tmpl = request_templates_.at(op);
-    w.U8(op);
-    w.Blob(tmpl.data(), tmpl.size());
-  }
-  w.U64(request_profile_.size());
-  for (const auto& [op, prof] : request_profile_) {
-    w.U8(op);
-    w.I64(prof.count);
-    w.I64(prof.bytes);
-  }
-  w.I64(requests_encoded_);
-}
-
-void XProtocol::LoadFrom(SnapshotReader& r, EventRearm& plan) {
-  DisplayProtocol::LoadFrom(r, plan);
-  std::array<uint64_t, 4> state;
-  for (uint64_t& word : state) {
-    word = r.U64();
-  }
-  rng_.set_state(state);
-  xlib_buffer_ = r.Blob();
-  request_templates_.clear();
-  uint64_t templates = r.U64();
-  for (uint64_t i = 0; i < templates; ++i) {
-    uint8_t op = r.U8();
-    request_templates_[op] = r.Blob();
-  }
-  request_profile_.clear();
-  uint64_t profiled = r.U64();
-  for (uint64_t i = 0; i < profiled; ++i) {
-    uint8_t op = r.U8();
-    RequestProfile& prof = request_profile_[op];
-    prof.count = r.I64();
-    prof.bytes = r.I64();
-  }
-  requests_encoded_ = r.I64();
 }
 
 }  // namespace tcs

@@ -64,11 +64,6 @@ class XProtocol : public DisplayProtocol {
   // Human-readable name for the X opcodes this model emits.
   static const char* OpcodeName(uint8_t opcode);
 
-  // Checkpoint/restore: RNG position, the Xlib output buffer, per-opcode request
-  // templates (serialized sorted by opcode), and the request profile.
-  void SaveTo(SnapshotWriter& w) const override;
-  void LoadFrom(SnapshotReader& r, EventRearm& plan) override;
-
  protected:
   // Hook points for LBX: one call per X request / event / reply, carrying the actual
   // bytes. Defaults implement plain X framing (buffered batches on the display channel,

@@ -144,49 +144,4 @@ Duration DegradationController::DegradedTimeThrough(TimePoint now) const {
   return total;
 }
 
-void DegradationController::SaveTo(SnapshotWriter& w) const {
-  w.I64(level_);
-  w.I64(calm_polls_);
-  w.I64(last_pressure_);
-  w.I64(animation_counter_);
-  w.I64(animation_frames_dropped_);
-  w.I64(upshifts_);
-  w.I64(downshifts_);
-  w.I64(polls_);
-  w.Time(degraded_since_);
-  w.Dur(degraded_closed_);
-  w.U64(transitions_.size());
-  for (const DegradationTransition& t : transitions_) {
-    w.Time(t.at);
-    w.I64(t.from);
-    w.I64(t.to);
-    w.I64(t.pressure_bytes);
-  }
-  poll_task_.SaveTo(w, sim_);
-}
-
-void DegradationController::LoadFrom(SnapshotReader& r, EventRearm& plan) {
-  level_ = static_cast<int>(r.I64());
-  calm_polls_ = static_cast<int>(r.I64());
-  last_pressure_ = r.I64();
-  animation_counter_ = r.I64();
-  animation_frames_dropped_ = r.I64();
-  upshifts_ = r.I64();
-  downshifts_ = r.I64();
-  polls_ = r.I64();
-  degraded_since_ = r.Time();
-  degraded_closed_ = r.Dur();
-  transitions_.clear();
-  uint64_t n = r.U64();
-  for (uint64_t i = 0; i < n; ++i) {
-    DegradationTransition t;
-    t.at = r.Time();
-    t.from = static_cast<int>(r.I64());
-    t.to = static_cast<int>(r.I64());
-    t.pressure_bytes = r.I64();
-    transitions_.push_back(t);
-  }
-  poll_task_.LoadFrom(r, plan, "degradation.poll");
-}
-
 }  // namespace tcs

@@ -144,11 +144,6 @@ class DegradationController {
   void SetTracer(Tracer* tracer);
   void SetFlightRecorder(FlightRecorder* recorder) { recorder_ = recorder; }
 
-  // Checkpoint/restore: ladder position, hysteresis counters, accounting, the transition
-  // log, and the pending poll. The pressure callback is reconstruction config.
-  void SaveTo(SnapshotWriter& w) const;
-  void LoadFrom(SnapshotReader& r, EventRearm& plan);
-
  private:
   void MoveTo(int new_level, int64_t pressure);
 

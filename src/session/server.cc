@@ -1,10 +1,7 @@
 #include "src/session/server.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
-
-#include "src/sim/resume_kinds.h"
 
 #include "src/obs/flight_recorder.h"
 #include "src/util/config_error.h"
@@ -241,9 +238,8 @@ void Server::PostDaemonEpisode(size_t daemon_idx) {
   int k = 0;
   while (remaining > Duration::Zero()) {
     Duration c = std::min(chunk, remaining);
-    EventId ev = sim_.Schedule(Duration::Millis(10) * k,
-                               [this, thread, c] { cpu_.PostWork(*thread, c); });
-    pending_daemon_chunks_.Note(sim_, {ev, static_cast<uint32_t>(daemon_idx), c});
+    sim_.Schedule(Duration::Millis(10) * k,
+                  [this, thread, c] { cpu_.PostWork(*thread, c); });
     remaining -= c;
     ++k;
   }
@@ -291,9 +287,6 @@ Session& Server::Login(bool light_session) {
   // The session's own protocol pipeline: a flow-accounting tap on the one shared
   // transport, its message senders, and a fresh encoder + caches.
   s.flow_ = std::make_unique<SessionFlow>(PickTransport(reliable_, link_));
-  // Ordinary protocol messages' only delivery action is this flow's delivery count; key
-  // them with the session id so in-flight sends restore through kResumeFlowDelivered.
-  s.flow_->set_delivered_key(ResumeKey::Make(kResumeFlowDelivered, s.id_));
   s.display_sender_ = std::make_unique<MessageSender>(*s.flow_, HeaderModel::TcpIp());
   s.input_sender_ = std::make_unique<MessageSender>(*s.flow_, HeaderModel::TcpIp());
   s.protocol_ = MakeProtocol(profile_.protocol_kind, sim_, *s.display_sender_,
@@ -400,10 +393,9 @@ void Server::Keystroke(Session& session) {
     id = config_.attribution->MintInteraction();
     retransmit_us = retransmit.ToMicros();
   }
-  EventId ev = sim_.Schedule(transit, [this, &session, sent_at, id, retransmit_us] {
+  sim_.Schedule(transit, [this, &session, sent_at, id, retransmit_us] {
     OnKeystrokeArrived(session, sent_at, id, retransmit_us);
   });
-  pending_arrivals_.Note(sim_, {ev, session.id_, sent_at, id, retransmit_us});
 }
 
 void Server::OnKeystrokeArrived(Session& session, TimePoint sent_at,
@@ -474,9 +466,7 @@ void Server::StartPipelinePass(Session& session) {
   pages = std::max<size_t>(1, pages);
   pager_.AccessRange(
       *session.working_set_, 0, pages, /*write=*/false,
-      [this, &session, batch, gen] { OnWorkingSetResident(session, batch, gen); },
-      ResumeKey::Make(kResumeServerPageInDone, session.id_, static_cast<uint64_t>(batch),
-                      gen));
+      [this, &session, batch, gen] { OnWorkingSetResident(session, batch, gen); });
 }
 
 void Server::OnWorkingSetResident(Session& session, int batch, uint64_t gen) {
@@ -508,9 +498,7 @@ void Server::RunHop(Session& session, size_t hop, int batch, uint64_t gen) {
   rec.hop_count = static_cast<int>(hop) + 1;
   cpu_.PostWork(
       *session.pipeline_[hop], work,
-      [this, &session, hop, batch, gen] { OnHopDone(session, hop, batch, gen); }, reason,
-      ResumeKey::Make(kResumeServerRenderDone, session.id_, hop,
-                      static_cast<uint64_t>(batch), gen));
+      [this, &session, hop, batch, gen] { OnHopDone(session, hop, batch, gen); }, reason);
 }
 
 void Server::OnHopDone(Session& session, size_t hop, int batch, uint64_t gen) {
@@ -617,8 +605,7 @@ void Server::CompletePipeline(Session& session, int batch) {
   if (session.on_frame_painted_) {
     if (client_ != nullptr) {
       auto cb = session.on_frame_painted_;
-      EventId ev = sim_.At(painted, [cb, rec] { cb(rec); });
-      pending_paints_.Note(sim_, {ev, session.id_, rec});
+      sim_.At(painted, [cb, rec] { cb(rec); });
     } else {
       session.on_frame_painted_(rec);
     }
@@ -635,9 +622,7 @@ void Server::CompletePipeline(Session& session, int batch) {
       session.hold_pending_ = true;
       session.hold_started_us_ = sim_.Now().ToMicros();
       uint64_t gen = session.generation_;
-      EventId ev =
-          sim_.Schedule(hold, [this, &session, gen] { OnHoldExpired(session, gen); });
-      pending_holds_.Note(sim_, {ev, session.id_, gen});
+      sim_.Schedule(hold, [this, &session, gen] { OnHoldExpired(session, gen); });
     } else {
       StartPipelinePass(session);
     }
@@ -719,7 +704,7 @@ void Server::ScheduleNextDisconnect() {
   // +/-50% jitter from the fault stream keeps disconnects from phase-locking with the
   // typing cadence while staying reproducible for a given plan seed.
   Duration delay = config_.faults.session.disconnect_every * (0.5 + fault_rng_.NextDouble());
-  disconnect_timer_ = sim_.Schedule(delay, [this] {
+  sim_.Schedule(delay, [this] {
     FireDisconnect();
     ScheduleNextDisconnect();
   });
@@ -735,15 +720,13 @@ void Server::FireDisconnect() {
   }
   Disconnect(s);
   Session* sp = &s;
-  EventId ev =
-      sim_.Schedule(config_.faults.session.reconnect_after, [this, sp] { Reconnect(*sp); });
-  pending_reconnects_.Note(sim_, {ev, sp->id_});
+  sim_.Schedule(config_.faults.session.reconnect_after, [this, sp] { Reconnect(*sp); });
 }
 
 void Server::ScheduleNextDaemonCrash() {
   Duration delay =
       config_.faults.session.daemon_crash_every * (0.5 + fault_rng_.NextDouble());
-  crash_timer_ = sim_.Schedule(delay, [this] {
+  sim_.Schedule(delay, [this] {
     FireDaemonCrash();
     ScheduleNextDaemonCrash();
   });
@@ -765,9 +748,8 @@ void Server::FireDaemonCrash() {
                             config_.tracer->Intern("crash:" + rt.spec.name), fault_track_,
                             sim_.Now());
   }
-  EventId ev = sim_.Schedule(config_.faults.session.daemon_restart_after,
-                             [this, idx] { RestartDaemon(idx); });
-  pending_daemon_restarts_.Note(sim_, {ev, static_cast<uint32_t>(idx)});
+  sim_.Schedule(config_.faults.session.daemon_restart_after,
+                [this, idx] { RestartDaemon(idx); });
 }
 
 void Server::RestartDaemon(size_t daemon_idx) {
@@ -824,575 +806,6 @@ FaultStats Server::CollectFaultStats(Duration run_duration) {
     st.availability = std::clamp(1.0 - unavail, 0.0, 1.0);
   }
   return st;
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint/restore
-
-namespace {
-
-constexpr uint32_t Tag(ServerSection s) { return static_cast<uint32_t>(s); }
-
-void SaveRng(SnapshotWriter& w, const Rng& rng) {
-  for (uint64_t word : rng.state()) {
-    w.U64(word);
-  }
-}
-
-void LoadRng(SnapshotReader& r, Rng& rng) {
-  std::array<uint64_t, 4> state;
-  for (uint64_t& word : state) {
-    word = r.U64();
-  }
-  rng.set_state(state);
-}
-
-void SaveAttr(SnapshotWriter& w, const InteractionRecord& rec) {
-  w.U64(rec.id);
-  w.I64(rec.batch);
-  w.I64(rec.hop_count);
-  w.I64(rec.sent_us);
-  w.I64(rec.arrived_us);
-  w.I64(rec.pass_start_us);
-  w.I64(rec.mem_done_us);
-  w.I64(rec.emitted_us);
-  w.I64(rec.delivered_us);
-  w.I64(rec.painted_us);
-  for (int64_t v : rec.stage_us) {
-    w.I64(v);
-  }
-  for (int64_t v : rec.net_us) {
-    w.I64(v);
-  }
-  for (int i = 0; i < InteractionRecord::kMaxHops; ++i) {
-    w.I64(rec.hop_start_us[i]);
-    w.I64(rec.hop_end_us[i]);
-    w.I64(rec.hop_service_us[i]);
-    w.Bool(rec.hop_encode[i]);
-  }
-}
-
-// The interned hop-name pointers cannot serialize; they are refilled by index from the
-// server's interned table (empty unless the attribution engine carries a tracer, in
-// which case the rebuilt server interned the same names in the same order).
-void LoadAttr(SnapshotReader& r, InteractionRecord& rec,
-              const std::vector<const char*>& hop_names) {
-  rec.id = r.U64();
-  rec.batch = static_cast<int>(r.I64());
-  rec.hop_count = static_cast<int>(r.I64());
-  rec.sent_us = r.I64();
-  rec.arrived_us = r.I64();
-  rec.pass_start_us = r.I64();
-  rec.mem_done_us = r.I64();
-  rec.emitted_us = r.I64();
-  rec.delivered_us = r.I64();
-  rec.painted_us = r.I64();
-  for (int64_t& v : rec.stage_us) {
-    v = r.I64();
-  }
-  for (int64_t& v : rec.net_us) {
-    v = r.I64();
-  }
-  for (int i = 0; i < InteractionRecord::kMaxHops; ++i) {
-    rec.hop_start_us[i] = r.I64();
-    rec.hop_end_us[i] = r.I64();
-    rec.hop_service_us[i] = r.I64();
-    rec.hop_encode[i] = r.Bool();
-    rec.hop_name[i] = i < rec.hop_count && static_cast<size_t>(i) < hop_names.size()
-                          ? hop_names[static_cast<size_t>(i)]
-                          : nullptr;
-  }
-}
-
-// Serializes one pending-record list: the live (still-pending) entries only, each as
-// (seq, when) followed by the record's replay scalars. Non-destructive: stale records
-// are skipped, not erased.
-template <typename Record, typename WriteFn>
-void SavePendingList(SnapshotWriter& w, const Simulator& sim,
-                     const std::vector<Record>& items, WriteFn&& write) {
-  uint64_t live = 0;
-  for (const Record& rec : items) {
-    if (sim.IsPending(rec.ev)) {
-      ++live;
-    }
-  }
-  w.U64(live);
-  for (const Record& rec : items) {
-    uint64_t seq = 0;
-    TimePoint when;
-    if (!sim.PendingInfo(rec.ev, &seq, &when)) {
-      continue;
-    }
-    w.U64(seq);
-    w.Time(when);
-    write(rec);
-  }
-}
-
-void SaveTimer(SnapshotWriter& w, const Simulator& sim, EventId ev) {
-  uint64_t seq = 0;
-  TimePoint when;
-  bool pending = ev.IsValid() && sim.PendingInfo(ev, &seq, &when);
-  w.Bool(pending);
-  if (pending) {
-    w.U64(seq);
-    w.Time(when);
-  }
-}
-
-}  // namespace
-
-const char* ServerSectionName(uint32_t tag) {
-  switch (static_cast<ServerSection>(tag)) {
-    case ServerSection::kCore:
-      return "server.core";
-    case ServerSection::kCpu:
-      return "server.cpu";
-    case ServerSection::kDisk:
-      return "server.disk";
-    case ServerSection::kPager:
-      return "server.pager";
-    case ServerSection::kLink:
-      return "server.link";
-    case ServerSection::kFaults:
-      return "server.faults";
-    case ServerSection::kReliable:
-      return "server.reliable";
-    case ServerSection::kDegradation:
-      return "server.degradation";
-    case ServerSection::kTap:
-      return "server.tap";
-    case ServerSection::kDaemons:
-      return "server.daemons";
-    case ServerSection::kSessions:
-      return "server.sessions";
-    case ServerSection::kFlows:
-      return "server.flows";
-    case ServerSection::kPending:
-      return "server.pending";
-  }
-  return "server.?";
-}
-
-Session& Server::SessionById(uint64_t id) const {
-  if (id == 0 || id > sessions_.size()) {
-    throw SnapshotError("server.sessions", "resume key names an unknown session id");
-  }
-  return *sessions_[static_cast<size_t>(id) - 1];
-}
-
-void Server::RegisterRestorers(EventRearm& plan) {
-  pager_.RegisterRestorers(plan);
-  plan.RegisterRestorer(
-      kResumeFlowDelivered, [this](const ResumeKey& key) -> EventRearm::Thunk {
-        if (key.n != 1) {
-          throw SnapshotError("server.flows", "flow-delivered key wants one argument");
-        }
-        return SessionById(key.arg(0)).flow_->DeliveryCounter();
-      });
-  plan.RegisterRestorer(
-      kResumeServerPageInDone, [this](const ResumeKey& key) -> EventRearm::Thunk {
-        if (key.n != 3) {
-          throw SnapshotError("server.sessions", "page-in key wants three arguments");
-        }
-        Session* sp = &SessionById(key.arg(0));
-        int batch = static_cast<int>(key.arg(1));
-        uint64_t gen = key.arg(2);
-        return [this, sp, batch, gen] { OnWorkingSetResident(*sp, batch, gen); };
-      });
-  plan.RegisterRestorer(
-      kResumeServerRenderDone, [this](const ResumeKey& key) -> EventRearm::Thunk {
-        if (key.n != 4) {
-          throw SnapshotError("server.sessions", "hop key wants four arguments");
-        }
-        Session* sp = &SessionById(key.arg(0));
-        size_t hop = static_cast<size_t>(key.arg(1));
-        int batch = static_cast<int>(key.arg(2));
-        uint64_t gen = key.arg(3);
-        if (hop >= sp->pipeline_.size()) {
-          throw SnapshotError("server.sessions", "hop key past the pipeline's end");
-        }
-        return [this, sp, hop, batch, gen] { OnHopDone(*sp, hop, batch, gen); };
-      });
-}
-
-void Server::SaveTo(SnapshotWriter& w) const {
-  w.BeginSection(Tag(ServerSection::kCore));
-  SaveRng(w, rng_);
-  SaveRng(w, fault_rng_);
-  w.U64(disconnect_rr_);
-  w.U64(daemon_rr_);
-  w.I64(disconnects_);
-  w.I64(daemon_crashes_);
-  w.I64(dropped_keystrokes_);
-  w.Dur(session_downtime_);
-  w.EndSection();
-
-  w.BeginSection(Tag(ServerSection::kCpu));
-  cpu_.SaveTo(w);
-  w.EndSection();
-
-  w.BeginSection(Tag(ServerSection::kDisk));
-  disk_.SaveTo(w);
-  w.EndSection();
-
-  w.BeginSection(Tag(ServerSection::kPager));
-  pager_.SaveTo(w);
-  w.EndSection();
-
-  w.BeginSection(Tag(ServerSection::kLink));
-  link_.SaveTo(w);
-  w.EndSection();
-
-  w.BeginSection(Tag(ServerSection::kFaults));
-  w.Bool(link_fault_ != nullptr);
-  if (link_fault_ != nullptr) {
-    link_fault_->SaveTo(w);
-  }
-  w.Bool(disk_fault_ != nullptr);
-  if (disk_fault_ != nullptr) {
-    disk_fault_->SaveTo(w);
-  }
-  w.EndSection();
-
-  w.BeginSection(Tag(ServerSection::kReliable));
-  w.Bool(reliable_ != nullptr);
-  if (reliable_ != nullptr) {
-    reliable_->SaveTo(w);
-  }
-  w.EndSection();
-
-  w.BeginSection(Tag(ServerSection::kDegradation));
-  w.Bool(degradation_ != nullptr);
-  if (degradation_ != nullptr) {
-    degradation_->SaveTo(w);
-  }
-  w.EndSection();
-
-  w.BeginSection(Tag(ServerSection::kTap));
-  tap_.SaveTo(w);
-  w.EndSection();
-
-  w.BeginSection(Tag(ServerSection::kDaemons));
-  w.U64(daemons_.size());
-  for (const DaemonRuntime& rt : daemons_) {
-    w.Bool(rt.task != nullptr);
-    if (rt.task != nullptr) {
-      rt.task->SaveTo(w, sim_);
-    }
-  }
-  w.EndSection();
-
-  w.BeginSection(Tag(ServerSection::kSessions));
-  w.U64(sessions_.size());
-  for (const auto& sess : sessions_) {
-    const Session& s = *sess;
-    w.Bool(s.connected_);
-    w.Bool(s.logged_out_);
-    w.Bool(s.background_);
-    w.U64(s.generation_);
-    w.Time(s.disconnected_at_);
-    w.I64(s.dropped_keystrokes_);
-    w.I64(s.update_payload_.count());
-    w.I64(s.pending_keystrokes_);
-    w.Bool(s.pipeline_busy_);
-    w.Bool(s.hold_pending_);
-    w.I64(s.hold_started_us_);
-    SaveAttr(w, s.pending_attr_);
-    SaveAttr(w, s.current_attr_);
-    s.display_sender_->SaveTo(w);
-    s.input_sender_->SaveTo(w);
-    s.protocol_->SaveTo(w);
-  }
-  w.EndSection();
-
-  w.BeginSection(Tag(ServerSection::kFlows));
-  w.U64(sessions_.size());
-  for (const auto& s : sessions_) {
-    s->flow_->SaveTo(w);
-  }
-  w.EndSection();
-
-  w.BeginSection(Tag(ServerSection::kPending));
-  SavePendingList(w, sim_, pending_daemon_chunks_.items,
-                  [&w](const PendingDaemonChunk& p) {
-                    w.U64(p.daemon);
-                    w.Dur(p.cpu);
-                  });
-  SavePendingList(w, sim_, pending_arrivals_.items, [&w](const PendingArrival& p) {
-    w.U64(p.session);
-    w.Time(p.sent_at);
-    w.U64(p.interaction_id);
-    w.I64(p.retransmit_us);
-  });
-  SavePendingList(w, sim_, pending_paints_.items, [&w](const PendingPaint& p) {
-    w.U64(p.session);
-    SaveAttr(w, p.rec);
-  });
-  SavePendingList(w, sim_, pending_holds_.items, [&w](const PendingHold& p) {
-    w.U64(p.session);
-    w.U64(p.gen);
-  });
-  SavePendingList(w, sim_, pending_reconnects_.items,
-                  [&w](const PendingReconnect& p) { w.U64(p.session); });
-  SavePendingList(w, sim_, pending_daemon_restarts_.items,
-                  [&w](const PendingDaemonRestart& p) { w.U64(p.daemon); });
-  SaveTimer(w, sim_, disconnect_timer_);
-  SaveTimer(w, sim_, crash_timer_);
-  w.EndSection();
-}
-
-void Server::LoadFrom(SnapshotReader& r, EventRearm& plan) {
-  r.EnterSection(Tag(ServerSection::kCore));
-  LoadRng(r, rng_);
-  LoadRng(r, fault_rng_);
-  disconnect_rr_ = static_cast<size_t>(r.U64());
-  daemon_rr_ = static_cast<size_t>(r.U64());
-  disconnects_ = r.I64();
-  daemon_crashes_ = r.I64();
-  dropped_keystrokes_ = r.I64();
-  session_downtime_ = r.Dur();
-  r.LeaveSection();
-
-  r.EnterSection(Tag(ServerSection::kCpu));
-  cpu_.LoadFrom(r, plan);
-  r.LeaveSection();
-
-  r.EnterSection(Tag(ServerSection::kDisk));
-  disk_.LoadFrom(r, plan);
-  r.LeaveSection();
-
-  r.EnterSection(Tag(ServerSection::kPager));
-  pager_.LoadFrom(r, plan);
-  r.LeaveSection();
-
-  r.EnterSection(Tag(ServerSection::kLink));
-  link_.LoadFrom(r, plan);
-  r.LeaveSection();
-
-  r.EnterSection(Tag(ServerSection::kFaults));
-  if (r.Bool() != (link_fault_ != nullptr)) {
-    throw SnapshotError("server.faults",
-                        "link fault injector presence differs from the snapshot");
-  }
-  if (link_fault_ != nullptr) {
-    link_fault_->LoadFrom(r);
-  }
-  if (r.Bool() != (disk_fault_ != nullptr)) {
-    throw SnapshotError("server.faults",
-                        "disk fault injector presence differs from the snapshot");
-  }
-  if (disk_fault_ != nullptr) {
-    disk_fault_->LoadFrom(r);
-  }
-  r.LeaveSection();
-
-  r.EnterSection(Tag(ServerSection::kReliable));
-  if (r.Bool() != (reliable_ != nullptr)) {
-    throw SnapshotError("server.reliable",
-                        "reliable channel presence differs from the snapshot");
-  }
-  if (reliable_ != nullptr) {
-    reliable_->LoadFrom(r, plan);
-  }
-  r.LeaveSection();
-
-  r.EnterSection(Tag(ServerSection::kDegradation));
-  if (r.Bool() != (degradation_ != nullptr)) {
-    throw SnapshotError("server.degradation",
-                        "degradation controller presence differs from the snapshot");
-  }
-  if (degradation_ != nullptr) {
-    degradation_->LoadFrom(r, plan);
-  }
-  r.LeaveSection();
-
-  r.EnterSection(Tag(ServerSection::kTap));
-  tap_.LoadFrom(r);
-  r.LeaveSection();
-
-  r.EnterSection(Tag(ServerSection::kDaemons));
-  if (r.U64() != daemons_.size()) {
-    throw SnapshotError("server.daemons", "daemon count differs from the snapshot");
-  }
-  for (DaemonRuntime& rt : daemons_) {
-    if (r.Bool() != (rt.task != nullptr)) {
-      throw SnapshotError("server.daemons",
-                          "daemon started state differs from the snapshot");
-    }
-    if (rt.task != nullptr) {
-      rt.task->LoadFrom(r, plan, "server.daemon");
-    }
-  }
-  r.LeaveSection();
-
-  r.EnterSection(Tag(ServerSection::kSessions));
-  if (r.U64() != sessions_.size()) {
-    throw SnapshotError("server.sessions", "session count differs from the snapshot");
-  }
-  for (const auto& sess : sessions_) {
-    Session& s = *sess;
-    s.connected_ = r.Bool();
-    bool logged_out = r.Bool();
-    if (logged_out != s.logged_out_) {
-      throw SnapshotError("server.sessions",
-                          "logged-out session cannot be restored (teardown replay "
-                          "is unsupported)");
-    }
-    s.background_ = r.Bool();
-    s.generation_ = r.U64();
-    s.disconnected_at_ = r.Time();
-    s.dropped_keystrokes_ = r.I64();
-    s.update_payload_ = Bytes::Of(r.I64());
-    s.pending_keystrokes_ = static_cast<int>(r.I64());
-    s.pipeline_busy_ = r.Bool();
-    s.hold_pending_ = r.Bool();
-    s.hold_started_us_ = r.I64();
-    LoadAttr(r, s.pending_attr_, hop_trace_names_);
-    LoadAttr(r, s.current_attr_, hop_trace_names_);
-    s.display_sender_->LoadFrom(r);
-    s.input_sender_->LoadFrom(r);
-    s.protocol_->LoadFrom(r, plan);
-  }
-  r.LeaveSection();
-
-  r.EnterSection(Tag(ServerSection::kFlows));
-  if (r.U64() != sessions_.size()) {
-    throw SnapshotError("server.flows", "flow count differs from the snapshot");
-  }
-  for (const auto& s : sessions_) {
-    s->flow_->LoadFrom(r);
-  }
-  r.LeaveSection();
-
-  r.EnterSection(Tag(ServerSection::kPending));
-  {
-    uint64_t n = r.U64();
-    pending_daemon_chunks_.ResetFor(static_cast<size_t>(n));
-    auto& items = pending_daemon_chunks_.items;
-    for (uint64_t i = 0; i < n; ++i) {
-      uint64_t seq = r.U64();
-      TimePoint when = r.Time();
-      auto daemon = static_cast<uint32_t>(r.U64());
-      Duration cpu = r.Dur();
-      if (daemon >= daemons_.size()) {
-        throw SnapshotError("server.pending", "daemon chunk names an unknown daemon");
-      }
-      Thread* thread = daemons_[daemon].thread;
-      items.push_back({EventId(), daemon, cpu});
-      plan.Schedule("server.daemon-chunk", seq, when,
-                    [this, thread, c = cpu] { cpu_.PostWork(*thread, c); },
-                    &items.back().ev);
-    }
-  }
-  {
-    uint64_t n = r.U64();
-    pending_arrivals_.ResetFor(static_cast<size_t>(n));
-    auto& items = pending_arrivals_.items;
-    for (uint64_t i = 0; i < n; ++i) {
-      uint64_t seq = r.U64();
-      TimePoint when = r.Time();
-      uint64_t session = r.U64();
-      TimePoint sent_at = r.Time();
-      uint64_t id = r.U64();
-      int64_t retransmit_us = r.I64();
-      Session* sp = &SessionById(session);
-      items.push_back({EventId(), session, sent_at, id, retransmit_us});
-      plan.Schedule("server.keystroke-arrival", seq, when,
-                    [this, sp, sent_at, id, retransmit_us] {
-                      OnKeystrokeArrived(*sp, sent_at, id, retransmit_us);
-                    },
-                    &items.back().ev);
-    }
-  }
-  {
-    uint64_t n = r.U64();
-    pending_paints_.ResetFor(static_cast<size_t>(n));
-    auto& items = pending_paints_.items;
-    for (uint64_t i = 0; i < n; ++i) {
-      uint64_t seq = r.U64();
-      TimePoint when = r.Time();
-      uint64_t session = r.U64();
-      InteractionRecord rec;
-      LoadAttr(r, rec, hop_trace_names_);
-      Session* sp = &SessionById(session);
-      if (!sp->on_frame_painted_) {
-        throw SnapshotError("server.pending",
-                            "pending paint for a session with no painted callback");
-      }
-      items.push_back({EventId(), session, rec});
-      plan.Schedule("server.frame-painted", seq, when,
-                    [cb = sp->on_frame_painted_, rec] { cb(rec); }, &items.back().ev);
-    }
-  }
-  {
-    uint64_t n = r.U64();
-    pending_holds_.ResetFor(static_cast<size_t>(n));
-    auto& items = pending_holds_.items;
-    for (uint64_t i = 0; i < n; ++i) {
-      uint64_t seq = r.U64();
-      TimePoint when = r.Time();
-      uint64_t session = r.U64();
-      uint64_t gen = r.U64();
-      Session* sp = &SessionById(session);
-      items.push_back({EventId(), session, gen});
-      plan.Schedule("server.coalesce-hold", seq, when,
-                    [this, sp, gen] { OnHoldExpired(*sp, gen); }, &items.back().ev);
-    }
-  }
-  {
-    uint64_t n = r.U64();
-    pending_reconnects_.ResetFor(static_cast<size_t>(n));
-    auto& items = pending_reconnects_.items;
-    for (uint64_t i = 0; i < n; ++i) {
-      uint64_t seq = r.U64();
-      TimePoint when = r.Time();
-      uint64_t session = r.U64();
-      Session* sp = &SessionById(session);
-      items.push_back({EventId(), session});
-      plan.Schedule("server.reconnect", seq, when, [this, sp] { Reconnect(*sp); },
-                    &items.back().ev);
-    }
-  }
-  {
-    uint64_t n = r.U64();
-    pending_daemon_restarts_.ResetFor(static_cast<size_t>(n));
-    auto& items = pending_daemon_restarts_.items;
-    for (uint64_t i = 0; i < n; ++i) {
-      uint64_t seq = r.U64();
-      TimePoint when = r.Time();
-      auto daemon = static_cast<uint32_t>(r.U64());
-      if (daemon >= daemons_.size()) {
-        throw SnapshotError("server.pending", "daemon restart names an unknown daemon");
-      }
-      items.push_back({EventId(), daemon});
-      plan.Schedule("server.daemon-restart", seq, when,
-                    [this, daemon] { RestartDaemon(daemon); }, &items.back().ev);
-    }
-  }
-  disconnect_timer_ = EventId();
-  if (r.Bool()) {
-    uint64_t seq = r.U64();
-    TimePoint when = r.Time();
-    plan.Schedule("server.disconnect-timer", seq, when,
-                  [this] {
-                    FireDisconnect();
-                    ScheduleNextDisconnect();
-                  },
-                  &disconnect_timer_);
-  }
-  crash_timer_ = EventId();
-  if (r.Bool()) {
-    uint64_t seq = r.U64();
-    TimePoint when = r.Time();
-    plan.Schedule("server.crash-timer", seq, when,
-                  [this] {
-                    FireDaemonCrash();
-                    ScheduleNextDaemonCrash();
-                  },
-                  &crash_timer_);
-  }
-  r.LeaveSection();
 }
 
 }  // namespace tcs

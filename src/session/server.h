@@ -5,7 +5,6 @@
 #ifndef TCS_SRC_SESSION_SERVER_H_
 #define TCS_SRC_SESSION_SERVER_H_
 
-#include <algorithm>
 #include <cassert>
 #include <functional>
 #include <memory>
@@ -26,33 +25,8 @@
 #include "src/session/os_profile.h"
 #include "src/sim/periodic.h"
 #include "src/sim/random.h"
-#include "src/sim/snapshot.h"
 
 namespace tcs {
-
-// Top-level snapshot section tags the Server emits, one frame per subsystem, so the
-// differential suite can name the diverging subsystem (via SnapshotSectionSpans) instead
-// of reporting "bytes differ". 0x53xx = 'S'<<8 claims the server's tag space; the
-// checkpoint driver's kernel frame uses its own tag outside this range.
-enum class ServerSection : uint32_t {
-  kCore = 0x5300,         // server RNGs + fault cursors/counters
-  kCpu = 0x5301,          // threads, scheduler queues, in-flight segments
-  kDisk = 0x5302,         // disk queue + pending completions
-  kPager = 0x5303,        // frame slab, LRU, shared segments, in-flight ops
-  kLink = 0x5304,         // wire horizon, WAN queue, pending deliveries
-  kFaults = 0x5305,       // link/disk fault injectors (presence-flagged)
-  kReliable = 0x5306,     // send window, SRTT, retransmit state
-  kDegradation = 0x5307,  // ladder level + hysteresis
-  kTap = 0x5308,          // protocol traffic time series
-  kDaemons = 0x5309,      // periodic-task firing identities
-  kSessions = 0x530A,     // per-session pipeline + protocol encoder state
-  kFlows = 0x530B,        // per-session flow counters, in login order
-  kPending = 0x530C,      // the server's own pending continuation events
-};
-
-// Human-readable name for a ServerSection tag ("server.pager", ...); "server.?" when the
-// tag is not one the Server writes.
-const char* ServerSectionName(uint32_t tag);
 
 struct ServerConfig {
   CpuConfig cpu;
@@ -263,25 +237,6 @@ class Server {
   // Frames available to user pages given RAM minus the profile's idle system memory.
   size_t available_frames() const { return pager_.total_frames(); }
 
-  // Session lookup by login id (ids are 1-based in login order); throws SnapshotError on
-  // an id no login produced.
-  Session& SessionById(uint64_t id) const;
-
-  // Checkpoint/restore. SaveTo serializes every subsystem the server composes into its
-  // own top-level ServerSection frame, plus the server's own pending continuation events
-  // (keystroke arrivals, paint deliveries, coalesce holds, daemon episode chunks, fault
-  // timers). LoadFrom expects a server rebuilt by replaying the original construction
-  // sequence (same config, StartDaemons, same Logins in order): it verifies the rebuilt
-  // topology against the snapshot, overwrites dynamic state, and re-arms pending events
-  // through `plan`. RegisterRestorers must run before any LoadFrom in the restore pass —
-  // it registers the builders for this server's cross-component continuation kinds
-  // (flow deliveries, page-in completions, pipeline hop completions) and the pager's.
-  // A session that was logged out at snapshot time fails restore loudly (consolidation
-  // runs never log out mid-run; supporting teardown replay is out of scope).
-  void RegisterRestorers(EventRearm& plan);
-  void SaveTo(SnapshotWriter& w) const;
-  void LoadFrom(SnapshotReader& r, EventRearm& plan);
-
  private:
   void PostDaemonEpisode(size_t daemon_idx);
   // `interaction_id`/`retransmit_us` are the attribution identity of this keystroke
@@ -289,9 +244,8 @@ class Server {
   void OnKeystrokeArrived(Session& session, TimePoint sent_at, uint64_t interaction_id,
                           int64_t retransmit_us);
   void StartPipelinePass(Session& session);
-  // The pipeline's continuations, shared by the live schedule and the snapshot
-  // restorers: the working set is resident, a hop's CPU work finished, a coalesce hold
-  // ran out, a crashed daemon comes back.
+  // The pipeline's continuations: the working set is resident, a hop's CPU work
+  // finished, a coalesce hold ran out, a crashed daemon comes back.
   void OnWorkingSetResident(Session& session, int batch, uint64_t gen);
   void RunHop(Session& session, size_t hop, int batch, uint64_t gen);
   void OnHopDone(Session& session, size_t hop, int batch, uint64_t gen);
@@ -350,82 +304,6 @@ class Server {
   int64_t daemon_crashes_ = 0;
   int64_t dropped_keystrokes_ = 0;
   Duration session_downtime_ = Duration::Zero();  // closed disconnect intervals
-
-  // --- Checkpoint bookkeeping --------------------------------------------------------
-  // Every event the server schedules directly on the simulator is recorded as (EventId +
-  // the scalars that rebuild its callback), with no wrapping on the scheduling hot path.
-  // Fired events leave stale records behind; Note() prunes them amortized against a
-  // doubling threshold, and SaveTo filters by IsPending without mutating, so snapshotting
-  // is non-destructive.
-  template <typename Record>
-  struct PendingList {
-    std::vector<Record> items;
-    size_t prune_at = 64;
-
-    void Note(Simulator& sim, Record rec) {
-      if (items.size() >= prune_at) {
-        Prune(sim);
-      }
-      items.push_back(rec);
-    }
-    void Prune(Simulator& sim) {
-      std::erase_if(items, [&sim](const Record& r) { return !sim.IsPending(r.ev); });
-      prune_at = std::max<size_t>(64, items.size() * 2);
-    }
-    void ResetFor(size_t n) {
-      items.clear();
-      items.reserve(n);
-      prune_at = std::max<size_t>(64, n * 2);
-    }
-  };
-
-  // A daemon episode chunk not yet posted to the CPU (episodes spread ~16 chunks over
-  // 10 ms strides, so several can be pending at once).
-  struct PendingDaemonChunk {
-    EventId ev;
-    uint32_t daemon = 0;
-    Duration cpu;
-  };
-  // A keystroke in input-channel transit (Server::Keystroke -> OnKeystrokeArrived).
-  struct PendingArrival {
-    EventId ev;
-    uint64_t session = 0;
-    TimePoint sent_at;
-    uint64_t interaction_id = 0;
-    int64_t retransmit_us = 0;
-  };
-  // A frame-painted notification awaiting its client-side paint time.
-  struct PendingPaint {
-    EventId ev;
-    uint64_t session = 0;
-    InteractionRecord rec;
-  };
-  // A degradation coalesce hold keeping the pipeline busy between passes.
-  struct PendingHold {
-    EventId ev;
-    uint64_t session = 0;
-    uint64_t gen = 0;
-  };
-  // A disconnected session's scheduled reconnect.
-  struct PendingReconnect {
-    EventId ev;
-    uint64_t session = 0;
-  };
-  // A crashed daemon's scheduled restart.
-  struct PendingDaemonRestart {
-    EventId ev;
-    uint32_t daemon = 0;
-  };
-
-  PendingList<PendingDaemonChunk> pending_daemon_chunks_;
-  PendingList<PendingArrival> pending_arrivals_;
-  PendingList<PendingPaint> pending_paints_;
-  PendingList<PendingHold> pending_holds_;
-  PendingList<PendingReconnect> pending_reconnects_;
-  PendingList<PendingDaemonRestart> pending_daemon_restarts_;
-  // The self-rescheduling fault timers (at most one of each pending at a time).
-  EventId disconnect_timer_;
-  EventId crash_timer_;
 };
 
 // Throws tcs::ConfigError on non-positive RAM or tap bucket, a negative pager throttle,

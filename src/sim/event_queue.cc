@@ -23,39 +23,6 @@ EventId EventQueue::Schedule(TimePoint when, Callback cb) {
   uint64_t seq = next_seq_++;
   Slot& s = SlotAt(slot);
   s.seq = seq;
-  s.when = when;
-  s.cb = std::move(cb);
-  heap_.resize(heap_.size() + 1);
-  SiftUp(heap_.size() - 1, HeapEntry{when, seq, slot});
-  ++live_;
-  return EventId((static_cast<uint64_t>(slot) + 1) << 32 | s.generation);
-}
-
-void EventQueue::Clear() {
-  for (const HeapEntry& e : heap_) {
-    if (SlotAt(e.slot).seq == e.seq) {
-      ReleaseSlot(e.slot);
-    }
-  }
-  heap_.clear();
-  live_ = 0;
-  next_seq_ = 1;
-}
-
-EventId EventQueue::ScheduleRestored(TimePoint when, uint64_t seq, Callback cb) {
-  uint32_t slot;
-  if (!free_.empty()) {
-    slot = free_.back();
-    free_.pop_back();
-  } else {
-    slot = slot_count_++;
-    if ((slot & (kChunkSize - 1)) == 0) {
-      chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
-    }
-  }
-  Slot& s = SlotAt(slot);
-  s.seq = seq;
-  s.when = when;
   s.cb = std::move(cb);
   heap_.resize(heap_.size() + 1);
   SiftUp(heap_.size() - 1, HeapEntry{when, seq, slot});

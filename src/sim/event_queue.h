@@ -69,55 +69,12 @@ class EventQueue {
   // `when`. Must not be called on an empty queue.
   Callback Pop(TimePoint* when);
 
-  // --- Checkpoint/restore support (src/sim/snapshot.h) ---
-
-  // Sequence number the next Schedule() will hand out. Part of the kernel snapshot:
-  // same-time events fire in sequence order, so resumed runs must keep minting the same
-  // sequences a cold run would.
-  uint64_t next_seq() const { return next_seq_; }
-
-  // Visits every pending event's (sequence, time) pair, in unspecified order.
-  template <typename Fn>
-  void ForEachPending(Fn&& fn) const {
-    for (const HeapEntry& e : heap_) {
-      if (SlotAt(e.slot).seq == e.seq) {  // skip cancel tombstones
-        fn(e.seq, e.when);
-      }
-    }
-  }
-
-  // Looks up a pending event's snapshot identity. Returns false for ids that already
-  // fired or were cancelled.
-  bool PendingInfo(EventId id, uint64_t* seq, TimePoint* when) const {
-    uint32_t slot = DecodeSlot(id);
-    if (slot == kNoSlot) {
-      return false;
-    }
-    *seq = SlotAt(slot).seq;
-    *when = SlotAt(slot).when;
-    return true;
-  }
-
-  // Restore path: drops every pending event and resets the sequence counter. Released
-  // slots retire their generations, so EventIds held across a restore can never alias a
-  // re-armed event.
-  void Clear();
-
-  // Restore path: inserts an event with an explicit sequence number (one recorded by a
-  // snapshot). The caller must keep restored sequences unique and below the value later
-  // passed to set_next_seq.
-  EventId ScheduleRestored(TimePoint when, uint64_t seq, Callback cb);
-
-  // Restore path: forwards the sequence counter to the snapshot's value.
-  void set_next_seq(uint64_t next_seq) { next_seq_ = next_seq; }
-
  private:
   static constexpr uint32_t kNoSlot = UINT32_MAX;
 
   struct Slot {
     uint64_t seq = 0;         // sequence of the current tenant; 0 while vacant
     uint32_t generation = 1;  // bumped on fire/cancel; stale ids stop matching
-    TimePoint when;           // the tenant's fire time (snapshot identity lookups)
     Callback cb;
   };
 

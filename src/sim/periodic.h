@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "src/sim/simulator.h"
-#include "src/sim/snapshot.h"
 
 namespace tcs {
 
@@ -37,30 +36,6 @@ class PeriodicTask {
 
   Duration period() const { return period_; }
   void set_period(Duration period) { period_ = period; }
-
-  // Checkpoint/restore: the task's dynamic state is its period plus the pending firing's
-  // snapshot identity. The tick callable itself is rebuilt by reconstruction; LoadFrom
-  // re-arms the firing through the plan with its original (time, sequence).
-  void SaveTo(SnapshotWriter& w, const Simulator& sim) const {
-    w.Dur(period_);
-    uint64_t seq = 0;
-    TimePoint when;
-    bool running = pending_.IsValid() && sim.PendingInfo(pending_, &seq, &when);
-    w.Bool(running);
-    if (running) {
-      w.U64(seq);
-      w.Time(when);
-    }
-  }
-  void LoadFrom(SnapshotReader& r, EventRearm& plan, const char* owner) {
-    period_ = r.Dur();
-    pending_ = EventId();
-    if (r.Bool()) {
-      uint64_t seq = r.U64();
-      TimePoint when = r.Time();
-      plan.Schedule(owner, seq, when, [this] { Fire(); }, &pending_);
-    }
-  }
 
  private:
   void Fire();

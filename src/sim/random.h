@@ -46,10 +46,6 @@ class Rng {
   // protocol payloads with realistic entropy.
   void FillBytes(uint8_t* data, size_t len, double redundancy);
 
-  // Checkpoint/restore: the raw xoshiro256** state (the stream's exact position).
-  const std::array<uint64_t, 4>& state() const { return s_; }
-  void set_state(const std::array<uint64_t, 4>& s) { s_ = s; }
-
  private:
   std::array<uint64_t, 4> s_;
 };

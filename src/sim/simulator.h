@@ -66,40 +66,6 @@ class Simulator {
   using DispatchHook = std::function<void(TimePoint when, size_t pending_after)>;
   void set_dispatch_hook(DispatchHook hook) { dispatch_hook_ = std::move(hook); }
 
-  // --- Checkpoint/restore support (src/sim/snapshot.h) ---
-
-  uint64_t next_event_seq() const { return queue_.next_seq(); }
-
-  // Snapshot identity of a pending event (its sequence number and fire time). Returns
-  // false if `id` no longer refers to a pending event.
-  bool PendingInfo(EventId id, uint64_t* seq, TimePoint* when) const {
-    return queue_.PendingInfo(id, seq, when);
-  }
-
-  template <typename Fn>
-  void ForEachPending(Fn&& fn) const {
-    queue_.ForEachPending(std::forward<Fn>(fn));
-  }
-
-  // Restore path: drops every pending event (construction-time scheduling is erased
-  // wholesale; the EventRearm plan re-inserts the snapshot's pending set) and moves the
-  // clock and dispatch counter to the snapshot's values.
-  void RestoreReset(TimePoint now, uint64_t events_executed) {
-    queue_.Clear();
-    now_ = now;
-    deadline_ = now;
-    events_executed_ = events_executed;
-    stop_requested_ = false;
-  }
-
-  // Restore path: re-inserts one pending event with its recorded sequence number.
-  EventId RestoreSchedule(TimePoint when, uint64_t seq, EventQueue::Callback cb) {
-    return queue_.ScheduleRestored(when, seq, std::move(cb));
-  }
-
-  // Restore path: forwards the sequence counter once all pending events are re-armed.
-  void RestoreNextSeq(uint64_t next_seq) { queue_.set_next_seq(next_seq); }
-
  private:
   TimePoint now_ = TimePoint::Zero();
   TimePoint deadline_ = TimePoint::Zero();  // the running RunUntil's; Now() between runs

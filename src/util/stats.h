@@ -28,22 +28,6 @@ class RunningStats {
   double max() const { return count_ > 0 ? max_ : 0.0; }
   double sum() const { return sum_; }
 
-  // Checkpoint/restore: the exact accumulator state, so a restored stream continues
-  // bit-identically to the live one.
-  struct State {
-    int64_t count;
-    double mean, m2, sum, min, max;
-  };
-  State state() const { return State{count_, mean_, m2_, sum_, min_, max_}; }
-  void set_state(const State& s) {
-    count_ = s.count;
-    mean_ = s.mean;
-    m2_ = s.m2;
-    sum_ = s.sum;
-    min_ = s.min;
-    max_ = s.max;
-  }
-
  private:
   int64_t count_ = 0;
   double mean_ = 0.0;

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/sim/snapshot.h"
 #include "src/sim/time.h"
 
 namespace tcs {
@@ -43,29 +42,6 @@ class TimeSeries {
 
   // Total across all buckets.
   double TotalSum() const;
-
-  // Checkpoint/restore: the exact bucket arrays (bucket_width_ is construction config
-  // and is not serialized — a restored series must be rebuilt with the same width).
-  void SaveTo(SnapshotWriter& w) const {
-    w.U64(sums_.size());
-    for (double s : sums_) {
-      w.F64(s);
-    }
-    for (int64_t c : counts_) {
-      w.I64(c);
-    }
-  }
-  void LoadFrom(SnapshotReader& r) {
-    uint64_t n = r.U64();
-    sums_.assign(n, 0.0);
-    counts_.assign(n, 0);
-    for (double& s : sums_) {
-      s = r.F64();
-    }
-    for (int64_t& c : counts_) {
-      c = r.I64();
-    }
-  }
 
  private:
   size_t BucketIndex(TimePoint t);

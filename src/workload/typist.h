@@ -24,17 +24,6 @@ class Typist {
   void Stop();
   int64_t keystrokes() const { return keystrokes_; }
 
-  // Checkpoint/restore: the keystroke count and the repeat loop's pending firing. The
-  // injection callback is reconstruction config.
-  void SaveTo(SnapshotWriter& w, const Simulator& sim) const {
-    w.I64(keystrokes_);
-    task_.SaveTo(w, sim);
-  }
-  void LoadFrom(SnapshotReader& r, EventRearm& plan) {
-    keystrokes_ = r.I64();
-    task_.LoadFrom(r, plan, "typist");
-  }
-
  private:
   std::function<void()> on_keystroke_;
   int64_t keystrokes_ = 0;

@@ -215,6 +215,75 @@ TEST(PostmortemDeterminismTest, TracedRerunReplaysTheRunExactly) {
   });
 }
 
+// The "ts" of every non-metadata event in a Tracer's JSON, in file order.
+std::vector<int64_t> EventStamps(const std::string& json) {
+  std::vector<int64_t> stamps;
+  std::istringstream lines(json);
+  std::string line;
+  while (std::getline(lines, line)) {
+    size_t ts = line.find("\"ts\":");
+    if (line.find("\"ph\":\"M\"") == std::string::npos && ts != std::string::npos) {
+      stamps.push_back(std::stoll(line.substr(ts + 5)));
+    }
+  }
+  return stamps;
+}
+
+// The postmortem --rewind contract: the violating run re-executed with a tracer floored
+// 500 ms before its violation hits the violation at the same instant, writes the
+// monitored run's bundles byte for byte, and keeps only events stamped at or after the
+// floor.
+template <typename Result>
+void ExpectRewoundReplayReproduces(const char* tag,
+                                   const std::function<Result(const ObsConfig*)>& run) {
+  SCOPED_TRACE(tag);
+  TempDir dir_monitored(tag);
+  TempDir dir_replay((std::string(tag) + "_replay").c_str());
+  SloSpec spec = TightSlo("cell", dir_monitored.path);
+  ObsConfig obs;
+  obs.slo = &spec;
+  Result monitored = run(&obs);
+  ASSERT_TRUE(monitored.slo.active);
+  ASSERT_FALSE(monitored.slo.passed);
+  const int64_t violated_at_us = monitored.slo.violated_at_us;
+  ASSERT_GT(violated_at_us, 500'000) << "no 500 ms lead-up to trace";
+
+  TracerConfig floored;
+  floored.from = TimePoint::FromMicros(violated_at_us - 500'000);
+  Tracer tracer(floored);
+  SloSpec replay_spec = TightSlo("cell", dir_replay.path);
+  ObsConfig replay_obs;
+  replay_obs.slo = &replay_spec;
+  replay_obs.tracer = &tracer;
+  Result replay = run(&replay_obs);
+
+  EXPECT_EQ(replay.slo.violated_at_us, violated_at_us);
+  for (const char* suffix : {"/cell.trace.json", "/cell.postmortem.json"}) {
+    EXPECT_EQ(ReadFile(dir_monitored.path + suffix), ReadFile(dir_replay.path + suffix))
+        << suffix;
+  }
+  std::vector<int64_t> stamps = EventStamps(tracer.ToJson());
+  ASSERT_EQ(stamps.size(), tracer.event_count());
+  ASSERT_FALSE(stamps.empty());
+  for (int64_t ts : stamps) {
+    ASSERT_GE(ts, violated_at_us - 500'000);
+  }
+}
+
+TEST(CheckpointDifferential, RewoundReplayReproducesTheViolationInstant) {
+  ExpectRewoundReplayReproduces<ConsolidationResult>(
+      "rewind_consolidation", [](const ObsConfig* obs) {
+        ConsolidationOptions opt;
+        opt.users = 3;
+        opt.duration = Duration::Seconds(4);
+        opt.ram = Bytes::MiB(48);
+        return RunConsolidation(OsProfile::Tse(), opt, obs);
+      });
+  ExpectRewoundReplayReproduces<ChaosPoint>("rewind_chaos", [](const ObsConfig* obs) {
+    return RunChaosPoint(OsProfile::Tse(), LossyChaos(), obs);
+  });
+}
+
 TEST(SloReportBlockTest, ReportJsonCarriesSloBlockOnlyWhenActive) {
   // Without an SloSpec the report must be byte-identical to the pre-SLO schema
   // (the golden corpus depends on this).

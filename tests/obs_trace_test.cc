@@ -94,6 +94,46 @@ TEST(TracerTest, JsonCarriesTrackMetadataAndArgs) {
   EXPECT_NE(json.find("\"bytes\":1500"), std::string::npos);
 }
 
+// Registers two tracks and records one event of each kind around t = 100 us; with
+// `early` false, only the events stamped at or after 100 us.
+void RecordAroundHundredMicros(Tracer& tracer, bool early) {
+  TraceTrack cpu = tracer.RegisterTrack("cpu", "cpu0");
+  TraceTrack net = tracer.RegisterTrack("net", "link");
+  auto at = [](int64_t us) { return TimePoint::FromMicros(us); };
+  if (early) {
+    tracer.Instant(TraceCategory::kNet, "boot", net, at(0));
+    // A span is stamped by its start, so one that runs across the floor goes too.
+    tracer.Span(TraceCategory::kCpu, "straddle", cpu, at(50), at(150));
+    tracer.Instant(TraceCategory::kNet, "early", net, at(99), "seq", 1);
+  }
+  tracer.Instant(TraceCategory::kNet, "at-floor", net, at(100), "seq", 2);
+  tracer.Counter(TraceCategory::kSim, "pending", cpu, at(120), 4.0);
+  tracer.Span(TraceCategory::kCpu, "late", cpu, at(130), at(140), "prio", 9);
+  tracer.FlowEnd(TraceCategory::kBlame, "flow", net, at(200), 7);
+}
+
+TEST(TracerTest, FromDropsEarlierEventsAndKeepsTracks) {
+  TracerConfig floor_at_100;
+  floor_at_100.from = TimePoint::FromMicros(100);
+  Tracer floored(floor_at_100);
+  RecordAroundHundredMicros(floored, /*early=*/true);
+  Tracer later_only;
+  RecordAroundHundredMicros(later_only, /*early=*/false);
+  EXPECT_EQ(floored.event_count(), 4u);
+  EXPECT_EQ(floored.track_count(), 2u);
+  // Same tracks, and the kept events in the order they were recorded.
+  EXPECT_EQ(floored.ToJson(), later_only.ToJson());
+
+  TracerConfig floor_at_zero;
+  floor_at_zero.from = TimePoint::Zero();
+  Tracer zero(floor_at_zero);
+  Tracer unfloored;
+  RecordAroundHundredMicros(zero, /*early=*/true);
+  RecordAroundHundredMicros(unfloored, /*early=*/true);
+  EXPECT_EQ(zero.event_count(), 7u);
+  EXPECT_EQ(zero.ToJson(), unfloored.ToJson());
+}
+
 TEST(TracerNullSinkTest, FilteredEventsAllocateNothing) {
   Tracer tracer(TracerConfig{0});  // every category masked off
   TraceTrack track{1, 1};

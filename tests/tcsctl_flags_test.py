@@ -121,11 +121,14 @@ rejected("sweep", "--experiment=sizing", "--slo-p99-ms=5", names=["--slo-p99-ms"
 rejected("trace", "typing", "--protect", names=["--protect"])
 rejected("trace", "paging", "--seconds=5", names=["--seconds"])
 rejected("trace", "gif", "--sinks=2", names=["--sinks"])
-rejected("postmortem", "typing", "--rewind-ms=5", names=["--rewind-ms"])
+rejected("postmortem", "typing", "--burst-ms=300", names=["--burst-ms"])
 rejected("postmortem", "chaos", "--users=3", names=["--users"])
 # A postmortem prints no perception-threshold figures, so --threshold-ms changes nothing.
 rejected("postmortem", "chaos", "--threshold-ms=5", names=["--threshold-ms"])
 rejected("postmortem", "consolidation", "--checkpoint-every-ms=100",
+         names=["--checkpoint-every-ms"])
+# Rewind re-runs the experiment; there is no checkpoint cadence to set.
+rejected("postmortem", "consolidation", "--rewind-ms=500", "--checkpoint-every-ms=100",
          names=["--checkpoint-every-ms"])
 
 # For every command, a positional argument it does not read.

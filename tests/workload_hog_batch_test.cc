@@ -27,7 +27,6 @@
 #include "src/session/os_profile.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
-#include "src/sim/snapshot.h"
 #include "src/workload/memory_hog.h"
 
 namespace tcs {
@@ -194,7 +193,9 @@ struct Observed {
   int64_t protected_skips = 0, coalesced_waits = 0;
   size_t frames_used = 0;
   int64_t pages_touched = 0;
-  std::vector<uint8_t> victim_space, hog_space;  // AddressSpace::SaveTo bytes
+  // Each space's packed page entries (frame slots included) and resident count.
+  std::vector<uint32_t> victim_pages, hog_pages;
+  size_t victim_resident = 0, hog_resident = 0;
   std::vector<std::pair<int, int64_t>> victim_log;  // (call, completion time in us)
 
   bool operator==(const Observed&) const = default;
@@ -211,12 +212,6 @@ struct Observed {
     return os.str();
   }
 };
-
-std::vector<uint8_t> SpaceBytes(const AddressSpace& as) {
-  SnapshotWriter w;
-  as.SaveTo(w);
-  return w.Finish();
-}
 
 template <typename Hog>
 class World {
@@ -259,8 +254,10 @@ class World {
     o.coalesced_waits = pager_.coalesced_waits();
     o.frames_used = pager_.frames_used();
     o.pages_touched = hog_->pages_touched();
-    o.victim_space = SpaceBytes(*victim_);
-    o.hog_space = SpaceBytes(*hog_->address_space());
+    o.victim_pages = victim_->page_entries();
+    o.victim_resident = victim_->resident_pages();
+    o.hog_pages = hog_->address_space()->page_entries();
+    o.hog_resident = hog_->address_space()->resident_pages();
     o.victim_log = log_;
     return o;
   }
@@ -334,10 +331,11 @@ std::string RunSeed(uint64_t seed) {
     Observed want = oracle.Observe();
     if (got != want) {
       std::string what;
-      if (got.victim_space != want.victim_space) {
+      if (got.victim_pages != want.victim_pages ||
+          got.victim_resident != want.victim_resident) {
         what += " victim-space";
       }
-      if (got.hog_space != want.hog_space) {
+      if (got.hog_pages != want.hog_pages || got.hog_resident != want.hog_resident) {
         what += " hog-space";
       }
       if (got.victim_log != want.victim_log) {

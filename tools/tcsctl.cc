@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "src/core/admission.h"
-#include "src/core/checkpoint.h"
 #include "src/core/experiments.h"
 #include "src/core/parallel_sweep.h"
 #include "src/core/report.h"
@@ -1221,94 +1220,56 @@ Runner Capacity(FlagSet& flags) {
 // ---------------------------------------------------------------------------
 // Observed single runs.
 
-// --rewind-ms: run the consolidation under a periodic checkpoint ring and, when the
-// SLO trips, fork a replay from the newest checkpoint at least that many virtual
-// milliseconds before the violation — this time with the full tracer attached. The
-// checkpointing and the fork are invisible to the model (tracing is passive: no
-// events, no RNG), so the replay hits the violation at the exact same virtual
-// instant, and the traced lead-up shows what the always-on flight recorder's short
-// frozen window could not.
-int RunConsolidationRewind(const OsProfile& profile, const ConsolidationOptions& opt,
-                           SloSpec spec, int64_t rewind_ms, int64_t every_ms,
-                           const std::string& trace_path, SloReport* out_slo) {
-  ObsConfig obs;
-  obs.slo = &spec;
-  ConsolidationRun monitored(profile, opt, &obs);
+// Runs one postmortem experiment under `obs` and returns its SLO verdict; `print` prints
+// the run's summary line.
+using SloRun = std::function<SloReport(const ObsConfig* obs, bool print)>;
 
-  std::vector<std::pair<TimePoint, std::vector<uint8_t>>> ring;
-  TimePoint end = monitored.end_time();
-  for (TimePoint t = TimePoint::Zero() + Duration::Millis(every_ms);
-       t < end && !monitored.SloViolated(); t = t + Duration::Millis(every_ms)) {
-    monitored.RunUntil(t);
-    if (!monitored.SloViolated()) {
-      ring.emplace_back(t, monitored.Snapshot());
-    }
-  }
-  monitored.RunToEnd();
-  bool violated = monitored.SloViolated();
-  int64_t violated_at_us = monitored.SloViolatedAtUs();
-  ConsolidationResult r = monitored.Finish();
-  std::printf("consolidation on %s with %d users: worst p99 stall %.1f ms, CPU %.1f%%\n",
-              r.os_name.c_str(), r.users, r.worst_p99_stall_ms,
-              r.cpu_utilization * 100.0);
-  *out_slo = std::move(r.slo);
-
-  if (!violated) {
+// --rewind-ms: the monitored run violated its SLO at virtual time V, so run the same
+// experiment again with a tracer that keeps the events from V - rewind_ms on. A tracer
+// schedules no events and draws no randomness, so the rerun hits the violation at the
+// same instant, and its trace shows the lead-up that the flight recorder's short frozen
+// window cannot. The rerun's bundle is <name>_replay, next to the monitored run's.
+int Rewind(const SloRun& run, const SloSpec& spec, const SloReport& monitored,
+           int64_t rewind_ms, const std::string& trace_path) {
+  if (monitored.passed) {
     std::printf("rewind: SLO held for the whole run; nothing to replay\n");
     return 0;
   }
-  const std::vector<uint8_t>* chosen = nullptr;
-  TimePoint chosen_at = TimePoint::Zero();
-  for (const auto& [t, blob] : ring) {
-    if (t.ToMicros() <= violated_at_us - rewind_ms * 1000) {
-      chosen = &blob;
-      chosen_at = t;
-    }
-  }
-  if (chosen == nullptr) {
-    std::fprintf(stderr,
-                 "rewind: violation at %.1f ms (virtual) predates every checkpoint "
-                 "minus --rewind-ms=%lld; lower --checkpoint-every-ms\n",
-                 static_cast<double>(violated_at_us) / 1000.0,
-                 static_cast<long long>(rewind_ms));
-    return 1;
-  }
-
+  const int64_t violated_at_us = monitored.violated_at_us;
   TracerConfig tracer_cfg;
+  if (rewind_ms < violated_at_us / 1000) {
+    tracer_cfg.from = TimePoint::FromMicros(violated_at_us - rewind_ms * 1000);
+  }
   Tracer tracer(tracer_cfg);
   SloSpec replay_spec = spec;
-  replay_spec.name += "_replay";  // the replay's own forensic bundle, distinct files
+  replay_spec.name += "_replay";
   ObsConfig replay_obs;
   replay_obs.slo = &replay_spec;
   replay_obs.tracer = &tracer;
-  ConsolidationRun replay(profile, opt, &replay_obs);
-  replay.Restore(*chosen);
-  replay.RunToEnd();
-  ConsolidationResult rr = replay.Finish();
-  if (rr.slo.violated_at_us != violated_at_us) {
+  SloReport replay = run(&replay_obs, /*print=*/false);
+  if (replay.violated_at_us != violated_at_us) {
     std::fprintf(stderr,
                  "rewind: replay diverged from the monitored run (violation at %lld us "
                  "vs %lld us) — determinism bug, please report\n",
-                 static_cast<long long>(rr.slo.violated_at_us),
+                 static_cast<long long>(replay.violated_at_us),
                  static_cast<long long>(violated_at_us));
     return 1;
   }
   if (!WriteFile(trace_path, tracer.ToJson())) {
-    std::fprintf(stderr, "rewind: cannot write %s\n", trace_path.c_str());
     return 1;
   }
   std::printf(
-      "rewind: forked from the %.0f ms checkpoint (%zu in ring), replay reproduced "
-      "the violation at %.3f ms (virtual); traced lead-up: %s\n",
-      chosen_at.ToMicros() / 1000.0, ring.size(),
-      static_cast<double>(violated_at_us) / 1000.0, trace_path.c_str());
+      "rewind: replay reproduced the violation at %.3f ms (virtual); traced from %.3f "
+      "ms: %s\n",
+      static_cast<double>(violated_at_us) / 1000.0, tracer_cfg.from.ToMillisF(),
+      trace_path.c_str());
   return 0;
 }
 
 // Runs one experiment under a (by default tight) SLO. On violation the always-on flight
 // recorder's frozen window and a forensic summary are written as <dir>/<name>.trace.json
 // and <dir>/<name>.postmortem.json, deterministically named and byte-identical across
-// reruns. Consolidation also takes --rewind-ms (see RunConsolidationRewind).
+// reruns. --rewind-ms=N then re-runs it traced from N ms before the violation (Rewind).
 Runner Postmortem(FlagSet& flags) {
   std::string experiment = flags.Positional(1);
   if (experiment == "typing_under_load") {
@@ -1328,26 +1289,26 @@ Runner Postmortem(FlagSet& flags) {
   }
   spec.name = experiment;
 
-  // Runs the experiment under `obs`, prints its summary line, fills `slo`, and returns
-  // the exit code.
-  std::function<int(const ObsConfig*, SloReport*)> run;
+  SloRun run;
   if (experiment == "typing") {
     Experiment<TypingUnderLoadResult> typing = ReadTyping(flags, 2, 30);
-    run = [=](const ObsConfig* obs, SloReport* slo) {
+    run = [=](const ObsConfig* obs, bool print) {
       TypingUnderLoadResult r = typing(obs);
-      std::printf("typing on %s: avg stall %.1f ms, max %.1f ms\n", r.os_name.c_str(),
-                  r.avg_stall_ms, r.max_stall_ms);
-      *slo = std::move(r.slo);
-      return 0;
+      if (print) {
+        std::printf("typing on %s: avg stall %.1f ms, max %.1f ms\n", r.os_name.c_str(),
+                    r.avg_stall_ms, r.max_stall_ms);
+      }
+      return std::move(r.slo);
     };
   } else if (experiment == "e2e") {
     Experiment<EndToEndResult> e2e = ReadEndToEnd(flags);
-    run = [=](const ObsConfig* obs, SloReport* slo) {
+    run = [=](const ObsConfig* obs, bool print) {
       EndToEndResult r = e2e(obs);
-      std::printf("e2e on %s: total %.2f ms over %lld updates\n", r.os_name.c_str(),
-                  r.total_ms, static_cast<long long>(r.updates));
-      *slo = std::move(r.slo);
-      return 0;
+      if (print) {
+        std::printf("e2e on %s: total %.2f ms over %lld updates\n", r.os_name.c_str(),
+                    r.total_ms, static_cast<long long>(r.updates));
+      }
+      return std::move(r.slo);
     };
   } else if (experiment == "chaos") {
     OsProfile profile = ParseOs(flags, flags.GetString("os", "tse"));
@@ -1357,14 +1318,15 @@ Runner Postmortem(FlagSet& flags) {
     if (flap > 0) {
       opt.flap_duration = Duration::Millis(flap);
     }
-    run = [=](const ObsConfig* obs, SloReport* slo) {
+    run = [=](const ObsConfig* obs, bool print) {
       ChaosPoint r = RunChaosPoint(profile, opt, obs);
-      std::printf("chaos on %s (loss %.1f%%, flap %.0f ms): p50 %.2f ms, p99 %.2f ms, "
-                  "availability %.3f\n",
-                  r.os_name.c_str(), r.loss_rate * 100.0, r.flap_ms, r.p50_ms, r.p99_ms,
-                  r.faults.availability);
-      *slo = std::move(r.slo);
-      return 0;
+      if (print) {
+        std::printf("chaos on %s (loss %.1f%%, flap %.0f ms): p50 %.2f ms, p99 %.2f ms, "
+                    "availability %.3f\n",
+                    r.os_name.c_str(), r.loss_rate * 100.0, r.flap_ms, r.p50_ms, r.p99_ms,
+                    r.faults.availability);
+      }
+      return std::move(r.slo);
     };
   } else if (experiment == "consolidation") {
     OsProfile profile = ParseOs(flags, flags.GetString("os", "tse"));
@@ -1376,43 +1338,40 @@ Runner Postmortem(FlagSet& flags) {
     opt.burst_cpu = Duration::Millis(flags.GetInt("burst-ms", 300));
     opt.burst_period = Duration::Millis(flags.GetInt("burst-every-ms", 5000));
     opt.ram = Bytes::MiB(flags.GetInt("ram-mib", 64));
-    int64_t rewind_ms = flags.GetInt("rewind-ms", 0);
-    int64_t every_ms = 0;
-    std::string rewind_out;
-    if (rewind_ms > 0) {
-      every_ms = flags.GetInt("checkpoint-every-ms", 250);
-      if (every_ms <= 0) {
-        flags.Fail("--checkpoint-every-ms must be positive");
-      }
-      rewind_out = flags.GetString(
-          "rewind-out", spec.out_dir.empty()
-                            ? spec.name + ".rewind.trace.json"
-                            : spec.out_dir + "/" + spec.name + ".rewind.trace.json");
-    }
-    run = [=](const ObsConfig* obs, SloReport* slo) {
-      if (rewind_ms > 0) {
-        return RunConsolidationRewind(profile, opt, *obs->slo, rewind_ms, every_ms,
-                                      rewind_out, slo);
-      }
+    run = [=](const ObsConfig* obs, bool print) {
       ConsolidationResult r = RunConsolidation(profile, opt, obs);
-      std::printf("consolidation on %s with %d users: worst p99 stall %.1f ms, CPU "
-                  "%.1f%%\n",
-                  r.os_name.c_str(), r.users, r.worst_p99_stall_ms,
-                  r.cpu_utilization * 100.0);
-      *slo = std::move(r.slo);
-      return 0;
+      if (print) {
+        std::printf("consolidation on %s with %d users: worst p99 stall %.1f ms, CPU "
+                    "%.1f%%\n",
+                    r.os_name.c_str(), r.users, r.worst_p99_stall_ms,
+                    r.cpu_utilization * 100.0);
+      }
+      return std::move(r.slo);
     };
   } else {
     flags.Fail("needs an experiment (typing|e2e|chaos|consolidation), got '" + experiment +
                "'");
   }
+  int64_t rewind_ms = flags.GetInt("rewind-ms", 0);
+  if (rewind_ms < 0) {
+    flags.Fail("--rewind-ms must be >= 0 (0 = no rewind)");
+  }
+  std::string rewind_out;
+  if (rewind_ms > 0) {
+    rewind_out = flags.GetString("rewind-out",
+                                 spec.out_dir.empty()
+                                     ? spec.name + ".rewind.trace.json"
+                                     : spec.out_dir + "/" + spec.name + ".rewind.trace.json");
+  }
 
   return [=] {
     ObsConfig obs;
     obs.slo = &spec;
-    SloReport slo;
-    if (int rc = run(&obs, &slo); rc != 0) {
-      return rc;
+    SloReport slo = run(&obs, /*print=*/true);
+    if (rewind_ms > 0) {
+      if (int rc = Rewind(run, spec, slo, rewind_ms, rewind_out); rc != 0) {
+        return rc;
+      }
     }
     PrintSloReport(slo, "");
     std::printf("SLO %s\n", slo.passed ? "PASSED" : "FAILED");
@@ -1663,13 +1622,14 @@ const Command kCommands[] = {
      "      --report-out=FILE --csv]",
      "per-stage latency attribution per OS x sinks"},
     {"postmortem", Postmortem,
-     "typing|e2e|chaos|consolidation [--slo-*] [the experiment's flags]\n"
+     "typing|e2e|chaos|consolidation [--slo-*] [--rewind-ms=0] [the experiment's flags]\n"
      "      typing: as `typing`, but --sinks=2 --seconds=30   e2e: as `e2e`\n"
      "      chaos: [--os=tse --loss=0.05 --flap-ms=0 --flap-every-ms=2000 --disk-stall=0\n"
      "      --disconnect-ms=0 --sinks=0 --seconds=30 --seed=1]\n"
      "      consolidation: [--os=tse --users=8 --seconds=30 --seed=1 --sinks=0\n"
-     "      --burst-ms=300 --burst-every-ms=5000 --ram-mib=64 --rewind-ms=0]\n"
-     "      consolidation --rewind-ms=N: [--checkpoint-every-ms=250 --rewind-out=FILE]",
+     "      --burst-ms=300 --burst-every-ms=5000 --ram-mib=64]\n"
+     "      --rewind-ms=N: re-run a violation traced from N ms before it\n"
+     "      [--rewind-out=<postmortem-dir>/<experiment>.rewind.trace.json]",
      "one run under an SLO (default --slo-p99-ms=100 --slo-availability=0.99)"},
     {"trace", Trace,
      "typing|paging|e2e|sizing|traffic|gif [--out=trace.json --metrics-out=metrics.csv\n"
