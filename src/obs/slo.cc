@@ -19,6 +19,18 @@ std::string ObjectiveJson(const SloObjectiveResult& o) {
   return j.Finish();
 }
 
+// Writes one bundle file through `fill`; true only if the whole file was written.
+template <typename Fill>
+bool WriteBundleFile(const std::string& path, const Fill& fill) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) {
+    return false;
+  }
+  fill(out);
+  out.close();
+  return !out.fail();
+}
+
 std::string ObjectivesJson(const std::vector<SloObjectiveResult>& objectives) {
   std::string out = "[";
   for (size_t i = 0; i < objectives.size(); ++i) {
@@ -206,13 +218,19 @@ std::string SloWatchdog::BlameDigestJson() const {
 }
 
 void SloWatchdog::WriteBundle(SloReport& report) {
-  std::filesystem::create_directories(spec_.out_dir);
-  std::string trace_path = spec_.out_dir + "/" + spec_.name + ".trace.json";
-  {
-    std::ofstream out(trace_path, std::ios::binary);
-    recorder_->WriteWindowJson(out);
+  // This runs inside the simulation (on a sweep's worker thread, too), so a directory
+  // that cannot be made or a file that cannot be written leaves that file out of
+  // `postmortems` instead of throwing.
+  std::error_code ec;
+  std::filesystem::create_directories(spec_.out_dir, ec);
+  if (ec) {
+    return;
   }
-  report.postmortems.push_back(trace_path);
+  std::string trace_path = spec_.out_dir + "/" + spec_.name + ".trace.json";
+  if (WriteBundleFile(trace_path,
+                      [this](std::ostream& out) { recorder_->WriteWindowJson(out); })) {
+    report.postmortems.push_back(trace_path);
+  }
 
   JsonObject o;
   o.Str("slo", spec_.name);
@@ -246,11 +264,10 @@ void SloWatchdog::WriteBundle(SloReport& report) {
   }
   o.Raw("window", w.Finish());
   std::string pm_path = spec_.out_dir + "/" + spec_.name + ".postmortem.json";
-  {
-    std::ofstream out(pm_path, std::ios::binary);
-    out << o.Finish() << "\n";
+  std::string summary = o.Finish() + "\n";
+  if (WriteBundleFile(pm_path, [&summary](std::ostream& out) { out << summary; })) {
+    report.postmortems.push_back(pm_path);
   }
-  report.postmortems.push_back(pm_path);
 }
 
 }  // namespace tcs

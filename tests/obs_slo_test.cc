@@ -197,6 +197,26 @@ TEST(SloWatchdogTest, NoBundleWithoutOutDir) {
   EXPECT_TRUE(report.postmortems.empty());
 }
 
+TEST(SloWatchdogTest, UncreatableOutDirWritesNoBundleAndDoesNotThrow) {
+  TempDir tmp;
+  std::filesystem::create_directories(tmp.path);
+  std::string blocker = tmp.path + "/not_a_dir";
+  std::ofstream(blocker) << "a regular file";
+  Simulator sim;
+  FlightRecorder recorder;
+  SloSpec spec;
+  spec.max_worst_p99_ms = 1.0;
+  spec.out_dir = blocker + "/sub";
+  SloWatchdog watchdog(sim, spec, &recorder, nullptr, nullptr);
+  watchdog.SetWorstP99Source([] { return 100.0; });
+  watchdog.Start();
+  sim.RunUntil(TimePoint::FromMicros(200'000));
+  SloReport report;
+  EXPECT_NO_THROW(report = watchdog.FinishRun());
+  EXPECT_FALSE(report.passed);
+  EXPECT_TRUE(report.postmortems.empty());
+}
+
 TEST(SloReportTest, ToJsonRendersObjectivesAndPostmortems) {
   SloReport r;
   r.active = true;

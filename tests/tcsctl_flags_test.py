@@ -8,9 +8,10 @@ default run with a flagged one whose output must differ; the configurations are 
 whose model actually draws on the seed (Poisson background load, a saturated TSE, the
 paging hog's demand margin).
 
-Rejected: a flag the command does not read, a value it cannot parse, or a positional
-argument it does not read exits 2 before anything runs, with nothing on stdout and the
-offending flag or argument named on stderr. Every command has a case of each, and
+Rejected: a flag the command does not read, a value it cannot parse or use, a positional
+argument it does not read, or a --postmortem-dir it cannot create exits 2 before
+anything runs, with nothing on stdout and the offending flag or argument named on
+stderr. Every command has a case of each, and
 trace, postmortem and sweep are checked per experiment: a flag counts as read only where
 the run uses it.
 """
@@ -85,6 +86,34 @@ rejected("rtt", "--mbps=fast", names=["--mbps"])
 rejected("idle", "--csv=maybe", names=["--csv"])
 rejected("typing", "--os=beos", names=["--os"])
 rejected("sweep", "--sinks=0,five", names=["--sinks"])
+
+# Well-formed numbers outside what the run can use fail the same way, instead of
+# aborting the run or being ignored.
+rejected("whatif", "--speedup=0", names=["--speedup"])
+rejected("whatif", "--speedup=-1", names=["--speedup"])
+rejected("whatif", "--rtt-delta-ms=-40", names=["--rtt-delta-ms"])
+rejected("gif", "--frames=0", names=["--frames"])
+rejected("gif", "--seconds=0", names=["--seconds"])
+rejected("webpage", "--seconds=0", names=["--seconds"])
+rejected("rtt", "--mbps=-1", names=["--mbps"])
+rejected("traffic", "--steps=-3", names=["--steps"])
+rejected("idle", "--seconds=-1", names=["--seconds"])
+rejected("idle", "--seconds=0", names=["--seconds"])
+rejected("paging", "--runs=-1", names=["--runs"])
+rejected("paging", "--runs=0", names=["--runs"])
+rejected("chaos", "--flap-ms=-5", names=["--flap-ms"])
+rejected("blame", "--flap-ms=-3", names=["--flap-ms"])
+rejected("e2e", "--background-mbps=-1", names=["--background-mbps"])
+rejected("sweep", "--experiment=e2e", "--background-mbps=-2", names=["--background-mbps"])
+rejected("postmortem", "consolidation", "--rewind-ms=-5", names=["--rewind-ms"])
+
+# A --postmortem-dir that cannot be created is refused before anything is simulated.
+with tempfile.TemporaryDirectory() as tmp:
+    blocker = os.path.join(tmp, "not_a_dir")
+    with open(blocker, "w") as f:
+        f.write("a regular file\n")
+    rejected("postmortem", "typing", f"--postmortem-dir={blocker}/sub",
+             names=["--postmortem-dir"])
 
 # For every command, a flag it does not read (most are flags other commands take).
 with tempfile.TemporaryDirectory() as tmp:

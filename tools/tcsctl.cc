@@ -17,12 +17,14 @@
 // --postmortem-dir even though the sweep itself runs trace-off.
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -151,6 +153,24 @@ std::vector<T> ReadList(FlagSet& flags, const char* name, const char* fallback) 
   return out;
 }
 
+// An integer flag that must be at least `min`; a smaller value fails the flag check.
+int64_t IntAtLeast(FlagSet& flags, const char* name, int64_t fallback, int64_t min) {
+  int64_t value = flags.GetInt(name, fallback);
+  if (value < min) {
+    flags.Fail(std::string("--") + name + " must be at least " + std::to_string(min));
+  }
+  return value;
+}
+
+// A number flag that cannot be negative (a rate or a load, where 0 means none).
+double NonNegative(FlagSet& flags, const char* name, double fallback) {
+  double value = flags.GetDouble(name, fallback);
+  if (!(value >= 0.0)) {
+    flags.Fail(std::string("--") + name + " cannot be negative");
+  }
+  return value;
+}
+
 // The shared --slo-* flags as an SloSpec; a spec with no flags set checks nothing
 // (Any() is false), so commands only pay for the watchdog when asked.
 SloSpec ReadSlo(FlagSet& flags) {
@@ -161,6 +181,22 @@ SloSpec ReadSlo(FlagSet& flags) {
   spec.max_starved_fraction = flags.GetDouble("slo-starved", -1.0);
   spec.out_dir = flags.GetString("postmortem-dir", "postmortems");
   return spec;
+}
+
+// Makes --postmortem-dir before anything is simulated, so a violating run's bundle has
+// somewhere to go. False, with the reason on stderr, when the directory cannot be made.
+bool MakePostmortemDir(const SloSpec& spec) {
+  if (!spec.Any() || spec.out_dir.empty()) {
+    return true;
+  }
+  std::error_code ec;
+  std::filesystem::create_directories(spec.out_dir, ec);
+  if (ec) {
+    std::fprintf(stderr, "tcsctl: cannot create --postmortem-dir=%s: %s\n",
+                 spec.out_dir.c_str(), ec.message().c_str());
+    return false;
+  }
+  return true;
 }
 
 // One sweep cell's observability: its own copy of the --slo-* spec under a
@@ -238,7 +274,7 @@ Experiment<PagingLatencyResult> ReadPaging(FlagSet& flags, int runs) {
   EvictionPolicy policy = flags.GetBool("protect") ? EvictionPolicy::kInteractiveProtect
                                                    : EvictionPolicy::kGlobalLru;
   bool full_demand = flags.GetBool("full-demand", true);
-  int n = static_cast<int>(flags.GetInt("runs", runs));
+  int n = static_cast<int>(IntAtLeast(flags, "runs", runs, 1));
   uint64_t seed = Seed(flags);
   return [=](const ObsConfig* obs) {
     return RunPagingLatency(profile, full_demand, n, seed, policy, obs);
@@ -259,7 +295,7 @@ Experiment<EndToEndResult> ReadEndToEnd(FlagSet& flags) {
   OsProfile profile = ParseOs(flags, flags.GetString("os", "tse"));
   EndToEndOptions opt;
   opt.sinks = static_cast<int>(flags.GetInt("sinks", 0));
-  opt.background_mbps = flags.GetDouble("background-mbps", 0.0);
+  opt.background_mbps = NonNegative(flags, "background-mbps", 0.0);
   opt.duration = Duration::Seconds(flags.GetInt("seconds", 30));
   opt.seed = Seed(flags);
   opt.faults.link.loss_rate = flags.GetDouble("loss", 0.0);
@@ -290,8 +326,8 @@ ChaosOptions ReadChaos(FlagSet& flags) {
 
 GifAnimationOptions ReadGif(FlagSet& flags) {
   GifAnimationOptions opt;
-  opt.frames = static_cast<int>(flags.GetInt("frames", 10));
-  opt.duration = Duration::Seconds(flags.GetInt("seconds", 20));
+  opt.frames = static_cast<int>(IntAtLeast(flags, "frames", 10, 1));
+  opt.duration = Duration::Seconds(IntAtLeast(flags, "seconds", 20, 1));
   if (flags.GetBool("loop-aware")) {
     opt.cache_policy = CachePolicy::kLoopAware;
   }
@@ -303,7 +339,7 @@ GifAnimationOptions ReadGif(FlagSet& flags) {
 
 Runner Idle(FlagSet& flags) {
   OsProfile profile = ParseOs(flags, flags.GetString("os", "tse"));
-  int64_t seconds = flags.GetInt("seconds", 60);
+  int64_t seconds = IntAtLeast(flags, "seconds", 60, 1);
   bool csv = flags.GetBool("csv");
   return [=] {
     IdleProfileResult r = RunIdleProfile(profile, Duration::Seconds(seconds));
@@ -347,7 +383,7 @@ Runner Paging(FlagSet& flags) {
 
 Runner Traffic(FlagSet& flags) {
   ProtocolKind kind = ParseProtocol(flags, flags.GetString("protocol", "rdp"));
-  int steps = static_cast<int>(flags.GetInt("steps", 600));
+  int steps = static_cast<int>(IntAtLeast(flags, "steps", 600, 1));
   bool csv = flags.GetBool("csv");
   return [=] {
     ProtocolTrafficResult r = RunAppWorkloadTraffic(kind, 1, steps);
@@ -370,7 +406,7 @@ Runner Traffic(FlagSet& flags) {
 Runner Webpage(FlagSet& flags) {
   bool banner = !flags.GetBool("no-banner");
   bool marquee = !flags.GetBool("no-marquee");
-  Duration duration = Duration::Seconds(flags.GetInt("seconds", 160));
+  Duration duration = Duration::Seconds(IntAtLeast(flags, "seconds", 160, 1));
   return [=] {
     AnimationLoadResult r = RunWebPageLoad(ProtocolKind::kRdp, banner, marquee, duration);
     std::printf("%s: sustained %.3f Mbps (mean %.3f); cache %lld hits / %lld misses\n",
@@ -394,7 +430,7 @@ Runner Gif(FlagSet& flags) {
 }
 
 Runner Rtt(FlagSet& flags) {
-  double mbps = flags.GetDouble("mbps", 0.0);
+  double mbps = NonNegative(flags, "mbps", 0.0);
   Duration duration = Duration::Seconds(flags.GetInt("seconds", 60));
   return [=] {
     RttProbeResult r = RunRttProbe(mbps, duration);
@@ -459,9 +495,12 @@ Runner Sweep(FlagSet& flags) {
   bool csv = flags.GetBool("csv");
   SloSpec base_slo = sizing ? SloSpec() : ReadSlo(flags);
   double background_mbps =
-      experiment == "e2e" ? flags.GetDouble("background-mbps", 0.0) : 0.0;
+      experiment == "e2e" ? NonNegative(flags, "background-mbps", 0.0) : 0.0;
 
   return [=] {
+    if (!MakePostmortemDir(base_slo)) {
+      return 2;
+    }
     int load_count = static_cast<int>(loads.size());
     int configs = static_cast<int>(profiles.size()) * load_count;
     ParallelSweep sweep(jobs);
@@ -560,6 +599,11 @@ Runner Chaos(FlagSet& flags) {
       flags.Fail("--loss entries must be in [0,1)");
     }
   }
+  for (int flap : flap_ms) {
+    if (flap < 0) {
+      flags.Fail("--flap-ms entries cannot be negative");
+    }
+  }
   ChaosOptions base = ReadChaos(flags);
   base.threshold = Duration::Millis(flags.GetInt("threshold-ms", 150));
   int jobs = static_cast<int>(flags.GetInt("jobs", 0));
@@ -568,6 +612,9 @@ Runner Chaos(FlagSet& flags) {
   std::string report_path = flags.GetString("report-out", "");
 
   return [=] {
+    if (!MakePostmortemDir(base_slo)) {
+      return 2;
+    }
     const Duration threshold = base.threshold;
     int flap_count = static_cast<int>(flap_ms.size());
     int configs = static_cast<int>(losses.size()) * flap_count;
@@ -674,6 +721,9 @@ Runner Wan(FlagSet& flags) {
   std::string report_path = flags.GetString("report-out", "");
 
   return [=] {
+    if (!MakePostmortemDir(base_slo)) {
+      return 2;
+    }
     int configs = static_cast<int>(wan_profiles.size()) * 2;
     // Profile-major, arm-minor: cell 2k is profile k with degradation off, cell 2k+1 the
     // same profile with degradation on. Both arms of a profile share the SAME seed, so
@@ -804,7 +854,10 @@ Runner WhatIf(FlagSet& flags) {
     flags.Fail("needs at least one --component");
   }
   double speedup = flags.GetDouble("speedup", 2.0);
-  int64_t rtt_delta_ms = flags.GetInt("rtt-delta-ms", 40);
+  if (!(speedup > 0.0)) {
+    flags.Fail("--speedup must be positive");
+  }
+  int64_t rtt_delta_ms = IntAtLeast(flags, "rtt-delta-ms", 40, 0);
   WanOptions wan_opt;
   wan_opt.profile = wan;
   wan_opt.degrade = flags.GetBool("degrade");
@@ -961,9 +1014,9 @@ Runner Blame(FlagSet& flags) {
   WanProfile wan = wan_name.empty() ? WanProfile{} : WanProfileByName(wan_name);
   Duration seconds = Duration::Seconds(flags.GetInt("seconds", 30));
   Duration threshold = Duration::Millis(flags.GetInt("threshold-ms", 100));
-  double background_mbps = flags.GetDouble("background-mbps", 0.0);
+  double background_mbps = NonNegative(flags, "background-mbps", 0.0);
   double loss = flags.GetDouble("loss", 0.0);
-  int flap = static_cast<int>(flags.GetInt("flap-ms", 0));
+  int flap = static_cast<int>(IntAtLeast(flags, "flap-ms", 0, 0));
   uint64_t base_seed = Seed(flags);
   int jobs = static_cast<int>(flags.GetInt("jobs", 0));
   bool csv = flags.GetBool("csv");
@@ -1146,6 +1199,9 @@ Runner Capacity(FlagSet& flags) {
   std::string report_path = flags.GetString("report-out", "");
 
   return [=] {
+    if (!MakePostmortemDir(base_slo)) {
+      return 2;
+    }
     int configs = static_cast<int>(base.size());
     // The sweep parallelizes across configurations only; each configuration's binary
     // search is sequential and memoized, with every candidate run on the same
@@ -1314,7 +1370,7 @@ Runner Postmortem(FlagSet& flags) {
     OsProfile profile = ParseOs(flags, flags.GetString("os", "tse"));
     ChaosOptions opt = ReadChaos(flags);
     opt.loss_rate = flags.GetDouble("loss", 0.05);
-    int flap = static_cast<int>(flags.GetInt("flap-ms", 0));
+    int flap = static_cast<int>(IntAtLeast(flags, "flap-ms", 0, 0));
     if (flap > 0) {
       opt.flap_duration = Duration::Millis(flap);
     }
@@ -1352,10 +1408,7 @@ Runner Postmortem(FlagSet& flags) {
     flags.Fail("needs an experiment (typing|e2e|chaos|consolidation), got '" + experiment +
                "'");
   }
-  int64_t rewind_ms = flags.GetInt("rewind-ms", 0);
-  if (rewind_ms < 0) {
-    flags.Fail("--rewind-ms must be >= 0 (0 = no rewind)");
-  }
+  int64_t rewind_ms = IntAtLeast(flags, "rewind-ms", 0, 0);
   std::string rewind_out;
   if (rewind_ms > 0) {
     rewind_out = flags.GetString("rewind-out",
@@ -1365,6 +1418,9 @@ Runner Postmortem(FlagSet& flags) {
   }
 
   return [=] {
+    if (!MakePostmortemDir(spec)) {
+      return 2;
+    }
     ObsConfig obs;
     obs.slo = &spec;
     SloReport slo = run(&obs, /*print=*/true);
@@ -1461,7 +1517,7 @@ Runner Trace(FlagSet& flags) {
     server_experiment = false;
     ProtocolKind kind = ParseProtocol(flags, flags.GetString("protocol", "rdp"));
     uint64_t seed = Seed(flags);
-    int steps = static_cast<int>(flags.GetInt("steps", 600));
+    int steps = static_cast<int>(IntAtLeast(flags, "steps", 600, 1));
     report = [=](const ObsConfig* obs) {
       return ToJson(RunAppWorkloadTraffic(kind, seed, steps, obs));
     };
