@@ -1293,7 +1293,7 @@ int Rewind(const SloRun& run, const SloSpec& spec, const SloReport& monitored,
   }
   const int64_t violated_at_us = monitored.violated_at_us;
   TracerConfig tracer_cfg;
-  if (rewind_ms < violated_at_us / 1000) {
+  if (rewind_ms <= violated_at_us / 1000) {  // else V - N < 0: trace from 0
     tracer_cfg.from = TimePoint::FromMicros(violated_at_us - rewind_ms * 1000);
   }
   Tracer tracer(tracer_cfg);
