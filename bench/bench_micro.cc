@@ -1,7 +1,7 @@
 // Micro-benchmarks of the framework's hot primitives (google-benchmark): event queue
 // throughput, scheduler decision cost, LZ codec speed, bitmap cache operations, pager
-// touch cost, the full end-to-end cost of simulating one second of a loaded server, and
-// one §5.2 paging trial.
+// touch cost, the full end-to-end cost of simulating one second of a loaded server, one
+// §5.2 paging trial, and one §6.1.2 LBX replay.
 
 #include <benchmark/benchmark.h>
 
@@ -291,6 +291,20 @@ void BM_PagingTrial(benchmark::State& state) {
   state.counters["events"] = benchmark::Counter(events, benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_PagingTrial)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// One §6.1.2 application replay over LBX (600 steps per script), most of whose host time
+// is LzCodec sizing each message against its stream class's rolling dictionary.
+// `wall_ms` is host time per replay.
+void BM_LbxReplay(benchmark::State& state) {
+  double wall_ms = 0.0;
+  for (auto _ : state) {
+    ProtocolTrafficResult result = RunAppWorkloadTraffic(ProtocolKind::kLbx, 1);
+    benchmark::DoNotOptimize(result.total_bytes);
+    wall_ms += result.run.wall_ms;
+  }
+  state.counters["wall_ms"] = benchmark::Counter(wall_ms, benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_LbxReplay)->Unit(benchmark::kMillisecond);
 
 // One capacity bisection up to 8 users, every probe a full consolidation run from a
 // cold start. Args = {measured-window ms, wan}: a LAN with a 1 s staggered login, or a

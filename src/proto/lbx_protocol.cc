@@ -30,13 +30,11 @@ void LbxProtocol::EmitCompressed(Channel channel, uint8_t stream_class,
   // appending it to the class's recent history.
   std::vector<uint8_t>& dict = dict_[stream_class];
   size_t baseline = dict.empty() ? 0 : LzCodec::CompressedSize(dict);
-  std::vector<uint8_t> combined = dict;
-  combined.insert(combined.end(), raw.begin(), raw.end());
-  size_t together = LzCodec::CompressedSize(combined);
+  dict.insert(dict.end(), raw.begin(), raw.end());
+  size_t together = LzCodec::CompressedSize(dict);
   size_t marginal = together > baseline ? together - baseline : 1;
 
   // Roll the history forward, bounded.
-  dict = std::move(combined);
   if (dict.size() > kDictLimit) {
     dict.erase(dict.begin(), dict.end() - static_cast<ptrdiff_t>(kDictLimit));
   }

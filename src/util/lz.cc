@@ -1,7 +1,11 @@
 #include "src/util/lz.h"
 
+#include <algorithm>
 #include <array>
+#include <cassert>
 #include <cstring>
+#include <limits>
+#include <memory>
 
 namespace tcs {
 
@@ -16,50 +20,93 @@ uint32_t HashAt(const uint8_t* p) {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
-void EmitLiterals(const std::vector<uint8_t>& input, size_t start, size_t end,
-                  std::vector<uint8_t>& out) {
-  while (start < end) {
-    size_t run = std::min<size_t>(end - start, 0x80);
-    out.push_back(static_cast<uint8_t>(run - 1));
-    out.insert(out.end(), input.begin() + static_cast<ptrdiff_t>(start),
-               input.begin() + static_cast<ptrdiff_t>(start + run));
-    start += run;
+// Single-probe table of the most recent position per hash — greedy, fast, and good enough
+// on the redundant payloads we generate. A call stamps position `pos` as `base + pos + 1`
+// and then advances `base` by n + 1, so every slot an earlier call wrote (or a refill
+// zeroed) is at or below the next call's `base` and reads as empty, exactly as if the
+// table were cleared per call.
+struct MatchTable {
+  std::array<uint32_t, kHashSize> slots{};
+  uint32_t base = 0;
+};
+
+// The calling thread's table, so no call races another. Allocated on the thread's first
+// call: a static thread_local would be zeroed, and so made resident, in every thread of
+// every program that links the codec, compressing or not.
+MatchTable& ThreadMatchTable() {
+  thread_local std::unique_ptr<MatchTable> table;
+  if (table == nullptr) {
+    table = std::make_unique<MatchTable>();
   }
+  return *table;
 }
 
-}  // namespace
+// Appends the compressed stream to `out`.
+struct StreamWriter {
+  std::vector<uint8_t>& out;
 
-std::vector<uint8_t> LzCodec::Compress(const std::vector<uint8_t>& input) {
-  std::vector<uint8_t> out;
-  out.reserve(input.size() / 2 + 16);
+  void Literals(const uint8_t* p, size_t len) {
+    while (len > 0) {
+      size_t run = std::min<size_t>(len, 0x80);
+      out.push_back(static_cast<uint8_t>(run - 1));
+      out.insert(out.end(), p, p + run);
+      p += run;
+      len -= run;
+    }
+  }
+  void Match(size_t len, size_t offset) {
+    out.push_back(static_cast<uint8_t>(0x80 | (len - LzCodec::kMinMatch)));
+    out.push_back(static_cast<uint8_t>(offset & 0xFF));
+    out.push_back(static_cast<uint8_t>((offset >> 8) & 0xFF));
+  }
+};
+
+// Counts the bytes StreamWriter would append.
+struct SizeCounter {
+  size_t size = 0;
+
+  void Literals(const uint8_t* /*p*/, size_t len) { size += len + (len + 0x7F) / 0x80; }
+  void Match(size_t /*len*/, size_t /*offset*/) { size += 3; }
+};
+
+template <typename Sink>
+void Parse(const std::vector<uint8_t>& input, Sink& sink) {
+  constexpr uint32_t kStampMax = std::numeric_limits<uint32_t>::max();
   const size_t n = input.size();
-  // Single-probe hash table of most recent position per hash — greedy, fast, and good
-  // enough on the redundant payloads we generate.
-  std::array<size_t, kHashSize> head;
-  head.fill(SIZE_MAX);
+  assert(n < kStampMax);
+  MatchTable& table = ThreadMatchTable();
+  if (n + 1 > kStampMax - table.base) {
+    // This call's stamps would wrap: start the stamps over from an empty table.
+    table.slots.fill(0);
+    table.base = 0;
+  }
+  const uint32_t base = table.base;
+  table.base = static_cast<uint32_t>(base + n + 1);
 
   size_t i = 0;
   size_t literal_start = 0;
-  while (n >= kMinMatch && i + kMinMatch <= n) {
-    uint32_t h = HashAt(&input[i]);
-    size_t cand = head[h];
-    head[h] = i;
+  while (n >= LzCodec::kMinMatch && i + LzCodec::kMinMatch <= n) {
+    uint32_t& slot = table.slots[HashAt(&input[i])];
+    uint32_t stamp = slot;
+    slot = static_cast<uint32_t>(base + i + 1);
     size_t match_len = 0;
-    if (cand != SIZE_MAX && cand < i && i - cand <= kWindow) {
-      size_t limit = std::min(n - i, kMaxMatch);
-      while (match_len < limit && input[cand + match_len] == input[i + match_len]) {
-        ++match_len;
+    size_t cand = 0;
+    // A stamp above `base` is a position this call wrote, hence before i.
+    if (stamp > base) {
+      cand = stamp - base - 1;
+      if (i - cand <= LzCodec::kWindow) {
+        size_t limit = std::min(n - i, LzCodec::kMaxMatch);
+        while (match_len < limit && input[cand + match_len] == input[i + match_len]) {
+          ++match_len;
+        }
       }
     }
-    if (match_len >= kMinMatch) {
-      EmitLiterals(input, literal_start, i, out);
-      size_t offset = i - cand;
-      out.push_back(static_cast<uint8_t>(0x80 | (match_len - kMinMatch)));
-      out.push_back(static_cast<uint8_t>(offset & 0xFF));
-      out.push_back(static_cast<uint8_t>((offset >> 8) & 0xFF));
+    if (match_len >= LzCodec::kMinMatch) {
+      sink.Literals(input.data() + literal_start, i - literal_start);
+      sink.Match(match_len, i - cand);
       // Insert hashes for the matched region (sparsely, every other byte, for speed).
-      for (size_t j = i + 1; j + kMinMatch <= n && j < i + match_len; j += 2) {
-        head[HashAt(&input[j])] = j;
+      for (size_t j = i + 1; j + LzCodec::kMinMatch <= n && j < i + match_len; j += 2) {
+        table.slots[HashAt(&input[j])] = static_cast<uint32_t>(base + j + 1);
       }
       i += match_len;
       literal_start = i;
@@ -67,8 +114,23 @@ std::vector<uint8_t> LzCodec::Compress(const std::vector<uint8_t>& input) {
       ++i;
     }
   }
-  EmitLiterals(input, literal_start, n, out);
+  sink.Literals(input.data() + literal_start, n - literal_start);
+}
+
+}  // namespace
+
+std::vector<uint8_t> LzCodec::Compress(const std::vector<uint8_t>& input) {
+  std::vector<uint8_t> out;
+  out.reserve(input.size() / 2 + 16);
+  StreamWriter writer{out};
+  Parse(input, writer);
   return out;
+}
+
+size_t LzCodec::CompressedSize(const std::vector<uint8_t>& input) {
+  SizeCounter counter;
+  Parse(input, counter);
+  return counter.size;
 }
 
 std::optional<std::vector<uint8_t>> LzCodec::Decompress(const std::vector<uint8_t>& input) {

@@ -10,6 +10,14 @@
 //                  little-endian backward offset (1-based, <= 64 KiB window)
 //
 // Round-trip (Compress then Decompress) is the identity; tests enforce this as a property.
+//
+// The compressor's match finder is one hash table per thread (128 KiB of uint32_t slots,
+// allocated on the thread's first call), reused across calls instead of cleared on each:
+// a slot holds `base + pos + 1`, every call advances `base` past its own slots, and a
+// slot at or below the call's `base` reads as empty. Output is therefore exactly that of
+// a table cleared per call, and calls on different threads never share a table. Input
+// must be shorter than 2^32 - 1 bytes (asserted), so one call's slots fit between two
+// refills of the table.
 
 #ifndef TCS_SRC_UTIL_LZ_H_
 #define TCS_SRC_UTIL_LZ_H_
@@ -34,10 +42,9 @@ class LzCodec {
   // pointing before the start of output).
   static std::optional<std::vector<uint8_t>> Decompress(const std::vector<uint8_t>& input);
 
-  // Convenience: compressed size only (what the protocol models need on the hot path).
-  static size_t CompressedSize(const std::vector<uint8_t>& input) {
-    return Compress(input).size();
-  }
+  // Compress(input).size(), from the same parse, without building the output (what the
+  // protocol models need on the hot path).
+  static size_t CompressedSize(const std::vector<uint8_t>& input);
 };
 
 }  // namespace tcs

@@ -6,10 +6,12 @@
 #include <chrono>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/core/experiments.h"
+#include "src/core/report.h"
 #include "src/session/os_profile.h"
 
 namespace tcs {
@@ -65,6 +67,24 @@ TEST(ParallelSweepTest, WorkerCountDoesNotChangeExperimentResults) {
     EXPECT_EQ(serial[i].max_stall_ms, parallel[i].max_stall_ms);
     EXPECT_EQ(serial[i].jitter_ms, parallel[i].jitter_ms);
   }
+}
+
+TEST(ParallelSweepTest, WorkerCountDoesNotChangeLbxTraffic) {
+  // Every LBX message is sized by LzCodec, whose match table is per thread: concurrent
+  // replays must neither share it nor see each other's positions.
+  auto run = [](int workers) {
+    ParallelSweep sweep(workers);
+    return sweep.Map(4, [](int i) {
+      ProtocolTrafficResult r = RunAppWorkloadTraffic(
+          ProtocolKind::kLbx, SweepSeed(1, static_cast<uint64_t>(i)), 30);
+      r.run.wall_ms = 0.0;
+      return ToJson(r);
+    });
+  };
+  std::vector<std::string> serial = run(1);
+  std::vector<std::string> parallel = run(4);
+  ASSERT_EQ(serial.size(), 4u);
+  EXPECT_EQ(serial, parallel);
 }
 
 TEST(ParallelSweepTest, ExceptionDoesNotDeadlockOrAbandonOtherConfigs) {

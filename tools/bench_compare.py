@@ -30,10 +30,12 @@ Stdlib only — no pip dependencies.
 import argparse
 import json
 import sys
+from collections import Counter
 
 # unit -> (counter name or None for real_time, better direction)
 UNIT_DEFAULTS = {
     "items_per_second": ("items_per_second", "higher"),
+    "bytes_per_second": ("bytes_per_second", "higher"),
     "wall_s_per_sim_s": ("wall_s_per_sim_s", "lower"),
     "ns_per_simulated_second": (None, "lower"),
 }
@@ -87,17 +89,20 @@ def main():
 
     rows = []
     regressions = []
+    # (key, reason, detail): the reason is counted in the Markdown summary, the detail
+    # names the entry on stderr.
     skipped = []
     compared_names = set()
     for key, entry in baseline.get("benchmarks", {}).items():
         # A baseline entry that is not an object (hand-edited shorthand, merge damage)
         # is a skip, not a crash: the other entries still compare.
         if not isinstance(entry, dict):
-            skipped.append((key, f"baseline entry is {type(entry).__name__}, not an object"))
+            skipped.append((key, "not an object",
+                            f"baseline entry is {type(entry).__name__}, not an object"))
             continue
         current = entry.get("current")
         if not isinstance(current, (int, float)):
-            skipped.append((key, "non-scalar baseline"))
+            skipped.append((key, "non-scalar baseline", "non-scalar baseline"))
             continue
         unit = entry.get("unit", "")
         default_counter, default_better = UNIT_DEFAULTS.get(unit, (None, "higher"))
@@ -107,12 +112,12 @@ def main():
         compared_names.add(bench_name)
         row = results.get(bench_name)
         if row is None:
-            skipped.append((key, f"'{bench_name}' not in results"))
+            skipped.append((key, "not in this run's results", f"'{bench_name}' not in results"))
             continue
         try:
             measured, _ = metric_of(row, counter)
         except KeyError as e:
-            skipped.append((key, str(e)))
+            skipped.append((key, "metric missing from its result row", str(e)))
             continue
         delta = (measured - current) / current if current else float("inf")
         worse = -delta if better == "higher" else delta
@@ -135,8 +140,8 @@ def main():
         for key, cur, meas, delta, better, flag in rows:
             print(f"{key:<{name_w}}  {cur:>14.6g}  {meas:>14.6g}  "
                   f"{delta:>+7.1%}  {better:>6}  {flag}")
-    for key, why in skipped:
-        print(f"skipped {key}: {why}", file=sys.stderr)
+    for key, _, detail in skipped:
+        print(f"skipped {key}: {detail}", file=sys.stderr)
     for name in unbaselined:
         print(f"no baseline key for {name}: measured but not compared", file=sys.stderr)
     if not rows:
@@ -153,9 +158,10 @@ def main():
             for key, cur, meas, delta, better, flag in rows:
                 f.write(f"| `{key}` | {cur:.6g} | {meas:.6g} | {delta:+.1%} "
                         f"| {better} | {status_md[flag]} |\n")
-            if skipped:
-                f.write(f"\n{len(skipped)} entr{'y' if len(skipped) == 1 else 'ies'} "
-                        "skipped (not in this run's results).\n")
+            reasons = Counter(reason for _, reason, _ in skipped)
+            if reasons:
+                f.write("\nSkipped: " + "; ".join(
+                    f"{count} {reason}" for reason, count in reasons.items()) + ".\n")
             f.write("\n")
 
     if regressions:
