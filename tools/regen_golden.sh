@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Re-bless (or verify) the golden corpus: the report JSON in tests/golden/, the SLO
-# postmortem bundles in tests/golden/postmortem/, and the paper artifacts' stdout in
-# tests/golden/paper/.
+# postmortem bundles in tests/golden/postmortem/, and the stdout of the paper artifacts
+# (tests/golden/paper/), of `tcsctl replay` over tests/golden/replay/demo_session.trace
+# (tests/golden/replay/) and of the examples (tests/golden/examples/).
 #
-# Default mode builds golden_report_test and tcsctl and reruns the corpus tests with
-# TCS_REGEN_GOLDEN=1, which makes each case rewrite its golden file instead of comparing
-# against it. Run this after an intentional change to simulation behavior or report
+# Default mode builds golden_report_test, tcsctl and the examples and reruns the corpus
+# tests with TCS_REGEN_GOLDEN=1, which makes each case rewrite its golden file instead of
+# comparing against it. Run this after an intentional change to simulation behavior or report
 # formatting, then review the diff under tests/golden/ before committing.
 #
 # --check regenerates into the working tree and then fails (exit 1) if any golden file
@@ -25,15 +26,18 @@ fi
 
 BUILD_DIR="${BUILD_DIR:-build}"
 cmake -B "$BUILD_DIR" -S . >/dev/null
-cmake --build "$BUILD_DIR" --target golden_report_test tcsctl -j >/dev/null
+cmake --build "$BUILD_DIR" --target golden_report_test tcsctl quickstart capacity_planning \
+  protocol_shootout scheduler_playground trace_replay -j >/dev/null
 
 mkdir -p tests/golden
 # This also runs the GoldenReportGuard test, which has no regen path: it checks the
 # guard's own key-set diff on synthetic documents and a fresh render, so it passes or
 # fails the same way whether or not the corpus is being re-blessed.
 TCS_REGEN_GOLDEN=1 "$BUILD_DIR/tests/golden_report_test"
-TCS_REGEN_GOLDEN=1 ctest --test-dir "$BUILD_DIR" -R '^paper_' -j "$(nproc)" --output-on-failure
-goldens=(tests/golden/*.json tests/golden/postmortem/*.json tests/golden/paper/*.txt)
+TCS_REGEN_GOLDEN=1 ctest --test-dir "$BUILD_DIR" -R '^(paper|replay|example)_' -j "$(nproc)" \
+  --output-on-failure
+goldens=(tests/golden/*.json tests/golden/postmortem/*.json tests/golden/paper/*.txt
+         tests/golden/replay/*.txt tests/golden/examples/*.txt)
 
 if [[ "$CHECK" == 1 ]]; then
   # Compare each regenerated file against HEAD with wall_ms zeroed on both sides
