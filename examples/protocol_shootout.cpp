@@ -1,13 +1,11 @@
 // Protocol shootout: drive a custom interactive workload (your own mix of typing,
-// widget redraws, and an animated element) over RDP, X, and LBX, and compare wire cost.
-// Demonstrates composing the proto/workload layers directly, without a full Server.
+// widget redraws, and an animated element) over RDP, X, LBX, SLIM and VNC, and compare
+// wire cost. Demonstrates composing the proto/workload layers directly on a
+// ProtocolHarness, without a full Server.
 
 #include <cstdio>
-#include <memory>
 
-#include "src/proto/protocol_factory.h"
-#include "src/proto/vnc_protocol.h"
-#include "src/session/os_profile.h"  // ProtocolKind
+#include "src/proto/protocol_pipeline.h"
 #include "src/util/table.h"
 #include "src/workload/animation.h"
 #include "src/workload/app_script.h"
@@ -24,14 +22,8 @@ struct ShootoutResult {
 
 ShootoutResult RunOne(tcs::ProtocolKind kind) {
   using namespace tcs;
-  Simulator sim;
-  Link link(sim);
-  MessageSender display(link, HeaderModel::TcpIp());
-  MessageSender input(link, HeaderModel::TcpIp());
-  ProtoTap tap(Duration::Seconds(1));
-
-  std::unique_ptr<DisplayProtocol> protocol =
-      MakeProtocol(kind, sim, display, input, &tap, Rng(11));
+  ProtocolHarness harness(kind, 11);
+  Simulator& sim = harness.sim;
 
   // The custom workload: a spreadsheet-like editing session with a stock ticker in the
   // corner — the "modern user interface" trend the paper worries about.
@@ -42,28 +34,22 @@ ShootoutResult RunOne(tcs::ProtocolKind kind) {
   ticker_cfg.frame_period = Duration::Millis(250);
   ticker_cfg.width = 160;
   ticker_cfg.height = 24;
-  Animation ticker(sim, *protocol, ticker_cfg);
+  Animation ticker(sim, harness.protocol(), ticker_cfg);
   ticker.Start();
-  editing.Replay(sim, *protocol);
+  editing.Replay(sim, harness.protocol());
   // The ticker is unbounded: run exactly for the editing session's length, then stop it.
   sim.RunUntil(TimePoint::Zero() + editing.TotalDuration());
   ticker.Stop();
-  if (auto* vnc = dynamic_cast<VncProtocol*>(protocol.get())) {
-    vnc->StopClientPull();
-  }
-  protocol->Flush();
-  sim.Run();
+  harness.Drain();
 
   ShootoutResult r;
-  r.name = protocol->name();
-  r.bytes = tap.total_counted_bytes().count();
-  r.messages = tap.total_messages();
+  r.name = ProtocolName(kind);
+  r.bytes = harness.tap.total_counted_bytes().count();
+  r.messages = harness.tap.total_messages();
   double seconds = editing.TotalDuration().ToSecondsF();
   r.mean_mbps = static_cast<double>(r.bytes) * 8.0 / seconds / 1e6;
-  r.cache_hits = 0;
-  if (auto* rdp = dynamic_cast<RdpProtocol*>(protocol.get())) {
-    r.cache_hits = rdp->bitmap_cache().hits();
-  }
+  const BitmapCache* cache = harness.pipeline.cache();
+  r.cache_hits = cache != nullptr ? cache->hits() : 0;
   return r;
 }
 
@@ -74,9 +60,8 @@ int main() {
   std::printf("protocol shootout: 300-step editing session + 4 Hz stock ticker\n\n");
   TextTable table({"protocol", "wire bytes", "messages", "mean load (Mbps)", "cache hits"});
   ShootoutResult best{};
-  for (ProtocolKind kind : {ProtocolKind::kRdp, ProtocolKind::kX, ProtocolKind::kLbx,
-                            ProtocolKind::kSlim, ProtocolKind::kVnc}) {
-    ShootoutResult r = RunOne(kind);
+  for (const ProtocolNames& protocol : kProtocols) {
+    ShootoutResult r = RunOne(protocol.kind);
     table.AddRow({r.name, TextTable::Num(r.bytes), TextTable::Num(r.messages),
                   TextTable::Fixed(r.mean_mbps, 4), TextTable::Num(r.cache_hits)});
     if (best.name.empty() || r.bytes < best.bytes) {

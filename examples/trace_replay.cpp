@@ -9,53 +9,25 @@
 // first-class artifact.
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <memory>
+#include <optional>
 #include <sstream>
 
 #include "src/client/thin_client.h"
-#include "src/proto/protocol_factory.h"
-#include "src/proto/vnc_protocol.h"
+#include "src/proto/protocol_pipeline.h"
 #include "src/util/table.h"
 #include "src/workload/script_io.h"
 
 namespace {
 
-bool ParseKind(const char* word, tcs::ProtocolKind* kind) {
-  using namespace tcs;
-  if (std::strcmp(word, "rdp") == 0) {
-    *kind = ProtocolKind::kRdp;
-  } else if (std::strcmp(word, "x") == 0) {
-    *kind = ProtocolKind::kX;
-  } else if (std::strcmp(word, "lbx") == 0) {
-    *kind = ProtocolKind::kLbx;
-  } else if (std::strcmp(word, "slim") == 0) {
-    *kind = ProtocolKind::kSlim;
-  } else if (std::strcmp(word, "vnc") == 0) {
-    *kind = ProtocolKind::kVnc;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 void ReplayOver(const tcs::AppScript& script, tcs::ProtocolKind kind,
                 tcs::TextTable& table) {
   using namespace tcs;
-  Simulator sim;
-  Link link(sim);
-  MessageSender display(link, HeaderModel::TcpIp());
-  MessageSender input(link, HeaderModel::TcpIp());
-  ProtoTap tap(Duration::Seconds(1));
-  auto protocol = MakeProtocol(kind, sim, display, input, &tap, Rng(3));
-  script.Replay(sim, *protocol);
-  sim.RunUntil(TimePoint::Zero() + script.TotalDuration());
-  if (auto* vnc = dynamic_cast<VncProtocol*>(protocol.get())) {
-    vnc->StopClientPull();
-  }
-  protocol->Flush();
-  sim.Run();
+  ProtocolHarness harness(kind, 3);
+  script.Replay(harness.sim, harness.protocol());
+  harness.sim.RunUntil(TimePoint::Zero() + script.TotalDuration());
+  harness.Drain();
+  const ProtoTap& tap = harness.tap;
 
   // What would the frames cost on each client device?
   double avg_payload =
@@ -66,7 +38,7 @@ void ReplayOver(const tcs::AppScript& script, tcs::ProtocolKind kind,
   ThinClientDevice pc(ThinClientConfig::DesktopPc());
   ThinClientDevice pda(ThinClientConfig::Handheld());
   Bytes avg = Bytes::Of(static_cast<int64_t>(avg_payload));
-  table.AddRow({protocol->name(),
+  table.AddRow({ProtocolName(kind),
                 TextTable::Num(tap.total_counted_bytes().count()),
                 TextTable::Num(tap.total_messages()),
                 TextTable::Fixed(pc.DecodeDelay(kind, avg).ToMillisF(), 2),
@@ -108,16 +80,15 @@ int main(int argc, char** argv) {
   TextTable table({"protocol", "wire bytes", "messages", "avg frame on PC (ms)",
                    "avg frame on handheld (ms)"});
   if (argc >= 3) {
-    ProtocolKind kind;
-    if (!ParseKind(argv[2], &kind)) {
+    std::optional<ProtocolKind> kind = ProtocolFromWord(argv[2]);
+    if (!kind) {
       std::fprintf(stderr, "unknown protocol '%s' (rdp|x|lbx|slim|vnc)\n", argv[2]);
       return 1;
     }
-    ReplayOver(script, kind, table);
+    ReplayOver(script, *kind, table);
   } else {
-    for (ProtocolKind kind : {ProtocolKind::kRdp, ProtocolKind::kX, ProtocolKind::kLbx,
-                              ProtocolKind::kSlim, ProtocolKind::kVnc}) {
-      ReplayOver(script, kind, table);
+    for (const ProtocolNames& protocol : kProtocols) {
+      ReplayOver(script, protocol.kind, table);
     }
   }
   std::printf("\n%s", table.Render().c_str());

@@ -17,7 +17,7 @@
 #include "src/metrics/latency.h"
 #include "src/net/ping.h"
 #include "src/net/traffic_gen.h"
-#include "src/proto/protocol_factory.h"
+#include "src/proto/protocol_pipeline.h"
 #include "src/session/server.h"
 #include "src/util/config_error.h"
 #include "src/util/stats.h"
@@ -32,51 +32,27 @@ namespace {
 
 using namespace run_support;  // WallClock, FinishRun, ApplyObs, SamplerScope, ...
 
-// A protocol-only harness: link, channel senders, tap, and one protocol instance.
-// Experiments that exercise only the network resource use this instead of a full Server.
-struct ProtocolHarness {
-  ProtocolHarness(ProtocolKind kind, uint64_t seed, Duration tap_bucket, RdpConfig rdp = {})
-      : link(sim),
-        display(link, HeaderModel::TcpIp()),
-        input(link, HeaderModel::TcpIp()),
-        tap(tap_bucket),
-        protocol(MakeProtocol(kind, sim, display, input, &tap, Rng(seed), rdp)) {}
-
-  const BitmapCache* cache() const {
-    auto* rdp = dynamic_cast<const RdpProtocol*>(protocol.get());
-    return rdp != nullptr ? &rdp->bitmap_cache() : nullptr;
+// Wires the ObsConfig's tracer through a protocol-only harness and registers the link
+// backlog gauge (protocol-only experiments have no cpu/pager to observe).
+void ApplyObs(ProtocolHarness& harness, const ObsConfig* obs) {
+  if (obs == nullptr) {
+    return;
   }
-
-  // Wires the ObsConfig's tracer through the harness's layers and registers the link
-  // backlog gauge (protocol-only experiments have no cpu/pager to observe).
-  void ApplyObs(const ObsConfig* obs) {
-    if (obs == nullptr) {
-      return;
-    }
-    if (obs->tracer != nullptr) {
-      link.SetTracer(obs->tracer);
-      protocol->SetTracer(obs->tracer);
-    }
-    if (obs->metrics != nullptr) {
-      Link* l = &link;
-      Simulator* s = &sim;
-      obs->metrics->AddGauge("link_backlog_bytes", [l, s] {
-        return static_cast<double>(l->BacklogBytesAt(s->Now()).count());
-      });
-      if (const BitmapCache* c = cache()) {
-        obs->metrics->AddGauge("bitmap_cache_hit_rate",
-                               [c] { return c->CumulativeHitRatio(); });
-      }
+  if (obs->tracer != nullptr) {
+    harness.link.SetTracer(obs->tracer);
+    harness.protocol().SetTracer(obs->tracer);
+  }
+  if (obs->metrics != nullptr) {
+    Link* l = &harness.link;
+    Simulator* s = &harness.sim;
+    obs->metrics->AddGauge("link_backlog_bytes", [l, s] {
+      return static_cast<double>(l->BacklogBytesAt(s->Now()).count());
+    });
+    if (const BitmapCache* c = harness.pipeline.cache()) {
+      obs->metrics->AddGauge("bitmap_cache_hit_rate", [c] { return c->CumulativeHitRatio(); });
     }
   }
-
-  Simulator sim;
-  Link link;
-  MessageSender display;
-  MessageSender input;
-  ProtoTap tap;
-  std::unique_ptr<DisplayProtocol> protocol;
-};
+}
 
 AnimationLoadResult CollectLoad(const ProtocolHarness& harness, Duration duration,
                                 Duration bucket, size_t warm_buckets,
@@ -102,7 +78,7 @@ AnimationLoadResult CollectLoad(const ProtocolHarness& harness, Duration duratio
       duration.ToSecondsF() / 1e6;
   result.sustained_mbps = sustained_n > 0 ? sustained_sum / static_cast<double>(sustained_n)
                                           : result.mean_mbps;
-  if (const BitmapCache* cache = harness.cache()) {
+  if (const BitmapCache* cache = harness.pipeline.cache()) {
     result.cache_hits = cache->hits();
     result.cache_misses = cache->misses();
     result.cumulative_hit_ratio = cache->CumulativeHitRatio();
@@ -303,13 +279,7 @@ PagingLatencyResult RunPagingLatency(const OsProfile& profile, bool full_demand,
 // ---------------------------------------------------------------------------
 // Network
 
-ProtocolTrafficResult RunAppWorkloadTraffic(ProtocolKind kind, uint64_t seed,
-                                            int steps_per_app, const ObsConfig* obs) {
-  WallClock::time_point t0 = WallClock::now();
-  ProtocolHarness harness(kind, seed, Duration::Seconds(1));
-  harness.ApplyObs(obs);
-  AttachSimHook(harness.sim, obs);
-  SamplerScope sampler(harness.sim, obs);
+void ReplayAppWorkload(ProtocolHarness& harness, uint64_t seed, int steps_per_app) {
   Rng script_rng(seed ^ 0xABCD);
   AppScript word = AppScript::WordProcessor(script_rng.Fork(), steps_per_app);
   AppScript photo = AppScript::PhotoEditor(script_rng.Fork(), steps_per_app);
@@ -320,11 +290,21 @@ ProtocolTrafficResult RunAppWorkloadTraffic(ProtocolKind kind, uint64_t seed,
   // terminate.
   for (const AppScript* script : {&word, &photo, &panel}) {
     TimePoint end = harness.sim.Now() + script->TotalDuration();
-    script->Replay(harness.sim, *harness.protocol);
+    script->Replay(harness.sim, harness.protocol());
     harness.sim.RunUntil(end);
   }
-  harness.protocol->Flush();
+  harness.protocol().Flush();
   harness.sim.RunFor(Duration::Seconds(1));
+}
+
+ProtocolTrafficResult RunAppWorkloadTraffic(ProtocolKind kind, uint64_t seed,
+                                            int steps_per_app, const ObsConfig* obs) {
+  WallClock::time_point t0 = WallClock::now();
+  ProtocolHarness harness(kind, seed);
+  ApplyObs(harness, obs);
+  AttachSimHook(harness.sim, obs);
+  SamplerScope sampler(harness.sim, obs);
+  ReplayAppWorkload(harness, seed, steps_per_app);
 
   ProtocolTrafficResult result;
   result.protocol = ProtocolName(kind);
@@ -335,7 +315,7 @@ ProtocolTrafficResult RunAppWorkloadTraffic(ProtocolKind kind, uint64_t seed,
   result.total_bytes = result.input.bytes + result.display.bytes;
   result.total_messages = result.input.messages + result.display.messages;
   result.avg_message_size = harness.tap.AverageMessageSize();
-  result.packets = harness.display.packets_sent() + harness.input.packets_sent();
+  result.packets = harness.pipeline.packets_sent();
   result.vip_bytes = result.total_bytes - 20 * result.packets;
   FinishRun(result.run, harness.sim, t0);
   return result;
@@ -344,11 +324,11 @@ ProtocolTrafficResult RunAppWorkloadTraffic(ProtocolKind kind, uint64_t seed,
 AnimationLoadResult RunWebPageLoad(ProtocolKind kind, bool banner, bool marquee,
                                    Duration duration, uint64_t seed) {
   WallClock::time_point t0 = WallClock::now();
-  ProtocolHarness harness(kind, seed, Duration::Seconds(1));
+  ProtocolHarness harness(kind, seed);
   WebPageConfig page_cfg;
   page_cfg.banner = banner;
   page_cfg.marquee = marquee;
-  WebPage page(harness.sim, *harness.protocol, page_cfg);
+  WebPage page(harness.sim, harness.protocol(), page_cfg);
   page.Open();
   harness.sim.RunUntil(TimePoint::Zero() + duration);
   page.Close();
@@ -366,7 +346,7 @@ AnimationLoadResult RunGifAnimation(ProtocolKind kind, const GifAnimationOptions
   WallClock::time_point t0 = WallClock::now();
   ProtocolHarness harness(kind, options.seed, options.bucket,
                           {.cache = {.policy = options.cache_policy}});
-  harness.ApplyObs(obs);
+  ApplyObs(harness, obs);
   AttachSimHook(harness.sim, obs);
   SamplerScope sampler(harness.sim, obs);
   AnimationConfig anim_cfg;
@@ -376,7 +356,7 @@ AnimationLoadResult RunGifAnimation(ProtocolKind kind, const GifAnimationOptions
   anim_cfg.width = options.width;
   anim_cfg.height = options.height;
   anim_cfg.compression_ratio = options.compression_ratio;
-  Animation animation(harness.sim, *harness.protocol, anim_cfg);
+  Animation animation(harness.sim, harness.protocol(), anim_cfg);
   animation.Start();
   harness.sim.RunUntil(TimePoint::Zero() + options.duration);
   animation.Stop();
@@ -392,15 +372,15 @@ AnimationLoadResult RunGifAnimation(ProtocolKind kind, const GifAnimationOptions
 
 CacheOverflowResult RunCacheOverflow(int frames, Duration duration, uint64_t seed) {
   WallClock::time_point t0 = WallClock::now();
-  ProtocolHarness harness(ProtocolKind::kRdp, seed, Duration::Seconds(1));
-  auto* rdp = dynamic_cast<RdpProtocol*>(harness.protocol.get());
+  ProtocolHarness harness(ProtocolKind::kRdp, seed);
+  const BitmapCache& cache = *harness.pipeline.cache();
 
   // Server CPU: the RDP encoder's work (cache hits are cheap; misses re-compress the
   // frame) is executed by an encoder thread on a dedicated CPU model.
   Simulator& sim = harness.sim;
   Cpu cpu(sim, std::make_unique<NtScheduler>());
   Thread* encoder = cpu.CreateThread("rdp-encoder", ThreadClass::kDaemon, 13);
-  harness.protocol->set_encode_cost_sink(
+  harness.protocol().set_encode_cost_sink(
       [&cpu, encoder](Duration cost) { cpu.PostWork(*encoder, cost); });
   IdleLoopProfiler profiler(cpu, Duration::Seconds(1));
 
@@ -409,10 +389,10 @@ CacheOverflowResult RunCacheOverflow(int frames, Duration duration, uint64_t see
   for (int pass = 0; pass < 4; ++pass) {
     for (uint64_t icon = 0; icon < 20; ++icon) {
       BitmapRef ref = BitmapRef::Make(0x5E55ull << 32 | icon, 24, 24, 0.6);
-      harness.protocol->SubmitDraw(DrawCommand::PutImage(ref));
+      harness.protocol().SubmitDraw(DrawCommand::PutImage(ref));
     }
   }
-  harness.protocol->Flush();
+  harness.protocol().Flush();
 
   // The 66-frame overflow animation: "Dateline NBC" at 5 fps (Figures 6-7 use 24 000-byte
   // compressed frames against the 1.5 MB cache: 65 fit, 66 do not).
@@ -423,12 +403,12 @@ CacheOverflowResult RunCacheOverflow(int frames, Duration duration, uint64_t see
   anim_cfg.width = 200;
   anim_cfg.height = 150;
   anim_cfg.compression_ratio = 0.8;  // 30 000 raw -> 24 000 compressed
-  Animation animation(sim, *harness.protocol, anim_cfg);
+  Animation animation(sim, harness.protocol(), anim_cfg);
 
   CacheOverflowResult result;
   // Sample the cumulative hit ratio once per second.
   PeriodicTask sampler(sim, Duration::Seconds(1), [&] {
-    result.cumulative_hit_ratio.push_back(rdp->bitmap_cache().CumulativeHitRatio());
+    result.cumulative_hit_ratio.push_back(cache.CumulativeHitRatio());
   });
   sampler.Start(Duration::Millis(999));
   animation.Start();
@@ -474,8 +454,7 @@ RttProbeResult RunRttProbe(double offered_mbps, Duration duration, uint64_t seed
 }
 
 Bytes SessionSetupBytes(ProtocolKind kind) {
-  ProtocolHarness harness(kind, 1, Duration::Seconds(1));
-  return harness.protocol->session_setup_bytes();
+  return ProtocolHarness(kind, 1).protocol().session_setup_bytes();
 }
 
 SizingPoint RunServerSizing(const OsProfile& profile, int users, Duration duration,

@@ -25,6 +25,8 @@
 
 namespace tcs {
 
+struct ProtocolHarness;  // src/proto/protocol_pipeline.h
+
 // Standard kernel/run accounting attached to every experiment result: how many events
 // the simulation kernel dispatched, how many were still pending at the end, and the
 // real (wall-clock) time the run took. For multi-run experiments these are summed over
@@ -149,6 +151,11 @@ struct ProtocolTrafficResult {
 ProtocolTrafficResult RunAppWorkloadTraffic(ProtocolKind kind, uint64_t seed = 1,
                                             int steps_per_app = 600,
                                             const ObsConfig* obs = nullptr);
+
+// The replay behind RunAppWorkloadTraffic, for callers that read the encoder afterwards:
+// the three scripts for `seed` back to back over `harness`, then a flush and one more
+// second (a VNC viewer keeps pulling through it).
+void ReplayAppWorkload(ProtocolHarness& harness, uint64_t seed, int steps_per_app);
 
 struct AnimationLoadResult {
   std::string protocol;

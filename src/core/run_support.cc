@@ -3,22 +3,6 @@
 namespace tcs {
 namespace run_support {
 
-std::string ProtocolName(ProtocolKind kind) {
-  switch (kind) {
-    case ProtocolKind::kRdp:
-      return "RDP";
-    case ProtocolKind::kX:
-      return "X";
-    case ProtocolKind::kLbx:
-      return "LBX";
-    case ProtocolKind::kSlim:
-      return "SLIM";
-    case ProtocolKind::kVnc:
-      return "VNC";
-  }
-  return "?";
-}
-
 void AttachSimHook(Simulator& sim, const ObsConfig* obs) {
   if (obs == nullptr || obs->tracer == nullptr ||
       !obs->tracer->Enabled(TraceCategory::kSim)) {

@@ -13,7 +13,6 @@
 #include <chrono>
 #include <memory>
 #include <sstream>
-#include <string>
 
 #include "src/core/admission.h"
 #include "src/core/experiments.h"
@@ -23,8 +22,6 @@
 
 namespace tcs {
 namespace run_support {
-
-std::string ProtocolName(ProtocolKind kind);
 
 using WallClock = std::chrono::steady_clock;
 

@@ -77,7 +77,6 @@ class Cpu {
 
   Scheduler& scheduler() { return *scheduler_; }
   const Scheduler& scheduler() const { return *scheduler_; }
-  int processor_count() const { return static_cast<int>(processors_.size()); }
   // Thread running on processor `p` (nullptr when idle).
   Thread* running(int p = 0) const { return processors_[static_cast<size_t>(p)].running; }
   // True when every processor is idle.

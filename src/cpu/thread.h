@@ -53,7 +53,6 @@ class Thread {
   WorkItem& CurrentWork() { return work_.front(); }
   void PushWork(WorkItem item) { work_.push_back(std::move(item)); }
   void PopWork() { work_.pop_front(); }
-  size_t QueuedWork() const { return work_.size(); }
 
   // CPU time still owed to the current work item.
   Duration remaining() const { return remaining_; }

@@ -200,7 +200,6 @@ Duration DiskFaultInjector::Perturb(Duration service) {
       ++attempts;
     }
   }
-  total_stall_ += extra;
   return extra;
 }
 

@@ -117,7 +117,6 @@ class DiskFaultInjector {
   int64_t requests() const { return requests_; }
   int64_t stalls() const { return stalls_; }
   int64_t io_errors() const { return io_errors_; }
-  Duration total_stall() const { return total_stall_; }
   double StallRate() const {
     return requests_ > 0 ? static_cast<double>(stalls_) / static_cast<double>(requests_)
                          : 0.0;
@@ -129,7 +128,6 @@ class DiskFaultInjector {
   int64_t requests_ = 0;
   int64_t stalls_ = 0;
   int64_t io_errors_ = 0;
-  Duration total_stall_ = Duration::Zero();
 };
 
 }  // namespace tcs

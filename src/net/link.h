@@ -140,7 +140,6 @@ class Link : public FrameTransport {
   // whether or not it is on; it is off by default and enabled by servers that attribute
   // per-interaction latency.
   void EnableWireLedger() { wire_ledger_enabled_ = true; }
-  bool wire_ledger_enabled() const { return wire_ledger_enabled_; }
 
   // Microseconds of wire occupancy still pending at `now` that belong to retransmitted
   // frames: sum over unfinished retransmit slots of end - max(now, start). Zero unless

@@ -2,8 +2,14 @@
 
 namespace tcs {
 
-Ping::Ping(Simulator& sim, Link& link, PingConfig config)
-    : sim_(sim), link_(link), config_(config) {}
+namespace {
+
+constexpr Bytes kPacketSize = Bytes::Of(64);  // wire size of echo request and reply
+constexpr Duration kInterval = Duration::Millis(100);
+
+}  // namespace
+
+Ping::Ping(Simulator& sim, Link& link) : sim_(sim), link_(link) {}
 
 void Ping::Start() {
   if (running_) {
@@ -27,13 +33,13 @@ void Ping::SendOne() {
   TimePoint sent_at = sim_.Now();
   // Echo request out; on arrival the responder immediately transmits the reply through the
   // same shared medium; RTT measured at reply arrival.
-  link_.Send(config_.packet_size, [this, sent_at] {
-    link_.Send(config_.packet_size, [this, sent_at] {
+  link_.Send(kPacketSize, [this, sent_at] {
+    link_.Send(kPacketSize, [this, sent_at] {
       ++received_;
       rtt_ms_.Add((sim_.Now() - sent_at).ToMillisF());
     });
   });
-  pending_ = sim_.Schedule(config_.interval, [this] { SendOne(); });
+  pending_ = sim_.Schedule(kInterval, [this] { SendOne(); });
 }
 
 }  // namespace tcs

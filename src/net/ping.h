@@ -1,7 +1,7 @@
 // RTT prober reproducing the paper's §6.2 methodology: run ping for 60 seconds at each
-// load level, report the average and variance of RTT over all packets sent. The default
-// 64-byte packet is "roughly the size of a typical input channel message, such as a
-// keystroke", so these RTTs lower-bound what a thin-client user would see.
+// load level, report the average and variance of RTT over all packets sent. Its 64-byte
+// packet is "roughly the size of a typical input channel message, such as a keystroke",
+// so these RTTs lower-bound what a thin-client user would see.
 
 #ifndef TCS_SRC_NET_PING_H_
 #define TCS_SRC_NET_PING_H_
@@ -12,14 +12,9 @@
 
 namespace tcs {
 
-struct PingConfig {
-  Bytes packet_size = Bytes::Of(64);  // wire size of echo request and reply
-  Duration interval = Duration::Millis(100);
-};
-
 class Ping {
  public:
-  Ping(Simulator& sim, Link& link, PingConfig config = {});
+  Ping(Simulator& sim, Link& link);
 
   Ping(const Ping&) = delete;
   Ping& operator=(const Ping&) = delete;
@@ -38,7 +33,6 @@ class Ping {
 
   Simulator& sim_;
   Link& link_;
-  PingConfig config_;
   bool running_ = false;
   EventId pending_;
   int64_t sent_ = 0;

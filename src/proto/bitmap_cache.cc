@@ -5,6 +5,14 @@
 
 namespace tcs {
 
+namespace {
+
+// kLoopAware: switch to loop eviction once this many of the last 32 misses were
+// re-fetches (entries previously evicted).
+constexpr int kRefetchThreshold = 8;
+
+}  // namespace
+
 BitmapCache::BitmapCache(BitmapCacheConfig config) : config_(config) {
   assert(config_.capacity.count() > 0);
 }
@@ -28,8 +36,7 @@ void BitmapCache::NoteMiss(uint64_t hash) {
   }
   recent_miss_window_ = (recent_miss_window_ << 1) | (refetch ? 1u : 0u);
   if (config_.policy == CachePolicy::kLoopAware) {
-    int recent_refetches = std::popcount(recent_miss_window_);
-    loop_mode_ = recent_refetches >= config_.refetch_threshold;
+    loop_mode_ = std::popcount(recent_miss_window_) >= kRefetchThreshold;
   }
 }
 

@@ -28,9 +28,6 @@ enum class CachePolicy { kLru, kLoopAware };
 struct BitmapCacheConfig {
   Bytes capacity = Bytes::Of(3 * 512 * 1024);  // the documented 1.5 MB default
   CachePolicy policy = CachePolicy::kLru;
-  // kLoopAware: switch to loop eviction once this many of the last 32 misses were
-  // re-fetches (entries previously evicted).
-  int refetch_threshold = 8;
 };
 
 class BitmapCache {

@@ -2,9 +2,10 @@
 //
 // A DisplayProtocol sits between applications and the network: DrawCommands submitted on
 // the server are encoded into display-channel messages; InputEvents from the user's
-// machine become input-channel messages. Implementations (X, LBX, RDP) differ in message
-// granularity, compression, caching, and server-side encode cost — exactly the axes §6
-// compares.
+// machine become input-channel messages. Implementations (X, LBX and RDP from §6, SLIM
+// and VNC from §7's related work) differ in message granularity, compression, caching,
+// and server-side encode cost — exactly the axes §6 compares. Each is a fixed set of
+// calibrated sizes; ProtocolPipeline (protocol_pipeline.h) is how callers build one.
 
 #ifndef TCS_SRC_PROTO_DISPLAY_PROTOCOL_H_
 #define TCS_SRC_PROTO_DISPLAY_PROTOCOL_H_
@@ -75,15 +76,13 @@ class DisplayProtocol {
   // track; implementations add their own events (cache hits, compression) via tracer().
   void SetTracer(Tracer* tracer);
 
-  // Graceful degradation: the server's DegradationController pushes its current level
-  // plus a bitmap payload scale (< 1.0 = encode harder and ship smaller rasters, the
+  // Graceful degradation: the server's DegradationController pushes the bitmap payload
+  // scale of its current level (< 1.0 = encode harder and ship smaller rasters, the
   // kHardCache lever; exactly 1.0 = full fidelity and byte-identical to a build without
   // the degradation layer). Protocols without bitmap paths simply ignore the scale.
-  void SetDegradation(int level, double payload_scale) {
-    degradation_level_ = level;
+  void SetDegradedPayloadScale(double payload_scale) {
     degraded_payload_scale_ = payload_scale;
   }
-  int degradation_level() const { return degradation_level_; }
 
  protected:
   double degraded_payload_scale() const { return degraded_payload_scale_; }
@@ -112,7 +111,6 @@ class DisplayProtocol {
   TraceTrack input_track_;
   std::function<void(Duration)> encode_cost_sink_;
   std::function<void(Bytes)> display_hook_;
-  int degradation_level_ = 0;
   double degraded_payload_scale_ = 1.0;
 };
 

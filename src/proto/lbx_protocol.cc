@@ -9,23 +9,28 @@ namespace {
 constexpr uint8_t kEventClass = 0xFE;
 constexpr uint8_t kReplyClass = 0xFD;
 constexpr size_t kDictLimit = 2048;  // rolling history per stream class
+// Proxy framing overhead per LBX message.
+constexpr Bytes kMessageHeader = Bytes::Of(4);
+// Probability that a round-trip reply is answered from the proxy cache (never reaching
+// the wire).
+constexpr double kReplyShortCircuit = 0.3;
+// Requests accumulate until this many raw bytes are pending, then go out as one LBX
+// message (the proxy's small-packet avoidance). Finer than Xlib's batching, which is why
+// LBX sends more, smaller display messages than X.
+constexpr Bytes kCoalesceBelow = Bytes::Of(128);
 
 }  // namespace
 
 LbxProtocol::LbxProtocol(Simulator& sim, MessageSender& display_out,
-                         MessageSender& input_out, ProtoTap* tap, Rng rng,
-                         LbxConfig lbx_config, XProtocolConfig x_config)
-    : XProtocol(sim, display_out, input_out, tap, rng, x_config),
-      lbx_config_(lbx_config) {}
+                         MessageSender& input_out, ProtoTap* tap, Rng rng)
+    : XProtocol(sim, display_out, input_out, tap, rng) {}
 
 Bytes LbxProtocol::session_setup_bytes() const {
-  return x_config().session_setup + Bytes::Of(1024);
+  return XProtocol::session_setup_bytes() + Bytes::Of(1024);
 }
 
 void LbxProtocol::EmitCompressed(Channel channel, uint8_t stream_class,
                                  const std::vector<uint8_t>& raw) {
-  bytes_in_ += static_cast<int64_t>(raw.size());
-
   // Approximate stream compression: the compressed cost of `raw` is the marginal cost of
   // appending it to the class's recent history.
   std::vector<uint8_t>& dict = dict_[stream_class];
@@ -39,8 +44,7 @@ void LbxProtocol::EmitCompressed(Channel channel, uint8_t stream_class,
     dict.erase(dict.begin(), dict.end() - static_cast<ptrdiff_t>(kDictLimit));
   }
 
-  Bytes payload = Bytes::Of(static_cast<int64_t>(marginal)) + lbx_config_.message_header;
-  bytes_out_ += payload.count();
+  Bytes payload = Bytes::Of(static_cast<int64_t>(marginal)) + kMessageHeader;
   // The proxy adds a (small) recompression cost at the server.
   ChargeEncode(Duration::Micros(3 + static_cast<int64_t>(raw.size()) / 100));
   EmitMessage(channel, payload);
@@ -50,7 +54,7 @@ void LbxProtocol::OnRequest(std::vector<uint8_t> request) {
   // Tiny requests ride along with the next one; everything else goes out per-request.
   uint8_t stream_class = request.empty() ? 0 : request[0];
   coalesce_buffer_.insert(coalesce_buffer_.end(), request.begin(), request.end());
-  if (Bytes::Of(static_cast<int64_t>(coalesce_buffer_.size())) < lbx_config_.coalesce_below) {
+  if (Bytes::Of(static_cast<int64_t>(coalesce_buffer_.size())) < kCoalesceBelow) {
     return;
   }
   EmitCompressed(Channel::kDisplay, stream_class, coalesce_buffer_);
@@ -70,7 +74,7 @@ void LbxProtocol::OnEvent(std::vector<uint8_t> event) {
 }
 
 void LbxProtocol::OnReply(std::vector<uint8_t> reply) {
-  if (rng().NextBool(lbx_config_.reply_short_circuit)) {
+  if (rng().NextBool(kReplyShortCircuit)) {
     return;  // answered from the proxy's cache; nothing crosses the wire
   }
   EmitCompressed(Channel::kInput, kReplyClass, reply);

@@ -20,31 +20,14 @@
 
 namespace tcs {
 
-struct LbxConfig {
-  // Proxy framing overhead per LBX message.
-  Bytes message_header = Bytes::Of(4);
-  // Probability that a round-trip reply is answered from the proxy cache (never reaching
-  // the wire).
-  double reply_short_circuit = 0.3;
-  // Requests accumulate until this many raw bytes are pending, then go out as one LBX
-  // message (the proxy's small-packet avoidance). Finer than Xlib's batching, which is why
-  // LBX sends more, smaller display messages than X.
-  Bytes coalesce_below = Bytes::Of(128);
-};
-
 class LbxProtocol final : public XProtocol {
  public:
   LbxProtocol(Simulator& sim, MessageSender& display_out, MessageSender& input_out,
-              ProtoTap* tap, Rng rng, LbxConfig lbx_config = {},
-              XProtocolConfig x_config = {});
+              ProtoTap* tap, Rng rng);
 
   std::string name() const override { return "LBX"; }
   // LBX rides on the X session handshake plus its own proxy negotiation.
   Bytes session_setup_bytes() const override;
-
-  // Total bytes before/after compression, for reporting achieved ratios.
-  int64_t bytes_in() const { return bytes_in_; }
-  int64_t bytes_out() const { return bytes_out_; }
 
   void Flush() override;
 
@@ -59,12 +42,9 @@ class LbxProtocol final : public XProtocol {
   // serves as shared LZ history, approximating the real proxy's stream compressor.
   void EmitCompressed(Channel channel, uint8_t stream_class, const std::vector<uint8_t>& raw);
 
-  LbxConfig lbx_config_;
   std::vector<uint8_t> coalesce_buffer_;
   std::vector<uint8_t> prev_event_;
   std::unordered_map<uint8_t, std::vector<uint8_t>> dict_;
-  int64_t bytes_in_ = 0;
-  int64_t bytes_out_ = 0;
 };
 
 }  // namespace tcs

@@ -5,12 +5,32 @@
 
 namespace tcs {
 
+namespace {
+
+// PDU assembly: orders accumulate until the buffer reaches this size (or Flush()).
+constexpr Bytes kPduFlushThreshold = Bytes::Of(1400);
+// Input events are coalesced into one input PDU per window.
+constexpr Duration kInputBatchWindow = Duration::Millis(50);
+constexpr Bytes kSessionSetup = Bytes::Of(45328);
+// Per-order sizes.
+constexpr Bytes kTextOrderBase = Bytes::Of(8);       // + 2 bytes per cached glyph
+constexpr Bytes kGlyphDefinition = Bytes::Of(26);    // first use of a character
+constexpr Bytes kGeometryOrder = Bytes::Of(12);      // rect / line
+constexpr Bytes kCopyOrder = Bytes::Of(16);          // screen-to-screen blit
+constexpr Bytes kCacheHitOrder = Bytes::Of(12);      // "swap bitmap"
+constexpr Bytes kBitmapOrderHeader = Bytes::Of(22);  // miss: header + compressed raster
+constexpr Bytes kInputPduBase = Bytes::Of(10);
+constexpr Bytes kInputEventBytes = Bytes::Of(4);
+// Server-side encode cost of compressing one raster byte on a cache miss.
+constexpr Duration kBitmapEncodePerKib = Duration::Micros(500);
+
+}  // namespace
+
 RdpProtocol::RdpProtocol(Simulator& sim, MessageSender& display_out,
                          MessageSender& input_out, ProtoTap* tap, Rng rng, RdpConfig config)
-    : DisplayProtocol(sim, display_out, input_out, tap),
-      config_(config),
-      rng_(rng),
-      cache_(config.cache) {}
+    : DisplayProtocol(sim, display_out, input_out, tap), rng_(rng), cache_(config.cache) {}
+
+Bytes RdpProtocol::session_setup_bytes() const { return kSessionSetup; }
 
 RdpProtocol::~RdpProtocol() {
   if (input_flush_event_.IsValid()) {
@@ -19,9 +39,8 @@ RdpProtocol::~RdpProtocol() {
 }
 
 void RdpProtocol::AppendOrder(Bytes order_bytes) {
-  ++orders_encoded_;
   pdu_pending_ += order_bytes;
-  if (pdu_pending_ >= config_.pdu_flush_threshold) {
+  if (pdu_pending_ >= kPduFlushThreshold) {
     FlushPdu();
   }
 }
@@ -47,11 +66,11 @@ void RdpProtocol::EncodeDraw(const DrawCommand& cmd) {
     case DrawOp::kText: {
       // Glyphs render through the glyph cache: first use of a character code ships the
       // raster, subsequent uses a 2-byte index.
-      Bytes order = config_.text_order_base;
+      Bytes order = kTextOrderBase;
       for (int i = 0; i < cmd.text_length; ++i) {
         int glyph = static_cast<int>(rng_.NextBelow(96));
         if (glyphs_seen_.insert(glyph).second) {
-          order += config_.glyph_definition;
+          order += kGlyphDefinition;
         } else {
           order += Bytes::Of(2);
         }
@@ -63,11 +82,11 @@ void RdpProtocol::EncodeDraw(const DrawCommand& cmd) {
     case DrawOp::kRect:
     case DrawOp::kLine:
       ChargeEncode(Duration::Micros(5));
-      AppendOrder(config_.geometry_order);
+      AppendOrder(kGeometryOrder);
       break;
     case DrawOp::kCopyArea:
       ChargeEncode(Duration::Micros(6));
-      AppendOrder(config_.copy_order);
+      AppendOrder(kCopyOrder);
       break;
     case DrawOp::kPutImage: {
       if (cache_.Lookup(cmd.bitmap.content_hash)) {
@@ -76,9 +95,9 @@ void RdpProtocol::EncodeDraw(const DrawCommand& cmd) {
         if (tracer() != nullptr) {
           tracer()->Instant(TraceCategory::kProto, "cache-hit", display_track(),
                             sim().Now(), "raw", cmd.bitmap.raw_bytes.count(), "sent",
-                            config_.cache_hit_order.count());
+                            kCacheHitOrder.count());
         }
-        AppendOrder(config_.cache_hit_order);
+        AppendOrder(kCacheHitOrder);
       } else {
         // Miss: the server compresses and ships the raster, and the client caches it.
         // Under hard-cache degradation the encoder trades extra CPU for a smaller raster
@@ -90,9 +109,9 @@ void RdpProtocol::EncodeDraw(const DrawCommand& cmd) {
           compressed = Bytes::Of(std::max<int64_t>(
               1, static_cast<int64_t>(static_cast<double>(compressed.count()) *
                                       degraded_payload_scale())));
-          ChargeEncode(config_.bitmap_encode_per_kib * kib * 1.5);
+          ChargeEncode(kBitmapEncodePerKib * kib * 1.5);
         } else {
-          ChargeEncode(config_.bitmap_encode_per_kib * kib);
+          ChargeEncode(kBitmapEncodePerKib * kib);
         }
         cache_.Insert(cmd.bitmap.content_hash, compressed);
         if (tracer() != nullptr) {
@@ -100,7 +119,7 @@ void RdpProtocol::EncodeDraw(const DrawCommand& cmd) {
                             sim().Now(), "raw", cmd.bitmap.raw_bytes.count(), "compressed",
                             compressed.count());
         }
-        AppendOrder(config_.bitmap_order_header + compressed);
+        AppendOrder(kBitmapOrderHeader + compressed);
         FlushPdu();  // raster orders go out immediately
       }
       break;
@@ -117,7 +136,7 @@ void RdpProtocol::SubmitInput(const InputEvent& event) {
   ++pending_input_events_;
   if (!input_flush_event_.IsValid() || !sim().IsPending(input_flush_event_)) {
     input_flush_event_ =
-        sim().Schedule(config_.input_batch_window, [this] { FlushInputBatch(); });
+        sim().Schedule(kInputBatchWindow, [this] { FlushInputBatch(); });
   }
 }
 
@@ -125,8 +144,7 @@ void RdpProtocol::FlushInputBatch() {
   if (pending_input_events_ == 0) {
     return;
   }
-  Bytes payload =
-      config_.input_pdu_base + config_.input_event_bytes * pending_input_events_;
+  Bytes payload = kInputPduBase + kInputEventBytes * pending_input_events_;
   pending_input_events_ = 0;
   EmitMessage(Channel::kInput, payload);
 }

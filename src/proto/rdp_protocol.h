@@ -23,22 +23,6 @@
 namespace tcs {
 
 struct RdpConfig {
-  // PDU assembly: orders accumulate until the buffer reaches this size (or Flush()).
-  Bytes pdu_flush_threshold = Bytes::Of(1400);
-  // Input events are coalesced into one input PDU per window.
-  Duration input_batch_window = Duration::Millis(50);
-  Bytes session_setup = Bytes::Of(45328);
-  // Per-order sizes.
-  Bytes text_order_base = Bytes::Of(8);         // + 2 bytes per cached glyph
-  Bytes glyph_definition = Bytes::Of(26);       // first use of a character
-  Bytes geometry_order = Bytes::Of(12);         // rect / line
-  Bytes copy_order = Bytes::Of(16);             // screen-to-screen blit
-  Bytes cache_hit_order = Bytes::Of(12);        // "swap bitmap"
-  Bytes bitmap_order_header = Bytes::Of(22);    // miss: header + compressed raster
-  Bytes input_pdu_base = Bytes::Of(10);
-  Bytes input_event_bytes = Bytes::Of(4);
-  // Server-side encode cost of compressing one raster byte on a cache miss.
-  Duration bitmap_encode_per_kib = Duration::Micros(500);
   BitmapCacheConfig cache;
 };
 
@@ -56,11 +40,10 @@ class RdpProtocol final : public DisplayProtocol {
   // be rebuilt, so the first post-reconnect screenful re-ships rasters (TSE's resync).
   void OnSessionReconnect() override;
   std::string name() const override { return "RDP"; }
-  Bytes session_setup_bytes() const override { return config_.session_setup; }
+  Bytes session_setup_bytes() const override;
 
   const BitmapCache& bitmap_cache() const { return cache_; }
   BitmapCache& bitmap_cache() { return cache_; }
-  int64_t orders_encoded() const { return orders_encoded_; }
 
  private:
   // The order encoder proper; SubmitDraw/SubmitDrawBatch are thin dispatch shims over it.
@@ -69,14 +52,12 @@ class RdpProtocol final : public DisplayProtocol {
   void FlushPdu();
   void FlushInputBatch();
 
-  RdpConfig config_;
   Rng rng_;
   BitmapCache cache_;
   std::unordered_set<int> glyphs_seen_;
   Bytes pdu_pending_ = Bytes::Zero();
   int pending_input_events_ = 0;
   EventId input_flush_event_;
-  int64_t orders_encoded_ = 0;
 };
 
 }  // namespace tcs

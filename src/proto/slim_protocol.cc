@@ -2,14 +2,27 @@
 
 namespace tcs {
 
+namespace {
+
+constexpr Bytes kCommandHeader = Bytes::Of(16);
+constexpr Bytes kInputEventBytes = Bytes::Of(20);
+// Sun Ray session establishment is thin: the appliance is stateless.
+constexpr Bytes kSessionSetup = Bytes::Of(8200);
+// Glyph cell geometry for text rendered as two-color bitmaps.
+constexpr int kGlyphWidth = 8;
+constexpr int kGlyphHeight = 16;
+
+}  // namespace
+
 SlimProtocol::SlimProtocol(Simulator& sim, MessageSender& display_out,
-                           MessageSender& input_out, ProtoTap* tap, Rng rng,
-                           SlimConfig config)
-    : DisplayProtocol(sim, display_out, input_out, tap), config_(config), rng_(rng) {}
+                           MessageSender& input_out, ProtoTap* tap)
+    : DisplayProtocol(sim, display_out, input_out, tap) {}
+
+Bytes SlimProtocol::session_setup_bytes() const { return kSessionSetup; }
 
 void SlimProtocol::EmitCommand(Bytes payload) {
   ++commands_encoded_;
-  EmitMessage(Channel::kDisplay, config_.command_header + payload);
+  EmitMessage(Channel::kDisplay, kCommandHeader + payload);
 }
 
 void SlimProtocol::SubmitDraw(const DrawCommand& cmd) { EncodeDraw(cmd); }
@@ -24,8 +37,7 @@ void SlimProtocol::EncodeDraw(const DrawCommand& cmd) {
   switch (cmd.op) {
     case DrawOp::kText: {
       // BITMAP: 1 bit/pixel glyph cells plus the two colors.
-      int64_t pixels = static_cast<int64_t>(cmd.text_length) * config_.glyph_width *
-                       config_.glyph_height;
+      int64_t pixels = static_cast<int64_t>(cmd.text_length) * kGlyphWidth * kGlyphHeight;
       ChargeEncode(Duration::Micros(4 + cmd.text_length / 2));
       EmitCommand(Bytes::Of(pixels / 8 + 8));
       break;
@@ -58,7 +70,7 @@ void SlimProtocol::EncodeDraw(const DrawCommand& cmd) {
 
 void SlimProtocol::SubmitInput(const InputEvent& event) {
   (void)event;
-  EmitMessage(Channel::kInput, config_.input_event_bytes);
+  EmitMessage(Channel::kInput, kInputEventBytes);
 }
 
 }  // namespace tcs

@@ -12,30 +12,19 @@
 #define TCS_SRC_PROTO_SLIM_PROTOCOL_H_
 
 #include "src/proto/display_protocol.h"
-#include "src/sim/random.h"
 
 namespace tcs {
-
-struct SlimConfig {
-  Bytes command_header = Bytes::Of(16);
-  Bytes input_event_bytes = Bytes::Of(20);
-  // Sun Ray session establishment is thin: the appliance is stateless.
-  Bytes session_setup = Bytes::Of(8200);
-  // Glyph cell geometry for text rendered as two-color bitmaps.
-  int glyph_width = 8;
-  int glyph_height = 16;
-};
 
 class SlimProtocol final : public DisplayProtocol {
  public:
   SlimProtocol(Simulator& sim, MessageSender& display_out, MessageSender& input_out,
-               ProtoTap* tap, Rng rng, SlimConfig config = {});
+               ProtoTap* tap);
 
   void SubmitDraw(const DrawCommand& cmd) override;
   void SubmitDrawBatch(std::span<const DrawCommand> cmds) override;
   void SubmitInput(const InputEvent& event) override;
   std::string name() const override { return "SLIM"; }
-  Bytes session_setup_bytes() const override { return config_.session_setup; }
+  Bytes session_setup_bytes() const override;
 
   int64_t commands_encoded() const { return commands_encoded_; }
 
@@ -44,8 +33,6 @@ class SlimProtocol final : public DisplayProtocol {
   void EncodeDraw(const DrawCommand& cmd);
   void EmitCommand(Bytes payload);
 
-  SlimConfig config_;
-  Rng rng_;
   int64_t commands_encoded_ = 0;
 };
 

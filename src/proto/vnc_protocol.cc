@@ -4,15 +4,31 @@
 
 namespace tcs {
 
+namespace {
+
+// Client pull cadence (request -> update round).
+constexpr Duration kPullInterval = Duration::Millis(100);
+constexpr Bytes kUpdateRequestBytes = Bytes::Of(10);
+constexpr Bytes kUpdateHeader = Bytes::Of(16);
+constexpr Bytes kRectHeader = Bytes::Of(12);
+constexpr Bytes kInputEventBytes = Bytes::Of(8);
+// Hextile-style encoding effectiveness on UI content.
+constexpr double kEncodeRatio = 0.45;
+// Total framebuffer size (dirty bytes per round are capped by a full-screen repaint).
+constexpr Bytes kFramebuffer = Bytes::Of(800 * 600);
+constexpr Bytes kSessionSetup = Bytes::Of(12400);
+
+}  // namespace
+
 VncProtocol::VncProtocol(Simulator& sim, MessageSender& display_out,
-                         MessageSender& input_out, ProtoTap* tap, Rng rng, VncConfig config)
+                         MessageSender& input_out, ProtoTap* tap)
     : DisplayProtocol(sim, display_out, input_out, tap),
-      config_(config),
-      rng_(rng),
-      pull_task_(sim, config.pull_interval, [this] { OnPull(); }) {}
+      pull_task_(sim, kPullInterval, [this] { OnPull(); }) {}
+
+Bytes VncProtocol::session_setup_bytes() const { return kSessionSetup; }
 
 void VncProtocol::StartClientPull() {
-  pull_task_.Start(config_.pull_interval);
+  pull_task_.Start(kPullInterval);
 }
 
 void VncProtocol::StopClientPull() {
@@ -55,21 +71,21 @@ void VncProtocol::EncodeDraw(const DrawCommand& cmd) {
   }
   ChargeEncode(Duration::Micros(2 + raw.count() / 200));
   // Rapid repeated damage to the same region coalesces: cap at a full-screen repaint.
-  dirty_raw_ = std::min(dirty_raw_ + raw, config_.framebuffer);
+  dirty_raw_ = std::min(dirty_raw_ + raw, kFramebuffer);
   ++dirty_rects_;
 }
 
 void VncProtocol::OnPull() {
   // Client request (input channel)...
-  EmitMessage(Channel::kInput, config_.update_request_bytes);
+  EmitMessage(Channel::kInput, kUpdateRequestBytes);
   if (dirty_raw_.count() == 0) {
     return;  // server withholds the update until something changes
   }
   // ...server responds with the encoded dirty regions.
   int rects = std::min(dirty_rects_, 16);
-  Bytes encoded = Bytes::Of(static_cast<int64_t>(
-      static_cast<double>(dirty_raw_.count()) * config_.encode_ratio));
-  Bytes payload = config_.update_header + config_.rect_header * rects + encoded;
+  Bytes encoded =
+      Bytes::Of(static_cast<int64_t>(static_cast<double>(dirty_raw_.count()) * kEncodeRatio));
+  Bytes payload = kUpdateHeader + kRectHeader * rects + encoded;
   ChargeEncode(Duration::Micros(20 + dirty_raw_.count() / 100));
   ++updates_sent_;
   EmitMessage(Channel::kDisplay, payload);
@@ -84,7 +100,7 @@ void VncProtocol::Flush() {
 
 void VncProtocol::SubmitInput(const InputEvent& event) {
   (void)event;
-  EmitMessage(Channel::kInput, config_.input_event_bytes);
+  EmitMessage(Channel::kInput, kInputEventBytes);
 }
 
 }  // namespace tcs

@@ -7,6 +7,18 @@ namespace tcs {
 
 namespace {
 
+// Xlib output buffer: requests accumulate and flush once this many bytes are pending.
+constexpr Bytes kFlushThreshold = Bytes::Of(256);
+// Fixed size of an X event on the wire.
+constexpr Bytes kEventBytes = Bytes::Of(32);
+// Session negotiation cost measured in the paper's configuration.
+constexpr Bytes kSessionSetup = Bytes::Of(16312);
+// Payload entropy (see Rng::FillBytes): how compressible each class of bytes is.
+constexpr double kTextRedundancy = 0.85;
+constexpr double kGeometryRedundancy = 0.7;
+constexpr double kImageRedundancy = 0.88;  // UI rasters are flat-region-heavy: LZ halves them
+constexpr double kReplyRedundancy = 0.6;
+
 // X pads all requests to 4-byte boundaries.
 size_t Pad4(size_t n) {
   return (n + 3) & ~size_t{3};
@@ -15,8 +27,10 @@ size_t Pad4(size_t n) {
 }  // namespace
 
 XProtocol::XProtocol(Simulator& sim, MessageSender& display_out, MessageSender& input_out,
-                     ProtoTap* tap, Rng rng, XProtocolConfig config)
-    : DisplayProtocol(sim, display_out, input_out, tap), config_(config), rng_(rng) {}
+                     ProtoTap* tap, Rng rng)
+    : DisplayProtocol(sim, display_out, input_out, tap), rng_(rng) {}
+
+Bytes XProtocol::session_setup_bytes() const { return kSessionSetup; }
 
 std::vector<uint8_t> XProtocol::BuildRequest(uint8_t opcode, size_t payload_len,
                                              double redundancy) {
@@ -88,20 +102,20 @@ void XProtocol::EncodeDraw(const DrawCommand& cmd) {
       // PolyText8: 24-byte fixed part + the string.
       ChargeEncode(Duration::Micros(5 + cmd.text_length / 4));
       OnRequest(BuildRequest(74, 20 + static_cast<size_t>(cmd.text_length),
-                             config_.text_redundancy));
+                             kTextRedundancy));
       break;
     }
     case DrawOp::kRect:
       ChargeEncode(Duration::Micros(4));
-      OnRequest(BuildRequest(70, 24, config_.geometry_redundancy));  // PolyFillRectangle
+      OnRequest(BuildRequest(70, 24, kGeometryRedundancy));  // PolyFillRectangle
       break;
     case DrawOp::kLine:
       ChargeEncode(Duration::Micros(4));
-      OnRequest(BuildRequest(65, 20, config_.geometry_redundancy));  // PolyLine
+      OnRequest(BuildRequest(65, 20, kGeometryRedundancy));  // PolyLine
       break;
     case DrawOp::kCopyArea:
       ChargeEncode(Duration::Micros(6));
-      OnRequest(BuildRequest(62, 24, config_.geometry_redundancy));  // CopyArea
+      OnRequest(BuildRequest(62, 24, kGeometryRedundancy));  // CopyArea
       break;
     case DrawOp::kPutImage: {
       // PutImage ships the raw pixels: 20-byte fixed part + w*h bytes at 8 bpp. Server
@@ -117,7 +131,7 @@ void XProtocol::EncodeDraw(const DrawCommand& cmd) {
       bytes[2] = static_cast<uint8_t>(total / 4);
       bytes[3] = static_cast<uint8_t>((total / 4) >> 8);
       Rng content_rng(cmd.bitmap.content_hash);
-      content_rng.FillBytes(bytes.data() + 4, total - 4, config_.image_redundancy);
+      content_rng.FillBytes(bytes.data() + 4, total - 4, kImageRedundancy);
       ++requests_encoded_;
       RequestProfile& prof = request_profile_[72];
       ++prof.count;
@@ -129,7 +143,7 @@ void XProtocol::EncodeDraw(const DrawCommand& cmd) {
       // Round trip: the pending buffer must flush, then the reply arrives on the input
       // channel (from the display server on the user's machine back to the application).
       ChargeEncode(Duration::Micros(8));
-      OnRequest(BuildRequest(43, 4, config_.geometry_redundancy));  // e.g. GetInputFocus
+      OnRequest(BuildRequest(43, 4, kGeometryRedundancy));  // e.g. GetInputFocus
       Flush();
       // Replies (font metrics, window properties) are highly repetitive across queries;
       // model them as drifting from a template like requests are.
@@ -137,7 +151,7 @@ void XProtocol::EncodeDraw(const DrawCommand& cmd) {
       std::vector<uint8_t>& tmpl = request_templates_[0xFF];
       if (tmpl.size() != reply_len) {
         tmpl.resize(reply_len);
-        rng_.FillBytes(tmpl.data(), tmpl.size(), config_.reply_redundancy);
+        rng_.FillBytes(tmpl.data(), tmpl.size(), kReplyRedundancy);
       }
       size_t mutations = std::max<size_t>(1, reply_len / 16);
       for (size_t m = 0; m < mutations; ++m) {
@@ -154,7 +168,7 @@ void XProtocol::SubmitInput(const InputEvent& event) {
   // X events are fixed 32-byte structures: type/detail/sequence/time/coordinates, then
   // padding. Consecutive events share almost everything, which is what LBX's delta
   // encoding exploits.
-  std::vector<uint8_t> bytes(static_cast<size_t>(config_.event_bytes.count()), 0);
+  std::vector<uint8_t> bytes(static_cast<size_t>(kEventBytes.count()), 0);
   bytes[0] = static_cast<uint8_t>(event.type);
   bytes[1] = static_cast<uint8_t>(event.code);
   bytes[4] = static_cast<uint8_t>(event.x);
@@ -170,7 +184,7 @@ void XProtocol::SubmitInput(const InputEvent& event) {
 
 void XProtocol::OnRequest(std::vector<uint8_t> request) {
   xlib_buffer_.insert(xlib_buffer_.end(), request.begin(), request.end());
-  if (Bytes::Of(static_cast<int64_t>(xlib_buffer_.size())) >= config_.flush_threshold) {
+  if (Bytes::Of(static_cast<int64_t>(xlib_buffer_.size())) >= kFlushThreshold) {
     FlushDisplayBuffer();
   }
 }

@@ -23,31 +23,17 @@
 
 namespace tcs {
 
-struct XProtocolConfig {
-  // Xlib output buffer: requests accumulate and flush once this many bytes are pending.
-  Bytes flush_threshold = Bytes::Of(256);
-  // Fixed size of an X event on the wire.
-  Bytes event_bytes = Bytes::Of(32);
-  // Session negotiation cost measured in the paper's configuration.
-  Bytes session_setup = Bytes::Of(16312);
-  // Payload entropy knobs (see Rng::FillBytes): how compressible each class of bytes is.
-  double text_redundancy = 0.85;
-  double geometry_redundancy = 0.7;
-  double image_redundancy = 0.88;  // UI rasters are flat-region-heavy: LZ halves them
-  double reply_redundancy = 0.6;
-};
-
 class XProtocol : public DisplayProtocol {
  public:
   XProtocol(Simulator& sim, MessageSender& display_out, MessageSender& input_out,
-            ProtoTap* tap, Rng rng, XProtocolConfig config = {});
+            ProtoTap* tap, Rng rng);
 
   void SubmitDraw(const DrawCommand& cmd) override;
   void SubmitDrawBatch(std::span<const DrawCommand> cmds) override;
   void SubmitInput(const InputEvent& event) override;
   void Flush() override;
   std::string name() const override { return "X"; }
-  Bytes session_setup_bytes() const override { return config_.session_setup; }
+  Bytes session_setup_bytes() const override;
 
   int64_t requests_encoded() const { return requests_encoded_; }
 
@@ -72,7 +58,6 @@ class XProtocol : public DisplayProtocol {
   virtual void OnEvent(std::vector<uint8_t> event);
   virtual void OnReply(std::vector<uint8_t> reply);
 
-  const XProtocolConfig& x_config() const { return config_; }
   Rng& rng() { return rng_; }
 
   // Builds an X request: 4-byte header then `payload_len` bytes of `redundancy` entropy.
@@ -90,7 +75,6 @@ class XProtocol : public DisplayProtocol {
   void EncodeDraw(const DrawCommand& cmd);
   void FlushDisplayBuffer();
 
-  XProtocolConfig config_;
   Rng rng_;
   std::vector<uint8_t> xlib_buffer_;
   std::unordered_map<uint8_t, std::vector<uint8_t>> request_templates_;

@@ -64,7 +64,6 @@ void DegradationController::SetTracer(Tracer* tracer) {
 void DegradationController::Poll() {
   ++polls_;
   int64_t pressure = pressure_bytes_();
-  last_pressure_ = pressure;
   const int64_t step = config_.level_step.count();
   // Upshift first, and all the way: sustained pressure crossing several thresholds in
   // one poll interval engages the matching level immediately (monotone in pressure).

@@ -133,7 +133,6 @@ class DegradationController {
   // Virtual time spent at or above kCoalesce so far (closed intervals only... the final
   // open interval is closed by the caller sampling at run end via DegradedTimeThrough).
   Duration DegradedTimeThrough(TimePoint now) const;
-  int64_t last_pressure_bytes() const { return last_pressure_; }
 
   // Fired on every level change, after the transition is logged.
   void set_on_transition(std::function<void(int from, int to, TimePoint at)> fn) {
@@ -156,7 +155,6 @@ class DegradationController {
   TraceTrack trace_track_;
   int level_ = 0;
   int calm_polls_ = 0;
-  int64_t last_pressure_ = 0;
   int64_t animation_counter_ = 0;
   int64_t animation_frames_dropped_ = 0;
   int64_t upshifts_ = 0;

@@ -5,7 +5,6 @@
 
 #include "src/obs/flight_recorder.h"
 #include "src/util/config_error.h"
-#include "src/proto/protocol_factory.h"
 #include "src/workload/sink.h"
 
 namespace tcs {
@@ -186,7 +185,7 @@ Server::Server(Simulator& sim, OsProfile profile, ServerConfig config)
       double scale = DegradedPayloadScale(to);
       for (const auto& s : sessions_) {
         if (!s->logged_out_) {
-          s->protocol_->SetDegradation(to, scale);
+          s->protocol().SetDegradedPayloadScale(scale);
         }
       }
     });
@@ -287,31 +286,27 @@ Session& Server::Login(bool light_session) {
   // The session's own protocol pipeline: a flow-accounting tap on the one shared
   // transport, its message senders, and a fresh encoder + caches.
   s.flow_ = std::make_unique<SessionFlow>(PickTransport(reliable_, link_));
-  s.display_sender_ = std::make_unique<MessageSender>(*s.flow_, HeaderModel::TcpIp());
-  s.input_sender_ = std::make_unique<MessageSender>(*s.flow_, HeaderModel::TcpIp());
-  s.protocol_ = MakeProtocol(profile_.protocol_kind, sim_, *s.display_sender_,
-                             *s.input_sender_, &tap_, rng_.Fork());
+  s.proto_.emplace(profile_.protocol_kind, sim_, *s.flow_, &tap_, rng_.Fork());
+  DisplayProtocol& encoder = s.protocol();
   Session* sp = &s;
-  s.protocol_->set_display_message_hook(
-      [sp](Bytes payload) { sp->update_payload_ += payload; });
+  encoder.set_display_message_hook([sp](Bytes payload) { sp->update_payload_ += payload; });
   if (config_.tracer != nullptr) {
-    s.protocol_->SetTracer(config_.tracer);
+    encoder.SetTracer(config_.tracer);
   }
   if (degradation_ != nullptr) {
     // A login mid-degradation joins the ladder at the current level.
-    s.protocol_->SetDegradation(degradation_->level(),
-                                DegradedPayloadScale(degradation_->level()));
+    encoder.SetDegradedPayloadScale(DegradedPayloadScale(degradation_->level()));
   }
   if (config_.metrics != nullptr && !bitmap_gauge_registered_) {
-    if (auto* rdp = dynamic_cast<RdpProtocol*>(s.protocol_.get())) {
+    if (const BitmapCache* cache = s.proto_->cache()) {
       config_.metrics->AddGauge("bitmap_cache_hit_rate",
-                                [rdp] { return rdp->bitmap_cache().CumulativeHitRatio(); });
+                                [cache] { return cache->CumulativeHitRatio(); });
       bitmap_gauge_registered_ = true;
     }
   }
 
   // Session negotiation and initialization traffic (§6.1.1).
-  s.display_sender_->SendMessage(s.protocol_->session_setup_bytes());
+  s.proto_->display().SendMessage(encoder.session_setup_bytes());
   return s;
 }
 
@@ -370,8 +365,8 @@ void Server::Keystroke(Session& session) {
     return;
   }
   TimePoint sent_at = sim_.Now();
-  session.protocol_->SubmitInput(InputEvent::Key(true));
-  session.protocol_->SubmitInput(InputEvent::Key(false));
+  session.protocol().SubmitInput(InputEvent::Key(true));
+  session.protocol().SubmitInput(InputEvent::Key(false));
   Duration transit = InputTransitDelay();
   if (link_fault_ != nullptr && link_fault_->wan_active()) {
     // WAN input leg: extra one-way delay plus jitter from the dedicated input stream.
@@ -544,8 +539,8 @@ void Server::CompletePipeline(Session& session, int batch) {
     retrans_wait_us = std::min(backlog_us, link_.PendingRetransmitWireUs(now));
   }
   session.update_payload_ = Bytes::Zero();
-  session.protocol_->SubmitDraw(DrawCommand::Text(batch));
-  session.protocol_->Flush();
+  session.protocol().SubmitDraw(DrawCommand::Text(batch));
+  session.protocol().Flush();
   TimePoint emitted = sim_.Now();
   // The update's frames were just queued: the link's horizon is their last bit.
   TimePoint delivered = emitted;
@@ -670,9 +665,9 @@ void Server::Reconnect(Session& session) {
     // TSE keeps the session alive server-side; the returning client arrives with cold
     // caches. Invalidate them and pay a resync burst — a fraction of full session setup
     // (capability re-negotiation plus a screen repaint's worth of orders).
-    session.protocol_->OnSessionReconnect();
-    session.display_sender_->SendMessage(
-        Bytes::Of(session.protocol_->session_setup_bytes().count() / 4));
+    session.protocol().OnSessionReconnect();
+    session.proto_->display().SendMessage(
+        Bytes::Of(session.protocol().session_setup_bytes().count() / 4));
   } else {
     // X-family sessions die with the transport: the login restarts cold. Everything the
     // old processes had resident is gone, in-flight pipeline work is abandoned, and the
@@ -681,12 +676,12 @@ void Server::Reconnect(Session& session) {
     session.pending_keystrokes_ = 0;
     session.pipeline_busy_ = false;
     session.hold_pending_ = false;
-    session.protocol_->OnSessionReconnect();
+    session.protocol().OnSessionReconnect();
     for (size_t i = 0; i < session.process_spaces_.size(); ++i) {
       pager_.MarkSwappedOut(*session.process_spaces_[i], 0, session.process_pages_[i]);
     }
     pager_.MarkSwappedOut(*session.working_set_, 0, profile_.editor_working_set_pages);
-    session.display_sender_->SendMessage(session.protocol_->session_setup_bytes());
+    session.proto_->display().SendMessage(session.protocol().session_setup_bytes());
   }
 }
 

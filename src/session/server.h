@@ -8,6 +8,7 @@
 #include <cassert>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/client/thin_client.h"
@@ -20,7 +21,7 @@
 #include "src/net/reliable.h"
 #include "src/obs/attribution.h"
 #include "src/obs/metrics.h"
-#include "src/proto/display_protocol.h"
+#include "src/proto/protocol_pipeline.h"
 #include "src/session/degradation.h"
 #include "src/session/os_profile.h"
 #include "src/sim/periodic.h"
@@ -83,11 +84,8 @@ class Session {
 
   // This session's protocol pipeline and its flow-accounting tap on the shared link
   // (valid from Login until the server dies; the protocol survives Logout).
-  DisplayProtocol& protocol() const { return *protocol_; }
+  DisplayProtocol& protocol() const { return proto_->protocol(); }
   const SessionFlow& flow() const { return *flow_; }
-
-  // True once the user logged out: processes torn down, memory released.
-  bool logged_out() const { return logged_out_; }
 
   // Background (non-interactive) sessions — media players, marquees — are the first
   // service the degradation ladder sacrifices (see Server::SetBackground).
@@ -120,7 +118,7 @@ class Session {
   Bytes private_memory_ = Bytes::Zero();
   Bytes shared_memory_ = Bytes::Zero();
   bool connected_ = true;
-  bool logged_out_ = false;
+  bool logged_out_ = false;  // processes torn down, memory released
   bool background_ = false;
   uint64_t generation_ = 0;
   TimePoint disconnected_at_;
@@ -130,12 +128,10 @@ class Session {
   std::vector<std::string> shared_keys_;  // pager segments to release on logout
   AddressSpace* working_set_ = nullptr;
   // The session's own protocol pipeline, multiplexed over the server's one link: a
-  // flow-accounting tap on the shared transport, two message senders riding it, and the
-  // encoder + caches. Each session encodes independently; they contend on the wire.
+  // flow-accounting tap on the shared transport, and the message senders and encoder +
+  // caches riding it. Each session encodes independently; they contend on the wire.
   std::unique_ptr<SessionFlow> flow_;
-  std::unique_ptr<MessageSender> display_sender_;
-  std::unique_ptr<MessageSender> input_sender_;
-  std::unique_ptr<DisplayProtocol> protocol_;
+  std::optional<ProtocolPipeline> proto_;
   // Display payload accumulated since the last pipeline completion (this session's
   // client decode bill for the current update).
   Bytes update_payload_ = Bytes::Zero();
@@ -230,12 +226,10 @@ class Server {
   // use Session::protocol() for the others.
   DisplayProtocol& protocol() {
     assert(!sessions_.empty());
-    return *sessions_.front()->protocol_;
+    return sessions_.front()->protocol();
   }
   ProtoTap& tap() { return tap_; }
   const std::vector<std::unique_ptr<Session>>& sessions() const { return sessions_; }
-  // Frames available to user pages given RAM minus the profile's idle system memory.
-  size_t available_frames() const { return pager_.total_frames(); }
 
  private:
   void PostDaemonEpisode(size_t daemon_idx);

@@ -39,7 +39,6 @@ void Animation::DrawNextFrame() {
   const BitmapRef& frame = frames_[static_cast<size_t>(next_frame_)];
   next_frame_ = (next_frame_ + 1) % config_.frame_count;
   if (gate_ && !gate_()) {
-    ++frames_skipped_;
     return;
   }
   ++frames_drawn_;

@@ -40,8 +40,6 @@ class Animation {
   bool IsRunning() const { return task_.IsRunning(); }
 
   int64_t frames_drawn() const { return frames_drawn_; }
-  // Ticks where the gate vetoed the frame (graceful degradation thinning/pausing).
-  int64_t frames_skipped() const { return frames_skipped_; }
   const AnimationConfig& config() const { return config_; }
   // The frame set this animation cycles through.
   const std::vector<BitmapRef>& frames() const { return frames_; }
@@ -60,7 +58,6 @@ class Animation {
   std::function<bool()> gate_;
   int next_frame_ = 0;
   int64_t frames_drawn_ = 0;
-  int64_t frames_skipped_ = 0;
   PeriodicTask task_;
 };
 

@@ -51,7 +51,7 @@ void Marquee::Tick() {
 
 WebPage::WebPage(Simulator& sim, DisplayProtocol& protocol, WebPageConfig config) {
   if (config.banner) {
-    AnimationConfig banner = config.banner_config;
+    AnimationConfig banner;
     banner.id = 1;
     banner.frame_count = 10;
     banner.frame_period = Duration::Millis(500);  // banner GIFs flip ~2 fps
@@ -61,7 +61,7 @@ WebPage::WebPage(Simulator& sim, DisplayProtocol& protocol, WebPageConfig config
     banner_.emplace(sim, protocol, banner);
   }
   if (config.marquee) {
-    marquee_.emplace(sim, protocol, config.marquee_config);
+    marquee_.emplace(sim, protocol);
   }
 }
 

@@ -63,8 +63,6 @@ class Marquee {
 struct WebPageConfig {
   bool banner = true;
   bool marquee = true;
-  AnimationConfig banner_config;   // defaults overridden in the constructor
-  MarqueeConfig marquee_config;
 };
 
 class WebPage {

@@ -1,11 +1,13 @@
 // Behavioural tests for the X / LBX / RDP protocol models: message granularity,
-// compression, caching, and the relative-efficiency properties §6 reports.
+// compression, caching, and the relative-efficiency properties §6 reports; and for the
+// kind table and the pipeline that builds every model.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "src/proto/lbx_protocol.h"
+#include "src/proto/protocol_pipeline.h"
 #include "src/proto/rdp_protocol.h"
 #include "src/proto/x_protocol.h"
 
@@ -304,6 +306,31 @@ TEST(ProtocolComparisonTest, ByteEfficiencyOrdering) {
   int64_t rdp_bytes = run([](ProtoFixture& f) { return f.Make<RdpProtocol>(); });
   EXPECT_LT(rdp_bytes, lbx_bytes);
   EXPECT_LT(lbx_bytes, x_bytes);
+}
+
+// The one kind table: every word parses back to its kind, and the pipeline builds the
+// encoder whose name the table prints for that kind.
+TEST(ProtocolKindTest, TableMatchesTheEncoderThePipelineBuilds) {
+  for (const ProtocolNames& p : kProtocols) {
+    EXPECT_EQ(ProtocolFromWord(p.word), p.kind);
+    EXPECT_STREQ(ProtocolWord(p.kind), p.word);
+    EXPECT_EQ(ProtocolHarness(p.kind, 1).protocol().name(), ProtocolName(p.kind));
+  }
+  EXPECT_EQ(ProtocolFromWord("RDP"), std::nullopt);  // words are lower case
+  EXPECT_EQ(ProtocolFromWord(""), std::nullopt);
+}
+
+TEST(ProtocolHarnessTest, DrainFlushesTheEncoderAndLeavesNothingPending) {
+  for (const ProtocolNames& p : kProtocols) {
+    ProtocolHarness h(p.kind, 1);
+    h.protocol().SubmitInput(InputEvent::Key(true));
+    h.protocol().SubmitDraw(DrawCommand::Text(8));
+    h.Drain();
+    EXPECT_EQ(h.sim.pending_events(), 0u) << p.word;
+    EXPECT_GT(h.tap.messages(Channel::kInput), 0) << p.word;
+    // VNC ships damage only on a pull, and Drain stops the pull first.
+    EXPECT_EQ(h.tap.messages(Channel::kDisplay) > 0, p.kind != ProtocolKind::kVnc) << p.word;
+  }
 }
 
 }  // namespace

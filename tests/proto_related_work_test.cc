@@ -28,7 +28,7 @@ struct ProtoFixture {
 
 TEST(SlimProtocolTest, OneMessagePerCommand) {
   ProtoFixture f;
-  SlimProtocol slim(f.sim, f.display, f.input, &f.tap, Rng(1));
+  SlimProtocol slim(f.sim, f.display, f.input, &f.tap);
   slim.SubmitDraw(DrawCommand::Rect(10, 10));
   slim.SubmitDraw(DrawCommand::Line(20));
   slim.SubmitDraw(DrawCommand::CopyArea(100, 100));
@@ -38,7 +38,7 @@ TEST(SlimProtocolTest, OneMessagePerCommand) {
 
 TEST(SlimProtocolTest, TextShipsAsTwoColorBitmap) {
   ProtoFixture f;
-  SlimProtocol slim(f.sim, f.display, f.input, &f.tap, Rng(1));
+  SlimProtocol slim(f.sim, f.display, f.input, &f.tap);
   slim.SubmitDraw(DrawCommand::Text(10));
   // 10 glyphs of 8x16 at 1 bpp = 160 bytes + colors + header.
   EXPECT_GE(f.tap.payload_bytes(Channel::kDisplay), Bytes::Of(160));
@@ -47,7 +47,7 @@ TEST(SlimProtocolTest, TextShipsAsTwoColorBitmap) {
 
 TEST(SlimProtocolTest, NoBitmapCache) {
   ProtoFixture f;
-  SlimProtocol slim(f.sim, f.display, f.input, &f.tap, Rng(1));
+  SlimProtocol slim(f.sim, f.display, f.input, &f.tap);
   BitmapRef bmp = BitmapRef::Make(5, 100, 50, 0.5);
   slim.SubmitDraw(DrawCommand::PutImage(bmp));
   Bytes first = f.tap.payload_bytes(Channel::kDisplay);
@@ -60,14 +60,14 @@ TEST(SlimProtocolTest, NoBitmapCache) {
 
 TEST(SlimProtocolTest, SyncIsLocal) {
   ProtoFixture f;
-  SlimProtocol slim(f.sim, f.display, f.input, &f.tap, Rng(1));
+  SlimProtocol slim(f.sim, f.display, f.input, &f.tap);
   slim.SubmitDraw(DrawCommand::Sync(Bytes::Of(500)));
   EXPECT_EQ(f.tap.total_messages(), 0);
 }
 
 TEST(VncProtocolTest, NoUpdateWithoutPull) {
   ProtoFixture f;
-  VncProtocol vnc(f.sim, f.display, f.input, &f.tap, Rng(1));
+  VncProtocol vnc(f.sim, f.display, f.input, &f.tap);
   vnc.SubmitDraw(DrawCommand::Rect(100, 100));
   f.sim.RunFor(Duration::Seconds(1));
   // Pull never started: nothing ships.
@@ -76,7 +76,7 @@ TEST(VncProtocolTest, NoUpdateWithoutPull) {
 
 TEST(VncProtocolTest, PullShipsCoalescedUpdate) {
   ProtoFixture f;
-  VncProtocol vnc(f.sim, f.display, f.input, &f.tap, Rng(1));
+  VncProtocol vnc(f.sim, f.display, f.input, &f.tap);
   vnc.StartClientPull();
   vnc.SubmitDraw(DrawCommand::Rect(100, 100));
   vnc.SubmitDraw(DrawCommand::Rect(50, 50));
@@ -90,7 +90,7 @@ TEST(VncProtocolTest, PullShipsCoalescedUpdate) {
 
 TEST(VncProtocolTest, IdleScreenShipsNothing) {
   ProtoFixture f;
-  VncProtocol vnc(f.sim, f.display, f.input, &f.tap, Rng(1));
+  VncProtocol vnc(f.sim, f.display, f.input, &f.tap);
   vnc.StartClientPull();
   f.sim.RunFor(Duration::Seconds(2));
   vnc.StopClientPull();
@@ -100,7 +100,7 @@ TEST(VncProtocolTest, IdleScreenShipsNothing) {
 
 TEST(VncProtocolTest, FastAnimationCoalescesToPullRate) {
   ProtoFixture f;
-  VncProtocol vnc(f.sim, f.display, f.input, &f.tap, Rng(1));
+  VncProtocol vnc(f.sim, f.display, f.input, &f.tap);
   vnc.StartClientPull();
   // 20 Hz damage against a 10 Hz pull: at most one update per pull.
   for (int i = 0; i < 40; ++i) {
@@ -115,19 +115,19 @@ TEST(VncProtocolTest, FastAnimationCoalescesToPullRate) {
 
 TEST(VncProtocolTest, DirtyBytesCappedAtFramebuffer) {
   ProtoFixture f;
-  VncConfig cfg;
-  cfg.framebuffer = Bytes::Of(10000);
-  VncProtocol vnc(f.sim, f.display, f.input, &f.tap, Rng(1), cfg);
+  VncProtocol vnc(f.sim, f.display, f.input, &f.tap);
   vnc.StartClientPull();
+  // 100 rasters of 40,000 bytes: eight times the 800x600 8-bpp framebuffer.
   for (int i = 0; i < 100; ++i) {
     vnc.SubmitDraw(DrawCommand::PutImage(BitmapRef::Make(100 + i, 200, 200, 0.5)));
   }
   f.sim.RunFor(Duration::Millis(150));
   vnc.StopClientPull();
-  // One update, encoded from at most one framebuffer's worth of dirty pixels.
+  // One update, encoded (at 0.45) from exactly one framebuffer's worth of dirty pixels,
+  // behind the 16-byte update header and 16 rect headers of 12 bytes.
   EXPECT_EQ(vnc.updates_sent(), 1);
-  EXPECT_LT(f.tap.payload_bytes(Channel::kDisplay),
-            Bytes::Of(10000 + 16 + 16 * 12 + 100));
+  EXPECT_EQ(f.tap.payload_bytes(Channel::kDisplay),
+            Bytes::Of(800 * 600 * 45 / 100 + 16 + 16 * 12));
 }
 
 TEST(RelatedWorkComparisonTest, SlimRoughlyEquivalentToX) {
@@ -153,7 +153,7 @@ TEST(RelatedWorkComparisonTest, SlimRoughlyEquivalentToX) {
     return std::make_unique<XProtocol>(f.sim, f.display, f.input, &f.tap, Rng(3));
   });
   int64_t slim_bytes = run([](ProtoFixture& f) {
-    return std::make_unique<SlimProtocol>(f.sim, f.display, f.input, &f.tap, Rng(3));
+    return std::make_unique<SlimProtocol>(f.sim, f.display, f.input, &f.tap);
   });
   int64_t rdp_bytes = run([](ProtoFixture& f) {
     return std::make_unique<RdpProtocol>(f.sim, f.display, f.input, &f.tap, Rng(3));

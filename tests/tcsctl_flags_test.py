@@ -123,6 +123,7 @@ with tempfile.TemporaryDirectory() as tmp:
     stdout("replay", trace_file)  # the file itself is fine
     rejected("replay", trace_file, "--seed=3", names=["--seed"])
     rejected("replay", trace_file, "extra", names=["'extra'"])
+    rejected("replay", trace_file, "--protocol=ica", names=["--protocol"])
 
 rejected("idle", "--sinks=2", names=["--sinks"])
 # Three flags typing does not read; the message names the first in name order.

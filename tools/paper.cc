@@ -9,19 +9,17 @@
 #include <algorithm>
 #include <cstdio>
 #include <iterator>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/core/experiments.h"
 #include "src/core/parallel_sweep.h"
 #include "src/metrics/latency.h"
-#include "src/proto/protocol_factory.h"
+#include "src/proto/protocol_pipeline.h"
 #include "src/proto/x_protocol.h"
 #include "src/session/server.h"
 #include "src/sim/periodic.h"
 #include "src/util/table.h"
-#include "src/workload/app_script.h"
 
 namespace tcs {
 namespace {
@@ -543,22 +541,18 @@ void AblationSizing() {
 // This harness measures a blinking caret (2 Hz, a 2x16 rect) and a progress bar (4 Hz,
 // a growing 300x12 fill) over each protocol against that bound.
 double MeasureKBps(ProtocolKind kind, bool caret, bool progress) {
-  Simulator sim;
-  Link link(sim);
-  MessageSender display(link, HeaderModel::TcpIp());
-  MessageSender input(link, HeaderModel::TcpIp());
-  ProtoTap tap(Duration::Seconds(1));
-  std::unique_ptr<DisplayProtocol> protocol =
-      MakeProtocol(kind, sim, display, input, &tap, Rng(4));
+  ProtocolHarness harness(kind, 4);
+  Simulator& sim = harness.sim;
+  DisplayProtocol& protocol = harness.protocol();
 
   PeriodicTask caret_task(sim, Duration::Millis(500), [&] {
-    protocol->SubmitDraw(DrawCommand::Rect(2, 16));
-    protocol->Flush();
+    protocol.SubmitDraw(DrawCommand::Rect(2, 16));
+    protocol.Flush();
   });
   PeriodicTask progress_task(sim, Duration::Millis(250), [&] {
-    protocol->SubmitDraw(DrawCommand::Rect(300, 12));
-    protocol->SubmitDraw(DrawCommand::Text(6));  // "42%" label
-    protocol->Flush();
+    protocol.SubmitDraw(DrawCommand::Rect(300, 12));
+    protocol.SubmitDraw(DrawCommand::Text(6));  // "42%" label
+    protocol.Flush();
   });
   if (caret) {
     caret_task.Start();
@@ -570,8 +564,8 @@ double MeasureKBps(ProtocolKind kind, bool caret, bool progress) {
   sim.RunUntil(TimePoint::Zero() + window);
   caret_task.Stop();
   progress_task.Stop();
-  return static_cast<double>(tap.total_counted_bytes().count()) / window.ToSecondsF() /
-         1024.0;
+  return static_cast<double>(harness.tap.total_counted_bytes().count()) /
+         window.ToSecondsF() / 1024.0;
 }
 
 void SimpleAnimations() {
@@ -581,15 +575,7 @@ void SimpleAnimations() {
     double caret = MeasureKBps(kind, true, false);
     double bar = MeasureKBps(kind, false, true);
     double both = MeasureKBps(kind, true, true);
-    std::string name;
-    switch (kind) {
-      case ProtocolKind::kRdp: name = "RDP"; break;
-      case ProtocolKind::kX: name = "X"; break;
-      case ProtocolKind::kLbx: name = "LBX"; break;
-      case ProtocolKind::kSlim: name = "SLIM"; break;
-      case ProtocolKind::kVnc: name = "VNC"; break;
-    }
-    table.AddRow({name, TextTable::Fixed(caret, 2), TextTable::Fixed(bar, 2),
+    table.AddRow({ProtocolName(kind), TextTable::Fixed(caret, 2), TextTable::Fixed(bar, 2),
                   TextTable::Fixed(both, 2), both < 10.0 ? "harmless" : "OVER 10 KB/s"});
   }
   std::printf("%s\n", table.Render().c_str());
@@ -782,25 +768,9 @@ void E2eBudget() {
 // our) prototap. This harness prints the per-request-type byte/count profile of the
 // application workload over X.
 void XProfile() {
-  Simulator sim;
-  Link link(sim);
-  MessageSender display(link, HeaderModel::TcpIp());
-  MessageSender input(link, HeaderModel::TcpIp());
-  ProtoTap tap(Duration::Seconds(1));
-  XProtocol x(sim, display, input, &tap, Rng(1));
-
-  Rng script_rng(0xABCD ^ 1);
-  std::vector<AppScript> scripts;
-  scripts.push_back(AppScript::WordProcessor(script_rng.Fork(), 400));
-  scripts.push_back(AppScript::PhotoEditor(script_rng.Fork(), 400));
-  scripts.push_back(AppScript::ControlPanel(script_rng.Fork(), 400));
-  for (const AppScript& script : scripts) {
-    TimePoint end = sim.Now() + script.TotalDuration();
-    script.Replay(sim, x);
-    sim.RunUntil(end);
-  }
-  x.Flush();
-  sim.Run();
+  ProtocolHarness harness(ProtocolKind::kX, 1);
+  ReplayAppWorkload(harness, 1, 400);
+  const auto& x = dynamic_cast<const XProtocol&>(harness.protocol());
 
   int64_t total_count = 0;
   int64_t total_bytes = 0;

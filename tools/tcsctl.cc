@@ -35,8 +35,7 @@
 #include "src/core/report.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/proto/protocol_factory.h"
-#include "src/proto/vnc_protocol.h"
+#include "src/proto/protocol_pipeline.h"
 #include "src/session/server.h"
 #include "src/util/config_error.h"
 #include "src/util/flags.h"
@@ -72,20 +71,8 @@ OsProfile ParseOs(FlagSet& flags, const std::string& word) {
 }
 
 ProtocolKind ParseProtocol(FlagSet& flags, const std::string& word) {
-  if (word == "rdp") {
-    return ProtocolKind::kRdp;
-  }
-  if (word == "x") {
-    return ProtocolKind::kX;
-  }
-  if (word == "lbx") {
-    return ProtocolKind::kLbx;
-  }
-  if (word == "slim") {
-    return ProtocolKind::kSlim;
-  }
-  if (word == "vnc") {
-    return ProtocolKind::kVnc;
+  if (std::optional<ProtocolKind> kind = ProtocolFromWord(word)) {
+    return *kind;
   }
   flags.Fail("unknown --protocol '" + word + "' (rdp|x|lbx|slim|vnc)");
   return ProtocolKind::kRdp;
@@ -945,22 +932,6 @@ Runner WhatIf(FlagSet& flags) {
   };
 }
 
-const char* ProtocolWord(ProtocolKind kind) {
-  switch (kind) {
-    case ProtocolKind::kRdp:
-      return "rdp";
-    case ProtocolKind::kX:
-      return "x";
-    case ProtocolKind::kLbx:
-      return "lbx";
-    case ProtocolKind::kSlim:
-      return "slim";
-    case ProtocolKind::kVnc:
-      return "vnc";
-  }
-  return "?";
-}
-
 // Largest total-time stage; ties go to the earlier pipeline stage.
 const StageSummary* DominantStage(const AttributionResult& blame) {
   const StageSummary* best = nullptr;
@@ -1578,23 +1549,14 @@ Runner Replay(FlagSet& flags) {
   }
 
   return [=] {
-    Simulator sim;
-    Link link(sim);
-    MessageSender display(link, HeaderModel::TcpIp());
-    MessageSender input(link, HeaderModel::TcpIp());
-    ProtoTap tap(Duration::Seconds(1));
-    std::unique_ptr<DisplayProtocol> protocol =
-        MakeProtocol(kind, sim, display, input, &tap, Rng(1));
-    script->Replay(sim, *protocol);
-    sim.RunUntil(TimePoint::Zero() + script->TotalDuration());
-    if (auto* vnc = dynamic_cast<VncProtocol*>(protocol.get())) {
-      vnc->StopClientPull();
-    }
-    protocol->Flush();
-    sim.Run();
+    ProtocolHarness harness(kind, 1);
+    script->Replay(harness.sim, harness.protocol());
+    harness.sim.RunUntil(TimePoint::Zero() + script->TotalDuration());
+    harness.Drain();
+    const ProtoTap& tap = harness.tap;
     std::printf("replayed '%s' (%zu steps, %s of user time) over %s:\n",
                 script->name().c_str(), script->steps().size(),
-                script->TotalDuration().ToString().c_str(), protocol->name().c_str());
+                script->TotalDuration().ToString().c_str(), ProtocolName(kind));
     std::printf("  display: %lld msgs, %lld bytes;  input: %lld msgs, %lld bytes\n",
                 static_cast<long long>(tap.messages(Channel::kDisplay)),
                 static_cast<long long>(tap.counted_bytes(Channel::kDisplay).count()),
