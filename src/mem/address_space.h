@@ -14,6 +14,7 @@
 #ifndef TCS_SRC_MEM_ADDRESS_SPACE_H_
 #define TCS_SRC_MEM_ADDRESS_SPACE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -45,6 +46,14 @@ class AddressSpace {
            ((pages_[vpn] - kFrameBase) & 1u) != 0;
   }
   size_t resident_pages() const { return resident_count_; }
+  // The first page in [first, end) that is not resident, or `end` if all are.
+  uint64_t ResidentRunEnd(uint64_t first, uint64_t end) const {
+    uint64_t stop = std::min<uint64_t>(end, pages_.size());
+    while (first < stop && pages_[first] >= kFrameBase) {
+      ++first;
+    }
+    return first;
+  }
 
   // Number of pages in [first, first+count) that are NOT resident — the fault bill an
   // access to that range will pay.
@@ -54,6 +63,10 @@ class AddressSpace {
   // tests can compare two spaces entry for entry.
   const std::vector<uint32_t>& page_entries() const { return pages_; }
 
+  // The most frames a packed page entry can index: frame 2^31 − 1 would encode as
+  // 2^32, which wraps to kNever. About 8 TiB of 4 KiB pages.
+  static constexpr size_t kMaxFrames = (size_t{1} << 31) - 1;
+
  private:
   friend class Pager;
 
@@ -62,6 +75,7 @@ class AddressSpace {
   static constexpr uint32_t kNever = 0;
   static constexpr uint32_t kEvicted = 1;
   static constexpr uint32_t kFrameBase = 2;
+  static_assert(kFrameBase + 2 * (kMaxFrames - 1) + 1 == 0xFFFFFFFFu);
 
   void EnsurePage(uint64_t vpn) {
     if (vpn >= pages_.size()) {

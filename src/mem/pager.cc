@@ -9,9 +9,11 @@
 namespace tcs {
 
 Pager::Pager(Simulator& sim, Disk& disk, PagerConfig config)
-    : sim_(sim), disk_(disk), config_(config) {
+    : sim_(sim), disk_(disk), config_(config), spaces_(1) {
   assert(config_.total_frames > 0);
+  assert(config_.total_frames <= AddressSpace::kMaxFrames);
   assert(config_.cluster_pages >= 1);
+  frames_.reserve(std::min(config_.total_frames, kReservedFramesCap));
 }
 
 void Pager::SetTracer(Tracer* tracer) {
@@ -22,8 +24,9 @@ void Pager::SetTracer(Tracer* tracer) {
 }
 
 AddressSpace* Pager::CreateAddressSpace(std::string name, bool interactive) {
+  assert(spaces_.size() <= UINT32_MAX);
   spaces_.push_back(
-      std::make_unique<AddressSpace>(next_as_id_++, std::move(name), interactive));
+      std::make_unique<AddressSpace>(spaces_.size(), std::move(name), interactive));
   return spaces_.back().get();
 }
 
@@ -63,6 +66,24 @@ void Pager::UnlinkFrame(uint32_t f) {
   }
 }
 
+void Pager::SpliceToTail(uint32_t head, uint32_t tail) {
+  if (tail == lru_tail_) {
+    return;  // already most recently used
+  }
+  uint32_t before = frames_[head].prev;
+  uint32_t after = frames_[tail].next;
+  if (before != kNilFrame) {
+    frames_[before].next = after;
+  } else {
+    lru_head_ = after;
+  }
+  frames_[after].prev = before;
+  frames_[lru_tail_].next = head;
+  frames_[head].prev = lru_tail_;
+  frames_[tail].next = kNilFrame;
+  lru_tail_ = tail;
+}
+
 void Pager::LinkFrameAtTail(uint32_t f) {
   Frame& fr = frames_[f];
   fr.prev = lru_tail_;
@@ -84,15 +105,16 @@ uint32_t Pager::AllocFrame(AddressSpace& as, uint64_t vpn) {
     f = static_cast<uint32_t>(frames_.size());
     frames_.push_back(Frame{});
   }
-  frames_[f].as = &as;
-  frames_[f].vpn = vpn;
+  assert(vpn <= UINT32_MAX);
+  frames_[f].owner = static_cast<uint32_t>(as.id());
+  frames_[f].vpn = static_cast<uint32_t>(vpn);
   LinkFrameAtTail(f);
   ++frames_used_;
   return f;
 }
 
 void Pager::FreeFrame(uint32_t f) {
-  frames_[f].as = nullptr;
+  frames_[f].owner = 0;
   frames_[f].next = free_head_;
   free_head_ = f;
   --frames_used_;
@@ -101,7 +123,7 @@ void Pager::FreeFrame(uint32_t f) {
 void Pager::DropFramesOf(AddressSpace& as) {
   for (uint32_t it = lru_head_; it != kNilFrame;) {
     uint32_t next = frames_[it].next;
-    if (frames_[it].as == &as) {
+    if (frames_[it].owner == as.id()) {
       UnlinkFrame(it);
       FreeFrame(it);
     }
@@ -129,15 +151,10 @@ void Pager::DropFramesOf(AddressSpace& as) {
 }
 
 void Pager::ReleaseAddressSpace(AddressSpace* as) {
-  assert(as != nullptr);
+  assert(as != nullptr && as->id() < spaces_.size() && spaces_[as->id()].get() == as &&
+         "address space not owned by this pager");
   DropFramesOf(*as);
-  for (auto it = spaces_.begin(); it != spaces_.end(); ++it) {
-    if (it->get() == as) {
-      spaces_.erase(it);
-      return;
-    }
-  }
-  assert(false && "address space not owned by this pager");
+  spaces_[as->id()].reset();
 }
 
 uint64_t Pager::CreateOp(InlineCallback done) {
@@ -221,13 +238,31 @@ void Pager::ScheduleIssue(uint64_t id, Duration delay) {
   sim_.Schedule(delay, [this, id] { IssueRead(id); });
 }
 
-void Pager::TouchLru(AddressSpace& as, uint64_t vpn) {
-  uint32_t f = as.FrameOf(vpn);
-  if (f == lru_tail_) {
-    return;  // already most recently used
+// Moving pages p1..pk to the MRU tail one at a time leaves the other frames in their
+// order followed by p1..pk. A stretch of the run whose frames already follow each other
+// in the list is a chain of the list, so splicing the stretches to the tail in vpn order
+// leaves the same list: each splice keeps the other frames' order and appends its pages
+// in order. The stretch test reads the list as the earlier splices left it.
+void Pager::HitRun(AddressSpace& as, uint64_t first, uint64_t end, bool write) {
+  assert(first < end);
+  hits_ += static_cast<int64_t>(end - first);
+  if (write) {
+    as.MarkDirty(first);
   }
-  UnlinkFrame(f);
-  LinkFrameAtTail(f);
+  uint32_t head = as.FrameOf(first);
+  uint32_t tail = head;
+  for (uint64_t vpn = first + 1; vpn < end; ++vpn) {
+    if (write) {
+      as.MarkDirty(vpn);
+    }
+    uint32_t f = as.FrameOf(vpn);
+    if (frames_[tail].next != f) {
+      SpliceToTail(head, tail);
+      head = f;
+    }
+    tail = f;
+  }
+  SpliceToTail(head, tail);
 }
 
 void Pager::EvictOneFrame(const AddressSpace& for_whom) {
@@ -238,7 +273,7 @@ void Pager::EvictOneFrame(const AddressSpace& for_whom) {
     // non-interactive page instead. Fall back to true LRU only if every resident page is
     // protected.
     uint32_t it = lru_head_;
-    while (it != kNilFrame && frames_[it].as->interactive()) {
+    while (it != kNilFrame && OwnerOf(it).interactive()) {
       ++protected_skips_;
       it = frames_[it].next;
     }
@@ -246,7 +281,7 @@ void Pager::EvictOneFrame(const AddressSpace& for_whom) {
       victim = it;
     }
   }
-  AddressSpace& vas = *frames_[victim].as;
+  AddressSpace& vas = OwnerOf(victim);
   uint64_t vvpn = frames_[victim].vpn;
   bool dirty = vas.IsDirty(vvpn);
   vas.SetEvicted(vvpn);
@@ -266,11 +301,7 @@ void Pager::EvictOneFrame(const AddressSpace& for_whom) {
 
 bool Pager::MakeResident(AddressSpace& as, uint64_t vpn, bool write) {
   if (as.IsResident(vpn)) {
-    ++hits_;
-    TouchLru(as, vpn);
-    if (write) {
-      as.MarkDirty(vpn);
-    }
+    HitRun(as, vpn, vpn + 1, write);
     return false;
   }
   ++faults_;
@@ -346,13 +377,19 @@ void Pager::Access(AddressSpace& as, uint64_t vpn, bool write, InlineCallback do
   }
 }
 
-bool Pager::TryHit(AddressSpace& as, uint64_t vpn, bool write) {
-  if (!as.IsResident(vpn) ||
-      (!in_flight_.empty() && in_flight_.count(FramesKey::Of(as, vpn)) != 0)) {
-    return false;
+size_t Pager::TryHit(AddressSpace& as, uint64_t first, size_t count, bool write) {
+  uint64_t end = as.ResidentRunEnd(first, first + count);
+  if (!in_flight_.empty()) {
+    uint64_t vpn = first;
+    while (vpn < end && in_flight_.count(FramesKey::Of(as, vpn)) == 0) {
+      ++vpn;
+    }
+    end = vpn;
   }
-  MakeResident(as, vpn, write);
-  return true;
+  if (end > first) {
+    HitRun(as, first, end, write);
+  }
+  return end - first;
 }
 
 void Pager::AccessRange(AddressSpace& as, uint64_t first, size_t count, bool write,
@@ -365,7 +402,9 @@ void Pager::AccessRange(AddressSpace& as, uint64_t first, size_t count, bool wri
   // the disk (another session's fault) contribute a join on that read's op.
   //
   // The steady-state keystroke path is all hits: `runs`/`io_keys` stay empty and the
-  // whole call touches nothing but the page array and the recency list.
+  // whole call is one HitRun. Faults are taken in place, in vpn order, so an eviction
+  // sees the list as the per-page walk leaves it; the next run of hits is found after
+  // it, since it may have evicted a page of this range.
   std::vector<int> runs;
   std::vector<uint64_t> io_keys;
   std::vector<uint64_t> joins;
@@ -373,19 +412,28 @@ void Pager::AccessRange(AddressSpace& as, uint64_t first, size_t count, bool wri
   uint64_t prev_missing = 0;
   bool have_prev = false;
   int64_t faulted_pages = 0;
-  for (uint64_t vpn = first; vpn < first + count; ++vpn) {
-    bool needs_disk = as.WasEvicted(vpn);
-    bool faulted = MakeResident(as, vpn, write);
-    faulted_pages += faulted ? 1 : 0;
-    if (!needs_disk) {
-      if (!faulted && !in_flight_.empty()) {
-        auto fit = in_flight_.find(FramesKey::Of(as, vpn));
+  const uint64_t end = first + count;
+  for (uint64_t vpn = first; vpn < end; ++vpn) {
+    uint64_t run_end = as.ResidentRunEnd(vpn, end);
+    if (run_end > vpn) {
+      HitRun(as, vpn, run_end, write);
+      for (uint64_t hit = vpn; !in_flight_.empty() && hit < run_end; ++hit) {
+        auto fit = in_flight_.find(FramesKey::Of(as, hit));
         if (fit != in_flight_.end() &&
             std::find(joins.begin(), joins.end(), fit->second) == joins.end()) {
           joins.push_back(fit->second);
         }
       }
-      continue;  // hit or zero-fill: no I/O of our own
+      if (run_end == end) {
+        break;
+      }
+      vpn = run_end;  // not resident: faulted below
+    }
+    bool needs_disk = as.WasEvicted(vpn);
+    MakeResident(as, vpn, write);
+    ++faulted_pages;
+    if (!needs_disk) {
+      continue;  // zero-fill: no I/O of our own
     }
     io_keys.push_back(FramesKey::Of(as, vpn));
     bool adjacent = have_prev && vpn == prev_missing + 1;
@@ -467,16 +515,26 @@ void Pager::MarkSwappedOut(AddressSpace& as, uint64_t first, size_t count) {
 }
 
 void Pager::Prefault(AddressSpace& as, uint64_t first, size_t count) {
-  for (uint64_t vpn = first; vpn < first + count; ++vpn) {
-    bool was_missing = !as.IsResident(vpn);
-    MakeResident(as, vpn, /*write=*/false);
-    // Prefault is setup, not simulation: undo the accounting it produced.
-    if (was_missing) {
-      --faults_;
+  if (count == 0) {
+    return;
+  }
+  // Prefault is setup, not simulation: the touches' hits and faults are not counted.
+  int64_t hits = hits_;
+  int64_t faults = faults_;
+  const uint64_t end = first + count;
+  as.EnsurePage(end - 1);
+  for (uint64_t vpn = first; vpn < end;) {
+    uint64_t run_end = as.ResidentRunEnd(vpn, end);
+    if (run_end > vpn) {
+      HitRun(as, vpn, run_end, /*write=*/false);
+      vpn = run_end;
     } else {
-      --hits_;
+      MakeResident(as, vpn, /*write=*/false);
+      ++vpn;
     }
   }
+  hits_ = hits;
+  faults_ = faults;
 }
 
 }  // namespace tcs

@@ -15,9 +15,10 @@
 // slab, with each AddressSpace page entry holding its frame's slab index directly. A
 // page touch is therefore a couple of array indexations — no hashing, no list-node
 // allocation — while preserving the exact LRU eviction order of the original
-// list+hash-map implementation (the golden corpus notices any deviation). At 512
-// consolidated logins (~1M page touches) this is the difference between the pager being
-// the profile's top entry and it disappearing into the noise.
+// list+hash-map implementation (the golden corpus notices any deviation). Hits come in
+// runs of resident pages (a keystroke re-touching its working set, the hog streaming its
+// region): a run's pages that are already chained in the list move to the MRU tail as
+// one splice, which leaves the same order as moving them one page at a time.
 
 #ifndef TCS_SRC_MEM_PAGER_H_
 #define TCS_SRC_MEM_PAGER_H_
@@ -90,9 +91,10 @@ class Pager {
   void Access(AddressSpace& as, uint64_t vpn, bool write, InlineCallback done);
 
   // Access's hit bookkeeping (hit count, recency, dirty bit) with no completion event,
-  // for callers that continue at the touch instant themselves. Returns false and
-  // changes nothing if the page is not resident or its page-in is still on the disk.
-  bool TryHit(AddressSpace& as, uint64_t vpn, bool write);
+  // for callers that continue at the touch instants themselves: touches first, first+1,
+  // ... in order and stops before the first of the `count` pages that is not resident or
+  // whose page-in is still on the disk. Returns the number of pages it touched.
+  size_t TryHit(AddressSpace& as, uint64_t first, size_t count, bool write);
 
   // Touches [first, first+count). Previously-evicted pages are clustered into
   // up-to-`cluster_pages` contiguous disk reads issued back to back; `done` fires when
@@ -106,6 +108,8 @@ class Pager {
 
   // Makes [first, first+count) resident instantly with no simulated I/O — used to set up
   // initial conditions (a login's processes are loaded before the experiment starts).
+  // Recency, evictions and fault trace instants are those of touching the pages in
+  // order; the hit and fault counters are left as they were.
   void Prefault(AddressSpace& as, uint64_t first, size_t count);
 
   size_t total_frames() const { return config_.total_frames; }
@@ -142,14 +146,19 @@ class Pager {
     }
   };
   static constexpr uint32_t kNilFrame = 0xFFFFFFFFu;
-  // One physical frame: who holds it, and its neighbours in the global recency list
-  // (prev toward LRU, next toward MRU). Freed slots chain through `next`.
+  // One physical frame: who holds it (the id of an AddressSpace in `spaces_`, 0 when
+  // free) and which page, and its neighbours in the global recency list (prev toward
+  // LRU, next toward MRU). Freed slots chain through `next`. 16 bytes: a 512-login
+  // server holds about a million.
   struct Frame {
-    AddressSpace* as = nullptr;
-    uint64_t vpn = 0;
+    uint32_t owner = 0;
+    uint32_t vpn = 0;
     uint32_t prev = kNilFrame;
     uint32_t next = kNilFrame;
   };
+  // Frames reserved in the slab up front: all of a server up to 8 GiB of user pages, so
+  // login prefaults never copy the slab; larger pools grow it on demand.
+  static constexpr size_t kReservedFramesCap = size_t{1} << 21;
   // One incomplete Access/AccessRange. The op completes (trace span + `done`) when
   // `remaining` signals arrive: one from its own clustered-read chain (if it has one)
   // plus one from every in-flight read it joined.
@@ -176,13 +185,19 @@ class Pager {
   // Marks the page resident, evicting as necessary. Returns true if the page had to be
   // faulted (was not resident).
   bool MakeResident(AddressSpace& as, uint64_t vpn, bool write);
+  // Applies the hits on [first, end), every page resident: hit count, dirty bits, and
+  // the recency update of touching the pages in vpn order, one splice per stretch of
+  // pages already chained in that order.
+  void HitRun(AddressSpace& as, uint64_t first, uint64_t end, bool write);
   void EvictOneFrame(const AddressSpace& for_whom);
-  void TouchLru(AddressSpace& as, uint64_t vpn);
+  AddressSpace& OwnerOf(uint32_t f) const { return *spaces_[frames_[f].owner]; }
   // Frame-slab plumbing: allocate a slot (free list first) linked at the MRU tail /
-  // unthread a slot from the recency list / return a slot to the free list.
+  // unthread a slot from the recency list / move the chained slots head..tail to the
+  // MRU tail / return a slot to the free list.
   uint32_t AllocFrame(AddressSpace& as, uint64_t vpn);
   void UnlinkFrame(uint32_t f);
   void LinkFrameAtTail(uint32_t f);
+  void SpliceToTail(uint32_t head, uint32_t tail);
   void FreeFrame(uint32_t f);
   Duration ThrottleFor(const AddressSpace& as) const;
   // Drops every frame and in-flight entry belonging to `as` (teardown path).
@@ -210,6 +225,8 @@ class Pager {
   Tracer* tracer_ = nullptr;
   FlightRecorder* recorder_ = nullptr;
   TraceTrack trace_track_;
+  // Indexed by AddressSpace id; slot 0 stays empty (the free frames' owner) and a
+  // released space's slot is reset.
   std::vector<std::unique_ptr<AddressSpace>> spaces_;
   std::vector<Frame> frames_;      // slab; indices live in AddressSpace page entries
   uint32_t lru_head_ = kNilFrame;  // least recently used
@@ -235,7 +252,6 @@ class Pager {
   int64_t protected_skips_ = 0;
   int64_t shared_attaches_ = 0;
   int64_t coalesced_waits_ = 0;
-  uint64_t next_as_id_ = 1;
 };
 
 }  // namespace tcs

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 
 #include "src/obs/flight_recorder.h"
 #include "src/util/config_error.h"
@@ -25,6 +26,11 @@ PagerConfig MakePagerConfig(const OsProfile& profile, const ServerConfig& cfg) {
                       "RAM must exceed the profile's idle system memory");
   }
   pc.total_frames = PagesFor(user_ram);
+  if (pc.total_frames > AddressSpace::kMaxFrames) {
+    throw ConfigError("ServerConfig.ram",
+                      "user RAM above the " + std::to_string(AddressSpace::kMaxFrames) +
+                          " 4 KiB frames a page entry can index");
+  }
   pc.cluster_pages = profile.pager_cluster_pages;
   pc.policy = cfg.eviction;
   pc.throttle_delay = cfg.pager_throttle;

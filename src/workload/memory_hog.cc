@@ -1,5 +1,7 @@
 #include "src/workload/memory_hog.h"
 
+#include <algorithm>
+
 #include "src/util/config_error.h"
 
 namespace tcs {
@@ -55,10 +57,20 @@ void MemoryHog::OnTouched() {
   // events.
   TimePoint next = sim_.Now() + config_.touch_cpu;
   TimePoint horizon = sim_.Horizon();
-  while (running_ && next < horizon && pager_.TryHit(*as_, next_vpn_, config_.writes)) {
-    next_vpn_ = (next_vpn_ + 1) % config_.region_pages;
-    ++pages_touched_;
-    next += config_.touch_cpu;
+  const int64_t touch_us = config_.touch_cpu.ToMicros();
+  while (running_ && next < horizon) {
+    // The touches at next, next + touch_cpu, ... strictly before the horizon, up to the
+    // region's end (the walk wraps there).
+    int64_t span_us = (horizon - next).ToMicros();
+    auto due = static_cast<uint64_t>(span_us / touch_us + (span_us % touch_us != 0));
+    size_t count = std::min<uint64_t>(due, config_.region_pages - next_vpn_);
+    size_t hits = pager_.TryHit(*as_, next_vpn_, count, config_.writes);
+    next_vpn_ = (next_vpn_ + hits) % config_.region_pages;
+    pages_touched_ += static_cast<int64_t>(hits);
+    next += config_.touch_cpu * static_cast<int64_t>(hits);
+    if (hits < count) {
+      break;
+    }
   }
   sim_.At(next, [this] { TouchNext(); });
 }

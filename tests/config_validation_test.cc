@@ -165,6 +165,33 @@ TEST(ConfigValidationTest, ServerRejectsRamBelowIdleSystemMemory) {
             "ServerConfig.ram");
 }
 
+// A page entry packs its frame index into 31 bits (AddressSpace::kMaxFrames): the first
+// RAM size with one frame more is rejected, not wrapped into an untouched-page entry.
+TEST(ConfigValidationTest, ServerRejectsRamPastTheLastIndexableFrame) {
+  OsProfile tse = OsProfile::Tse();
+  ServerConfig cfg;
+  cfg.ram = tse.idle_system_memory +
+            Bytes::KiB(4) * static_cast<int64_t>(AddressSpace::kMaxFrames) + Bytes::Of(1);
+  Simulator sim;
+  EXPECT_EQ(Catch([&] { Server server(sim, tse, cfg); }).field(), "ServerConfig.ram");
+}
+
+// The largest accepted size builds (the frame slab's up-front reservation is capped)
+// and runs a login.
+TEST(ConfigValidationTest, ServerAtTheLargestIndexableRamLogsIn) {
+  OsProfile tse = OsProfile::Tse();
+  ServerConfig cfg;
+  cfg.ram = tse.idle_system_memory +
+            Bytes::KiB(4) * static_cast<int64_t>(AddressSpace::kMaxFrames);
+  Simulator sim;
+  Server server(sim, tse, cfg);
+  EXPECT_EQ(server.pager().total_frames(), AddressSpace::kMaxFrames);
+  server.Login();
+  // 3244 KiB of private pages, the 1000-page working set and 2676 KiB of shared text.
+  EXPECT_EQ(server.pager().frames_used(), 811u + 1000u + 669u);
+  EXPECT_EQ(server.pager().evictions(), 0);
+}
+
 TEST(ConfigValidationTest, FaultPlanRejectsOutOfRangeLossRate) {
   FaultPlan plan;
   plan.link.loss_rate = 1.5;
