@@ -7,13 +7,14 @@
 // one frame and relinks it at the MRU tail (TouchLru), Prefault and TryHit loop page by
 // page, and its page tables use the same packed entries, so they compare entry for
 // entry. Each seed builds two identical worlds, one per pager, and drives both through
-// the same random script: 8–200 frames, clusters of 1–4 pages, both eviction policies,
-// private and shared spaces (acquired, released, recreated), Access, AccessRange,
-// Prefault, MarkSwappedOut and range TryHit over partly resident ranges, accesses that
-// join page-ins still on the disk, and RunUntil to random deadlines. After every step the
-// pager counters, every space's page entries, the disk queue, the pending-event count
-// and the completion log must match. At the end each world faults a fresh space across
-// the whole pool, which evicts every frame in LRU order, and the evictions must match.
+// the same random script: 8–200 frames, clusters of 1–4 pages, both eviction
+// policies, private and shared spaces (acquired, released, recreated), Access,
+// AccessRange, Prefault, MarkSwappedOut and range TryHit over partly resident ranges,
+// accesses that join page-ins still on the disk, and RunUntil to random deadlines.
+// After every step the pager counters, every space's page entries, the disk queue, the
+// pending-event count and the completion log must match. At the end each world faults
+// a fresh space across the whole pool, which evicts every frame in LRU order, and the
+// evictions must match.
 
 #include <gtest/gtest.h>
 
@@ -280,7 +281,8 @@ class PerPagePager {
   static uint64_t Key(const Space& as, uint64_t vpn) { return (as.id << 44) | vpn; }
 
   bool TryHitOne(Space& as, uint64_t vpn, bool write) {
-    if (!as.IsResident(vpn) || (!in_flight_.empty() && in_flight_.count(Key(as, vpn)) != 0)) {
+    if (!as.IsResident(vpn) ||
+        (!in_flight_.empty() && in_flight_.count(Key(as, vpn)) != 0)) {
       return false;
     }
     MakeResident(as, vpn, write);
@@ -546,8 +548,8 @@ Script DrawScript(uint64_t seed) {
   int64_t frames = rng.NextInt(8, 200);
   s.pager.total_frames = static_cast<size_t>(frames);
   s.pager.cluster_pages = static_cast<size_t>(rng.NextInt(1, 4));
-  s.pager.policy =
-      rng.NextBool(0.5) ? EvictionPolicy::kGlobalLru : EvictionPolicy::kInteractiveProtect;
+  s.pager.policy = rng.NextBool(0.5) ? EvictionPolicy::kGlobalLru
+                                     : EvictionPolicy::kInteractiveProtect;
   const int64_t kThrottleUs[] = {0, 1000, 20000};
   s.pager.throttle_delay = Duration::Micros(kThrottleUs[rng.NextBelow(3)]);
   s.disk_seed = rng.NextU64();
@@ -656,8 +658,10 @@ struct Observed {
   bool operator==(const Observed&) const = default;
 
   std::string Summary() const {
-    return "now=" + std::to_string(now_us) + "us pending=" + std::to_string(pending_events) +
-           " reads=" + std::to_string(disk_reads) + " writes=" + std::to_string(disk_writes) +
+    return "now=" + std::to_string(now_us) +
+           "us pending=" + std::to_string(pending_events) +
+           " reads=" + std::to_string(disk_reads) +
+           " writes=" + std::to_string(disk_writes) +
            " busy_until=" + std::to_string(disk_busy_until_us) +
            "us faults=" + std::to_string(faults) + " hits=" + std::to_string(hits) +
            " evictions=" + std::to_string(evictions) +
@@ -666,7 +670,8 @@ struct Observed {
            " attaches=" + std::to_string(shared_attaches) +
            " coalesced=" + std::to_string(coalesced_waits) +
            " frames_used=" + std::to_string(frames_used) +
-           " tryhit=" + std::to_string(tryhit) + " completions=" + std::to_string(log.size());
+           " tryhit=" + std::to_string(tryhit) +
+           " completions=" + std::to_string(log.size());
   }
 
   // The slots whose page entries or resident counts differ.
@@ -857,7 +862,8 @@ std::string RunSeed(uint64_t seed, Coverage& cov) {
     cov.partial_tryhits += st.kind == Kind::kTryHit && got.tryhit < st.count ? 1 : 0;
     cov.protected_skips += got.protected_skips > before.protected_skips ? 1 : 0;
     bool releases = st.kind == Kind::kRelease || st.destroys;
-    cov.releases_in_flight += releases && before.disk_busy_until_us > before.now_us ? 1 : 0;
+    bool disk_busy = before.disk_busy_until_us > before.now_us;
+    cov.releases_in_flight += releases && disk_busy ? 1 : 0;
   }
   std::vector<std::pair<int, uint64_t>> got = runs.FlushInLruOrder(s.pager.total_frames);
   std::vector<std::pair<int, uint64_t>> want =
@@ -888,7 +894,8 @@ TEST(PagerRangeTest, RunHitsMatchPerPagePagerAfterEveryStep) {
       first = diff;
     }
   }
-  EXPECT_EQ(mismatches, 0) << mismatches << " of " << kSeeds << " seeds mismatch; first:\n"
+  EXPECT_EQ(mismatches, 0) << mismatches << " of " << kSeeds
+                           << " seeds mismatch; first:\n"
                            << first;
   // The scripts reach every path the run hits share with faults and joins.
   EXPECT_GT(cov.joins, 100);
