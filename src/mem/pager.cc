@@ -403,8 +403,8 @@ void Pager::AccessRange(AddressSpace& as, uint64_t first, size_t count, bool wri
   //
   // The steady-state keystroke path is all hits: `runs`/`io_keys` stay empty and the
   // whole call is one HitRun. Faults are taken in place, in vpn order, so an eviction
-  // sees the list as the per-page walk leaves it; the next run of hits is found after
-  // it, since it may have evicted a page of this range.
+  // sees the list that touching the pages in order leaves; the next run of hits is
+  // found after it, since it may have evicted a page of this range.
   std::vector<int> runs;
   std::vector<uint64_t> io_keys;
   std::vector<uint64_t> joins;
