@@ -2,8 +2,9 @@
 # Re-bless (or verify) the golden corpus: the report JSON in tests/golden/, the SLO
 # postmortem bundles in tests/golden/postmortem/, and the stdout of the paper artifacts
 # (tests/golden/paper/), of `tcsctl replay` over tests/golden/replay/demo_session.trace
-# (tests/golden/replay/) and of the examples (tests/golden/examples/), and the SHA-256
-# digests of `tcsctl trace paging --runs=1`'s outputs (tests/golden/trace/).
+# (tests/golden/replay/) and of the examples (tests/golden/examples/), the SHA-256
+# digests of `tcsctl trace paging --runs=1`'s outputs (tests/golden/trace/), and the
+# stdout and --report-out files of the tcsctl sweeps (tests/golden/cli/).
 #
 # Default mode builds golden_report_test, tcsctl and the examples and reruns the corpus
 # tests with TCS_REGEN_GOLDEN=1, which makes each case rewrite its golden file instead of
@@ -35,10 +36,10 @@ mkdir -p tests/golden
 # guard's own key-set diff on synthetic documents and a fresh render, so it passes or
 # fails the same way whether or not the corpus is being re-blessed.
 TCS_REGEN_GOLDEN=1 "$BUILD_DIR/tests/golden_report_test"
-TCS_REGEN_GOLDEN=1 ctest --test-dir "$BUILD_DIR" -R '^(paper|replay|example|trace)_' -j "$(nproc)" \
-  --output-on-failure
-goldens=(tests/golden/*.json tests/golden/postmortem/*.json tests/golden/paper/*.txt
-         tests/golden/replay/*.txt tests/golden/examples/*.txt tests/golden/trace/*.sha256)
+TCS_REGEN_GOLDEN=1 ctest --test-dir "$BUILD_DIR" -R '^(paper|replay|example|trace|cli)_' \
+  -j "$(nproc)" --output-on-failure
+goldens=(tests/golden/*.json tests/golden/*/*.json tests/golden/*/*.txt
+         tests/golden/trace/*.sha256)
 
 if [[ "$CHECK" == 1 ]]; then
   # Compare each regenerated file against HEAD with wall_ms zeroed on both sides
