@@ -17,6 +17,14 @@ uint64_t SweepSeed(uint64_t base_seed, uint64_t config_index) {
   return z == 0 ? 1 : z;
 }
 
+namespace {
+
+// Set on every thread a pool starts, so a sweep started inside a configuration runs
+// serially on the thread that started it.
+thread_local bool on_pool_worker = false;
+
+}  // namespace
+
 ParallelSweep::ParallelSweep(int workers) : workers_(workers) {
   if (workers_ <= 0) {
     unsigned hw = std::thread::hardware_concurrency();
@@ -29,8 +37,10 @@ void ParallelSweep::RunIndexed(int count, const std::function<void(int)>& body) 
     return;
   }
   int pool = workers_ < count ? workers_ : count;
-  if (pool <= 1) {
+  if (pool <= 1 || on_pool_worker) {
     // Serial reference path: same submission order, same seeds, no thread machinery.
+    // A sweep nested in another's configuration takes it too, so the process never runs
+    // more threads than the outer pool's workers.
     for (int i = 0; i < count; ++i) {
       body(i);
     }
@@ -41,6 +51,7 @@ void ParallelSweep::RunIndexed(int count, const std::function<void(int)>& body) 
   int first_error_index = count;
   std::exception_ptr first_error;
   auto worker = [&] {
+    on_pool_worker = true;
     for (;;) {
       int i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= count) {

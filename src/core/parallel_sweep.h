@@ -34,7 +34,9 @@ class ParallelSweep {
   // configurations finish. Work is handed out by atomic counter, so stragglers don't
   // serialize the pool. If bodies throw, every remaining configuration still runs (one
   // failed config doesn't wedge or abandon the sweep) and the exception thrown by the
-  // lowest config index is rethrown after the pool drains.
+  // lowest config index is rethrown after the pool drains. Called from a body, on one of
+  // a pool's workers, it runs every configuration inline on that worker instead, in
+  // index order: nested sweeps share the outer pool's threads rather than add their own.
   void RunIndexed(int count, const std::function<void(int)>& body) const;
 
   // Maps fn over [0, count), returning results indexed by submission order regardless of

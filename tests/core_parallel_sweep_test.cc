@@ -117,6 +117,36 @@ TEST(ParallelSweepTest, LowestIndexExceptionWins) {
   }
 }
 
+TEST(ParallelSweepTest, NestedMapRunsInlineOnTheOuterWorker) {
+  // The paper suite runs each artifact on a pool worker, and an artifact sweeps its own
+  // grid: that inner sweep must return the serial results and add no threads.
+  auto inner_cell = [](int i, int j) { return i * 100 + j * j; };
+  struct Outer {
+    std::vector<int> results;
+    int cells_off_thread = 0;  // inner cells that ran on another thread than the outer
+  };
+  ParallelSweep outer(4);
+  ParallelSweep inner(4);
+  std::vector<Outer> got = outer.Map(8, [&](int i) {
+    std::vector<std::thread::id> ran_on(6);
+    Outer o;
+    o.results = inner.Map(6, [&](int j) {
+      ran_on[static_cast<size_t>(j)] = std::this_thread::get_id();
+      return inner_cell(i, j);
+    });
+    for (std::thread::id id : ran_on) {
+      o.cells_off_thread += id != std::this_thread::get_id();
+    }
+    return o;
+  });
+  ASSERT_EQ(got.size(), 8u);
+  for (int i = 0; i < 8; ++i) {
+    std::vector<int> serial = ParallelSweep(1).Map(6, [&](int j) { return inner_cell(i, j); });
+    EXPECT_EQ(got[static_cast<size_t>(i)].results, serial) << i;
+    EXPECT_EQ(got[static_cast<size_t>(i)].cells_off_thread, 0) << i;
+  }
+}
+
 TEST(ParallelSweepTest, HandlesEmptyAndSingleConfigSweeps) {
   ParallelSweep sweep(4);
   EXPECT_TRUE(sweep.Map(0, [](int i) { return i; }).empty());

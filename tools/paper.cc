@@ -8,18 +8,17 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <iterator>
 #include <string>
 #include <vector>
 
 #include "src/core/experiments.h"
-#include "src/core/parallel_sweep.h"
 #include "src/metrics/latency.h"
 #include "src/proto/protocol_pipeline.h"
 #include "src/proto/x_protocol.h"
 #include "src/session/server.h"
 #include "src/sim/periodic.h"
 #include "src/util/table.h"
+#include "tools/grid.h"
 
 namespace tcs {
 namespace {
@@ -27,7 +26,7 @@ namespace {
 // Figure 1: idle-state processor activity in NT Workstation, TSE, and Linux.
 // Prints CPU utilization per 100 ms bucket over a 10 s trace for each OS, plus the
 // aggregate comparison the paper quotes (TSE ~ 3x NT ~ 7x Linux).
-void Fig1IdleCpu() {
+void Fig1IdleCpu(std::string& out) {
   IdleProfileResult nt = RunIdleProfile(OsProfile::NtWorkstation(), Duration::Seconds(10));
   IdleProfileResult tse = RunIdleProfile(OsProfile::Tse(), Duration::Seconds(10));
   IdleProfileResult lin = RunIdleProfile(OsProfile::LinuxX(), Duration::Seconds(10));
@@ -39,17 +38,17 @@ void Fig1IdleCpu() {
                   TextTable::Fixed(i < tse.utilization.size() ? tse.utilization[i] : 0, 3),
                   TextTable::Fixed(i < lin.utilization.size() ? lin.utilization[i] : 0, 3)});
   }
-  std::printf("%s\n", table.Render().c_str());
+  out += table.Render() + "\n";
 
   // Aggregate over a longer window for stable ratios.
   IdleProfileResult nt10 = RunIdleProfile(OsProfile::NtWorkstation(), Duration::Seconds(600));
   IdleProfileResult tse10 = RunIdleProfile(OsProfile::Tse(), Duration::Seconds(600));
   IdleProfileResult lin10 = RunIdleProfile(OsProfile::LinuxX(), Duration::Seconds(600));
-  std::printf("aggregate idle busy over 600 s:  NT=%s  TSE=%s  Linux=%s\n",
-              nt10.total_busy.ToString().c_str(), tse10.total_busy.ToString().c_str(),
-              lin10.total_busy.ToString().c_str());
-  std::printf("ratios: TSE/NT = %.2f (paper ~3)   TSE/Linux = %.2f (paper ~7)\n",
-              tse10.total_busy / nt10.total_busy, tse10.total_busy / lin10.total_busy);
+  out += Format("aggregate idle busy over 600 s:  NT=%s  TSE=%s  Linux=%s\n",
+                nt10.total_busy.ToString().c_str(), tse10.total_busy.ToString().c_str(),
+                lin10.total_busy.ToString().c_str());
+  out += Format("ratios: TSE/NT = %.2f (paper ~3)   TSE/Linux = %.2f (paper ~7)\n",
+                tse10.total_busy / nt10.total_busy, tse10.total_busy / lin10.total_busy);
 }
 
 // Figure 2: cumulative idle-state latency vs event duration (NT, TSE, Linux).
@@ -65,7 +64,7 @@ double CumulativeAt(const IdleProfileResult& r, Duration x) {
   return cum;
 }
 
-void Fig2CumulativeLatency() {
+void Fig2CumulativeLatency(std::string& out) {
   IdleProfileResult nt = RunIdleProfile(OsProfile::NtWorkstation(), Duration::Seconds(600));
   IdleProfileResult tse = RunIdleProfile(OsProfile::Tse(), Duration::Seconds(600));
   IdleProfileResult lin = RunIdleProfile(OsProfile::LinuxX(), Duration::Seconds(600));
@@ -77,16 +76,16 @@ void Fig2CumulativeLatency() {
                   TextTable::Fixed(CumulativeAt(nt, x), 2),
                   TextTable::Fixed(CumulativeAt(lin, x), 2)});
   }
-  std::printf("%s\n", table.Render().c_str());
-  std::printf("totals: TSE=%.2fs NT=%.2fs Linux=%.2fs (paper: ~45 / ~15 / ~6.5)\n",
-              tse.total_busy.ToSecondsF(), nt.total_busy.ToSecondsF(),
-              lin.total_busy.ToSecondsF());
+  out += table.Render() + "\n";
+  out += Format("totals: TSE=%.2fs NT=%.2fs Linux=%.2fs (paper: ~45 / ~15 / ~6.5)\n",
+                tse.total_busy.ToSecondsF(), nt.total_busy.ToSecondsF(),
+                lin.total_busy.ToSecondsF());
 }
 
 // Figure 3: average stall length experienced by a typing user vs scheduler queue length.
 // 20 Hz character repeat against 0..50 sinks; also includes the Evans et al. SVR4
 // interactive scheduler as the "what good looks like" extension.
-void Fig3StallVsLoad() {
+void Fig3StallVsLoad(std::string& out) {
   TextTable table({"sinks", "TSE avg stall (ms)", "TSE jitter", "Linux avg stall (ms)",
                    "Linux jitter", "SVR4-IA avg stall (ms)"});
   for (int sinks : {0, 1, 2, 5, 8, 10, 12, 15, 20, 25, 30, 40, 50}) {
@@ -108,32 +107,32 @@ void Fig3StallVsLoad() {
                   TextTable::Fixed(lin.avg_stall_ms, 1), TextTable::Fixed(lin.jitter_ms, 1),
                   TextTable::Fixed(svr4.avg_stall_ms, 1)});
   }
-  std::printf("%s\n", table.Render().c_str());
+  out += table.Render() + "\n";
 }
 
 // §5.1.1 tables: per-login compulsory memory (process lists) and idle system memory.
-void PrintLogin(const SessionMemoryResult& r) {
-  std::printf("%s%s login:\n", r.os_name.c_str(), r.light ? " (light)" : "");
+void PrintLogin(std::string& out, const SessionMemoryResult& r) {
+  out += Format("%s%s login:\n", r.os_name.c_str(), r.light ? " (light)" : "");
   TextTable table({"process", "private KB"});
   for (const auto& row : r.processes) {
     table.AddRow({row.process, TextTable::Num(row.private_memory.count() / 1024)});
   }
   table.AddRow({"Total", TextTable::Num(r.total.count() / 1024)});
-  std::printf("%s", table.Render().c_str());
-  std::printf("measured resident after login: %s (spec total %s)\n\n",
-              r.measured_resident.ToString().c_str(), r.total.ToString().c_str());
+  out += table.Render();
+  out += Format("measured resident after login: %s (spec total %s)\n\n",
+                r.measured_resident.ToString().c_str(), r.total.ToString().c_str());
 }
 
-void TableSessionMemory() {
+void TableSessionMemory(std::string& out) {
   SessionMemoryResult lin = MeasureSessionMemory(OsProfile::LinuxX(), false);
   SessionMemoryResult tse = MeasureSessionMemory(OsProfile::Tse(), false);
   SessionMemoryResult tse_light = MeasureSessionMemory(OsProfile::Tse(), true);
 
-  std::printf("idle system memory: Linux=%s  TSE=%s\n\n", lin.idle_system.ToString().c_str(),
-              tse.idle_system.ToString().c_str());
-  PrintLogin(lin);
-  PrintLogin(tse);
-  PrintLogin(tse_light);
+  out += Format("idle system memory: Linux=%s  TSE=%s\n\n", lin.idle_system.ToString().c_str(),
+                tse.idle_system.ToString().c_str());
+  PrintLogin(out, lin);
+  PrintLogin(out, tse);
+  PrintLogin(out, tse_light);
 }
 
 // §5.2 table: keystroke response latency after memory pressure (page demand < 100% vs
@@ -143,7 +142,7 @@ std::string Floor50(double ms) {
   return TextTable::Num(static_cast<int64_t>(std::max(ms, 50.0)));
 }
 
-void TablePaging() {
+void TablePaging(std::string& out) {
   TextTable table({"OS", "demand", "min", "avg", "max"});
   std::vector<PagingLatencyResult> full;  // the >= 100% rows: Linux, then TSE
   for (const OsProfile& profile : {OsProfile::LinuxX(), OsProfile::Tse()}) {
@@ -155,16 +154,16 @@ void TablePaging() {
                   Floor50(hi.max_ms)});
     full.push_back(std::move(hi));
   }
-  std::printf("%s\n", table.Render().c_str());
+  out += table.Render() + "\n";
 
-  std::printf("avg vs 100 ms perception threshold: Linux %.0fx (paper ~11x), TSE %.0fx "
-              "(paper ~40x)\n",
-              full[0].avg_ms / 100.0, full[1].avg_ms / 100.0);
+  out += Format("avg vs 100 ms perception threshold: Linux %.0fx (paper ~11x), TSE %.0fx "
+                "(paper ~40x)\n",
+                full[0].avg_ms / 100.0, full[1].avg_ms / 100.0);
 }
 
 // §6.1.2 table: byte and message counts per channel for RDP, X, and LBX on the typical
 // application workload (word processor + photo editor + control panel scripts).
-void TableProtocolTraffic() {
+void TableProtocolTraffic(std::string& out) {
   ProtocolTrafficResult rdp = RunAppWorkloadTraffic(ProtocolKind::kRdp);
   ProtocolTrafficResult x = RunAppWorkloadTraffic(ProtocolKind::kX);
   ProtocolTrafficResult lbx = RunAppWorkloadTraffic(ProtocolKind::kLbx);
@@ -185,25 +184,25 @@ void TableProtocolTraffic() {
   bytes.AddRow({"Avg. message size", TextTable::Fixed(rdp.avg_message_size, 2),
                 TextTable::Fixed(x.avg_message_size, 2),
                 TextTable::Fixed(lbx.avg_message_size, 2)});
-  std::printf("%s\n", bytes.Render().c_str());
+  out += bytes.Render() + "\n";
 
-  std::printf("RDP / X bytes     = %s (paper < 15%%)\n",
-              TextTable::Percent(static_cast<double>(rdp.total_bytes) /
-                                 static_cast<double>(x.total_bytes)).c_str());
-  std::printf("RDP / LBX bytes   = %s (paper < 30%%)\n",
-              TextTable::Percent(static_cast<double>(rdp.total_bytes) /
-                                 static_cast<double>(lbx.total_bytes)).c_str());
-  std::printf("LBX / X bytes     = %s (paper ~51%%)\n",
-              TextTable::Percent(static_cast<double>(lbx.total_bytes) /
-                                 static_cast<double>(x.total_bytes)).c_str());
-  std::printf("LBX / X display messages = %.2fx (paper ~1.8x)\n",
-              static_cast<double>(lbx.display.messages) /
-                  static_cast<double>(x.display.messages));
+  out += Format("RDP / X bytes     = %s (paper < 15%%)\n",
+                TextTable::Percent(static_cast<double>(rdp.total_bytes) /
+                                   static_cast<double>(x.total_bytes)).c_str());
+  out += Format("RDP / LBX bytes   = %s (paper < 30%%)\n",
+                TextTable::Percent(static_cast<double>(rdp.total_bytes) /
+                                   static_cast<double>(lbx.total_bytes)).c_str());
+  out += Format("LBX / X bytes     = %s (paper ~51%%)\n",
+                TextTable::Percent(static_cast<double>(lbx.total_bytes) /
+                                   static_cast<double>(x.total_bytes)).c_str());
+  out += Format("LBX / X display messages = %.2fx (paper ~1.8x)\n",
+                static_cast<double>(lbx.display.messages) /
+                    static_cast<double>(x.display.messages));
 }
 
 // §6.1.2 VIP table: byte savings from eliding the 20-byte IP header per packet (the
 // x-kernel virtual-IP scheme) for each protocol on the application workload.
-void TableVip() {
+void TableVip(std::string& out) {
   TextTable table({"", "RDP", "X", "LBX"});
   ProtocolTrafficResult results[] = {RunAppWorkloadTraffic(ProtocolKind::kRdp),
                                      RunAppWorkloadTraffic(ProtocolKind::kX),
@@ -219,21 +218,21 @@ void TableVip() {
                               2);
   };
   table.AddRow({"Savings", savings(results[0]), savings(results[1]), savings(results[2])});
-  std::printf("%s\n", table.Render().c_str());
+  out += table.Render() + "\n";
 
   double lbx_vip = static_cast<double>(results[2].vip_bytes);
   double rdp_normal = static_cast<double>(results[0].total_bytes);
-  std::printf("LBX-with-VIP / RDP-without = %.2fx (paper: > 2x)\n", lbx_vip / rdp_normal);
+  out += Format("LBX-with-VIP / RDP-without = %.2fx (paper: > 2x)\n", lbx_vip / rdp_normal);
 }
 
 // §6.1.1: compulsory network load — session negotiation/initialization bytes per
 // protocol, and the (absence of) idle traffic once a session is up.
-void TableSetupBytes() {
+void TableSetupBytes(std::string& out) {
   TextTable table({"protocol", "session setup bytes"});
   table.AddRow({"RDP (TSE)", TextTable::Num(SessionSetupBytes(ProtocolKind::kRdp).count())});
   table.AddRow({"X (Linux)", TextTable::Num(SessionSetupBytes(ProtocolKind::kX).count())});
   table.AddRow({"LBX", TextTable::Num(SessionSetupBytes(ProtocolKind::kLbx).count())});
-  std::printf("%s\n", table.Render().c_str());
+  out += table.Render() + "\n";
 
   // Idle traffic after login: run a logged-in but untouched session for a minute.
   for (OsProfile profile : {OsProfile::Tse(), OsProfile::LinuxX()}) {
@@ -244,15 +243,15 @@ void TableSetupBytes() {
     Bytes after_setup = server.link().bytes_carried();
     sim.RunUntil(TimePoint::Zero() + Duration::Seconds(60));
     Bytes idle_traffic = server.link().bytes_carried() - after_setup;
-    std::printf("%s: idle-session traffic over 60 s = %s (paper: none)\n",
-                profile.name.c_str(), idle_traffic.ToString().c_str());
+    out += Format("%s: idle-session traffic over 60 s = %s (paper: none)\n",
+                  profile.name.c_str(), idle_traffic.ToString().c_str());
   }
 }
 
 // Figure 4: network load over time for the synthetic msnbc.com-style webpage over RDP —
 // marquee+banner combined, marquee only, banner only. The combined page overflows the
 // client bitmap cache and costs orders of magnitude more than the sum of its parts.
-void Fig4Webpage() {
+void Fig4Webpage(std::string& out) {
   AnimationLoadResult combined =
       RunWebPageLoad(ProtocolKind::kRdp, /*banner=*/true, /*marquee=*/true);
   AnimationLoadResult marquee =
@@ -267,26 +266,26 @@ void Fig4Webpage() {
                   TextTable::Fixed(i < marquee.load_mbps.size() ? marquee.load_mbps[i] : 0, 4),
                   TextTable::Fixed(i < banner.load_mbps.size() ? banner.load_mbps[i] : 0, 4)});
   }
-  std::printf("%s\n", table.Render().c_str());
+  out += table.Render() + "\n";
 
-  std::printf("sustained: combined=%.3f Mbps (paper 1.60)  marquee=%.3f (paper 0.07)  "
-              "banner=%.3f (paper 0.01)\n",
-              combined.sustained_mbps, marquee.sustained_mbps, banner.sustained_mbps);
-  std::printf("non-linearity: combined / (marquee + banner) = %.0fx\n",
-              combined.sustained_mbps / (marquee.sustained_mbps + banner.sustained_mbps));
-  std::printf("cache: combined %lld hits / %lld misses; marquee alone %lld / %lld\n",
-              static_cast<long long>(combined.cache_hits),
-              static_cast<long long>(combined.cache_misses),
-              static_cast<long long>(marquee.cache_hits),
-              static_cast<long long>(marquee.cache_misses));
-  std::printf("five users on such a page saturate 10 Mbps Ethernet: %.1f Mbps offered\n",
-              5.0 * combined.sustained_mbps);
+  out += Format("sustained: combined=%.3f Mbps (paper 1.60)  marquee=%.3f (paper 0.07)  "
+                "banner=%.3f (paper 0.01)\n",
+                combined.sustained_mbps, marquee.sustained_mbps, banner.sustained_mbps);
+  out += Format("non-linearity: combined / (marquee + banner) = %.0fx\n",
+                combined.sustained_mbps / (marquee.sustained_mbps + banner.sustained_mbps));
+  out += Format("cache: combined %lld hits / %lld misses; marquee alone %lld / %lld\n",
+                static_cast<long long>(combined.cache_hits),
+                static_cast<long long>(combined.cache_misses),
+                static_cast<long long>(marquee.cache_hits),
+                static_cast<long long>(marquee.cache_misses));
+  out += Format("five users on such a page saturate 10 Mbps Ethernet: %.1f Mbps offered\n",
+                5.0 * combined.sustained_mbps);
 }
 
 // Figure 5: network load generated by a 10-frame, 20 Hz animated GIF in a browser over
 // X, LBX, and RDP. X and LBX re-send pixels every frame; RDP's bitmap cache serves
 // repeats with tiny orders after the first loop.
-void Fig5Gif() {
+void Fig5Gif(std::string& out) {
   GifAnimationOptions opt;
   opt.bucket = Duration::Millis(100);
   opt.duration = Duration::Seconds(20);
@@ -300,18 +299,18 @@ void Fig5Gif() {
                   TextTable::Fixed(x.load_mbps[i], 3), TextTable::Fixed(lbx.load_mbps[i], 3),
                   TextTable::Fixed(rdp.load_mbps[i], 3)});
   }
-  std::printf("%s\n", table.Render().c_str());
-  std::printf("sustained: X=%.3f Mbps  LBX=%.3f Mbps  RDP=%.3f Mbps\n", x.sustained_mbps,
-              lbx.sustained_mbps, rdp.sustained_mbps);
-  std::printf("RDP cache after warm-up: %lld hits / %lld misses\n",
-              static_cast<long long>(rdp.cache_hits),
-              static_cast<long long>(rdp.cache_misses));
+  out += table.Render() + "\n";
+  out += Format("sustained: X=%.3f Mbps  LBX=%.3f Mbps  RDP=%.3f Mbps\n", x.sustained_mbps,
+                lbx.sustained_mbps, rdp.sustained_mbps);
+  out += Format("RDP cache after warm-up: %lld hits / %lld misses\n",
+                static_cast<long long>(rdp.cache_hits),
+                static_cast<long long>(rdp.cache_misses));
 }
 
 // Figure 6: CPU utilization and cumulative bitmap-cache hit ratio for a 66-frame looping
 // animation that overflows the 1.5 MB cache. The hit ratio (seeded high by the session's
 // UI rasters) decays asymptotically toward zero while the server keeps re-encoding.
-void Fig6CacheOverflow() {
+void Fig6CacheOverflow(std::string& out) {
   CacheOverflowResult r = RunCacheOverflow(66, Duration::Seconds(60));
   TextTable table({"time (s)", "cache hit ratio (%)", "CPU utilization (%)"});
   for (size_t i = 0; i < r.cpu_utilization.size() && i < r.cumulative_hit_ratio.size();
@@ -320,161 +319,135 @@ void Fig6CacheOverflow() {
                   TextTable::Fixed(r.cumulative_hit_ratio[i] * 100.0, 1),
                   TextTable::Fixed(r.cpu_utilization[i] * 100.0, 1)});
   }
-  std::printf("%s\n", table.Render().c_str());
-  std::printf("hit ratio: start=%.1f%%  end=%.1f%% (monotone decay)\n",
-              r.cumulative_hit_ratio.front() * 100.0, r.cumulative_hit_ratio.back() * 100.0);
-  std::printf("CPU utilization at t=30s: %.1f%%, at t=59s: %.1f%% (never falls)\n",
-              r.cpu_utilization[30] * 100.0, r.cpu_utilization[58] * 100.0);
+  out += table.Render() + "\n";
+  out += Format("hit ratio: start=%.1f%%  end=%.1f%% (monotone decay)\n",
+                r.cumulative_hit_ratio.front() * 100.0, r.cumulative_hit_ratio.back() * 100.0);
+  out += Format("CPU utilization at t=30s: %.1f%%, at t=59s: %.1f%% (never falls)\n",
+                r.cpu_utilization[30] * 100.0, r.cpu_utilization[58] * 100.0);
 }
 
 // Figure 7: network load vs animation frame count (25..100) — the bitmap-cache size made
 // visible. Loops whose frames fit the 1.5 MB cache cost ~0.01 Mbps; one frame more and
 // LRU misses on every frame, costing the full-transfer bandwidth (~0.96 Mbps).
-void Fig7CacheKnee() {
+AnimationLoadResult RunLoop(int frames, CachePolicy policy = CachePolicy::kLru) {
+  GifAnimationOptions opt;
+  opt.frames = frames;
+  opt.frame_period = Duration::Millis(200);
+  opt.width = 200;
+  opt.height = 150;
+  opt.compression_ratio = 0.8;  // 30 000 raw -> 24 000 compressed bytes per frame
+  opt.duration = Duration::Seconds(60);
+  opt.cache_policy = policy;
+  return RunGifAnimation(ProtocolKind::kRdp, opt);
+}
+
+void Fig7CacheKnee(std::string& out) {
   TextTable table({"frames", "network load (Mbps)"});
   for (int frames = 25; frames <= 100; frames += 5) {
-    GifAnimationOptions opt;
-    opt.frames = frames;
-    opt.frame_period = Duration::Millis(200);
-    opt.width = 200;
-    opt.height = 150;
-    opt.compression_ratio = 0.8;  // 30 000 raw -> 24 000 compressed bytes per frame
-    opt.duration = Duration::Seconds(60);
-    AnimationLoadResult r = RunGifAnimation(ProtocolKind::kRdp, opt);
-    table.AddRow({TextTable::Num(frames), TextTable::Fixed(r.sustained_mbps, 3)});
+    table.AddRow({TextTable::Num(frames), TextTable::Fixed(RunLoop(frames).sustained_mbps, 3)});
   }
   // The exact cliff.
   for (int frames : {64, 65, 66, 67}) {
-    GifAnimationOptions opt;
-    opt.frames = frames;
-    opt.frame_period = Duration::Millis(200);
-    opt.width = 200;
-    opt.height = 150;
-    opt.compression_ratio = 0.8;
-    opt.duration = Duration::Seconds(60);
-    AnimationLoadResult r = RunGifAnimation(ProtocolKind::kRdp, opt);
-    std::printf("cliff detail: %d frames -> %.3f Mbps\n", frames, r.sustained_mbps);
+    out += Format("cliff detail: %d frames -> %.3f Mbps\n", frames,
+                  RunLoop(frames).sustained_mbps);
   }
-  std::printf("\n%s\n", table.Render().c_str());
+  out += "\n" + table.Render() + "\n";
 }
 
-// Figure 8: network round-trip time as a function of offered load — 64-byte pings (the
-// size of a typical input-channel message) against Poisson background traffic on a shared
-// 10 Mbps link, 60 s per load level.
-void Fig8Rtt() {
-  TextTable table({"offered load (Mbps)", "mean RTT (ms)"});
+// Figures 8 and 9: network round-trip time, and its variance (jitter), as a function of
+// offered load — 64-byte pings (the size of a typical input-channel message) against
+// Poisson background traffic on a shared 10 Mbps link, 60 s per load level.
+void RttVsLoad(std::string& out, const char* header, double RttProbeResult::*column,
+               int precision) {
+  TextTable table({"offered load (Mbps)", header});
   for (double mbps : {0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 8.5, 9.0, 9.3, 9.6}) {
     RttProbeResult r = RunRttProbe(mbps);
-    table.AddRow({TextTable::Fixed(mbps, 1), TextTable::Fixed(r.mean_rtt_ms, 2)});
+    table.AddRow({TextTable::Fixed(mbps, 1), TextTable::Fixed(r.*column, precision)});
   }
-  std::printf("%s\n", table.Render().c_str());
+  out += table.Render() + "\n";
 }
 
-// Figure 9: network latency jitter (RTT variance) as a function of offered load — the
-// same probe as Figure 8, reporting the variance of all RTTs per level.
-void Fig9Jitter() {
-  TextTable table({"offered load (Mbps)", "RTT variance (ms^2)"});
-  for (double mbps : {0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 8.5, 9.0, 9.3, 9.6}) {
-    RttProbeResult r = RunRttProbe(mbps);
-    table.AddRow({TextTable::Fixed(mbps, 1), TextTable::Fixed(r.rtt_variance, 3)});
-  }
-  std::printf("%s\n", table.Render().c_str());
+void Fig8Rtt(std::string& out) {
+  RttVsLoad(out, "mean RTT (ms)", &RttProbeResult::mean_rtt_ms, 2);
+}
+
+void Fig9Jitter(std::string& out) {
+  RttVsLoad(out, "RTT variance (ms^2)", &RttProbeResult::rtt_variance, 3);
 }
 
 // Ablation A1 (§4.2.1 analysis): the boost "grace period" vs operation length. Sweeps
 // quantum stretching (1..3) and CPU speed for the 500 ms maximize operation intersecting
 // a 400 ms priority-13 daemon event; shows when the operation fits inside the boosted
 // window (completes untouched) vs when it is stranded behind the daemon (the 900 ms case).
-const double kSpeeds[] = {1.0, 1.5, 2.0, 2.5, 2.8, 3.0, 4.0, 5.5};
+const std::vector<double> kSpeeds = {1.0, 1.5, 2.0, 2.5, 2.8, 3.0, 4.0, 5.5};
 const int kStretches[] = {1, 2, 3};
 
-void AblationBoost() {
-  constexpr int kStretchCount = static_cast<int>(std::size(kStretches));
-  ParallelSweep sweep;
-  std::vector<Duration> done = sweep.Map(
-      static_cast<int>(std::size(kSpeeds)) * kStretchCount, [&](int i) {
-        return RunMaximizeScenario(kStretches[i % kStretchCount],
-                                   kSpeeds[i / kStretchCount]);
-      });
-
-  TextTable table({"CPU speed", "op length (ms)", "stretch=1", "stretch=2", "stretch=3"});
-  for (size_t s = 0; s < std::size(kSpeeds); ++s) {
-    double speed = kSpeeds[s];
-    std::vector<std::string> row;
-    row.push_back(TextTable::Fixed(speed, 1) + "x");
-    row.push_back(TextTable::Fixed(500.0 / speed, 0));
-    for (int stretch = 0; stretch < kStretchCount; ++stretch) {
-      row.push_back(TextTable::Fixed(
-          done[s * static_cast<size_t>(kStretchCount) + static_cast<size_t>(stretch)]
-              .ToMillisF(),
-          0));
+void AblationBoost(std::string& out) {
+  // One cell per CPU speed, rendering its row: the stretches run in turn.
+  auto rows = Grid().Run(kSpeeds, [](double speed) {
+    std::vector<std::string> row{TextTable::Fixed(speed, 1) + "x",
+                                 TextTable::Fixed(500.0 / speed, 0)};
+    for (int stretch : kStretches) {
+      row.push_back(TextTable::Fixed(RunMaximizeScenario(stretch, speed).ToMillisF(), 0));
     }
-    table.AddRow(std::move(row));
+    return row;
+  });
+  TextTable table({"CPU speed", "op length (ms)", "stretch=1", "stretch=2", "stretch=3"});
+  for (const auto& [speed, row] : rows) {
+    table.AddRow(row);
   }
-  std::printf("%s\n", table.Render().c_str());
-  std::printf("reading: completion == op length -> fit inside the boost grace period;\n");
-  std::printf("         completion ~= op length + 400 ms -> stranded behind the daemon.\n");
+  out += table.Render() + "\n";
+  out += "reading: completion == op length -> fit inside the boost grace period;\n";
+  out += "         completion ~= op length + 400 ms -> stranded behind the daemon.\n";
 }
 
 // Ablation A2 (§6.1.3 "Cache Pathology"): LRU vs the loop-aware eviction policy the paper
 // calls for ("a more intelligent scheme capable of dealing with such animations might
 // somehow detect loop patterns and adjust its eviction behavior accordingly").
-const int kFrames[] = {25, 45, 60, 65, 66, 70, 80, 100};
+const std::vector<int> kFrames = {25, 45, 60, 65, 66, 70, 80, 100};
 
-void AblationCachePolicy() {
-  // Frame count x eviction policy, fanned out in parallel (policy is the fast-varying
-  // index: even i = LRU, odd i = loop-aware).
-  ParallelSweep sweep;
-  std::vector<AnimationLoadResult> results =
-      sweep.Map(static_cast<int>(std::size(kFrames)) * 2, [&](int i) {
-        GifAnimationOptions opt;
-        opt.frames = kFrames[i / 2];
-        opt.frame_period = Duration::Millis(200);
-        opt.width = 200;
-        opt.height = 150;
-        opt.compression_ratio = 0.8;
-        opt.duration = Duration::Seconds(60);
-        opt.cache_policy = i % 2 == 0 ? CachePolicy::kLru : CachePolicy::kLoopAware;
-        return RunGifAnimation(ProtocolKind::kRdp, opt);
-      });
-
+void AblationCachePolicy(std::string& out) {
+  // One cell per frame count, rendering its row: LRU, then loop-aware.
+  auto rows = Grid().Run(kFrames, [](int frames) {
+    AnimationLoadResult lru = RunLoop(frames);
+    AnimationLoadResult loop = RunLoop(frames, CachePolicy::kLoopAware);
+    return std::vector<std::string>{TextTable::Num(frames),
+                                    TextTable::Fixed(lru.sustained_mbps, 3),
+                                    TextTable::Fixed(loop.sustained_mbps, 3),
+                                    TextTable::Fixed(lru.cumulative_hit_ratio * 100.0, 1),
+                                    TextTable::Fixed(loop.cumulative_hit_ratio * 100.0, 1)};
+  });
   TextTable table({"frames", "LRU (Mbps)", "loop-aware (Mbps)", "LRU hit %", "loop-aware hit %"});
-  for (size_t f = 0; f < std::size(kFrames); ++f) {
-    const AnimationLoadResult& lru = results[f * 2];
-    const AnimationLoadResult& loop = results[f * 2 + 1];
-    table.AddRow({TextTable::Num(kFrames[f]), TextTable::Fixed(lru.sustained_mbps, 3),
-                  TextTable::Fixed(loop.sustained_mbps, 3),
-                  TextTable::Fixed(lru.cumulative_hit_ratio * 100.0, 1),
-                  TextTable::Fixed(loop.cumulative_hit_ratio * 100.0, 1)});
+  for (const auto& [frames, row] : rows) {
+    table.AddRow(row);
   }
-  std::printf("%s\n", table.Render().c_str());
+  out += table.Render() + "\n";
 }
 
 // Ablation A3 (§5.2): Evans et al.'s fix for the paging pathology — protect interactive
 // address spaces from non-interactive faults and throttle streaming jobs under pressure.
 // Re-runs the §5.2 keystroke-after-hog experiment under both eviction policies.
-void AblationThrottle() {
-  const OsProfile profiles[] = {OsProfile::LinuxX(), OsProfile::Tse()};
-
-  // Profile x eviction-policy grid in parallel (even i = global LRU, odd i = protect).
-  ParallelSweep sweep;
-  std::vector<PagingLatencyResult> results =
-      sweep.Map(static_cast<int>(std::size(profiles)) * 2, [&](int i) {
-        EvictionPolicy policy = i % 2 == 0 ? EvictionPolicy::kGlobalLru
-                                           : EvictionPolicy::kInteractiveProtect;
-        return RunPagingLatency(profiles[i / 2], true, 10, 1, policy);
-      });
-
-  TextTable table({"OS", "policy", "min (ms)", "avg (ms)", "max (ms)"});
-  for (size_t p = 0; p < std::size(profiles); ++p) {
-    const PagingLatencyResult& lru = results[p * 2];
-    const PagingLatencyResult& prot = results[p * 2 + 1];
-    table.AddRow({profiles[p].name, "global LRU", Floor50(lru.min_ms),
-                  Floor50(lru.avg_ms), Floor50(lru.max_ms)});
-    table.AddRow({profiles[p].name, "interactive-protect", Floor50(prot.min_ms),
-                  Floor50(prot.avg_ms), Floor50(prot.max_ms)});
+void AblationThrottle(std::string& out) {
+  // One cell per profile and policy: global LRU, then protection, for each profile.
+  struct Cell {
+    OsProfile profile;
+    EvictionPolicy policy;
+    const char* label;
+  };
+  std::vector<Cell> cells;
+  for (const OsProfile& profile : {OsProfile::LinuxX(), OsProfile::Tse()}) {
+    cells.push_back({profile, EvictionPolicy::kGlobalLru, "global LRU"});
+    cells.push_back({profile, EvictionPolicy::kInteractiveProtect, "interactive-protect"});
   }
-  std::printf("%s\n", table.Render().c_str());
+  auto results = Grid().Run(cells, [](const Cell& c) {
+    return RunPagingLatency(c.profile, true, 10, 1, c.policy);
+  });
+  TextTable table({"OS", "policy", "min (ms)", "avg (ms)", "max (ms)"});
+  for (const auto& [cell, r] : results) {
+    table.AddRow({cell.profile.name, cell.label, Floor50(r.min_ms), Floor50(r.avg_ms),
+                  Floor50(r.max_ms)});
+  }
+  out += table.Render() + "\n";
 }
 
 // Ablation A4 (§3.1 / §7): utilization-based server sizing vs latency-based sizing.
@@ -486,53 +459,53 @@ void AblationThrottle() {
 // perception threshold) — and shows how far apart the two capacity answers are.
 const int kUsers[] = {2, 4, 6, 8, 10, 12, 16, 20, 24, 28, 32};
 
-void AblationSizing() {
-  const OsProfile profiles[] = {OsProfile::Tse(), OsProfile::LinuxX(),
-                                OsProfile::LinuxSvr4()};
-  constexpr int kUserCount = static_cast<int>(std::size(kUsers));
-
+void AblationSizing(std::string& out) {
   // All profile x user-count sizing runs fan out together; the ceiling scan below reads
-  // them back in the same order the serial loops produced.
-  ParallelSweep sweep;
-  std::vector<SizingPoint> points =
-      sweep.Map(static_cast<int>(std::size(profiles)) * kUserCount, [&](int i) {
-        return RunServerSizing(profiles[i / kUserCount], kUsers[i % kUserCount]);
-      });
+  // each profile's runs back in user-count order.
+  struct Cell {
+    OsProfile profile;
+    int users;
+  };
+  std::vector<Cell> cells;
+  for (const OsProfile& profile :
+       {OsProfile::Tse(), OsProfile::LinuxX(), OsProfile::LinuxSvr4()}) {
+    for (int users : kUsers) {
+      cells.push_back({profile, users});
+    }
+  }
+  auto points =
+      Grid().Run(cells, [](const Cell& c) { return RunServerSizing(c.profile, c.users); });
 
-  for (size_t prof = 0; prof < std::size(profiles); ++prof) {
-    const OsProfile& base = profiles[prof];
-    std::printf("--- %s ---\n", base.name.c_str());
+  for (auto runs : GroupBy(points, [](const Cell& c) { return c.profile.name; })) {
+    out += "--- " + runs[0].cell.profile.name + " ---\n";
     TextTable table({"users", "CPU util", "avg stall (ms)", "worst user (ms)",
                      "util verdict", "latency verdict"});
     int util_ceiling = 0;
     int latency_ceiling = 0;
     bool util_failed = false;
     bool latency_failed = false;
-    for (int u = 0; u < kUserCount; ++u) {
-      int users = kUsers[u];
-      const SizingPoint& p = points[prof * static_cast<size_t>(kUserCount) +
-                                    static_cast<size_t>(u)];
+    for (const auto& [cell, p] : runs) {
       bool util_ok = p.cpu_utilization < 0.85;
       bool latency_ok = p.avg_stall_ms < kPerceptionThreshold.ToMillisF();
       if (util_ok && !util_failed) {
-        util_ceiling = users;
+        util_ceiling = cell.users;
       } else {
         util_failed = true;
       }
       if (latency_ok && !latency_failed) {
-        latency_ceiling = users;
+        latency_ceiling = cell.users;
       } else {
         latency_failed = true;
       }
-      table.AddRow({TextTable::Num(users), TextTable::Percent(p.cpu_utilization, 1),
+      table.AddRow({TextTable::Num(cell.users), TextTable::Percent(p.cpu_utilization, 1),
                     TextTable::Fixed(p.avg_stall_ms, 1),
                     TextTable::Fixed(p.worst_stall_ms, 1), util_ok ? "ok" : "OVER",
                     latency_ok ? "ok" : "OVER"});
     }
-    std::printf("%s", table.Render().c_str());
-    std::printf("capacity by utilization (<85%%): ~%d users;  by latency (<100 ms): ~%d "
-                "users\n\n",
-                util_ceiling, latency_ceiling);
+    out += table.Render();
+    out += Format("capacity by utilization (<85%%): ~%d users;  by latency (<100 ms): ~%d "
+                  "users\n\n",
+                  util_ceiling, latency_ceiling);
   }
 }
 
@@ -568,7 +541,7 @@ double MeasureKBps(ProtocolKind kind, bool caret, bool progress) {
          window.ToSecondsF() / 1024.0;
 }
 
-void SimpleAnimations() {
+void SimpleAnimations(std::string& out) {
   TextTable table({"protocol", "caret", "progress bar", "both", "verdict"});
   for (ProtocolKind kind : {ProtocolKind::kRdp, ProtocolKind::kX, ProtocolKind::kLbx,
                             ProtocolKind::kSlim, ProtocolKind::kVnc}) {
@@ -578,7 +551,7 @@ void SimpleAnimations() {
     table.AddRow({ProtocolName(kind), TextTable::Fixed(caret, 2), TextTable::Fixed(bar, 2),
                   TextTable::Fixed(both, 2), both < 10.0 ? "harmless" : "OVER 10 KB/s"});
   }
-  std::printf("%s\n", table.Render().c_str());
+  out += table.Render() + "\n";
 }
 
 // Related-work comparison (§7): all five protocol models — RDP, X, LBX, plus the SLIM
@@ -586,7 +559,7 @@ void SimpleAnimations() {
 // animation. The paper places SLIM "roughly equivalent in performance to X, still behind
 // RDP and LBX in network load efficiency"; VNC is "yet another network protocol similar
 // to SLIM".
-void RelatedWork() {
+void RelatedWork(std::string& out) {
   TextTable table({"protocol", "app workload bytes", "vs X", "messages", "avg msg",
                    "GIF sustained Mbps"});
   int64_t x_total = 0;
@@ -606,7 +579,7 @@ void RelatedWork() {
                   TextTable::Fixed(traffic.avg_message_size, 1),
                   TextTable::Fixed(anim.sustained_mbps, 3)});
   }
-  std::printf("%s\n", table.Render().c_str());
+  out += table.Render() + "\n";
 }
 
 // Ablation A5: does adding processors fix the interactive-latency pathologies?
@@ -616,38 +589,27 @@ void RelatedWork() {
 // up to the processor count but does not change the scheduling policy: once the sinks
 // outnumber the processors, TSE's unboosted display pipeline queues exactly as before,
 // while the SVR4 interactive class never needed the extra silicon.
-const int kSinks[] = {0, 2, 5, 10, 15, 20, 30};
+const std::vector<int> kSinks = {0, 2, 5, 10, 15, 20, 30};
 const int kProcs[] = {1, 2, 4};
 
-void AblationSmp() {
-  const OsProfile profiles[] = {OsProfile::Tse(), OsProfile::LinuxX()};
-  constexpr int kSinkCount = static_cast<int>(std::size(kSinks));
-  constexpr int kProcCount = static_cast<int>(std::size(kProcs));
-  constexpr int kPerProfile = kSinkCount * kProcCount;
-
-  // The whole profile x sinks x procs grid fans out across the worker pool; results come
-  // back in submission order, so rendering below is identical to the serial loops.
-  ParallelSweep sweep;
-  std::vector<TypingUnderLoadResult> results =
-      sweep.Map(static_cast<int>(std::size(profiles)) * kPerProfile, [&](int i) {
-        const OsProfile& profile = profiles[i / kPerProfile];
-        int sinks = kSinks[(i % kPerProfile) / kProcCount];
-        int procs = kProcs[i % kProcCount];
-        return RunTypingUnderLoad(profile, sinks, Duration::Seconds(30), 1, procs);
-      });
-
-  for (size_t p = 0; p < std::size(profiles); ++p) {
-    std::printf("--- %s ---\n", profiles[p].name.c_str());
-    TextTable table({"sinks", "1 cpu", "2 cpus", "4 cpus"});
-    for (int s = 0; s < kSinkCount; ++s) {
-      std::vector<std::string> row{TextTable::Num(kSinks[s])};
-      for (int c = 0; c < kProcCount; ++c) {
-        size_t i = p * kPerProfile + static_cast<size_t>(s * kProcCount + c);
-        row.push_back(TextTable::Fixed(results[i].avg_stall_ms, 1));
+void AblationSmp(std::string& out) {
+  for (const OsProfile& profile : {OsProfile::Tse(), OsProfile::LinuxX()}) {
+    // One cell per sink count, rendering its row: the processor counts run in turn.
+    auto rows = Grid().Run(kSinks, [&](int sinks) {
+      std::vector<std::string> row{TextTable::Num(sinks)};
+      for (int procs : kProcs) {
+        row.push_back(TextTable::Fixed(
+            RunTypingUnderLoad(profile, sinks, Duration::Seconds(30), 1, procs).avg_stall_ms,
+            1));
       }
-      table.AddRow(std::move(row));
+      return row;
+    });
+    out += "--- " + profile.name + " ---\n";
+    TextTable table({"sinks", "1 cpu", "2 cpus", "4 cpus"});
+    for (const auto& [sinks, row] : rows) {
+      table.AddRow(row);
     }
-    std::printf("%s\n", table.Render().c_str());
+    out += table.Render() + "\n";
   }
 }
 
@@ -664,7 +626,7 @@ struct LinkClass {
   Duration propagation;
 };
 
-void AccessLinks() {
+void AccessLinks(std::string& out) {
   const LinkClass kLinks[] = {
       {"10 Mbps LAN", BitsPerSecond::Mbps(10), Duration::Micros(50)},
       {"T1 (1.54 Mbps)", BitsPerSecond::Kbps(1540), Duration::Millis(5)},
@@ -694,32 +656,22 @@ void AccessLinks() {
       if (headroom >= 3.0) {
         row.push_back("ok");
       } else if (headroom >= 1.0) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "tight %.1fx", headroom);
-        row.push_back(buf);
+        row.push_back(Format("tight %.1fx", headroom));
       } else {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "NO (%.1fx)", headroom);
-        row.push_back(buf);
+        row.push_back(Format("NO (%.1fx)", headroom));
       }
     }
     table.AddRow(std::move(row));
   }
-  std::printf("%s\n", table.Render().c_str());
-  std::printf("reading: 'ok' = >=3x headroom for interaction bursts; 'tight' = drains on\n");
-  std::printf("average but bursts stall; 'NO' = the display channel cannot keep up at all.\n");
+  out += table.Render() + "\n";
+  out += "reading: 'ok' = >=3x headroom for interaction bursts; 'tight' = drains on\n";
+  out += "average but bursts stall; 'NO' = the display channel cannot keep up at all.\n";
 }
 
 // Extension R3: the end-to-end latency budget — §3.2's factor taxonomy (hardware
 // resources, OS structure, user behavior) turned into a measured breakdown of where each
 // keystroke's milliseconds go: input transit, server scheduling + pipeline, display
 // transit, client decode + blit.
-void AddRow(TextTable& table, const char* scenario, const EndToEndResult& r) {
-  table.AddRow({scenario, TextTable::Fixed(r.input_net_ms, 2),
-                TextTable::Fixed(r.server_ms, 2), TextTable::Fixed(r.display_net_ms, 2),
-                TextTable::Fixed(r.client_ms, 2), TextTable::Fixed(r.total_ms, 2)});
-}
-
 struct Scenario {
   const char* label;
   EndToEndOptions options;
@@ -739,26 +691,22 @@ std::vector<Scenario> Scenarios() {
           {"handheld client (client stress)", weak_client}};
 }
 
-void E2eBudget() {
-  const OsProfile profiles[] = {OsProfile::Tse(), OsProfile::LinuxX()};
-  const std::vector<Scenario> scenarios = Scenarios();
-  const int per_profile = static_cast<int>(scenarios.size());
-
-  ParallelSweep sweep;
-  std::vector<EndToEndResult> results =
-      sweep.Map(static_cast<int>(std::size(profiles)) * per_profile, [&](int i) {
-        return RunEndToEndLatency(profiles[i / per_profile],
-                                  scenarios[static_cast<size_t>(i % per_profile)].options);
-      });
-
-  for (size_t p = 0; p < std::size(profiles); ++p) {
-    std::printf("--- %s ---\n", profiles[p].name.c_str());
+void E2eBudget(std::string& out) {
+  for (const OsProfile& profile : {OsProfile::Tse(), OsProfile::LinuxX()}) {
+    // One cell per scenario, rendering its row.
+    auto rows = Grid().Run(Scenarios(), [&](const Scenario& scenario) {
+      EndToEndResult r = RunEndToEndLatency(profile, scenario.options);
+      return std::vector<std::string>{
+          scenario.label, TextTable::Fixed(r.input_net_ms, 2), TextTable::Fixed(r.server_ms, 2),
+          TextTable::Fixed(r.display_net_ms, 2), TextTable::Fixed(r.client_ms, 2),
+          TextTable::Fixed(r.total_ms, 2)};
+    });
+    out += "--- " + profile.name + " ---\n";
     TextTable table({"scenario", "input net", "server", "display net", "client", "total"});
-    for (size_t s = 0; s < scenarios.size(); ++s) {
-      AddRow(table, scenarios[s].label,
-             results[p * static_cast<size_t>(per_profile) + s]);
+    for (const auto& [scenario, row] : rows) {
+      table.AddRow(row);
     }
-    std::printf("%s\n", table.Render().c_str());
+    out += table.Render() + "\n";
   }
 }
 
@@ -767,7 +715,7 @@ void E2eBudget() {
 // day" and characterizing display-channel idioms — the inspiration for the paper's (and
 // our) prototap. This harness prints the per-request-type byte/count profile of the
 // application workload over X.
-void XProfile() {
+void XProfile(std::string& out) {
   ProtocolHarness harness(ProtocolKind::kX, 1);
   ReplayAppWorkload(harness, 1, 400);
   const auto& x = dynamic_cast<const XProtocol&>(harness.protocol());
@@ -792,15 +740,15 @@ void XProfile() {
                 TextTable::Fixed(static_cast<double>(total_bytes) /
                                      static_cast<double>(total_count),
                                  1)});
-  std::printf("%s\n", table.Render().c_str());
-  std::printf("Danskin's conclusion, reproduced: the average request (%.0f B) is far\n"
-              "below the 1500 B MTU, so fixed per-packet headers dominate efficiency.\n",
-              static_cast<double>(total_bytes) / static_cast<double>(total_count));
+  out += table.Render() + "\n";
+  out += Format("Danskin's conclusion, reproduced: the average request (%.0f B) is far\n"
+                "below the 1500 B MTU, so fixed per-packet headers dominate efficiency.\n",
+                static_cast<double>(total_bytes) / static_cast<double>(total_count));
 }
 
 struct Artifact {
   const char* name;  // the argument to `tcsctl paper`
-  void (*run)();
+  void (*run)(std::string& out);
   const char* title;
   const char* description;
   const char* paper;  // what the paper reports, printed before the measurement
@@ -938,33 +886,37 @@ const Artifact kArtifacts[] = {
      "the paper (and our VIP table) reconfirms."},
 };
 
-void Print(const Artifact& a) {
-  std::printf("==========================================================================\n");
-  std::printf("%s\n", a.title);
-  std::printf("%s\n", a.description);
-  std::printf("==========================================================================\n");
-  std::printf("paper: %s\n\n", a.paper);
-  a.run();
+// The artifact as `tcsctl paper` prints it: the banner and paper note, then what the
+// artifact measured.
+std::string Render(const Artifact* a) {
+  const std::string rule(74, '=');
+  std::string out = rule + "\n" + a->title + "\n" + a->description + "\n" + rule +
+                    "\npaper: " + a->paper + "\n\n";
+  a->run(out);
+  return out;
 }
 
 }  // namespace
 
 int RunPaper(const std::string& name) {
-  bool found = false;
+  std::vector<const Artifact*> chosen;
   for (const Artifact& a : kArtifacts) {
     if (name.empty() || name == a.name) {
-      Print(a);
-      found = true;
+      chosen.push_back(&a);
     }
   }
-  if (found) {
-    return 0;
+  if (chosen.empty()) {
+    std::fprintf(stderr, "unknown artifact '%s'; one of:\n", name.c_str());
+    for (const Artifact& a : kArtifacts) {
+      std::fprintf(stderr, "  %s\n", a.name);
+    }
+    return 2;
   }
-  std::fprintf(stderr, "unknown artifact '%s'; one of:\n", name.c_str());
-  for (const Artifact& a : kArtifacts) {
-    std::fprintf(stderr, "  %s\n", a.name);
+  // The suite is one grid of artifacts, printed in table order once every one has run.
+  for (const auto& [artifact, text] : Grid().Run(chosen, Render)) {
+    std::fwrite(text.data(), 1, text.size(), stdout);
   }
-  return 2;
+  return 0;
 }
 
 }  // namespace tcs

@@ -8,13 +8,14 @@
 // flag the command does not read, or a value it cannot use, exits 2 before anything is
 // simulated; the accepted flags are exactly the ones the reader asked for.
 //
-// The sweeps (sweep, chaos, wan, whatif, blame, capacity) fan their grid out over a
-// worker pool (--jobs, default: all cores). Each cell's seed derives from --seed and its
-// position in the grid, so stdout and --report-out files are byte-identical for any
-// --jobs value; the "N configs over M workers" footers go to stderr for the same reason.
-// sweep (typing, e2e), chaos, wan and capacity also take the --slo-* flags: each cell
-// then runs under its own SloWatchdog, and violating cells leave forensic bundles under
-// --postmortem-dir even though the sweep itself runs trace-off.
+// The sweeps (sweep, chaos, wan, whatif, blame, capacity) run their grid through one
+// runner (tools/grid.h) on a worker pool (--jobs, default: all cores). Each cell's seed
+// derives from --seed and its position in the grid, so stdout and --report-out files
+// are byte-identical for any --jobs value; the "N configs over M workers" footers go to
+// stderr for the same reason. sweep (typing, e2e), chaos, wan and capacity also take the
+// --slo-* flags: each cell then runs under its own SloWatchdog, and violating cells
+// leave forensic bundles under --postmortem-dir even though the sweep itself runs
+// trace-off.
 
 #include <cstdio>
 #include <filesystem>
@@ -42,6 +43,7 @@
 #include "src/util/json.h"
 #include "src/util/table.h"
 #include "src/workload/script_io.h"
+#include "tools/grid.h"
 #include "tools/paper.h"
 
 namespace tcs {
@@ -92,21 +94,6 @@ bool WriteFile(const std::string& path, const std::string& contents) {
   }
   out << contents;
   return true;
-}
-
-// --report-out for the sweeps: {"experiment":...,"points":[<each point's report>]}.
-// True when no report was asked for or it was written.
-template <typename Point>
-bool WritePointsReport(const std::string& path, const char* experiment,
-                       const std::vector<Point>& points) {
-  if (path.empty()) {
-    return true;
-  }
-  std::string report = std::string("{\"experiment\":\"") + experiment + "\",\"points\":[";
-  for (size_t i = 0; i < points.size(); ++i) {
-    report += (i > 0 ? "," : "") + ToJson(points[i]);
-  }
-  return WriteFile(path, report + "]}\n");
 }
 
 // Splits a comma-separated flag value ("0,2,5") into tokens.
@@ -182,39 +169,6 @@ bool MakePostmortemDir(const SloSpec& spec) {
     std::fprintf(stderr, "tcsctl: cannot create --postmortem-dir=%s: %s\n",
                  spec.out_dir.c_str(), ec.message().c_str());
     return false;
-  }
-  return true;
-}
-
-// One sweep cell's observability: its own copy of the --slo-* spec under a
-// deterministic bundle name, or no ObsConfig at all when no objective was asked for.
-class CellSlo {
- public:
-  CellSlo(const SloSpec& base, std::string name) : spec_(base) {
-    spec_.name = std::move(name);
-    obs_.slo = &spec_;
-  }
-  CellSlo(const CellSlo&) = delete;
-  CellSlo& operator=(const CellSlo&) = delete;
-  const ObsConfig* obs() const { return spec_.Any() ? &obs_ : nullptr; }
-
- private:
-  SloSpec spec_;
-  ObsConfig obs_;
-};
-
-// One sweep cell's SLO verdict: prints "SLO violated <where>: <objective>" and the
-// bundle paths when the cell violated; returns whether it did.
-template <typename... Args>
-bool PrintViolation(const SloReport& slo, const char* where, Args... args) {
-  if (!slo.active || slo.passed) {
-    return false;
-  }
-  std::printf("SLO violated ");
-  std::printf(where, args...);
-  std::printf(": %s\n", slo.violating_objective.c_str());
-  for (const std::string& path : slo.postmortems) {
-    std::printf("  postmortem: %s\n", path.c_str());
   }
   return true;
 }
@@ -452,10 +406,134 @@ Runner E2e(FlagSet& flags) {
 }
 
 // ---------------------------------------------------------------------------
-// Sweeps.
+// Sweeps: each lists its cells and runs them through a SweepCommand's grid (tools/grid.h).
+
+// One run's SLO verdict, and where the SLO summary says the run was.
+struct Verdict {
+  const SloReport* slo;
+  std::string where;  // "at loss 1.0% / flap 50 ms"
+};
+
+// What every sweep reads besides its axes, and the output every sweep shares.
+class SweepCommand {
+ public:
+  // What a sweep takes besides --jobs and --csv: the --slo-* flags, and --report-out.
+  static constexpr int kSlo = 1;
+  static constexpr int kReport = 2;
+
+  SweepCommand(FlagSet& flags, int takes)
+      : grid_(static_cast<int>(flags.GetInt("jobs", 0))),
+        slo_((takes & kSlo) != 0 ? ReadSlo(flags) : SloSpec()),
+        csv_(flags.GetBool("csv")),
+        report_out_((takes & kReport) != 0 ? flags.GetString("report-out", "") : "") {}
+
+  const Grid& grid() const { return grid_; }
+  bool csv() const { return csv_; }
+  bool MakePostmortemDir() const { return tcs::MakePostmortemDir(slo_); }
+
+  // Runs fn(cell, obs) for every cell, obs watching the cell under its own copy of the
+  // --slo-* spec with the bundle name cell.bundle, or null without --slo-*. A bundle
+  // name comes from the cell's place in the grid, so --jobs cannot rename it.
+  template <typename Cell, typename Fn>
+  auto RunWatched(const std::vector<Cell>& cells, Fn fn) const {
+    return grid_.Run(cells, [&](const Cell& cell) {
+      SloSpec spec = slo_;
+      spec.name = cell.bundle;
+      ObsConfig obs{.slo = &spec};
+      return fn(cell, spec.Any() ? &obs : nullptr);
+    });
+  }
+
+  // The share of end-to-end time each stage of result.blame owns, one row per cell after
+  // keys(result), with degradation-hold's last when `hold`.
+  template <typename R, typename Keys>
+  void PrintStageShares(const std::vector<R>& ran, std::vector<std::string> header,
+                        Keys keys, bool hold = false) const {
+    header.insert(header.end(), {"input-net", "retransmit", "sched-wait", "cpu", "mem",
+                                 "proto", "display-net", "decode"});
+    if (hold) {
+      header.push_back("degr-hold");
+    }
+    TextTable table(std::move(header));
+    for (const R& r : ran) {
+      std::vector<std::string> row = keys(r.result);
+      for (const StageSummary& s : r.result.blame.stages) {
+        row.push_back(TextTable::Percent(s.share, 1));
+      }
+      table.AddRow(std::move(row));
+    }
+    std::printf("per-stage share of end-to-end latency:\n");
+    Emit(table, csv_);
+  }
+
+  // Without --slo-*, nothing. Otherwise, in grid order, "SLO violated <where>:
+  // <objective>" and the bundle paths of every verdict that failed, then "SLO: k of n
+  // <noun> violated", or "SLO: k <noun> violated" when not `of_all` (capacity's probes,
+  // whose number the search decides).
+  void PrintSlo(const std::vector<Verdict>& verdicts, const char* noun,
+                bool of_all = true) const {
+    if (!slo_.Any()) {
+      return;
+    }
+    int violated = 0;
+    for (const Verdict& v : verdicts) {
+      if (!v.slo->active || v.slo->passed) {
+        continue;
+      }
+      ++violated;
+      std::printf("SLO violated %s: %s\n", v.where.c_str(),
+                  v.slo->violating_objective.c_str());
+      for (const std::string& path : v.slo->postmortems) {
+        std::printf("  postmortem: %s\n", path.c_str());
+      }
+    }
+    if (of_all) {
+      std::printf("SLO: %d of %zu %s violated\n", violated, verdicts.size(), noun);
+    } else {
+      std::printf("SLO: %d %s violated\n", violated, noun);
+    }
+  }
+
+  // Writes --report-out, when asked for, as {"experiment":<experiment>, `fields`,
+  // "points":[point(r) for each cell]}, then the footer below. Returns the exit code: 1
+  // when the report cannot be written.
+  template <typename R, typename Point>
+  int Finish(const std::vector<R>& ran, const char* noun, const char* experiment,
+             Point point,
+             const std::vector<std::pair<const char*, std::string>>& fields = {}) const {
+    if (!report_out_.empty()) {
+      JsonObject report;
+      report.Str("experiment", experiment);
+      for (const auto& [key, value] : fields) {
+        report.Str(key, value);
+      }
+      std::string points;
+      for (const R& r : ran) {
+        points += (points.empty() ? "" : ",") + point(r);
+      }
+      report.Raw("points", "[" + points + "]");
+      if (!WriteFile(report_out_, report.Finish() + "\n")) {
+        return 1;
+      }
+    }
+    return Finish(ran.size(), noun);
+  }
+
+  // "<cells> <noun> over <workers> workers" on stderr, where it cannot change stdout.
+  int Finish(size_t cells, const char* noun) const {
+    std::fprintf(stderr, "%zu %s over %d workers\n", cells, noun, grid_.workers());
+    return 0;
+  }
+
+ private:
+  Grid grid_;
+  SloSpec slo_;
+  bool csv_;
+  std::string report_out_;
+};
 
 // Crosses the OS list with the load list (sinks for typing/e2e, users for sizing), OS
-// major and load minor: the same row order the serial loops would produce.
+// major and load minor.
 Runner Sweep(FlagSet& flags) {
   std::string experiment = flags.GetString("experiment", "typing");
   if (experiment != "typing" && experiment != "sizing" && experiment != "e2e") {
@@ -478,19 +556,60 @@ Runner Sweep(FlagSet& flags) {
   }
   Duration seconds = Duration::Seconds(flags.GetInt("seconds", 30));
   uint64_t base_seed = Seed(flags);
-  int jobs = static_cast<int>(flags.GetInt("jobs", 0));
-  bool csv = flags.GetBool("csv");
-  SloSpec base_slo = sizing ? SloSpec() : ReadSlo(flags);
+  SweepCommand sweep(flags, sizing ? 0 : SweepCommand::kSlo);
   double background_mbps =
       experiment == "e2e" ? NonNegative(flags, "background-mbps", 0.0) : 0.0;
 
   return [=] {
-    if (!MakePostmortemDir(base_slo)) {
+    if (!sweep.MakePostmortemDir()) {
       return 2;
     }
-    int load_count = static_cast<int>(loads.size());
-    int configs = static_cast<int>(profiles.size()) * load_count;
-    ParallelSweep sweep(jobs);
+    struct Cell {
+      OsProfile profile;
+      int load;
+      uint64_t seed;
+      std::string bundle;
+    };
+    std::vector<Cell> cells;
+    for (const OsProfile& profile : profiles) {
+      for (int load : loads) {
+        size_t i = cells.size();
+        cells.push_back({profile, load, SweepSeed(base_seed, i),
+                         "sweep_" + experiment + "_cfg" + std::to_string(i)});
+      }
+    }
+    // Each cell renders its own row; sizing runs unwatched, with an empty verdict.
+    struct Row {
+      std::vector<std::string> columns;
+      SloReport slo;
+    };
+    auto rows = sweep.RunWatched(cells, [&](const Cell& c, const ObsConfig* obs) -> Row {
+      if (experiment == "typing") {
+        TypingUnderLoadResult r =
+            RunTypingUnderLoad(c.profile, c.load, seconds, c.seed, 1, obs);
+        return {{r.os_name, TextTable::Num(r.sinks), TextTable::Fixed(r.avg_stall_ms, 1),
+                 TextTable::Fixed(r.max_stall_ms, 1), TextTable::Fixed(r.jitter_ms, 1),
+                 TextTable::Num(r.updates)},
+                std::move(r.slo)};
+      }
+      if (sizing) {
+        SizingPoint p = RunServerSizing(c.profile, c.load, seconds, c.seed);
+        return {{p.os_name, TextTable::Num(p.users), TextTable::Percent(p.cpu_utilization, 1),
+                 TextTable::Fixed(p.avg_stall_ms, 1), TextTable::Fixed(p.worst_stall_ms, 1)},
+                {}};
+      }
+      EndToEndOptions opt;
+      opt.sinks = c.load;
+      opt.background_mbps = background_mbps;
+      opt.duration = seconds;
+      opt.seed = c.seed;
+      EndToEndResult r = RunEndToEndLatency(c.profile, opt, obs);
+      return {{r.os_name, TextTable::Num(c.load), TextTable::Fixed(r.input_net_ms, 2),
+               TextTable::Fixed(r.server_ms, 2), TextTable::Fixed(r.display_net_ms, 2),
+               TextTable::Fixed(r.client_ms, 2), TextTable::Fixed(r.total_ms, 2)},
+              std::move(r.slo)};
+    });
+
     TextTable table = [&] {
       if (experiment == "typing") {
         return TextTable({"os", "sinks", "avg stall (ms)", "max stall (ms)", "jitter (ms)",
@@ -502,70 +621,14 @@ Runner Sweep(FlagSet& flags) {
       return TextTable({"os", "sinks", "input (ms)", "server (ms)", "display (ms)",
                         "client (ms)", "total (ms)"});
     }();
-
-    std::vector<std::vector<std::string>> rows;
-    std::vector<SloReport> slo_reports;  // config order; empty unless --slo-* given
-    if (experiment == "typing") {
-      auto results = sweep.Map(configs, [&](int i) {
-        CellSlo cell(base_slo, "sweep_typing_cfg" + std::to_string(i));
-        return RunTypingUnderLoad(profiles[static_cast<size_t>(i / load_count)],
-                                  loads[static_cast<size_t>(i % load_count)], seconds,
-                                  SweepSeed(base_seed, static_cast<uint64_t>(i)), 1,
-                                  cell.obs());
-      });
-      for (TypingUnderLoadResult& r : results) {
-        rows.push_back({r.os_name, TextTable::Num(r.sinks),
-                        TextTable::Fixed(r.avg_stall_ms, 1),
-                        TextTable::Fixed(r.max_stall_ms, 1),
-                        TextTable::Fixed(r.jitter_ms, 1), TextTable::Num(r.updates)});
-        slo_reports.push_back(std::move(r.slo));
-      }
-    } else if (sizing) {
-      auto results = sweep.Map(configs, [&](int i) {
-        return RunServerSizing(profiles[static_cast<size_t>(i / load_count)],
-                               loads[static_cast<size_t>(i % load_count)], seconds,
-                               SweepSeed(base_seed, static_cast<uint64_t>(i)));
-      });
-      for (const SizingPoint& p : results) {
-        rows.push_back({p.os_name, TextTable::Num(p.users),
-                        TextTable::Percent(p.cpu_utilization, 1),
-                        TextTable::Fixed(p.avg_stall_ms, 1),
-                        TextTable::Fixed(p.worst_stall_ms, 1)});
-      }
-    } else {
-      auto results = sweep.Map(configs, [&](int i) {
-        EndToEndOptions opt;
-        opt.sinks = loads[static_cast<size_t>(i % load_count)];
-        opt.background_mbps = background_mbps;
-        opt.duration = seconds;
-        opt.seed = SweepSeed(base_seed, static_cast<uint64_t>(i));
-        CellSlo cell(base_slo, "sweep_e2e_cfg" + std::to_string(i));
-        return RunEndToEndLatency(profiles[static_cast<size_t>(i / load_count)], opt,
-                                  cell.obs());
-      });
-      for (size_t i = 0; i < results.size(); ++i) {
-        EndToEndResult& r = results[i];
-        rows.push_back({r.os_name, TextTable::Num(loads[i % loads.size()]),
-                        TextTable::Fixed(r.input_net_ms, 2),
-                        TextTable::Fixed(r.server_ms, 2),
-                        TextTable::Fixed(r.display_net_ms, 2),
-                        TextTable::Fixed(r.client_ms, 2), TextTable::Fixed(r.total_ms, 2)});
-        slo_reports.push_back(std::move(r.slo));
-      }
+    std::vector<Verdict> verdicts;
+    for (const auto& [cell, row] : rows) {
+      table.AddRow(row.columns);
+      verdicts.push_back({&row.slo, "at config " + std::to_string(verdicts.size())});
     }
-    for (auto& row : rows) {
-      table.AddRow(std::move(row));
-    }
-    Emit(table, csv);
-    if (base_slo.Any()) {
-      int violated = 0;
-      for (size_t i = 0; i < slo_reports.size(); ++i) {
-        violated += PrintViolation(slo_reports[i], "at config %zu", i);
-      }
-      std::printf("SLO: %d of %d configs violated\n", violated, configs);
-    }
-    std::fprintf(stderr, "%d configs over %d workers\n", configs, sweep.workers());
-    return 0;
+    Emit(table, sweep.csv());
+    sweep.PrintSlo(verdicts, "configs");
+    return sweep.Finish(rows.size(), "configs");
   };
 }
 
@@ -593,41 +656,40 @@ Runner Chaos(FlagSet& flags) {
   }
   ChaosOptions base = ReadChaos(flags);
   base.threshold = Duration::Millis(flags.GetInt("threshold-ms", 150));
-  int jobs = static_cast<int>(flags.GetInt("jobs", 0));
-  SloSpec base_slo = ReadSlo(flags);
-  bool csv = flags.GetBool("csv");
-  std::string report_path = flags.GetString("report-out", "");
+  SweepCommand sweep(flags, SweepCommand::kSlo | SweepCommand::kReport);
 
   return [=] {
-    if (!MakePostmortemDir(base_slo)) {
+    if (!sweep.MakePostmortemDir()) {
       return 2;
     }
-    const Duration threshold = base.threshold;
-    int flap_count = static_cast<int>(flap_ms.size());
-    int configs = static_cast<int>(losses.size()) * flap_count;
-
-    // Loss-major, flap-minor, each config with a position-derived seed. With --slo-*
-    // flags, every cell runs under its own watchdog and run-local flight recorder;
-    // violating cells leave bundles named by grid position + seed, so --jobs cannot
-    // rename them.
-    ParallelSweep sweep(jobs);
-    auto points = sweep.Map(configs, [&](int i) {
-      ChaosOptions opt = base;
-      opt.loss_rate = losses[static_cast<size_t>(i / flap_count)];
-      int flap = flap_ms[static_cast<size_t>(i % flap_count)];
-      if (flap > 0) {
-        opt.flap_duration = Duration::Millis(flap);
+    // Loss-major, flap-minor, each cell with a position-derived seed; a violating cell's
+    // bundle is named by that position and seed.
+    struct Cell {
+      ChaosOptions opt;
+      std::string bundle;
+    };
+    std::vector<Cell> cells;
+    for (double loss : losses) {
+      for (int flap : flap_ms) {
+        Cell c{base, "chaos_cell" + std::to_string(cells.size())};
+        c.opt.loss_rate = loss;
+        if (flap > 0) {
+          c.opt.flap_duration = Duration::Millis(flap);
+        }
+        c.opt.seed = SweepSeed(base.seed, cells.size());
+        c.bundle += "_seed" + std::to_string(c.opt.seed);
+        cells.push_back(std::move(c));
       }
-      opt.seed = SweepSeed(base.seed, static_cast<uint64_t>(i));
-      CellSlo cell(base_slo,
-                   "chaos_cell" + std::to_string(i) + "_seed" + std::to_string(opt.seed));
-      return RunChaosPoint(profile, opt, cell.obs());
+    }
+    auto points = sweep.RunWatched(cells, [&](const Cell& c, const ObsConfig* obs) {
+      return RunChaosPoint(profile, c.opt, obs);
     });
 
     TextTable table({"loss", "flap (ms)", "p50 (ms)", "p99 (ms)", "mean (ms)",
                      "> threshold", "availability", "retransmits", "updates"});
     const ChaosPoint* first_crossing = nullptr;
-    for (const ChaosPoint& p : points) {
+    std::vector<Verdict> verdicts;
+    for (const auto& [cell, p] : points) {
       table.AddRow({TextTable::Percent(p.loss_rate, 1), TextTable::Fixed(p.flap_ms, 0),
                     TextTable::Fixed(p.p50_ms, 2), TextTable::Fixed(p.p99_ms, 2),
                     TextTable::Fixed(p.mean_ms, 2),
@@ -637,47 +699,28 @@ Runner Chaos(FlagSet& flags) {
       if (first_crossing == nullptr && p.crosses_threshold) {
         first_crossing = &p;
       }
+      verdicts.push_back({&p.slo, Format("at loss %.1f%% / flap %.0f ms",
+                                         p.loss_rate * 100.0, p.flap_ms)});
     }
-    Emit(table, csv);
-    // Blame view of the same grid: the share of end-to-end time each stage owns at each
-    // point. As loss and flapping grow, time visibly migrates out of the service stages
-    // into retransmit and the network legs.
-    TextTable blame_table({"loss", "flap (ms)", "input-net", "retransmit", "sched-wait",
-                           "cpu", "mem", "proto", "display-net", "decode"});
-    for (const ChaosPoint& p : points) {
-      std::vector<std::string> row = {TextTable::Percent(p.loss_rate, 1),
+    Emit(table, sweep.csv());
+    // Blame view of the same grid: as loss and flapping grow, time visibly migrates out
+    // of the service stages into retransmit and the network legs.
+    sweep.PrintStageShares(points, {"loss", "flap (ms)"}, [](const ChaosPoint& p) {
+      return std::vector<std::string>{TextTable::Percent(p.loss_rate, 1),
                                       TextTable::Fixed(p.flap_ms, 0)};
-      for (const StageSummary& s : p.blame.stages) {
-        row.push_back(TextTable::Percent(s.share, 1));
-      }
-      blame_table.AddRow(std::move(row));
-    }
-    std::printf("per-stage share of end-to-end latency:\n");
-    Emit(blame_table, csv);
+    });
+    const long long threshold_ms = base.threshold.ToMicros() / 1000;
     if (first_crossing != nullptr) {
       std::printf("p99 first crosses %lld ms at loss %.1f%% / flap %.0f ms "
                   "(p99 %.1f ms, %.1f%% of keystrokes perceptible)\n",
-                  static_cast<long long>(threshold.ToMicros() / 1000),
-                  first_crossing->loss_rate * 100.0, first_crossing->flap_ms,
+                  threshold_ms, first_crossing->loss_rate * 100.0, first_crossing->flap_ms,
                   first_crossing->p99_ms, first_crossing->perceptible_fraction * 100.0);
     } else {
-      std::printf("p99 stays under %lld ms across the grid\n",
-                  static_cast<long long>(threshold.ToMicros() / 1000));
+      std::printf("p99 stays under %lld ms across the grid\n", threshold_ms);
     }
-    if (base_slo.Any()) {
-      int violated = 0;
-      for (const ChaosPoint& p : points) {
-        violated += PrintViolation(p.slo, "at loss %.1f%% / flap %.0f ms",
-                                   p.loss_rate * 100.0, p.flap_ms);
-      }
-      std::printf("SLO: %d of %d cells violated\n", violated, configs);
-    }
-
-    if (!WritePointsReport(report_path, "chaos_sweep", points)) {
-      return 1;
-    }
-    std::fprintf(stderr, "%d chaos points over %d workers\n", configs, sweep.workers());
-    return 0;
+    sweep.PrintSlo(verdicts, "cells");
+    return sweep.Finish(points, "chaos points", "chaos_sweep",
+                        [](const auto& r) { return ToJson(r.result); });
   };
 }
 
@@ -697,43 +740,44 @@ Runner Wan(FlagSet& flags) {
   for (const std::string& name : names) {
     wan_profiles.push_back(WanProfileByName(name));
   }
-  Duration seconds = Duration::Seconds(flags.GetInt("seconds", 30));
-  Duration threshold = Duration::Millis(flags.GetInt("threshold-ms", 150));
-  Duration starve_after = Duration::Millis(flags.GetInt("starve-after-ms", 1000));
-  int users = static_cast<int>(flags.GetInt("users", 3));
+  WanOptions base;
+  base.duration = Duration::Seconds(flags.GetInt("seconds", 30));
+  base.threshold = Duration::Millis(flags.GetInt("threshold-ms", 150));
+  base.starve_after = Duration::Millis(flags.GetInt("starve-after-ms", 1000));
+  base.users = static_cast<int>(flags.GetInt("users", 3));
   uint64_t base_seed = Seed(flags);
-  int jobs = static_cast<int>(flags.GetInt("jobs", 0));
-  SloSpec base_slo = ReadSlo(flags);
-  bool csv = flags.GetBool("csv");
-  std::string report_path = flags.GetString("report-out", "");
+  SweepCommand sweep(flags, SweepCommand::kSlo | SweepCommand::kReport);
 
   return [=] {
-    if (!MakePostmortemDir(base_slo)) {
+    if (!sweep.MakePostmortemDir()) {
       return 2;
     }
-    int configs = static_cast<int>(wan_profiles.size()) * 2;
-    // Profile-major, arm-minor: cell 2k is profile k with degradation off, cell 2k+1 the
-    // same profile with degradation on. Both arms of a profile share the SAME seed, so
-    // the comparison isolates the controller — identical workload, identical fault draws.
-    ParallelSweep sweep(jobs);
-    auto points = sweep.Map(configs, [&](int i) {
-      int p = i / 2;
+    // Profile-major, arm-minor: each profile with degradation off, then on. Both arms of
+    // a profile share the SAME seed, so the comparison isolates the controller —
+    // identical workload, identical fault draws.
+    struct Cell {
       WanOptions opt;
-      opt.profile = wan_profiles[static_cast<size_t>(p)];
-      opt.degrade = (i % 2) == 1;
-      opt.users = users;
-      opt.duration = seconds;
-      opt.seed = SweepSeed(base_seed, static_cast<uint64_t>(p));
-      opt.threshold = threshold;
-      opt.starve_after = starve_after;
-      CellSlo cell(base_slo,
-                   "wan_" + std::to_string(i) + "_seed" + std::to_string(opt.seed));
-      return RunWanPoint(profile, opt, cell.obs());
+      std::string bundle;
+    };
+    std::vector<Cell> cells;
+    for (size_t p = 0; p < wan_profiles.size(); ++p) {
+      for (bool degrade : {false, true}) {
+        Cell c{base, "wan_" + std::to_string(cells.size())};
+        c.opt.profile = wan_profiles[p];
+        c.opt.degrade = degrade;
+        c.opt.seed = SweepSeed(base_seed, p);
+        c.bundle += "_seed" + std::to_string(c.opt.seed);
+        cells.push_back(std::move(c));
+      }
+    }
+    auto points = sweep.RunWatched(cells, [&](const Cell& c, const ObsConfig* obs) {
+      return RunWanPoint(profile, c.opt, obs);
     });
 
     TextTable table({"profile", "degrade", "worst p99 (ms)", "mean (ms)", "> threshold",
                      "availability", "worst starved", "shed", "queue drops", "updates"});
-    for (const WanPoint& p : points) {
+    std::vector<Verdict> verdicts;
+    for (const auto& [cell, p] : points) {
       table.AddRow({p.profile, p.degrade ? "on" : "off",
                     TextTable::Fixed(p.worst_p99_ms, 2), TextTable::Fixed(p.mean_ms, 2),
                     TextTable::Percent(p.perceptible_fraction, 1),
@@ -742,28 +786,26 @@ Runner Wan(FlagSet& flags) {
                     TextTable::Num(static_cast<int64_t>(p.faults.frames_shed)),
                     TextTable::Num(static_cast<int64_t>(p.faults.wan_queue_drops)),
                     TextTable::Num(p.updates)});
+      verdicts.push_back(
+          {&p.slo, Format("on %s (degrade %s)", p.profile.c_str(), p.degrade ? "on" : "off")});
     }
-    Emit(table, csv);
+    Emit(table, sweep.csv());
     // Blame view: under WAN pathology the share migrates into retransmit and display-net;
     // with degradation on, part of it moves to the degr-hold column (the coalesce hold
     // is billed to its own stage, appended after decode; off-arm rows leave it empty).
-    TextTable blame_table({"profile", "degrade", "input-net", "retransmit", "sched-wait",
-                           "cpu", "mem", "proto", "display-net", "decode", "degr-hold"});
-    for (const WanPoint& p : points) {
-      std::vector<std::string> row = {p.profile, p.degrade ? "on" : "off"};
-      for (const StageSummary& s : p.blame.stages) {
-        row.push_back(TextTable::Percent(s.share, 1));
-      }
-      blame_table.AddRow(std::move(row));
-    }
-    std::printf("per-stage share of end-to-end latency:\n");
-    Emit(blame_table, csv);
+    sweep.PrintStageShares(
+        points, {"profile", "degrade"},
+        [](const WanPoint& p) {
+          return std::vector<std::string>{p.profile, p.degrade ? "on" : "off"};
+        },
+        /*hold=*/true);
 
-    // Degrade-on vs degrade-off, per profile: the headline comparison.
+    // Degrade-on vs degrade-off, per profile (its two arms share its seed): the headline
+    // comparison.
     int better_both = 0;
-    for (size_t p = 0; p + 1 < points.size(); p += 2) {
-      const WanPoint& off = points[p];
-      const WanPoint& on = points[p + 1];
+    for (auto arms : GroupBy(points, [](const Cell& c) { return c.opt.seed; })) {
+      const WanPoint& off = arms[0].result;
+      const WanPoint& on = arms[1].result;
       bool p99_better = on.worst_p99_ms < off.worst_p99_ms;
       bool avail_better = on.availability > off.availability;
       if (p99_better && avail_better) {
@@ -781,23 +823,12 @@ Runner Wan(FlagSet& flags) {
           static_cast<long long>(on.degradation_transitions), on.degraded_seconds,
           static_cast<long long>(on.animation_frames_skipped));
     }
-    std::printf("degradation improves worst-user p99 AND availability on %d of %d "
+    std::printf("degradation improves worst-user p99 AND availability on %d of %zu "
                 "profiles\n",
-                better_both, configs / 2);
-    if (base_slo.Any()) {
-      int violated = 0;
-      for (const WanPoint& p : points) {
-        violated += PrintViolation(p.slo, "on %s (degrade %s)", p.profile.c_str(),
-                                   p.degrade ? "on" : "off");
-      }
-      std::printf("SLO: %d of %d cells violated\n", violated, configs);
-    }
-
-    if (!WritePointsReport(report_path, "wan_sweep", points)) {
-      return 1;
-    }
-    std::fprintf(stderr, "%d wan points over %d workers\n", configs, sweep.workers());
-    return 0;
+                better_both, wan_profiles.size());
+    sweep.PrintSlo(verdicts, "cells");
+    return sweep.Finish(points, "wan points", "wan_sweep",
+                        [](const auto& r) { return ToJson(r.result); });
   };
 }
 
@@ -851,29 +882,27 @@ Runner WhatIf(FlagSet& flags) {
   wan_opt.users = static_cast<int>(flags.GetInt("users", 3));
   wan_opt.duration = Duration::Seconds(flags.GetInt("seconds", 30));
   wan_opt.seed = Seed(flags);
-  int jobs = static_cast<int>(flags.GetInt("jobs", 0));
-  bool csv = flags.GetBool("csv");
-  std::string report_path = flags.GetString("report-out", "");
+  SweepCommand sweep(flags, SweepCommand::kReport);
 
   return [=] {
     // Every cell shares the same WAN options and seed, so every baseline arm is the SAME
     // deterministic run: the rows differ only in which component the counterfactual
     // touches.
-    ParallelSweep sweep(jobs);
-    auto results = sweep.Map(static_cast<int>(components.size()), [&](int i) {
-      WhatIfOptions opt;
-      opt.wan = wan_opt;
-      opt.adjust.component = components[static_cast<size_t>(i)];
-      opt.adjust.speedup = speedup;
-      opt.adjust.rtt_delta_us = rtt_delta_ms * 1000;
-      return RunWhatIf(profile, opt);
-    });
+    std::vector<WhatIfOptions> cells;
+    for (WhatIfAdjustment::Component component : components) {
+      cells.push_back({wan_opt, {component, speedup, rtt_delta_ms * 1000}});
+    }
+    auto results =
+        sweep.grid().Run(cells, [&](const WhatIfOptions& opt) { return RunWhatIf(profile, opt); });
 
     auto ms = [](int64_t us) { return static_cast<double>(us) / 1000.0; };
     TextTable table({"component", "counterfactual", "baseline p99 (ms)",
                      "predicted p99 (ms)", "achieved p99 (ms)", "pred delta (ms)",
                      "ach delta (ms)", "model gap (ms)"});
-    for (const WhatIfResult& r : results) {
+    // The question the command exists to answer: which upgrade actually buys latency.
+    int64_t mismatches = 0;
+    const WhatIfResult* best = nullptr;
+    for (const auto& [cell, r] : results) {
       std::string what = r.component == "rtt"
                              ? "-" + TextTable::Num(rtt_delta_ms) + " ms RTT"
                              : "x" + TextTable::Fixed(r.speedup, 2) + " " + r.component;
@@ -883,18 +912,12 @@ Runner WhatIf(FlagSet& flags) {
                     TextTable::Fixed(ms(r.predicted_delta_us), 2),
                     TextTable::Fixed(ms(r.achieved_delta_us), 2),
                     TextTable::Fixed(ms(r.achieved_delta_us - r.predicted_delta_us), 2)});
-    }
-    Emit(table, csv);
-
-    // The question the command exists to answer: which upgrade actually buys latency.
-    int64_t mismatches = 0;
-    const WhatIfResult* best = nullptr;
-    for (const WhatIfResult& r : results) {
       mismatches += r.critical_path_mismatches;
       if (best == nullptr || r.achieved_delta_us > best->achieved_delta_us) {
         best = &r;
       }
     }
+    Emit(table, sweep.csv());
     std::printf("%s on %s: best achieved p99 improvement is %s (%.2f ms; model "
                 "predicted %.2f ms)\n",
                 os_word.c_str(), profile_name.c_str(), best->component.c_str(),
@@ -902,33 +925,21 @@ Runner WhatIf(FlagSet& flags) {
     std::printf("critical-path invariant: %lld mismatches over %lld baseline "
                 "interactions\n",
                 static_cast<long long>(mismatches),
-                static_cast<long long>(results.front().interactions));
-
-    if (!report_path.empty()) {
-      std::string report = "{\"experiment\":\"whatif\",\"os\":\"" + os_word +
-                           "\",\"profile\":\"" + profile_name + "\",\"points\":[";
-      for (size_t i = 0; i < results.size(); ++i) {
-        const WhatIfResult& r = results[i];
-        JsonObject o;
-        o.Str("component", r.component);
-        o.Double("speedup", r.speedup);
-        o.Int("rtt_delta_us", r.rtt_delta_us);
-        o.Raw("whatif", WhatIfBlockJson(r));
-        o.Raw("baseline_blame", ToJson(r.baseline.blame));
-        o.Raw("adjusted_blame", ToJson(r.adjusted.blame));
-        if (i > 0) {
-          report += ',';
-        }
-        report += o.Finish();
-      }
-      report += "]}\n";
-      if (!WriteFile(report_path, report)) {
-        return 1;
-      }
-    }
-    std::fprintf(stderr, "%zu whatif cells over %d workers\n", results.size(),
-                 sweep.workers());
-    return 0;
+                static_cast<long long>(results.front().result.interactions));
+    return sweep.Finish(
+        results, "whatif cells", "whatif",
+        [](const auto& ran) {
+          const WhatIfResult& r = ran.result;
+          JsonObject o;
+          o.Str("component", r.component);
+          o.Double("speedup", r.speedup);
+          o.Int("rtt_delta_us", r.rtt_delta_us);
+          o.Raw("whatif", WhatIfBlockJson(r));
+          o.Raw("baseline_blame", ToJson(r.baseline.blame));
+          o.Raw("adjusted_blame", ToJson(r.adjusted.blame));
+          return o.Finish();
+        },
+        {{"os", os_word}, {"profile", profile_name}});
   };
 }
 
@@ -982,152 +993,119 @@ Runner Blame(FlagSet& flags) {
     flags.Fail("needs at least one --os and one --sinks value");
   }
   std::string wan_name = flags.GetString("profile", "");
-  WanProfile wan = wan_name.empty() ? WanProfile{} : WanProfileByName(wan_name);
-  Duration seconds = Duration::Seconds(flags.GetInt("seconds", 30));
+  EndToEndOptions e2e;
+  if (!wan_name.empty()) {
+    e2e.faults.link.wan = WanProfileByName(wan_name);
+  }
+  e2e.duration = Duration::Seconds(flags.GetInt("seconds", 30));
   Duration threshold = Duration::Millis(flags.GetInt("threshold-ms", 100));
-  double background_mbps = NonNegative(flags, "background-mbps", 0.0);
+  e2e.background_mbps = NonNegative(flags, "background-mbps", 0.0);
   double loss = flags.GetDouble("loss", 0.0);
-  int flap = static_cast<int>(IntAtLeast(flags, "flap-ms", 0, 0));
+  if (loss > 0.0) {
+    e2e.faults.link.loss_rate = loss;
+  }
+  if (int flap = static_cast<int>(IntAtLeast(flags, "flap-ms", 0, 0)); flap > 0) {
+    e2e.faults.link.flap_every = Duration::Millis(2000);
+    e2e.faults.link.flap_duration = Duration::Millis(flap);
+  }
   uint64_t base_seed = Seed(flags);
-  int jobs = static_cast<int>(flags.GetInt("jobs", 0));
-  bool csv = flags.GetBool("csv");
-  std::string report_path = flags.GetString("report-out", "");
+  SweepCommand sweep(flags, SweepCommand::kReport);
 
   return [=] {
-    int sink_count = static_cast<int>(sink_list.size());
-    int configs = static_cast<int>(base.size()) * sink_count;
     // OS-major, sinks-minor, each config with a position-derived seed and its own
     // attribution engine.
-    ParallelSweep sweep(jobs);
-    auto results = sweep.Map(configs, [&](int i) {
-      const OsConfig& cfg = base[static_cast<size_t>(i / sink_count)];
+    struct Cell {
+      OsConfig cfg;
       EndToEndOptions opt;
-      opt.sinks = sink_list[static_cast<size_t>(i % sink_count)];
-      opt.background_mbps = background_mbps;
-      opt.duration = seconds;
-      opt.seed = SweepSeed(base_seed, static_cast<uint64_t>(i));
-      if (loss > 0.0) {
-        opt.faults.link.loss_rate = loss;
+    };
+    std::vector<Cell> cells;
+    for (const OsConfig& cfg : base) {
+      for (int sinks : sink_list) {
+        Cell c{cfg, e2e};
+        c.opt.sinks = sinks;
+        c.opt.seed = SweepSeed(base_seed, cells.size());
+        if (!wan_name.empty()) {
+          c.opt.faults.seed = c.opt.seed ^ 0xFA017u;
+        }
+        cells.push_back(std::move(c));
       }
-      if (flap > 0) {
-        opt.faults.link.flap_every = Duration::Millis(2000);
-        opt.faults.link.flap_duration = Duration::Millis(flap);
-      }
-      if (!wan_name.empty()) {
-        opt.faults.link.wan = wan;
-        opt.faults.seed = opt.seed ^ 0xFA017u;
-      }
-      AttributionConfig attr_cfg;
-      attr_cfg.decompose_network = !wan_name.empty();
-      LatencyAttribution attribution(attr_cfg);
-      ObsConfig obs;
-      obs.attribution = &attribution;
-      return RunEndToEndLatency(cfg.profile, opt, &obs);
+    }
+    auto results = sweep.grid().Run(cells, [&](const Cell& c) {
+      LatencyAttribution attribution({.decompose_network = !wan_name.empty()});
+      ObsConfig obs{.attribution = &attribution};
+      return RunEndToEndLatency(c.cfg.profile, c.opt, &obs).blame;
     });
 
-    TextTable table({"os", "protocol", "sinks", "stage", "share", "p50 (ms)", "p99 (ms)",
-                     "max (ms)"});
-    for (int i = 0; i < configs; ++i) {
-      const OsConfig& cfg = base[static_cast<size_t>(i / sink_count)];
-      int sinks = sink_list[static_cast<size_t>(i % sink_count)];
-      for (const StageSummary& s : results[static_cast<size_t>(i)].blame.stages) {
+    // One row per stage that saw time in the cell.
+    auto add_stages = [](TextTable& table, const Cell& c,
+                         const std::vector<StageSummary>& stages) {
+      for (const StageSummary& s : stages) {
         if (s.total_us == 0) {
-          continue;  // this stage never saw time in this configuration
+          continue;
         }
-        table.AddRow({cfg.os_word, cfg.proto_word, TextTable::Num(sinks), s.stage,
+        table.AddRow({c.cfg.os_word, c.cfg.proto_word, TextTable::Num(c.opt.sinks), s.stage,
                       TextTable::Percent(s.share, 1),
                       TextTable::Fixed(static_cast<double>(s.p50_us) / 1000.0, 2),
                       TextTable::Fixed(static_cast<double>(s.p99_us) / 1000.0, 2),
                       TextTable::Fixed(static_cast<double>(s.max_us) / 1000.0, 2)});
       }
+    };
+    TextTable table({"os", "protocol", "sinks", "stage", "share", "p50 (ms)", "p99 (ms)",
+                     "max (ms)"});
+    TextTable net_table({"os", "protocol", "sinks", "net stage", "share", "p50 (ms)",
+                         "p99 (ms)", "max (ms)"});
+    int64_t net_mismatches = 0;
+    // The question the command exists to answer: which configuration goes perceptible
+    // first, and which resource is to blame when it does.
+    const long long threshold_ms = threshold.ToMicros() / 1000;
+    std::string verdicts;
+    std::string first;
+    for (const auto& [cell, blame] : results) {
+      add_stages(table, cell, blame.stages);
+      add_stages(net_table, cell, blame.net_stages);
+      net_mismatches += blame.net_mismatches;
+      const char* os = cell.cfg.os_word.c_str();
+      const char* proto = cell.cfg.proto_word.c_str();
+      const StageSummary* top = DominantStage(blame);
+      const char* stage = top != nullptr ? top->stage.c_str() : "?";
+      bool over = blame.p99_total_us > threshold.ToMicros();
+      verdicts += Format("%s/%s, %d sinks: p99 %.2f ms (%s %lld ms); dominant stage %s "
+                         "(%.0f%%)\n",
+                         os, proto, cell.opt.sinks,
+                         static_cast<double>(blame.p99_total_us) / 1000.0,
+                         over ? "crosses" : "under", threshold_ms, stage,
+                         top != nullptr ? top->share * 100.0 : 0.0);
+      if (over && first.empty()) {
+        first = Format("p99 first crosses %lld ms at %s/%s with %d sinks — blame %s\n",
+                       threshold_ms, os, proto, cell.opt.sinks, stage);
+      }
     }
-    Emit(table, csv);
-
+    Emit(table, sweep.csv());
     if (!wan_name.empty()) {
       // WAN-aware blame: where inside the wire the display-net microseconds went. The
       // shares are over the network grand total; the sub-stage sums equal the
       // display-net stage total exactly (net_mismatches counts any commit that violated
       // this — 0).
-      TextTable net_table({"os", "protocol", "sinks", "net stage", "share", "p50 (ms)",
-                           "p99 (ms)", "max (ms)"});
-      int64_t net_mismatches = 0;
-      for (int i = 0; i < configs; ++i) {
-        const OsConfig& cfg = base[static_cast<size_t>(i / sink_count)];
-        int sinks = sink_list[static_cast<size_t>(i % sink_count)];
-        const AttributionResult& blame = results[static_cast<size_t>(i)].blame;
-        net_mismatches += blame.net_mismatches;
-        for (const StageSummary& s : blame.net_stages) {
-          if (s.total_us == 0) {
-            continue;
-          }
-          net_table.AddRow({cfg.os_word, cfg.proto_word, TextTable::Num(sinks), s.stage,
-                            TextTable::Percent(s.share, 1),
-                            TextTable::Fixed(static_cast<double>(s.p50_us) / 1000.0, 2),
-                            TextTable::Fixed(static_cast<double>(s.p99_us) / 1000.0, 2),
-                            TextTable::Fixed(static_cast<double>(s.max_us) / 1000.0, 2)});
-        }
-      }
       std::printf("display-net decomposition under the %s profile (%lld decomposition "
                   "mismatches):\n",
                   wan_name.c_str(), static_cast<long long>(net_mismatches));
-      Emit(net_table, csv);
+      Emit(net_table, sweep.csv());
     }
+    if (first.empty()) {
+      first = Format("p99 stays under %lld ms across the grid\n", threshold_ms);
+    }
+    std::printf("%s%s", verdicts.c_str(), first.c_str());
 
-    // The question the command exists to answer: which configuration goes perceptible
-    // first, and which resource is to blame when it does.
-    int64_t threshold_us = threshold.ToMicros();
-    int first = -1;
-    for (int i = 0; i < configs; ++i) {
-      const OsConfig& cfg = base[static_cast<size_t>(i / sink_count)];
-      const AttributionResult& blame = results[static_cast<size_t>(i)].blame;
-      const StageSummary* top = DominantStage(blame);
-      bool over = blame.p99_total_us > threshold_us;
-      std::printf("%s/%s, %d sinks: p99 %.2f ms (%s %lld ms); dominant stage %s (%.0f%%)\n",
-                  cfg.os_word.c_str(), cfg.proto_word.c_str(),
-                  sink_list[static_cast<size_t>(i % sink_count)],
-                  static_cast<double>(blame.p99_total_us) / 1000.0,
-                  over ? "crosses" : "under", static_cast<long long>(threshold_us / 1000),
-                  top != nullptr ? top->stage.c_str() : "?",
-                  top != nullptr ? top->share * 100.0 : 0.0);
-      if (over && first < 0) {
-        first = i;
-      }
-    }
-    if (first >= 0) {
-      const OsConfig& cfg = base[static_cast<size_t>(first / sink_count)];
-      const AttributionResult& blame = results[static_cast<size_t>(first)].blame;
-      const StageSummary* top = DominantStage(blame);
-      std::printf("p99 first crosses %lld ms at %s/%s with %d sinks — blame %s\n",
-                  static_cast<long long>(threshold_us / 1000), cfg.os_word.c_str(),
-                  cfg.proto_word.c_str(),
-                  sink_list[static_cast<size_t>(first % sink_count)],
-                  top != nullptr ? top->stage.c_str() : "?");
-    } else {
-      std::printf("p99 stays under %lld ms across the grid\n",
-                  static_cast<long long>(threshold_us / 1000));
-    }
-
-    if (!report_path.empty()) {
-      // No run/wall_ms block anywhere in the file: byte-identical across reruns and
-      // --jobs values, so CI can cmp(1) two sweeps.
-      std::string report = "{\"experiment\":\"blame\",\"points\":[";
-      for (int i = 0; i < configs; ++i) {
-        if (i > 0) {
-          report += ',';
-        }
-        const OsConfig& cfg = base[static_cast<size_t>(i / sink_count)];
-        report += "{\"os\":\"" + cfg.os_word + "\",\"protocol\":\"" + cfg.proto_word +
-                  "\",\"sinks\":" +
-                  std::to_string(sink_list[static_cast<size_t>(i % sink_count)]) +
-                  ",\"blame\":" + ToJson(results[static_cast<size_t>(i)].blame) + "}";
-      }
-      report += "]}\n";
-      if (!WriteFile(report_path, report)) {
-        return 1;
-      }
-    }
-    std::fprintf(stderr, "%d blame configs over %d workers\n", configs, sweep.workers());
-    return 0;
+    // No run/wall_ms block anywhere in the report: byte-identical across reruns and
+    // --jobs values, so CI can cmp(1) two sweeps.
+    return sweep.Finish(results, "blame configs", "blame", [](const auto& r) {
+      JsonObject o;
+      o.Str("os", r.cell.cfg.os_word);
+      o.Str("protocol", r.cell.cfg.proto_word);
+      o.Int("sinks", r.cell.opt.sinks);
+      o.Raw("blame", ToJson(r.result));
+      return o.Finish();
+    });
   };
 }
 
@@ -1164,38 +1142,42 @@ Runner Capacity(FlagSet& flags) {
       Duration::Millis(flags.GetInt("burst-every-ms", 5000));
   proto_options.behavior.ram = Bytes::MiB(flags.GetInt("ram-mib", 64));
   uint64_t base_seed = Seed(flags);
-  int jobs = static_cast<int>(flags.GetInt("jobs", 0));
-  SloSpec base_slo = ReadSlo(flags);
-  bool csv = flags.GetBool("csv");
-  std::string report_path = flags.GetString("report-out", "");
+  SweepCommand sweep(flags, SweepCommand::kSlo | SweepCommand::kReport);
 
   return [=] {
-    if (!MakePostmortemDir(base_slo)) {
+    if (!sweep.MakePostmortemDir()) {
       return 2;
     }
-    int configs = static_cast<int>(base.size());
     // The sweep parallelizes across configurations only; each configuration's binary
     // search is sequential and memoized, with every candidate run on the same
     // position-derived seed. With --slo-* flags every probe is watched; bundle stems
     // carry the configuration and candidate N.
-    ParallelSweep sweep(jobs);
-    std::vector<CapacityResult> results = sweep.Map(configs, [&](int i) {
-      CapacityOptions options = proto_options;
-      options.behavior.seed = SweepSeed(base_seed, static_cast<uint64_t>(i));
-      const OsConfig& cfg = base[static_cast<size_t>(i)];
-      CellSlo cell(base_slo, "capacity_" + cfg.os_word + "_" + cfg.proto_word);
-      return RunServerCapacity(cfg.profile, options, cell.obs());
+    struct Cell {
+      OsConfig cfg;
+      CapacityOptions options;
+      std::string bundle;
+    };
+    std::vector<Cell> cells;
+    for (const OsConfig& cfg : base) {
+      Cell c{cfg, proto_options, "capacity_" + cfg.os_word + "_" + cfg.proto_word};
+      c.options.behavior.seed = SweepSeed(base_seed, cells.size());
+      cells.push_back(std::move(c));
+    }
+    auto results = sweep.RunWatched(cells, [](const Cell& c, const ObsConfig* obs) {
+      return RunServerCapacity(c.cfg.profile, c.options, obs);
     });
 
     TextTable table({"os", "protocol", "latency-sized", "util-sized", "over-admits",
                      "p99 @ util (ms)", "CPU @ util", "resident @ latency"});
-    for (int i = 0; i < configs; ++i) {
-      const OsConfig& cfg = base[static_cast<size_t>(i)];
-      const CapacityResult& r = results[static_cast<size_t>(i)];
+    std::string over_admits;
+    std::vector<Verdict> verdicts;
+    for (const auto& [cell, r] : results) {
+      const char* os = cell.cfg.os_word.c_str();
+      const char* proto = cell.cfg.proto_word.c_str();
       const ConsolidationResult* at_util = FindProbe(r, r.utilization_sized_users);
       const ConsolidationResult* at_latency = FindProbe(r, r.latency_sized_users);
       table.AddRow(
-          {cfg.os_word, cfg.proto_word, TextTable::Num(r.latency_sized_users),
+          {os, proto, TextTable::Num(r.latency_sized_users),
            TextTable::Num(r.utilization_sized_users),
            r.utilization_over_admits ? "yes" : "no",
            at_util != nullptr ? TextTable::Fixed(at_util->worst_p99_stall_ms, 1) : "-",
@@ -1204,43 +1186,23 @@ Runner Capacity(FlagSet& flags) {
                ? TextTable::Num(static_cast<int64_t>(at_latency->resident_pages)) + "/" +
                      TextTable::Num(static_cast<int64_t>(at_latency->total_frames))
                : "-"});
-    }
-    Emit(table, csv);
-    for (int i = 0; i < configs; ++i) {
-      const OsConfig& cfg = base[static_cast<size_t>(i)];
-      const CapacityResult& r = results[static_cast<size_t>(i)];
-      if (!r.utilization_over_admits) {
-        continue;
+      if (r.utilization_over_admits) {
+        over_admits += Format(
+            "%s/%s: utilization sizing (< %.0f%% CPU) admits %d users, but the worst "
+            "user's p99 stall there is %.1f ms — latency sizing stops at %d\n",
+            os, proto, proto_options.admission.max_utilization * 100.0,
+            r.utilization_sized_users, at_util != nullptr ? at_util->worst_p99_stall_ms : 0.0,
+            r.latency_sized_users);
       }
-      const ConsolidationResult* at_util = FindProbe(r, r.utilization_sized_users);
-      std::printf("%s/%s: utilization sizing (< %.0f%% CPU) admits %d users, but the "
-                  "worst user's p99 stall there is %.1f ms — latency sizing stops at %d\n",
-                  cfg.os_word.c_str(), cfg.proto_word.c_str(),
-                  proto_options.admission.max_utilization * 100.0,
-                  r.utilization_sized_users,
-                  at_util != nullptr ? at_util->worst_p99_stall_ms : 0.0,
-                  r.latency_sized_users);
-    }
-
-    if (base_slo.Any()) {
-      int violated = 0;
-      for (int i = 0; i < configs; ++i) {
-        for (const ConsolidationResult& probe : results[static_cast<size_t>(i)].probes) {
-          violated += PrintViolation(probe.slo, "at %s/%s with %d users",
-                                     base[static_cast<size_t>(i)].os_word.c_str(),
-                                     base[static_cast<size_t>(i)].proto_word.c_str(),
-                                     probe.users);
-        }
+      for (const ConsolidationResult& probe : r.probes) {
+        verdicts.push_back({&probe.slo, Format("at %s/%s with %d users", os, proto, probe.users)});
       }
-      std::printf("SLO: %d probes violated\n", violated);
     }
-
-    if (!WritePointsReport(report_path, "capacity_sweep", results)) {
-      return 1;
-    }
-    std::fprintf(stderr, "%d capacity configs over %d workers\n", configs,
-                 sweep.workers());
-    return 0;
+    Emit(table, sweep.csv());
+    std::fputs(over_admits.c_str(), stdout);
+    sweep.PrintSlo(verdicts, "probes", /*of_all=*/false);
+    return sweep.Finish(results, "capacity configs", "capacity_sweep",
+                        [](const auto& r) { return ToJson(r.result); });
   };
 }
 
