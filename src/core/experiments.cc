@@ -677,6 +677,10 @@ WanPoint RunWanPoint(const OsProfile& profile, const WanOptions& options,
   }
   point.faults = out.faults;
   point.availability = out.availability;
+  const Link& link = run.server().link();
+  point.link_frames_sent = link.frames_sent();
+  point.link_frames_delivered = link.frames_delivered();
+  point.link_frames_lost = link.frames_lost();
   if (DegradationController* d = run.server().degradation()) {
     for (const DegradationTransition& tr : d->transitions()) {
       point.degradation_peak_level = std::max(point.degradation_peak_level, tr.to);

@@ -400,6 +400,10 @@ struct WanPoint {
   // Worst user's starved-time fraction.
   double worst_starved_fraction = 0.0;
   int64_t updates = 0;
+  // The shared link's frame ledger: sent == delivered + lost.
+  int64_t link_frames_sent = 0;
+  int64_t link_frames_delivered = 0;
+  int64_t link_frames_lost = 0;
   // Degradation ledger (all zero with degrade=false).
   int degradation_peak_level = 0;
   int64_t degradation_transitions = 0;

@@ -246,6 +246,9 @@ std::string ToJson(const WanPoint& r) {
   o.Double("availability", r.availability);
   o.Double("worst_starved_fraction", r.worst_starved_fraction);
   o.Int("updates", r.updates);
+  o.Int("link_frames_sent", r.link_frames_sent);
+  o.Int("link_frames_delivered", r.link_frames_delivered);
+  o.Int("link_frames_lost", r.link_frames_lost);
   o.Int("degradation_peak_level", r.degradation_peak_level);
   o.Int("degradation_transitions", r.degradation_transitions);
   o.Double("degraded_seconds", r.degraded_seconds);
