@@ -48,11 +48,16 @@ ProtocolHarness::ProtocolHarness(ProtocolKind kind, uint64_t seed, Duration tap_
     : link(sim), tap(tap_bucket), pipeline(kind, sim, link, &tap, Rng(seed), rdp) {}
 
 void ProtocolHarness::Drain() {
-  if (auto* vnc = dynamic_cast<VncProtocol*>(&protocol())) {
+  auto* vnc = dynamic_cast<VncProtocol*>(&protocol());
+  if (vnc != nullptr) {
     vnc->StopClientPull();
   }
   protocol().Flush();
   sim.Run();
+  if (vnc != nullptr) {
+    vnc->ShipPendingDamage();
+    sim.Run();
+  }
 }
 
 }  // namespace tcs

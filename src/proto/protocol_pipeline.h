@@ -51,7 +51,8 @@ struct ProtocolHarness {
 
   DisplayProtocol& protocol() const { return pipeline.protocol(); }
 
-  // Ends the run: stops VNC's client pull, flushes the encoder and runs the simulator dry.
+  // Ends the run: stops VNC's client pull, flushes the encoder and runs the simulator
+  // dry; damage VNC holds after its last pull then ships on one final round.
   void Drain();
 
   Simulator sim;

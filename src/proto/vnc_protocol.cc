@@ -35,6 +35,12 @@ void VncProtocol::StopClientPull() {
   pull_task_.Stop();
 }
 
+void VncProtocol::ShipPendingDamage() {
+  if (dirty_raw_.count() > 0) {
+    OnPull();
+  }
+}
+
 void VncProtocol::SubmitDraw(const DrawCommand& cmd) { EncodeDraw(cmd); }
 
 void VncProtocol::SubmitDrawBatch(std::span<const DrawCommand> cmds) {

@@ -32,6 +32,9 @@ class VncProtocol final : public DisplayProtocol {
   // push updates on its own).
   void StartClientPull();
   void StopClientPull();
+  // One last pull round when damage is pending: how a run that stopped the pull ships
+  // what was drawn after its last round.
+  void ShipPendingDamage();
 
   int64_t updates_sent() const { return updates_sent_; }
 

@@ -328,8 +328,8 @@ TEST(ProtocolHarnessTest, DrainFlushesTheEncoderAndLeavesNothingPending) {
     h.Drain();
     EXPECT_EQ(h.sim.pending_events(), 0u) << p.word;
     EXPECT_GT(h.tap.messages(Channel::kInput), 0) << p.word;
-    // VNC ships damage only on a pull, and Drain stops the pull first.
-    EXPECT_EQ(h.tap.messages(Channel::kDisplay) > 0, p.kind != ProtocolKind::kVnc) << p.word;
+    // VNC ships damage only on a pull: Drain answers one last pull for it.
+    EXPECT_GT(h.tap.messages(Channel::kDisplay), 0) << p.word;
   }
 }
 
