@@ -4,16 +4,6 @@
 
 namespace tcs {
 
-size_t AddressSpace::MissingIn(uint64_t first, size_t count) const {
-  size_t missing = 0;
-  for (uint64_t vpn = first; vpn < first + count; ++vpn) {
-    if (!IsResident(vpn)) {
-      ++missing;
-    }
-  }
-  return missing;
-}
-
 void AddressSpace::SetEvicted(uint64_t vpn) {
   assert(vpn < pages_.size() && pages_[vpn] >= kFrameBase);
   pages_[vpn] = kEvicted;

@@ -55,10 +55,6 @@ class AddressSpace {
     return first;
   }
 
-  // Number of pages in [first, first+count) that are NOT resident — the fault bill an
-  // access to that range will pay.
-  size_t MissingIn(uint64_t first, size_t count) const;
-
   // The packed page entries indexed by vpn (encoding below), frame slots included, so
   // tests can compare two spaces entry for entry.
   const std::vector<uint32_t>& page_entries() const { return pages_; }

@@ -232,15 +232,6 @@ TEST(PagerTest, SingleClusterSwapInsAreSequentialIos) {
   EXPECT_EQ(f.disk.reads(), 10);
 }
 
-TEST(PagerTest, MissingInCountsCorrectly) {
-  PagerFixture f(SmallMemory(64));
-  AddressSpace* as = f.pager.CreateAddressSpace("p", false);
-  f.pager.Prefault(*as, 0, 5);
-  EXPECT_EQ(as->MissingIn(0, 10), 5u);
-  EXPECT_EQ(as->MissingIn(0, 5), 0u);
-  EXPECT_EQ(as->MissingIn(5, 5), 5u);
-}
-
 TEST(PagerTest, FramesAccounting) {
   PagerFixture f(SmallMemory(8));
   AddressSpace* as = f.pager.CreateAddressSpace("p", false);
