@@ -48,8 +48,8 @@ class Grid {
   ParallelSweep pool_;
 };
 
-// `ran` cut into runs of consecutive cells with equal key(cell): one per table, or per
-// row, that a caller prints.
+// `ran` cut into runs of consecutive cells with equal key(cell), such as the rows of one
+// OS profile's table.
 template <typename Range, typename Key>
 auto GroupBy(const Range& ran, Key key) {
   std::span<const typename Range::value_type> all(ran);
