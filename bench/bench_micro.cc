@@ -292,19 +292,27 @@ void BM_PagingTrial(benchmark::State& state) {
 }
 BENCHMARK(BM_PagingTrial)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// One §6.1.2 application replay over LBX (600 steps per script), most of whose host time
-// is LzCodec sizing each message against its stream class's rolling dictionary.
-// `wall_ms` is host time per replay.
-void BM_LbxReplay(benchmark::State& state) {
+// One §6.1.2 application replay (600 steps per script) over `kind`; `wall_ms` is host
+// time per replay.
+void AppReplay(benchmark::State& state, ProtocolKind kind) {
   double wall_ms = 0.0;
   for (auto _ : state) {
-    ProtocolTrafficResult result = RunAppWorkloadTraffic(ProtocolKind::kLbx, 1);
+    ProtocolTrafficResult result = RunAppWorkloadTraffic(kind, 1);
     benchmark::DoNotOptimize(result.total_bytes);
     wall_ms += result.run.wall_ms;
   }
   state.counters["wall_ms"] = benchmark::Counter(wall_ms, benchmark::Counter::kAvgIterations);
 }
+
+// Over LBX, most of the host time is LzCodec sizing each message appended to its stream
+// class's rolling dictionary: one parse per message (LzCodec::CompressedSizes).
+void BM_LbxReplay(benchmark::State& state) { AppReplay(state, ProtocolKind::kLbx); }
 BENCHMARK(BM_LbxReplay)->Unit(benchmark::kMillisecond);
+
+// Over X, the hot loop is Rng::FillBytes drawing every request, reply template and
+// PutImage payload byte.
+void BM_XReplay(benchmark::State& state) { AppReplay(state, ProtocolKind::kX); }
+BENCHMARK(BM_XReplay)->Unit(benchmark::kMillisecond);
 
 // One capacity bisection up to 8 users, every probe a full consolidation run from a
 // cold start. Args = {measured-window ms, wan}: a LAN with a 1 s staggered login, or a

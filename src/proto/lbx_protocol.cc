@@ -34,10 +34,10 @@ void LbxProtocol::EmitCompressed(Channel channel, uint8_t stream_class,
   // Approximate stream compression: the compressed cost of `raw` is the marginal cost of
   // appending it to the class's recent history.
   std::vector<uint8_t>& dict = dict_[stream_class];
-  size_t baseline = dict.empty() ? 0 : LzCodec::CompressedSize(dict);
+  size_t history = dict.size();
   dict.insert(dict.end(), raw.begin(), raw.end());
-  size_t together = LzCodec::CompressedSize(dict);
-  size_t marginal = together > baseline ? together - baseline : 1;
+  LzCodec::Sizes sizes = LzCodec::CompressedSizes(dict, history);
+  size_t marginal = sizes.whole > sizes.prefix ? sizes.whole - sizes.prefix : 1;
 
   // Roll the history forward, bounded.
   if (dict.size() > kDictLimit) {

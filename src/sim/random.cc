@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <numbers>
 
 namespace tcs {
@@ -103,8 +104,24 @@ void Rng::FillBytes(uint8_t* data, size_t len, double redundancy) {
   // Redundant regions are runs of a repeated recent byte; non-redundant bytes are fresh
   // random draws. This yields data whose LZ-compressibility tracks `redundancy`.
   uint8_t last = static_cast<uint8_t>(NextU64());
+  // Each byte's coin is NextBool(redundancy), which draws nothing at p <= 0 or p >= 1.
+  if (redundancy >= 1.0) {
+    std::memset(data, last, len);
+    return;
+  }
+  if (redundancy <= 0.0) {
+    for (size_t i = 0; i < len; ++i) {
+      data[i] = static_cast<uint8_t>(NextU64());
+    }
+    return;
+  }
+  // Otherwise the coin is NextDouble() < p, that is (u >> 11) * 2^-53 < p, which for an
+  // integer u >> 11 holds exactly when u >> 11 < ceil(p * 2^53). NaN fails the coin, as
+  // it fails NextBool's comparison.
+  const uint64_t threshold =
+      std::isnan(redundancy) ? 0 : static_cast<uint64_t>(std::ceil(std::ldexp(redundancy, 53)));
   for (size_t i = 0; i < len; ++i) {
-    if (NextBool(redundancy)) {
+    if ((NextU64() >> 11) < threshold) {
       data[i] = last;
     } else {
       data[i] = static_cast<uint8_t>(NextU64());

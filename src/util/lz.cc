@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cstring>
 #include <limits>
@@ -69,10 +70,15 @@ struct SizeCounter {
   void Match(size_t /*len*/, size_t /*offset*/) { size += 3; }
 };
 
-template <typename Sink>
-void Parse(const std::vector<uint8_t>& input, Sink& sink) {
+// This call's view of the thread's table: its slots and the base its stamps start above.
+struct CallTable {
+  uint32_t* slots;
+  uint32_t base;
+};
+
+// Reserves the stamps of one call over n bytes.
+CallTable BeginCall(size_t n) {
   constexpr uint32_t kStampMax = std::numeric_limits<uint32_t>::max();
-  const size_t n = input.size();
   assert(n < kStampMax);
   MatchTable& table = ThreadMatchTable();
   if (n + 1 > kStampMax - table.base) {
@@ -82,31 +88,101 @@ void Parse(const std::vector<uint8_t>& input, Sink& sink) {
   }
   const uint32_t base = table.base;
   table.base = static_cast<uint32_t>(base + n + 1);
+  return {table.slots.data(), base};
+}
 
+// Writes table slots in place.
+struct DirectWrites {
+  void Write(uint32_t& slot, uint32_t value) { slot = value; }
+};
+
+// Writes table slots and logs each write, so Undo can restore the table. It logs the
+// tail of a prefix's parse: the tail starts at or after position prefix - (kMaxMatch +
+// kMinMatch) + 1 and writes each position up to prefix - kMinMatch at most once, so it
+// makes at most kMaxMatch writes.
+class LoggedWrites {
+ public:
+  void Write(uint32_t& slot, uint32_t value) {
+    assert(count_ < log_.size());
+    log_[count_++] = {&slot, slot};
+    slot = value;
+  }
+  // Restores every logged slot, latest write first, so a slot written twice gets back
+  // the value it had before the first.
+  void Undo() {
+    while (count_ > 0) {
+      --count_;
+      *log_[count_].slot = log_[count_].old;
+    }
+  }
+
+ private:
+  struct Entry {
+    uint32_t* slot;
+    uint32_t old;
+  };
+  std::array<Entry, LzCodec::kMaxMatch> log_;
+  size_t count_ = 0;
+};
+
+// How many bytes a[0, limit) and b[0, limit) have in common from the start. Compares a
+// word at a time while a whole word lies below limit, then byte by byte, so it reads
+// nothing at or past a + limit or b + limit.
+size_t MatchLength(const uint8_t* a, const uint8_t* b, size_t limit) {
+  size_t len = 0;
+  for (; len + sizeof(uint64_t) <= limit; len += sizeof(uint64_t)) {
+    uint64_t x;
+    uint64_t y;
+    std::memcpy(&x, a + len, sizeof(x));
+    std::memcpy(&y, b + len, sizeof(y));
+    if (uint64_t diff = x ^ y; diff != 0) {
+      // The first differing byte is the word's lowest-addressed one with a set bit.
+      int bits = std::endian::native == std::endian::little ? std::countr_zero(diff)
+                                                            : std::countl_zero(diff);
+      return len + static_cast<size_t>(bits) / 8;
+    }
+  }
+  while (len < limit && a[len] == b[len]) {
+    ++len;
+  }
+  return len;
+}
+
+// One past the last parse position i with i + span <= n.
+size_t PositionsBelow(size_t n, size_t span) { return n >= span ? n - span + 1 : 0; }
+
+// Where a parse stands: its next position and the start of its pending literal run.
+struct Cursor {
   size_t i = 0;
   size_t literal_start = 0;
-  while (n >= LzCodec::kMinMatch && i + LzCodec::kMinMatch <= n) {
-    uint32_t& slot = table.slots[HashAt(&input[i])];
+};
+
+// Advances the greedy parse of in[0, n) from `at` while it stands below `stop`, giving
+// its literal runs and matches to `sink` and its table writes to `writes`.
+template <typename Sink, typename Writes>
+void Advance(const uint8_t* in, size_t n, size_t stop, CallTable table, Cursor& at,
+             Sink& sink, Writes& writes) {
+  size_t i = at.i;
+  size_t literal_start = at.literal_start;
+  while (i < stop) {
+    uint32_t& slot = table.slots[HashAt(in + i)];
     uint32_t stamp = slot;
-    slot = static_cast<uint32_t>(base + i + 1);
+    writes.Write(slot, static_cast<uint32_t>(table.base + i + 1));
     size_t match_len = 0;
     size_t cand = 0;
     // A stamp above `base` is a position this call wrote, hence before i.
-    if (stamp > base) {
-      cand = stamp - base - 1;
+    if (stamp > table.base) {
+      cand = stamp - table.base - 1;
       if (i - cand <= LzCodec::kWindow) {
-        size_t limit = std::min(n - i, LzCodec::kMaxMatch);
-        while (match_len < limit && input[cand + match_len] == input[i + match_len]) {
-          ++match_len;
-        }
+        match_len = MatchLength(in + cand, in + i, std::min(n - i, LzCodec::kMaxMatch));
       }
     }
     if (match_len >= LzCodec::kMinMatch) {
-      sink.Literals(input.data() + literal_start, i - literal_start);
+      sink.Literals(in + literal_start, i - literal_start);
       sink.Match(match_len, i - cand);
       // Insert hashes for the matched region (sparsely, every other byte, for speed).
       for (size_t j = i + 1; j + LzCodec::kMinMatch <= n && j < i + match_len; j += 2) {
-        table.slots[HashAt(&input[j])] = static_cast<uint32_t>(base + j + 1);
+        writes.Write(table.slots[HashAt(in + j)], static_cast<uint32_t>(table.base + j + 1));
       }
       i += match_len;
       literal_start = i;
@@ -114,7 +190,7 @@ void Parse(const std::vector<uint8_t>& input, Sink& sink) {
       ++i;
     }
   }
-  sink.Literals(input.data() + literal_start, n - literal_start);
+  at = {i, literal_start};
 }
 
 }  // namespace
@@ -123,14 +199,42 @@ std::vector<uint8_t> LzCodec::Compress(const std::vector<uint8_t>& input) {
   std::vector<uint8_t> out;
   out.reserve(input.size() / 2 + 16);
   StreamWriter writer{out};
-  Parse(input, writer);
+  DirectWrites writes;
+  const size_t n = input.size();
+  Cursor at;
+  Advance(input.data(), n, PositionsBelow(n, kMinMatch), BeginCall(n), at, writer, writes);
+  writer.Literals(input.data() + at.literal_start, n - at.literal_start);
   return out;
 }
 
-size_t LzCodec::CompressedSize(const std::vector<uint8_t>& input) {
-  SizeCounter counter;
-  Parse(input, counter);
-  return counter.size;
+LzCodec::Sizes LzCodec::CompressedSizes(const std::vector<uint8_t>& input, size_t prefix) {
+  const size_t n = input.size();
+  assert(prefix <= n);
+  const uint8_t* in = input.data();
+  const CallTable table = BeginCall(n);
+  DirectWrites direct;
+
+  // Standing at i with i + kMaxMatch + kMinMatch <= prefix, both parses hash, compare and
+  // insert only below i + kMaxMatch + kMinMatch - 1, so they are one parse up to there.
+  Cursor shared;
+  SizeCounter shared_size;
+  Advance(in, n, PositionsBelow(prefix, kMaxMatch + kMinMatch), table, shared, shared_size,
+          direct);
+
+  // The prefix's tail, with its table writes undone once it ends.
+  Cursor at = shared;
+  SizeCounter prefix_size = shared_size;
+  LoggedWrites logged;
+  Advance(in, prefix, PositionsBelow(prefix, kMinMatch), table, at, prefix_size, logged);
+  prefix_size.Literals(in + at.literal_start, prefix - at.literal_start);
+  logged.Undo();
+
+  // The whole input's tail, from the table and cursor the shared part left.
+  at = shared;
+  SizeCounter whole_size = shared_size;
+  Advance(in, n, PositionsBelow(n, kMinMatch), table, at, whole_size, direct);
+  whole_size.Literals(in + at.literal_start, n - at.literal_start);
+  return {prefix_size.size, whole_size.size};
 }
 
 std::optional<std::vector<uint8_t>> LzCodec::Decompress(const std::vector<uint8_t>& input) {

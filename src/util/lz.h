@@ -18,6 +18,12 @@
 // a table cleared per call, and calls on different threads never share a table. Input
 // must be shorter than 2^32 - 1 bytes (asserted), so one call's slots fit between two
 // refills of the table.
+//
+// CompressedSizes sizes an input and one of its prefixes from one parse. The greedy parse
+// of a prefix reads only bytes below position i + kMaxMatch + kMinMatch when it stands at
+// i, so up to that point it is the parse of the whole input: the call parses that shared
+// part once, runs the prefix's last < kMaxMatch + kMinMatch positions while logging their
+// table writes, undoes them, and finishes the whole input from the shared state.
 
 #ifndef TCS_SRC_UTIL_LZ_H_
 #define TCS_SRC_UTIL_LZ_H_
@@ -42,9 +48,14 @@ class LzCodec {
   // pointing before the start of output).
   static std::optional<std::vector<uint8_t>> Decompress(const std::vector<uint8_t>& input);
 
-  // Compress(input).size(), from the same parse, without building the output (what the
-  // protocol models need on the hot path).
-  static size_t CompressedSize(const std::vector<uint8_t>& input);
+  // Compress(input[0, prefix)).size() and Compress(input).size(), from one parse and
+  // without building either output: what LBX needs to size a message appended to its
+  // history. Requires prefix <= input.size().
+  struct Sizes {
+    size_t prefix = 0;
+    size_t whole = 0;
+  };
+  static Sizes CompressedSizes(const std::vector<uint8_t>& input, size_t prefix);
 };
 
 }  // namespace tcs

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 namespace tcs {
@@ -122,6 +123,42 @@ TEST(RngTest, NormalMeanAndSpread) {
   double var = sumsq / n - mean * mean;
   EXPECT_NEAR(mean, 10.0, 0.1);
   EXPECT_NEAR(var, 4.0, 0.3);
+}
+
+// FillBytes with a NextBool coin per byte, as it was first written.
+void FillBytesPerByteNextBool(Rng& rng, uint8_t* data, size_t len, double redundancy) {
+  uint8_t last = static_cast<uint8_t>(rng.NextU64());
+  for (size_t i = 0; i < len; ++i) {
+    if (rng.NextBool(redundancy)) {
+      data[i] = last;
+    } else {
+      data[i] = static_cast<uint8_t>(rng.NextU64());
+      last = data[i];
+    }
+  }
+}
+
+// FillBytes must give the per-byte NextBool loop's bytes and leave the generator where
+// that loop does, including at the probabilities NextBool answers without a draw.
+TEST(RngTest, FillBytesMatchesPerByteNextBool) {
+  const double kProbabilities[] = {-0.5, 0.0, 0x1.0p-60, 0.3, 0.5, 0.7, 0.85, 0.88,
+                                   std::nextafter(1.0, 0.0), 1.0, 1.5};
+  const size_t kLengths[] = {0, 1, 2, 3, 7, 8, 9, 63, 64, 65, 255, 256, 1000, 2048, 4095,
+                             4999, 5000};
+  uint64_t seed = 1;
+  for (double p : kProbabilities) {
+    for (size_t len : kLengths) {
+      Rng expected_rng(seed);
+      Rng actual_rng(seed);
+      ++seed;
+      std::vector<uint8_t> expected(len);
+      std::vector<uint8_t> actual(len);
+      FillBytesPerByteNextBool(expected_rng, expected.data(), len, p);
+      actual_rng.FillBytes(actual.data(), len, p);
+      ASSERT_EQ(actual, expected) << "p " << p << " length " << len;
+      ASSERT_EQ(actual_rng.NextU64(), expected_rng.NextU64()) << "p " << p << " length " << len;
+    }
+  }
 }
 
 TEST(RngTest, FillBytesRedundancyControlsRepeats) {

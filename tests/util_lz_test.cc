@@ -265,7 +265,7 @@ std::vector<std::vector<uint8_t>> CallSequence(uint64_t seed) {
 }
 
 // The stamped table must parse every call exactly as a table cleared per call does, so
-// Compress and CompressedSize match the oracle across call sequences on one thread. A
+// Compress and CompressedSizes match the oracle across call sequences on one thread. A
 // table that leaks earlier calls' positions still round-trips (a stale candidate is a
 // valid match), so only a differential comparison catches it.
 TEST(LzCodecTest, StampedTableMatchesPerCallClearedTable) {
@@ -276,19 +276,124 @@ TEST(LzCodecTest, StampedTableMatchesPerCallClearedTable) {
     for (size_t call = 0; call < sequence.size(); ++call) {
       const std::vector<uint8_t>& input = sequence[call];
       std::vector<uint8_t> expected = ReferenceCompress(input);
-      bool size_first = order.NextBool(0.5);
-      size_t size = size_first ? LzCodec::CompressedSize(input) : 0;
+      bool sizes_first = order.NextBool(0.5);
+      LzCodec::Sizes sizes;
+      if (sizes_first) {
+        sizes = LzCodec::CompressedSizes(input, input.size());
+      }
       ASSERT_EQ(LzCodec::Compress(input), expected)
           << "seed " << seed << " call " << call << " size " << input.size();
-      if (!size_first) {
-        size = LzCodec::CompressedSize(input);
+      if (!sizes_first) {
+        sizes = LzCodec::CompressedSizes(input, input.size());
       }
-      ASSERT_EQ(size, expected.size())
+      ASSERT_EQ(sizes.prefix, expected.size())
+          << "seed " << seed << " call " << call << " size " << input.size();
+      ASSERT_EQ(sizes.whole, expected.size())
           << "seed " << seed << " call " << call << " size " << input.size();
       ++calls;
     }
   }
   EXPECT_GT(calls, 1000u);
+}
+
+// One input for the one-pass sizes: every fourth seed a short one, under kMaxMatch +
+// kMinMatch bytes so that its whole parse is the prefix's tail, otherwise LBX's shape, a
+// 2,048-byte history with a 128- to 600-byte message appended. `history` is where the
+// message starts (a random cut of a short input).
+std::vector<uint8_t> OnePassInput(uint64_t seed, size_t& history) {
+  static constexpr std::array<double, 7> kRedundancy = {0.0, 0.3, 0.7, 0.85, 0.95, 0.99, 1.0};
+  Rng rng(seed);
+  auto redundancy = [&rng] { return kRedundancy[rng.NextBelow(kRedundancy.size())]; };
+  if (seed % 4 == 0) {
+    std::vector<uint8_t> input = RandomBytes(
+        rng, static_cast<size_t>(rng.NextBelow(LzCodec::kMaxMatch + LzCodec::kMinMatch)),
+        redundancy());
+    history = static_cast<size_t>(rng.NextBelow(input.size() + 1));
+    return input;
+  }
+  std::vector<uint8_t> input = RandomBytes(rng, 2048, redundancy());
+  std::vector<uint8_t> message =
+      RandomBytes(rng, static_cast<size_t>(rng.NextInt(128, 600)), redundancy());
+  input.insert(input.end(), message.begin(), message.end());
+  history = 2048;
+  return input;
+}
+
+// CompressedSizes(input, prefix) must be the sizes of two separate parses, of input[0,
+// prefix) and of input, at prefix 0, n and the history's end, and wherever the one
+// parse splits near the end: prefixes within 16 of n - (kMaxMatch + kMinMatch), of n and
+// of the history's end. Compress calls run in between on the same thread's table.
+TEST(LzCodecTest, OnePassSizesMatchTwoParses) {
+  constexpr int64_t kSplit = LzCodec::kMaxMatch + LzCodec::kMinMatch;
+  size_t checked = 0;
+  for (uint64_t seed = 1; seed <= 320; ++seed) {
+    size_t history = 0;
+    const std::vector<uint8_t> input = OnePassInput(seed, history);
+    const std::vector<uint8_t> expected = ReferenceCompress(input);
+    const auto n = static_cast<int64_t>(input.size());
+    Rng rng(~seed);
+    std::vector<int64_t> prefixes = {0, n, static_cast<int64_t>(history)};
+    for (int64_t near : {n - kSplit, n, static_cast<int64_t>(history)}) {
+      for (int k = 0; k < 3; ++k) {
+        prefixes.push_back(std::clamp<int64_t>(near + rng.NextInt(-16, 16), 0, n));
+      }
+    }
+    for (int64_t prefix : prefixes) {
+      if (rng.NextBool(0.3)) {
+        ASSERT_EQ(LzCodec::Compress(input), expected) << "seed " << seed;
+      }
+      LzCodec::Sizes sizes = LzCodec::CompressedSizes(input, static_cast<size_t>(prefix));
+      std::vector<uint8_t> head(input.begin(), input.begin() + prefix);
+      ASSERT_EQ(sizes.prefix, ReferenceCompress(head).size())
+          << "seed " << seed << " size " << n << " prefix " << prefix;
+      ASSERT_EQ(sizes.whole, expected.size())
+          << "seed " << seed << " size " << n << " prefix " << prefix;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 3000u);
+}
+
+// A match against the input's first bytes whose first mismatch falls on every byte of
+// every word the compare reads, and matches cut by the input's end at limits 127 to 131
+// and past kMaxMatch: the codec and its sizes against the byte-by-byte oracle, and the
+// match's length as encoded. The first kSource bytes are fresh, so the match at position
+// kSource is the one the input repeats.
+TEST(LzCodecTest, WordCompareStopsAtEveryMismatchAndLimit) {
+  constexpr size_t kSource = 140;
+  Rng rng(2024);
+  const std::vector<uint8_t> source = RandomBytes(rng, kSource, 0.0);
+  auto check = [&source](const std::vector<uint8_t>& input, size_t match_len) {
+    std::vector<uint8_t> expected = ReferenceCompress(input);
+    ASSERT_EQ(LzCodec::Compress(input), expected) << "match " << match_len;
+    // 140 literals take two runs (128 and 12), then the match at offset 140.
+    const size_t at = source.size() + 2;
+    ASSERT_GT(expected.size(), at + 2);
+    EXPECT_EQ(expected[at], 0x80 | (match_len - LzCodec::kMinMatch)) << "match " << match_len;
+    EXPECT_EQ(expected[at + 1] | (expected[at + 2] << 8), source.size());
+    for (size_t prefix : {size_t{0}, source.size(), source.size() + match_len / 2,
+                          input.size() - 1, input.size()}) {
+      LzCodec::Sizes sizes = LzCodec::CompressedSizes(input, prefix);
+      std::vector<uint8_t> head(input.begin(),
+                                input.begin() + static_cast<ptrdiff_t>(prefix));
+      EXPECT_EQ(sizes.prefix, ReferenceCompress(head).size())
+          << "match " << match_len << " prefix " << prefix;
+      EXPECT_EQ(sizes.whole, expected.size()) << "match " << match_len;
+    }
+  };
+  for (size_t len = LzCodec::kMinMatch; len <= LzCodec::kMaxMatch; ++len) {
+    std::vector<uint8_t> input = source;
+    input.insert(input.end(), source.begin(), source.begin() + static_cast<ptrdiff_t>(len));
+    input.push_back(static_cast<uint8_t>(source[len] ^ 0x5A));
+    std::vector<uint8_t> tail = RandomBytes(rng, 9, 0.0);
+    input.insert(input.end(), tail.begin(), tail.end());
+    check(input, len);
+  }
+  for (size_t limit : {127, 128, 129, 130, 131, 132, 139}) {
+    std::vector<uint8_t> input = source;
+    input.insert(input.end(), source.begin(), source.begin() + static_cast<ptrdiff_t>(limit));
+    check(input, std::min(limit, LzCodec::kMaxMatch));
+  }
 }
 
 TEST(LzCodecTest, HigherRedundancyCompressesBetter) {
@@ -297,7 +402,7 @@ TEST(LzCodecTest, HigherRedundancyCompressesBetter) {
   std::vector<uint8_t> high(32768);
   rng.FillBytes(low.data(), low.size(), 0.2);
   rng.FillBytes(high.data(), high.size(), 0.95);
-  EXPECT_GT(LzCodec::CompressedSize(low), LzCodec::CompressedSize(high));
+  EXPECT_GT(LzCodec::Compress(low).size(), LzCodec::Compress(high).size());
 }
 
 }  // namespace
