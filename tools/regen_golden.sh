@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Re-bless (or verify) the golden corpus: the report JSON in tests/golden/, the SLO
 # postmortem bundles in tests/golden/postmortem/, and the stdout of the paper artifacts
-# (tests/golden/paper/), of `tcsctl replay` over tests/golden/replay/demo_session.trace
-# (tests/golden/replay/) and of the examples (tests/golden/examples/), the SHA-256
-# digests of `tcsctl trace paging --runs=1`'s outputs (tests/golden/trace/), and the
-# stdout and --report-out files of the tcsctl sweeps (tests/golden/cli/).
+# (tests/golden/paper/, each from `tcsctl paper <artifact>`), of `tcsctl replay` over
+# tests/golden/replay/demo_session.trace (tests/golden/replay/) and of the examples
+# (tests/golden/examples/), the SHA-256 digests of `tcsctl trace paging --runs=1`'s
+# outputs (tests/golden/trace/), and the stdout and --report-out files of the tcsctl
+# sweeps and of `tcsctl traffic` (tests/golden/cli/).
 #
 # Default mode builds golden_report_test, tcsctl and the examples and reruns the corpus
 # tests with TCS_REGEN_GOLDEN=1, which makes each case rewrite its golden file instead of
