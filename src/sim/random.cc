@@ -1,8 +1,8 @@
 #include "src/sim/random.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <numbers>
 
 namespace tcs {
@@ -106,7 +106,7 @@ void Rng::FillBytes(uint8_t* data, size_t len, double redundancy) {
   uint8_t last = static_cast<uint8_t>(NextU64());
   // Each byte's coin is NextBool(redundancy), which draws nothing at p <= 0 or p >= 1.
   if (redundancy >= 1.0) {
-    std::memset(data, last, len);
+    std::fill_n(data, len, last);
     return;
   }
   if (redundancy <= 0.0) {
