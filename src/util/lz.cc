@@ -127,8 +127,11 @@ class LoggedWrites {
 
 // How many bytes a[0, limit) and b[0, limit) have in common from the start. Compares a
 // word at a time while a whole word lies below limit, then byte by byte, so it reads
-// nothing at or past a + limit or b + limit.
-size_t MatchLength(const uint8_t* a, const uint8_t* b, size_t limit) {
+// nothing at or past a + limit or b + limit. Forced inline: GCC kept it out of line, and
+// the call per candidate made Compress of a 4 KiB page about 6% slower than the inline
+// byte loop it replaces.
+[[gnu::always_inline]] inline size_t MatchLength(const uint8_t* a, const uint8_t* b,
+                                                 size_t limit) {
   size_t len = 0;
   for (; len + sizeof(uint64_t) <= limit; len += sizeof(uint64_t)) {
     uint64_t x;
