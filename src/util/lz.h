@@ -19,11 +19,12 @@
 // must be shorter than 2^32 - 1 bytes (asserted), so one call's slots fit between two
 // refills of the table.
 //
-// CompressedSizes sizes an input and one of its prefixes from one parse. The greedy parse
-// of a prefix reads only bytes below position i + kMaxMatch + kMinMatch when it stands at
-// i, so up to that point it is the parse of the whole input: the call parses that shared
-// part once, runs the prefix's last < kMaxMatch + kMinMatch positions while logging their
-// table writes, undoes them, and finishes the whole input from the shared state.
+// CompressedSizes sizes an input and one of its prefixes from one parse. Standing at a
+// position i with i + kMaxMatch + kMinMatch <= prefix, the greedy parse of the prefix
+// reads, compares and inserts exactly what the parse of the whole input does. The call
+// parses up to there once, runs the rest of the prefix (fewer than kMaxMatch + kMinMatch
+// positions) while logging its table writes, undoes them, and finishes the whole input
+// from the shared state.
 
 #ifndef TCS_SRC_UTIL_LZ_H_
 #define TCS_SRC_UTIL_LZ_H_

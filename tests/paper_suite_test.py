@@ -51,13 +51,11 @@ def diff(expected, actual, fromfile, tofile):
         fromfile=fromfile, tofile=tofile))
 
 
-golden_dir, output_path, last = sys.argv[1], sys.argv[2], sys.argv[3]
-
-
 def golden_path(name):
     return os.path.join(golden_dir, name + ".txt")
 
 
+golden_dir, output_path, last = sys.argv[1], sys.argv[2], sys.argv[3]
 if last.startswith("--artifact="):
     name = last[len("--artifact="):]
     goldens = [read(os.path.join(golden_dir, f))

@@ -320,9 +320,9 @@ std::vector<uint8_t> OnePassInput(uint64_t seed, size_t& history) {
 }
 
 // CompressedSizes(input, prefix) must be the sizes of two separate parses, of input[0,
-// prefix) and of input, at prefix 0, n and the history's end, and wherever the one
-// parse splits near the end: prefixes within 16 of n - (kMaxMatch + kMinMatch), of n and
-// of the history's end. Compress calls run in between on the same thread's table.
+// prefix) and of input, at prefix 0, n and the history's end, and at prefixes within 16
+// of n - (kMaxMatch + kMinMatch), of n and of the history's end, where a split a few
+// positions late shows. Compress calls run in between on the same thread's table.
 TEST(LzCodecTest, OnePassSizesMatchTwoParses) {
   constexpr int64_t kSplit = LzCodec::kMaxMatch + LzCodec::kMinMatch;
   size_t checked = 0;
