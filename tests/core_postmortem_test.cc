@@ -213,6 +213,14 @@ TEST(PostmortemDeterminismTest, TracedRerunReplaysTheRunExactly) {
     opt.ram = Bytes::MiB(48);
     return RunConsolidation(OsProfile::Tse(), opt, obs);
   });
+  // The loss path with the degradation ladder armed: the window holds retransmissions.
+  ExpectTracedRerunReplays<WanPoint>("wan", [](const ObsConfig* obs) {
+    WanOptions opt;
+    opt.profile = WanProfileByName("satellite");
+    opt.degrade = true;
+    opt.duration = Duration::Seconds(5);
+    return RunWanPoint(OsProfile::Tse(), opt, obs);
+  });
 }
 
 // The "ts" of every non-metadata event in a Tracer's JSON, in file order.

@@ -5,7 +5,7 @@
 // compared field-exactly against the canonical files in tests/golden/. Only run.wall_ms
 // — the one nondeterministic field in any report — is neutralized before comparison.
 // Any change to simulation behavior, report field order, or number formatting shows up
-// as a diff here. Two SLO postmortem bundles (frozen trace window + forensic summary)
+// as a diff here. Three SLO postmortem bundles (frozen trace window + forensic summary)
 // are compared byte for byte against tests/golden/postmortem/.
 //
 // To re-bless after an intentional change: tools/regen_golden.sh (or run this binary
@@ -286,14 +286,14 @@ TEST_P(GoldenReportTest, ReportMatchesGoldenFieldForField) {
 }
 
 // Postmortem bundles: the frozen flight-recorder window (<name>.trace.json) and the
-// forensic summary (<name>.postmortem.json) of two violating runs, compared byte for
+// forensic summary (<name>.postmortem.json) of three violating runs, compared byte for
 // byte with tests/golden/postmortem/. Neither file carries wall time or a path.
 struct BundleCase {
   const char* name;  // the SLO name, so both the bundle stem and the golden stem
   void (*run)(const SloSpec& slo);
 };
 
-// No real run keeps its worst p99 under 1 ms, so both cases violate.
+// No real run keeps its worst p99 under 1 ms, so every case violates.
 const BundleCase kBundles[] = {
     // PostmortemDeterminismTest's chaos cell: a 5% lossy link, so the window holds
     // retransmissions and the bundle a blame digest (chaos points always attribute).
@@ -321,6 +321,19 @@ const BundleCase kBundles[] = {
        obs.slo = &slo;
        obs.attribution = &attribution;
        RunConsolidation(OsProfile::Tse(), opt, &obs);
+     }},
+    // One typist and the media session over the satellite profile, degradation off: the
+    // bufferbloat queue overflows, so the window holds frame-dropped and retransmit
+    // records.
+    {"wan_tse_satellite",
+     [](const SloSpec& slo) {
+       WanOptions opt;
+       opt.profile = WanProfileByName("satellite");
+       opt.users = 1;
+       opt.duration = Duration::Seconds(5);
+       ObsConfig obs;
+       obs.slo = &slo;
+       RunWanPoint(OsProfile::Tse(), opt, &obs);
      }},
 };
 
