@@ -23,8 +23,8 @@ Thread* Cpu::CreateThread(std::string name, ThreadClass cls, int base_priority) 
   threads_.push_back(
       std::make_unique<Thread>(next_thread_id_++, std::move(name), cls, base_priority));
   Thread* t = threads_.back().get();
-  if (tracer_ != nullptr) {
-    t->trace_name = tracer_->Intern(t->name());
+  if (tracer_ != nullptr || recorder_ != nullptr) {
+    t->trace_name = InternName(t->name());
   }
   return t;
 }
@@ -40,7 +40,14 @@ void Cpu::SetTracer(Tracer* tracer) {
   }
   scheduler_->SetTracer(tracer_, tracer_->RegisterTrack("cpu", "sched"));
   for (const auto& t : threads_) {
-    t->trace_name = tracer_->Intern(t->name());
+    t->trace_name = InternName(t->name());
+  }
+}
+
+void Cpu::SetFlightRecorder(FlightRecorder* recorder) {
+  recorder_ = recorder;
+  for (const auto& t : threads_) {
+    t->trace_name = InternName(t->name());
   }
 }
 
@@ -161,11 +168,10 @@ void Cpu::AccountSegment(Processor& proc, TimePoint end) {
     if (tracer_ != nullptr) {
       tracer_->Span(TraceCategory::kCpu, t.trace_name,
                     cpu_tracks_[static_cast<size_t>(proc.index)], proc.segment_start, end,
-                    "prio", t.sched_priority, "switch_us",
-                    proc.segment_switch_cost.ToMicros());
+                    "thread", static_cast<int64_t>(t.id()), "prio", t.sched_priority);
     }
     if (recorder_ != nullptr) {
-      recorder_->Span(TraceCategory::kCpu, "seg", proc.segment_start, end, 0,
+      recorder_->Span(TraceCategory::kCpu, t.trace_name, proc.segment_start, end, 0,
                       static_cast<int64_t>(t.id()), t.sched_priority);
     }
   }
@@ -182,7 +188,7 @@ void Cpu::Preempt(Processor& proc) {
                      static_cast<int64_t>(t.id()));
   }
   if (recorder_ != nullptr) {
-    recorder_->Instant(TraceCategory::kSched, "preempt", sim_.Now(), 0,
+    recorder_->Instant(TraceCategory::kCpu, "preempt", sim_.Now(), 0,
                        static_cast<int64_t>(t.id()));
   }
   proc.running = nullptr;

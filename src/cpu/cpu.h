@@ -71,9 +71,10 @@ class Cpu {
   // the cost of one branch per segment.
   void SetTracer(Tracer* tracer);
 
-  // Flight recorder: every executed segment becomes a compact cpu record (thread id +
-  // priority args) and every preemption an instant. Null disables at one branch.
-  void SetFlightRecorder(FlightRecorder* recorder) { recorder_ = recorder; }
+  // Flight recorder: every executed segment becomes a compact cpu record (named after the
+  // thread, thread id + priority args) and every preemption an instant. Null disables at
+  // one branch.
+  void SetFlightRecorder(FlightRecorder* recorder);
 
   Scheduler& scheduler() { return *scheduler_; }
   const Scheduler& scheduler() const { return *scheduler_; }

@@ -68,8 +68,8 @@ class Thread {
   Duration quantum_used = Duration::Zero();
   // Set by Svr4InteractiveScheduler: recent sleep-time based interactivity score.
   double interactivity = 0.0;
-  // Tracer-interned copy of name() (set by Cpu::SetTracer / CreateThread). Trace events
-  // referencing the thread use this pointer, which outlives the thread itself.
+  // InternName()d copy of name(), set once the Cpu has a sink. Trace events and flight
+  // records naming the thread use this pointer, which outlives the thread itself.
   const char* trace_name = nullptr;
 
   // --- Lifetime / accounting ---

@@ -54,7 +54,8 @@ void ReliableChannel::Send(Bytes wire_bytes, InlineCallback delivered) {
     ++frames_shed_;
     if (tracer_ != nullptr) {
       tracer_->Instant(TraceCategory::kNet, "frame-shed", trace_track_, sim_.Now(),
-                       "in_flight", static_cast<int64_t>(records_.size()));
+                       "in_flight", static_cast<int64_t>(records_.size()), "bytes",
+                       wire_bytes.count());
     }
     if (recorder_ != nullptr) {
       recorder_->Instant(TraceCategory::kNet, "frame-shed", sim_.Now(), 0,

@@ -53,8 +53,7 @@ void PeriodicSampler::Sample() {
     double v = gauges[i].poll();
     series_[i]->Add(now, v);
     if (tracer_ != nullptr) {
-      tracer_->Counter(TraceCategory::kSim, tracer_->Intern(gauges[i].name), track_, now,
-                       v);
+      tracer_->Counter(TraceCategory::kSim, InternName(gauges[i].name), track_, now, v);
     }
   }
   ++samples_taken_;

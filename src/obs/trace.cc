@@ -2,7 +2,9 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <mutex>
 #include <sstream>
+#include <unordered_set>
 
 namespace tcs {
 
@@ -54,15 +56,13 @@ TraceTrack Tracer::RegisterTrack(const std::string& process, const std::string& 
   return TraceTrack{pid, tid};
 }
 
-const char* Tracer::Intern(const std::string& s) {
-  auto it = intern_index_.find(s);
-  if (it != intern_index_.end()) {
-    return it->second;
-  }
-  interned_.push_back(s);
-  const char* p = interned_.back().c_str();
-  intern_index_.emplace(s, p);
-  return p;
+const char* InternName(const std::string& s) {
+  // Never destroyed, so a name stays valid through static destruction too; set nodes
+  // never move, so each c_str() stays put as the table grows.
+  static std::mutex* mu = new std::mutex;
+  static std::unordered_set<std::string>* names = new std::unordered_set<std::string>;
+  std::lock_guard<std::mutex> lock(*mu);
+  return names->insert(s).first->c_str();
 }
 
 void Tracer::Span(TraceCategory cat, const char* name, TraceTrack track, TimePoint start,

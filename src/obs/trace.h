@@ -18,10 +18,8 @@
 #define TCS_SRC_OBS_TRACE_H_
 
 #include <cstdint>
-#include <deque>
 #include <ostream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/sim/time.h"
@@ -44,6 +42,12 @@ enum class TraceCategory : uint32_t {
 inline constexpr uint32_t kAllTraceCategories = 0x1ff;
 
 const char* TraceCategoryName(TraceCategory cat);
+
+// Copies `s` into storage that lives until the process exits and returns a pointer to
+// it; repeated calls with the same string return the same pointer. Use for event names
+// that must outlive their component and every sink that holds them (thread names on cpu
+// segments, for example). Safe to call from any thread.
+const char* InternName(const std::string& s);
 
 // A Chrome-trace track: `pid` groups related tracks into one named process section,
 // `tid` is the row within it.
@@ -74,13 +78,8 @@ class Tracer {
   // to it. Tracks render in registration order.
   TraceTrack RegisterTrack(const std::string& process, const std::string& track);
 
-  // Copies `s` into tracer-owned storage and returns a pointer that stays valid for the
-  // tracer's lifetime. Use for event names that outlive their component (thread names on
-  // segments, for example); repeated calls with the same string return the same pointer.
-  const char* Intern(const std::string& s);
-
   // A slice [start, end] on `track` (Chrome "complete" event). `name` must outlive the
-  // tracer (string literal or Intern()ed).
+  // tracer (string literal or InternName()d).
   void Span(TraceCategory cat, const char* name, TraceTrack track, TimePoint start,
             TimePoint end);
   void Span(TraceCategory cat, const char* name, TraceTrack track, TimePoint start,
@@ -154,8 +153,6 @@ class Tracer {
   std::vector<Event> events_;
   std::vector<std::string> processes_;  // index = pid - 1
   std::vector<Track> tracks_;
-  std::unordered_map<std::string, const char*> intern_index_;
-  std::deque<std::string> interned_;
   uint64_t next_flow_id_ = 0;
 };
 

@@ -162,9 +162,9 @@ Server::Server(Simulator& sim, OsProfile profile, ServerConfig config)
                       "an interaction record holds at most 8 pipeline hops");
   }
   if (config_.attribution != nullptr) {
-    if (Tracer* tr = config_.attribution->tracer()) {
+    if (config_.attribution->tracer() != nullptr) {
       for (const PipelineHop& hop : profile_.keystroke_pipeline) {
-        hop_trace_names_.push_back(tr->Intern(hop.name));
+        hop_trace_names_.push_back(InternName(hop.name));
       }
     }
     // Attributed runs split display-net into queueing/retransmit-wait/serialization/
@@ -403,7 +403,8 @@ void Server::OnKeystrokeArrived(Session& session, TimePoint sent_at,
                                 uint64_t interaction_id, int64_t retransmit_us) {
   if (config_.tracer != nullptr) {
     config_.tracer->Span(TraceCategory::kSession, "input-net", session.trace_track_,
-                         sent_at, sim_.Now());
+                         sent_at, sim_.Now(), "session", static_cast<int64_t>(session.id_),
+                         "retransmit_us", retransmit_us);
   }
   if (config_.recorder != nullptr) {
     config_.recorder->Span(TraceCategory::kSession, "input-net", sent_at, sim_.Now(),
@@ -593,7 +594,8 @@ void Server::CompletePipeline(Session& session, int batch) {
   const TimePoint arrived = TimePoint::FromMicros(rec.arrived_us);
   if (config_.tracer != nullptr) {
     config_.tracer->Span(TraceCategory::kSession, "keystroke-batch", session.trace_track_,
-                         arrived, emitted, "batch", static_cast<int64_t>(batch));
+                         arrived, emitted, "batch", static_cast<int64_t>(batch), "session",
+                         static_cast<int64_t>(session.id_));
   }
   if (config_.recorder != nullptr) {
     config_.recorder->Span(TraceCategory::kSession, "keystroke-batch", arrived, emitted,
@@ -745,9 +747,8 @@ void Server::FireDaemonCrash() {
   rt.task->Stop();
   ++daemon_crashes_;
   if (config_.tracer != nullptr) {
-    config_.tracer->Instant(TraceCategory::kFault,
-                            config_.tracer->Intern("crash:" + rt.spec.name), fault_track_,
-                            sim_.Now());
+    config_.tracer->Instant(TraceCategory::kFault, InternName("crash:" + rt.spec.name),
+                            fault_track_, sim_.Now());
   }
   sim_.Schedule(config_.faults.session.daemon_restart_after,
                 [this, idx] { RestartDaemon(idx); });

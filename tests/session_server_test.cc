@@ -4,6 +4,7 @@
 
 #include "src/cpu/idle_profiler.h"
 #include "src/metrics/latency.h"
+#include "src/obs/flight_recorder.h"
 #include "src/session/os_profile.h"
 #include "src/workload/typist.h"
 
@@ -146,6 +147,25 @@ TEST(ServerTest, TseIdleLoadExceedsLinux) {
   // about seven times that of Linux."
   EXPECT_NEAR(tse / nt, 3.0, 1.2);
   EXPECT_NEAR(tse / lin, 7.0, 2.5);
+}
+
+// A ring record names a cpu segment after its thread, and a bundle renders after the
+// run's Server is gone, so the name must not live in the Thread. Under ASan a name that
+// did is a heap-use-after-free here.
+TEST(ServerTest, FrozenWindowRendersAfterTheServerIsDestroyed) {
+  Simulator sim;
+  FlightRecorder recorder;
+  {
+    ServerConfig cfg;
+    cfg.recorder = &recorder;
+    Server server(sim, OsProfile::Tse(), cfg);
+    Session& s = server.Login();
+    server.Keystroke(s);
+    sim.RunFor(Duration::Millis(500));
+    recorder.Freeze(sim.Now());
+  }
+  std::string json = recorder.WindowJson();
+  EXPECT_NE(json.find("\"name\":\"editor\",\"cat\":\"cpu\""), std::string::npos) << json;
 }
 
 }  // namespace
