@@ -32,16 +32,16 @@ namespace {
 
 using namespace run_support;  // WallClock, FinishRun, ApplyObs, SamplerScope, ...
 
-// Wires the ObsConfig's tracer through a protocol-only harness and registers the link
-// backlog gauge (protocol-only experiments have no cpu/pager to observe).
+// Wires the ObsConfig's tracer through a protocol-only harness (which keeps no flight
+// records) and registers the link backlog gauge (protocol-only experiments have no
+// cpu/pager to observe).
 void ApplyObs(ProtocolHarness& harness, const ObsConfig* obs) {
   if (obs == nullptr) {
     return;
   }
-  if (obs->tracer != nullptr) {
-    harness.link.SetTracer(obs->tracer);
-    harness.protocol().SetTracer(obs->tracer);
-  }
+  const Emitter emit(obs->tracer, nullptr);
+  harness.link.Attach(emit);
+  harness.protocol().Attach(emit);
   if (obs->metrics != nullptr) {
     Link* l = &harness.link;
     Simulator* s = &harness.sim;

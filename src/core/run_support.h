@@ -83,13 +83,12 @@ class SloRuntime {
     if (obs == nullptr || obs->slo == nullptr || !obs->slo->Any()) {
       return;
     }
-    if (obs->recorder != nullptr) {
-      recorder_ = obs->recorder;
-    } else {
+    FlightRecorder* recorder = obs->recorder;
+    if (recorder == nullptr) {
       owned_recorder_ = std::make_unique<FlightRecorder>();
-      recorder_ = owned_recorder_.get();
+      recorder = owned_recorder_.get();
     }
-    watchdog_ = std::make_unique<SloWatchdog>(sim, *obs->slo, recorder_, obs->metrics,
+    watchdog_ = std::make_unique<SloWatchdog>(sim, *obs->slo, recorder, obs->metrics,
                                               obs->attribution);
   }
 
@@ -97,7 +96,6 @@ class SloRuntime {
   SloRuntime& operator=(const SloRuntime&) = delete;
 
   bool active() const { return watchdog_ != nullptr; }
-  FlightRecorder* recorder() const { return recorder_; }
   SloWatchdog* watchdog() const { return watchdog_.get(); }
 
   // Points the server at the run-local recorder when this runtime owns one (a
@@ -123,7 +121,6 @@ class SloRuntime {
 
  private:
   std::unique_ptr<FlightRecorder> owned_recorder_;
-  FlightRecorder* recorder_ = nullptr;
   std::unique_ptr<SloWatchdog> watchdog_;
 };
 

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "src/obs/flight_recorder.h"
-
 namespace tcs {
 
 Cpu::Cpu(Simulator& sim, std::unique_ptr<Scheduler> scheduler, CpuConfig config)
@@ -23,31 +21,22 @@ Thread* Cpu::CreateThread(std::string name, ThreadClass cls, int base_priority) 
   threads_.push_back(
       std::make_unique<Thread>(next_thread_id_++, std::move(name), cls, base_priority));
   Thread* t = threads_.back().get();
-  if (tracer_ != nullptr || recorder_ != nullptr) {
+  if (emit_.on()) {
     t->trace_name = InternName(t->name());
   }
   return t;
 }
 
-void Cpu::SetTracer(Tracer* tracer) {
-  tracer_ = tracer;
-  if (tracer_ == nullptr) {
-    return;
+void Cpu::Attach(Emitter emit) {
+  emit_ = emit;
+  for (Processor& proc : processors_) {
+    proc.track = emit_.Track("cpu", "cpu" + std::to_string(proc.index));
   }
-  cpu_tracks_.clear();
-  for (size_t p = 0; p < processors_.size(); ++p) {
-    cpu_tracks_.push_back(tracer_->RegisterTrack("cpu", "cpu" + std::to_string(p)));
-  }
-  scheduler_->SetTracer(tracer_, tracer_->RegisterTrack("cpu", "sched"));
-  for (const auto& t : threads_) {
-    t->trace_name = InternName(t->name());
-  }
-}
-
-void Cpu::SetFlightRecorder(FlightRecorder* recorder) {
-  recorder_ = recorder;
-  for (const auto& t : threads_) {
-    t->trace_name = InternName(t->name());
+  scheduler_->Attach(emit_, emit_.Track("cpu", "sched"));
+  if (emit_.on()) {
+    for (const auto& t : threads_) {
+      t->trace_name = InternName(t->name());
+    }
   }
 }
 
@@ -165,15 +154,8 @@ void Cpu::AccountSegment(Processor& proc, TimePoint end) {
     for (const auto& obs : observers_) {
       obs(proc.segment_start, end, t);
     }
-    if (tracer_ != nullptr) {
-      tracer_->Span(TraceCategory::kCpu, t.trace_name,
-                    cpu_tracks_[static_cast<size_t>(proc.index)], proc.segment_start, end,
-                    "thread", static_cast<int64_t>(t.id()), "prio", t.sched_priority);
-    }
-    if (recorder_ != nullptr) {
-      recorder_->Span(TraceCategory::kCpu, t.trace_name, proc.segment_start, end, 0,
-                      static_cast<int64_t>(t.id()), t.sched_priority);
-    }
+    emit_.Span(TraceCategory::kCpu, t.trace_name, proc.track, proc.segment_start, end,
+               {"thread", static_cast<int64_t>(t.id())}, {"prio", t.sched_priority});
   }
 }
 
@@ -182,15 +164,8 @@ void Cpu::Preempt(Processor& proc) {
   sim_.Cancel(proc.segment_end);
   AccountSegment(proc, sim_.Now());
   Thread& t = *proc.running;
-  if (tracer_ != nullptr) {
-    tracer_->Instant(TraceCategory::kCpu, "preempt",
-                     cpu_tracks_[static_cast<size_t>(proc.index)], sim_.Now(), "thread",
-                     static_cast<int64_t>(t.id()));
-  }
-  if (recorder_ != nullptr) {
-    recorder_->Instant(TraceCategory::kCpu, "preempt", sim_.Now(), 0,
-                       static_cast<int64_t>(t.id()));
-  }
+  emit_.Instant(TraceCategory::kCpu, "preempt", proc.track, sim_.Now(),
+                {"thread", static_cast<int64_t>(t.id())});
   proc.running = nullptr;
   t.set_state(ThreadState::kReady);
   t.set_last_ready_at(sim_.Now());

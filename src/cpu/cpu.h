@@ -25,11 +25,10 @@
 
 #include "src/cpu/scheduler.h"
 #include "src/cpu/thread.h"
+#include "src/obs/emitter.h"
 #include "src/sim/simulator.h"
 
 namespace tcs {
-
-class FlightRecorder;
 
 struct CpuConfig {
   // Relative processor speed. Work costs are divided by this, so 2.0 halves every burst —
@@ -66,15 +65,10 @@ class Cpu {
   void AddSegmentObserver(SegmentObserver obs) { observers_.push_back(std::move(obs)); }
 
   // Observability: registers one trace track per processor plus a policy track for the
-  // scheduler, then emits every executed segment as a cpu-category span (named after the
-  // running thread) and every preemption as an instant. Null tracer disables all of it at
-  // the cost of one branch per segment.
-  void SetTracer(Tracer* tracer);
-
-  // Flight recorder: every executed segment becomes a compact cpu record (named after the
-  // thread, thread id + priority args) and every preemption an instant. Null disables at
-  // one branch.
-  void SetFlightRecorder(FlightRecorder* recorder);
+  // scheduler (which traces its decisions), then emits every executed segment to both
+  // sinks as a cpu span named after the running thread (thread id and priority args) and
+  // every preemption as a cpu instant.
+  void Attach(Emitter emit);
 
   Scheduler& scheduler() { return *scheduler_; }
   const Scheduler& scheduler() const { return *scheduler_; }
@@ -101,6 +95,7 @@ class Cpu {
     TimePoint segment_start;
     Duration segment_switch_cost = Duration::Zero();
     Duration segment_planned_work = Duration::Zero();
+    TraceTrack track;  // "cpu/cpuN"
   };
 
   void Wake(Thread& t, WakeReason reason);
@@ -122,9 +117,7 @@ class Cpu {
   std::vector<std::unique_ptr<Thread>> threads_;
   std::vector<SegmentObserver> observers_;
   std::vector<Processor> processors_;
-  Tracer* tracer_ = nullptr;
-  FlightRecorder* recorder_ = nullptr;
-  std::vector<TraceTrack> cpu_tracks_;  // one per processor
+  Emitter emit_;
 
   Duration busy_time_ = Duration::Zero();
   uint64_t next_thread_id_ = 1;

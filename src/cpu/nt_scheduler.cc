@@ -32,11 +32,9 @@ void NtScheduler::OnReady(Thread& t, WakeReason reason) {
       reason == WakeReason::kInputEvent) {
     t.sched_priority = std::max(t.base_priority(), config_.gui_boost_priority);
     t.boost_quanta = config_.gui_boost_quanta;
-    if (tracer_ != nullptr) {
-      tracer_->Instant(TraceCategory::kSched, "gui-boost", trace_track_,
-                       t.last_ready_at(), "thread", static_cast<int64_t>(t.id()), "prio",
-                       t.sched_priority);
-    }
+    emit_.Trace().Instant(TraceCategory::kSched, "gui-boost", trace_track_,
+                          t.last_ready_at(), {"thread", static_cast<int64_t>(t.id())},
+                          {"prio", t.sched_priority});
   } else if (t.boost_quanta == 0) {
     t.sched_priority = t.base_priority();
   }
@@ -54,11 +52,9 @@ void NtScheduler::OnQuantumExpired(Thread& t) {
     --t.boost_quanta;
     if (t.boost_quanta == 0) {
       t.sched_priority = t.base_priority();
-      if (tracer_ != nullptr) {
-        tracer_->Instant(TraceCategory::kSched, "boost-decay", trace_track_,
-                         t.last_ready_at(), "thread", static_cast<int64_t>(t.id()),
-                         "prio", t.sched_priority);
-      }
+      emit_.Trace().Instant(TraceCategory::kSched, "boost-decay", trace_track_,
+                            t.last_ready_at(), {"thread", static_cast<int64_t>(t.id())},
+                            {"prio", t.sched_priority});
     }
   }
   PushBack(t);

@@ -11,7 +11,7 @@
 #include <string>
 
 #include "src/cpu/thread.h"
-#include "src/obs/trace.h"
+#include "src/obs/emitter.h"
 #include "src/sim/time.h"
 
 namespace tcs {
@@ -20,12 +20,12 @@ class Scheduler {
  public:
   virtual ~Scheduler() = default;
 
-  // Observability: when set, implementations emit their policy decisions (priority
-  // boosts, band promotions/demotions) as sched-category events on `track`. Null by
-  // default; schedulers have no clock, so they stamp events with the thread's
-  // last_ready_at / last_blocked_at, which the Cpu engine sets just before each callback.
-  void SetTracer(Tracer* tracer, TraceTrack track) {
-    tracer_ = tracer;
+  // Observability: implementations trace their policy decisions (priority boosts, band
+  // promotions/demotions) as sched-category instants on `track`. Schedulers have no
+  // clock, so they stamp events with the thread's last_ready_at / last_blocked_at, which
+  // the Cpu engine sets just before each callback.
+  void Attach(Emitter emit, TraceTrack track) {
+    emit_ = emit;
     trace_track_ = track;
   }
 
@@ -60,7 +60,7 @@ class Scheduler {
   virtual std::string name() const = 0;
 
  protected:
-  Tracer* tracer_ = nullptr;
+  Emitter emit_;
   TraceTrack trace_track_;
 };
 

@@ -38,9 +38,9 @@ void Svr4InteractiveScheduler::OnQuantumExpired(Thread& t) {
   // Burning a whole quantum is evidence of non-interactivity.
   bool was_interactive = IsInteractive(t);
   t.interactivity *= (1.0 - config_.score_alpha);
-  if (tracer_ != nullptr && was_interactive && !IsInteractive(t)) {
-    tracer_->Instant(TraceCategory::kSched, "ia-demote", trace_track_, t.last_ready_at(),
-                     "thread", static_cast<int64_t>(t.id()));
+  if (was_interactive && !IsInteractive(t)) {
+    emit_.Trace().Instant(TraceCategory::kSched, "ia-demote", trace_track_,
+                          t.last_ready_at(), {"thread", static_cast<int64_t>(t.id())});
   }
   OnReady(t, WakeReason::kOther);
 }
@@ -49,9 +49,9 @@ void Svr4InteractiveScheduler::OnBlocked(Thread& t) {
   // Blocking before quantum exhaustion is evidence of interactivity.
   bool was_interactive = IsInteractive(t);
   t.interactivity = t.interactivity * (1.0 - config_.score_alpha) + config_.score_alpha;
-  if (tracer_ != nullptr && !was_interactive && IsInteractive(t)) {
-    tracer_->Instant(TraceCategory::kSched, "ia-promote", trace_track_,
-                     t.last_blocked_at(), "thread", static_cast<int64_t>(t.id()));
+  if (!was_interactive && IsInteractive(t)) {
+    emit_.Trace().Instant(TraceCategory::kSched, "ia-promote", trace_track_,
+                          t.last_blocked_at(), {"thread", static_cast<int64_t>(t.id())});
   }
 }
 

@@ -26,14 +26,12 @@ LinkFaultInjector::LinkFaultInjector(LinkFaultPlan plan, uint64_t seed)
   plan_.scripted_outages = MergeAdjacentOutages(std::move(plan_.scripted_outages));
 }
 
-void LinkFaultInjector::SetTracer(Tracer* tracer) {
-  tracer_ = tracer;
-  if (tracer_ != nullptr) {
-    trace_track_ = tracer_->RegisterTrack("fault", "link-outage");
-    // Scripted windows are known up front; emit them immediately.
-    for (const OutageWindow& w : plan_.scripted_outages) {
-      tracer_->Span(TraceCategory::kFault, "outage", trace_track_, w.from, w.until);
-    }
+void LinkFaultInjector::Attach(Emitter emit) {
+  emit_ = emit;
+  trace_track_ = emit_.Track("fault", "link-outage");
+  // Scripted windows are known up front; emit them immediately.
+  for (const OutageWindow& w : plan_.scripted_outages) {
+    emit_.Trace().Span(TraceCategory::kFault, "outage", trace_track_, w.from, w.until);
   }
 }
 
@@ -45,9 +43,7 @@ void LinkFaultInjector::GenerateFlapsThrough(TimePoint horizon) {
     TimePoint start = flap_cursor_ + Jitter(rng_, plan_.flap_every);
     TimePoint end = start + Jitter(rng_, plan_.flap_duration);
     generated_.push_back(OutageWindow{start, end});
-    if (tracer_ != nullptr) {
-      tracer_->Span(TraceCategory::kFault, "flap", trace_track_, start, end);
-    }
+    emit_.Trace().Span(TraceCategory::kFault, "flap", trace_track_, start, end);
     flap_cursor_ = end;
   }
 }

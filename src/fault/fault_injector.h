@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "src/fault/fault_plan.h"
-#include "src/obs/trace.h"
+#include "src/obs/emitter.h"
 #include "src/sim/random.h"
 
 namespace tcs {
@@ -71,8 +71,9 @@ class LinkFaultInjector {
                : 0.0;
   }
 
-  // Observability: each outage window becomes a fault-category span when generated.
-  void SetTracer(Tracer* tracer);
+  // Observability: each outage window becomes a fault-category trace span when generated
+  // (scripted windows at once).
+  void Attach(Emitter emit);
 
  private:
   // Extends generated flap windows until they cover virtual time `horizon`.
@@ -93,7 +94,7 @@ class LinkFaultInjector {
   Rng wan_input_rng_;
   bool wan_active_ = false;
   bool ge_bad_ = false;  // Gilbert–Elliott chain state (starts good)
-  Tracer* tracer_ = nullptr;
+  Emitter emit_;
   TraceTrack trace_track_;
   std::vector<OutageWindow> generated_;  // flap windows, in time order
   TimePoint flap_cursor_ = TimePoint::Zero();  // generation horizon reached so far

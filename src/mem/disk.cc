@@ -45,11 +45,9 @@ Duration Disk::ServiceTime(int pages) {
   return service;
 }
 
-void Disk::SetTracer(Tracer* tracer) {
-  tracer_ = tracer;
-  if (tracer_ != nullptr) {
-    trace_track_ = tracer_->RegisterTrack("mem", "disk");
-  }
+void Disk::Attach(Emitter emit) {
+  emit_ = emit;
+  trace_track_ = emit_.Track("mem", "disk");
 }
 
 void Disk::Enqueue(const char* op, int pages, InlineCallback done) {
@@ -62,10 +60,8 @@ void Disk::Enqueue(const char* op, int pages, InlineCallback done) {
   TimePoint start = std::max(sim_.Now(), busy_until_);
   busy_until_ = start + service;
   total_busy_ += service;
-  if (tracer_ != nullptr) {
-    tracer_->Span(TraceCategory::kMem, op, trace_track_, start, busy_until_, "pages",
-                  static_cast<int64_t>(pages), "queue_us", (start - sim_.Now()).ToMicros());
-  }
+  emit_.Trace().Span(TraceCategory::kMem, op, trace_track_, start, busy_until_,
+                     {"pages", pages}, {"queue_us", (start - sim_.Now()).ToMicros()});
   if (done) {
     sim_.At(busy_until_, std::move(done));
   }

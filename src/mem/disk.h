@@ -11,7 +11,7 @@
 #include <cstdint>
 
 #include "src/fault/fault_injector.h"
-#include "src/obs/trace.h"
+#include "src/obs/emitter.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
 #include "src/sim/units.h"
@@ -51,9 +51,9 @@ class Disk {
   TimePoint busy_until() const { return busy_until_; }
   bool IsBusyAt(TimePoint t) const { return busy_until_ > t; }
 
-  // Observability: each request becomes a mem-category span covering its service window
-  // on the device (queueing excluded; the `queue_us` arg records it).
-  void SetTracer(Tracer* tracer);
+  // Observability: each request becomes a mem-category trace span covering its service
+  // window on the device (queueing excluded; the `queue_us` arg records it).
+  void Attach(Emitter emit);
 
   int64_t reads() const { return reads_; }
   int64_t writes() const { return writes_; }
@@ -74,7 +74,7 @@ class Disk {
   Rng rng_;
   DiskConfig config_;
   DiskFaultInjector* fault_ = nullptr;
-  Tracer* tracer_ = nullptr;
+  Emitter emit_;
   TraceTrack trace_track_;
   TimePoint busy_until_ = TimePoint::Zero();
   int64_t reads_ = 0;

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "src/obs/flight_recorder.h"
-
 namespace tcs {
 
 Pager::Pager(Simulator& sim, Disk& disk, PagerConfig config)
@@ -16,11 +14,9 @@ Pager::Pager(Simulator& sim, Disk& disk, PagerConfig config)
   frames_.reserve(std::min(config_.total_frames, kReservedFramesCap));
 }
 
-void Pager::SetTracer(Tracer* tracer) {
-  tracer_ = tracer;
-  if (tracer_ != nullptr) {
-    trace_track_ = tracer_->RegisterTrack("mem", "pager");
-  }
+void Pager::Attach(Emitter emit) {
+  emit_ = emit;
+  trace_track_ = emit_.Track("mem", "pager");
 }
 
 AddressSpace* Pager::CreateAddressSpace(std::string name, bool interactive) {
@@ -177,14 +173,8 @@ void Pager::CompleteOp(uint64_t id) {
   PagerOp op = std::move(it->second);
   ops_.erase(it);
   if (op.traced) {
-    if (tracer_ != nullptr) {
-      tracer_->Span(TraceCategory::kMem, "page-in", trace_track_, op.access_start,
-                    sim_.Now(), "pages", op.count, "io_pages", op.io_pages);
-    }
-    if (recorder_ != nullptr) {
-      recorder_->Span(TraceCategory::kMem, "page-in", op.access_start, sim_.Now(), 0,
-                      op.count, op.io_pages);
-    }
+    emit_.Span(TraceCategory::kMem, "page-in", trace_track_, op.access_start, sim_.Now(),
+               {"pages", op.count}, {"io_pages", op.io_pages});
   }
   if (op.done) {
     op.done();
@@ -288,11 +278,9 @@ void Pager::EvictOneFrame(const AddressSpace& for_whom) {
   UnlinkFrame(victim);
   FreeFrame(victim);
   ++evictions_;
-  if (tracer_ != nullptr) {
-    tracer_->Instant(TraceCategory::kMem, dirty ? "evict-dirty" : "evict", trace_track_,
-                     sim_.Now(), "as", static_cast<int64_t>(vas.id()), "vpn",
-                     static_cast<int64_t>(vvpn));
-  }
+  emit_.Trace().Instant(TraceCategory::kMem, dirty ? "evict-dirty" : "evict",
+                        trace_track_, sim_.Now(), {"as", static_cast<int64_t>(vas.id())},
+                        {"vpn", static_cast<int64_t>(vvpn)});
   if (dirty) {
     ++dirty_writebacks_;
     disk_.Write(1);  // fire-and-forget, but it occupies the disk queue ahead of reads
@@ -305,10 +293,9 @@ bool Pager::MakeResident(AddressSpace& as, uint64_t vpn, bool write) {
     return false;
   }
   ++faults_;
-  if (tracer_ != nullptr) {
-    tracer_->Instant(TraceCategory::kMem, "fault", trace_track_, sim_.Now(), "as",
-                     static_cast<int64_t>(as.id()), "vpn", static_cast<int64_t>(vpn));
-  }
+  emit_.Trace().Instant(TraceCategory::kMem, "fault", trace_track_, sim_.Now(),
+                        {"as", static_cast<int64_t>(as.id())},
+                        {"vpn", static_cast<int64_t>(vpn)});
   if (frames_used_ >= config_.total_frames) {
     EvictOneFrame(as);
   }
@@ -329,12 +316,12 @@ void Pager::Access(AddressSpace& as, uint64_t vpn, bool write, InlineCallback do
   Duration throttle = ThrottleFor(as);
   bool needs_disk = as.WasEvicted(vpn);
   bool faulted = MakeResident(as, vpn, write);
-  if (faulted && recorder_ != nullptr) {
+  if (faulted) {
     // Flight records are batched per access, not per page: the Tracer keeps the
     // per-fault instants, the always-on ring carries one "faults" record per faulting
     // access (count + address space) so steady-state fault storms don't dominate it.
-    recorder_->Instant(TraceCategory::kMem, "faults", sim_.Now(), 0, 1,
-                       static_cast<int64_t>(as.id()));
+    emit_.Ring().Instant(TraceCategory::kMem, "faults", trace_track_, sim_.Now(),
+                         {"pages", 1}, {"as", static_cast<int64_t>(as.id())});
   }
   if (!faulted) {
     // Hit — but if the page's read is still on the disk (another session faulted it
@@ -451,16 +438,15 @@ void Pager::AccessRange(AddressSpace& as, uint64_t first, size_t count, bool wri
   if (current_run > 0) {
     runs.push_back(static_cast<int>(current_run));
   }
-  if (faulted_pages > 0 && recorder_ != nullptr) {
+  if (faulted_pages > 0) {
     // One batched flight record per faulting access (see Access above).
-    recorder_->Instant(TraceCategory::kMem, "faults", sim_.Now(), 0, faulted_pages,
-                       static_cast<int64_t>(as.id()));
+    emit_.Ring().Instant(TraceCategory::kMem, "faults", trace_track_, sim_.Now(),
+                         {"pages", faulted_pages}, {"as", static_cast<int64_t>(as.id())});
   }
   if (runs.empty() && joins.empty()) {
-    if (tracer_ != nullptr) {
-      tracer_->Span(TraceCategory::kMem, "access", trace_track_, access_start, access_start,
-                    "pages", static_cast<int64_t>(count), "io_pages", int64_t{0});
-    }
+    emit_.Trace().Span(TraceCategory::kMem, "access", trace_track_, access_start,
+                       access_start, {"pages", static_cast<int64_t>(count)},
+                       {"io_pages", 0});
     if (done) {
       uint64_t id = CreateOp(std::move(done));
       ops_.at(id).remaining = 1;
@@ -472,7 +458,7 @@ void Pager::AccessRange(AddressSpace& as, uint64_t first, size_t count, bool wri
   uint64_t id = CreateOp(std::move(done));
   PagerOp& op = ops_.at(id);
   op.remaining = joins.size() + (runs.empty() ? 0u : 1u);
-  if (tracer_ != nullptr || recorder_ != nullptr) {
+  if (emit_.on()) {
     // The page-in span closes at the moment the last clustered read lands.
     op.traced = true;
     op.access_start = access_start;

@@ -32,13 +32,11 @@
 
 #include "src/mem/address_space.h"
 #include "src/mem/disk.h"
-#include "src/obs/trace.h"
+#include "src/obs/emitter.h"
 #include "src/sim/inline_callback.h"
 #include "src/sim/simulator.h"
 
 namespace tcs {
-
-class FlightRecorder;
 
 enum class EvictionPolicy { kGlobalLru, kInteractiveProtect };
 
@@ -130,14 +128,11 @@ class Pager {
 
   const PagerConfig& config() const { return config_; }
 
-  // Observability: faults/evictions/writebacks become mem-category instants and each
-  // AccessRange that touches the disk becomes a "page-in" span. One branch when null.
-  void SetTracer(Tracer* tracer);
-
-  // Flight recorder: faulting accesses become one batched "faults" mem instant each
-  // (faulted page count + address space) and disk-touching AccessRanges "page-in"
-  // spans. One branch when null.
-  void SetFlightRecorder(FlightRecorder* recorder) { recorder_ = recorder; }
+  // Observability: each AccessRange that touches the disk becomes a "page-in" span in
+  // both sinks. The trace alone keeps the per-page fault and eviction instants and the
+  // diskless accesses; the ring alone keeps one batched "faults" instant per faulting
+  // access (faulted page count + address space), so fault storms cannot fill it.
+  void Attach(Emitter emit);
 
  private:
   struct FramesKey {
@@ -222,8 +217,7 @@ class Pager {
   Simulator& sim_;
   Disk& disk_;
   PagerConfig config_;
-  Tracer* tracer_ = nullptr;
-  FlightRecorder* recorder_ = nullptr;
+  Emitter emit_;
   TraceTrack trace_track_;
   // Indexed by AddressSpace id; slot 0 stays empty (the free frames' owner) and a
   // released space's slot is reset.

@@ -96,14 +96,8 @@ bool Link::TransmitFrame(Bytes frame_bytes, TimePoint* delivery) {
       last_wan_jitter_ = extra - fault_->wan().extra_delay;
       *delivery = std::max(now, busy_until_) + TransmissionDelay(frame_bytes, rate) +
                   config_.propagation + extra;
-      if (tracer_ != nullptr) {
-        tracer_->Instant(TraceCategory::kNet, "frame-dropped", trace_track_, now, "bytes",
-                         frame_bytes.count(), "backlog", backlog.count());
-      }
-      if (recorder_ != nullptr) {
-        recorder_->Instant(TraceCategory::kNet, "frame-dropped", now, 0,
-                           frame_bytes.count(), backlog.count());
-      }
+      emit_.Instant(TraceCategory::kNet, "frame-dropped", trace_track_, now,
+                    {"bytes", frame_bytes.count()}, {"backlog", backlog.count()});
       return false;
     }
   }
@@ -138,15 +132,9 @@ bool Link::TransmitFrame(Bytes frame_bytes, TimePoint* delivery) {
   } else {
     ++frames_lost_;
   }
-  if (tracer_ != nullptr) {
-    tracer_->Span(TraceCategory::kNet, ok ? "frame" : "frame-lost", trace_track_, start,
-                  busy_until_, "bytes", frame_bytes.count(), "queue_us",
-                  (start - now).ToMicros());
-  }
-  if (recorder_ != nullptr) {
-    recorder_->Span(TraceCategory::kNet, ok ? "frame" : "frame-lost", start,
-                    busy_until_, 0, frame_bytes.count(), (start - now).ToMicros());
-  }
+  emit_.Span(TraceCategory::kNet, ok ? "frame" : "frame-lost", trace_track_, start,
+             busy_until_, {"bytes", frame_bytes.count()},
+             {"queue_us", (start - now).ToMicros()});
   *delivery = busy_until_ + config_.propagation;
   if (wan) {
     // WAN transit: the profile's extra one-way delay plus per-frame jitter rides on top
@@ -242,11 +230,9 @@ BitsPerSecond Link::UpRate() const {
   return config_.rate;
 }
 
-void Link::SetTracer(Tracer* tracer) {
-  tracer_ = tracer;
-  if (tracer_ != nullptr) {
-    trace_track_ = tracer_->RegisterTrack("net", "link");
-  }
+void Link::Attach(Emitter emit) {
+  emit_ = emit;
+  trace_track_ = emit_.Track("net", "link");
 }
 
 double Link::UtilizationOver(Duration window) const {

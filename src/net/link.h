@@ -18,7 +18,7 @@
 #include <deque>
 
 #include "src/fault/fault_injector.h"
-#include "src/obs/trace.h"
+#include "src/obs/emitter.h"
 #include "src/sim/inline_callback.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
@@ -27,8 +27,6 @@
 #include "src/util/time_series.h"
 
 namespace tcs {
-
-class FlightRecorder;
 
 struct LinkConfig {
   BitsPerSecond rate = BitsPerSecond::Mbps(10);
@@ -155,11 +153,10 @@ class Link : public FrameTransport {
   void SetFaultInjector(LinkFaultInjector* injector) { fault_ = injector; }
   LinkFaultInjector* fault_injector() const { return fault_; }
 
-  // Observability: each frame becomes a net-category span over its serialization window.
-  void SetTracer(Tracer* tracer);
-
-  // Flight recorder: each frame becomes a compact net record (bytes + queue delay).
-  void SetFlightRecorder(FlightRecorder* recorder) { recorder_ = recorder; }
+  // Observability: each frame becomes a net span over its serialization window in both
+  // sinks ("frame" or "frame-lost", bytes + queue delay), and each frame the WAN queue
+  // drops a "frame-dropped" instant (bytes + backlog).
+  void Attach(Emitter emit);
 
  private:
   // Extra delay from CSMA/CD contention for a frame starting at `start`.
@@ -175,8 +172,7 @@ class Link : public FrameTransport {
   LinkConfig config_;
   Rng rng_;
   LinkFaultInjector* fault_ = nullptr;
-  Tracer* tracer_ = nullptr;
-  FlightRecorder* recorder_ = nullptr;
+  Emitter emit_;
   TraceTrack trace_track_;
   TimePoint busy_until_ = TimePoint::Zero();
   int64_t frames_sent_ = 0;

@@ -32,11 +32,9 @@ ReliableChannelConfig Validated(ReliableChannelConfig config) {
 ReliableChannel::ReliableChannel(Simulator& sim, Link& link, ReliableChannelConfig config)
     : sim_(sim), link_(link), config_(Validated(config)) {}
 
-void ReliableChannel::SetTracer(Tracer* tracer) {
-  tracer_ = tracer;
-  if (tracer_ != nullptr) {
-    trace_track_ = tracer_->RegisterTrack("net", "reliable");
-  }
+void ReliableChannel::Attach(Emitter emit) {
+  emit_ = emit;
+  trace_track_ = emit_.Track("net", "reliable");
 }
 
 Duration ReliableChannel::CurrentRtoBase() const {
@@ -52,15 +50,9 @@ void ReliableChannel::Send(Bytes wire_bytes, InlineCallback delivered) {
     // Window full: shed at the door. The frame gets no sequence number and its callback
     // never fires — exactly like an abandoned frame, but without ever burdening the wire.
     ++frames_shed_;
-    if (tracer_ != nullptr) {
-      tracer_->Instant(TraceCategory::kNet, "frame-shed", trace_track_, sim_.Now(),
-                       "in_flight", static_cast<int64_t>(records_.size()), "bytes",
-                       wire_bytes.count());
-    }
-    if (recorder_ != nullptr) {
-      recorder_->Instant(TraceCategory::kNet, "frame-shed", sim_.Now(), 0,
-                         static_cast<int64_t>(records_.size()), wire_bytes.count());
-    }
+    emit_.Instant(TraceCategory::kNet, "frame-shed", trace_track_, sim_.Now(),
+                  {"in_flight", static_cast<int64_t>(records_.size())},
+                  {"bytes", wire_bytes.count()});
     return;
   }
   uint64_t seq = next_seq_++;
@@ -78,14 +70,8 @@ void ReliableChannel::Transmit(uint64_t seq) {
   if (rec.attempts > 1) {
     ++retransmissions_;
     rec.ever_retransmitted = true;
-    if (tracer_ != nullptr) {
-      tracer_->Instant(TraceCategory::kNet, "retransmit", trace_track_, sim_.Now(), "seq",
-                       static_cast<int64_t>(seq), "attempt", rec.attempts);
-    }
-    if (recorder_ != nullptr) {
-      recorder_->Instant(TraceCategory::kNet, "retransmit", sim_.Now(), 0,
-                         static_cast<int64_t>(seq), rec.attempts);
-    }
+    emit_.Instant(TraceCategory::kNet, "retransmit", trace_track_, sim_.Now(),
+                  {"seq", static_cast<int64_t>(seq)}, {"attempt", rec.attempts});
   }
   TimePoint sent_at = sim_.Now();
   rec.sent_at = sent_at;

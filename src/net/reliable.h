@@ -22,7 +22,7 @@
 #include <map>
 
 #include "src/net/link.h"
-#include "src/obs/trace.h"
+#include "src/obs/emitter.h"
 #include "src/sim/simulator.h"
 #include "src/sim/units.h"
 
@@ -95,11 +95,10 @@ class ReliableChannel : public FrameTransport {
   // Smoothed RTT estimate (zero until the first sample).
   Duration srtt() const { return srtt_; }
 
-  // Each retransmission becomes an instant on a net-category "reliable" track.
-  void SetTracer(Tracer* tracer);
-
-  // Flight recorder: each retransmission becomes a compact net instant (seq + attempt).
-  void SetFlightRecorder(FlightRecorder* recorder) { recorder_ = recorder; }
+  // Observability: each retransmission becomes a net instant in both sinks (seq +
+  // attempt), on a "reliable" trace track, and so does each frame shed at a full window
+  // (frames in flight + bytes).
+  void Attach(Emitter emit);
 
  private:
   struct Record {
@@ -125,8 +124,7 @@ class ReliableChannel : public FrameTransport {
   Simulator& sim_;
   Link& link_;
   ReliableChannelConfig config_;
-  Tracer* tracer_ = nullptr;
-  FlightRecorder* recorder_ = nullptr;
+  Emitter emit_;
   TraceTrack trace_track_;
   std::map<uint64_t, Record> records_;
   uint64_t next_seq_ = 0;

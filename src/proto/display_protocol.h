@@ -16,7 +16,7 @@
 #include <utility>
 
 #include "src/net/endpoint.h"
-#include "src/obs/trace.h"
+#include "src/obs/emitter.h"
 #include "src/proto/draw.h"
 #include "src/proto/prototap.h"
 #include "src/sim/simulator.h"
@@ -72,9 +72,10 @@ class DisplayProtocol {
     display_hook_ = std::move(hook);
   }
 
-  // Observability: every emitted message becomes a proto-category instant on a per-channel
-  // track; implementations add their own events (cache hits, compression) via tracer().
-  void SetTracer(Tracer* tracer);
+  // Observability: every emitted message becomes a proto-category trace instant on a
+  // per-channel track; implementations add their own events (cache hits, compression)
+  // via emit().
+  void Attach(Emitter emit);
 
   // Graceful degradation: the server's DegradationController pushes the bitmap payload
   // scale of its current level (< 1.0 = encode harder and ship smaller rasters, the
@@ -86,7 +87,7 @@ class DisplayProtocol {
 
  protected:
   double degraded_payload_scale() const { return degraded_payload_scale_; }
-  Tracer* tracer() { return tracer_; }
+  const Emitter& emit() const { return emit_; }
   TraceTrack display_track() const { return display_track_; }
   // Emits one protocol message on the given channel: records it in the tap and hands it
   // to the channel's MessageSender for wire timing.
@@ -106,7 +107,7 @@ class DisplayProtocol {
   MessageSender& display_out_;
   MessageSender& input_out_;
   ProtoTap* tap_;
-  Tracer* tracer_ = nullptr;
+  Emitter emit_;
   TraceTrack display_track_;
   TraceTrack input_track_;
   std::function<void(Duration)> encode_cost_sink_;

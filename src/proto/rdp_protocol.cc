@@ -92,11 +92,9 @@ void RdpProtocol::EncodeDraw(const DrawCommand& cmd) {
       if (cache_.Lookup(cmd.bitmap.content_hash)) {
         // Client already holds the pixels: a tiny order swaps them onto the screen.
         ChargeEncode(Duration::Micros(40));
-        if (tracer() != nullptr) {
-          tracer()->Instant(TraceCategory::kProto, "cache-hit", display_track(),
-                            sim().Now(), "raw", cmd.bitmap.raw_bytes.count(), "sent",
-                            kCacheHitOrder.count());
-        }
+        emit().Trace().Instant(TraceCategory::kProto, "cache-hit", display_track(),
+                               sim().Now(), {"raw", cmd.bitmap.raw_bytes.count()},
+                               {"sent", kCacheHitOrder.count()});
         AppendOrder(kCacheHitOrder);
       } else {
         // Miss: the server compresses and ships the raster, and the client caches it.
@@ -114,11 +112,9 @@ void RdpProtocol::EncodeDraw(const DrawCommand& cmd) {
           ChargeEncode(kBitmapEncodePerKib * kib);
         }
         cache_.Insert(cmd.bitmap.content_hash, compressed);
-        if (tracer() != nullptr) {
-          tracer()->Instant(TraceCategory::kProto, "cache-miss", display_track(),
-                            sim().Now(), "raw", cmd.bitmap.raw_bytes.count(), "compressed",
-                            compressed.count());
-        }
+        emit().Trace().Instant(TraceCategory::kProto, "cache-miss", display_track(),
+                               sim().Now(), {"raw", cmd.bitmap.raw_bytes.count()},
+                               {"compressed", compressed.count()});
         AppendOrder(kBitmapOrderHeader + compressed);
         FlushPdu();  // raster orders go out immediately
       }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/obs/flight_recorder.h"
 #include "src/util/config_error.h"
 
 namespace tcs {
@@ -54,11 +53,9 @@ void DegradationController::Start() {
 
 void DegradationController::Stop() { poll_task_.Stop(); }
 
-void DegradationController::SetTracer(Tracer* tracer) {
-  tracer_ = tracer;
-  if (tracer_ != nullptr) {
-    trace_track_ = tracer_->RegisterTrack("session", "degradation");
-  }
+void DegradationController::Attach(Emitter emit) {
+  emit_ = emit;
+  trace_track_ = emit_.Track("session", "degradation");
 }
 
 void DegradationController::Poll() {
@@ -107,16 +104,8 @@ void DegradationController::MoveTo(int new_level, int64_t pressure) {
     ++downshifts_;
   }
   transitions_.push_back(DegradationTransition{now, old_level, new_level, pressure});
-  if (tracer_ != nullptr) {
-    tracer_->Instant(TraceCategory::kSession,
-                     new_level > old_level ? "degrade" : "recover", trace_track_, now,
-                     "from", old_level, "to", new_level);
-  }
-  if (recorder_ != nullptr) {
-    recorder_->Instant(TraceCategory::kSession,
-                       new_level > old_level ? "degrade" : "recover", now, 0, old_level,
-                       new_level);
-  }
+  emit_.Instant(TraceCategory::kSession, new_level > old_level ? "degrade" : "recover",
+                trace_track_, now, {"from", old_level}, {"to", new_level});
   if (on_transition_) {
     on_transition_(old_level, new_level, now);
   }

@@ -25,14 +25,12 @@
 #include <functional>
 #include <vector>
 
-#include "src/obs/trace.h"
+#include "src/obs/emitter.h"
 #include "src/sim/periodic.h"
 #include "src/sim/simulator.h"
 #include "src/sim/units.h"
 
 namespace tcs {
-
-class FlightRecorder;
 
 struct DegradationConfig {
   bool enabled = false;
@@ -139,9 +137,9 @@ class DegradationController {
     on_transition_ = std::move(fn);
   }
 
-  // Observability: transitions become session-category instants (and flight records).
-  void SetTracer(Tracer* tracer);
-  void SetFlightRecorder(FlightRecorder* recorder) { recorder_ = recorder; }
+  // Observability: each transition becomes a "degrade" or "recover" session instant in
+  // both sinks (from and to levels).
+  void Attach(Emitter emit);
 
  private:
   void MoveTo(int new_level, int64_t pressure);
@@ -150,8 +148,7 @@ class DegradationController {
   DegradationConfig config_;
   std::function<int64_t()> pressure_bytes_;
   PeriodicTask poll_task_;
-  Tracer* tracer_ = nullptr;
-  FlightRecorder* recorder_ = nullptr;
+  Emitter emit_;
   TraceTrack trace_track_;
   int level_ = 0;
   int calm_polls_ = 0;

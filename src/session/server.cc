@@ -4,7 +4,6 @@
 #include <cassert>
 #include <string>
 
-#include "src/obs/flight_recorder.h"
 #include "src/util/config_error.h"
 #include "src/workload/sink.h"
 
@@ -67,6 +66,7 @@ Server::Server(Simulator& sim, OsProfile profile, ServerConfig config)
     : sim_(sim),
       profile_(std::move(profile)),
       config_(Validated(std::move(config))),
+      emit_(config_.tracer, config_.recorder),
       rng_(config_.seed),
       cpu_(sim, profile_.MakeScheduler(), config_.cpu),
       disk_(sim, rng_.Fork(), config_.disk),
@@ -90,28 +90,18 @@ Server::Server(Simulator& sim, OsProfile profile, ServerConfig config)
   if (disk_fault_ != nullptr) {
     disk_.SetFaultInjector(disk_fault_.get());
   }
-  if (config_.tracer != nullptr) {
-    cpu_.SetTracer(config_.tracer);
-    pager_.SetTracer(config_.tracer);
-    disk_.SetTracer(config_.tracer);
-    link_.SetTracer(config_.tracer);
-    if (link_fault_ != nullptr) {
-      link_fault_->SetTracer(config_.tracer);
-    }
-    if (reliable_ != nullptr) {
-      reliable_->SetTracer(config_.tracer);
-    }
-    if (config_.faults.session.Any()) {
-      fault_track_ = config_.tracer->RegisterTrack("fault", "server");
-    }
+  cpu_.Attach(emit_);
+  pager_.Attach(emit_);
+  disk_.Attach(emit_);
+  link_.Attach(emit_);
+  if (link_fault_ != nullptr) {
+    link_fault_->Attach(emit_);
   }
-  if (config_.recorder != nullptr) {
-    cpu_.SetFlightRecorder(config_.recorder);
-    pager_.SetFlightRecorder(config_.recorder);
-    link_.SetFlightRecorder(config_.recorder);
-    if (reliable_ != nullptr) {
-      reliable_->SetFlightRecorder(config_.recorder);
-    }
+  if (reliable_ != nullptr) {
+    reliable_->Attach(emit_);
+  }
+  if (config_.faults.session.Any()) {
+    fault_track_ = emit_.Track("fault", "server");
   }
   if (config_.metrics != nullptr) {
     config_.metrics->AddGauge("runq_depth", [this] {
@@ -195,12 +185,7 @@ Server::Server(Simulator& sim, OsProfile profile, ServerConfig config)
         }
       }
     });
-    if (config_.tracer != nullptr) {
-      degradation_->SetTracer(config_.tracer);
-    }
-    if (config_.recorder != nullptr) {
-      degradation_->SetFlightRecorder(config_.recorder);
-    }
+    degradation_->Attach(emit_);
     degradation_->Start();
   }
 }
@@ -254,10 +239,7 @@ Session& Server::Login(bool light_session) {
   sessions_.push_back(std::make_unique<Session>());
   Session& s = *sessions_.back();
   s.id_ = sessions_.size();
-  if (config_.tracer != nullptr) {
-    s.trace_track_ =
-        config_.tracer->RegisterTrack("session", "user" + std::to_string(s.id_));
-  }
+  s.trace_track_ = emit_.Track("session", "user" + std::to_string(s.id_));
 
   const std::vector<ProcessSpec>& processes =
       light_session ? profile_.light_login_processes : profile_.login_processes;
@@ -296,9 +278,7 @@ Session& Server::Login(bool light_session) {
   DisplayProtocol& encoder = s.protocol();
   Session* sp = &s;
   encoder.set_display_message_hook([sp](Bytes payload) { sp->update_payload_ += payload; });
-  if (config_.tracer != nullptr) {
-    encoder.SetTracer(config_.tracer);
-  }
+  encoder.Attach(emit_);
   if (degradation_ != nullptr) {
     // A login mid-degradation joins the ladder at the current level.
     encoder.SetDegradedPayloadScale(DegradedPayloadScale(degradation_->level()));
@@ -340,10 +320,8 @@ void Server::Logout(Session& session) {
     pager_.ReleaseShared(key);
   }
   session.shared_keys_.clear();
-  if (config_.tracer != nullptr) {
-    config_.tracer->Instant(TraceCategory::kSession, "logout", session.trace_track_,
-                            sim_.Now());
-  }
+  emit_.Trace().Instant(TraceCategory::kSession, "logout", session.trace_track_,
+                        sim_.Now());
 }
 
 void Server::StartSinks(int count) {
@@ -401,16 +379,9 @@ void Server::Keystroke(Session& session) {
 
 void Server::OnKeystrokeArrived(Session& session, TimePoint sent_at,
                                 uint64_t interaction_id, int64_t retransmit_us) {
-  if (config_.tracer != nullptr) {
-    config_.tracer->Span(TraceCategory::kSession, "input-net", session.trace_track_,
-                         sent_at, sim_.Now(), "session", static_cast<int64_t>(session.id_),
-                         "retransmit_us", retransmit_us);
-  }
-  if (config_.recorder != nullptr) {
-    config_.recorder->Span(TraceCategory::kSession, "input-net", sent_at, sim_.Now(),
-                           interaction_id, static_cast<int64_t>(session.id_),
-                           retransmit_us);
-  }
+  emit_.Span(TraceCategory::kSession, "input-net", session.trace_track_, sent_at,
+             sim_.Now(), {"session", static_cast<int64_t>(session.id_)},
+             {"retransmit_us", retransmit_us}, interaction_id);
   if (session.pending_keystrokes_ == 0) {
     // A batch is attributed to its oldest keystroke; later coalesced repeats keep their
     // minted ids but fold into this record's batch count.
@@ -592,16 +563,9 @@ void Server::CompletePipeline(Session& session, int batch) {
     config_.attribution->Commit(rec);
   }
   const TimePoint arrived = TimePoint::FromMicros(rec.arrived_us);
-  if (config_.tracer != nullptr) {
-    config_.tracer->Span(TraceCategory::kSession, "keystroke-batch", session.trace_track_,
-                         arrived, emitted, "batch", static_cast<int64_t>(batch), "session",
-                         static_cast<int64_t>(session.id_));
-  }
-  if (config_.recorder != nullptr) {
-    config_.recorder->Span(TraceCategory::kSession, "keystroke-batch", arrived, emitted,
-                           rec.id, static_cast<int64_t>(batch),
-                           static_cast<int64_t>(session.id_));
-  }
+  emit_.Span(TraceCategory::kSession, "keystroke-batch", session.trace_track_, arrived,
+             emitted, {"batch", static_cast<int64_t>(batch)},
+             {"session", static_cast<int64_t>(session.id_)}, rec.id);
   if (session.on_display_update_) {
     session.on_display_update_(emitted);
   }
@@ -653,10 +617,8 @@ void Server::Disconnect(Session& session) {
   session.connected_ = false;
   session.disconnected_at_ = sim_.Now();
   ++disconnects_;
-  if (config_.tracer != nullptr) {
-    config_.tracer->Instant(TraceCategory::kFault, "disconnect", session.trace_track_,
-                            sim_.Now());
-  }
+  emit_.Trace().Instant(TraceCategory::kFault, "disconnect", session.trace_track_,
+                        sim_.Now());
 }
 
 void Server::Reconnect(Session& session) {
@@ -665,10 +627,8 @@ void Server::Reconnect(Session& session) {
   }
   session.connected_ = true;
   session_downtime_ += sim_.Now() - session.disconnected_at_;
-  if (config_.tracer != nullptr) {
-    config_.tracer->Span(TraceCategory::kFault, "disconnected", session.trace_track_,
-                         session.disconnected_at_, sim_.Now());
-  }
+  emit_.Trace().Span(TraceCategory::kFault, "disconnected", session.trace_track_,
+                     session.disconnected_at_, sim_.Now());
   if (profile_.protocol_kind == ProtocolKind::kRdp) {
     // TSE keeps the session alive server-side; the returning client arrives with cold
     // caches. Invalidate them and pay a resync burst — a fraction of full session setup
@@ -746,10 +706,8 @@ void Server::FireDaemonCrash() {
   }
   rt.task->Stop();
   ++daemon_crashes_;
-  if (config_.tracer != nullptr) {
-    config_.tracer->Instant(TraceCategory::kFault, InternName("crash:" + rt.spec.name),
-                            fault_track_, sim_.Now());
-  }
+  emit_.Trace().Instant(TraceCategory::kFault, InternName("crash:" + rt.spec.name),
+                        fault_track_, sim_.Now());
   sim_.Schedule(config_.faults.session.daemon_restart_after,
                 [this, idx] { RestartDaemon(idx); });
 }

@@ -60,9 +60,9 @@ struct ServerConfig {
   // interaction id at injection time and each finished record is committed to it.
   LatencyAttribution* attribution = nullptr;
   // Always-on flight recorder (optional, non-owning). When set, the CPU, pager, link,
-  // reliable channel, and session pipeline continuously append compact records into its
-  // bounded ring so an SLO violation can be explained without re-running traced. Null
-  // costs one branch per would-be record.
+  // reliable channel, degradation ladder and session pipeline continuously append
+  // compact records into its bounded ring so an SLO violation can be explained without
+  // re-running traced. The Server hands both sinks to every layer as one Emitter.
   FlightRecorder* recorder = nullptr;
   // Backpressure-driven graceful degradation. Disabled (the default) constructs no
   // controller, schedules no polls, and leaves every pipeline byte-identical to a build
@@ -260,6 +260,7 @@ class Server {
   Simulator& sim_;
   OsProfile profile_;
   ServerConfig config_;
+  const Emitter emit_;  // config_.tracer and config_.recorder
   Rng rng_;
   Cpu cpu_;
   Disk disk_;

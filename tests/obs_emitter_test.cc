@@ -20,6 +20,7 @@
 #include "src/mem/pager.h"
 #include "src/net/link.h"
 #include "src/net/reliable.h"
+#include "src/obs/emitter.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/trace.h"
 #include "src/session/degradation.h"
@@ -89,8 +90,8 @@ std::vector<Kept> FromRing(FlightRecorder& recorder, TimePoint now,
   std::vector<Kept> kept;
   for (const FlightRecord& r : recorder.frozen_window()) {
     if (names.count(r.name) != 0) {
-      kept.push_back({r.name, TraceCategoryName(static_cast<TraceCategory>(1u << r.category)),
-                      r.arg1, r.arg2});
+      TraceCategory cat = static_cast<TraceCategory>(1u << r.category);
+      kept.push_back({r.name, TraceCategoryName(cat), r.arg1, r.arg2});
     }
   }
   return kept;
@@ -123,8 +124,7 @@ TEST(EmitterTest, CpuSegmentsAndPreemptionsReachBothSinksAlike) {
   FlightRecorder recorder(WholeRun());
   Cpu cpu(sim, std::make_unique<NtScheduler>());
   Thread* sink = cpu.CreateThread("sink", ThreadClass::kBatch, kNtBackgroundPriority);
-  cpu.SetTracer(&tracer);
-  cpu.SetFlightRecorder(&recorder);
+  cpu.Attach(Emitter(&tracer, &recorder));
   Thread* gui = cpu.CreateThread("gui", ThreadClass::kGui, kNtForegroundPriority);
   cpu.PostWork(*sink, Duration::Millis(50));
   sim.Schedule(Duration::Millis(7), [&] {
@@ -142,8 +142,7 @@ TEST(EmitterTest, PageInReachesBothSinksAlike) {
   PagerConfig cfg;
   cfg.total_frames = 16;
   Pager pager(sim, disk, cfg);
-  pager.SetTracer(&tracer);
-  pager.SetFlightRecorder(&recorder);
+  pager.Attach(Emitter(&tracer, &recorder));
   AddressSpace* as = pager.CreateAddressSpace("p", false);
   pager.Prefault(*as, 0, 4);
   pager.MarkSwappedOut(*as, 0, 4);
@@ -166,8 +165,7 @@ TEST(EmitterTest, LinkFramesReachBothSinksAlike) {
   plan.wan.queue_bytes = Bytes::KiB(2);
   LinkFaultInjector injector(plan, 3);
   link.SetFaultInjector(&injector);
-  link.SetTracer(&tracer);
-  link.SetFlightRecorder(&recorder);
+  link.Attach(Emitter(&tracer, &recorder));
   for (int i = 0; i < 20; ++i) {
     link.Send(Bytes::Of(1000));
   }
@@ -189,8 +187,7 @@ TEST(EmitterTest, RetransmitAndShedReachBothSinksAlike) {
   ReliableChannelConfig cfg;
   cfg.window_frames = 4;
   ReliableChannel channel(sim, link, cfg);
-  channel.SetTracer(&tracer);
-  channel.SetFlightRecorder(&recorder);
+  channel.Attach(Emitter(&tracer, &recorder));
   for (int i = 0; i < 10; ++i) {
     channel.Send(Bytes::Of(200 + i));
   }
@@ -207,8 +204,7 @@ TEST(EmitterTest, DegradationTransitionsReachBothSinksAlike) {
   cfg.enabled = true;
   int64_t pressure = 0;
   DegradationController ladder(sim, cfg, [&pressure] { return pressure; });
-  ladder.SetTracer(&tracer);
-  ladder.SetFlightRecorder(&recorder);
+  ladder.Attach(Emitter(&tracer, &recorder));
   ladder.Start();
   sim.Schedule(Duration::Millis(150), [&] { pressure = Bytes::KiB(100).count(); });
   sim.Schedule(Duration::Millis(450), [&] { pressure = 0; });

@@ -10,6 +10,7 @@
 
 #include "src/core/experiments.h"
 #include "src/core/parallel_sweep.h"
+#include "src/obs/emitter.h"
 #include "src/obs/metrics.h"
 #include "src/session/os_profile.h"
 
@@ -142,15 +143,26 @@ TEST(TracerNullSinkTest, FilteredEventsAllocateNothing) {
   // Warm-up pass, in case any path initializes lazily.
   tracer.Span(TraceCategory::kCpu, "warm", track, TimePoint::FromMicros(0),
               TimePoint::FromMicros(1));
+  // An emitter with no sink attached, and one whose only sink filters everything.
+  const Emitter off;
+  const Emitter filtered(&tracer, nullptr);
   size_t before = g_alloc_count.load(std::memory_order_relaxed);
   for (int i = 0; i < 1000; ++i) {
     TimePoint t = TimePoint::FromMicros(i);
     tracer.Span(TraceCategory::kCpu, "seg", track, t, t, "len", 1, "tid", 2);
     tracer.Instant(TraceCategory::kMem, "fault", track, t, "vpn", i);
     tracer.Counter(TraceCategory::kSim, "pending", track, t, 3.0);
+    for (const Emitter& emit : {off, filtered}) {
+      emit.Span(TraceCategory::kCpu, "seg", track, t, t, {"len", 1}, {"tid", 2}, 7);
+      emit.Instant(TraceCategory::kNet, "retransmit", track, t, {"seq", i});
+      emit.Trace().Instant(TraceCategory::kMem, "fault", track, t, {"vpn", i});
+      emit.Ring().Instant(TraceCategory::kMem, "faults", track, t, {"pages", 1});
+    }
   }
   EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), before);
   EXPECT_EQ(tracer.event_count(), 0u);
+  EXPECT_FALSE(off.on());
+  EXPECT_EQ(off.Track("cpu", "cpu0").pid, 0);
 }
 
 TEST(ObservedRunTest, TraceIsByteIdenticalAcrossReruns) {
