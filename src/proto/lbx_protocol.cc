@@ -23,7 +23,7 @@ constexpr Bytes kCoalesceBelow = Bytes::Of(128);
 
 LbxProtocol::LbxProtocol(Simulator& sim, MessageSender& display_out,
                          MessageSender& input_out, ProtoTap* tap, Rng rng)
-    : XProtocol(sim, display_out, input_out, tap, rng) {}
+    : XProtocol(sim, display_out, input_out, tap, rng, /*draw_pixels=*/true) {}
 
 Bytes LbxProtocol::session_setup_bytes() const {
   return XProtocol::session_setup_bytes() + Bytes::Of(1024);

@@ -28,7 +28,12 @@ size_t Pad4(size_t n) {
 
 XProtocol::XProtocol(Simulator& sim, MessageSender& display_out, MessageSender& input_out,
                      ProtoTap* tap, Rng rng)
-    : DisplayProtocol(sim, display_out, input_out, tap), rng_(rng) {}
+    : XProtocol(sim, display_out, input_out, tap, rng, /*draw_pixels=*/false) {}
+
+XProtocol::XProtocol(Simulator& sim, MessageSender& display_out, MessageSender& input_out,
+                     ProtoTap* tap, Rng rng, bool draw_pixels)
+    : DisplayProtocol(sim, display_out, input_out, tap), rng_(rng),
+      draw_pixels_(draw_pixels) {}
 
 Bytes XProtocol::session_setup_bytes() const { return kSessionSetup; }
 
@@ -122,7 +127,8 @@ void XProtocol::EncodeDraw(const DrawCommand& cmd) {
       // cost is essentially a copy through the socket. Pixel content is a deterministic
       // function of the bitmap's content hash: redrawing the same widget or animation
       // frame puts identical bytes on the stream (which a downstream compressor may or
-      // may not be able to exploit — X itself cannot).
+      // may not be able to exploit — X itself cannot). Only LBX's compressor reads them;
+      // plain X leaves them zero, which changes no size and no draw from rng_.
       size_t pixels = static_cast<size_t>(cmd.bitmap.raw_bytes.count());
       ChargeEncode(Duration::Micros(10 + static_cast<int64_t>(pixels) / 50));
       size_t total = 4 + Pad4(16 + pixels);
@@ -130,8 +136,10 @@ void XProtocol::EncodeDraw(const DrawCommand& cmd) {
       bytes[0] = 72;  // PutImage opcode
       bytes[2] = static_cast<uint8_t>(total / 4);
       bytes[3] = static_cast<uint8_t>((total / 4) >> 8);
-      Rng content_rng(cmd.bitmap.content_hash);
-      content_rng.FillBytes(bytes.data() + 4, total - 4, kImageRedundancy);
+      if (draw_pixels_) {
+        Rng content_rng(cmd.bitmap.content_hash);
+        content_rng.FillBytes(bytes.data() + 4, total - 4, kImageRedundancy);
+      }
       ++requests_encoded_;
       RequestProfile& prof = request_profile_[72];
       ++prof.count;

@@ -51,6 +51,11 @@ class XProtocol : public DisplayProtocol {
   static const char* OpcodeName(uint8_t opcode);
 
  protected:
+  // For LBX, whose compressor reads the pixels a PutImage carries; plain X only counts
+  // them, so its requests leave the pixel bytes zero.
+  XProtocol(Simulator& sim, MessageSender& display_out, MessageSender& input_out,
+            ProtoTap* tap, Rng rng, bool draw_pixels);
+
   // Hook points for LBX: one call per X request / event / reply, carrying the actual
   // bytes. Defaults implement plain X framing (buffered batches on the display channel,
   // one message per event or reply on the input channel).
@@ -76,6 +81,7 @@ class XProtocol : public DisplayProtocol {
   void FlushDisplayBuffer();
 
   Rng rng_;
+  const bool draw_pixels_;
   std::vector<uint8_t> xlib_buffer_;
   std::unordered_map<uint8_t, std::vector<uint8_t>> request_templates_;
   std::map<uint8_t, RequestProfile> request_profile_;
