@@ -7,7 +7,10 @@ Usage:
 
 For every benchmark entry in the baseline whose gbench name appears in the results
 file, the tool extracts the tracked metric (a named counter, or real_time), compares
-it against the recorded "current" value, and prints a table of deltas. A change past
+it against the recorded "current" value, and prints a table of deltas. When several
+entries name the same benchmark, only the newest is compared: the one with the latest
+"date" (undated entries count as older than dated ones; on a tie the entry later in
+the file wins). The others are reported as skipped, superseded by it. A change past
 --threshold in the losing direction is a REGRESSION; --strict turns any regression
 into a nonzero exit for gating. Without --strict the exit code is always 0 (the CI
 bench-smoke job records trends, it does not gate: 1-repetition CI runners are noisy).
@@ -19,6 +22,7 @@ Baseline entry fields the tool understands (all optional except unit/current):
                 "wall_s_per_sim_s"); defaults from the unit, else real_time is used.
   "better":     "higher" or "lower"; defaults from the unit.
   "current":    the tracked scalar. Entries whose current is not a scalar are skipped.
+  "date":       when the entry was recorded (ISO YYYY-MM-DD), to pick the newest.
 
 With --benchmark_repetitions, aggregate rows are emitted per benchmark; the tool
 prefers the "_median" aggregate and otherwise uses the plain (non-aggregate) row.
@@ -87,13 +91,25 @@ def main():
         baseline = json.load(f)
     _, results = load_results(args.results)
 
+    entries = baseline.get("benchmarks", {})
+    # The newest comparable entry per benchmark name, ranked by (dated, date, position).
+    newest = {}
+    for position, (key, entry) in enumerate(entries.items()):
+        if not isinstance(entry, dict) or not isinstance(entry.get("current"), (int, float)):
+            continue
+        date = entry.get("date")
+        rank = (isinstance(date, str), date if isinstance(date, str) else "", position)
+        bench_name = entry.get("bench_name", key)
+        if bench_name not in newest or rank > newest[bench_name][0]:
+            newest[bench_name] = (rank, key)
+
     rows = []
     regressions = []
     # (key, reason, detail): the reason is counted in the Markdown summary, the detail
     # names the entry on stderr.
     skipped = []
     compared_names = set()
-    for key, entry in baseline.get("benchmarks", {}).items():
+    for key, entry in entries.items():
         # A baseline entry that is not an object (hand-edited shorthand, merge damage)
         # is a skip, not a crash: the other entries still compare.
         if not isinstance(entry, dict):
@@ -110,6 +126,9 @@ def main():
         better = entry.get("better", default_better)
         bench_name = entry.get("bench_name", key)
         compared_names.add(bench_name)
+        if newest[bench_name][1] != key:
+            skipped.append((key, "superseded", f"superseded by {newest[bench_name][1]}"))
+            continue
         row = results.get(bench_name)
         if row is None:
             skipped.append((key, "not in this run's results", f"'{bench_name}' not in results"))
