@@ -66,31 +66,10 @@ const char* InternName(const std::string& s) {
 }
 
 void Tracer::Span(TraceCategory cat, const char* name, TraceTrack track, TimePoint start,
-                  TimePoint end) {
-  Push(Event{'X', cat, name, track, start.ToMicros(), (end - start).ToMicros(), nullptr,
-             0, nullptr, 0, 0.0});
-}
-
-void Tracer::Span(TraceCategory cat, const char* name, TraceTrack track, TimePoint start,
-                  TimePoint end, const char* key1, int64_t val1) {
-  Push(Event{'X', cat, name, track, start.ToMicros(), (end - start).ToMicros(), key1,
-             val1, nullptr, 0, 0.0});
-}
-
-void Tracer::Span(TraceCategory cat, const char* name, TraceTrack track, TimePoint start,
                   TimePoint end, const char* key1, int64_t val1, const char* key2,
                   int64_t val2) {
   Push(Event{'X', cat, name, track, start.ToMicros(), (end - start).ToMicros(), key1,
              val1, key2, val2, 0.0});
-}
-
-void Tracer::Instant(TraceCategory cat, const char* name, TraceTrack track, TimePoint t) {
-  Push(Event{'i', cat, name, track, t.ToMicros(), 0, nullptr, 0, nullptr, 0, 0.0});
-}
-
-void Tracer::Instant(TraceCategory cat, const char* name, TraceTrack track, TimePoint t,
-                     const char* key1, int64_t val1) {
-  Push(Event{'i', cat, name, track, t.ToMicros(), 0, key1, val1, nullptr, 0, 0.0});
 }
 
 void Tracer::Instant(TraceCategory cat, const char* name, TraceTrack track, TimePoint t,

@@ -78,22 +78,17 @@ class Tracer {
   // to it. Tracks render in registration order.
   TraceTrack RegisterTrack(const std::string& process, const std::string& track);
 
-  // A slice [start, end] on `track` (Chrome "complete" event). `name` must outlive the
-  // tracer (string literal or InternName()d).
+  // A slice [start, end] on `track` (Chrome "complete" event) with up to two integer
+  // args; an arg whose key is null is left out. `name` and the keys must outlive the
+  // tracer (string literals or InternName()d).
   void Span(TraceCategory cat, const char* name, TraceTrack track, TimePoint start,
-            TimePoint end);
-  void Span(TraceCategory cat, const char* name, TraceTrack track, TimePoint start,
-            TimePoint end, const char* key1, int64_t val1);
-  void Span(TraceCategory cat, const char* name, TraceTrack track, TimePoint start,
-            TimePoint end, const char* key1, int64_t val1, const char* key2,
-            int64_t val2);
+            TimePoint end, const char* key1 = nullptr, int64_t val1 = 0,
+            const char* key2 = nullptr, int64_t val2 = 0);
 
-  // A zero-width marker at `t`.
-  void Instant(TraceCategory cat, const char* name, TraceTrack track, TimePoint t);
+  // A zero-width marker at `t`, with args as for Span.
   void Instant(TraceCategory cat, const char* name, TraceTrack track, TimePoint t,
-               const char* key1, int64_t val1);
-  void Instant(TraceCategory cat, const char* name, TraceTrack track, TimePoint t,
-               const char* key1, int64_t val1, const char* key2, int64_t val2);
+               const char* key1 = nullptr, int64_t val1 = 0, const char* key2 = nullptr,
+               int64_t val2 = 0);
 
   // A sampled value; Perfetto renders successive samples as a counter track.
   void Counter(TraceCategory cat, const char* name, TraceTrack track, TimePoint t,
