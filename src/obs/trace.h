@@ -6,9 +6,10 @@
 // protocol channel, assigned in registration order so output is byte-identical across
 // runs and across ParallelSweep worker counts.
 //
-// Hot layers hold a `Tracer*` that defaults to nullptr; a disabled tracer therefore costs
-// exactly one branch per would-be event and zero allocations. Category and time filtering
-// happen inside the tracer, so call sites never test more than the pointer.
+// Hot layers reach the tracer through an Emitter (emitter.h) whose tracer pointer defaults
+// to nullptr; a detached tracer therefore costs one branch per would-be event and zero
+// allocations. Category and time filtering happen inside the tracer, so call sites never
+// test more than the pointer.
 //
 // Determinism contract: event payloads may contain only virtual-time stamps and model
 // state — never wall-clock readings, addresses, or iteration order of unordered
