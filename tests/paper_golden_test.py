@@ -3,12 +3,13 @@
 
 Usage: paper_golden_test.py GOLDEN_FILE COMMAND [ARGS...]
 
-The commands are `tcsctl replay` of a checked-in trace, `tcsctl traffic` and the
-examples (the paper artifacts go through paper_suite_test.py). Their output is
-deterministic and does not depend on build type, so any drift is a change in what the
-simulator reports. With TCS_REGEN_GOLDEN set (the switch golden_report_test honors;
-tools/regen_golden.sh sets it) the command's output is written to GOLDEN_FILE instead
-of compared.
+The commands are `tcsctl replay` of a checked-in trace, `tcsctl traffic`, one short
+run of each single-run command (idle, typing, paging, webpage, gif, rtt, sizing, e2e,
+help) and the examples (the paper artifacts go through paper_suite_test.py). Their
+output is deterministic and does not depend on build type, so any drift is a change in
+what the simulator reports. With TCS_REGEN_GOLDEN set (the switch golden_report_test
+honors; tools/regen_golden.sh sets it) the command's output is written to GOLDEN_FILE
+instead of compared.
 """
 
 import difflib

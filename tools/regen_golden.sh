@@ -5,8 +5,8 @@
 # tests/golden/replay/demo_session.trace (tests/golden/replay/) and of the examples
 # (tests/golden/examples/), the SHA-256 digests of `tcsctl trace paging --runs=1`'s
 # outputs and of a rewound `tcsctl postmortem chaos` run's trace and bundle
-# (tests/golden/trace/), and the stdout and --report-out files of the tcsctl sweeps and
-# of `tcsctl traffic` (tests/golden/cli/).
+# (tests/golden/trace/), and the stdout and --report-out files of the tcsctl sweeps, of
+# `tcsctl traffic` and of one short run of each single-run command (tests/golden/cli/).
 #
 # Default mode builds golden_report_test, tcsctl and the examples and reruns the corpus
 # tests with TCS_REGEN_GOLDEN=1, which makes each case rewrite its golden file instead of
