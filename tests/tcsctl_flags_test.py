@@ -106,6 +106,22 @@ rejected("blame", "--flap-ms=-3", names=["--flap-ms"])
 rejected("e2e", "--background-mbps=-1", names=["--background-mbps"])
 rejected("sweep", "--experiment=e2e", "--background-mbps=-2", names=["--background-mbps"])
 rejected("postmortem", "consolidation", "--rewind-ms=-5", names=["--rewind-ms"])
+# A run of no length, a flap that never recurs, a negative timer or threshold, an SLO
+# limit that switches its objective off by being negative, and a fraction no run can
+# meet: each would run and print a row that misreports it.
+rejected("rtt", "--seconds=0", names=["--seconds"])
+rejected("rtt", "--seconds=-5", names=["--seconds"])
+rejected("chaos", "--flap-ms=50", "--flap-every-ms=0", names=["--flap-every-ms"])
+rejected("postmortem", "chaos", "--flap-every-ms=-1", names=["--flap-every-ms"])
+rejected("chaos", "--disconnect-ms=-5", names=["--disconnect-ms"])
+rejected("chaos", "--threshold-ms=-5", names=["--threshold-ms"])
+rejected("wan", "--threshold-ms=-5", names=["--threshold-ms"])
+rejected("blame", "--threshold-ms=-5", names=["--threshold-ms"])
+rejected("wan", "--starve-after-ms=-1", names=["--starve-after-ms"])
+rejected("chaos", "--slo-p99-ms=-1", names=["--slo-p99-ms"])
+rejected("wan", "--slo-backlog-kb=-1", names=["--slo-backlog-kb"])
+rejected("capacity", "--slo-availability=2", names=["--slo-availability"])
+rejected("sweep", "--experiment=typing", "--slo-starved=5", names=["--slo-starved"])
 
 # A --postmortem-dir that cannot be created is refused before anything is simulated.
 with tempfile.TemporaryDirectory() as tmp:

@@ -145,14 +145,24 @@ double NonNegative(FlagSet& flags, const char* name, double fallback) {
   return value;
 }
 
+// A fraction flag that must lie in [0, 1] when given; `off` (which may lie outside,
+// switching an objective off) when it is not.
+double Fraction(FlagSet& flags, const char* name, double off) {
+  double value = flags.GetDouble(name, off);
+  if (value != off && !(value >= 0.0 && value <= 1.0)) {
+    flags.Fail(std::string("--") + name + " must be in [0, 1]");
+  }
+  return value;
+}
+
 // The shared --slo-* flags as an SloSpec; a spec with no flags set checks nothing
 // (Any() is false), so commands only pay for the watchdog when asked.
 SloSpec ReadSlo(FlagSet& flags) {
   SloSpec spec;
-  spec.max_worst_p99_ms = flags.GetDouble("slo-p99-ms", 0.0);
-  spec.min_availability = flags.GetDouble("slo-availability", 0.0);
-  spec.max_link_backlog_bytes = flags.GetInt("slo-backlog-kb", 0) * 1024;
-  spec.max_starved_fraction = flags.GetDouble("slo-starved", -1.0);
+  spec.max_worst_p99_ms = NonNegative(flags, "slo-p99-ms", 0.0);
+  spec.min_availability = Fraction(flags, "slo-availability", 0.0);
+  spec.max_link_backlog_bytes = IntAtLeast(flags, "slo-backlog-kb", 0, 0) * 1024;
+  spec.max_starved_fraction = Fraction(flags, "slo-starved", -1.0);
   spec.out_dir = flags.GetString("postmortem-dir", "postmortems");
   return spec;
 }
@@ -256,9 +266,9 @@ Experiment<EndToEndResult> ReadEndToEnd(FlagSet& flags) {
 // The chaos point the shared flags describe, before the loss rate and flap length.
 ChaosOptions ReadChaos(FlagSet& flags) {
   ChaosOptions opt;
-  opt.flap_every = Duration::Millis(flags.GetInt("flap-every-ms", 2000));
+  opt.flap_every = Duration::Millis(IntAtLeast(flags, "flap-every-ms", 2000, 1));
   opt.disk_stall_rate = flags.GetDouble("disk-stall", 0.0);
-  opt.disconnect_every = Duration::Millis(flags.GetInt("disconnect-ms", 0));
+  opt.disconnect_every = Duration::Millis(IntAtLeast(flags, "disconnect-ms", 0, 0));
   opt.sinks = static_cast<int>(flags.GetInt("sinks", 0));
   opt.duration = Duration::Seconds(flags.GetInt("seconds", 30));
   opt.seed = Seed(flags);
@@ -372,7 +382,7 @@ Runner Gif(FlagSet& flags) {
 
 Runner Rtt(FlagSet& flags) {
   double mbps = NonNegative(flags, "mbps", 0.0);
-  Duration duration = Duration::Seconds(flags.GetInt("seconds", 60));
+  Duration duration = Duration::Seconds(IntAtLeast(flags, "seconds", 60, 1));
   return [=] {
     RttProbeResult r = RunRttProbe(mbps, duration);
     std::printf("offered %.1f Mbps: mean RTT %.2f ms, variance %.3f ms^2\n",
@@ -655,7 +665,7 @@ Runner Chaos(FlagSet& flags) {
     }
   }
   ChaosOptions base = ReadChaos(flags);
-  base.threshold = Duration::Millis(flags.GetInt("threshold-ms", 150));
+  base.threshold = Duration::Millis(IntAtLeast(flags, "threshold-ms", 150, 0));
   SweepCommand sweep(flags, SweepCommand::kSlo | SweepCommand::kReport);
 
   return [=] {
@@ -742,8 +752,8 @@ Runner Wan(FlagSet& flags) {
   }
   WanOptions base;
   base.duration = Duration::Seconds(flags.GetInt("seconds", 30));
-  base.threshold = Duration::Millis(flags.GetInt("threshold-ms", 150));
-  base.starve_after = Duration::Millis(flags.GetInt("starve-after-ms", 1000));
+  base.threshold = Duration::Millis(IntAtLeast(flags, "threshold-ms", 150, 0));
+  base.starve_after = Duration::Millis(IntAtLeast(flags, "starve-after-ms", 1000, 0));
   base.users = static_cast<int>(flags.GetInt("users", 3));
   uint64_t base_seed = Seed(flags);
   SweepCommand sweep(flags, SweepCommand::kSlo | SweepCommand::kReport);
@@ -998,7 +1008,7 @@ Runner Blame(FlagSet& flags) {
     e2e.faults.link.wan = WanProfileByName(wan_name);
   }
   e2e.duration = Duration::Seconds(flags.GetInt("seconds", 30));
-  Duration threshold = Duration::Millis(flags.GetInt("threshold-ms", 100));
+  Duration threshold = Duration::Millis(IntAtLeast(flags, "threshold-ms", 100, 0));
   e2e.background_mbps = NonNegative(flags, "background-mbps", 0.0);
   double loss = flags.GetDouble("loss", 0.0);
   if (loss > 0.0) {
