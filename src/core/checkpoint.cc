@@ -59,9 +59,6 @@ void ApplyWan(ServerConfig& cfg, const ConsolidationOptions& o) {
   cfg.faults.seed = o.seed ^ 0xFA017u;
   cfg.faults.link.wan = o.wan;
   cfg.degradation.enabled = o.degrade;
-  // Arm the controller only once the warm-up (login storm, first desktop paint) is
-  // over, so its ledger records WAN congestion rather than setup transients.
-  cfg.degradation.start_delay = Duration::Seconds(2);
   if (o.wan.queue_bytes.count() > 0) {
     // Calibrate the pressure ladder to the bottleneck queue: a backlog pinned at the
     // drop-tail bound (bufferbloat saturation) engages the deepest level, and each

@@ -195,12 +195,11 @@ SessionMemoryResult MeasureSessionMemory(const OsProfile& profile, bool light) {
   size_t shared_pages = 0;
   for (const ProcessSpec& proc : processes) {
     if (proc.shared_text.count() > 0) {
-      shared_pages += std::max<size_t>(1, static_cast<size_t>(
-          (proc.shared_text.count() + 4095) / 4096));
+      shared_pages += std::max<size_t>(1, PagesFor(proc.shared_text));
     }
   }
-  result.measured_resident = Bytes::Of(
-      static_cast<int64_t>(frames_after - frames_before - ws - shared_pages) * 4096);
+  result.measured_resident =
+      kPageSize * static_cast<int64_t>(frames_after - frames_before - ws - shared_pages);
   FinishRun(result.run, sim, t0);
   return result;
 }

@@ -7,12 +7,18 @@
 
 namespace tcs {
 
+namespace {
+
+// The priority a GUI thread woken by an input event is boosted to.
+constexpr int kGuiBoostPriority = 15;
+
+}  // namespace
+
 NtScheduler::NtScheduler(NtSchedulerConfig config) : config_(config) {
   if (!(config_.quantum > Duration::Zero())) {
     throw ConfigError("NtSchedulerConfig.quantum", "quantum must be positive");
   }
   assert(config_.foreground_stretch >= 1 && config_.foreground_stretch <= 3);
-  assert(config_.gui_boost_priority >= 0 && config_.gui_boost_priority < kLevels);
 }
 
 void NtScheduler::PushBack(Thread& t) {
@@ -30,7 +36,7 @@ void NtScheduler::PushFront(Thread& t) {
 void NtScheduler::OnReady(Thread& t, WakeReason reason) {
   if (config_.gui_boost_enabled && t.thread_class() == ThreadClass::kGui &&
       reason == WakeReason::kInputEvent) {
-    t.sched_priority = std::max(t.base_priority(), config_.gui_boost_priority);
+    t.sched_priority = std::max(t.base_priority(), kGuiBoostPriority);
     t.boost_quanta = config_.gui_boost_quanta;
     emit_.Trace().Instant(TraceCategory::kSched, "gui-boost", trace_track_,
                           t.last_ready_at(), {"thread", static_cast<int64_t>(t.id())},

@@ -25,9 +25,8 @@ struct NtSchedulerConfig {
   Duration quantum = Duration::Millis(30);
   // Quantum stretching factor for GUI-class threads: 1, 2, or 3.
   int foreground_stretch = 1;
-  // GUI input-event wake boost.
+  // GUI input-event wake boost (to priority 15).
   bool gui_boost_enabled = true;
-  int gui_boost_priority = 15;
   int gui_boost_quanta = 2;
 };
 

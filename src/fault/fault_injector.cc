@@ -6,6 +6,11 @@ namespace tcs {
 
 namespace {
 
+// A disk latency spike's length, and the recovery delay before a transient I/O error's
+// retry.
+constexpr Duration kDiskStall = Duration::Millis(200);
+constexpr Duration kErrorRetry = Duration::Millis(50);
+
 // Jitters a mean duration by +/-50% — the "seeded-probabilistic" half of a plan.
 Duration Jitter(Rng& rng, Duration mean) {
   return std::max(Duration::Micros(1), mean * (0.5 + rng.NextDouble()));
@@ -184,7 +189,7 @@ Duration DiskFaultInjector::Perturb(Duration service) {
   Duration extra = Duration::Zero();
   if (plan_.stall_rate > 0.0 && rng_.NextBool(plan_.stall_rate)) {
     ++stalls_;
-    extra += plan_.stall;
+    extra += kDiskStall;
   }
   if (plan_.error_rate > 0.0) {
     // Transient errors retry after a recovery delay and re-pay the full service time;
@@ -192,7 +197,7 @@ Duration DiskFaultInjector::Perturb(Duration service) {
     int attempts = 0;
     while (attempts < 3 && rng_.NextBool(plan_.error_rate)) {
       ++io_errors_;
-      extra += plan_.error_retry + service;
+      extra += kErrorRetry + service;
       ++attempts;
     }
   }

@@ -77,19 +77,6 @@ void Validate(const FaultPlan& plan) {
     throw ConfigError("FaultPlan.link.wan.ge_p_bad_to_good",
                       "burst-loss chain needs a positive bad->good probability");
   }
-  if (plan.disk.Any() && plan.disk.stall < Duration::Zero()) {
-    throw ConfigError("FaultPlan.disk.stall", "stall duration must be >= 0");
-  }
-  if (plan.session.disconnect_every > Duration::Zero() &&
-      plan.session.reconnect_after <= Duration::Zero()) {
-    throw ConfigError("FaultPlan.session.reconnect_after",
-                      "must be positive when disconnects are enabled");
-  }
-  if (plan.session.daemon_crash_every > Duration::Zero() &&
-      plan.session.daemon_restart_after <= Duration::Zero()) {
-    throw ConfigError("FaultPlan.session.daemon_restart_after",
-                      "must be positive when daemon crashes are enabled");
-  }
 }
 
 }  // namespace tcs

@@ -95,28 +95,24 @@ struct LinkFaultPlan {
 };
 
 struct DiskFaultPlan {
-  // Per-request probability of a latency spike (thermal recalibration, firmware GC).
+  // Per-request probability of a 200 ms latency spike (thermal recalibration, firmware
+  // GC).
   double stall_rate = 0.0;
-  Duration stall = Duration::Millis(200);
-  // Per-request probability of a transient I/O error; the driver retries after
-  // `error_retry`, re-paying the request's full service time (at most 3 retries).
+  // Per-request probability of a transient I/O error; the driver retries after 50 ms,
+  // re-paying the request's full service time (at most 3 retries).
   double error_rate = 0.0;
-  Duration error_retry = Duration::Millis(50);
 
   bool Any() const { return stall_rate > 0.0 || error_rate > 0.0; }
 };
 
 struct SessionFaultPlan {
   // Mean connected time between forced disconnects (jittered +/-50%); zero = never.
-  // Disconnects rotate over logged-in sessions.
+  // Disconnects rotate over logged-in sessions, and each client reconnects 500 ms later.
   Duration disconnect_every = Duration::Zero();
-  // Client-side downtime before the reconnect attempt.
-  Duration reconnect_after = Duration::Millis(500);
   // Mean time between idle-daemon crashes (round-robin over the profile's daemons);
-  // zero = never. A crashed daemon misses its periods, then restarts after
-  // `daemon_restart_after` paying one extra episode of CPU (the restart storm).
+  // zero = never. A crashed daemon misses its periods, then restarts 200 ms later
+  // paying one extra episode of CPU (the restart storm).
   Duration daemon_crash_every = Duration::Zero();
-  Duration daemon_restart_after = Duration::Millis(200);
 
   bool Any() const {
     return disconnect_every > Duration::Zero() || daemon_crash_every > Duration::Zero();

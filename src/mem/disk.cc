@@ -8,21 +8,20 @@
 
 namespace tcs {
 
+namespace {
+
+// Fraction of a positioning cost paid by each clustered page after the first.
+constexpr double kSequentialPositioningFactor = 0.1;
+
+}  // namespace
+
 DiskConfig Validated(DiskConfig config) {
   if (config.transfer_rate.bps() <= 0) {
     throw ConfigError("DiskConfig.transfer_rate", "transfer rate must be positive");
   }
-  if (config.page_size.count() <= 0) {
-    throw ConfigError("DiskConfig.page_size", "page size must be positive");
-  }
   if (config.positioning_min < Duration::Zero() ||
       config.positioning_mean < Duration::Zero()) {
     throw ConfigError("DiskConfig.positioning", "positioning cost cannot be negative");
-  }
-  if (config.sequential_positioning_factor < 0.0 ||
-      config.sequential_positioning_factor > 1.0) {
-    throw ConfigError("DiskConfig.sequential_positioning_factor",
-                      "sequential positioning factor must be in [0, 1]");
   }
   return config;
 }
@@ -36,10 +35,10 @@ Duration Disk::ServiceTime(int pages) {
                                   config_.positioning_stddev.ToMillisF());
   Duration positioning =
       std::max(config_.positioning_min, Duration::Micros(static_cast<int64_t>(pos_ms * 1e3)));
-  Duration transfer = TransmissionDelay(config_.page_size, config_.transfer_rate);
+  Duration transfer = TransmissionDelay(kPageSize, config_.transfer_rate);
   Duration service = positioning + transfer;
   if (pages > 1) {
-    Duration extra_pos = positioning * config_.sequential_positioning_factor;
+    Duration extra_pos = positioning * kSequentialPositioningFactor;
     service += (transfer + extra_pos) * (pages - 1);
   }
   return service;

@@ -2,8 +2,8 @@
 //
 // A single-spindle disk with FIFO queueing: each request is serviced after all earlier
 // ones, paying a positioning cost (randomized seek + rotation) plus per-page transfer
-// time. Pages beyond the first in a clustered request pay only a fraction of the
-// positioning cost. Late-1990s commodity-disk defaults.
+// time. Pages beyond the first in a clustered request pay a tenth of the positioning
+// cost. Late-1990s commodity-disk defaults.
 
 #ifndef TCS_SRC_MEM_DISK_H_
 #define TCS_SRC_MEM_DISK_H_
@@ -18,19 +18,24 @@
 
 namespace tcs {
 
+// The page the pager maps and the disk transfers: the x86 4 KiB page.
+inline constexpr Bytes kPageSize = Bytes::Of(4096);
+
+// Pages that hold `b` bytes (rounded up).
+constexpr size_t PagesFor(Bytes b) {
+  return static_cast<size_t>((b.count() + kPageSize.count() - 1) / kPageSize.count());
+}
+
 struct DiskConfig {
   Duration positioning_mean = Duration::Millis(8);
   Duration positioning_stddev = Duration::Millis(3);
   Duration positioning_min = Duration::Millis(2);
   // Sustained media rate; a 4 KiB page at 5 MB/s is ~0.8 ms.
   BitsPerSecond transfer_rate = BitsPerSecond::Mbps(40);
-  Bytes page_size = Bytes::Of(4096);
-  // Fraction of a positioning cost paid by each clustered page after the first.
-  double sequential_positioning_factor = 0.1;
 };
 
-// Throws tcs::ConfigError on a non-positive transfer rate or page size, a negative
-// positioning cost, or a sequential factor outside [0, 1]. Returns the config.
+// Throws tcs::ConfigError on a non-positive transfer rate or a negative positioning
+// cost. Returns the config.
 DiskConfig Validated(DiskConfig config);
 
 class Disk {

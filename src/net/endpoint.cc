@@ -9,13 +9,13 @@ namespace tcs {
 
 MessageSender::MessageSender(FrameTransport& transport, HeaderModel headers)
     : link_(transport), headers_(headers) {
-  if ((transport.config().mtu - headers_.CountedPerPacket()).count() <= 0) {
-    throw ConfigError("LinkConfig.mtu", "MTU must exceed per-packet header overhead");
+  if ((kMtu - headers_.CountedPerPacket()).count() <= 0) {
+    throw ConfigError("HeaderModel", "MTU must exceed per-packet header overhead");
   }
 }
 
 int64_t MessageSender::PacketsFor(Bytes payload) const {
-  Bytes max_payload = link_.config().mtu - headers_.CountedPerPacket();
+  Bytes max_payload = kMtu - headers_.CountedPerPacket();
   if (payload.count() <= 0) {
     return 1;  // a bare ACK/empty message still occupies a frame
   }
@@ -29,7 +29,7 @@ void MessageSender::SendMessage(Bytes payload, InlineCallback delivered) {
   payload_bytes_ += payload;
   counted_bytes_ += payload + headers_.CountedPerPacket() * packets;
 
-  Bytes max_payload = link_.config().mtu - headers_.CountedPerPacket();
+  Bytes max_payload = kMtu - headers_.CountedPerPacket();
   Bytes remaining = payload;
   for (int64_t i = 0; i < packets; ++i) {
     Bytes chunk = std::min(remaining, max_payload);

@@ -18,7 +18,7 @@ namespace tcs {
 class MessageSender {
  public:
   // `transport` may be a raw Link or a ReliableChannel layered on one. Throws
-  // tcs::ConfigError when the transport's MTU cannot fit the counted per-packet headers.
+  // tcs::ConfigError when the counted per-packet headers leave no payload room in kMtu.
   MessageSender(FrameTransport& transport, HeaderModel headers);
 
   // Sends a protocol message of `payload` bytes. It is segmented into as many frames as

@@ -47,8 +47,6 @@ class SessionFlow : public FrameTransport {
     });
   }
 
-  const LinkConfig& config() const override { return shared_.config(); }
-
   // Sends this session pushed onto the shared medium (a send may fragment into several
   // wire frames; fragmentation happens below, in the Link).
   int64_t sends() const { return sends_; }

@@ -12,17 +12,19 @@
 
 namespace tcs {
 
+// Ethernet MAC + FCS on every frame. It does not count against the MTU, and tcpdump byte
+// counts (which the paper reports) exclude it, so it participates in wire timing but not
+// in protocol byte accounting.
+inline constexpr Bytes kEthernetFraming = Bytes::Of(18);
+
 struct HeaderModel {
   Bytes tcp = Bytes::Of(20);
   Bytes ip = Bytes::Of(20);
-  // Ethernet MAC + FCS. tcpdump byte counts (which the paper reports) exclude this, so it
-  // participates in wire timing but not in protocol byte accounting.
-  Bytes link = Bytes::Of(18);
 
   // Headers counted by a tcpdump-style tracer (transport + network).
   Bytes CountedPerPacket() const { return tcp + ip; }
   // Everything that occupies the wire.
-  Bytes WirePerPacket() const { return tcp + ip + link; }
+  Bytes WirePerPacket() const { return tcp + ip + kEthernetFraming; }
 
   static HeaderModel TcpIp() { return HeaderModel{}; }
   // Virtual IP: the IP header is elided entirely.

@@ -6,41 +6,24 @@
 #include <utility>
 
 #include "src/obs/flight_recorder.h"
-#include "src/util/config_error.h"
 
 namespace tcs {
 
-LinkConfig Validated(LinkConfig config) {
-  if (config.rate.bps() <= 0) {
-    throw ConfigError("LinkConfig.rate", "link rate must be positive");
-  }
-  if (config.mtu.count() <= 0) {
-    throw ConfigError("LinkConfig.mtu", "MTU must be positive");
-  }
-  if (config.framing.count() < 0) {
-    throw ConfigError("LinkConfig.framing", "framing bytes cannot be negative");
-  }
-  if (config.propagation < Duration::Zero()) {
-    throw ConfigError("LinkConfig.propagation", "propagation delay cannot be negative");
-  }
-  if (!(config.load_bucket > Duration::Zero())) {
-    throw ConfigError("LinkConfig.load_bucket", "load bucket must be positive");
-  }
-  if (config.csma_cd && !(config.backoff_slot > Duration::Zero())) {
-    throw ConfigError("LinkConfig.backoff_slot",
-                      "CSMA/CD backoff slot must be positive");
-  }
-  return config;
-}
+namespace {
+
+// The testbed's shared 10 Mbps Ethernet; its carried load is bucketed per second.
+constexpr BitsPerSecond kRate = BitsPerSecond::Mbps(10);
+constexpr Duration kLoadBucket = Duration::Seconds(1);
+// CSMA/CD backoff slot: 512 bit times at 10 Mbps.
+constexpr Duration kBackoffSlot = Duration::Micros(51);
+
+}  // namespace
 
 Link::Link(Simulator& sim, LinkConfig config)
-    : sim_(sim),
-      config_(Validated(std::move(config))),
-      rng_(config_.seed),
-      load_(config_.load_bucket) {}
+    : sim_(sim), csma_cd_(config.csma_cd), rng_(config.seed), load_(kLoadBucket) {}
 
 Duration Link::ContentionDelay(TimePoint start) {
-  if (!config_.csma_cd) {
+  if (!csma_cd_) {
     return Duration::Zero();
   }
   // Half-duplex shared medium: other stations contend in proportion to how busy the
@@ -58,7 +41,7 @@ Duration Link::ContentionDelay(TimePoint start) {
     ++attempt;
     int window = 1 << std::min(attempt, 2);  // backoff window, truncated at 4 slots
     int64_t slots = static_cast<int64_t>(rng_.NextBelow(static_cast<uint64_t>(window)));
-    total += config_.backoff_slot * (slots + 1);
+    total += kBackoffSlot * (slots + 1);
   }
   (void)start;
   return total;
@@ -80,7 +63,7 @@ bool Link::TransmitFrame(Bytes frame_bytes, TimePoint* delivery) {
   }
 
   const bool wan = fault_ != nullptr && fault_->wan_active();
-  const BitsPerSecond rate = wan ? DownRate() : config_.rate;
+  const BitsPerSecond rate = wan ? DownRate() : kRate;
   if (wan && fault_->wan().queue_bytes.count() > 0) {
     // Bounded bufferbloat queue with drop-tail overflow: a frame arriving to a backlog
     // already over the bound never occupies the wire. Its would-be delivery time is
@@ -95,7 +78,7 @@ bool Link::TransmitFrame(Bytes frame_bytes, TimePoint* delivery) {
       last_wan_extra_ = extra;
       last_wan_jitter_ = extra - fault_->wan().extra_delay;
       *delivery = std::max(now, busy_until_) + TransmissionDelay(frame_bytes, rate) +
-                  config_.propagation + extra;
+                  kPropagation + extra;
       emit_.Instant(TraceCategory::kNet, "frame-dropped", trace_track_, now,
                     {"bytes", frame_bytes.count()}, {"backlog", backlog.count()});
       return false;
@@ -135,7 +118,7 @@ bool Link::TransmitFrame(Bytes frame_bytes, TimePoint* delivery) {
   emit_.Span(TraceCategory::kNet, ok ? "frame" : "frame-lost", trace_track_, start,
              busy_until_, {"bytes", frame_bytes.count()},
              {"queue_us", (start - now).ToMicros()});
-  *delivery = busy_until_ + config_.propagation;
+  *delivery = busy_until_ + kPropagation;
   if (wan) {
     // WAN transit: the profile's extra one-way delay plus per-frame jitter rides on top
     // of the LAN propagation (lost frames pay it too — their would-be delivery time
@@ -150,7 +133,7 @@ bool Link::TransmitFrame(Bytes frame_bytes, TimePoint* delivery) {
 
 bool Link::TransmitAll(Bytes wire_bytes, TimePoint* delivery) {
   assert(wire_bytes.count() > 0);
-  const int64_t max_frame = config_.mtu.count() + config_.framing.count();
+  const int64_t max_frame = (kMtu + kEthernetFraming).count();
   bool all_ok = true;
   int64_t remaining = wire_bytes.count();
   while (remaining > 0) {
@@ -220,14 +203,14 @@ BitsPerSecond Link::DownRate() const {
   if (fault_ != nullptr && fault_->wan_active() && fault_->wan().down_rate.bps() > 0) {
     return fault_->wan().down_rate;
   }
-  return config_.rate;
+  return kRate;
 }
 
 BitsPerSecond Link::UpRate() const {
   if (fault_ != nullptr && fault_->wan_active() && fault_->wan().up_rate.bps() > 0) {
     return fault_->wan().up_rate;
   }
-  return config_.rate;
+  return kRate;
 }
 
 void Link::Attach(Emitter emit) {
@@ -240,7 +223,7 @@ double Link::UtilizationOver(Duration window) const {
     return 0.0;
   }
   double carried_bits = static_cast<double>(bytes_carried_.count()) * 8.0;
-  double capacity_bits = static_cast<double>(config_.rate.bps()) * window.ToSecondsF();
+  double capacity_bits = static_cast<double>(kRate.bps()) * window.ToSecondsF();
   return carried_bits / capacity_bits;
 }
 

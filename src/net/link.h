@@ -18,6 +18,7 @@
 #include <deque>
 
 #include "src/fault/fault_injector.h"
+#include "src/net/headers.h"
 #include "src/obs/emitter.h"
 #include "src/sim/inline_callback.h"
 #include "src/sim/random.h"
@@ -28,27 +29,20 @@
 
 namespace tcs {
 
+// Payload + transport + network bytes one frame carries; the Ethernet framing rides on
+// top. A send larger than kMtu + kEthernetFraming is fragmented into several frames.
+inline constexpr Bytes kMtu = Bytes::Of(1500);
+// One-way propagation delay across the segment.
+inline constexpr Duration kPropagation = Duration::Micros(50);
+
 struct LinkConfig {
-  BitsPerSecond rate = BitsPerSecond::Mbps(10);
-  Duration propagation = Duration::Micros(50);
-  Bytes mtu = Bytes::Of(1500);  // max payload+transport+network bytes per frame
-  // Link-layer framing (Ethernet MAC + FCS) that rides on every frame but does not count
-  // against the MTU. A send larger than mtu+framing is fragmented into multiple frames.
-  Bytes framing = Bytes::Of(18);
-  // Resolution of the carried-load time series.
-  Duration load_bucket = Duration::Seconds(1);
   // Model half-duplex CSMA/CD contention: frames sent while the medium has been busy
   // suffer collision/backoff delay with probability rising with recent utilization.
   // (The paper's testbed was shared 10 Mbps Ethernet; FIFO-only queueing understates
   // its near-saturation delay by roughly 2x.)
   bool csma_cd = false;
-  Duration backoff_slot = Duration::Micros(51);  // 512 bit times at 10 Mbps
   uint64_t seed = 0x5EED;
 };
-
-// Throws tcs::ConfigError on a zero rate, non-positive MTU, zero load bucket, negative
-// propagation, or (with csma_cd) a non-positive backoff slot. Returns the config.
-LinkConfig Validated(LinkConfig config);
 
 // Anything that can carry an MTU-bounded frame: the raw Link, or a ReliableChannel that
 // recovers the Link's losses. MessageSender segments protocol messages onto one of these.
@@ -59,9 +53,6 @@ class FrameTransport {
   // Queues a frame of `wire_bytes`; `delivered` (optional) fires when the last bit
   // arrives at the far end (for reliable transports: in order, after any recovery).
   virtual void Send(Bytes wire_bytes, InlineCallback delivered = nullptr) = 0;
-
-  // The underlying link's configuration (MTU, rate) for segmentation arithmetic.
-  virtual const LinkConfig& config() const = 0;
 };
 
 class Link : public FrameTransport {
@@ -72,9 +63,9 @@ class Link : public FrameTransport {
   Link& operator=(const Link&) = delete;
 
   // Queues a frame of `wire_bytes` for transmission; `delivered` (optional) fires when the
-  // last bit arrives at the far end. Sends larger than mtu+framing are fragmented into
-  // multiple frames (each queued separately); `delivered` fires when the last fragment
-  // lands, and only if every fragment survived any attached fault injector.
+  // last bit arrives at the far end. Sends larger than kMtu + kEthernetFraming are
+  // fragmented into multiple frames (each queued separately); `delivered` fires when the
+  // last fragment lands, and only if every fragment survived any attached fault injector.
   void Send(Bytes wire_bytes, InlineCallback delivered = nullptr) override;
 
   // Fate-reporting send: `done` (optional) always fires at the would-be delivery time,
@@ -85,7 +76,6 @@ class Link : public FrameTransport {
   void SendEx(Bytes wire_bytes, InlineFunction<void(bool ok)> done,
               bool retransmit = false);
 
-  const LinkConfig& config() const override { return config_; }
   int64_t frames_sent() const { return frames_sent_; }
   // Every transmission attempt either arrives or does not: frames_sent() ==
   // frames_delivered() + frames_lost(), always.
@@ -100,7 +90,7 @@ class Link : public FrameTransport {
   // Total CSMA/CD backoff delay injected so far (a component of queue_delay()).
   Duration backoff_total() const { return backoff_total_; }
 
-  // Carried bytes per load_bucket (for "network load vs time" plots).
+  // Carried bytes per second (for "network load vs time" plots).
   const TimeSeries& load_series() const { return load_; }
 
   // Fraction of capacity used so far.
@@ -116,9 +106,9 @@ class Link : public FrameTransport {
   // gauges and by the WAN drop-tail bound.
   Bytes BacklogBytesAt(TimePoint now) const;
 
-  // Effective serialization rates. With no WAN profile both equal config().rate; a WAN
-  // profile's asymmetric down/up rates override them (down: display-direction frames on
-  // this wire; up: input-direction messages and returning ACKs).
+  // Effective serialization rates. With no WAN profile both are the segment's 10 Mbps; a
+  // WAN profile's asymmetric down/up rates override them (down: display-direction frames
+  // on this wire; up: input-direction messages and returning ACKs).
   BitsPerSecond DownRate() const;
   BitsPerSecond UpRate() const;
 
@@ -169,7 +159,7 @@ class Link : public FrameTransport {
   bool TransmitAll(Bytes wire_bytes, TimePoint* delivery);
 
   Simulator& sim_;
-  LinkConfig config_;
+  const bool csma_cd_;
   Rng rng_;
   LinkFaultInjector* fault_ = nullptr;
   Emitter emit_;

@@ -5,32 +5,32 @@
 #include <utility>
 
 #include "src/obs/flight_recorder.h"
-#include "src/util/config_error.h"
 
 namespace tcs {
 
-ReliableChannelConfig Validated(ReliableChannelConfig config) {
-  if (!(config.min_rto > Duration::Zero())) {
-    throw ConfigError("ReliableChannelConfig.min_rto", "min RTO must be positive");
-  }
-  if (config.max_rto < config.min_rto) {
-    throw ConfigError("ReliableChannelConfig.max_rto", "max RTO must be >= min RTO");
-  }
-  if (config.max_attempts < 1) {
-    throw ConfigError("ReliableChannelConfig.max_attempts", "need at least one attempt");
-  }
-  if (config.ack_bytes.count() <= 0) {
-    throw ConfigError("ReliableChannelConfig.ack_bytes", "ACK bytes must be positive");
-  }
-  if (config.window_frames < 0) {
-    throw ConfigError("ReliableChannelConfig.window_frames",
-                      "window bound cannot be negative (0 disables it)");
-  }
-  return config;
-}
+namespace {
 
-ReliableChannel::ReliableChannel(Simulator& sim, Link& link, ReliableChannelConfig config)
-    : sim_(sim), link_(link), config_(Validated(config)) {}
+// Floor and cap of the retransmission timeout. Era TCP stacks ran 200-500 ms
+// retransmit timer granularity, so a single loss cost an interactive session a humanly
+// visible stall.
+constexpr Duration kMinRto = Duration::Millis(200);
+constexpr Duration kMaxRto = Duration::Seconds(2);
+// The return ACK: a minimum Ethernet frame.
+constexpr Bytes kAckBytes = Bytes::Of(64);
+// Safety valve against pathological plans (e.g. loss_rate=1.0 forever): after this many
+// attempts a frame is abandoned and counted, so bounded-horizon runs always drain.
+constexpr int kMaxAttempts = 24;
+// Bound on frames in flight, far above anything an interactive session queues on a
+// healthy link.
+constexpr int64_t kWindowFrames = 4096;
+
+}  // namespace
+
+ReliableChannel::ReliableChannel(Simulator& sim, Link& link) : sim_(sim), link_(link) {}
+
+double ReliableChannel::WindowFill() const {
+  return static_cast<double>(records_.size()) / static_cast<double>(kWindowFrames);
+}
 
 void ReliableChannel::Attach(Emitter emit) {
   emit_ = emit;
@@ -39,14 +39,13 @@ void ReliableChannel::Attach(Emitter emit) {
 
 Duration ReliableChannel::CurrentRtoBase() const {
   if (srtt_.IsZero()) {
-    return config_.min_rto;
+    return kMinRto;
   }
-  return std::clamp(srtt_ * 2, config_.min_rto, config_.max_rto);
+  return std::clamp(srtt_ * 2, kMinRto, kMaxRto);
 }
 
 void ReliableChannel::Send(Bytes wire_bytes, InlineCallback delivered) {
-  if (config_.window_frames > 0 &&
-      static_cast<int64_t>(records_.size()) >= config_.window_frames) {
+  if (static_cast<int64_t>(records_.size()) >= kWindowFrames) {
     // Window full: shed at the door. The frame gets no sequence number and its callback
     // never fires — exactly like an abandoned frame, but without ever burdening the wire.
     ++frames_shed_;
@@ -101,8 +100,7 @@ void ReliableChannel::OnOutcome(uint64_t seq, TimePoint sent_at, bool ok) {
   // The ACK rides back out-of-band: serialization at the return-direction (up) link rate
   // plus propagation, but no queueing on the shared medium (see header comment). On an
   // asymmetric WAN profile the narrow uplink stretches the ACK's return leg.
-  Duration ack_delay =
-      TransmissionDelay(config_.ack_bytes, link_.UpRate()) + link_.config().propagation;
+  Duration ack_delay = TransmissionDelay(kAckBytes, link_.UpRate()) + kPropagation;
   sim_.Schedule(ack_delay, [this, seq, sent_at, clean_sample] {
     OnAck(seq, sent_at, clean_sample);
   });
@@ -137,7 +135,7 @@ void ReliableChannel::OnTimeout(uint64_t seq) {
   }
   Record& rec = it->second;
   rec.timer = EventId();
-  if (rec.attempts >= config_.max_attempts) {
+  if (rec.attempts >= kMaxAttempts) {
     // Pathological plan escape hatch: stop retrying so bounded runs always drain.
     ++frames_abandoned_;
     rec.acked = true;
@@ -150,7 +148,7 @@ void ReliableChannel::OnTimeout(uint64_t seq) {
     MaybeErase(seq);
     return;
   }
-  rec.rto = std::min(rec.rto * 2, config_.max_rto);  // exponential backoff, capped
+  rec.rto = std::min(rec.rto * 2, kMaxRto);  // exponential backoff, capped
   Transmit(seq);
 }
 

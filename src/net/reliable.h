@@ -1,16 +1,17 @@
 // Reliable, in-order frame delivery over a lossy Link.
 //
 // A minimal TCP-flavoured ARQ model: every frame gets a sequence number and a
-// retransmission timer (RTO = clamp(2 x SRTT, [min_rto, max_rto]), doubled per attempt —
+// retransmission timer (RTO = clamp(2 x SRTT, [200 ms, 2 s]), doubled per attempt —
 // Karn-style: only never-retransmitted frames contribute RTT samples). Lost frames are
-// retransmitted until they land; the receiver releases frames strictly in order, so one
-// lost frame head-of-line blocks everything behind it — exactly the stall the paper's
-// interactive sessions feel on a congested segment.
+// retransmitted until they land or 24 attempts have failed; the receiver releases frames
+// strictly in order, so one lost frame head-of-line blocks everything behind it —
+// exactly the stall the paper's interactive sessions feel on a congested segment.
 //
-// Modelling simplification (documented, deliberate): ACKs are carried out-of-band — they
-// pay serialization + propagation delay but do not occupy the shared link and are never
-// themselves lost. This keeps the recovery dynamics (RTO inflation, HOL blocking) while
-// avoiding ack-clocking artefacts that the paper's measurements cannot calibrate.
+// Modelling simplification (documented, deliberate): ACKs (64-byte minimum Ethernet
+// frames) are carried out-of-band — they pay serialization + propagation delay but do
+// not occupy the shared link and are never themselves lost. This keeps the recovery
+// dynamics (RTO inflation, HOL blocking) while avoiding ack-clocking artefacts that the
+// paper's measurements cannot calibrate.
 //
 // Determinism: the channel consumes no randomness of its own; all nondeterminism comes
 // from the Link's fault injector. Identical seeds give identical retransmit schedules.
@@ -28,40 +29,20 @@
 
 namespace tcs {
 
-struct ReliableChannelConfig {
-  // Floor on the retransmission timeout. Era TCP stacks ran 200-500 ms retransmit timer
-  // granularity, so a single loss cost an interactive session a humanly visible stall.
-  Duration min_rto = Duration::Millis(200);
-  Duration max_rto = Duration::Seconds(2);
-  Bytes ack_bytes = Bytes::Of(64);  // minimum Ethernet frame for the return ACK
-  // Safety valve against pathological plans (e.g. loss_rate=1.0 forever): after this many
-  // attempts a frame is abandoned and counted, so bounded-horizon runs always drain.
-  int max_attempts = 24;
-  // Bound on frames in flight (sent but not yet retired). A Send() arriving with the
-  // window full is shed immediately — counted in frames_shed(), never given a sequence
-  // number, its callback never fires — so a long outage cannot grow the retransmit queue
-  // without limit. 0 disables the bound. The default is far above anything an interactive
-  // session queues on a healthy link, so only pathological plans ever shed.
-  int64_t window_frames = 4096;
-};
-
-// Throws tcs::ConfigError on a non-positive min_rto, max_rto < min_rto, max_attempts < 1,
-// non-positive ack_bytes, or negative window_frames. Returns the config.
-ReliableChannelConfig Validated(ReliableChannelConfig config);
-
 class ReliableChannel : public FrameTransport {
  public:
-  ReliableChannel(Simulator& sim, Link& link, ReliableChannelConfig config = {});
+  ReliableChannel(Simulator& sim, Link& link);
 
   ReliableChannel(const ReliableChannel&) = delete;
   ReliableChannel& operator=(const ReliableChannel&) = delete;
 
   // Queues `wire_bytes` for reliable in-order delivery; `delivered` fires once the frame
   // (and every frame sent before it) has arrived at the far end; an abandoned frame's
-  // never fires.
+  // never fires. At most 4,096 frames are in flight (sent but not yet retired): a Send()
+  // arriving with that window full is shed — counted in frames_shed(), never given a
+  // sequence number, its callback never fires — so a long outage cannot grow the
+  // retransmit queue without limit. Only pathological plans ever fill the window.
   void Send(Bytes wire_bytes, InlineCallback delivered = nullptr) override;
-
-  const LinkConfig& config() const override { return link_.config(); }
 
   Link& link() { return link_; }
 
@@ -73,7 +54,7 @@ class ReliableChannel : public FrameTransport {
   int64_t acks_received() const { return acks_received_; }
   // Frames released to their delivery callbacks, in order.
   int64_t frames_delivered() const { return frames_delivered_; }
-  // Frames given up on after max_attempts (only under pathological fault plans).
+  // Frames given up on after 24 attempts (only under pathological fault plans).
   int64_t frames_abandoned() const { return frames_abandoned_; }
   // Frames refused at Send() because the in-flight window was full (never sequenced;
   // their callbacks never fire). The degradation controller treats a rising shed count
@@ -81,14 +62,9 @@ class ReliableChannel : public FrameTransport {
   int64_t frames_shed() const { return frames_shed_; }
   // Frames currently in flight (sent but not yet fully retired).
   int64_t frames_in_flight() const { return static_cast<int64_t>(records_.size()); }
-  // Frames currently in flight (sent but not yet retired) as a fraction of the window;
-  // 0 when the bound is disabled. This is the channel's backpressure gauge.
-  double WindowFill() const {
-    return config_.window_frames > 0
-               ? static_cast<double>(records_.size()) /
-                     static_cast<double>(config_.window_frames)
-               : 0.0;
-  }
+  // Frames currently in flight (sent but not yet retired) as a fraction of the window.
+  // This is the channel's backpressure gauge.
+  double WindowFill() const;
   // True once the window is at least half full — the channel is visibly struggling to
   // retire frames and senders should start slowing down.
   bool InBackpressure() const { return WindowFill() >= 0.5; }
@@ -123,7 +99,6 @@ class ReliableChannel : public FrameTransport {
 
   Simulator& sim_;
   Link& link_;
-  ReliableChannelConfig config_;
   Emitter emit_;
   TraceTrack trace_track_;
   std::map<uint64_t, Record> records_;

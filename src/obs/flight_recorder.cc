@@ -1,34 +1,14 @@
 #include "src/obs/flight_recorder.h"
 
-#include <limits>
 #include <sstream>
 #include <unordered_map>
 
-#include "src/util/config_error.h"
-
 namespace tcs {
 
-FlightRecorderConfig Validated(FlightRecorderConfig config) {
-  // The largest power of two whose ring still fits in size_t bytes.
-  constexpr size_t kMaxCapacity =
-      std::bit_floor(std::numeric_limits<size_t>::max() / sizeof(FlightRecord));
-  if (config.capacity > kMaxCapacity) {
-    throw ConfigError("FlightRecorderConfig.capacity",
-                      "the ring's size in bytes would overflow size_t");
-  }
-  return config;
-}
-
-FlightRecorder::FlightRecorder(FlightRecorderConfig config) : config_(Validated(config)) {
-  // Round the capacity up to a power of two so Append can mask instead of divide,
-  // then back the whole ring with a single contiguous arena block (the arena sizes
-  // its chunk to the request, so this is exactly one allocation).
-  size_t cap = kMinCapacity;
-  while (cap < config_.capacity) {
-    cap <<= 1;
-  }
-  capacity_ = cap;
-  ring_ = arena_.AllocateArray<FlightRecord>(capacity_);
+FlightRecorder::FlightRecorder() {
+  // Back the whole ring with a single contiguous arena block (the arena sizes its chunk
+  // to the request, so this is exactly one allocation).
+  ring_ = arena_.AllocateArray<FlightRecord>(kCapacity);
 }
 
 void FlightRecorder::Freeze(TimePoint now) {
@@ -37,11 +17,11 @@ void FlightRecorder::Freeze(TimePoint now) {
   }
   frozen_ = true;
   frozen_at_us_ = now.ToMicros();
-  int64_t horizon = frozen_at_us_ - config_.window.ToMicros();
-  uint64_t live = head_ < capacity_ ? head_ : capacity_;
+  int64_t horizon = frozen_at_us_ - kWindow.ToMicros();
+  uint64_t live = head_ < kCapacity ? head_ : kCapacity;
   window_.reserve(static_cast<size_t>(live));
   for (uint64_t i = head_ - live; i < head_; ++i) {
-    const FlightRecord& r = ring_[static_cast<size_t>(i) & (capacity_ - 1)];
+    const FlightRecord& r = ring_[static_cast<size_t>(i) & (kCapacity - 1)];
     if (r.ts_us >= horizon) {
       window_.push_back(r);
     }

@@ -5,14 +5,15 @@
 // used to be unexplainable without a full re-run. The FlightRecorder is the other point
 // in the design space: every component continuously appends fixed-size POD records
 // (timestamp, duration, name literal, category, flow id, two integer args) into a
-// bounded ring backed by one contiguous arena block allocated at construction.
+// bounded ring of 2^16 records (about 4 MiB, several virtual seconds of fully-loaded
+// consolidation history) backed by one contiguous arena block allocated at construction.
 // Appending is a mask and a handful of stores — no JSON, no per-record allocation, no
 // branches beyond the null-pointer gate at each call site — so it is cheap enough to
 // leave on for every run (gated by BM_FlightRecorderOverhead at <3% on the 64-user
 // consolidation bench).
 //
 // When an SloWatchdog detects a violation it calls Freeze(now): the records of the last
-// `window` of virtual time are copied out of the ring (first freeze wins, so the bundle
+// 500 ms of virtual time are copied out of the ring (first freeze wins, so the bundle
 // shows the *first* violation's history, not the run's tail). WriteWindowJson() replays
 // the frozen window into a Tracer — one process ("flight"), one track per
 // TraceCategory, span/instant/counter events plus flow arrows grouped by the records'
@@ -55,22 +56,9 @@ struct alignas(64) FlightRecord {
   int64_t arg2 = 0;
 };
 
-struct FlightRecorderConfig {
-  // Ring capacity in records (rounded up to a power of two, minimum 1024, so the
-  // append path masks instead of dividing). 64Ki records ≈ 3.5 MiB, several virtual
-  // seconds of fully-loaded consolidation history.
-  size_t capacity = size_t{1} << 16;
-  // How much history Freeze() keeps, in virtual time.
-  Duration window = Duration::Millis(500);
-};
-
-// Throws tcs::ConfigError on a capacity whose power-of-two rounding or ring size in
-// bytes would overflow size_t. Returns the config.
-FlightRecorderConfig Validated(FlightRecorderConfig config);
-
 class FlightRecorder {
  public:
-  explicit FlightRecorder(FlightRecorderConfig config = {});
+  FlightRecorder();
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
@@ -90,12 +78,12 @@ class FlightRecorder {
     Append(t.ToMicros(), 0, name, c, FlightKind::kCounter, 0, value, 0);
   }
 
-  // Records ever appended (monotonic; the ring holds the last min(seen, capacity)).
+  // Records ever appended (monotonic; the ring holds the last min(seen, 2^16)).
   uint64_t records_seen() const { return head_; }
-  size_t capacity() const { return capacity_; }
-  Duration window() const { return config_.window; }
+  // How much history Freeze() keeps, in virtual time.
+  Duration window() const { return kWindow; }
 
-  // Copies the ring records with ts >= now - window, oldest append first, into the
+  // Copies the ring records with ts >= now - window(), oldest append first, into the
   // frozen window. The first freeze wins: later calls are no-ops so the bundle keeps
   // the *first* violation's history.
   void Freeze(TimePoint now);
@@ -109,14 +97,16 @@ class FlightRecorder {
   std::string WindowJson() const;
 
  private:
-  static constexpr size_t kMinCapacity = 1024;
+  // A power of two, so the append path masks instead of dividing.
+  static constexpr size_t kCapacity = size_t{1} << 16;
+  static constexpr Duration kWindow = Duration::Millis(500);
 
   void Append(int64_t ts_us, int64_t dur_us, const char* name, TraceCategory c,
               FlightKind kind, uint64_t flow_id, int64_t arg1, int64_t arg2) {
-    // capacity_ is a power of two and the ring is one contiguous block, so the wrap
+    // The capacity is a power of two and the ring is one contiguous block, so the wrap
     // is a mask and the store a single indexed write — this runs on every CPU
     // segment, page-in, and link frame of every run.
-    FlightRecord& r = ring_[static_cast<size_t>(head_) & (capacity_ - 1)];
+    FlightRecord& r = ring_[static_cast<size_t>(head_) & (kCapacity - 1)];
     r.ts_us = ts_us;
     r.dur_us = dur_us;
     r.name = name;
@@ -128,10 +118,8 @@ class FlightRecorder {
     ++head_;
   }
 
-  FlightRecorderConfig config_;
-  size_t capacity_ = 0;
   BumpArena arena_;
-  FlightRecord* ring_ = nullptr;  // one contiguous capacity_-record block in the arena
+  FlightRecord* ring_ = nullptr;  // one contiguous kCapacity-record block in the arena
   uint64_t head_ = 0;             // total records ever appended
   bool frozen_ = false;
   int64_t frozen_at_us_ = 0;

@@ -4,9 +4,9 @@
 // when the *worst* user's interaction latency stays humanly imperceptible, sessions stay
 // available under faults, and the access link never builds a standing queue. An SloSpec
 // states those objectives declaratively; an SloWatchdog evaluates them against a running
-// experiment — continuously for the ones that can be watched live (worst-user p99, link
-// backlog) and at end of run for the ones only the full run defines (total starvation,
-// availability).
+// experiment — every 100 ms of virtual time for the ones that can be watched live
+// (worst-user p99, link backlog) and at end of run for the ones only the full run
+// defines (total starvation, availability).
 //
 // On the first violation the watchdog freezes the attached FlightRecorder's window and
 // snapshots the metrics gauges; FinishRun() then emits a postmortem bundle — the frozen
@@ -44,8 +44,6 @@ struct SloSpec {
   double min_availability = 0.0;
   // The shared link's backlog must never exceed this many bytes.
   int64_t max_link_backlog_bytes = 0;
-  // Cadence of the live checks (virtual time).
-  Duration check_period = Duration::Millis(100);
   // Deterministic bundle stem: files are <out_dir>/<name>.trace.json and
   // <out_dir>/<name>.postmortem.json.
   std::string name = "run";
@@ -57,11 +55,6 @@ struct SloSpec {
            min_availability > 0.0 || max_link_backlog_bytes > 0;
   }
 };
-
-// Throws tcs::ConfigError on a non-positive check_period (zero would re-run the live
-// checks at one instant forever; negative would schedule them in the past). Returns the
-// spec.
-SloSpec Validated(SloSpec spec);
 
 struct SloObjectiveResult {
   std::string objective;

@@ -7,34 +7,27 @@
 
 namespace tcs {
 
+namespace {
+
+// How often the pressure signal is sampled, and when the first sample is taken.
+constexpr Duration kPollInterval = Duration::Millis(100);
+constexpr Duration kStartDelay = Duration::Seconds(2);
+// Hysteresis: recovery requires pressure below this fraction of the current level's
+// engage threshold for kRecoverPolls consecutive polls, and then drops one level.
+constexpr double kRecoverFraction = 0.5;
+constexpr int kRecoverPolls = 5;
+// The levers: the hold between pipeline passes (kCoalesce+), one animation or marquee
+// frame kept in every kAnimationKeepOneIn (kDropAnimation+), and the bitmap compression
+// multiplier (kHardCache+).
+constexpr Duration kCoalesceHold = Duration::Millis(40);
+constexpr int kAnimationKeepOneIn = 3;
+constexpr double kCacheBoost = 2.0;
+
+}  // namespace
+
 DegradationConfig Validated(DegradationConfig config) {
-  if (!(config.poll_interval > Duration::Zero())) {
-    throw ConfigError("DegradationConfig.poll_interval", "poll interval must be positive");
-  }
   if (config.level_step.count() <= 0) {
     throw ConfigError("DegradationConfig.level_step", "level step must be positive");
-  }
-  if (config.recover_fraction <= 0.0 || config.recover_fraction >= 1.0) {
-    throw ConfigError("DegradationConfig.recover_fraction",
-                      "recover fraction must be in (0, 1)");
-  }
-  if (config.recover_polls < 1) {
-    throw ConfigError("DegradationConfig.recover_polls",
-                      "need at least one calm poll to recover");
-  }
-  if (config.animation_keep_one_in < 1) {
-    throw ConfigError("DegradationConfig.animation_keep_one_in",
-                      "must keep at least 1 in N frames");
-  }
-  if (config.cache_boost < 1.0) {
-    throw ConfigError("DegradationConfig.cache_boost",
-                      "cache boost must not inflate payloads");
-  }
-  if (!(config.coalesce_hold >= Duration::Zero())) {
-    throw ConfigError("DegradationConfig.coalesce_hold", "hold cannot be negative");
-  }
-  if (config.start_delay < Duration::Zero()) {
-    throw ConfigError("DegradationConfig.start_delay", "arming delay cannot be negative");
   }
   return config;
 }
@@ -42,14 +35,11 @@ DegradationConfig Validated(DegradationConfig config) {
 DegradationController::DegradationController(Simulator& sim, DegradationConfig config,
                                              std::function<int64_t()> pressure_bytes)
     : sim_(sim),
-      config_(Validated(std::move(config))),
+      level_step_(Validated(config).level_step),
       pressure_bytes_(std::move(pressure_bytes)),
-      poll_task_(sim, config_.poll_interval, [this] { Poll(); }) {}
+      poll_task_(sim, kPollInterval, [this] { Poll(); }) {}
 
-void DegradationController::Start() {
-  poll_task_.Start(config_.start_delay > Duration::Zero() ? config_.start_delay
-                                                          : config_.poll_interval);
-}
+void DegradationController::Start() { poll_task_.Start(kStartDelay); }
 
 void DegradationController::Stop() { poll_task_.Stop(); }
 
@@ -61,7 +51,7 @@ void DegradationController::Attach(Emitter emit) {
 void DegradationController::Poll() {
   ++polls_;
   int64_t pressure = pressure_bytes_();
-  const int64_t step = config_.level_step.count();
+  const int64_t step = level_step_.count();
   // Upshift first, and all the way: sustained pressure crossing several thresholds in
   // one poll interval engages the matching level immediately (monotone in pressure).
   int target = static_cast<int>(pressure / step);
@@ -74,13 +64,13 @@ void DegradationController::Poll() {
   if (level_ == 0) {
     return;
   }
-  // Hysteretic recovery: one level at a time, and only after recover_polls consecutive
+  // Hysteretic recovery: one level at a time, and only after kRecoverPolls consecutive
   // samples comfortably below the current level's engage threshold.
   int64_t recover_below = static_cast<int64_t>(
-      config_.recover_fraction * static_cast<double>(level_) * static_cast<double>(step));
+      kRecoverFraction * static_cast<double>(level_) * static_cast<double>(step));
   if (pressure < recover_below) {
     ++calm_polls_;
-    if (calm_polls_ >= config_.recover_polls) {
+    if (calm_polls_ >= kRecoverPolls) {
       calm_polls_ = 0;
       MoveTo(level_ - 1, pressure);
     }
@@ -111,12 +101,21 @@ void DegradationController::MoveTo(int new_level, int64_t pressure) {
   }
 }
 
+Duration DegradationController::CoalesceHold() const {
+  return level_ >= static_cast<int>(DegradationLevel::kCoalesce) ? kCoalesceHold
+                                                                 : Duration::Zero();
+}
+
+double DegradationController::CacheBoost() const {
+  return level_ >= static_cast<int>(DegradationLevel::kHardCache) ? kCacheBoost : 1.0;
+}
+
 bool DegradationController::ShouldDropAnimationFrame() {
   if (level_ < static_cast<int>(DegradationLevel::kDropAnimation)) {
     return false;
   }
   // Keep frame 0, N, 2N, ... of the degraded stretch; drop the rest.
-  bool drop = (animation_counter_ % config_.animation_keep_one_in) != 0;
+  bool drop = (animation_counter_ % kAnimationKeepOneIn) != 0;
   ++animation_counter_;
   if (drop) {
     ++animation_frames_dropped_;

@@ -3,20 +3,21 @@
 // On a WAN-degraded link the display channel falls behind: the bufferbloat queue fills,
 // the reliable channel's in-flight window grows, and every user's latency climbs
 // together. The DegradationController watches one scalar pressure signal (bytes of
-// unretired display backlog, supplied by the server) and moves the per-session pipelines
-// through a small ladder of increasingly aggressive service levels:
+// unretired display backlog, supplied by the server), sampled every 100 ms from 2 s into
+// the run, and moves the per-session pipelines through a small ladder of increasingly
+// aggressive service levels:
 //
 //   0 kNormal          full service
-//   1 kCoalesce        hold the pipeline between passes so keystrokes batch harder
-//   2 kDropAnimation   additionally drop marquee/animation frames (keep 1 in N)
-//   3 kHardCache       additionally force harder bitmap caching (smaller payloads)
+//   1 kCoalesce        hold the pipeline 40 ms between passes so keystrokes batch harder
+//   2 kDropAnimation   additionally drop marquee/animation frames (keep 1 in 3)
+//   3 kHardCache       additionally compress bitmaps twice as hard (smaller payloads)
 //   4 kPauseBackground additionally pause background (non-interactive) sessions
 //
 // Transitions are hysteretic: upshifts are immediate (pressure crossing threshold(k) =
-// k * level_step jumps straight to k), but a downshift needs `recover_polls` consecutive
-// polls below recover_fraction * threshold(current) — so a link hovering at a boundary
-// never flaps. The controller consumes no randomness and polls on virtual time only, so
-// its transition log is byte-identical across reruns and --jobs values.
+// k * level_step jumps straight to k), but a downshift needs five consecutive polls below
+// half of threshold(current) — so a link hovering at a boundary never flaps. The
+// controller consumes no randomness and polls on virtual time only, so its transition
+// log is byte-identical across reruns and --jobs values.
 
 #ifndef TCS_SRC_SESSION_DEGRADATION_H_
 #define TCS_SRC_SESSION_DEGRADATION_H_
@@ -34,29 +35,11 @@ namespace tcs {
 
 struct DegradationConfig {
   bool enabled = false;
-  // How often the pressure signal is sampled.
-  Duration poll_interval = Duration::Millis(100);
-  // Arming delay before the first poll: session setup (login storms, initial desktop
-  // paints) floods the link with a one-off burst that is not WAN congestion, so the
-  // controller starts watching only once steady state is reached. Zero = first poll
-  // after one poll_interval.
-  Duration start_delay = Duration::Zero();
   // Pressure step per level: level k engages at pressure >= k * level_step bytes.
   Bytes level_step = Bytes::KiB(48);
-  // Hysteresis: recovery requires pressure below recover_fraction * threshold(level)...
-  double recover_fraction = 0.5;
-  // ...for this many consecutive polls, and then drops exactly one level.
-  int recover_polls = 5;
-  // Lever 1 (kCoalesce+): extra hold between pipeline passes while keystrokes pend.
-  Duration coalesce_hold = Duration::Millis(40);
-  // Lever 2 (kDropAnimation+): keep 1 of every N animation/marquee frames.
-  int animation_keep_one_in = 3;
-  // Lever 3 (kHardCache+): scale factor applied to bitmap compression (payload shrink).
-  double cache_boost = 2.0;
 };
 
-// Throws tcs::ConfigError on a non-positive poll interval, level step, recover_polls,
-// animation_keep_one_in, a recover_fraction outside (0, 1), or cache_boost < 1.
+// Throws tcs::ConfigError on a non-positive level step. Returns the config.
 DegradationConfig Validated(DegradationConfig config);
 
 enum class DegradationLevel : int {
@@ -87,7 +70,10 @@ class DegradationController {
   DegradationController(const DegradationController&) = delete;
   DegradationController& operator=(const DegradationController&) = delete;
 
-  // Arms the periodic poll. Safe to call once at run start; Stop() cancels it.
+  // Arms the periodic poll, first 2 s from now: session setup (login storms, initial
+  // desktop paints) floods the link with a one-off burst that is not WAN congestion, so
+  // the controller starts watching only once steady state is reached. Safe to call once
+  // at run start; Stop() cancels it.
   void Start();
   void Stop();
 
@@ -103,19 +89,12 @@ class DegradationController {
   // Extra hold before the next pipeline pass while keystrokes pend (zero below
   // kCoalesce). Lands in the degradation-hold attribution stage, so degraded runs do
   // not masquerade as scheduler contention in blame digests.
-  Duration CoalesceHold() const {
-    return level_ >= static_cast<int>(DegradationLevel::kCoalesce)
-               ? config_.coalesce_hold
-               : Duration::Zero();
-  }
+  Duration CoalesceHold() const;
   // Whether the next animation/marquee frame should be dropped. Deterministic
   // counter-based thinning: below kDropAnimation every frame is kept.
   bool ShouldDropAnimationFrame();
   // Bitmap compression multiplier (1.0 below kHardCache).
-  double CacheBoost() const {
-    return level_ >= static_cast<int>(DegradationLevel::kHardCache) ? config_.cache_boost
-                                                                    : 1.0;
-  }
+  double CacheBoost() const;
   // True while background (non-interactive) sessions should stop emitting.
   bool BackgroundPaused() const {
     return level_ >= static_cast<int>(DegradationLevel::kPauseBackground);
@@ -145,7 +124,7 @@ class DegradationController {
   void MoveTo(int new_level, int64_t pressure);
 
   Simulator& sim_;
-  DegradationConfig config_;
+  const Bytes level_step_;
   std::function<int64_t()> pressure_bytes_;
   PeriodicTask poll_task_;
   Emitter emit_;

@@ -11,11 +11,15 @@ namespace tcs {
 
 namespace {
 
-constexpr Bytes kPageSize = Bytes::Of(4096);
-
-size_t PagesFor(Bytes b) {
-  return static_cast<size_t>((b.count() + kPageSize.count() - 1) / kPageSize.count());
-}
+// The protocol tap buckets its byte counts per second.
+constexpr Duration kTapBucket = Duration::Seconds(1);
+// A disconnected client tries to reconnect after this long; a crashed idle daemon
+// restarts after this long.
+constexpr Duration kReconnectAfter = Duration::Millis(500);
+constexpr Duration kDaemonRestartAfter = Duration::Millis(200);
+// A full frame on the wire. The WAN queue gauge counts its backlog in these, and the
+// degradation ladder bills each unretired frame at one.
+constexpr Bytes kFullFrame = kMtu + kEthernetFraming;
 
 PagerConfig MakePagerConfig(const OsProfile& profile, const ServerConfig& cfg) {
   PagerConfig pc;
@@ -32,7 +36,6 @@ PagerConfig MakePagerConfig(const OsProfile& profile, const ServerConfig& cfg) {
   }
   pc.cluster_pages = profile.pager_cluster_pages;
   pc.policy = cfg.eviction;
-  pc.throttle_delay = cfg.pager_throttle;
   return pc;
 }
 
@@ -52,12 +55,6 @@ ServerConfig Validated(ServerConfig config) {
   if (config.ram.count() <= 0) {
     throw ConfigError("ServerConfig.ram", "RAM must be positive");
   }
-  if (!(config.tap_bucket > Duration::Zero())) {
-    throw ConfigError("ServerConfig.tap_bucket", "tap bucket must be positive");
-  }
-  if (config.pager_throttle < Duration::Zero()) {
-    throw ConfigError("ServerConfig.pager_throttle", "pager throttle cannot be negative");
-  }
   Validate(config.faults);
   return config;
 }
@@ -71,7 +68,7 @@ Server::Server(Simulator& sim, OsProfile profile, ServerConfig config)
       cpu_(sim, profile_.MakeScheduler(), config_.cpu),
       disk_(sim, rng_.Fork(), config_.disk),
       pager_(sim, disk_, MakePagerConfig(profile_, config_)),
-      link_(sim, config_.link),
+      link_(sim),
       link_fault_(config_.faults.link.Any()
                       ? std::make_unique<LinkFaultInjector>(config_.faults.link,
                                                             config_.faults.seed)
@@ -82,7 +79,7 @@ Server::Server(Simulator& sim, OsProfile profile, ServerConfig config)
                       : nullptr),
       reliable_(link_fault_ != nullptr ? std::make_unique<ReliableChannel>(sim, link_)
                                        : nullptr),
-      tap_(config_.tap_bucket),
+      tap_(kTapBucket),
       fault_rng_(config_.faults.seed ^ 0xC0FFEEull) {
   if (link_fault_ != nullptr) {
     link_.SetFaultInjector(link_fault_.get());
@@ -137,9 +134,8 @@ Server::Server(Simulator& sim, OsProfile profile, ServerConfig config)
       // reliable channel's send-window fill fraction. Sampled into metrics.csv so
       // bufferbloat onset is visible in-run, not only in the post-hoc report ledger.
       config_.metrics->AddGauge("wan_queue_depth", [this] {
-        double frame =
-            static_cast<double>(config_.link.mtu.count() + config_.link.framing.count());
-        return static_cast<double>(link_.BacklogBytesAt(sim_.Now()).count()) / frame;
+        return static_cast<double>(link_.BacklogBytesAt(sim_.Now()).count()) /
+               static_cast<double>(kFullFrame.count());
       });
       config_.metrics->AddGauge("reliable_window_fill", [this] {
         return reliable_ != nullptr ? reliable_->WindowFill() : 0.0;
@@ -168,17 +164,16 @@ Server::Server(Simulator& sim, OsProfile profile, ServerConfig config)
   if (config_.degradation.enabled) {
     // Pressure = display-channel bytes not yet retired: the wire backlog plus (with a
     // reliable channel) everything sent but unacked, each frame billed at a full MTU.
-    Bytes frame = config_.link.mtu + config_.link.framing;
     degradation_ = std::make_unique<DegradationController>(
-        sim_, config_.degradation, [this, frame]() -> int64_t {
+        sim_, config_.degradation, [this]() -> int64_t {
           int64_t pressure = link_.BacklogBytesAt(sim_.Now()).count();
           if (reliable_ != nullptr) {
-            pressure += reliable_->frames_in_flight() * frame.count();
+            pressure += reliable_->frames_in_flight() * kFullFrame.count();
           }
           return pressure;
         });
-    degradation_->set_on_transition([this](int /*from*/, int to, TimePoint /*at*/) {
-      double scale = DegradedPayloadScale(to);
+    degradation_->set_on_transition([this](int /*from*/, int /*to*/, TimePoint /*at*/) {
+      double scale = 1.0 / degradation_->CacheBoost();
       for (const auto& s : sessions_) {
         if (!s->logged_out_) {
           s->protocol().SetDegradedPayloadScale(scale);
@@ -188,12 +183,6 @@ Server::Server(Simulator& sim, OsProfile profile, ServerConfig config)
     degradation_->Attach(emit_);
     degradation_->Start();
   }
-}
-
-double Server::DegradedPayloadScale(int level) const {
-  return level >= static_cast<int>(DegradationLevel::kHardCache)
-             ? 1.0 / config_.degradation.cache_boost
-             : 1.0;
 }
 
 void Server::StartDaemons() {
@@ -281,7 +270,7 @@ Session& Server::Login(bool light_session) {
   encoder.Attach(emit_);
   if (degradation_ != nullptr) {
     // A login mid-degradation joins the ladder at the current level.
-    encoder.SetDegradedPayloadScale(DegradedPayloadScale(degradation_->level()));
+    encoder.SetDegradedPayloadScale(1.0 / degradation_->CacheBoost());
   }
   if (config_.metrics != nullptr && !bitmap_gauge_registered_) {
     if (const BitmapCache* cache = s.proto_->cache()) {
@@ -338,7 +327,7 @@ Duration Server::InputTransitDelay() const {
   // Input rides the return direction: on an asymmetric WAN profile it serializes at the
   // (usually narrower) uplink rate.
   Bytes wire = Bytes::Of(64) + HeaderModel::TcpIp().WirePerPacket();
-  return queue + TransmissionDelay(wire, link_.UpRate()) + link_.config().propagation;
+  return queue + TransmissionDelay(wire, link_.UpRate()) + kPropagation;
 }
 
 void Server::Keystroke(Session& session) {
@@ -524,8 +513,8 @@ void Server::CompletePipeline(Session& session, int batch) {
   TimePoint delivered = emitted;
   Duration decode = Duration::Zero();
   if (client_ != nullptr) {
-    delivered = std::max(emitted, link_.busy_until()) + link_.config().propagation +
-                link_.last_wan_extra();
+    delivered =
+        std::max(emitted, link_.busy_until()) + kPropagation + link_.last_wan_extra();
     decode = client_->DecodeDelay(profile_.protocol_kind, session.update_payload_);
   }
   TimePoint painted = delivered + decode;
@@ -683,7 +672,7 @@ void Server::FireDisconnect() {
   }
   Disconnect(s);
   Session* sp = &s;
-  sim_.Schedule(config_.faults.session.reconnect_after, [this, sp] { Reconnect(*sp); });
+  sim_.Schedule(kReconnectAfter, [this, sp] { Reconnect(*sp); });
 }
 
 void Server::ScheduleNextDaemonCrash() {
@@ -708,8 +697,7 @@ void Server::FireDaemonCrash() {
   ++daemon_crashes_;
   emit_.Trace().Instant(TraceCategory::kFault, InternName("crash:" + rt.spec.name),
                         fault_track_, sim_.Now());
-  sim_.Schedule(config_.faults.session.daemon_restart_after,
-                [this, idx] { RestartDaemon(idx); });
+  sim_.Schedule(kDaemonRestartAfter, [this, idx] { RestartDaemon(idx); });
 }
 
 void Server::RestartDaemon(size_t daemon_idx) {

@@ -31,7 +31,6 @@ namespace tcs {
 
 struct ServerConfig {
   CpuConfig cpu;
-  LinkConfig link;
   // Swap partition: short seeks relative to the general-purpose default.
   DiskConfig disk = [] {
     DiskConfig d;
@@ -42,8 +41,6 @@ struct ServerConfig {
   }();
   Bytes ram = Bytes::MiB(64);  // the era's typical server memory
   EvictionPolicy eviction = EvictionPolicy::kGlobalLru;
-  Duration pager_throttle = Duration::Millis(20);
-  Duration tap_bucket = Duration::Seconds(1);
   uint64_t seed = 1;
   // Fault plan for this run. An empty (default) plan constructs no injectors, no reliable
   // channel, and consumes no random stream — behaviour is byte-identical to a build
@@ -248,8 +245,6 @@ class Server {
   void RestartDaemon(size_t daemon_idx);
   // Transit time of a small input message through the link right now (queue + wire).
   Duration InputTransitDelay() const;
-  // Bitmap payload scale pushed into protocols at `level` (1.0 below kHardCache).
-  double DegradedPayloadScale(int level) const;
   // Arms the plan's scheduled session disconnects / daemon crashes (ctor, when enabled).
   void ArmFaultSchedule();
   void ScheduleNextDisconnect();
@@ -301,8 +296,8 @@ class Server {
   Duration session_downtime_ = Duration::Zero();  // closed disconnect intervals
 };
 
-// Throws tcs::ConfigError on non-positive RAM or tap bucket, a negative pager throttle,
-// or an invalid fault plan. Returns the config. (RAM vs the profile's idle system memory
+// Throws tcs::ConfigError on non-positive RAM or an invalid fault plan. Returns the
+// config. (RAM vs the profile's idle system memory
 // is checked in the Server constructor, where the profile is known.)
 ServerConfig Validated(ServerConfig config);
 

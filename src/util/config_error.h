@@ -21,7 +21,7 @@ class ConfigError : public std::runtime_error {
         field_(std::move(field)),
         reason_(std::move(reason)) {}
 
-  // The dotted config field that failed validation, e.g. "LinkConfig.rate".
+  // The dotted config field that failed validation, e.g. "DiskConfig.transfer_rate".
   const std::string& field() const { return field_; }
   const std::string& reason() const { return reason_; }
 

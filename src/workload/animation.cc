@@ -32,10 +32,6 @@ void Animation::Stop() {
 }
 
 void Animation::DrawNextFrame() {
-  if (!config_.loop && frames_drawn_ >= config_.frame_count) {
-    task_.Stop();
-    return;
-  }
   const BitmapRef& frame = frames_[static_cast<size_t>(next_frame_)];
   next_frame_ = (next_frame_ + 1) % config_.frame_count;
   if (gate_ && !gate_()) {

@@ -1,9 +1,9 @@
 // Animated user-interface elements (§6.1.3): looping animated GIFs (banner ads), scrolling
 // marquees/tickers, and the parameterized frame-count animations of Figure 7.
 //
-// An Animation repeatedly draws the next frame of a cyclic frame set through a
-// DisplayProtocol. Frames are identified by content hash, so a protocol with a bitmap
-// cache (RDP) can serve repeats from the client while X/LBX must re-send pixels.
+// An Animation draws the next frame of a cyclic frame set through a DisplayProtocol,
+// looping until stopped. Frames are identified by content hash, so a protocol with a
+// bitmap cache (RDP) can serve repeats from the client while X/LBX must re-send pixels.
 
 #ifndef TCS_SRC_WORKLOAD_ANIMATION_H_
 #define TCS_SRC_WORKLOAD_ANIMATION_H_
@@ -25,7 +25,6 @@ struct AnimationConfig {
   int height = 60;  // the classic banner-ad geometry
   // RDP raster codec effectiveness on these pixels.
   double compression_ratio = 0.85;
-  bool loop = true;
 };
 
 class Animation {

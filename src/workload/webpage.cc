@@ -1,17 +1,27 @@
 #include "src/workload/webpage.h"
 
-#include <cassert>
-
 namespace tcs {
 
-Marquee::Marquee(Simulator& sim, DisplayProtocol& protocol, MarqueeConfig config)
-    : protocol_(protocol), config_(config), task_(sim, config.tick, [this] { Tick(); }) {
-  assert(config_.strip_count > 0);
-  strips_.reserve(static_cast<size_t>(config_.strip_count));
-  for (int s = 0; s < config_.strip_count; ++s) {
-    strips_.push_back(BitmapRef::Make((config_.id << 21) ^ static_cast<uint64_t>(s),
-                                      config_.width, config_.height,
-                                      config_.compression_ratio));
+namespace {
+
+// The ticker's bitmaps hash apart from the banner's (id 1) by this id.
+constexpr uint64_t kMarqueeId = 2;
+constexpr int kStripCount = 95;
+constexpr int kWidth = 468;
+constexpr int kHeight = 40;
+constexpr int kEdgeHeight = 2;
+constexpr Duration kTick = Duration::Millis(100);
+// RDP raster codec effectiveness on the ticker's pixels.
+constexpr double kCompressionRatio = 0.8;
+
+}  // namespace
+
+Marquee::Marquee(Simulator& sim, DisplayProtocol& protocol)
+    : protocol_(protocol), task_(sim, kTick, [this] { Tick(); }) {
+  strips_.reserve(static_cast<size_t>(kStripCount));
+  for (int s = 0; s < kStripCount; ++s) {
+    strips_.push_back(BitmapRef::Make((kMarqueeId << 21) ^ static_cast<uint64_t>(s),
+                                      kWidth, kHeight, kCompressionRatio));
   }
 }
 
@@ -34,14 +44,14 @@ void Marquee::Stop() {
 void Marquee::Tick() {
   ++ticks_;
   const BitmapRef& strip = strips_[static_cast<size_t>(next_strip_)];
-  next_strip_ = (next_strip_ + 1) % config_.strip_count;
+  next_strip_ = (next_strip_ + 1) % kStripCount;
   // Fresh pixels for the newly exposed edge column every tick, never cacheable.
-  BitmapRef edge = BitmapRef::Make((config_.id << 42) ^ ++edge_counter_, config_.width,
-                                   config_.edge_height, config_.compression_ratio);
+  BitmapRef edge = BitmapRef::Make((kMarqueeId << 42) ^ ++edge_counter_, kWidth,
+                                   kEdgeHeight, kCompressionRatio);
   // One batch per tick: scroll the band one step left, redraw from the cyclic strip set
   // (a bitmap cache holds these, in isolation), then paint the exposed edge column.
   const DrawCommand tick_draws[] = {
-      DrawCommand::CopyArea(config_.width, config_.height),
+      DrawCommand::CopyArea(kWidth, kHeight),
       DrawCommand::PutImage(strip),
       DrawCommand::PutImage(edge),
   };

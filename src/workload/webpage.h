@@ -19,24 +19,13 @@
 
 namespace tcs {
 
-struct MarqueeConfig {
-  uint64_t id = 2;
-  // The ticker band scrolls through this many distinct strip positions before repeating.
-  int strip_count = 95;
-  int width = 468;
-  int height = 40;
-  Duration tick = Duration::Millis(100);  // 10 Hz scroll
-  double compression_ratio = 0.8;
-  // Newly exposed column drawn each tick: always-new pixels (never cacheable).
-  int edge_height = 2;
-};
-
-// The scrolling news ticker: each tick blits the band sideways (CopyArea), redraws the
-// band from a cyclic strip set (cache-friendly in isolation), and paints the newly exposed
-// edge column (never cached).
+// The scrolling news ticker, a 468x40 band scrolling at 10 Hz: each tick blits the band
+// sideways (CopyArea), redraws the band from a cyclic set of 95 strips (cache-friendly in
+// isolation), and paints the newly exposed 2-pixel edge column (fresh pixels, never
+// cached).
 class Marquee {
  public:
-  Marquee(Simulator& sim, DisplayProtocol& protocol, MarqueeConfig config = {});
+  Marquee(Simulator& sim, DisplayProtocol& protocol);
 
   Marquee(const Marquee&) = delete;
   Marquee& operator=(const Marquee&) = delete;
@@ -52,7 +41,6 @@ class Marquee {
   void Tick();
 
   DisplayProtocol& protocol_;
-  MarqueeConfig config_;
   std::vector<BitmapRef> strips_;
   int next_strip_ = 0;
   uint64_t edge_counter_ = 0;

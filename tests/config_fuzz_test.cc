@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "src/core/admission.h"
 #include "src/fault/fault_plan.h"
 #include "src/mem/disk.h"
+#include "src/net/endpoint.h"
 #include "src/net/link.h"
 #include "src/session/server.h"
 #include "src/sim/random.h"
@@ -52,34 +54,24 @@ int64_t BadMagnitude(Rng& rng) {
   }
 }
 
+// The link path's one validated setting: the per-packet headers a sender counts must
+// leave payload room in the 1500-byte MTU.
 TEST_P(ConfigFuzz, InvalidLinkConfigsAlwaysThrow) {
   Rng rng(GetParam());
   for (int i = 0; i < 50; ++i) {
+    HeaderModel headers;
+    headers.tcp = Bytes::Of(rng.NextInt(0, 3000));
+    headers.ip = Bytes::Of(std::max<int64_t>(0, kMtu.count() - headers.tcp.count()) +
+                           rng.NextInt(0, 500));
     LinkConfig cfg;
-    switch (rng.NextInt(0, 4)) {
-      case 0:
-        cfg.rate = BitsPerSecond::Of(BadMagnitude(rng));
-        break;
-      case 1:
-        cfg.mtu = Bytes::Of(BadMagnitude(rng));
-        break;
-      case 2:
-        cfg.propagation = Duration::Micros(-rng.NextInt(1, 100000));
-        break;
-      case 3:
-        cfg.load_bucket = Duration::Micros(BadMagnitude(rng));
-        break;
-      default:
-        cfg.csma_cd = true;
-        cfg.backoff_slot = Duration::Micros(BadMagnitude(rng));
-        break;
-    }
+    cfg.csma_cd = rng.NextBool(0.5);
     ExpectConfigError(
         [&] {
           Simulator sim;
           Link link(sim, cfg);
+          MessageSender sender(link, headers);
         },
-        "LinkConfig");
+        "HeaderModel");
   }
 }
 
@@ -87,16 +79,10 @@ TEST_P(ConfigFuzz, InvalidDiskConfigsAlwaysThrow) {
   Rng rng(GetParam());
   for (int i = 0; i < 50; ++i) {
     DiskConfig cfg;
-    switch (rng.NextInt(0, 2)) {
-      case 0:
-        cfg.transfer_rate = BitsPerSecond::Of(BadMagnitude(rng));
-        break;
-      case 1:
-        cfg.page_size = Bytes::Of(BadMagnitude(rng));
-        break;
-      default:
-        cfg.positioning_mean = Duration::Micros(-rng.NextInt(1, 100000));
-        break;
+    if (rng.NextBool(0.5)) {
+      cfg.transfer_rate = BitsPerSecond::Of(BadMagnitude(rng));
+    } else {
+      cfg.positioning_mean = Duration::Micros(-rng.NextInt(1, 100000));
     }
     ExpectConfigError(
         [&] {
@@ -137,9 +123,8 @@ TEST_P(ConfigFuzz, InvalidFaultPlansAlwaysThrow) {
           plan.link.flap_duration = Duration::Millis(50);
         }
         break;
-      default:  // disconnects enabled with a non-positive reconnect delay
-        plan.session.disconnect_every = Duration::Seconds(5);
-        plan.session.reconnect_after = Duration::Micros(BadMagnitude(rng));
+      default:  // a WAN profile that delivers frames before they are sent
+        plan.link.wan.extra_delay = Duration::Micros(-rng.NextInt(1, 100000));
         break;
     }
     ExpectConfigError([&] { Validate(plan); }, "FaultPlan");
@@ -160,17 +145,7 @@ TEST_P(ConfigFuzz, InvalidServerConfigsAlwaysThrow) {
   Rng rng(GetParam());
   for (int i = 0; i < 30; ++i) {
     ServerConfig cfg;
-    switch (rng.NextInt(0, 2)) {
-      case 0:
-        cfg.ram = Bytes::Of(BadMagnitude(rng));
-        break;
-      case 1:
-        cfg.tap_bucket = Duration::Micros(BadMagnitude(rng));
-        break;
-      default:
-        cfg.pager_throttle = Duration::Micros(-rng.NextInt(1, 100000));
-        break;
-    }
+    cfg.ram = Bytes::Of(BadMagnitude(rng));
     ExpectConfigError(
         [&] {
           Simulator sim;

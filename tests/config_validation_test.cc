@@ -11,8 +11,6 @@
 #include "src/mem/disk.h"
 #include "src/net/endpoint.h"
 #include "src/net/link.h"
-#include "src/obs/flight_recorder.h"
-#include "src/obs/slo.h"
 #include "src/session/server.h"
 #include "src/util/config_error.h"
 #include "src/workload/memory_hog.h"
@@ -32,44 +30,14 @@ ConfigError Catch(Fn make) {
   return ConfigError("none", "none");
 }
 
-TEST(ConfigValidationTest, LinkRejectsZeroRate) {
-  LinkConfig cfg;
-  cfg.rate = BitsPerSecond::Of(0);
-  Simulator sim;
-  ConfigError e = Catch([&] { Link link(sim, cfg); });
-  EXPECT_EQ(e.field(), "LinkConfig.rate");
-}
-
-TEST(ConfigValidationTest, LinkRejectsNonPositiveMtu) {
-  LinkConfig cfg;
-  cfg.mtu = Bytes::Zero();
-  Simulator sim;
-  EXPECT_EQ(Catch([&] { Link link(sim, cfg); }).field(), "LinkConfig.mtu");
-}
-
-TEST(ConfigValidationTest, LinkRejectsNegativePropagation) {
-  LinkConfig cfg;
-  cfg.propagation = Duration::Micros(-1);
-  Simulator sim;
-  EXPECT_EQ(Catch([&] { Link link(sim, cfg); }).field(), "LinkConfig.propagation");
-}
-
-TEST(ConfigValidationTest, LinkRejectsZeroBackoffSlotWithCsmaCd) {
-  LinkConfig cfg;
-  cfg.csma_cd = true;
-  cfg.backoff_slot = Duration::Zero();
-  Simulator sim;
-  EXPECT_EQ(Catch([&] { Link link(sim, cfg); }).field(), "LinkConfig.backoff_slot");
-}
-
 TEST(ConfigValidationTest, SenderRejectsMtuSmallerThanHeaders) {
-  // TCP/IP costs 40 B per packet; an MTU of 40 leaves no payload room.
-  LinkConfig cfg;
-  cfg.mtu = Bytes::Of(40);
+  // 1,480 B of TCP and 20 B of IP per packet fill the 1,500-byte MTU: no payload room.
+  HeaderModel headers;
+  headers.tcp = Bytes::Of(1480);
   Simulator sim;
-  Link link(sim, cfg);
-  ConfigError e = Catch([&] { MessageSender sender(link, HeaderModel::TcpIp()); });
-  EXPECT_EQ(e.field(), "LinkConfig.mtu");
+  Link link(sim);
+  ConfigError e = Catch([&] { MessageSender sender(link, headers); });
+  EXPECT_EQ(e.field(), "HeaderModel");
   EXPECT_NE(std::string(e.what()).find("MTU"), std::string::npos);
 }
 
@@ -79,13 +47,6 @@ TEST(ConfigValidationTest, DiskRejectsZeroTransferRate) {
   Simulator sim;
   EXPECT_EQ(Catch([&] { Disk disk(sim, Rng(1), cfg); }).field(),
             "DiskConfig.transfer_rate");
-}
-
-TEST(ConfigValidationTest, DiskRejectsZeroPageSize) {
-  DiskConfig cfg;
-  cfg.page_size = Bytes::Zero();
-  Simulator sim;
-  EXPECT_EQ(Catch([&] { Disk disk(sim, Rng(1), cfg); }).field(), "DiskConfig.page_size");
 }
 
 TEST(ConfigValidationTest, MemoryHogRejectsEmptyRegion) {
@@ -109,29 +70,6 @@ TEST(ConfigValidationTest, MemoryHogRejectsNonPositiveTouchTime) {
   cfg.touch_cpu = Duration::Micros(-5);
   EXPECT_EQ(Catch([&] { MemoryHog hog(sim, pager, cfg); }).field(),
             "MemoryHogConfig.touch_cpu");
-}
-
-TEST(ConfigValidationTest, SloWatchdogRejectsNonPositiveCheckPeriod) {
-  // Zero re-ran the live checks at one instant forever; negative scheduled them in the
-  // past.
-  Simulator sim;
-  FlightRecorder recorder;
-  for (Duration period : {Duration::Zero(), Duration::Millis(-100)}) {
-    SloSpec spec;
-    spec.max_worst_p99_ms = 100.0;
-    spec.check_period = period;
-    EXPECT_EQ(Catch([&] { SloWatchdog watchdog(sim, spec, &recorder, nullptr, nullptr); })
-                  .field(),
-              "SloSpec.check_period");
-  }
-}
-
-TEST(ConfigValidationTest, FlightRecorderRejectsCapacityBeyondSizeT) {
-  // Rounding this up to a power of two used to wrap to zero and spin forever.
-  FlightRecorderConfig cfg;
-  cfg.capacity = (size_t{1} << 63) + 1;
-  EXPECT_EQ(Catch([&] { FlightRecorder recorder(cfg); }).field(),
-            "FlightRecorderConfig.capacity");
 }
 
 TEST(ConfigValidationTest, SchedulersRejectZeroQuantum) {
@@ -215,10 +153,10 @@ TEST(ConfigValidationTest, FaultPlanRejectionSurfacesThroughServerConfig) {
 }
 
 TEST(ConfigValidationTest, ErrorMessageNamesFieldAndReason) {
-  ConfigError e("LinkConfig.rate", "rate must be positive");
-  EXPECT_EQ(e.field(), "LinkConfig.rate");
+  ConfigError e("DiskConfig.transfer_rate", "rate must be positive");
+  EXPECT_EQ(e.field(), "DiskConfig.transfer_rate");
   EXPECT_EQ(e.reason(), "rate must be positive");
-  EXPECT_STREQ(e.what(), "LinkConfig.rate: rate must be positive");
+  EXPECT_STREQ(e.what(), "DiskConfig.transfer_rate: rate must be positive");
 }
 
 }  // namespace

@@ -11,7 +11,6 @@ DiskConfig FixedTimingConfig() {
   cfg.positioning_stddev = Duration::Zero();  // deterministic for exact assertions
   cfg.positioning_min = Duration::Millis(2);
   cfg.transfer_rate = BitsPerSecond::Mbps(40);  // 4 KiB page -> 820 us (rounded up)
-  cfg.sequential_positioning_factor = 0.1;
   return cfg;
 }
 

@@ -57,22 +57,21 @@ TEST(SessionFlowTest, OverAReliableChannelShedSendsNeverCount) {
   Link link(sim);
   LinkFaultInjector injector(Lossy(0.3), 9);
   link.SetFaultInjector(&injector);
-  ReliableChannelConfig cfg;
-  cfg.window_frames = 8;
-  ReliableChannel channel(sim, link, cfg);
+  ReliableChannel channel(sim, link);
   SessionFlow flow(channel);
-  for (int i = 0; i < 20; ++i) {
+  // Twelve sends past the channel's 4,096-frame window.
+  for (int i = 0; i < 4108; ++i) {
     flow.Send(Bytes::Of(kSendBytes));
   }
   sim.RunFor(Duration::Seconds(30));
 
-  EXPECT_EQ(flow.sends(), 20);
+  EXPECT_EQ(flow.sends(), 4108);
   EXPECT_EQ(channel.frames_shed(), 12);
   EXPECT_GT(channel.retransmissions(), 0);
   EXPECT_EQ(channel.frames_abandoned(), 0);
   // Recovered losses count once, at their in-order release; shed sends never do.
-  EXPECT_EQ(channel.frames_delivered(), 8);
-  EXPECT_EQ(flow.delivered(), 8);
+  EXPECT_EQ(channel.frames_delivered(), 4096);
+  EXPECT_EQ(flow.delivered(), 4096);
 }
 
 // A caller's delivery callback rides through the flow: it fires exactly once per

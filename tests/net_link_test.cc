@@ -7,16 +7,9 @@
 namespace tcs {
 namespace {
 
-LinkConfig TenMbps() {
-  LinkConfig cfg;
-  cfg.rate = BitsPerSecond::Mbps(10);
-  cfg.propagation = Duration::Micros(50);
-  return cfg;
-}
-
 TEST(LinkTest, SingleFrameLatencyIsSerializationPlusPropagation) {
   Simulator sim;
-  Link link(sim, TenMbps());
+  Link link(sim);
   TimePoint delivered;
   link.Send(Bytes::Of(1500), [&] { delivered = sim.Now(); });
   sim.Run();
@@ -26,7 +19,7 @@ TEST(LinkTest, SingleFrameLatencyIsSerializationPlusPropagation) {
 
 TEST(LinkTest, FramesSerializeFifo) {
   Simulator sim;
-  Link link(sim, TenMbps());
+  Link link(sim);
   TimePoint first;
   TimePoint second;
   link.Send(Bytes::Of(1500), [&] { first = sim.Now(); });
@@ -38,7 +31,7 @@ TEST(LinkTest, FramesSerializeFifo) {
 
 TEST(LinkTest, QueueDelayRecorded) {
   Simulator sim;
-  Link link(sim, TenMbps());
+  Link link(sim);
   link.Send(Bytes::Of(1500));
   link.Send(Bytes::Of(1500));
   sim.Run();
@@ -49,7 +42,7 @@ TEST(LinkTest, QueueDelayRecorded) {
 
 TEST(LinkTest, CarriedBytesAndFrames) {
   Simulator sim;
-  Link link(sim, TenMbps());
+  Link link(sim);
   link.Send(Bytes::Of(100));
   link.Send(Bytes::Of(200));
   EXPECT_EQ(link.frames_sent(), 2);
@@ -58,9 +51,7 @@ TEST(LinkTest, CarriedBytesAndFrames) {
 
 TEST(LinkTest, LoadSeriesAccumulatesBytes) {
   Simulator sim;
-  LinkConfig cfg = TenMbps();
-  cfg.load_bucket = Duration::Millis(1);
-  Link link(sim, cfg);
+  Link link(sim);
   link.Send(Bytes::Of(1250));  // 1 ms serialization exactly
   sim.Run();
   EXPECT_NEAR(link.load_series().TotalSum(), 1250.0, 1e-9);
@@ -68,7 +59,7 @@ TEST(LinkTest, LoadSeriesAccumulatesBytes) {
 
 TEST(LinkTest, UtilizationOverWindow) {
   Simulator sim;
-  Link link(sim, TenMbps());
+  Link link(sim);
   // 1.25 MB over one second at 10 Mbps = 100% utilization.
   for (int i = 0; i < 1000; ++i) {
     link.Send(Bytes::Of(1250));
@@ -82,7 +73,7 @@ TEST(LinkTest, UtilizationOverWindow) {
 
 TEST(LinkFragmentationTest, SendAtMtuPlusFramingIsOneFrame) {
   Simulator sim;
-  Link link(sim, TenMbps());
+  Link link(sim);
   // 1500 MTU + 18 framing: the largest legal single frame must NOT fragment — existing
   // full-size protocol packets (1460 payload + 58 headers + 18 framing) depend on it.
   link.Send(Bytes::Of(1518));
@@ -92,7 +83,7 @@ TEST(LinkFragmentationTest, SendAtMtuPlusFramingIsOneFrame) {
 
 TEST(LinkFragmentationTest, OversizedSendSplitsIntoMtuBoundedFrames) {
   Simulator sim;
-  Link link(sim, TenMbps());
+  Link link(sim);
   TimePoint delivered;
   // 4000 B over a 1518 B max frame = 1518 + 1518 + 964.
   link.Send(Bytes::Of(4000), [&] { delivered = sim.Now(); });
@@ -107,7 +98,7 @@ TEST(LinkFragmentationTest, OversizedSendSplitsIntoMtuBoundedFrames) {
 
 TEST(LinkFragmentationTest, FragmentsCountIndividually) {
   Simulator sim;
-  Link link(sim, TenMbps());
+  Link link(sim);
   link.Send(Bytes::Of(1519));  // one byte over: two frames
   sim.Run();
   EXPECT_EQ(link.frames_sent(), 2);
@@ -120,8 +111,6 @@ TEST(LinkFragmentationTest, FragmentsCountIndividually) {
 
 LinkConfig CsmaCd(uint64_t seed) {
   LinkConfig cfg;
-  cfg.rate = BitsPerSecond::Mbps(10);
-  cfg.propagation = Duration::Micros(50);
   cfg.csma_cd = true;
   cfg.seed = seed;
   return cfg;

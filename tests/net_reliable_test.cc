@@ -15,16 +15,9 @@
 namespace tcs {
 namespace {
 
-LinkConfig TenMbps() {
-  LinkConfig cfg;
-  cfg.rate = BitsPerSecond::Mbps(10);
-  cfg.propagation = Duration::Micros(50);
-  return cfg;
-}
-
 TEST(ReliableChannelTest, HealthyLinkDeliversWithLinkTiming) {
   Simulator sim;
-  Link link(sim, TenMbps());
+  Link link(sim);
   ReliableChannel channel(sim, link);
   TimePoint delivered;
   channel.Send(Bytes::Of(1500), [&] { delivered = sim.Now(); });
@@ -40,7 +33,7 @@ TEST(ReliableChannelTest, HealthyLinkDeliversWithLinkTiming) {
 
 TEST(ReliableChannelTest, HealthyLinkReleasesInOrder) {
   Simulator sim;
-  Link link(sim, TenMbps());
+  Link link(sim);
   ReliableChannel channel(sim, link);
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
@@ -52,7 +45,7 @@ TEST(ReliableChannelTest, HealthyLinkReleasesInOrder) {
 
 TEST(ReliableChannelTest, RecoversEveryFrameUnderLoss) {
   Simulator sim;
-  Link link(sim, TenMbps());
+  Link link(sim);
   LinkFaultPlan plan;
   plan.loss_rate = 0.3;
   LinkFaultInjector injector(plan, 99);
@@ -77,7 +70,7 @@ TEST(ReliableChannelTest, RecoversEveryFrameUnderLoss) {
 
 TEST(ReliableChannelTest, CountersReconcileAgainstLinkLedger) {
   Simulator sim;
-  Link link(sim, TenMbps());
+  Link link(sim);
   LinkFaultPlan plan;
   plan.loss_rate = 0.25;
   LinkFaultInjector injector(plan, 7);
@@ -99,7 +92,7 @@ TEST(ReliableChannelTest, CountersReconcileAgainstLinkLedger) {
 
 TEST(ReliableChannelTest, RecoversAcrossScriptedOutage) {
   Simulator sim;
-  Link link(sim, TenMbps());
+  Link link(sim);
   LinkFaultPlan plan;
   // 100 ms blackout starting at t=10ms: frames sent into it are swallowed and must be
   // retransmitted after it lifts.
@@ -127,7 +120,7 @@ TEST(ReliableChannelTest, RecoversAcrossScriptedOutage) {
 
 TEST(ReliableChannelTest, SrttSamplesOnCleanExchanges) {
   Simulator sim;
-  Link link(sim, TenMbps());
+  Link link(sim);
   ReliableChannel channel(sim, link);
   EXPECT_EQ(channel.srtt(), Duration::Zero());
   for (int i = 0; i < 10; ++i) {
@@ -142,7 +135,7 @@ TEST(ReliableChannelTest, SrttSamplesOnCleanExchanges) {
 TEST(ReliableChannelTest, DeterministicAcrossReruns) {
   auto run = [] {
     Simulator sim;
-    Link link(sim, TenMbps());
+    Link link(sim);
     LinkFaultPlan plan;
     plan.loss_rate = 0.2;
     LinkFaultInjector injector(plan, 1234);
@@ -160,18 +153,19 @@ TEST(ReliableChannelTest, DeterministicAcrossReruns) {
 
 TEST(ReliableChannelTest, AbandonsAfterMaxAttemptsOnDeadLink) {
   Simulator sim;
-  Link link(sim, TenMbps());
+  Link link(sim);
   LinkFaultPlan plan;
   plan.loss_rate = 0.999999;  // effectively dead, but Validate() would accept it
   LinkFaultInjector injector(plan, 5);
   link.SetFaultInjector(&injector);
-  ReliableChannelConfig cfg;
-  cfg.max_attempts = 4;
-  ReliableChannel channel(sim, link, cfg);
+  ReliableChannel channel(sim, link);
 
   bool fired = false;
   channel.Send(Bytes::Of(1000), [&] { fired = true; });
   sim.Run();
+  // 24 attempts, then the frame is given up on.
+  EXPECT_EQ(link.frames_sent(), 24);
+  EXPECT_EQ(channel.retransmissions(), 23);
   EXPECT_EQ(channel.frames_abandoned(), 1);
   EXPECT_FALSE(fired);  // abandoned frames never pretend to deliver
 }

@@ -9,7 +9,6 @@
 #include "src/fault/fault_injector.h"
 #include "src/net/link.h"
 #include "src/net/reliable.h"
-#include "src/util/config_error.h"
 
 namespace tcs {
 namespace {
@@ -72,12 +71,12 @@ TEST(GilbertElliottTest, EmptyWanPlanStaysInert) {
 }
 
 TEST(WanLinkTest, DownRateOverridesSerializationExactly) {
-  // A 10 Mbps link under a 2 Mbps WAN downlink must deliver exactly like a plain
-  // 2 Mbps link (no extra delay, no jitter, no loss configured).
-  Simulator sim_wan;
-  LinkConfig cfg;
-  cfg.rate = BitsPerSecond::Mbps(10);
-  Link wan_link(sim_wan, cfg);
+  // The 10 Mbps link under a 2 Mbps WAN downlink must deliver exactly as a plain 2 Mbps
+  // link would (no extra delay, no jitter, no loss configured): serialization at 2 Mbps
+  // plus the 50 us propagation.
+  Simulator sim;
+  Link wan_link(sim);
+  EXPECT_EQ(wan_link.DownRate().bps(), BitsPerSecond::Mbps(10).bps());
   LinkFaultPlan plan;
   plan.wan.down_rate = BitsPerSecond::Mbps(2);
   plan.wan.up_rate = BitsPerSecond::Kbps(256);
@@ -86,19 +85,12 @@ TEST(WanLinkTest, DownRateOverridesSerializationExactly) {
   EXPECT_EQ(wan_link.DownRate().bps(), BitsPerSecond::Mbps(2).bps());
   EXPECT_EQ(wan_link.UpRate().bps(), BitsPerSecond::Kbps(256).bps());
 
-  Simulator sim_lan;
-  LinkConfig slow = cfg;
-  slow.rate = BitsPerSecond::Mbps(2);
-  Link lan_link(sim_lan, slow);
-  EXPECT_EQ(lan_link.DownRate().bps(), BitsPerSecond::Mbps(2).bps());
-
   TimePoint wan_delivered;
-  TimePoint lan_delivered;
-  wan_link.Send(Bytes::Of(1200), [&] { wan_delivered = sim_wan.Now(); });
-  lan_link.Send(Bytes::Of(1200), [&] { lan_delivered = sim_lan.Now(); });
-  sim_wan.RunFor(Duration::Seconds(1));
-  sim_lan.RunFor(Duration::Seconds(1));
-  EXPECT_EQ(wan_delivered, lan_delivered);
+  wan_link.Send(Bytes::Of(1200), [&] { wan_delivered = sim.Now(); });
+  sim.RunFor(Duration::Seconds(1));
+  EXPECT_EQ(wan_delivered, TimePoint::Zero() +
+                               TransmissionDelay(Bytes::Of(1200), BitsPerSecond::Mbps(2)) +
+                               kPropagation);
   EXPECT_GT(wan_delivered, TimePoint::Zero());
 }
 
@@ -131,9 +123,7 @@ TEST(WanLinkTest, ExtraDelayAndJitterShiftDeliveryDeterministically) {
 
 TEST(WanLinkTest, DropTailBoundsTheBufferbloatQueue) {
   Simulator sim;
-  LinkConfig cfg;
-  cfg.rate = BitsPerSecond::Mbps(10);
-  Link link(sim, cfg);
+  Link link(sim);
   LinkFaultPlan plan;
   plan.wan.down_rate = BitsPerSecond::Mbps(1);
   plan.wan.queue_bytes = Bytes::KiB(2);
@@ -145,7 +135,7 @@ TEST(WanLinkTest, DropTailBoundsTheBufferbloatQueue) {
     link.Send(Bytes::Of(1000), [&delivered] { ++delivered; });
     // The backlog never exceeds the bound by more than the one frame being accepted.
     EXPECT_LE(link.BacklogBytesAt(sim.Now()).count(),
-              plan.wan.queue_bytes.count() + 1000 + cfg.framing.count());
+              plan.wan.queue_bytes.count() + 1000 + kEthernetFraming.count());
   }
   sim.RunFor(Duration::Seconds(5));
   EXPECT_GT(link.wan_queue_drops(), 0);
@@ -159,65 +149,24 @@ TEST(WanLinkTest, DropTailBoundsTheBufferbloatQueue) {
 TEST(ReliableWindowTest, FullWindowShedsAtTheDoor) {
   Simulator sim;
   Link link(sim);
-  ReliableChannelConfig cfg;
-  cfg.window_frames = 4;
-  ReliableChannel channel(sim, link, cfg);
+  ReliableChannel channel(sim, link);
 
   int64_t delivered = 0;
-  for (int i = 0; i < 10; ++i) {
+  for (int i = 0; i < 4106; ++i) {
     channel.Send(Bytes::Of(200), [&delivered] { ++delivered; });
   }
-  // Four accepted (in flight), six refused before getting a sequence number.
-  EXPECT_EQ(channel.frames_sent(), 4);
-  EXPECT_EQ(channel.frames_shed(), 6);
-  EXPECT_EQ(channel.frames_in_flight(), 4);
+  // The 4,096-frame window accepted (in flight), ten refused before getting a sequence
+  // number.
+  EXPECT_EQ(channel.frames_sent(), 4096);
+  EXPECT_EQ(channel.frames_shed(), 10);
+  EXPECT_EQ(channel.frames_in_flight(), 4096);
   EXPECT_TRUE(channel.InBackpressure());
 
   sim.RunFor(Duration::Seconds(2));
-  EXPECT_EQ(channel.frames_delivered(), 4);
-  EXPECT_EQ(delivered, 4);  // shed frames never fire their callbacks
+  EXPECT_EQ(channel.frames_delivered(), 4096);
+  EXPECT_EQ(delivered, 4096);  // shed frames never fire their callbacks
   EXPECT_EQ(channel.frames_in_flight(), 0);
   EXPECT_DOUBLE_EQ(channel.WindowFill(), 0.0);
-}
-
-TEST(ReliableWindowTest, UnboundedWindowNeverSheds) {
-  Simulator sim;
-  Link link(sim);
-  ReliableChannelConfig cfg;
-  cfg.window_frames = 0;  // explicit opt-out
-  ReliableChannel channel(sim, link, cfg);
-  for (int i = 0; i < 100; ++i) {
-    channel.Send(Bytes::Of(200));
-  }
-  EXPECT_EQ(channel.frames_shed(), 0);
-  EXPECT_DOUBLE_EQ(channel.WindowFill(), 0.0);
-  EXPECT_FALSE(channel.InBackpressure());
-  sim.RunFor(Duration::Seconds(2));
-  EXPECT_EQ(channel.frames_delivered(), 100);
-}
-
-TEST(ReliableWindowTest, ConfigValidationRejectsBrokenConfigs) {
-  ReliableChannelConfig cfg;
-  cfg.min_rto = Duration::Zero();
-  EXPECT_THROW(Validated(cfg), ConfigError);
-
-  cfg = ReliableChannelConfig{};
-  cfg.max_rto = cfg.min_rto - Duration::Millis(1);
-  EXPECT_THROW(Validated(cfg), ConfigError);
-
-  cfg = ReliableChannelConfig{};
-  cfg.max_attempts = 0;
-  EXPECT_THROW(Validated(cfg), ConfigError);
-
-  cfg = ReliableChannelConfig{};
-  cfg.ack_bytes = Bytes::Zero();
-  EXPECT_THROW(Validated(cfg), ConfigError);
-
-  cfg = ReliableChannelConfig{};
-  cfg.window_frames = -1;
-  EXPECT_THROW(Validated(cfg), ConfigError);
-
-  EXPECT_NO_THROW(Validated(ReliableChannelConfig{}));
 }
 
 }  // namespace

@@ -83,10 +83,11 @@ std::vector<Kept> FromTracer(const Tracer& tracer, const std::set<std::string>& 
   return kept;
 }
 
-// The ring records whose name is in `names`, in append order (freezes the recorder).
-std::vector<Kept> FromRing(FlightRecorder& recorder, TimePoint now,
-                           const std::set<std::string>& names) {
-  recorder.Freeze(now);
+// The ring records whose name is in `names`, in append order. Freezing at time zero
+// keeps the whole run: the window reaches back from the freeze, and every record is
+// stamped at or after it.
+std::vector<Kept> FromRing(FlightRecorder& recorder, const std::set<std::string>& names) {
+  recorder.Freeze(TimePoint::Zero());
   std::vector<Kept> kept;
   for (const FlightRecord& r : recorder.frozen_window()) {
     if (names.count(r.name) != 0) {
@@ -97,17 +98,10 @@ std::vector<Kept> FromRing(FlightRecorder& recorder, TimePoint now,
   return kept;
 }
 
-// A ring that keeps the whole run.
-FlightRecorderConfig WholeRun() {
-  FlightRecorderConfig cfg;
-  cfg.window = Duration::Seconds(3600);
-  return cfg;
-}
-
-void ExpectSinksAgree(const Tracer& tracer, FlightRecorder& recorder, TimePoint now,
+void ExpectSinksAgree(const Tracer& tracer, FlightRecorder& recorder,
                       const std::set<std::string>& names) {
   std::vector<Kept> traced = FromTracer(tracer, names);
-  std::vector<Kept> ringed = FromRing(recorder, now, names);
+  std::vector<Kept> ringed = FromRing(recorder, names);
   for (const std::string& name : names) {
     EXPECT_TRUE(std::any_of(traced.begin(), traced.end(),
                             [&name](const Kept& k) { return k.name == name; }))
@@ -121,7 +115,7 @@ void ExpectSinksAgree(const Tracer& tracer, FlightRecorder& recorder, TimePoint 
 TEST(EmitterTest, CpuSegmentsAndPreemptionsReachBothSinksAlike) {
   Simulator sim;
   Tracer tracer;
-  FlightRecorder recorder(WholeRun());
+  FlightRecorder recorder;
   Cpu cpu(sim, std::make_unique<NtScheduler>());
   Thread* sink = cpu.CreateThread("sink", ThreadClass::kBatch, kNtBackgroundPriority);
   cpu.Attach(Emitter(&tracer, &recorder));
@@ -131,13 +125,13 @@ TEST(EmitterTest, CpuSegmentsAndPreemptionsReachBothSinksAlike) {
     cpu.PostWork(*gui, Duration::Millis(2), nullptr, WakeReason::kInputEvent);
   });
   sim.Run();
-  ExpectSinksAgree(tracer, recorder, sim.Now(), {"sink", "gui", "preempt"});
+  ExpectSinksAgree(tracer, recorder, {"sink", "gui", "preempt"});
 }
 
 TEST(EmitterTest, PageInReachesBothSinksAlike) {
   Simulator sim;
   Tracer tracer;
-  FlightRecorder recorder(WholeRun());
+  FlightRecorder recorder;
   Disk disk(sim, Rng(1));
   PagerConfig cfg;
   cfg.total_frames = 16;
@@ -148,17 +142,15 @@ TEST(EmitterTest, PageInReachesBothSinksAlike) {
   pager.MarkSwappedOut(*as, 0, 4);
   pager.AccessRange(*as, 0, 4, false, nullptr);
   sim.Run();
-  ExpectSinksAgree(tracer, recorder, sim.Now(), {"page-in"});
+  ExpectSinksAgree(tracer, recorder, {"page-in"});
 }
 
 // A lossy WAN link with a small bufferbloat queue: delivered, lost and dropped frames.
 TEST(EmitterTest, LinkFramesReachBothSinksAlike) {
   Simulator sim;
   Tracer tracer;
-  FlightRecorder recorder(WholeRun());
-  LinkConfig cfg;
-  cfg.rate = BitsPerSecond::Mbps(10);
-  Link link(sim, cfg);
+  FlightRecorder recorder;
+  Link link(sim);
   LinkFaultPlan plan;
   plan.loss_rate = 0.3;
   plan.wan.down_rate = BitsPerSecond::Mbps(1);
@@ -170,54 +162,52 @@ TEST(EmitterTest, LinkFramesReachBothSinksAlike) {
     link.Send(Bytes::Of(1000));
   }
   sim.RunFor(Duration::Seconds(5));
-  ExpectSinksAgree(tracer, recorder, sim.Now(), {"frame", "frame-lost", "frame-dropped"});
+  ExpectSinksAgree(tracer, recorder, {"frame", "frame-lost", "frame-dropped"});
 }
 
-// A lossy link under a 4-frame send window (as in ReliableWindowTest.
+// A lossy link past the 4,096-frame send window (as in ReliableWindowTest.
 // FullWindowShedsAtTheDoor): retransmissions, and frames shed at the door.
 TEST(EmitterTest, RetransmitAndShedReachBothSinksAlike) {
   Simulator sim;
   Tracer tracer;
-  FlightRecorder recorder(WholeRun());
+  FlightRecorder recorder;
   Link link(sim);
   LinkFaultPlan plan;
   plan.loss_rate = 0.3;
   LinkFaultInjector injector(plan, 3);
   link.SetFaultInjector(&injector);
-  ReliableChannelConfig cfg;
-  cfg.window_frames = 4;
-  ReliableChannel channel(sim, link, cfg);
+  ReliableChannel channel(sim, link);
   channel.Attach(Emitter(&tracer, &recorder));
-  for (int i = 0; i < 10; ++i) {
-    channel.Send(Bytes::Of(200 + i));
+  for (int i = 0; i < 4106; ++i) {
+    channel.Send(Bytes::Of(200 + i % 10));
   }
   sim.RunFor(Duration::Seconds(5));
-  ExpectSinksAgree(tracer, recorder, sim.Now(), {"retransmit", "frame-shed"});
+  ExpectSinksAgree(tracer, recorder, {"retransmit", "frame-shed"});
 }
 
 // Pressure past two level steps, then none: one upshift and the hysteretic way down.
 TEST(EmitterTest, DegradationTransitionsReachBothSinksAlike) {
   Simulator sim;
   Tracer tracer;
-  FlightRecorder recorder(WholeRun());
+  FlightRecorder recorder;
   DegradationConfig cfg;
   cfg.enabled = true;
   int64_t pressure = 0;
   DegradationController ladder(sim, cfg, [&pressure] { return pressure; });
   ladder.Attach(Emitter(&tracer, &recorder));
-  ladder.Start();
-  sim.Schedule(Duration::Millis(150), [&] { pressure = Bytes::KiB(100).count(); });
-  sim.Schedule(Duration::Millis(450), [&] { pressure = 0; });
-  sim.RunFor(Duration::Seconds(3));
+  ladder.Start();  // first poll at 2 s
+  sim.Schedule(Duration::Millis(2150), [&] { pressure = Bytes::KiB(100).count(); });
+  sim.Schedule(Duration::Millis(2450), [&] { pressure = 0; });
+  sim.RunFor(Duration::Seconds(5));
   ladder.Stop();
-  ExpectSinksAgree(tracer, recorder, sim.Now(), {"degrade", "recover"});
+  ExpectSinksAgree(tracer, recorder, {"degrade", "recover"});
 }
 
 // Keystrokes into the second of two sessions: the spans carry the session's id.
 TEST(EmitterTest, KeystrokeSpansReachBothSinksAlike) {
   Simulator sim;
   Tracer tracer;
-  FlightRecorder recorder(WholeRun());
+  FlightRecorder recorder;
   ServerConfig cfg;
   cfg.tracer = &tracer;
   cfg.recorder = &recorder;
@@ -228,7 +218,7 @@ TEST(EmitterTest, KeystrokeSpansReachBothSinksAlike) {
   server.Keystroke(typist);
   server.Keystroke(typist);
   sim.RunFor(Duration::Seconds(1));
-  ExpectSinksAgree(tracer, recorder, sim.Now(), {"input-net", "keystroke-batch"});
+  ExpectSinksAgree(tracer, recorder, {"input-net", "keystroke-batch"});
 }
 
 }  // namespace

@@ -11,46 +11,32 @@ namespace {
 
 TimePoint Us(int64_t us) { return TimePoint::FromMicros(us); }
 
-TEST(FlightRecorderTest, CapacityRoundsUpToAPowerOfTwo) {
-  FlightRecorderConfig cfg;
-  cfg.capacity = 1;
-  FlightRecorder recorder(cfg);
-  EXPECT_EQ(recorder.capacity(), 1024u);  // floor: 1024 records
-
-  FlightRecorderConfig cfg2;
-  cfg2.capacity = 1025;
-  FlightRecorder recorder2(cfg2);
-  EXPECT_EQ(recorder2.capacity(), 2048u);
-}
-
 TEST(FlightRecorderTest, RecordsSeenIsMonotonicPastCapacity) {
-  FlightRecorderConfig cfg;
-  cfg.capacity = 1024;
-  cfg.window = Duration::Seconds(10);
-  FlightRecorder recorder(cfg);
-  for (int i = 0; i < 3000; ++i) {
+  FlightRecorder recorder;
+  constexpr int kRecords = 150'000;
+  constexpr int kCapacity = 65'536;
+  for (int i = 0; i < kRecords; ++i) {
     recorder.Instant(TraceCategory::kSim, "tick", Us(i));
   }
-  EXPECT_EQ(recorder.records_seen(), 3000u);
-  recorder.Freeze(Us(3000));
-  // The ring only holds the last `capacity` records; the oldest 1976 were overwritten.
-  ASSERT_EQ(recorder.frozen_window().size(), 1024u);
-  EXPECT_EQ(recorder.frozen_window().front().ts_us, 3000 - 1024);
-  EXPECT_EQ(recorder.frozen_window().back().ts_us, 2999);
+  EXPECT_EQ(recorder.records_seen(), static_cast<uint64_t>(kRecords));
+  recorder.Freeze(Us(kRecords));  // the 500 ms window reaches back past every record
+  // The ring only holds the last 65,536 records; the oldest 84,464 were overwritten.
+  ASSERT_EQ(recorder.frozen_window().size(), static_cast<size_t>(kCapacity));
+  EXPECT_EQ(recorder.frozen_window().front().ts_us, kRecords - kCapacity);
+  EXPECT_EQ(recorder.frozen_window().back().ts_us, kRecords - 1);
 }
 
 TEST(FlightRecorderTest, FreezeKeepsOnlyTheConfiguredWindow) {
-  FlightRecorderConfig cfg;
-  cfg.window = Duration::Millis(1);  // keep the last 1000 us
-  FlightRecorder recorder(cfg);
+  FlightRecorder recorder;  // keeps the last 500 ms
+  EXPECT_EQ(recorder.window(), Duration::Millis(500));
   recorder.Instant(TraceCategory::kNet, "old", Us(100));
-  recorder.Instant(TraceCategory::kNet, "edge", Us(2000));  // exactly at the horizon
-  recorder.Instant(TraceCategory::kNet, "new", Us(2500));
-  recorder.Freeze(Us(3000));
+  recorder.Instant(TraceCategory::kNet, "edge", Us(500'000));  // exactly at the horizon
+  recorder.Instant(TraceCategory::kNet, "new", Us(750'000));
+  recorder.Freeze(Us(1'000'000));
   ASSERT_EQ(recorder.frozen_window().size(), 2u);
   EXPECT_STREQ(recorder.frozen_window()[0].name, "edge");
   EXPECT_STREQ(recorder.frozen_window()[1].name, "new");
-  EXPECT_EQ(recorder.frozen_at().ToMicros(), 3000);
+  EXPECT_EQ(recorder.frozen_at().ToMicros(), 1'000'000);
 }
 
 TEST(FlightRecorderTest, FirstFreezeWins) {

@@ -75,7 +75,6 @@ TEST(SloWatchdogTest, LiveP99ViolationFreezesAtFirstFailingCheck) {
   FlightRecorder recorder;
   SloSpec spec;
   spec.max_worst_p99_ms = 50.0;
-  spec.check_period = Duration::Millis(100);
   SloWatchdog watchdog(sim, spec, &recorder, nullptr, nullptr);
   // The p99 crosses the limit somewhere in (300 ms, 400 ms]; the 400 ms check is the
   // first to see it.
@@ -130,7 +129,6 @@ TEST(SloWatchdogTest, BacklogObjectiveReportsThePeak) {
   FlightRecorder recorder;
   SloSpec spec;
   spec.max_link_backlog_bytes = 10'000;
-  spec.check_period = Duration::Millis(100);
   SloWatchdog watchdog(sim, spec, &recorder, nullptr, nullptr);
   // Rises to a peak mid-run and drains; the peak is what the report must show.
   watchdog.SetLinkBacklogSource([&sim] {

@@ -1,6 +1,7 @@
 // Property suite for the backpressure-driven DegradationController: monotone immediate
-// upshifts, hysteretic no-flap recovery, deterministic (byte-identical) transition logs
-// across reruns, per-level lever engagement, and config validation.
+// upshifts, hysteretic no-flap recovery (five calm polls below half the current level's
+// threshold), deterministic (byte-identical) transition logs across reruns, per-level
+// lever engagement, and config validation.
 
 #include <gtest/gtest.h>
 
@@ -15,15 +16,12 @@ namespace {
 DegradationConfig TestConfig() {
   DegradationConfig cfg;
   cfg.enabled = true;
-  cfg.poll_interval = Duration::Millis(100);
   cfg.level_step = Bytes::KiB(10);
-  cfg.recover_fraction = 0.5;
-  cfg.recover_polls = 3;
-  cfg.coalesce_hold = Duration::Millis(40);
-  cfg.animation_keep_one_in = 3;
-  cfg.cache_boost = 2.0;
   return cfg;
 }
+
+// Consecutive calm polls the ladder needs before it steps down one level.
+constexpr int kRecoverPolls = 5;
 
 // A controller plus the synthetic pressure knob the tests turn.
 struct Rig {
@@ -42,33 +40,9 @@ struct Rig {
 
 TEST(DegradationConfigTest, ValidationRejectsBrokenConfigs) {
   DegradationConfig cfg = TestConfig();
-  cfg.poll_interval = Duration::Zero();
-  EXPECT_THROW(Validated(cfg), ConfigError);
-
-  cfg = TestConfig();
   cfg.level_step = Bytes::Zero();
   EXPECT_THROW(Validated(cfg), ConfigError);
-
-  cfg = TestConfig();
-  cfg.recover_fraction = 0.0;
-  EXPECT_THROW(Validated(cfg), ConfigError);
-  cfg.recover_fraction = 1.0;
-  EXPECT_THROW(Validated(cfg), ConfigError);
-
-  cfg = TestConfig();
-  cfg.recover_polls = 0;
-  EXPECT_THROW(Validated(cfg), ConfigError);
-
-  cfg = TestConfig();
-  cfg.animation_keep_one_in = 0;
-  EXPECT_THROW(Validated(cfg), ConfigError);
-
-  cfg = TestConfig();
-  cfg.cache_boost = 0.5;
-  EXPECT_THROW(Validated(cfg), ConfigError);
-
-  cfg = TestConfig();
-  cfg.coalesce_hold = Duration::Millis(-1);
+  cfg.level_step = Bytes::Of(-1);
   EXPECT_THROW(Validated(cfg), ConfigError);
 
   EXPECT_NO_THROW(Validated(TestConfig()));
@@ -94,10 +68,11 @@ TEST(DegradationControllerTest, RecoveryIsHystereticAndStepsOneLevel) {
   const int64_t step = Bytes::KiB(10).count();
   rig.PollAt(2 * step);
   ASSERT_EQ(rig.ctl.level(), 2);
-  // Recovery from level 2 needs pressure below 0.5 * 2 * step = 1 step, for 3 polls.
-  rig.PollAt(step - 1);
-  rig.PollAt(step - 1);
-  EXPECT_EQ(rig.ctl.level(), 2);  // only 2 calm polls so far
+  // Recovery from level 2 needs pressure below 0.5 * 2 * step = 1 step, for 5 polls.
+  for (int i = 0; i < kRecoverPolls - 1; ++i) {
+    rig.PollAt(step - 1);
+  }
+  EXPECT_EQ(rig.ctl.level(), 2);  // only 4 calm polls so far
   rig.PollAt(step - 1);
   EXPECT_EQ(rig.ctl.level(), 1);  // exactly one level, not straight to 0
   EXPECT_EQ(rig.ctl.downshifts(), 1);
@@ -111,7 +86,7 @@ TEST(DegradationControllerTest, BoundaryPressureNeverFlaps) {
   // Hovering exactly at the recovery threshold (not strictly below) keeps the level:
   // a link sitting on a boundary must not oscillate.
   for (int i = 0; i < 50; ++i) {
-    rig.PollAt(step);  // == recover_fraction * 2 * step, not < it
+    rig.PollAt(step);  // == half of 2 * step, not below it
     EXPECT_EQ(rig.ctl.level(), 2);
   }
   EXPECT_EQ(rig.ctl.transitions().size(), 1u);  // just the original upshift
@@ -122,14 +97,16 @@ TEST(DegradationControllerTest, CalmStreakResetsOnPressureSpike) {
   const int64_t step = Bytes::KiB(10).count();
   rig.PollAt(step);
   ASSERT_EQ(rig.ctl.level(), 1);
-  // Two calm polls, then a spike below the upshift threshold: the streak restarts.
-  rig.PollAt(0);
-  rig.PollAt(0);
+  // Four calm polls, then a spike below the upshift threshold: the streak restarts.
+  for (int i = 0; i < kRecoverPolls - 1; ++i) {
+    rig.PollAt(0);
+  }
   rig.PollAt(step - 1);  // not calm (>= 0.5 * step), not an upshift either
-  rig.PollAt(0);
-  rig.PollAt(0);
+  for (int i = 0; i < kRecoverPolls - 1; ++i) {
+    rig.PollAt(0);
+  }
   EXPECT_EQ(rig.ctl.level(), 1);
-  rig.PollAt(0);  // third consecutive calm poll
+  rig.PollAt(0);  // fifth consecutive calm poll
   EXPECT_EQ(rig.ctl.level(), 0);
 }
 
@@ -201,8 +178,7 @@ TEST(DegradationControllerTest, DegradedTimeTracksClosedAndOpenIntervals) {
   sim.RunFor(Duration::Seconds(1));
   rig.PollAt(step);
   sim.RunFor(Duration::Seconds(1));
-  DegradationConfig cfg = TestConfig();
-  for (int i = 0; i < cfg.recover_polls; ++i) {
+  for (int i = 0; i < kRecoverPolls; ++i) {
     rig.PollAt(0);
   }
   ASSERT_EQ(rig.ctl.level(), 0);
@@ -219,7 +195,7 @@ TEST(DegradationControllerTest, OnTransitionFiresWithLoggedLevels) {
   rig.ctl.set_on_transition(
       [&seen](int from, int to, TimePoint) { seen.push_back({from, to}); });
   rig.PollAt(2 * step);
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < kRecoverPolls; ++i) {
     rig.PollAt(0);
   }
   ASSERT_EQ(seen.size(), 2u);

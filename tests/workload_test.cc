@@ -134,20 +134,6 @@ TEST(AnimationTest, LoopsThroughFrames) {
   EXPECT_EQ(rdp->bitmap_cache().hits(), 7);
 }
 
-TEST(AnimationTest, NonLoopingStopsAfterOnePass) {
-  ProtoFixture f;
-  auto rdp = std::make_unique<RdpProtocol>(f.sim, f.display, f.input, &f.tap, Rng(1));
-  AnimationConfig cfg;
-  cfg.frame_count = 5;
-  cfg.frame_period = Duration::Millis(10);
-  cfg.loop = false;
-  Animation anim(f.sim, *rdp, cfg);
-  anim.Start();
-  f.sim.RunUntil(TimePoint::Zero() + Duration::Seconds(1));
-  EXPECT_EQ(anim.frames_drawn(), 5);
-  EXPECT_FALSE(anim.IsRunning());
-}
-
 TEST(AnimationTest, FrameHashesDistinctAcrossAnimations) {
   ProtoFixture f;
   auto rdp = std::make_unique<RdpProtocol>(f.sim, f.display, f.input, &f.tap, Rng(1));
@@ -167,8 +153,7 @@ TEST(AnimationTest, FrameHashesDistinctAcrossAnimations) {
 TEST(MarqueeTest, StripSetSizeMatchesConfig) {
   ProtoFixture f;
   auto rdp = std::make_unique<RdpProtocol>(f.sim, f.display, f.input, &f.tap, Rng(1));
-  MarqueeConfig cfg;
-  Marquee marquee(f.sim, *rdp, cfg);
+  Marquee marquee(f.sim, *rdp);
   // 95 strips of 468x40 at 0.8 compression: just under the 1.5 MB cache alone.
   EXPECT_LT(marquee.StripSetBytes(), Bytes::Of(3 * 512 * 1024));
   EXPECT_GT(marquee.StripSetBytes(), Bytes::MiB(1));
