@@ -297,8 +297,8 @@ class Server {
 };
 
 // Throws tcs::ConfigError on non-positive RAM or an invalid fault plan. Returns the
-// config. (RAM vs the profile's idle system memory
-// is checked in the Server constructor, where the profile is known.)
+// config. (RAM vs the profile's idle system memory is checked in the Server
+// constructor, where the profile is known.)
 ServerConfig Validated(ServerConfig config);
 
 }  // namespace tcs
