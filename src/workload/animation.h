@@ -36,7 +36,6 @@ class Animation {
 
   void Start(Duration initial_delay = Duration::Zero());
   void Stop();
-  bool IsRunning() const { return task_.IsRunning(); }
 
   int64_t frames_drawn() const { return frames_drawn_; }
   const AnimationConfig& config() const { return config_; }
