@@ -98,8 +98,8 @@ struct DiskFaultPlan {
   // Per-request probability of a 200 ms latency spike (thermal recalibration, firmware
   // GC).
   double stall_rate = 0.0;
-  // Per-request probability of a transient I/O error; the driver retries after 50 ms,
-  // re-paying the request's full service time (at most 3 retries).
+  // Per-request probability of a transient I/O error; the request is retried after
+  // 50 ms, re-paying its full service time (at most 3 retries).
   double error_rate = 0.0;
 
   bool Any() const { return stall_rate > 0.0 || error_rate > 0.0; }
