@@ -42,7 +42,6 @@ class ThinClientDevice {
   // message of `payload` bytes under `protocol`. Deterministic.
   Duration DecodeDelay(ProtocolKind protocol, Bytes payload) const;
 
-  const ThinClientConfig& config() const { return config_; }
 
  private:
   ThinClientConfig config_;

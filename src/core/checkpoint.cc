@@ -330,7 +330,6 @@ TimePoint ConsolidationRun::end_time() const {
 }
 
 Simulator& ConsolidationRun::sim() { return impl_->sim; }
-const Simulator& ConsolidationRun::sim() const { return impl_->sim; }
 Server& ConsolidationRun::server() { return *impl_->server; }
 
 const ScenarioOutcome& ConsolidationRun::outcome() const { return impl_->outcome; }

@@ -47,7 +47,6 @@ class ConsolidationRun {
   TimePoint end_time() const;
 
   Simulator& sim();
-  const Simulator& sim() const;
   Server& server();
 
   // Collects the ConsolidationResult. Call exactly once, after reaching end_time(). With

@@ -55,9 +55,6 @@ class SamplerScope {
   SamplerScope(const SamplerScope&) = delete;
   SamplerScope& operator=(const SamplerScope&) = delete;
 
-  // Null when the ObsConfig carried no metrics registry.
-  PeriodicSampler* sampler() const { return sampler_.get(); }
-
  private:
   const ObsConfig* obs_;
   std::unique_ptr<PeriodicSampler> sampler_;

@@ -71,13 +71,8 @@ class Cpu {
   void Attach(Emitter emit);
 
   Scheduler& scheduler() { return *scheduler_; }
-  const Scheduler& scheduler() const { return *scheduler_; }
-  // Thread running on processor `p` (nullptr when idle).
-  Thread* running(int p = 0) const { return processors_[static_cast<size_t>(p)].running; }
   // True when every processor is idle.
   bool IsIdle() const;
-  const CpuConfig& config() const { return config_; }
-  Simulator& sim() { return sim_; }
 
   // Total CPU busy time (work + context switches) summed over all processors.
   Duration busy_time() const { return busy_time_; }

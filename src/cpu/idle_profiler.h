@@ -51,7 +51,6 @@ class IdleLoopProfiler {
 
   // Per-thread event durations: the CPU time of each coalesced per-thread episode. These
   // are the "events" of Figure 2 (e.g. TSE's 250 ms and 400 ms entries).
-  const std::vector<Duration>& episodes() const { return episodes_; }
 
   // Figure 2: points (event length, cumulative busy time of all events with length <= x),
   // sorted ascending. Built from per-thread episodes.

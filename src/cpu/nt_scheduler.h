@@ -49,7 +49,6 @@ class NtScheduler final : public Scheduler {
   size_t ReadyCount() const override { return ready_count_; }
   std::string name() const override { return "nt"; }
 
-  const NtSchedulerConfig& config() const { return config_; }
 
  private:
   static constexpr int kLevels = 32;

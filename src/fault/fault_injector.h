@@ -115,7 +115,6 @@ class DiskFaultInjector {
   // `service`: a stall spike and/or up to 3 transient-error retries.
   Duration Perturb(Duration service);
 
-  int64_t requests() const { return requests_; }
   int64_t stalls() const { return stalls_; }
   int64_t io_errors() const { return io_errors_; }
   double StallRate() const {

@@ -16,21 +16,18 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace tcs {
 
 class AddressSpace {
  public:
-  AddressSpace(uint64_t id, std::string name, bool interactive)
-      : id_(id), name_(std::move(name)), interactive_(interactive) {}
+  AddressSpace(uint64_t id, bool interactive) : id_(id), interactive_(interactive) {}
 
   AddressSpace(const AddressSpace&) = delete;
   AddressSpace& operator=(const AddressSpace&) = delete;
 
   uint64_t id() const { return id_; }
-  const std::string& name() const { return name_; }
   bool interactive() const { return interactive_; }
 
   bool IsResident(uint64_t vpn) const {
@@ -97,7 +94,6 @@ class AddressSpace {
   }
 
   uint64_t id_;
-  std::string name_;
   bool interactive_;
   std::vector<uint32_t> pages_;
   size_t resident_count_ = 0;

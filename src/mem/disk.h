@@ -69,7 +69,6 @@ class Disk {
   // Fault injection (non-owning; null = healthy device, the default). An attached
   // injector perturbs per-request service time with stalls and retried I/O errors.
   void SetFaultInjector(DiskFaultInjector* injector) { fault_ = injector; }
-  DiskFaultInjector* fault_injector() const { return fault_; }
 
  private:
   Duration ServiceTime(int pages);

@@ -19,33 +19,21 @@ void Pager::Attach(Emitter emit) {
   trace_track_ = emit_.Track("mem", "pager");
 }
 
-AddressSpace* Pager::CreateAddressSpace(std::string name, bool interactive) {
+AddressSpace* Pager::CreateAddressSpace(bool interactive) {
   assert(spaces_.size() <= UINT32_MAX);
-  spaces_.push_back(
-      std::make_unique<AddressSpace>(spaces_.size(), std::move(name), interactive));
+  spaces_.push_back(std::make_unique<AddressSpace>(spaces_.size(), interactive));
   return spaces_.back().get();
 }
 
 SharedSegment Pager::AcquireShared(const std::string& key, bool interactive) {
   auto it = shared_.find(key);
   if (it != shared_.end()) {
-    ++it->second.refs;
     ++shared_attaches_;
-    return SharedSegment{it->second.space, /*created=*/false};
+    return SharedSegment{it->second, /*created=*/false};
   }
-  AddressSpace* space = CreateAddressSpace(key, interactive);
-  shared_.emplace(key, SharedEntry{space, 1});
+  AddressSpace* space = CreateAddressSpace(interactive);
+  shared_.emplace(key, space);
   return SharedSegment{space, /*created=*/true};
-}
-
-void Pager::ReleaseShared(const std::string& key) {
-  auto it = shared_.find(key);
-  assert(it != shared_.end() && "ReleaseShared without matching acquire");
-  if (--it->second.refs == 0) {
-    AddressSpace* space = it->second.space;
-    shared_.erase(it);
-    ReleaseAddressSpace(space);
-  }
 }
 
 void Pager::UnlinkFrame(uint32_t f) {
@@ -116,43 +104,6 @@ void Pager::FreeFrame(uint32_t f) {
   --frames_used_;
 }
 
-void Pager::DropFramesOf(AddressSpace& as) {
-  for (uint32_t it = lru_head_; it != kNilFrame;) {
-    uint32_t next = frames_[it].next;
-    if (frames_[it].owner == as.id()) {
-      UnlinkFrame(it);
-      FreeFrame(it);
-    }
-    it = next;
-  }
-  // Page-ins of a dying space still on the disk: their map entries go away and any
-  // waiting ops resume now (the disk completion itself is harmless — the owning op's
-  // chain keeps running and its in-flight erase is guarded).
-  for (auto it = in_flight_.begin(); it != in_flight_.end();) {
-    if ((it->first >> 44) == as.id()) {
-      uint64_t owner = it->second;
-      it = in_flight_.erase(it);
-      auto oit = ops_.find(owner);
-      if (oit != ops_.end()) {
-        std::vector<uint64_t> waiters = std::move(oit->second.waiter_ops);
-        oit->second.waiter_ops.clear();
-        for (uint64_t w : waiters) {
-          ScheduleOpFire(w, Duration::Zero());
-        }
-      }
-    } else {
-      ++it;
-    }
-  }
-}
-
-void Pager::ReleaseAddressSpace(AddressSpace* as) {
-  assert(as != nullptr && as->id() < spaces_.size() && spaces_[as->id()].get() == as &&
-         "address space not owned by this pager");
-  DropFramesOf(*as);
-  spaces_[as->id()].reset();
-}
-
 uint64_t Pager::CreateOp(InlineCallback done) {
   uint64_t id = next_op_id_++;
   ops_[id].done = std::move(done);
@@ -203,7 +154,8 @@ void Pager::ChainComplete(uint64_t id) {
   auto it = ops_.find(id);
   assert(it != ops_.end());
   PagerOp& op = it->second;
-  // Release the barrier (guarded: a dying address space may have dropped the entries).
+  // Release the barrier. A page evicted while this read was on the disk and then faulted
+  // again belongs to the newer fault's read, which may already have landed and erased it.
   for (uint64_t key : op.keys) {
     auto fit = in_flight_.find(key);
     if (fit != in_flight_.end() && fit->second == id) {

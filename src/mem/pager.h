@@ -67,19 +67,12 @@ class Pager {
   Pager& operator=(const Pager&) = delete;
 
   // Creates an address space owned by this pager.
-  AddressSpace* CreateAddressSpace(std::string name, bool interactive);
+  AddressSpace* CreateAddressSpace(bool interactive);
 
-  // Refcounted shared segments (§5.1.1: text/code pages resident once however many
-  // sessions map them). The first acquire of `key` creates the address space; later
-  // acquires return the same space. Every acquire must be paired with a ReleaseShared;
-  // the last release destroys the space and frees its frames.
+  // Shared segments (§5.1.1: text/code pages resident once however many sessions map
+  // them). The first acquire of `key` creates the address space; later acquires return
+  // the same space. Like every address space, it lives as long as the pager.
   SharedSegment AcquireShared(const std::string& key, bool interactive);
-  void ReleaseShared(const std::string& key);
-
-  // Destroys an address space created by CreateAddressSpace: its resident pages are
-  // dropped from the frame pool (teardown, not simulated eviction — no writeback I/O)
-  // and the space itself is freed. Pending page-in waiters complete immediately.
-  void ReleaseAddressSpace(AddressSpace* as);
 
   // Touches one page.
   //  * resident: recency update, `done` fires immediately (as a fresh simulation event);
@@ -125,8 +118,6 @@ class Pager {
   size_t shared_segments() const { return shared_.size(); }
   int64_t shared_attaches() const { return shared_attaches_; }
   int64_t coalesced_waits() const { return coalesced_waits_; }
-
-  const PagerConfig& config() const { return config_; }
 
   // Observability: each AccessRange that touches the disk becomes a "page-in" span in
   // both sinks. The trace alone keeps the per-page fault and eviction instants and the
@@ -195,8 +186,6 @@ class Pager {
   void SpliceToTail(uint32_t head, uint32_t tail);
   void FreeFrame(uint32_t f);
   Duration ThrottleFor(const AddressSpace& as) const;
-  // Drops every frame and in-flight entry belonging to `as` (teardown path).
-  void DropFramesOf(AddressSpace& as);
 
   // Op machinery.
   uint64_t CreateOp(InlineCallback done);
@@ -219,25 +208,18 @@ class Pager {
   PagerConfig config_;
   Emitter emit_;
   TraceTrack trace_track_;
-  // Indexed by AddressSpace id; slot 0 stays empty (the free frames' owner) and a
-  // released space's slot is reset.
+  // Indexed by AddressSpace id; slot 0 stays empty (the free frames' owner).
   std::vector<std::unique_ptr<AddressSpace>> spaces_;
   std::vector<Frame> frames_;      // slab; indices live in AddressSpace page entries
   uint32_t lru_head_ = kNilFrame;  // least recently used
   uint32_t lru_tail_ = kNilFrame;  // most recently used
   uint32_t free_head_ = kNilFrame;
   size_t frames_used_ = 0;
-  // Ordered maps: teardown iterates these, so iteration order must be a function of
-  // contents alone.
   std::map<uint64_t, uint64_t> in_flight_;  // FramesKey -> owning op id
   std::map<uint64_t, PagerOp> ops_;
   uint64_t next_op_id_ = 1;
 
-  struct SharedEntry {
-    AddressSpace* space;
-    int refs;
-  };
-  std::unordered_map<std::string, SharedEntry> shared_;
+  std::unordered_map<std::string, AddressSpace*> shared_;  // key -> segment space
 
   int64_t faults_ = 0;
   int64_t hits_ = 0;

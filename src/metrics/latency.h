@@ -28,20 +28,9 @@ class LatencyRecorder {
   void Record(Duration latency);
 
   int64_t count() const { return stats_.count(); }
-  // Mean/Min/Max/Jitter are computed from integer-microsecond accumulators, so they are
-  // exact (no double round-trip through milliseconds): Mean is the rounded integer mean
-  // and Jitter the population standard deviation of the recorded microsecond values.
+  // The rounded integer mean of the recorded microsecond values: exact, with no double
+  // round-trip through milliseconds.
   Duration Mean() const;
-  Duration Max() const { return Duration::Micros(max_us_); }
-  Duration Min() const { return Duration::Micros(min_us_); }
-  // Standard deviation — the jitter criterion.
-  Duration Jitter() const;
-  // Operations above the perception threshold (degradation mode 2).
-  int64_t perceptible_count() const { return perceptible_; }
-  double PerceptibleFraction() const;
-  // Mean latency as a multiple of the perception threshold ("40 times the threshold of
-  // human perception").
-  double MeanVsPerception() const;
 
   // Exact nearest-rank percentile over the recorded microsecond samples: the result is
   // always an actually observed latency, to the microsecond. (Samples used to be stored
@@ -60,13 +49,7 @@ class LatencyRecorder {
   // sketch Percentile() queries against.
   std::vector<int64_t> samples_us_;
   PercentileSketch<int64_t> sketch_;
-  int64_t perceptible_ = 0;
-  // Exact accumulators (microseconds). The sum of squares uses 128-bit storage so even
-  // long runs of 100+ second latencies cannot overflow.
-  int64_t total_us_ = 0;
-  int64_t min_us_ = 0;
-  int64_t max_us_ = 0;
-  __int128 sum_sq_us_ = 0;
+  int64_t total_us_ = 0;  // exact sum of the microsecond samples
 };
 
 class StallDetector {
@@ -78,8 +61,6 @@ class StallDetector {
 
   // Stall lengths (inter-arrival minus the expected period, clamped at zero).
   int64_t updates() const { return updates_; }
-  int64_t stall_count() const { return stall_count_; }
-  Duration AverageStall() const;
   Duration MaxStall() const;
   // Average over *all* gaps (stall length zero when on time) — what Figure 3 plots.
   Duration AverageStallAllGaps() const;
@@ -90,7 +71,6 @@ class StallDetector {
   bool have_last_ = false;
   TimePoint last_;
   int64_t updates_ = 0;
-  int64_t stall_count_ = 0;
   RunningStats stall_ms_;      // only gaps that stalled
   RunningStats all_gaps_ms_;   // every gap's stall length (zero when on time)
 };

@@ -141,7 +141,6 @@ class Link : public FrameTransport {
 
   // Fault injection (non-owning; null = healthy link, the default).
   void SetFaultInjector(LinkFaultInjector* injector) { fault_ = injector; }
-  LinkFaultInjector* fault_injector() const { return fault_; }
 
   // Observability: each frame becomes a net span over its serialization window in both
   // sinks ("frame" or "frame-lost", bytes + queue delay), and each frame the WAN queue

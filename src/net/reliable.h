@@ -44,8 +44,6 @@ class ReliableChannel : public FrameTransport {
   // retransmit queue without limit. Only pathological plans ever fill the window.
   void Send(Bytes wire_bytes, InlineCallback delivered = nullptr) override;
 
-  Link& link() { return link_; }
-
   // Frames accepted from callers (originals, not attempts).
   int64_t frames_sent() const { return frames_sent_; }
   // Extra transmission attempts beyond the first. Link attempts == originals' first

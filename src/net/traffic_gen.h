@@ -24,7 +24,6 @@ class PoissonTrafficGenerator {
 
   void Start();
   void Stop();
-  bool IsRunning() const { return running_; }
 
   int64_t frames_offered() const { return frames_offered_; }
 

@@ -194,7 +194,6 @@ class LatencyAttribution {
   // tracer is attached.
   void Commit(const InteractionRecord& rec);
 
-  uint64_t minted() const { return minted_; }
   Tracer* tracer() const { return config_.tracer; }
   int64_t committed() const { return committed_; }
   int64_t accounting_mismatches() const { return mismatches_; }

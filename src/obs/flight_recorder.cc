@@ -1,6 +1,5 @@
 #include "src/obs/flight_recorder.h"
 
-#include <sstream>
 #include <unordered_map>
 
 namespace tcs {
@@ -85,12 +84,6 @@ void FlightRecorder::WriteWindowJson(std::ostream& out) const {
     }
   }
   tracer.WriteJson(out);
-}
-
-std::string FlightRecorder::WindowJson() const {
-  std::ostringstream out;
-  WriteWindowJson(out);
-  return out.str();
 }
 
 }  // namespace tcs

@@ -30,7 +30,6 @@
 #include <bit>
 #include <cstdint>
 #include <ostream>
-#include <string>
 #include <vector>
 
 #include "src/obs/arena.h"
@@ -94,7 +93,6 @@ class FlightRecorder {
   // Writes the frozen window as Chrome trace-event JSON through a Tracer (metadata only
   // when Freeze was never called or kept nothing). Deterministic byte-for-byte.
   void WriteWindowJson(std::ostream& out) const;
-  std::string WindowJson() const;
 
  private:
   // A power of two, so the append path masks instead of dividing.

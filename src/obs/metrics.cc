@@ -39,8 +39,6 @@ PeriodicSampler::PeriodicSampler(Simulator& sim, MetricsRegistry& registry,
 
 void PeriodicSampler::Start(Duration initial_delay) { task_.Start(initial_delay); }
 
-void PeriodicSampler::Stop() { task_.Stop(); }
-
 void PeriodicSampler::Sample() {
   const auto& gauges = registry_.gauges();
   // Gauges registered after construction get series on first use, keeping indexes aligned

@@ -59,7 +59,6 @@ class PeriodicSampler {
                   Tracer* tracer = nullptr);
 
   void Start(Duration initial_delay = Duration::Zero());
-  void Stop();
 
   // The sampled series for gauge `i` (registration order), bucketed at the cadence.
   const TimeSeries& series(size_t i) const { return *series_[i]; }

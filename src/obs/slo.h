@@ -110,8 +110,6 @@ class SloWatchdog {
   SloReport FinishRun(double availability = 1.0);
 
   bool violated() const { return violated_; }
-  int64_t violated_at_us() const { return violated_at_us_; }
-  const SloSpec& spec() const { return spec_; }
 
  private:
   void Check();

@@ -100,7 +100,6 @@ class DisplayProtocol {
   }
 
   Simulator& sim() { return sim_; }
-  const Simulator& sim() const { return sim_; }
 
  private:
   Simulator& sim_;

@@ -21,8 +21,4 @@ double ProtoTap::AverageMessageSize() const {
   return static_cast<double>(total_counted_bytes().count()) / static_cast<double>(n);
 }
 
-BitsPerSecond ProtoTap::MeanLoad(Channel channel, Duration window) const {
-  return RateOver(Side(channel).counted, window);
-}
-
 }  // namespace tcs

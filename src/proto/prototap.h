@@ -38,9 +38,6 @@ class ProtoTap {
   // Counted bytes per bucket on one channel; divide by bucket seconds for load.
   const TimeSeries& series(Channel channel) const { return Side(channel).series; }
 
-  // Mean carried load over [0, end] on the given channel.
-  BitsPerSecond MeanLoad(Channel channel, Duration window) const;
-
  private:
   struct SideStats {
     explicit SideStats(Duration bucket) : series(bucket) {}

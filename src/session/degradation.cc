@@ -41,15 +41,12 @@ DegradationController::DegradationController(Simulator& sim, DegradationConfig c
 
 void DegradationController::Start() { poll_task_.Start(kStartDelay); }
 
-void DegradationController::Stop() { poll_task_.Stop(); }
-
 void DegradationController::Attach(Emitter emit) {
   emit_ = emit;
   trace_track_ = emit_.Track("session", "degradation");
 }
 
 void DegradationController::Poll() {
-  ++polls_;
   int64_t pressure = pressure_bytes_();
   const int64_t step = level_step_.count();
   // Upshift first, and all the way: sustained pressure crossing several thresholds in

@@ -73,16 +73,14 @@ class DegradationController {
   // Arms the periodic poll, first 2 s from now: session setup (login storms, initial
   // desktop paints) floods the link with a one-off burst that is not WAN congestion, so
   // the controller starts watching only once steady state is reached. Safe to call once
-  // at run start; Stop() cancels it.
+  // at run start.
   void Start();
-  void Stop();
 
   // One pressure sample + level update. Driven by the periodic task; exposed so property
   // tests can step the ladder directly with synthetic pressure.
   void Poll();
 
   int level() const { return level_; }
-  DegradationLevel Level() const { return static_cast<DegradationLevel>(level_); }
 
   // --- Levers, consulted by the server pipeline and background sessions ---
 
@@ -106,7 +104,6 @@ class DegradationController {
   int64_t upshifts() const { return upshifts_; }
   int64_t downshifts() const { return downshifts_; }
   int64_t animation_frames_dropped() const { return animation_frames_dropped_; }
-  int64_t polls() const { return polls_; }
   // Virtual time spent at or above kCoalesce so far (closed intervals only... the final
   // open interval is closed by the caller sampling at run end via DegradedTimeThrough).
   Duration DegradedTimeThrough(TimePoint now) const;
@@ -135,7 +132,6 @@ class DegradationController {
   int64_t animation_frames_dropped_ = 0;
   int64_t upshifts_ = 0;
   int64_t downshifts_ = 0;
-  int64_t polls_ = 0;
   TimePoint degraded_since_ = TimePoint::Zero();  // valid while level_ > 0
   Duration degraded_closed_ = Duration::Zero();
   std::vector<DegradationTransition> transitions_;

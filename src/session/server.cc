@@ -175,9 +175,7 @@ Server::Server(Simulator& sim, OsProfile profile, ServerConfig config)
     degradation_->set_on_transition([this](int /*from*/, int /*to*/, TimePoint /*at*/) {
       double scale = 1.0 / degradation_->CacheBoost();
       for (const auto& s : sessions_) {
-        if (!s->logged_out_) {
-          s->protocol().SetDegradedPayloadScale(scale);
-        }
+        s->protocol().SetDegradedPayloadScale(scale);
       }
     });
     degradation_->Attach(emit_);
@@ -233,27 +231,25 @@ Session& Server::Login(bool light_session) {
   const std::vector<ProcessSpec>& processes =
       light_session ? profile_.light_login_processes : profile_.login_processes;
   for (const ProcessSpec& proc : processes) {
-    AddressSpace* as = pager_.CreateAddressSpace(proc.name, /*interactive=*/true);
+    AddressSpace* as = pager_.CreateAddressSpace(/*interactive=*/true);
     size_t pages = std::max<size_t>(1, PagesFor(proc.private_memory));
     pager_.Prefault(*as, 0, pages);
     s.process_spaces_.push_back(as);
     s.process_pages_.push_back(pages);
     s.private_memory_ += proc.private_memory;
     // The image's text segment: one resident copy server-wide. The first login to run
-    // the process prefaults it; later sessions just take a reference (§5.1.1's
+    // the process prefaults it; later sessions just attach to it (§5.1.1's
     // sublinear per-user growth).
     if (proc.shared_text.count() > 0) {
-      std::string key = "text:" + proc.name;
-      SharedSegment seg = pager_.AcquireShared(key, /*interactive=*/true);
+      SharedSegment seg = pager_.AcquireShared("text:" + proc.name, /*interactive=*/true);
       if (seg.created) {
         pager_.Prefault(*seg.space, 0, std::max<size_t>(1, PagesFor(proc.shared_text)));
       }
-      s.shared_keys_.push_back(std::move(key));
       s.shared_memory_ += proc.shared_text;
     }
   }
   // The editor's keystroke-path working set (code + data across the involved processes).
-  s.working_set_ = pager_.CreateAddressSpace("editor-ws", /*interactive=*/true);
+  s.working_set_ = pager_.CreateAddressSpace(/*interactive=*/true);
   pager_.Prefault(*s.working_set_, 0, profile_.editor_working_set_pages);
 
   for (const PipelineHop& hop : profile_.keystroke_pipeline) {
@@ -283,34 +279,6 @@ Session& Server::Login(bool light_session) {
   // Session negotiation and initialization traffic (§6.1.1).
   s.proto_->display().SendMessage(encoder.session_setup_bytes());
   return s;
-}
-
-void Server::Logout(Session& session) {
-  if (session.logged_out_) {
-    return;
-  }
-  session.logged_out_ = true;
-  session.connected_ = false;
-  ++session.generation_;  // abandon in-flight pipeline callbacks
-  session.pending_keystrokes_ = 0;
-  session.pipeline_busy_ = false;
-  session.hold_pending_ = false;
-  for (AddressSpace* as : session.process_spaces_) {
-    pager_.ReleaseAddressSpace(as);
-  }
-  session.process_spaces_.clear();
-  session.process_pages_.clear();
-  if (session.working_set_ != nullptr) {
-    pager_.ReleaseAddressSpace(session.working_set_);
-    session.working_set_ = nullptr;
-  }
-  // Last one out frees the shared text.
-  for (const std::string& key : session.shared_keys_) {
-    pager_.ReleaseShared(key);
-  }
-  session.shared_keys_.clear();
-  emit_.Trace().Instant(TraceCategory::kSession, "logout", session.trace_track_,
-                        sim_.Now());
 }
 
 void Server::StartSinks(int count) {
@@ -588,8 +556,8 @@ void Server::CompletePipeline(Session& session, int batch) {
 }
 
 void Server::OnHoldExpired(Session& session, uint64_t gen) {
-  if (session.generation_ != gen || session.logged_out_) {
-    return;  // restarted cold or logged out during the hold
+  if (session.generation_ != gen) {
+    return;  // restarted cold during the hold
   }
   if (session.pending_keystrokes_ > 0) {
     StartPipelinePass(session);

@@ -71,7 +71,6 @@ struct ServerConfig {
 // and the display-pipeline worker threads keystrokes traverse.
 class Session {
  public:
-  uint64_t id() const { return id_; }
   // Sum of the login processes' private memory (the §5.1.1 per-user bill).
   Bytes private_memory() const { return private_memory_; }
   // Text/code the login maps but shares with every other session running the same
@@ -80,13 +79,9 @@ class Session {
   AddressSpace* working_set() const { return working_set_; }
 
   // This session's protocol pipeline and its flow-accounting tap on the shared link
-  // (valid from Login until the server dies; the protocol survives Logout).
+  // (valid from Login until the server dies).
   DisplayProtocol& protocol() const { return proto_->protocol(); }
   const SessionFlow& flow() const { return *flow_; }
-
-  // Background (non-interactive) sessions — media players, marquees — are the first
-  // service the degradation ladder sacrifices (see Server::SetBackground).
-  bool background() const { return background_; }
 
   // False while the client is forcibly disconnected (fault plan or explicit call).
   bool connected() const { return connected_; }
@@ -115,14 +110,12 @@ class Session {
   Bytes private_memory_ = Bytes::Zero();
   Bytes shared_memory_ = Bytes::Zero();
   bool connected_ = true;
-  bool logged_out_ = false;  // processes torn down, memory released
   bool background_ = false;
   uint64_t generation_ = 0;
   TimePoint disconnected_at_;
   int64_t dropped_keystrokes_ = 0;
   std::vector<AddressSpace*> process_spaces_;
   std::vector<size_t> process_pages_;  // prefaulted page count per process space
-  std::vector<std::string> shared_keys_;  // pager segments to release on logout
   AddressSpace* working_set_ = nullptr;
   // The session's own protocol pipeline, multiplexed over the server's one link: a
   // flow-accounting tap on the shared transport, and the message senders and encoder +
@@ -163,11 +156,6 @@ class Server {
   // protocol's session-setup bytes.
   Session& Login(bool light_session = false);
 
-  // Logs the user out: abandons in-flight pipeline work, tears down the login's
-  // processes and working set, and drops its references on the shared text segments
-  // (the last session out frees them). The Session object stays valid but inert.
-  void Logout(Session& session);
-
   // One keystroke from the session's user. Input-channel traffic is generated and
   // transits the link; at the server the editor's working set is made resident (paying
   // any page-ins), the keystroke pipeline runs, and a display update is emitted. Repeats
@@ -180,7 +168,6 @@ class Server {
   void AttachClient(ThinClientConfig config) {
     client_ = std::make_unique<ThinClientDevice>(config);
   }
-  const ThinClientDevice* client() const { return client_.get(); }
 
   // Starts `count` sink CPU hogs with the profile's sink priority.
   void StartSinks(int count);
@@ -210,15 +197,12 @@ class Server {
   DegradationController* degradation() { return degradation_.get(); }
 
   const OsProfile& profile() const { return profile_; }
-  Simulator& sim() { return sim_; }
   Cpu& cpu() { return cpu_; }
   Disk& disk() { return disk_; }
   Pager& pager() { return pager_; }
   Link& link() { return link_; }
   // Null when the fault plan has no link faults (traffic rides the raw link).
   ReliableChannel* reliable() { return reliable_.get(); }
-  LinkFaultInjector* link_fault_injector() { return link_fault_.get(); }
-  DiskFaultInjector* disk_fault_injector() { return disk_fault_.get(); }
   // The first session's protocol (requires a login). Each session owns its own pipeline;
   // use Session::protocol() for the others.
   DisplayProtocol& protocol() {
@@ -226,7 +210,6 @@ class Server {
     return sessions_.front()->protocol();
   }
   ProtoTap& tap() { return tap_; }
-  const std::vector<std::unique_ptr<Session>>& sessions() const { return sessions_; }
 
  private:
   void PostDaemonEpisode(size_t daemon_idx);

@@ -35,7 +35,6 @@ class PeriodicTask {
   bool IsRunning() const { return pending_.IsValid() && sim_.IsPending(pending_); }
 
   Duration period() const { return period_; }
-  void set_period(Duration period) { period_ = period; }
 
  private:
   void Fire();

@@ -37,11 +37,4 @@ std::string Duration::ToString() const {
   return FormatMicros(us_);
 }
 
-std::string TimePoint::ToString() const {
-  if (*this == TimePoint::Infinite()) {
-    return "inf";
-  }
-  return FormatMicros(us_);
-}
-
 }  // namespace tcs

@@ -97,8 +97,6 @@ class TimePoint {
 
   constexpr auto operator<=>(const TimePoint&) const = default;
 
-  std::string ToString() const;
-
  private:
   explicit constexpr TimePoint(int64_t us) : us_(us) {}
 

@@ -18,18 +18,6 @@ std::string Bytes::ToString() const {
   return buf;
 }
 
-std::string BitsPerSecond::ToString() const {
-  char buf[64];
-  if (bps_ >= 1000000) {
-    std::snprintf(buf, sizeof(buf), "%.2fMbps", ToMbpsF());
-  } else if (bps_ >= 1000) {
-    std::snprintf(buf, sizeof(buf), "%.2fKbps", static_cast<double>(bps_) / 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%" PRId64 "bps", bps_);
-  }
-  return buf;
-}
-
 Duration TransmissionDelay(Bytes size, BitsPerSecond rate) {
   assert(rate.bps() > 0);
   assert(size.count() >= 0);
@@ -37,14 +25,6 @@ Duration TransmissionDelay(Bytes size, BitsPerSecond rate) {
   __int128 bits = static_cast<__int128>(size.count()) * 8;
   __int128 us = (bits * 1000000 + rate.bps() - 1) / rate.bps();
   return Duration::Micros(static_cast<int64_t>(us));
-}
-
-BitsPerSecond RateOver(Bytes size, Duration window) {
-  if (window.IsZero()) {
-    return BitsPerSecond::Of(0);
-  }
-  double bps = static_cast<double>(size.count()) * 8.0 / window.ToSecondsF();
-  return BitsPerSecond::Of(static_cast<int64_t>(bps));
 }
 
 }  // namespace tcs

@@ -69,8 +69,6 @@ class BitsPerSecond {
 
   constexpr auto operator<=>(const BitsPerSecond&) const = default;
 
-  std::string ToString() const;
-
  private:
   explicit constexpr BitsPerSecond(int64_t bps) : bps_(bps) {}
   int64_t bps_ = 0;
@@ -79,9 +77,6 @@ class BitsPerSecond {
 // Time to serialize `size` onto a link of rate `rate`. Rounds up to whole microseconds so
 // back-to-back transmissions never overlap.
 Duration TransmissionDelay(Bytes size, BitsPerSecond rate);
-
-// Average rate of `size` transferred over `window` (0 if window is zero).
-BitsPerSecond RateOver(Bytes size, Duration window);
 
 }  // namespace tcs
 

@@ -48,24 +48,8 @@ TimePoint TimeSeries::BucketStart(size_t i) const {
   return TimePoint::FromMicros(static_cast<int64_t>(i) * bucket_width_.ToMicros());
 }
 
-TimePoint TimeSeries::BucketMid(size_t i) const {
-  return BucketStart(i) + bucket_width_ / 2;
-}
-
 double TimeSeries::Mean(size_t i) const {
   return counts_[i] > 0 ? sums_[i] / static_cast<double>(counts_[i]) : 0.0;
-}
-
-double TimeSeries::RatePerSecond(size_t i) const {
-  return sums_[i] / bucket_width_.ToSecondsF();
-}
-
-double TimeSeries::TotalSum() const {
-  double total = 0.0;
-  for (double s : sums_) {
-    total += s;
-  }
-  return total;
 }
 
 }  // namespace tcs

@@ -3,7 +3,7 @@
 // Used everywhere a figure plots "X vs time": CPU utilization per 100 ms bucket (Fig. 1),
 // network load per second (Figs. 4/5), cache hit ratio over time (Fig. 6). Values are
 // accumulated into fixed-width buckets of virtual time; the series can then be read out as
-// (bucket midpoint, sum | mean | rate) rows.
+// (bucket start, sum | mean) rows.
 
 #ifndef TCS_SRC_UTIL_TIME_SERIES_H_
 #define TCS_SRC_UTIL_TIME_SERIES_H_
@@ -32,16 +32,9 @@ class TimeSeries {
 
   // Bucket accessors. `i` must be < bucket_count().
   TimePoint BucketStart(size_t i) const;
-  TimePoint BucketMid(size_t i) const;
   double Sum(size_t i) const { return sums_[i]; }
   int64_t Count(size_t i) const { return counts_[i]; }
   double Mean(size_t i) const;
-
-  // Sum(i) / bucket_width — e.g. bytes per bucket → bytes/sec when width is 1 s.
-  double RatePerSecond(size_t i) const;
-
-  // Total across all buckets.
-  double TotalSum() const;
 
  private:
   size_t BucketIndex(TimePoint t);

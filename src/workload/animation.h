@@ -38,7 +38,6 @@ class Animation {
   void Stop();
 
   int64_t frames_drawn() const { return frames_drawn_; }
-  const AnimationConfig& config() const { return config_; }
   // The frame set this animation cycles through.
   const std::vector<BitmapRef>& frames() const { return frames_; }
 

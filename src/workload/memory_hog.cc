@@ -18,7 +18,7 @@ MemoryHogConfig Validated(MemoryHogConfig config) {
 
 MemoryHog::MemoryHog(Simulator& sim, Pager& pager, MemoryHogConfig config)
     : sim_(sim), pager_(pager), config_(Validated(config)) {
-  as_ = pager_.CreateAddressSpace("hog", /*interactive=*/false);
+  as_ = pager_.CreateAddressSpace(/*interactive=*/false);
 }
 
 void MemoryHog::Start() {
@@ -26,21 +26,10 @@ void MemoryHog::Start() {
     return;
   }
   running_ = true;
-  if (!chained_) {
-    chained_ = true;
-    TouchNext();
-  }
-}
-
-void MemoryHog::Stop() {
-  running_ = false;
+  TouchNext();
 }
 
 void MemoryHog::TouchNext() {
-  if (!running_) {
-    chained_ = false;
-    return;
-  }
   uint64_t vpn = next_vpn_;
   next_vpn_ = (next_vpn_ + 1) % config_.region_pages;
   // Touch the page (paying any fault), then burn the per-page CPU, then continue. The CPU
@@ -58,7 +47,7 @@ void MemoryHog::OnTouched() {
   TimePoint next = sim_.Now() + config_.touch_cpu;
   TimePoint horizon = sim_.Horizon();
   const int64_t touch_us = config_.touch_cpu.ToMicros();
-  while (running_ && next < horizon) {
+  while (next < horizon) {
     // The touches at next, next + touch_cpu, ... strictly before the horizon, up to the
     // region's end (the walk wraps there).
     int64_t span_us = (horizon - next).ToMicros();

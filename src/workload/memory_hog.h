@@ -31,10 +31,8 @@ class MemoryHog {
   MemoryHog(const MemoryHog&) = delete;
   MemoryHog& operator=(const MemoryHog&) = delete;
 
-  // Begins streaming; wraps around the region indefinitely until Stop(). A restart
-  // resumes the stopped chain if its next touch is still pending.
+  // Begins streaming; wraps around the region indefinitely. A second call is a no-op.
   void Start();
-  void Stop();
 
   AddressSpace* address_space() const { return as_; }
   int64_t pages_touched() const { return pages_touched_; }
@@ -50,8 +48,6 @@ class MemoryHog {
   uint64_t next_vpn_ = 0;
   int64_t pages_touched_ = 0;
   bool running_ = false;
-  // A touch or its completion is pending; cleared when TouchNext finds the hog stopped.
-  bool chained_ = false;
 };
 
 }  // namespace tcs

@@ -25,14 +25,6 @@ Marquee::Marquee(Simulator& sim, DisplayProtocol& protocol)
   }
 }
 
-Bytes Marquee::StripSetBytes() const {
-  Bytes total = Bytes::Zero();
-  for (const BitmapRef& strip : strips_) {
-    total += strip.compressed_bytes;
-  }
-  return total;
-}
-
 void Marquee::Start(Duration initial_delay) {
   task_.Start(initial_delay);
 }
@@ -42,7 +34,6 @@ void Marquee::Stop() {
 }
 
 void Marquee::Tick() {
-  ++ticks_;
   const BitmapRef& strip = strips_[static_cast<size_t>(next_strip_)];
   next_strip_ = (next_strip_ + 1) % kStripCount;
   // Fresh pixels for the newly exposed edge column every tick, never cacheable.

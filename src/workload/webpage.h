@@ -33,10 +33,6 @@ class Marquee {
   void Start(Duration initial_delay = Duration::Zero());
   void Stop();
 
-  int64_t ticks() const { return ticks_; }
-  // Total bytes of the cyclic strip set (what it occupies in a client bitmap cache).
-  Bytes StripSetBytes() const;
-
  private:
   void Tick();
 
@@ -44,7 +40,6 @@ class Marquee {
   std::vector<BitmapRef> strips_;
   int next_strip_ = 0;
   uint64_t edge_counter_ = 0;
-  int64_t ticks_ = 0;
   PeriodicTask task_;
 };
 
@@ -60,8 +55,6 @@ class WebPage {
   void Open();   // begins whatever elements are enabled
   void Close();
 
-  Animation* banner() { return banner_ ? &*banner_ : nullptr; }
-  Marquee* marquee() { return marquee_ ? &*marquee_ : nullptr; }
 
  private:
   std::optional<Animation> banner_;

@@ -8,7 +8,7 @@
 // page, and its page tables use the same packed entries, so they compare entry for
 // entry. Each seed builds two identical worlds, one per pager, and drives both through
 // the same random script: 8–200 frames, clusters of 1–4 pages, both eviction
-// policies, private and shared spaces (acquired, released, recreated), Access,
+// policies, private and shared spaces (created, acquired, attached), Access,
 // AccessRange, Prefault, MarkSwappedOut and range TryHit over partly resident ranges,
 // accesses that join page-ins still on the disk, and RunUntil to random deadlines.
 // After every step the pager counters, every space's page entries, the disk queue, the
@@ -84,7 +84,7 @@ class PerPagePager {
   PerPagePager(Simulator& sim, Disk& disk, PagerConfig config)
       : sim_(sim), disk_(disk), config_(config) {}
 
-  Space* CreateAddressSpace(const std::string&, bool interactive) {
+  Space* CreateAddressSpace(bool interactive) {
     spaces_.push_back(std::make_unique<Space>(next_id_++, interactive));
     return spaces_.back().get();
   }
@@ -92,32 +92,12 @@ class PerPagePager {
   Shared AcquireShared(const std::string& key, bool interactive) {
     auto it = shared_.find(key);
     if (it != shared_.end()) {
-      ++it->second.second;
       ++shared_attaches_;
-      return Shared{it->second.first, false};
+      return Shared{it->second, false};
     }
-    Space* space = CreateAddressSpace(key, interactive);
-    shared_.emplace(key, std::make_pair(space, 1));
+    Space* space = CreateAddressSpace(interactive);
+    shared_.emplace(key, space);
     return Shared{space, true};
-  }
-
-  void ReleaseShared(const std::string& key) {
-    auto it = shared_.find(key);
-    if (--it->second.second == 0) {
-      Space* space = it->second.first;
-      shared_.erase(it);
-      ReleaseAddressSpace(space);
-    }
-  }
-
-  void ReleaseAddressSpace(Space* as) {
-    DropFramesOf(*as);
-    for (auto it = spaces_.begin(); it != spaces_.end(); ++it) {
-      if (it->get() == as) {
-        spaces_.erase(it);
-        return;
-      }
-    }
   }
 
   void Access(Space& as, uint64_t vpn, bool write, InlineCallback done) {
@@ -394,33 +374,6 @@ class PerPagePager {
     --frames_used_;
   }
 
-  void DropFramesOf(Space& as) {
-    for (uint32_t it = lru_head_; it != kNil;) {
-      uint32_t next = frames_[it].next;
-      if (frames_[it].as == &as) {
-        UnlinkFrame(it);
-        FreeFrame(it);
-      }
-      it = next;
-    }
-    for (auto it = in_flight_.begin(); it != in_flight_.end();) {
-      if ((it->first >> 44) == as.id) {
-        uint64_t owner = it->second;
-        it = in_flight_.erase(it);
-        auto oit = ops_.find(owner);
-        if (oit != ops_.end()) {
-          std::vector<uint64_t> waiters = std::move(oit->second.waiter_ops);
-          oit->second.waiter_ops.clear();
-          for (uint64_t w : waiters) {
-            ScheduleOpFire(w, Duration::Zero());
-          }
-        }
-      } else {
-        ++it;
-      }
-    }
-  }
-
   Duration ThrottleFor(const Space& as) const {
     if (config_.policy == EvictionPolicy::kInteractiveProtect && !as.interactive &&
         frames_used_ >= config_.total_frames) {
@@ -495,7 +448,7 @@ class PerPagePager {
   std::map<uint64_t, uint64_t> in_flight_;
   std::map<uint64_t, Op> ops_;
   uint64_t next_op_id_ = 1;
-  std::map<std::string, std::pair<Space*, int>> shared_;
+  std::map<std::string, Space*> shared_;
   int64_t faults_ = 0;
   int64_t hits_ = 0;
   int64_t evictions_ = 0;
@@ -514,9 +467,7 @@ enum class Kind {
   kTryHit,
   kRunUntil,
   kAcquire,
-  kReleaseShared,
   kCreate,
-  kRelease,
 };
 
 // One script step. Spaces are named by slot: the order in which the script created them
@@ -529,9 +480,8 @@ struct Step {
   bool write = false;
   bool with_done = true;
   bool interactive = false;  // kCreate, kAcquire
-  int key = 0;               // kAcquire, kReleaseShared
-  bool creates = false;      // kAcquire: the first acquire of the key's current segment
-  bool destroys = false;     // kReleaseShared: the last release (slot = its space)
+  int key = 0;               // kAcquire
+  bool creates = false;      // kAcquire: the first acquire of the key
   Duration advance;          // kRunUntil
 };
 
@@ -554,37 +504,25 @@ Script DrawScript(uint64_t seed) {
   s.pager.throttle_delay = Duration::Micros(kThrottleUs[rng.NextBelow(3)]);
   s.disk_seed = rng.NextU64();
 
-  // The script's model of its slots: page span, and whether the space is still alive.
-  struct Slot {
-    size_t pages;
-    bool live;
-    int key;  // -1 for a private space
-  };
-  std::vector<Slot> slots;
+  // The script's model of its slots: each space's page span.
+  std::vector<size_t> slot_pages;
   auto span = [&] {
     return static_cast<size_t>(rng.NextInt(1, std::max<int64_t>(2, frames * 3 / 2)));
   };
   int privates = static_cast<int>(rng.NextInt(2, 4));
   for (int i = 0; i < privates; ++i) {
     s.initial_interactive.push_back(rng.NextBool(0.5));
-    slots.push_back(Slot{span(), true, -1});
+    slot_pages.push_back(span());
   }
   const int kKeys = 2;
   size_t key_pages[kKeys] = {span(), span()};
-  int key_refs[kKeys] = {0, 0};
-  int key_slot[kKeys] = {-1, -1};
+  bool key_created[kKeys] = {false, false};
 
   int n = static_cast<int>(rng.NextInt(60, 160));
   for (int i = 0; i < n; ++i) {
-    std::vector<int> live;
-    for (size_t j = 0; j < slots.size(); ++j) {
-      if (slots[j].live) {
-        live.push_back(static_cast<int>(j));
-      }
-    }
     Step st;
-    st.slot = live[rng.NextBelow(live.size())];
-    size_t pages = slots[static_cast<size_t>(st.slot)].pages;
+    st.slot = static_cast<int>(rng.NextBelow(slot_pages.size()));
+    size_t pages = slot_pages[static_cast<size_t>(st.slot)];
     st.first = rng.NextBelow(pages);
     st.count = static_cast<size_t>(
         rng.NextInt(1, std::min<int64_t>(48, static_cast<int64_t>(pages - st.first))));
@@ -606,35 +544,18 @@ Script DrawScript(uint64_t seed) {
       const int64_t kScaleUs[] = {500, 20000, 200000};
       st.advance = Duration::Micros(rng.NextInt(0, kScaleUs[rng.NextBelow(3)]));
     } else if (r < 0.96) {
+      st.kind = Kind::kAcquire;
       st.key = static_cast<int>(rng.NextBelow(kKeys));
-      if (key_refs[st.key] > 0 && rng.NextBool(0.4)) {
-        st.kind = Kind::kReleaseShared;
-        st.slot = key_slot[st.key];
-        st.destroys = --key_refs[st.key] == 0;
-        slots[static_cast<size_t>(st.slot)].live = !st.destroys;
-      } else {
-        st.kind = Kind::kAcquire;
-        st.interactive = rng.NextBool(0.5);
-        st.creates = key_refs[st.key]++ == 0;
-        if (st.creates) {
-          key_slot[st.key] = static_cast<int>(slots.size());
-          slots.push_back(Slot{key_pages[st.key], true, st.key});
-        }
+      st.interactive = rng.NextBool(0.5);
+      st.creates = !key_created[st.key];
+      if (st.creates) {
+        key_created[st.key] = true;
+        slot_pages.push_back(key_pages[st.key]);
       }
     } else {
-      int private_live = 0;
-      for (int j : live) {
-        private_live += slots[static_cast<size_t>(j)].key < 0 ? 1 : 0;
-      }
-      if (slots[static_cast<size_t>(st.slot)].key < 0 && private_live > 1 &&
-          rng.NextBool(0.5)) {
-        st.kind = Kind::kRelease;
-        slots[static_cast<size_t>(st.slot)].live = false;
-      } else {
-        st.kind = Kind::kCreate;
-        st.interactive = rng.NextBool(0.5);
-        slots.push_back(Slot{span(), true, -1});
-      }
+      st.kind = Kind::kCreate;
+      st.interactive = rng.NextBool(0.5);
+      slot_pages.push_back(span());
     }
     s.steps.push_back(st);
   }
@@ -651,7 +572,7 @@ struct Observed {
   int64_t protected_skips = 0, shared_attaches = 0, coalesced_waits = 0;
   size_t frames_used = 0, shared_segments = 0;
   size_t tryhit = 0;  // the last TryHit's hit count
-  std::vector<std::vector<uint32_t>> pages;  // per slot; empty once released
+  std::vector<std::vector<uint32_t>> pages;  // per slot
   std::vector<size_t> resident;
   std::vector<std::pair<int, int64_t>> log;  // (step, completion time in us)
 
@@ -690,22 +611,20 @@ struct Observed {
 template <typename P>
 class World {
  public:
-  using Space = std::remove_pointer_t<decltype(std::declval<P&>().CreateAddressSpace(
-      std::string(), false))>;
+  using Space =
+      std::remove_pointer_t<decltype(std::declval<P&>().CreateAddressSpace(false))>;
 
   explicit World(const Script& s)
       : disk_(sim_, Rng(s.disk_seed)), pager_(sim_, disk_, s.pager) {
     for (bool interactive : s.initial_interactive) {
-      slots_.push_back(pager_.CreateAddressSpace("private", interactive));
+      slots_.push_back(pager_.CreateAddressSpace(interactive));
     }
   }
 
   // Applies step `i`; returns false if the pager disagrees with the script about
   // whether an acquire created its segment.
   bool Apply(const Step& st, int i) {
-    Space* as = st.slot < static_cast<int>(slots_.size())
-                    ? slots_[static_cast<size_t>(st.slot)]
-                    : nullptr;
+    Space* as = slots_[static_cast<size_t>(st.slot)];
     InlineCallback done = nullptr;
     if (st.with_done) {
       done = [this, i] { log_.emplace_back(i, sim_.Now().ToMicros()); };
@@ -739,18 +658,8 @@ class World {
         }
         break;
       }
-      case Kind::kReleaseShared:
-        pager_.ReleaseShared("text:" + std::to_string(st.key));
-        if (st.destroys) {
-          slots_[static_cast<size_t>(st.slot)] = nullptr;
-        }
-        break;
       case Kind::kCreate:
-        slots_.push_back(pager_.CreateAddressSpace("private", st.interactive));
-        break;
-      case Kind::kRelease:
-        pager_.ReleaseAddressSpace(as);
-        slots_[static_cast<size_t>(st.slot)] = nullptr;
+        slots_.push_back(pager_.CreateAddressSpace(st.interactive));
         break;
     }
     return true;
@@ -777,8 +686,8 @@ class World {
     o.shared_segments = pager_.shared_segments();
     o.tryhit = tryhit_;
     for (const Space* as : slots_) {
-      o.pages.push_back(as != nullptr ? as->page_entries() : std::vector<uint32_t>());
-      o.resident.push_back(as != nullptr ? as->resident_pages() : 0);
+      o.pages.push_back(as->page_entries());
+      o.resident.push_back(as->resident_pages());
     }
     o.log = log_;
     return o;
@@ -792,9 +701,6 @@ class World {
     sim_.Run();
     std::vector<std::pair<int, uint64_t>> holder(total_frames, {-1, 0});
     for (size_t s = 0; s < slots_.size(); ++s) {
-      if (slots_[s] == nullptr) {
-        continue;
-      }
       const std::vector<uint32_t>& entries = slots_[s]->page_entries();
       for (uint64_t vpn = 0; vpn < entries.size(); ++vpn) {
         if (entries[vpn] >= 2) {
@@ -802,7 +708,7 @@ class World {
         }
       }
     }
-    Space* probe = pager_.CreateAddressSpace("probe", /*interactive=*/true);
+    Space* probe = pager_.CreateAddressSpace(/*interactive=*/true);
     std::vector<std::pair<int, uint64_t>> evicted;
     for (uint64_t vpn = 0; vpn < total_frames; ++vpn) {
       int64_t before = pager_.evictions();
@@ -831,7 +737,6 @@ struct Coverage {
   int prefault_evictions = 0;  // Prefault steps on a full pool
   int partial_tryhits = 0;    // TryHit steps that stopped short of their count
   int protected_skips = 0;    // steps that skipped protected frames
-  int releases_in_flight = 0;  // releases while a page-in was on the disk
   int flushed_frames = 0;     // evictions recorded by the final flushes
 };
 
@@ -861,9 +766,6 @@ std::string RunSeed(uint64_t seed, Coverage& cov) {
         st.kind == Kind::kPrefault && got.evictions > before.evictions ? 1 : 0;
     cov.partial_tryhits += st.kind == Kind::kTryHit && got.tryhit < st.count ? 1 : 0;
     cov.protected_skips += got.protected_skips > before.protected_skips ? 1 : 0;
-    bool releases = st.kind == Kind::kRelease || st.destroys;
-    bool disk_busy = before.disk_busy_until_us > before.now_us;
-    cov.releases_in_flight += releases && disk_busy ? 1 : 0;
   }
   std::vector<std::pair<int, uint64_t>> got = runs.FlushInLruOrder(s.pager.total_frames);
   std::vector<std::pair<int, uint64_t>> want =
@@ -902,7 +804,6 @@ TEST(PagerRangeTest, RunHitsMatchPerPagePagerAfterEveryStep) {
   EXPECT_GT(cov.prefault_evictions, 100);
   EXPECT_GT(cov.partial_tryhits, 100);
   EXPECT_GT(cov.protected_skips, 100);
-  EXPECT_GT(cov.releases_in_flight, 20);
   EXPECT_GT(cov.flushed_frames, 10000);
 }
 
@@ -915,13 +816,13 @@ TEST(PagerRangeTest, RunOfScatteredFramesMovesToTailInVpnOrder) {
   PagerConfig cfg;
   cfg.total_frames = 6;
   Pager pager(sim, disk, cfg);
-  AddressSpace* as = pager.CreateAddressSpace("a", true);
+  AddressSpace* as = pager.CreateAddressSpace(true);
   for (uint64_t vpn : {3, 1, 5, 0, 2, 4}) {
     pager.Prefault(*as, vpn, 1);
   }
   EXPECT_EQ(pager.TryHit(*as, 0, 6, false), 6u);
   EXPECT_EQ(pager.hits(), 6);
-  AddressSpace* probe = pager.CreateAddressSpace("probe", true);
+  AddressSpace* probe = pager.CreateAddressSpace(true);
   for (uint64_t vpn = 0; vpn < 6; ++vpn) {
     pager.Access(*probe, vpn, false, nullptr);
     EXPECT_TRUE(as->WasEvicted(vpn)) << vpn;

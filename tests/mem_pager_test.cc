@@ -30,7 +30,7 @@ PagerConfig SmallMemory(size_t frames) {
 
 TEST(PagerTest, FirstTouchZeroFillsWithoutIo) {
   PagerFixture f(SmallMemory(16));
-  AddressSpace* as = f.pager.CreateAddressSpace("p", false);
+  AddressSpace* as = f.pager.CreateAddressSpace(false);
   int completions = 0;
   f.pager.Access(*as, 0, false, [&] { ++completions; });
   f.sim.Run();
@@ -48,7 +48,7 @@ TEST(PagerTest, FirstTouchZeroFillsWithoutIo) {
 
 TEST(PagerTest, SwappedOutPagePaysDiskOnReaccess) {
   PagerFixture f(SmallMemory(16));
-  AddressSpace* as = f.pager.CreateAddressSpace("p", false);
+  AddressSpace* as = f.pager.CreateAddressSpace(false);
   f.pager.Prefault(*as, 0, 1);
   f.pager.MarkSwappedOut(*as, 0, 1);
   EXPECT_FALSE(as->IsResident(0));
@@ -64,7 +64,7 @@ TEST(PagerTest, SwappedOutPagePaysDiskOnReaccess) {
 
 TEST(PagerTest, EvictedPageNeedsDiskToComeBack) {
   PagerFixture f(SmallMemory(2));
-  AddressSpace* as = f.pager.CreateAddressSpace("p", false);
+  AddressSpace* as = f.pager.CreateAddressSpace(false);
   f.pager.Access(*as, 0, true, nullptr);
   f.pager.Access(*as, 1, true, nullptr);
   f.pager.Access(*as, 2, true, nullptr);  // evicts page 0 (all zero-fill so far)
@@ -78,7 +78,7 @@ TEST(PagerTest, EvictedPageNeedsDiskToComeBack) {
 
 TEST(PagerTest, EvictsLeastRecentlyUsed) {
   PagerFixture f(SmallMemory(3));
-  AddressSpace* as = f.pager.CreateAddressSpace("p", false);
+  AddressSpace* as = f.pager.CreateAddressSpace(false);
   f.pager.Prefault(*as, 0, 3);  // pages 0,1,2 resident; LRU order 0,1,2
   f.pager.Access(*as, 0, false, nullptr);  // touch 0 -> LRU order 1,2,0
   f.pager.Access(*as, 3, false, nullptr);  // fault -> evicts 1
@@ -92,7 +92,7 @@ TEST(PagerTest, EvictsLeastRecentlyUsed) {
 
 TEST(PagerTest, DirtyEvictionTriggersWriteback) {
   PagerFixture f(SmallMemory(2));
-  AddressSpace* as = f.pager.CreateAddressSpace("p", false);
+  AddressSpace* as = f.pager.CreateAddressSpace(false);
   f.pager.Access(*as, 0, /*write=*/true, nullptr);
   f.pager.Access(*as, 1, /*write=*/false, nullptr);
   f.pager.Access(*as, 2, /*write=*/false, nullptr);  // evicts dirty page 0
@@ -110,8 +110,8 @@ TEST(PagerTest, StreamingHogEvictsIdleProcess) {
   // The §5.2 pathology: 100-frame memory, a 40-page editor, and a hog whose demand
   // exceeds free memory. After the hog streams through, the editor has been paged out.
   PagerFixture f(SmallMemory(100));
-  AddressSpace* editor = f.pager.CreateAddressSpace("editor", true);
-  AddressSpace* hog = f.pager.CreateAddressSpace("hog", false);
+  AddressSpace* editor = f.pager.CreateAddressSpace(true);
+  AddressSpace* hog = f.pager.CreateAddressSpace(false);
   f.pager.Prefault(*editor, 0, 40);
   EXPECT_EQ(editor->resident_pages(), 40u);
   for (uint64_t vpn = 0; vpn < 120; ++vpn) {
@@ -126,8 +126,8 @@ TEST(PagerTest, InteractiveProtectKeepsEditorResident) {
   PagerConfig cfg = SmallMemory(100);
   cfg.policy = EvictionPolicy::kInteractiveProtect;
   PagerFixture f(cfg);
-  AddressSpace* editor = f.pager.CreateAddressSpace("editor", true);
-  AddressSpace* hog = f.pager.CreateAddressSpace("hog", false);
+  AddressSpace* editor = f.pager.CreateAddressSpace(true);
+  AddressSpace* hog = f.pager.CreateAddressSpace(false);
   f.pager.Prefault(*editor, 0, 40);
   for (uint64_t vpn = 0; vpn < 200; ++vpn) {
     f.pager.Access(*hog, vpn, /*write=*/true, nullptr);
@@ -142,8 +142,8 @@ TEST(PagerTest, InteractiveProtectStillAllowsInteractiveGrowth) {
   PagerConfig cfg = SmallMemory(10);
   cfg.policy = EvictionPolicy::kInteractiveProtect;
   PagerFixture f(cfg);
-  AddressSpace* a = f.pager.CreateAddressSpace("a", true);
-  AddressSpace* b = f.pager.CreateAddressSpace("b", true);
+  AddressSpace* a = f.pager.CreateAddressSpace(true);
+  AddressSpace* b = f.pager.CreateAddressSpace(true);
   f.pager.Prefault(*a, 0, 10);
   // An interactive fault may evict interactive pages (normal LRU among peers).
   f.pager.Access(*b, 0, false, nullptr);
@@ -157,7 +157,7 @@ TEST(PagerTest, ThrottleDelaysNonInteractiveFaultsWhenSaturated) {
   cfg.policy = EvictionPolicy::kInteractiveProtect;
   cfg.throttle_delay = Duration::Millis(50);
   PagerFixture f(cfg);
-  AddressSpace* hog = f.pager.CreateAddressSpace("hog", false);
+  AddressSpace* hog = f.pager.CreateAddressSpace(false);
   f.pager.Prefault(*hog, 100, 4);  // memory now saturated
   TimePoint done;
   f.pager.Access(*hog, 0, true, [&] { done = f.sim.Now(); });
@@ -171,7 +171,7 @@ TEST(PagerTest, NoThrottleWhileMemoryFree) {
   cfg.policy = EvictionPolicy::kInteractiveProtect;
   cfg.throttle_delay = Duration::Millis(50);
   PagerFixture f(cfg);
-  AddressSpace* hog = f.pager.CreateAddressSpace("hog", false);
+  AddressSpace* hog = f.pager.CreateAddressSpace(false);
   TimePoint done;
   f.pager.Access(*hog, 0, true, [&] { done = f.sim.Now(); });
   f.sim.Run();
@@ -182,7 +182,7 @@ TEST(PagerTest, AccessRangeClustersContiguousSwapIns) {
   PagerConfig cfg = SmallMemory(64);
   cfg.cluster_pages = 8;
   PagerFixture f(cfg);
-  AddressSpace* as = f.pager.CreateAddressSpace("p", false);
+  AddressSpace* as = f.pager.CreateAddressSpace(false);
   f.pager.MarkSwappedOut(*as, 0, 32);
   bool done = false;
   f.pager.AccessRange(*as, 0, 32, false, [&] { done = true; });
@@ -197,7 +197,7 @@ TEST(PagerTest, AccessRangeSkipsResidentPages) {
   PagerConfig cfg = SmallMemory(64);
   cfg.cluster_pages = 8;
   PagerFixture f(cfg);
-  AddressSpace* as = f.pager.CreateAddressSpace("p", false);
+  AddressSpace* as = f.pager.CreateAddressSpace(false);
   f.pager.MarkSwappedOut(*as, 0, 24);
   f.pager.Prefault(*as, 8, 8);  // middle brought back
   bool done = false;
@@ -209,7 +209,7 @@ TEST(PagerTest, AccessRangeSkipsResidentPages) {
 
 TEST(PagerTest, AccessRangeAllResidentCompletesWithoutIo) {
   PagerFixture f(SmallMemory(64));
-  AddressSpace* as = f.pager.CreateAddressSpace("p", false);
+  AddressSpace* as = f.pager.CreateAddressSpace(false);
   f.pager.Prefault(*as, 0, 16);
   bool done = false;
   f.pager.AccessRange(*as, 0, 16, false, [&] { done = true; });
@@ -223,7 +223,7 @@ TEST(PagerTest, SingleClusterSwapInsAreSequentialIos) {
   PagerConfig cfg = SmallMemory(64);
   cfg.cluster_pages = 1;  // Linux 2.0-style single-page swap-in
   PagerFixture f(cfg);
-  AddressSpace* as = f.pager.CreateAddressSpace("p", false);
+  AddressSpace* as = f.pager.CreateAddressSpace(false);
   f.pager.MarkSwappedOut(*as, 0, 10);
   bool done = false;
   f.pager.AccessRange(*as, 0, 10, false, [&] { done = true; });
@@ -234,7 +234,7 @@ TEST(PagerTest, SingleClusterSwapInsAreSequentialIos) {
 
 TEST(PagerTest, FramesAccounting) {
   PagerFixture f(SmallMemory(8));
-  AddressSpace* as = f.pager.CreateAddressSpace("p", false);
+  AddressSpace* as = f.pager.CreateAddressSpace(false);
   EXPECT_EQ(f.pager.frames_free(), 8u);
   f.pager.Prefault(*as, 0, 3);
   EXPECT_EQ(f.pager.frames_used(), 3u);

@@ -137,7 +137,7 @@ TEST(EmitterTest, PageInReachesBothSinksAlike) {
   cfg.total_frames = 16;
   Pager pager(sim, disk, cfg);
   pager.Attach(Emitter(&tracer, &recorder));
-  AddressSpace* as = pager.CreateAddressSpace("p", false);
+  AddressSpace* as = pager.CreateAddressSpace(false);
   pager.Prefault(*as, 0, 4);
   pager.MarkSwappedOut(*as, 0, 4);
   pager.AccessRange(*as, 0, 4, false, nullptr);
@@ -199,7 +199,6 @@ TEST(EmitterTest, DegradationTransitionsReachBothSinksAlike) {
   sim.Schedule(Duration::Millis(2150), [&] { pressure = Bytes::KiB(100).count(); });
   sim.Schedule(Duration::Millis(2450), [&] { pressure = 0; });
   sim.RunFor(Duration::Seconds(5));
-  ladder.Stop();
   ExpectSinksAgree(tracer, recorder, {"degrade", "recover"});
 }
 

@@ -153,7 +153,7 @@ TEST_P(SeededProperty, PagerFrameAccountingInvariants) {
   Pager pager(sim, disk, cfg);
   std::vector<AddressSpace*> spaces;
   for (int i = 0; i < 3; ++i) {
-    spaces.push_back(pager.CreateAddressSpace("as", rng.NextBool(0.5)));
+    spaces.push_back(pager.CreateAddressSpace(rng.NextBool(0.5)));
   }
   for (int i = 0; i < 400; ++i) {
     AddressSpace* as = spaces[static_cast<size_t>(rng.NextBelow(spaces.size()))];

@@ -1,5 +1,8 @@
 #include "src/session/server.h"
 
+#include <sstream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/cpu/idle_profiler.h"
@@ -164,7 +167,9 @@ TEST(ServerTest, FrozenWindowRendersAfterTheServerIsDestroyed) {
     sim.RunFor(Duration::Millis(500));
     recorder.Freeze(sim.Now());
   }
-  std::string json = recorder.WindowJson();
+  std::ostringstream json_out;
+  recorder.WriteWindowJson(json_out);
+  std::string json = json_out.str();
   EXPECT_NE(json.find("\"name\":\"editor\",\"cat\":\"cpu\""), std::string::npos) << json;
 }
 

@@ -1,8 +1,7 @@
 // Property tests for cross-session page sharing (§5.1.1) and in-flight page-in
 // coalescing. Randomized over seeds and session counts: shared text must be resident
-// once no matter how many sessions map it, physical memory must never be exceeded,
-// an evicted shared page must stall every mapping session exactly once (one disk I/O),
-// and logout must return the resident count to its pre-login value.
+// once no matter how many sessions map it, physical memory must never be exceeded, and
+// an evicted shared page must stall every mapping session exactly once (one disk I/O).
 
 #include <gtest/gtest.h>
 
@@ -67,26 +66,14 @@ TEST_P(SharedPagerProperty, ResidentFramesNeverExceedPhysicalMemory) {
   Rng rng(GetParam());
   PagerFixture f(SmallMemory(64));
   std::vector<AddressSpace*> spaces;
-  std::vector<std::string> keys;
   for (int step = 0; step < 200; ++step) {
     double dice = rng.NextDouble();
     if (dice < 0.2) {
       std::string key = "seg:" + std::to_string(rng.NextInt(0, 5));
-      SharedSegment seg = f.pager.AcquireShared(key, rng.NextBool(0.5));
-      keys.push_back(key);
-      spaces.push_back(seg.space);
-    } else if (dice < 0.3 && !keys.empty()) {
-      size_t pick = static_cast<size_t>(rng.NextBelow(keys.size()));
-      f.pager.ReleaseShared(keys[pick]);
-      keys.erase(keys.begin() + static_cast<long>(pick));
-      spaces.clear();  // conservatively drop stale pointers; reacquire below
-      for (const std::string& key : keys) {
-        spaces.push_back(f.pager.AcquireShared(key, false).space);
-        f.pager.ReleaseShared(key);  // keep refcounts balanced with `keys`
-      }
+      spaces.push_back(f.pager.AcquireShared(key, rng.NextBool(0.5)).space);
     } else if (dice < 0.5) {
       spaces.push_back(
-          f.pager.CreateAddressSpace("p" + std::to_string(step), rng.NextBool(0.3)));
+          f.pager.CreateAddressSpace(rng.NextBool(0.3)));
     } else if (!spaces.empty()) {
       AddressSpace* as = spaces[static_cast<size_t>(rng.NextBelow(spaces.size()))];
       uint64_t first = static_cast<uint64_t>(rng.NextInt(0, 100));
@@ -170,64 +157,28 @@ TEST_P(SharedPagerProperty, EvictedSharedPageStallsEveryMapperExactlyOnce) {
   }
 }
 
-// --- Logout is a clean inverse of login: resident frames return to each intermediate
-// level in reverse, shared text is freed only with the last session, and the pool ends
-// exactly where it started.
-TEST_P(SharedPagerProperty, LogoutReturnsResidentFramesToPreLoginLevel) {
-  Rng rng(GetParam());
-  int sessions = 1 + static_cast<int>(rng.NextBelow(3));  // 1..3
-  Simulator sim;
-  Server server(sim, OsProfile::Tse());
-  size_t baseline = server.pager().frames_used();
-  std::vector<Session*> logged_in;
-  std::vector<size_t> levels{baseline};
-  for (int i = 0; i < sessions; ++i) {
-    logged_in.push_back(&server.Login());
-    levels.push_back(server.pager().frames_used());
-  }
-  sim.RunFor(Duration::Seconds(1));  // let setup traffic drain; no paging activity
-  for (int i = sessions - 1; i >= 0; --i) {
-    server.Logout(*logged_in[static_cast<size_t>(i)]);
-    sim.RunFor(Duration::Millis(10));  // flush zero-delay waiter completions
-    EXPECT_EQ(server.pager().frames_used(), levels[static_cast<size_t>(i)]);
-  }
-  EXPECT_EQ(server.pager().frames_used(), baseline);
-  EXPECT_EQ(server.pager().shared_segments(), 0u);
-}
-
-// --- Refcounted segments: the live-segment gauge always matches a model refcount map,
-// and releasing every reference returns the pool to empty.
+// --- Shared segments: the live-segment gauge always matches a model map of the keys
+// acquired, and every acquire after a key's first is one attach to its space.
 TEST_P(SharedPagerProperty, SharedSegmentRefcountsMatchModel) {
   Rng rng(GetParam());
   PagerFixture f(SmallMemory(256));
-  std::map<std::string, int> model;
+  std::map<std::string, AddressSpace*> model;
+  int64_t attaches = 0;
   for (int step = 0; step < 300; ++step) {
     std::string key = "seg:" + std::to_string(rng.NextInt(0, 8));
     auto it = model.find(key);
-    bool release = it != model.end() && rng.NextBool(0.5);
-    if (release) {
-      f.pager.ReleaseShared(key);
-      if (--it->second == 0) {
-        model.erase(it);
-      }
+    SharedSegment seg = f.pager.AcquireShared(key, false);
+    ASSERT_EQ(seg.created, it == model.end());
+    if (seg.created) {
+      f.pager.Prefault(*seg.space, 0, static_cast<size_t>(rng.NextInt(1, 8)));
+      model[key] = seg.space;
     } else {
-      SharedSegment seg = f.pager.AcquireShared(key, false);
-      EXPECT_EQ(seg.created, it == model.end());
-      if (seg.created) {
-        f.pager.Prefault(*seg.space, 0, static_cast<size_t>(rng.NextInt(1, 8)));
-      }
-      ++model[key];
+      EXPECT_EQ(seg.space, it->second);
+      ++attaches;
     }
     ASSERT_EQ(f.pager.shared_segments(), model.size());
+    ASSERT_EQ(f.pager.shared_attaches(), attaches);
   }
-  for (auto& [key, refs] : model) {
-    for (int i = 0; i < refs; ++i) {
-      f.pager.ReleaseShared(key);
-    }
-  }
-  f.sim.Run();
-  EXPECT_EQ(f.pager.shared_segments(), 0u);
-  EXPECT_EQ(f.pager.frames_used(), 0u);
 }
 
 }  // namespace

@@ -48,11 +48,5 @@ TEST(TransmissionDelayTest, RoundsUpNeverDown) {
   EXPECT_EQ(TransmissionDelay(Bytes::Of(1), BitsPerSecond::Mbps(9)), Duration::Micros(1));
 }
 
-TEST(RateOverTest, ComputesAverageRate) {
-  // 1,250,000 bytes over 1 s = 10 Mbps.
-  EXPECT_EQ(RateOver(Bytes::Of(1250000), Duration::Seconds(1)).bps(), 10000000);
-  EXPECT_EQ(RateOver(Bytes::Of(100), Duration::Zero()).bps(), 0);
-}
-
 }  // namespace
 }  // namespace tcs

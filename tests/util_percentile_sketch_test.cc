@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -98,22 +97,13 @@ TEST(LatencyRecorderSketchTest, DifferentialAgainstSortAndScan) {
         }
       }
     }
-    // Mean and Jitter come from exact integer accumulators; reproduce them directly.
+    // Mean comes from an exact integer accumulator; reproduce it directly.
     int64_t total = 0;
     for (int64_t v : reference) {
       total += v;
     }
     auto n = static_cast<int64_t>(reference.size());
     EXPECT_EQ(rec.Mean().ToMicros(), (total + n / 2) / n);
-    __int128 sum_sq = 0;
-    for (int64_t v : reference) {
-      sum_sq += static_cast<__int128>(v) * v;
-    }
-    __int128 num = static_cast<__int128>(n) * sum_sq -
-                   static_cast<__int128>(total) * total;
-    double var = static_cast<double>(num) / (static_cast<double>(n) * static_cast<double>(n));
-    EXPECT_EQ(rec.Jitter().ToMicros(),
-              static_cast<int64_t>(std::sqrt(var) + 0.5));
     // samples_us() stays in arrival order regardless of interleaved queries.
     ASSERT_EQ(rec.samples_us().size(), reference.size());
     EXPECT_EQ(rec.samples_us(), reference);
@@ -146,8 +136,6 @@ TEST(LatencyRecorderSketchTest, EmptyRecorderAnswersZeroEverywhere) {
   EXPECT_EQ(rec.Percentile(0.99), Duration::Zero());
   EXPECT_DOUBLE_EQ(rec.PercentileMs(0.99), 0.0);
   EXPECT_EQ(rec.Mean(), Duration::Zero());
-  EXPECT_EQ(rec.Jitter(), Duration::Zero());
-  EXPECT_DOUBLE_EQ(rec.PerceptibleFraction(), 0.0);
   EXPECT_TRUE(rec.samples_us().empty());
 }
 

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace tcs {
 namespace {
 
@@ -25,44 +23,6 @@ TEST(RunningStatsTest, MeanVarianceMinMax) {
   EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStatsTest, SampleVarianceUsesNMinusOne) {
-  RunningStats s;
-  s.Add(1.0);
-  s.Add(3.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 1.0);
-  EXPECT_DOUBLE_EQ(s.sample_variance(), 2.0);
-}
-
-TEST(RunningStatsTest, MergeMatchesCombinedStream) {
-  RunningStats a;
-  RunningStats b;
-  RunningStats all;
-  for (int i = 0; i < 50; ++i) {
-    double v = std::sin(i) * 10.0;
-    (i % 2 == 0 ? a : b).Add(v);
-    all.Add(v);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStatsTest, MergeWithEmptySides) {
-  RunningStats a;
-  RunningStats empty;
-  a.Add(5.0);
-  a.Merge(empty);
-  EXPECT_EQ(a.count(), 1);
-  RunningStats c;
-  c.Merge(a);
-  EXPECT_EQ(c.count(), 1);
-  EXPECT_DOUBLE_EQ(c.mean(), 5.0);
 }
 
 }  // namespace

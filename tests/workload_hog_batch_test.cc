@@ -6,10 +6,10 @@
 // hog, and drives both through the same random script: pager size and policy, hog
 // region and touch time, an interactive victim space hit at random instants (half of
 // them on exact multiples of the touch time, a few more on the hog's live touch grid),
-// Stop()/Start() calls from inside victim completions, and six RunUntil deadlines (half
-// of them on touch instants). Everything observable must match at every deadline: pager
-// counters, both spaces' page tables, the disk queue, the pending-event count and the
-// victim's completion log.
+// and six RunUntil deadlines (half of them on touch instants). Everything observable
+// must match at every deadline: pager counters, both spaces' page tables, the disk
+// queue, the pending-event count, the victim's completion log and the pager's hit count
+// at each victim completion (what another component sees in the middle of a run).
 
 #include <gtest/gtest.h>
 
@@ -33,25 +33,15 @@ namespace tcs {
 namespace {
 
 // The per-page hog: every touch is a Pager::Access whose completion schedules the next
-// touch one touch_cpu later. Start() resumes a chain whose next touch is still pending.
+// touch one touch_cpu later.
 class PerPageHog {
  public:
   PerPageHog(Simulator& sim, Pager& pager, MemoryHogConfig config)
       : sim_(sim), pager_(pager), config_(config) {
-    as_ = pager_.CreateAddressSpace("hog", /*interactive=*/false);
+    as_ = pager_.CreateAddressSpace(/*interactive=*/false);
   }
 
-  void Start() {
-    if (running_) {
-      return;
-    }
-    running_ = true;
-    if (!chained_) {
-      chained_ = true;
-      TouchNext();
-    }
-  }
-  void Stop() { running_ = false; }
+  void Start() { TouchNext(); }
 
   AddressSpace* address_space() const { return as_; }
   int64_t pages_touched() const { return pages_touched_; }
@@ -67,10 +57,6 @@ class PerPageHog {
 
  private:
   void TouchNext() {
-    if (!running_) {
-      chained_ = false;
-      return;
-    }
     uint64_t vpn = next_vpn_;
     next_vpn_ = (next_vpn_ + 1) % config_.region_pages;
     pager_.Access(*as_, vpn, config_.writes, [this] {
@@ -86,13 +72,9 @@ class PerPageHog {
   AddressSpace* as_;
   uint64_t next_vpn_ = 0;
   int64_t pages_touched_ = 0;
-  bool running_ = false;
-  bool chained_ = false;
   EventId touch_ev_;
   TimePoint next_touch_at_;
 };
-
-enum class HogAction { kNone, kStop, kStart };
 
 // One victim access: Access (count == 1 and !range) or AccessRange of the victim space.
 struct VictimCall {
@@ -105,7 +87,6 @@ struct VictimCall {
   size_t count = 1;
   bool range = false;
   bool write = false;
-  HogAction action = HogAction::kNone;
   // Non-zero: the completion schedules a repeat of this access at the first multiple of
   // touch_cpu at least this far ahead.
   Duration repeat_after = Duration::Zero();
@@ -159,8 +140,6 @@ Script DrawScript(uint64_t seed) {
                                                         s.victim_pages - v.first))))
                       : 1;
     v.write = rng.NextBool(0.3);
-    double a = rng.NextDouble();
-    v.action = a < 0.12 ? HogAction::kStop : (a < 0.24 ? HogAction::kStart : HogAction::kNone);
     if (rng.NextBool(0.3)) {
       v.repeat_after = Duration::Micros(c * rng.NextInt(1, 50));
     }
@@ -197,6 +176,7 @@ struct Observed {
   std::vector<uint32_t> victim_pages, hog_pages;
   size_t victim_resident = 0, hog_resident = 0;
   std::vector<std::pair<int, int64_t>> victim_log;  // (call, completion time in us)
+  std::vector<int64_t> victim_hits;  // pager hits at each victim completion
 
   bool operator==(const Observed&) const = default;
 
@@ -218,7 +198,7 @@ class World {
  public:
   explicit World(const Script& s)
       : script_(s), disk_(sim_, Rng(s.disk_seed)), pager_(sim_, disk_, s.pager) {
-    victim_ = pager_.CreateAddressSpace("victim", /*interactive=*/true);
+    victim_ = pager_.CreateAddressSpace(/*interactive=*/true);
     pager_.Prefault(*victim_, 0, s.victim_pages);
     hog_.emplace(sim_, pager_, s.hog);
     hog_->Start();
@@ -259,6 +239,7 @@ class World {
     o.hog_pages = hog_->address_space()->page_entries();
     o.hog_resident = hog_->address_space()->resident_pages();
     o.victim_log = log_;
+    o.victim_hits = hits_log_;
     return o;
   }
 
@@ -281,13 +262,9 @@ class World {
   void Done(int i, bool repeat) {
     const VictimCall& v = script_.calls[static_cast<size_t>(i)];
     log_.emplace_back(repeat ? -1 - i : i, sim_.Now().ToMicros());
+    hits_log_.push_back(pager_.hits());
     if (repeat) {
       return;
-    }
-    if (v.action == HogAction::kStop) {
-      hog_->Stop();
-    } else if (v.action == HogAction::kStart) {
-      hog_->Start();
     }
     if (!v.repeat_after.IsZero()) {
       int64_t c = script_.hog.touch_cpu.ToMicros();
@@ -304,6 +281,7 @@ class World {
   AddressSpace* victim_ = nullptr;
   std::optional<Hog> hog_;
   std::vector<std::pair<int, int64_t>> log_;
+  std::vector<int64_t> hits_log_;
 };
 
 // Runs one seed; returns a description of the first mismatch, or "" if none.
@@ -340,6 +318,9 @@ std::string RunSeed(uint64_t seed) {
       }
       if (got.victim_log != want.victim_log) {
         what += " victim-log";
+      }
+      if (got.victim_hits != want.victim_hits) {
+        what += " hits-at-completion";
       }
       return "seed " + std::to_string(seed) + " deadline " + std::to_string(d) + " @" +
              std::to_string(deadline.ToMicros()) + "us differs:" + what +

@@ -10,7 +10,6 @@
 #include "src/workload/memory_hog.h"
 #include "src/workload/sink.h"
 #include "src/workload/typist.h"
-#include "src/workload/webpage.h"
 
 namespace tcs {
 namespace {
@@ -70,51 +69,23 @@ TEST(MemoryHogTest, StreamsAndWraps) {
   MemoryHog hog(sim, pager, cfg);
   hog.Start();
   sim.RunUntil(TimePoint::Zero() + Duration::Millis(10));
-  hog.Stop();
   // One touch per 100 us at t = 0, 100 us, ..., 10 ms inclusive: the touch due at the
   // deadline runs, the one after it does not. It wrapped the 32-page region three times.
   EXPECT_EQ(hog.pages_touched(), 101);
   EXPECT_EQ(hog.address_space()->resident_pages(), 32u);
 }
 
-// Touches by 2 ms of a 50 us hog over a resident 32-page region, stopped at 1,010 us and
-// restarted at `restart_us`.
-int64_t TouchesWithRestartAt(int64_t restart_us) {
-  Simulator sim;
-  Disk disk(sim, Rng(1));
-  Pager pager(sim, disk, PagerConfig{.total_frames = 64});
-  MemoryHogConfig cfg;
-  cfg.region_pages = 32;
-  cfg.touch_cpu = Duration::Micros(50);
-  MemoryHog hog(sim, pager, cfg);
-  hog.Start();
-  sim.At(TimePoint::FromMicros(1010), [&] { hog.Stop(); });
-  sim.At(TimePoint::FromMicros(restart_us), [&] { hog.Start(); });
-  sim.RunUntil(TimePoint::Zero() + Duration::Millis(2));
-  return hog.pages_touched();
-}
-
-// A restart resumes the stopped chain while its next touch is pending, so one chain of
-// touches runs, not two; once that touch has lapsed, Start() begins a new chain.
-TEST(MemoryHogTest, RestartResumesAPendingChainOrStartsANewOne) {
-  // 21 touches at 0..1000 us, then the pending 1050 us touch continues to 2000 us.
-  EXPECT_EQ(TouchesWithRestartAt(1020), 41);
-  // The 1050 us touch finds the hog stopped; the new chain touches at 1100..2000 us.
-  EXPECT_EQ(TouchesWithRestartAt(1100), 40);
-}
-
 TEST(MemoryHogTest, EvictsOlderPagesWhenRegionExceedsMemory) {
   Simulator sim;
   Disk disk(sim, Rng(1));
   Pager pager(sim, disk, PagerConfig{.total_frames = 50});
-  AddressSpace* victim = pager.CreateAddressSpace("victim", true);
+  AddressSpace* victim = pager.CreateAddressSpace(true);
   pager.Prefault(*victim, 0, 20);
   MemoryHogConfig cfg;
   cfg.region_pages = 40;  // 20 free + steals 10
   MemoryHog hog(sim, pager, cfg);
   hog.Start();
   sim.RunUntil(TimePoint::Zero() + Duration::Seconds(2));
-  hog.Stop();
   EXPECT_EQ(victim->resident_pages(), 10u);
 }
 
@@ -148,28 +119,6 @@ TEST(AnimationTest, FrameHashesDistinctAcrossAnimations) {
       EXPECT_NE(frame_a.content_hash, frame_b.content_hash);
     }
   }
-}
-
-TEST(MarqueeTest, StripSetSizeMatchesConfig) {
-  ProtoFixture f;
-  auto rdp = std::make_unique<RdpProtocol>(f.sim, f.display, f.input, &f.tap, Rng(1));
-  Marquee marquee(f.sim, *rdp);
-  // 95 strips of 468x40 at 0.8 compression: just under the 1.5 MB cache alone.
-  EXPECT_LT(marquee.StripSetBytes(), Bytes::Of(3 * 512 * 1024));
-  EXPECT_GT(marquee.StripSetBytes(), Bytes::MiB(1));
-}
-
-TEST(WebPageTest, CombinedElementsOverflowCache) {
-  ProtoFixture f;
-  auto rdp = std::make_unique<RdpProtocol>(f.sim, f.display, f.input, &f.tap, Rng(1));
-  WebPage page(f.sim, *rdp, WebPageConfig{});
-  // Banner frame set + marquee strip set together exceed the 1.5 MB cache.
-  Bytes banner_bytes = Bytes::Zero();
-  for (const auto& frame : page.banner()->frames()) {
-    banner_bytes += frame.compressed_bytes;
-  }
-  Bytes total = banner_bytes + page.marquee()->StripSetBytes();
-  EXPECT_GT(total, Bytes::Of(3 * 512 * 1024));
 }
 
 TEST(AppScriptTest, DeterministicForSameSeed) {
