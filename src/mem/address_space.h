@@ -10,11 +10,16 @@
 // a vector beats a hash table by an order of magnitude on the fault/touch path. Each
 // entry packs the page's lifecycle state, its physical frame slot while resident, and
 // the dirty bit; the Pager interprets the frame slot against its frame slab.
+//
+// Each space also remembers the page range its last Pager hit run left as one chain of
+// the recency list (see `chain_first_`), so a keystroke re-touching its working set
+// neither re-checks nor re-walks the pages it touched last time.
 
 #ifndef TCS_SRC_MEM_ADDRESS_SPACE_H_
 #define TCS_SRC_MEM_ADDRESS_SPACE_H_
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -43,8 +48,14 @@ class AddressSpace {
            ((pages_[vpn] - kFrameBase) & 1u) != 0;
   }
   size_t resident_pages() const { return resident_count_; }
-  // The first page in [first, end) that is not resident, or `end` if all are.
+  // The first page in [first, end) that is not resident, or `end` if all are. The
+  // recorded chain's pages are all resident, so a run starting inside it skips them.
   uint64_t ResidentRunEnd(uint64_t first, uint64_t end) const {
+    if (InChain(first) && first < end) {
+      assert(IsResident(first));
+      first = std::min(end, chain_end_);
+      assert(IsResident(first - 1));
+    }
     uint64_t stop = std::min<uint64_t>(end, pages_.size());
     while (first < stop && pages_[first] >= kFrameBase) {
       ++first;
@@ -70,6 +81,9 @@ class AddressSpace {
   static constexpr uint32_t kFrameBase = 2;
   static_assert(kFrameBase + 2 * (kMaxFrames - 1) + 1 == 0xFFFFFFFFu);
 
+  static constexpr uint32_t ResidentEntry(uint32_t frame, bool dirty) {
+    return kFrameBase + (frame << 1) + (dirty ? 1u : 0u);
+  }
   void EnsurePage(uint64_t vpn) {
     if (vpn >= pages_.size()) {
       pages_.resize(vpn + 1, kNever);
@@ -83,9 +97,11 @@ class AddressSpace {
     if (e < kFrameBase) {
       ++resident_count_;
     }
-    e = kFrameBase + (frame << 1) + (dirty ? 1u : 0u);
+    e = ResidentEntry(frame, dirty);
   }
   void MarkDirty(uint64_t vpn) { pages_[vpn] |= 1u; }
+  // Every page that leaves its frame passes through here, so it also clears the chain
+  // record.
   void SetEvicted(uint64_t vpn);
   // MarkSwappedOut setup path: create a never-touched page directly in the evicted state.
   void MarkEvictedUntouched(uint64_t vpn) {
@@ -93,10 +109,25 @@ class AddressSpace {
     pages_[vpn] = kEvicted;
   }
 
+  bool InChain(uint64_t vpn) const { return chain_first_ <= vpn && vpn < chain_end_; }
+  void RecordChain(uint64_t first, uint64_t end) {
+    chain_first_ = first;
+    chain_end_ = end;
+  }
+
   uint64_t id_;
   bool interactive_;
   std::vector<uint32_t> pages_;
   size_t resident_count_ = 0;
+  // [chain_first_, chain_end_): the pages of this space that the Pager's last hit run on
+  // it moved to the MRU tail (empty when equal). Every page in it is resident, and their
+  // frames are consecutive nodes of the recency list in vpn order. That stays true until
+  // one of them leaves its frame: a node's own links change only when the node is
+  // unlinked (eviction or swap-out, which go through SetEvicted and clear the record) or
+  // spliced (a hit run on this space, which records its own range). Anything done to a
+  // node outside the chain rewrites at most the outward link of its first or last node.
+  uint64_t chain_first_ = 0;
+  uint64_t chain_end_ = 0;
 };
 
 }  // namespace tcs

@@ -80,15 +80,18 @@ void Pager::LinkFrameAtTail(uint32_t f) {
   lru_tail_ = f;
 }
 
-uint32_t Pager::AllocFrame(AddressSpace& as, uint64_t vpn) {
-  uint32_t f;
+uint32_t Pager::TakeFrame() {
   if (free_head_ != kNilFrame) {
-    f = free_head_;
+    uint32_t f = free_head_;
     free_head_ = frames_[f].next;
-  } else {
-    f = static_cast<uint32_t>(frames_.size());
-    frames_.push_back(Frame{});
+    return f;
   }
+  frames_.push_back(Frame{});
+  return static_cast<uint32_t>(frames_.size() - 1);
+}
+
+uint32_t Pager::AllocFrame(AddressSpace& as, uint64_t vpn) {
+  uint32_t f = TakeFrame();
   assert(vpn <= UINT32_MAX);
   frames_[f].owner = static_cast<uint32_t>(as.id());
   frames_[f].vpn = static_cast<uint32_t>(vpn);
@@ -184,19 +187,29 @@ void Pager::ScheduleIssue(uint64_t id, Duration delay) {
 // order followed by p1..pk. A stretch of the run whose frames already follow each other
 // in the list is a chain of the list, so splicing the stretches to the tail in vpn order
 // leaves the same list: each splice keeps the other frames' order and appends its pages
-// in order. The stretch test reads the list as the earlier splices left it.
+// in order. The stretch test reads the list as the earlier splices left it. A run that
+// starts inside the space's recorded chain takes the chain's part of it as its first
+// stretch without walking it; the run then leaves [first, end) as one chain.
 void Pager::HitRun(AddressSpace& as, uint64_t first, uint64_t end, bool write) {
   assert(first < end);
   hits_ += static_cast<int64_t>(end - first);
   if (write) {
-    as.MarkDirty(first);
+    for (uint64_t vpn = first; vpn < end; ++vpn) {
+      as.MarkDirty(vpn);
+    }
   }
   uint32_t head = as.FrameOf(first);
   uint32_t tail = head;
-  for (uint64_t vpn = first + 1; vpn < end; ++vpn) {
-    if (write) {
-      as.MarkDirty(vpn);
-    }
+  uint64_t vpn = first + 1;
+  if (as.InChain(first)) {
+    vpn = std::min(end, as.chain_end_);
+    tail = as.FrameOf(vpn - 1);
+    assert(as.IsResident(first) && frames_[head].owner == as.id() &&
+           frames_[head].vpn == first);
+    assert(as.IsResident(vpn - 1) && frames_[tail].owner == as.id() &&
+           frames_[tail].vpn == vpn - 1);
+  }
+  for (; vpn < end; ++vpn) {
     uint32_t f = as.FrameOf(vpn);
     if (frames_[tail].next != f) {
       SpliceToTail(head, tail);
@@ -205,6 +218,7 @@ void Pager::HitRun(AddressSpace& as, uint64_t first, uint64_t end, bool write) {
     tail = f;
   }
   SpliceToTail(head, tail);
+  as.RecordChain(first, end);
 }
 
 void Pager::EvictOneFrame(const AddressSpace& for_whom) {
@@ -466,6 +480,8 @@ void Pager::Prefault(AddressSpace& as, uint64_t first, size_t count) {
     if (run_end > vpn) {
       HitRun(as, vpn, run_end, /*write=*/false);
       vpn = run_end;
+    } else if (frames_free() > 0) {
+      vpn = FaultIntoFreeFrames(as, vpn, end);
     } else {
       MakeResident(as, vpn, /*write=*/false);
       ++vpn;
@@ -473,6 +489,30 @@ void Pager::Prefault(AddressSpace& as, uint64_t first, size_t count) {
   }
   hits_ = hits;
   faults_ = faults;
+}
+
+// While a frame is free, MakeResident evicts nothing: each fault takes the next frame in
+// AllocFrame's order (free list first, then a new slab slot) and links it at the MRU
+// tail. Doing that for the whole run leaves the same list, frame slots and page entries,
+// and emits the same fault instants in the same order, with the counters added once.
+uint64_t Pager::FaultIntoFreeFrames(AddressSpace& as, uint64_t first, uint64_t end) {
+  const uint64_t stop = std::min<uint64_t>(end, first + frames_free());
+  const auto owner = static_cast<uint32_t>(as.id());
+  uint64_t vpn = first;
+  for (; vpn < stop && !as.IsResident(vpn); ++vpn) {
+    emit_.Trace().Instant(TraceCategory::kMem, "fault", trace_track_, sim_.Now(),
+                          {"as", static_cast<int64_t>(owner)},
+                          {"vpn", static_cast<int64_t>(vpn)});
+    uint32_t f = TakeFrame();
+    assert(vpn <= UINT32_MAX);
+    frames_[f].owner = owner;
+    frames_[f].vpn = static_cast<uint32_t>(vpn);
+    LinkFrameAtTail(f);
+    as.pages_[vpn] = AddressSpace::ResidentEntry(f, /*dirty=*/false);
+  }
+  frames_used_ += vpn - first;
+  as.resident_count_ += vpn - first;
+  return vpn;
 }
 
 }  // namespace tcs

@@ -18,7 +18,9 @@
 // list+hash-map implementation (the golden corpus notices any deviation). Hits come in
 // runs of resident pages (a keystroke re-touching its working set, the hog streaming its
 // region): a run's pages that are already chained in the list move to the MRU tail as
-// one splice, which leaves the same order as moving them one page at a time.
+// one splice, which leaves the same order as moving them one page at a time. Each space
+// remembers the range its last hit run left as one chain, so a run that re-touches it
+// splices that part without walking it.
 
 #ifndef TCS_SRC_MEM_PAGER_H_
 #define TCS_SRC_MEM_PAGER_H_
@@ -173,13 +175,18 @@ class Pager {
   bool MakeResident(AddressSpace& as, uint64_t vpn, bool write);
   // Applies the hits on [first, end), every page resident: hit count, dirty bits, and
   // the recency update of touching the pages in vpn order, one splice per stretch of
-  // pages already chained in that order.
+  // pages already chained in that order. Records [first, end) as the space's chain.
   void HitRun(AddressSpace& as, uint64_t first, uint64_t end, bool write);
+  // Prefault's faults of the missing pages from `first` into free frames, stopping at
+  // `end`, the first resident page or the pool's last free frame. Returns the page after
+  // the last one faulted.
+  uint64_t FaultIntoFreeFrames(AddressSpace& as, uint64_t first, uint64_t end);
   void EvictOneFrame(const AddressSpace& for_whom);
   AddressSpace& OwnerOf(uint32_t f) const { return *spaces_[frames_[f].owner]; }
-  // Frame-slab plumbing: allocate a slot (free list first) linked at the MRU tail /
-  // unthread a slot from the recency list / move the chained slots head..tail to the
-  // MRU tail / return a slot to the free list.
+  // Frame-slab plumbing: take a slot (free list first, then a new one) / allocate a
+  // taken slot linked at the MRU tail / unthread a slot from the recency list / move the
+  // chained slots head..tail to the MRU tail / return a slot to the free list.
+  uint32_t TakeFrame();
   uint32_t AllocFrame(AddressSpace& as, uint64_t vpn);
   void UnlinkFrame(uint32_t f);
   void LinkFrameAtTail(uint32_t f);

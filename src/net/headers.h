@@ -27,12 +27,6 @@ struct HeaderModel {
   Bytes WirePerPacket() const { return tcp + ip + kEthernetFraming; }
 
   static HeaderModel TcpIp() { return HeaderModel{}; }
-  // Virtual IP: the IP header is elided entirely.
-  static HeaderModel Vip() {
-    HeaderModel h;
-    h.ip = Bytes::Zero();
-    return h;
-  }
 };
 
 }  // namespace tcs

@@ -99,8 +99,7 @@ class Tracer {
   // step it through intermediate slices, and end it (binding to the enclosing slice,
   // `bp:"e"`). All three points of one flow must share `id` and `name`. Determinism
   // contract: ids are caller-supplied sequence numbers minted in registration/injection
-  // order (use MintFlowId() when no natural id exists) — never addresses.
-  uint64_t MintFlowId() { return ++next_flow_id_; }
+  // order — never addresses.
   void FlowBegin(TraceCategory cat, const char* name, TraceTrack track, TimePoint t,
                  uint64_t id);
   void FlowStep(TraceCategory cat, const char* name, TraceTrack track, TimePoint t,
@@ -149,7 +148,6 @@ class Tracer {
   std::vector<Event> events_;
   std::vector<std::string> processes_;  // index = pid - 1
   std::vector<Track> tracks_;
-  uint64_t next_flow_id_ = 0;
 };
 
 }  // namespace tcs

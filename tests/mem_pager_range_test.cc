@@ -14,7 +14,11 @@
 // After every step the pager counters, every space's page entries, the disk queue, the
 // pending-event count and the completion log must match. At the end each world faults
 // a fresh space across the whole pool, which evicts every frame in LRU order, and the
-// evictions must match.
+// evictions must match. The scripts must reach the pager's shortcuts: hit steps that
+// start inside the range of the same space's previous hit step (the space's recorded
+// chain), and Prefault steps that fault several pages into free frames (its bulk
+// faults). The test counts both from the script and the observations, since the pager
+// exposes neither.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +26,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -738,13 +743,62 @@ struct Coverage {
   int partial_tryhits = 0;    // TryHit steps that stopped short of their count
   int protected_skips = 0;    // steps that skipped protected frames
   int flushed_frames = 0;     // evictions recorded by the final flushes
+  // Hit steps starting inside the range of the same space's previous hit step, with no
+  // page of that space leaving its frame in between.
+  int chain_hits = 0;
+  int bulk_prefaults = 0;  // Prefault steps that faulted 2+ pages into free frames
+  // Those of them, on a pool with no eviction in the step, that took a frame a swap-out
+  // had put on the free list.
+  int bulk_prefaults_reusing = 0;
 };
+
+// The frame slot of a packed page entry, or -1 if the page is not resident.
+int64_t FrameIn(const std::vector<uint32_t>& entries, uint64_t vpn) {
+  if (vpn >= entries.size() || entries[vpn] < 2) {
+    return -1;
+  }
+  return (entries[vpn] - 2) >> 1;
+}
+
+// True if a page resident in `before` is not resident in `after`, or in another frame.
+bool LostAFrame(const std::vector<uint32_t>& before, const std::vector<uint32_t>& after) {
+  for (uint64_t vpn = 0; vpn < before.size(); ++vpn) {
+    if (FrameIn(before, vpn) >= 0 && FrameIn(before, vpn) != FrameIn(after, vpn)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// The range a touching step hit as one run: a TryHit's hits, or an Access, AccessRange
+// or Prefault whose pages were all resident before it. None for a step that faulted.
+std::optional<std::pair<uint64_t, uint64_t>> WholeHitRange(const Step& st,
+                                                           const Observed& before,
+                                                           const Observed& after) {
+  if (st.kind == Kind::kTryHit) {
+    if (after.tryhit == 0) {
+      return std::nullopt;
+    }
+    return std::make_pair(st.first, st.first + after.tryhit);
+  }
+  const uint64_t end = st.first + (st.kind == Kind::kAccess ? 1 : st.count);
+  for (uint64_t vpn = st.first; vpn < end; ++vpn) {
+    if (FrameIn(before.pages[static_cast<size_t>(st.slot)], vpn) < 0) {
+      return std::nullopt;
+    }
+  }
+  return std::make_pair(st.first, end);
+}
 
 // Runs one seed; returns a description of the first mismatch, or "" if none.
 std::string RunSeed(uint64_t seed, Coverage& cov) {
   Script s = DrawScript(seed);
   World<Pager> runs(s);
   World<PerPagePager> per_page(s);
+  // Per slot, the range of its last hit step, cleared when one of its pages leaves its
+  // frame or a step on it faults; and the frame slots the slab has held so far.
+  std::vector<std::optional<std::pair<uint64_t, uint64_t>>> last_hit;
+  int64_t slab = 0;
   for (size_t i = 0; i < s.steps.size(); ++i) {
     const Step& st = s.steps[i];
     Observed before = runs.Observe();
@@ -766,6 +820,46 @@ std::string RunSeed(uint64_t seed, Coverage& cov) {
         st.kind == Kind::kPrefault && got.evictions > before.evictions ? 1 : 0;
     cov.partial_tryhits += st.kind == Kind::kTryHit && got.tryhit < st.count ? 1 : 0;
     cov.protected_skips += got.protected_skips > before.protected_skips ? 1 : 0;
+
+    last_hit.resize(got.pages.size());
+    for (size_t slot = 0; slot < before.pages.size(); ++slot) {
+      if (LostAFrame(before.pages[slot], got.pages[slot])) {
+        last_hit[slot].reset();
+      }
+    }
+    auto slot = static_cast<size_t>(st.slot);
+    if (st.kind == Kind::kAccess || st.kind == Kind::kAccessRange ||
+        st.kind == Kind::kPrefault || st.kind == Kind::kTryHit) {
+      std::optional<std::pair<uint64_t, uint64_t>> hit = WholeHitRange(st, before, got);
+      if (hit && last_hit[slot] && last_hit[slot]->first <= hit->first &&
+          hit->first < last_hit[slot]->second) {
+        ++cov.chain_hits;
+      }
+      if (hit || st.kind != Kind::kTryHit) {
+        last_hit[slot] = hit;
+      }
+    }
+    if (st.kind == Kind::kPrefault) {
+      int64_t faulted = 0;
+      bool reused = false;
+      for (uint64_t vpn = st.first; vpn < st.first + st.count; ++vpn) {
+        int64_t frame = FrameIn(got.pages[slot], vpn);
+        if (FrameIn(before.pages[slot], vpn) < 0 && frame >= 0) {
+          ++faulted;
+          reused = reused || frame < slab;
+        }
+      }
+      int64_t evicted = got.evictions - before.evictions;
+      if (faulted - evicted >= 2) {
+        ++cov.bulk_prefaults;
+        cov.bulk_prefaults_reusing += evicted == 0 && reused ? 1 : 0;
+      }
+    }
+    for (const std::vector<uint32_t>& entries : got.pages) {
+      for (uint64_t vpn = 0; vpn < entries.size(); ++vpn) {
+        slab = std::max(slab, FrameIn(entries, vpn) + 1);
+      }
+    }
   }
   std::vector<std::pair<int, uint64_t>> got = runs.FlushInLruOrder(s.pager.total_frames);
   std::vector<std::pair<int, uint64_t>> want =
@@ -805,6 +899,9 @@ TEST(PagerRangeTest, RunHitsMatchPerPagePagerAfterEveryStep) {
   EXPECT_GT(cov.partial_tryhits, 100);
   EXPECT_GT(cov.protected_skips, 100);
   EXPECT_GT(cov.flushed_frames, 10000);
+  EXPECT_GT(cov.chain_hits, 150);
+  EXPECT_GT(cov.bulk_prefaults, 400);
+  EXPECT_GT(cov.bulk_prefaults_reusing, 50);
 }
 
 // Hits on pages whose frames are not chained in vpn order: each page still moves to the
@@ -828,6 +925,53 @@ TEST(PagerRangeTest, RunOfScatteredFramesMovesToTailInVpnOrder) {
     EXPECT_TRUE(as->WasEvicted(vpn)) << vpn;
     if (vpn + 1 < 6) {
       EXPECT_TRUE(as->IsResident(vpn + 1)) << vpn;
+    }
+  }
+}
+
+// The keystroke shape: a space re-touches a prefix of its pages, then a shorter prefix,
+// then a longer one, with another space's hits in between; then one of its pages is
+// evicted and faulted again, and the prefix is touched once more. Each re-touch starts
+// inside the range the space's previous hit left as one chain, and the eviction must
+// clear that record, since the re-faulted page sits at the MRU tail, not in the chain. A
+// flush then checks the LRU order the per-page touches leave.
+TEST(PagerRangeTest, RetouchedPrefixesKeepPerPageLruOrder) {
+  Simulator sim;
+  Disk disk(sim, Rng(1));
+  PagerConfig cfg;
+  cfg.total_frames = 12;
+  Pager pager(sim, disk, cfg);
+  AddressSpace* a = pager.CreateAddressSpace(true);
+  AddressSpace* b = pager.CreateAddressSpace(true);
+  AddressSpace* c = pager.CreateAddressSpace(false);
+  pager.Prefault(*a, 0, 8);                        // A0..A7
+  pager.Prefault(*b, 0, 2);                        // A0..A7 B0 B1
+  pager.AccessRange(*a, 0, 6, false, nullptr);     // A6 A7 B0 B1 A0..A5
+  EXPECT_EQ(pager.TryHit(*b, 0, 1, false), 1u);    // A6 A7 B1 A0..A5 B0
+  pager.AccessRange(*a, 0, 3, false, nullptr);     // A6 A7 B1 A3 A4 A5 B0 A0 A1 A2
+  EXPECT_EQ(pager.TryHit(*b, 1, 1, false), 1u);    // A6 A7 A3 A4 A5 B0 A0 A1 A2 B1
+  pager.AccessRange(*a, 0, 8, false, nullptr);     // B0 B1 A0..A7
+  EXPECT_EQ(pager.TryHit(*b, 0, 2, false), 2u);    // A0..A7 B0 B1
+  pager.Prefault(*c, 0, 2);                        // A0..A7 B0 B1 C0 C1: full
+  pager.AccessRange(*c, 2, 1, false, nullptr);     // evicts A0: A1..A7 B0 B1 C0 C1 C2
+  EXPECT_TRUE(a->WasEvicted(0));
+  pager.MarkSwappedOut(*c, 0, 1);                  // A1..A7 B0 B1 C1 C2, one frame free
+  pager.Access(*a, 0, false, nullptr);             // A1..A7 B0 B1 C1 C2 A0
+  sim.Run();
+  pager.AccessRange(*a, 0, 8, false, nullptr);     // B0 B1 C1 C2 A0..A7
+  EXPECT_EQ(pager.hits(), 6 + 1 + 3 + 1 + 8 + 2 + 8);
+  EXPECT_EQ(pager.evictions(), 1);
+
+  const std::vector<std::pair<AddressSpace*, uint64_t>> lru = {
+      {b, 0}, {b, 1}, {c, 1}, {c, 2}, {a, 0}, {a, 1},
+      {a, 2}, {a, 3}, {a, 4}, {a, 5}, {a, 6}, {a, 7}};
+  AddressSpace* probe = pager.CreateAddressSpace(true);
+  for (uint64_t vpn = 0; vpn < lru.size(); ++vpn) {
+    pager.Access(*probe, vpn, false, nullptr);
+    EXPECT_TRUE(lru[vpn].first->WasEvicted(lru[vpn].second)) << "eviction " << vpn;
+    if (vpn + 1 < lru.size()) {
+      EXPECT_TRUE(lru[vpn + 1].first->IsResident(lru[vpn + 1].second))
+          << "eviction " << vpn;
     }
   }
 }

@@ -11,12 +11,6 @@ TEST(HeaderModelTest, TcpIpCounts40) {
   EXPECT_EQ(h.WirePerPacket(), Bytes::Of(58));
 }
 
-TEST(HeaderModelTest, VipElidesIpHeader) {
-  HeaderModel h = HeaderModel::Vip();
-  EXPECT_EQ(h.CountedPerPacket(), Bytes::Of(20));
-  EXPECT_EQ(h.WirePerPacket(), Bytes::Of(38));
-}
-
 TEST(MessageSenderTest, SmallMessageIsOnePacket) {
   Simulator sim;
   Link link(sim);
@@ -58,18 +52,6 @@ TEST(MessageSenderTest, DeliveryFiresAfterLastSegment) {
   // 1460+58, 1460+58, 1080+58 = 1518,1518,1138 bytes; serialization rounds up per frame.
   int64_t serialization = 1215 + 1215 + 911;  // ceil(bytes*8/10) us each at 10 Mbps
   EXPECT_EQ(delivered.ToMicros(), serialization + 50);
-}
-
-TEST(MessageSenderTest, VipReducesCountedBytes) {
-  Simulator sim;
-  Link link(sim);
-  MessageSender tcpip(link, HeaderModel::TcpIp());
-  MessageSender vip(link, HeaderModel::Vip());
-  for (int i = 0; i < 100; ++i) {
-    tcpip.SendMessage(Bytes::Of(200));
-    vip.SendMessage(Bytes::Of(200));
-  }
-  EXPECT_EQ(tcpip.counted_bytes() - vip.counted_bytes(), Bytes::Of(100 * 20));
 }
 
 TEST(MessageSenderTest, EmptyMessageStillCostsAFrame) {

@@ -194,18 +194,11 @@ TEST(ObservedRunTest, CategoryMaskRestrictsObservedRun) {
   EXPECT_EQ(json.find("\"cat\":\"sim\""), std::string::npos);
 }
 
-TEST(TracerTest, FlowIdsMintSequentiallyFromOne) {
-  Tracer tracer;
-  EXPECT_EQ(tracer.MintFlowId(), 1u);
-  EXPECT_EQ(tracer.MintFlowId(), 2u);
-  EXPECT_EQ(tracer.MintFlowId(), 3u);
-}
-
 TEST(TracerTest, FlowEventsSerializeWithIdAndEnclosingBinding) {
   Tracer tracer;
   TraceTrack a = tracer.RegisterTrack("blame", "net");
   TraceTrack b = tracer.RegisterTrack("blame", "cpu");
-  uint64_t id = tracer.MintFlowId();
+  const uint64_t id = 1;
   tracer.FlowBegin(TraceCategory::kBlame, "interaction", a, TimePoint::FromMicros(10), id);
   tracer.FlowStep(TraceCategory::kBlame, "interaction", b, TimePoint::FromMicros(20), id);
   tracer.FlowEnd(TraceCategory::kBlame, "interaction", a, TimePoint::FromMicros(30), id);

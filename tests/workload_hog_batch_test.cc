@@ -9,7 +9,10 @@
 // and six RunUntil deadlines (half of them on touch instants). Everything observable
 // must match at every deadline: pager counters, both spaces' page tables, the disk
 // queue, the pending-event count, the victim's completion log and the pager's hit count
-// at each victim completion (what another component sees in the middle of a run).
+// at each victim completion (what another component sees in the middle of a run). The
+// scripts must reach the hog's repeated full wraps of a wholly resident region, whose
+// runs start inside the chain the previous wrap left, and wraps that an eviction of a
+// hog page interrupts.
 
 #include <gtest/gtest.h>
 
@@ -284,11 +287,34 @@ class World {
   std::vector<int64_t> hits_log_;
 };
 
+// What the scripts exercised, summed over seeds.
+struct Coverage {
+  // Deadline intervals that began with the hog's region wholly resident and held two or
+  // more full wraps with no eviction at all.
+  int resident_wraps = 0;
+  // Deadline intervals that held a full wrap of a region that fits the pool, and an
+  // eviction of a hog page that was resident when the interval began.
+  int interrupted_wraps = 0;
+};
+
+// True if a page resident in `before` is not resident in `after`, or in another frame.
+bool LostAFrame(const std::vector<uint32_t>& before, const std::vector<uint32_t>& after) {
+  for (size_t vpn = 0; vpn < before.size(); ++vpn) {
+    uint32_t now = vpn < after.size() ? after[vpn] : 0;
+    if (before[vpn] >= 2 && (now < 2 || (now >> 1) != (before[vpn] >> 1))) {
+      return true;
+    }
+  }
+  return false;
+}
+
 // Runs one seed; returns a description of the first mismatch, or "" if none.
-std::string RunSeed(uint64_t seed) {
+std::string RunSeed(uint64_t seed, Coverage& cov) {
   Script s = DrawScript(seed);
   World<MemoryHog> batched(s);
   World<PerPageHog> oracle(s);
+  const auto region = static_cast<int64_t>(s.hog.region_pages);
+  Observed prev = batched.Observe();
   TimePoint last = TimePoint::Zero();
   for (size_t d = 0; d < s.deadlines.size(); ++d) {
     TimePoint deadline = std::max(last, s.deadlines[d]);
@@ -326,15 +352,26 @@ std::string RunSeed(uint64_t seed) {
              std::to_string(deadline.ToMicros()) + "us differs:" + what +
              "\n  batched:  " + got.Summary() + "\n  per-page: " + want.Summary();
     }
+    int64_t touched = got.pages_touched - prev.pages_touched;
+    if (prev.hog_resident == s.hog.region_pages) {
+      cov.resident_wraps +=
+          touched >= 2 * region && got.evictions == prev.evictions ? 1 : 0;
+    }
+    if (s.hog.region_pages <= s.pager.total_frames) {
+      cov.interrupted_wraps +=
+          touched >= region && LostAFrame(prev.hog_pages, got.hog_pages) ? 1 : 0;
+    }
+    prev = got;
   }
   return "";
 }
 
 TEST(HogBatchTest, MatchesPerPageOracleAtEveryDeadline) {
+  Coverage cov;
   int mismatches = 0;
   std::string first;
   for (uint64_t seed = 1; seed <= 400; ++seed) {
-    std::string diff = RunSeed(seed);
+    std::string diff = RunSeed(seed, cov);
     if (!diff.empty()) {
       if (mismatches++ == 0) {
         first = diff;
@@ -342,6 +379,8 @@ TEST(HogBatchTest, MatchesPerPageOracleAtEveryDeadline) {
     }
   }
   EXPECT_EQ(mismatches, 0) << mismatches << " of 400 seeds mismatch; first:\n" << first;
+  EXPECT_GT(cov.resident_wraps, 140);
+  EXPECT_GT(cov.interrupted_wraps, 10);
 }
 
 // A §5.2 trial runs the hog for 30+ s of virtual time; resident hits no longer cost an
